@@ -8,9 +8,10 @@ Commands:
 * fold      -- fold a system to a scalar equation and verify consistency
 * models    -- list the model catalog
 
-Exit codes: 0 ok, 2 config error, 3 numerical blow-up, 4 violated
-prediction (soundness alarm), 5 bound validation failure, 6 fold
-inconsistency.
+Exit codes: 0 ok, 2 config error, 3 numerical blow-up (including
+non-finite initial values), 4 violated prediction (soundness alarm),
+5 bound validation failure, 6 fold inconsistency.  All JSON output is
+strict: a non-finite number in it is a blow-up, never ``Infinity``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import ExperimentConfig, SCHEMA_VERSION, load_config
 from .dynamics import Trajectory, iterate
 from .errors import (BoundValidationError, ConfigError,
                      CriterionInapplicableError, DomainError,
-                     ModelParameterError, SubconvergeError)
+                     ModelParameterError, NonFiniteError, SubconvergeError)
 from .sequences import ParameterSequence
 
 EXIT_CONFIG = 2
@@ -158,6 +159,15 @@ def _collect_params(config: Optional[ExperimentConfig], kw: dict) -> dict:
     return params
 
 
+def _dumps(payload, indent: Optional[int] = None) -> str:
+    """Strict JSON: NaN and infinities raise NonFiniteError."""
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError("non-finite number in output: %s" % exc) \
+            from exc
+
+
 def _write_out(text: str, out: Optional[str]):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -258,7 +268,7 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
                 payload = {"schema": SCHEMA_VERSION, "model": name,
                            "params": params, "initial": initial,
                            "steps": n_steps, "terms": list(traj.terms)}
-                _write_out(json.dumps(payload), out)
+                _write_out(_dumps(payload), out)
             else:
                 _write_out(traj.to_csv(), out)
             if traj.truncated:
@@ -273,7 +283,7 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
                            "params": params, "initial": initial,
                            "steps": n_steps,
                            "points": [list(p) for p in orbit.points]}
-                _write_out(json.dumps(payload), out)
+                _write_out(_dumps(payload), out)
             else:
                 _write_out(orbit.to_csv(), out)
             if orbit.diagnostic:
@@ -288,7 +298,7 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
                            "params": params, "initial": initial,
                            "steps": n_steps,
                            "points": [list(p) for p in states]}
-                _write_out(json.dumps(payload), out)
+                _write_out(_dumps(payload), out)
             else:
                 lines = ["n,x,y,z"]
                 lines += ["%d,%r,%r,%r" % (n, x, y, z)
@@ -299,6 +309,8 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
     except (ConfigError, ModelParameterError, DomainError,
             click.ClickException) as exc:
         _fail(EXIT_CONFIG, str(exc))
+    except NonFiniteError as exc:
+        _fail(EXIT_BLOWUP, str(exc))
 
 
 @main.command()
@@ -331,7 +343,7 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
             payload["model"] = name
             if offset:
                 payload["limit_offset"] = offset
-            _write_out(json.dumps(payload, indent=2), out)
+            _write_out(_dumps(payload, indent=2), out)
             if report.any_violated:
                 _fail(EXIT_VIOLATED, "a prediction was violated "
                                      "(soundness alarm)")
@@ -356,7 +368,7 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
             payload["model"] = name
             payload["criterion"] = "tail" if tail.applicable \
                 else "alternating"
-            _write_out(json.dumps(payload, indent=2), out)
+            _write_out(_dumps(payload, indent=2), out)
             if report.any_violated:
                 _fail(EXIT_VIOLATED, "a prediction was violated "
                                      "(soundness alarm)")
@@ -366,6 +378,8 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         _fail(EXIT_BOUND, str(exc))
     except (ConfigError, ModelParameterError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
+    except NonFiniteError as exc:
+        _fail(EXIT_BLOWUP, str(exc))
 
 
 @main.command()
@@ -410,12 +424,14 @@ def threshold(model, config_path, as_json, **kw):
         else:
             raise ConfigError("no threshold defined for model %r" % name)
         if as_json:
-            click.echo(json.dumps(out))
+            click.echo(_dumps(out))
         else:
             for key, val in out.items():
                 click.echo("%s: %s" % (key, val))
     except (ConfigError, ModelParameterError) as exc:
         _fail(EXIT_CONFIG, str(exc))
+    except NonFiniteError as exc:
+        _fail(EXIT_BLOWUP, str(exc))
 
 
 @main.command()
@@ -447,7 +463,7 @@ def fold(model, config_path, init, steps, tol, out, **kw):
             payload = {"model": name, "order": 3, "max_deviation": max_dev,
                        "passed": max_dev <= tol,
                        "first_divergent": first_div}
-            _write_out(json.dumps(payload, indent=2), out)
+            _write_out(_dumps(payload, indent=2), out)
             if max_dev > tol:
                 _fail(EXIT_FOLD, "fold inconsistency: max deviation %g, "
                                  "first divergent index %s"
@@ -467,7 +483,7 @@ def fold(model, config_path, init, steps, tol, out, **kw):
                    "max_deviation_y": check.max_dev_y,
                    "first_divergent": check.first_divergent,
                    "passed": check.passed}
-        _write_out(json.dumps(payload, indent=2), out)
+        _write_out(_dumps(payload, indent=2), out)
         if not check.passed:
             _fail(EXIT_FOLD, "fold inconsistency: max deviation %g, first "
                              "divergent index %s"
@@ -475,6 +491,8 @@ def fold(model, config_path, init, steps, tol, out, **kw):
                      check.first_divergent))
     except (ConfigError, ModelParameterError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
+    except NonFiniteError as exc:
+        _fail(EXIT_BLOWUP, str(exc))
     except SubconvergeError as exc:
         _fail(EXIT_FOLD, str(exc))
 

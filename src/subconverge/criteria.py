@@ -297,13 +297,15 @@ def predict_full_convergence(eq: EquationSpec, bound: BoundingFunction,
     which forces the whole tail of the solution to converge to zero.
     For k = 1 this is simply the first crossing."""
     k = bound.dominant_lag
-    window = bound.validity
+    lo, hi = bound.validity.lo, bound.validity.hi
     terms = traj.terms
-
-    def inside(x: float) -> bool:
-        return window.contains(x) or x == 0.0
-
-    for n0 in range(chain_start_floor(eq.order, k), len(terms) - k + 1):
-        if all(inside(terms[n0 + i]) for i in range(k)):
-            return n0
+    run = 0                 # consecutive in-window terms ending at n
+    for n in range(chain_start_floor(eq.order, k), len(terms)):
+        x = terms[n]
+        if lo < x < hi or x == 0.0:
+            run += 1
+            if run == k:
+                return n - k + 1
+        else:
+            run = 0
     return None

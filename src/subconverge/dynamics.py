@@ -103,6 +103,28 @@ class Trajectory:
         })
 
 
+def _overflow(n: int, exc: OverflowError) -> NonFiniteError:
+    return NonFiniteError("overflow at step %d: %s" % (n, exc), index=n)
+
+
+def _non_finite(n: int, value: float) -> NonFiniteError:
+    return NonFiniteError("non-finite value %r at step %d" % (value, n),
+                          index=n)
+
+
+def _outside(n: int, history: Sequence[float]) -> DomainError:
+    return DomainError("history %r outside domain at step %d"
+                       % (tuple(history), n), index=n)
+
+
+def check_finite_initial(initial: Sequence[float]) -> None:
+    """Raise NonFiniteError (index 0) unless every initial value is
+    finite; an orbit started at inf or NaN carries no information."""
+    if not all(map(math.isfinite, initial)):
+        raise NonFiniteError("initial values %r are not all finite"
+                             % (tuple(initial),), index=0)
+
+
 def evaluate_map(eq: EquationSpec, n: int, history: Sequence[float]) -> float:
     """Apply F_n to a history vector (u_1 = x_{n-1} first).
 
@@ -113,16 +135,13 @@ def evaluate_map(eq: EquationSpec, n: int, history: Sequence[float]) -> float:
         raise ValueError("history length %d != order %d"
                          % (len(history), eq.order))
     if not eq.in_domain(history):
-        raise DomainError("history %r outside domain at step %d"
-                          % (tuple(history), n), index=n)
+        raise _outside(n, history)
     try:
         value = eq.evaluator(n, history)
     except OverflowError as exc:
-        raise NonFiniteError("overflow at step %d: %s" % (n, exc),
-                             index=n) from exc
+        raise _overflow(n, exc) from exc
     if not math.isfinite(value):
-        raise NonFiniteError("non-finite value %r at step %d" % (value, n),
-                             index=n)
+        raise _non_finite(n, value)
     return value
 
 
@@ -130,9 +149,11 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
             steps: int) -> Trajectory:
     """Generate the forward orbit for ``steps`` terms past the initial data.
 
-    Initial values are given oldest first (x_0, ..., x_{m-1}).  A
-    non-finite term truncates the trajectory and records a diagnostic;
-    a domain exit raises DomainError with the offending index.
+    Initial values are given oldest first (x_0, ..., x_{m-1}) and must
+    be finite.  A non-finite term truncates the trajectory and records a
+    diagnostic; a domain exit raises DomainError with the offending
+    index.  The evaluator receives each window as a fresh list, most
+    recent term first.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -140,19 +161,42 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     if len(init) != eq.order:
         raise ValueError("need %d initial values, got %d"
                          % (eq.order, len(init)))
-    if not eq.in_domain(tuple(reversed(init))):
+    check_finite_initial(init)
+    if not eq.in_domain(init[::-1]):
         raise DomainError("initial values %r outside domain" % (init,),
                           index=0)
     terms: List[float] = list(init)
     m = eq.order
+    end = m + steps
+    stop = -m - 1           # terms[:stop:-1] is the window x_{n-1}..x_{n-m}
     diagnostic = None
-    for n in range(m, m + steps):
-        window = tuple(terms[n - i] for i in range(1, m + 1))
+    lo, hi = eq.domain_low[0], eq.domain_high[0]
+    if eq.domain_low.count(lo) != m or eq.domain_high.count(hi) != m:
+        # Lags with different intervals: check the whole window each step.
+        for n in range(m, end):
+            try:
+                terms.append(evaluate_map(eq, n, terms[:stop:-1]))
+            except NonFiniteError as exc:
+                diagnostic = str(exc)
+                break
+        return Trajectory(init, tuple(terms), eq, diagnostic)
+    # One interval for every lag: a window leaves the domain exactly when
+    # its newest term does, so each term is checked once, as it enters.
+    evaluator = eq.evaluator
+    isfinite = math.isfinite
+    append = terms.append
+    for n in range(m, end):
         try:
-            terms.append(evaluate_map(eq, n, window))
-        except NonFiniteError as exc:
-            diagnostic = str(exc)
+            x = evaluator(n, terms[:stop:-1])
+        except OverflowError as exc:
+            diagnostic = str(_overflow(n, exc))
             break
+        if not isfinite(x):
+            diagnostic = str(_non_finite(n, x))
+            break
+        append(x)
+        if not lo <= x <= hi and n + 1 < end:
+            raise _outside(n + 1, terms[:stop:-1])
     return Trajectory(init, tuple(terms), eq, diagnostic)
 
 

@@ -38,8 +38,13 @@ class BoundValidationError(SubconvergeError):
 
 
 class FoldError(SubconvergeError):
-    """A planar system cannot be folded (no solvability form, or
-    consistency failure)."""
+    """A planar system cannot be folded (no solvability form, no
+    preimage, or consistency failure).  ``index`` is the step n of the
+    sigma_n that failed, when known."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ModelParameterError(SubconvergeError):

@@ -24,13 +24,33 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .criteria import (BoundingFunction, ThresholdResult, solve_threshold,
                        validate_bound)
-from .dynamics import EquationSpec
-from .errors import DomainError, ModelParameterError, NonFiniteError
+from .dynamics import EquationSpec, check_finite_initial
+from .errors import (DomainError, FoldError, ModelParameterError,
+                     NonFiniteError)
 from .reports import ThresholdWindow
 from .sequences import ParameterSequence, as_sequence
 from .systems import PlanarSystem, SigmaForm
 
 _INF = math.inf
+
+
+# -- coefficient access ---------------------------------------------------
+#
+# Builders resolve every ParameterSequence once (``resolve``): constants
+# become floats the maps close over, periodic and tabulated sequences
+# become plain closures.  Each map has a constant-coefficient form and a
+# general form; both keep the arithmetic of the formula exactly as
+# written, so orbits do not depend on which form was built.
+
+
+def _varying(*resolved) -> bool:
+    """Whether any resolved coefficient depends on the step."""
+    return any(map(callable, resolved))
+
+
+def _at(resolved):
+    """A resolved coefficient as a function of the step n."""
+    return resolved if callable(resolved) else (lambda n: resolved)
 
 
 # -- generalized Ricker family ------------------------------------------
@@ -62,14 +82,34 @@ class RickerFamilySpec:
 
 def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
     lam, k, m = spec.lam, spec.k, spec.m
-    a_seq, b_seqs = spec.a_seq, spec.b_seqs
+    km1 = k - 1
+    exp = math.exp
+    a = spec.a_seq.resolve()
+    bs = tuple(seq.resolve() for seq in spec.b_seqs)
+    # Every form accumulates a_n - b_1 u_1 - ... - b_m u_m left to right;
+    # the crossing indices depend on that order.
+    if _varying(a, *bs):
+        a_at, b_at = _at(a), tuple(map(_at, bs))
 
-    def evaluator(n: int, u: Sequence[float]) -> float:
-        # Fixed left-to-right accumulation; crossing indices depend on it.
-        e = a_seq(n)
-        for i in range(m):
-            e -= b_seqs[i](n) * u[i]
-        return u[k - 1] ** lam * math.exp(e)
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            e = a_at(n)
+            for b_i, u_i in zip(b_at, u):
+                e -= b_i(n) * u_i
+            return u[km1] ** lam * exp(e)
+    elif m == 3:
+        # Unrolled for order 3 (sp3, and any three-lag Ricker model): at
+        # this size the loop costs more than the map itself.
+        b1, b2, b3 = bs
+
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            return u[km1] ** lam * exp(a - b1 * u[0] - b2 * u[1]
+                                       - b3 * u[2])
+    else:
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            e = a
+            for b_i, u_i in zip(bs, u):
+                e -= b_i * u_i
+            return u[km1] ** lam * exp(e)
 
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
@@ -254,12 +294,18 @@ def _validate_power(p: RationalPower) -> Fraction:
         % frac)
 
 
+def _real_power(p: Fraction) -> Tuple[bool, Union[int, float]]:
+    """(whether to take |x| first, exponent) for x**p on the real branch."""
+    if p.denominator == 1:
+        return False, int(p)
+    return True, float(p)
+
+
 def rational_power(x: float, p: Fraction) -> float:
     """x**p on the real branch: integer exponents keep their sign, and
     even/odd rationals give |x|**p."""
-    if p.denominator == 1:
-        return x ** int(p)
-    return abs(x) ** float(p)
+    absolute, power = _real_power(p)
+    return (abs(x) if absolute else x) ** power
 
 
 @dataclass(frozen=True)
@@ -299,12 +345,22 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     if spec.b < 0:
         raise ModelParameterError("b must be non-negative")
     m = spec.order
-    a_seq, c_seq, q_seq, b = spec.a_seq, spec.c_seq, spec.q_seq, spec.b
-    k, l = spec.k, spec.l
+    b, k, l = spec.b, spec.k, spec.l
+    km1, lm1 = k - 1, l - 1
+    a, c, q = (seq.resolve() for seq in (spec.a_seq, spec.c_seq, spec.q_seq))
+    absolute, power = _real_power(p)      # rational_power, resolved
+    if _varying(a, c, q):
+        a_at, c_at, q_at = _at(a), _at(c), _at(q)
 
-    def evaluator(n: int, u: Sequence[float]) -> float:
-        num = a_seq(n) * rational_power(u[k - 1] - b, p)
-        return num / (1.0 + c_seq(n) * u[l - 1] ** q_seq(n)) + b
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            x = u[km1] - b
+            num = a_at(n) * (abs(x) if absolute else x) ** power
+            return num / (1.0 + c_at(n) * u[lm1] ** q_at(n)) + b
+    else:
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            x = u[km1] - b
+            num = a * (abs(x) if absolute else x) ** power
+            return num / (1.0 + c * u[lm1] ** q) + b
 
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
@@ -390,18 +446,34 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     if lam <= 1:
         raise ModelParameterError("lam must exceed 1")
     r_sup = r_seq.bounds()[1]
+    exp = math.exp
+    s, t, r = s_seq.resolve(), t_seq.resolve(), r_seq.resolve()
+    if _varying(s, t, r):
+        s_at, t_at, r_at = _at(s), _at(t), _at(r)
 
-    def f(n: int, u: float, v: float) -> float:
-        return s_seq(n) * v
+        def f(n: int, u: float, v: float) -> float:
+            return s_at(n) * v
 
-    def g(n: int, u: float, v: float) -> float:
-        return u ** lam * math.exp(r_seq(n) - u - t_seq(n) * v)
+        def g(n: int, u: float, v: float) -> float:
+            return u ** lam * exp(r_at(n) - u - t_at(n) * v)
+
+        def rho(n: int, u: float) -> float:
+            return s_at(n)
+    else:
+        def f(n: int, u: float, v: float) -> float:
+            return s * v
+
+        def g(n: int, u: float, v: float) -> float:
+            return u ** lam * exp(r - u - t * v)
+
+        def rho(n: int, u: float) -> float:
+            return s
 
     steps = sorted(set(s_seq.sample_indices()) | set(t_seq.sample_indices())
                    | set(r_seq.sample_indices()))
     return PlanarSystem(
         f=f, g=g,
-        sigma=SigmaForm.multiplicative(lambda n, u: s_seq(n)),
+        sigma=SigmaForm.multiplicative(rho),
         envelope_f=lambda u: u,
         envelope_g=lambda u: u ** lam * math.exp(r_sup - u),
         sample_steps=tuple(steps),
@@ -462,60 +534,94 @@ def make_competition(params: CompetitionParams,
 
     r1_sup, a1_inf = p.r1.bounds()[1], p.a1.bounds()[0]
     r2_sup, a2_inf = p.r2.bounds()[1], p.a2.bounds()[0]
-
-    def x_map(n: int, x: float, y: float) -> float:
-        return p.r1(n) * x ** p.d1 / (p.a1(n) + x ** p.d1
-                                      + p.b1(n) * y ** p.d3)
-
-    def y_map(n: int, x: float, y: float) -> float:
-        return p.r2(n) * y ** p.d2 / (p.a2(n) + y ** p.d2
-                                      + p.b2(n) * x ** p.d4)
+    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
+    r1, a1, b1 = p.r1.resolve(), p.a1.resolve(), p.b1.resolve()
+    # The x-equation reads its own species from y when swapped, and the
+    # y-equation reads its own from x unless swapped.
+    f = _rbh_map(r1, a1, b1, d1, d3, own_is_y=swapped)
+    g = _rbh_map(p.r2.resolve(), p.a2.resolve(), p.b2.resolve(), d2, d4,
+                 own_is_y=not swapped)
 
     def fbar1(u: float) -> float:
-        return r1_sup * u ** p.d1 / (a1_inf + u ** p.d1)
+        return r1_sup * u ** d1 / (a1_inf + u ** d1)
 
     def fbar2(u: float) -> float:
-        return r2_sup * u ** p.d2 / (a2_inf + u ** p.d2)
+        return r2_sup * u ** d2 / (a2_inf + u ** d2)
 
-    steps = sorted(set().union(*(s.sample_indices() for s in
-                                 (p.r1, p.r2, p.a1, p.a2, p.b1, p.b2))))
-
-    if not swapped:
-        f = x_map
-        g = y_map
-        b1_inf = p.b1.bounds()[0]
-        sigma = None
-        if b1_inf > 0:
-            def sigma_fn(n: int, u: float, w: float) -> float:
-                # w = r1 u^d1 / (a1 + u^d1 + b1 v^d3), solved for v.
-                num = p.r1(n) * u ** p.d1 / w - p.a1(n) - u ** p.d1
-                return (num / p.b1(n)) ** (1.0 / p.d3)
-            sigma = SigmaForm.custom(sigma_fn)
-        return PlanarSystem(f=f, g=g, sigma=sigma,
+    steps = tuple(sorted(set().union(*(
+        s.sample_indices() for s in (p.r1, p.r2, p.a1, p.a2, p.b1, p.b2)))))
+    if swapped:
+        return PlanarSystem(f=f, g=g,
+                            sigma=SigmaForm.custom(_swapped_sigma(
+                                r1, a1, b1, d1, d3)),
                             envelope_f=fbar1, envelope_g=fbar2,
-                            sample_steps=tuple(steps), name="competition")
-
-    def f_sw(n: int, x: float, y: float) -> float:
-        return p.r1(n) * y ** p.d1 / (p.a1(n) + y ** p.d1
-                                      + p.b1(n) * x ** p.d3)
-
-    def g_sw(n: int, x: float, y: float) -> float:
-        return p.r2(n) * x ** p.d2 / (p.a2(n) + x ** p.d2
-                                      + p.b2(n) * y ** p.d4)
-
-    def sigma_sw(n: int, u: float, w: float) -> float:
-        # w = r1 v^d1 / (a1 + v^d1 + b1 u^d3), solved for v (needs w < r1).
-        denom = p.r1(n) - w
-        if denom <= 0:
-            raise ModelParameterError(
-                "no preimage: w=%r not below r1=%r" % (w, p.r1(n)))
-        return (w * (p.a1(n) + p.b1(n) * u ** p.d3) / denom) \
-            ** (1.0 / p.d1)
-
-    return PlanarSystem(f=f_sw, g=g_sw, sigma=SigmaForm.custom(sigma_sw),
+                            sample_steps=steps, name="competition-swapped")
+    sigma = None
+    if p.b1.bounds()[0] > 0:
+        sigma = SigmaForm.custom(_competition_sigma(r1, a1, b1, d1, d3))
+    return PlanarSystem(f=f, g=g, sigma=sigma,
                         envelope_f=fbar1, envelope_g=fbar2,
-                        sample_steps=tuple(steps),
-                        name="competition-swapped")
+                        sample_steps=steps, name="competition")
+
+
+def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
+    """(n, x, y) -> r_n X^d / (a_n + X^d + b_n Y^e) from resolved
+    coefficients, where X is the species' own state (x, or y when
+    ``own_is_y``) and Y the other one."""
+    if _varying(r, a, b):
+        r_at, a_at, b_at = _at(r), _at(a), _at(b)
+        if own_is_y:
+            def rbh(n: int, x: float, y: float) -> float:
+                return r_at(n) * y ** d / (a_at(n) + y ** d
+                                           + b_at(n) * x ** e)
+        else:
+            def rbh(n: int, x: float, y: float) -> float:
+                return r_at(n) * x ** d / (a_at(n) + x ** d
+                                           + b_at(n) * y ** e)
+    elif own_is_y:
+        def rbh(n: int, x: float, y: float) -> float:
+            return r * y ** d / (a + y ** d + b * x ** e)
+    else:
+        def rbh(n: int, x: float, y: float) -> float:
+            return r * x ** d / (a + x ** d + b * y ** e)
+    return rbh
+
+
+def _no_preimage(n: int, u: float, w: float) -> FoldError:
+    return FoldError("sigma_%d: w=%r has no preimage at u=%r" % (n, w, u),
+                     index=n)
+
+
+def _competition_sigma(r1, a1, b1, d1: float, d3: float):
+    """Solve w = r1 u^d1 / (a1 + u^d1 + b1 v^d3) for v (needs w > 0)."""
+    inv_d3 = 1.0 / d3
+    if _varying(r1, a1, b1):
+        r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
+
+        def sigma(n: int, u: float, w: float) -> float:
+            if w <= 0:
+                raise _no_preimage(n, u, w)
+            num = r1_at(n) * u ** d1 / w - a1_at(n) - u ** d1
+            return (num / b1_at(n)) ** inv_d3
+    else:
+        def sigma(n: int, u: float, w: float) -> float:
+            if w <= 0:
+                raise _no_preimage(n, u, w)
+            return ((r1 * u ** d1 / w - a1 - u ** d1) / b1) ** inv_d3
+    return sigma
+
+
+def _swapped_sigma(r1, a1, b1, d1: float, d3: float):
+    """Solve w = r1 v^d1 / (a1 + v^d1 + b1 u^d3) for v (needs w < r1)."""
+    inv_d1 = 1.0 / d1
+    r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
+
+    def sigma(n: int, u: float, w: float) -> float:
+        denom = r1_at(n) - w
+        if denom <= 0:
+            raise _no_preimage(n, u, w)
+        return (w * (a1_at(n) + b1_at(n) * u ** d3) / denom) ** inv_d1
+    return sigma
 
 
 def competition_threshold(r1: float, a1: float, d1: float,
@@ -575,28 +681,30 @@ class ThreeDSystem:
     r: float
     s: float
 
+    def __post_init__(self):
+        # The step map, built once from the resolved coefficients.
+        object.__setattr__(self, "_step", _threed_step(self))
+
     def step(self, n: int, state: Tuple[float, float, float]
              ) -> Tuple[float, float, float]:
-        x, y, z = state
-        if z <= 0:
-            raise DomainError("z_%d = %r is not positive" % (n, z), index=n)
-        xn = math.exp(self.a_seq(n) - self.b * x - self.c * y - self.d * z)
-        yn = self.p_seq(n) * x + self.q * z - self.r * math.log(z)
-        zn = self.s * x
-        return xn, yn, zn
+        return self._step(n, state)
 
     def iterate(self, initial: Tuple[float, float, float],
                 steps: int) -> List[Tuple[float, float, float]]:
         x0, y0, z0 = (float(v) for v in initial)
+        check_finite_initial((x0, y0, z0))
         if x0 <= 0 or z0 <= 0:
             raise DomainError("x_0 and z_0 must be positive")
-        states = [(x0, y0, z0)]
+        state = (x0, y0, z0)
+        states = [state]
+        append, step, isfinite = states.append, self._step, math.isfinite
         for n in range(steps):
-            nxt = self.step(n, states[-1])
-            if not all(math.isfinite(v) for v in nxt):
+            state = step(n, state)
+            x, y, z = state
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
                 raise NonFiniteError("non-finite state at step %d" % (n + 1),
                                      index=n + 1)
-            states.append(nxt)
+            append(state)
         return states
 
     def fold_initial(self, initial: Tuple[float, float, float]
@@ -604,6 +712,33 @@ class ThreeDSystem:
         """(x_0, x_1, x_2) feeding the folded order-3 equation."""
         states = self.iterate(initial, 2)
         return tuple(st[0] for st in states)
+
+
+def _threed_step(sysm: ThreeDSystem):
+    b, c, d, q, r, s = sysm.b, sysm.c, sysm.d, sysm.q, sysm.r, sysm.s
+    a, p = sysm.a_seq.resolve(), sysm.p_seq.resolve()
+    exp, log = math.exp, math.log
+    if _varying(a, p):
+        a_at, p_at = _at(a), _at(p)
+
+        def step(n: int, state: Tuple[float, float, float]
+                 ) -> Tuple[float, float, float]:
+            x, y, z = state
+            if z <= 0:
+                raise DomainError("z_%d = %r is not positive" % (n, z),
+                                  index=n)
+            return (exp(a_at(n) - b * x - c * y - d * z),
+                    p_at(n) * x + q * z - r * log(z), s * x)
+    else:
+        def step(n: int, state: Tuple[float, float, float]
+                 ) -> Tuple[float, float, float]:
+            x, y, z = state
+            if z <= 0:
+                raise DomainError("z_%d = %r is not positive" % (n, z),
+                                  index=n)
+            return (exp(a - b * x - c * y - d * z),
+                    p * x + q * z - r * log(z), s * x)
+    return step
 
 
 def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
@@ -624,11 +759,22 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     cr_ln_s = cr * math.log(s)
     cqs = c * q * s
     ds = d * s
+    exp = math.exp
+    a, p = a_seq.resolve(), p_seq.resolve()
+    if _varying(a, p):
+        a_at, p_at = _at(a), _at(p)
 
-    def evaluator(n: int, u: Sequence[float]) -> float:
-        e = a_seq(n - 1) + cr_ln_s - b * u[0] \
-            - (c * p_seq(n - 2) + ds) * u[1] - cqs * u[2]
-        return u[2] ** cr * math.exp(e)
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            e = a_at(n - 1) + cr_ln_s - b * u[0] \
+                - (c * p_at(n - 2) + ds) * u[1] - cqs * u[2]
+            return u[2] ** cr * exp(e)
+    else:
+        # With constant a and p, the first sum and the lag-2 coefficient
+        # are the same doubles at every step: computed once.
+        a_0, b_2 = a + cr_ln_s, c * p + ds
+
+        def evaluator(n: int, u: Sequence[float]) -> float:
+            return u[2] ** cr * exp(a_0 - b * u[0] - b_2 * u[1] - cqs * u[2])
 
     eq = EquationSpec(order=3, dominant_lag=3, evaluator=evaluator,
                       domain_low=(0.0,) * 3, domain_high=(_INF,) * 3,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import SequenceBoundError
 
@@ -72,6 +72,28 @@ class ParameterSequence:
         if 0 <= n < len(self.values):
             return self.values[n]
         return self.fallback  # type: ignore[return-value]
+
+    def resolve(self) -> Union[float, Callable[[int], float]]:
+        """Build-time accessor for model builders.
+
+        A constant resolves to its float, which the builder closes over;
+        a periodic or tabulated sequence resolves to a closure over its
+        tuple that indexes without any per-call kind dispatch.  Either
+        way the values are exactly those of ``self(n)``.
+        """
+        values = self.values
+        if self.kind == CONSTANT:
+            return values[0]
+        size = len(values)
+        if self.kind == PERIODIC:
+            def periodic(n: int) -> float:
+                return values[n % size]
+            return periodic
+        fallback = self.fallback
+
+        def tabulated(n: int) -> float:
+            return values[n] if 0 <= n < size else fallback
+        return tabulated
 
     def stored_values(self) -> Tuple[float, ...]:
         """All distinct values the sequence can ever emit."""

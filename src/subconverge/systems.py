@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .criteria import (ScalarMap, check_inequality_chain, solve_threshold)
-from .dynamics import EquationSpec, iterate
+from .dynamics import EquationSpec, check_finite_initial, iterate
 from .errors import DomainError, FoldError
 from .reports import (CONVERGING_TO_ZERO, VIOLATED, ConvergenceReport,
                       Prediction, ThresholdWindow)
@@ -37,7 +37,9 @@ class SigmaForm:
 
     Separable forms f_n(u,v) = rho_n(u) * phi(v) (multiplicative) or
     rho_n(u) + phi(v) (additive) carry rho and the bijection phi with its
-    inverse; anything else supplies sigma directly.
+    inverse; anything else supplies sigma directly.  The kind is resolved
+    once, at construction: ``solve(n, u, w)`` is the plain function that
+    calling the form runs.
     """
 
     kind: str
@@ -60,15 +62,29 @@ class SigmaForm:
     def custom(sigma) -> "SigmaForm":
         return SigmaForm(CUSTOM, sigma=sigma)
 
+    def __post_init__(self):
+        object.__setattr__(self, "solve", _sigma_solver(self))
+
     def __call__(self, n: int, u: float, w: float) -> float:
-        if self.kind == CUSTOM:
-            return self.sigma(n, u, w)
-        r = self.rho(n, u)
-        if self.kind == MULTIPLICATIVE:
+        return self.solve(n, u, w)
+
+
+def _sigma_solver(form: SigmaForm) -> Callable[[int, float, float], float]:
+    if form.kind == CUSTOM:
+        return form.sigma
+    rho, phi_inv = form.rho, form.phi_inv
+    if form.kind == MULTIPLICATIVE:
+        def solve(n: int, u: float, w: float) -> float:
+            r = rho(n, u)
             if r <= 0:
-                raise FoldError("rho_%d(%r) = %r is not positive" % (n, u, r))
-            return self.phi_inv(w / r)
-        return self.phi_inv(w - r)
+                raise FoldError("rho_%d(%r) = %r is not positive"
+                                % (n, u, r), index=n)
+            return phi_inv(w / r)
+        return solve
+
+    def solve(n: int, u: float, w: float) -> float:
+        return phi_inv(w - rho(n, u))
+    return solve
 
 
 @dataclass(frozen=True)
@@ -143,27 +159,31 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
                    steps: int) -> Orbit:
     """Forward orbit of ``steps`` applications of the system map.
 
-    Non-finite values truncate the orbit with a diagnostic; a domain exit
-    raises DomainError.
+    The initial point must be finite.  Non-finite values truncate the
+    orbit with a diagnostic; a domain exit raises DomainError.
     """
-    x0, y0 = float(initial[0]), float(initial[1])
-    if not sys.in_domain(x0, y0):
-        raise DomainError("initial point %r outside domain" % ((x0, y0),),
+    x, y = float(initial[0]), float(initial[1])
+    check_finite_initial((x, y))
+    if not sys.in_domain(x, y):
+        raise DomainError("initial point %r outside domain" % ((x, y),),
                           index=0)
-    points: List[Tuple[float, float]] = [(x0, y0)]
+    points: List[Tuple[float, float]] = [(x, y)]
+    append, isfinite = points.append, math.isfinite
+    f, g = sys.f, sys.g
+    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
     diagnostic = None
     for n in range(steps):
-        x, y = points[-1]
-        xn, yn = sys.f(n, x, y), sys.g(n, x, y)
-        if not (math.isfinite(xn) and math.isfinite(yn)):
+        xn, yn = f(n, x, y), g(n, x, y)
+        if not (isfinite(xn) and isfinite(yn)):
             diagnostic = "non-finite state (%r, %r) at step %d" % (xn, yn,
                                                                   n + 1)
             break
-        if not sys.in_domain(xn, yn):
+        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
             raise DomainError("state %r outside domain at step %d"
                               % ((xn, yn), n + 1), index=n + 1)
-        points.append((xn, yn))
-    return Orbit((x0, y0), tuple(points), diagnostic)
+        x, y = xn, yn
+        append((x, y))
+    return Orbit(points[0], tuple(points), diagnostic)
 
 
 def fold_initial(sys: PlanarSystem, x0: float, y0: float
@@ -181,7 +201,7 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
     """
     if sys.sigma is None:
         raise FoldError("system %r has no solvability form" % sys.name)
-    f, g, sigma = sys.f, sys.g, sys.sigma
+    f, g, sigma = sys.f, sys.g, sys.sigma.solve
 
     def evaluator(n: int, u: Sequence[float]) -> float:
         y = sigma(n - 2, u[1], u[0])
@@ -196,17 +216,19 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
 
 @dataclass(frozen=True)
 class FoldCheck:
-    """Comparison of a direct orbit against the folded scalar equation."""
+    """Comparison of a direct orbit against the folded scalar equation.
+
+    ``steps`` is the number of x-terms compared; ``stopped`` says why the
+    comparison ended before the requested length (a truncated orbit, or a
+    step whose y has no preimage under sigma), or is None.
+    """
 
     passed: bool
     max_dev_x: float
     max_dev_y: float
     first_divergent: Optional[int]
     steps: int
-
-
-def _dev(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
+    stopped: Optional[str] = None
 
 
 def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
@@ -214,28 +236,53 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     """Iterate the system and its fold side by side.
 
     Checks x-agreement and, when a solvability form exists, y-recovery
-    via y_n = sigma_n(x_n, x_{n+1}).
+    via y_n = sigma_n(x_n, x_{n+1}).  Where sigma_n raises FoldError with
+    its step (w has no preimage, e.g. once x underflows to 0), the fold
+    cannot continue: the check compares the terms before that step and
+    records why it stopped.
     """
     orbit = iterate_system(sys, initial, steps)
     eq = fold_planar(sys)
-    traj = iterate(eq, fold_initial(sys, *initial), max(0, len(orbit) - 2))
-    n_cmp = min(len(orbit), len(traj))
-    max_x = 0.0
-    first_div = None
+    x_init = fold_initial(sys, *initial)
+    stopped = orbit.diagnostic
+    try:
+        traj = iterate(eq, x_init, max(0, len(orbit) - 2))
+    except FoldError as exc:
+        if exc.index is None:
+            raise
+        # sigma_j failed, so x_{j+2} has no fold: x_0 .. x_{j+1} remain.
+        stopped = str(exc)
+        traj = iterate(eq, x_init, exc.index)
+    xs, points, sigma = traj.terms, orbit.points, sys.sigma.solve
+    n_cmp = min(len(points), len(xs))
+    max_x = max_y = 0.0
+    div_x = div_y = None
+    # Equal terms deviate by 0 (the usual case for x), so the relative
+    # deviation is only computed where they differ.
     for n in range(n_cmp):
-        d = _dev(orbit.points[n][0], traj.terms[n])
-        if d > tol and first_div is None:
-            first_div = n
-        max_x = max(max_x, d)
-    max_y = 0.0
-    for n in range(n_cmp - 1):
-        y_rec = sys.sigma(n, traj.terms[n], traj.terms[n + 1])
-        d = _dev(orbit.points[n][1], y_rec)
-        if d > tol and first_div is None:
-            first_div = n
-        max_y = max(max_y, d)
+        px, py = points[n]
+        x = xs[n]
+        d = abs(px - x) / max(abs(px), abs(x), 1.0) if x != px else 0.0
+        if d > tol and div_x is None:
+            div_x = n
+        if d > max_x:
+            max_x = d
+        if n + 1 == n_cmp:
+            break
+        try:
+            y = sigma(n, x, xs[n + 1])
+        except FoldError as exc:
+            if exc.index is None:
+                raise
+            stopped, n_cmp = stopped or str(exc), n + 1
+            break
+        d = abs(py - y) / max(abs(py), abs(y), 1.0) if y != py else 0.0
+        if d > tol and div_y is None:
+            div_y = n
+        if d > max_y:
+            max_y = d
     return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,
-                     first_div, n_cmp)
+                     div_x if div_x is not None else div_y, n_cmp, stopped)
 
 
 # -- envelope criteria ---------------------------------------------------

@@ -292,3 +292,26 @@ def test_models_listing(runner):
     names = res.output.split()
     assert "sp3" in names and "threed" in names
     assert len(names) == 7
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--model", "sp3", "--init", "inf,1,1"],
+    ["simulate", "--model", "sp3", "--init", "nan,1,1"],
+    ["simulate", "--model", "adult-juvenile", "--init", "1,inf"],
+    ["fold", "--model", "adult-juvenile", "--init", "inf,1"],
+    ["fold", "--model", "threed", "--init", "1,inf,1"],
+], ids=["analyze", "simulate", "simulate-planar", "fold", "fold-threed"])
+def test_non_finite_initial_values_exit_3(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert "Infinity" not in res.output and "NaN" not in res.output
+    assert "not all finite" in res.output
+
+
+def test_json_output_is_strict(runner):
+    # a non-finite parameter echoed into JSON is a blow-up, not Infinity
+    res = runner.invoke(main, ["simulate", "--model", "sp3", "--init",
+                               "1,1,1", "--steps", "3", "--format", "json",
+                               "--a", "inf"])
+    assert res.exit_code == 3
+    assert "Infinity" not in res.output

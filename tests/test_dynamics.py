@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
-from subconverge.errors import DomainError
+from subconverge.errors import DomainError, NonFiniteError
 
 
 def test_evaluate_map_first_step(sp3_k3):
@@ -129,3 +129,18 @@ def test_iterate_matches_evaluate_map(init, steps):
     for n in range(3, len(traj.terms)):
         window = tuple(traj.terms[n - i] for i in (1, 2, 3))
         assert traj.terms[n] == sc.evaluate_map(eq, n, window)
+
+
+@pytest.mark.parametrize("init", [(math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
+                                  (1.0, 1.0, -math.inf)])
+def test_iterate_rejects_non_finite_initial_values(sp3_k3, init):
+    eq, _ = sp3_k3
+    with pytest.raises(NonFiniteError) as exc:
+        sc.iterate(eq, init, 5)
+    assert exc.value.index == 0
+
+
+def test_iterate_system_rejects_non_finite_initial_values(adult_juvenile):
+    with pytest.raises(NonFiniteError) as exc:
+        sc.iterate_system(adult_juvenile, (1.0, math.inf), 5)
+    assert exc.value.index == 0

@@ -200,3 +200,30 @@ def test_prediction_without_crossing(adult_juvenile):
     report = sc.predict_alternating_convergence(adult_juvenile, orbit, 0.1)
     assert report.crossing_index is None
     assert report.predictions == ()
+
+
+def test_fold_consistency_stops_where_the_orbit_goes_extinct():
+    # x underflows to 0.0 at n=18; sigma_17 then has no preimage.  The
+    # check must stop there and pass on the terms it could compare.
+    sysm = sc.make_competition(sc.CompetitionParams.make(
+        3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.5, 0.5))
+    check = sc.check_fold_consistency(sysm, (1.5, 1.5), 30_000)
+    assert check.passed, check
+    assert check.steps == 18
+    assert check.stopped.startswith("sigma_17: w=0.0 has no preimage")
+    assert check.max_dev_x <= 1e-14 and check.max_dev_y <= 1e-14
+    assert check.first_divergent is None
+
+
+def test_competition_sigma_rejects_zero_w():
+    sysm = sc.make_competition(sc.CompetitionParams.make(
+        3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.5, 0.5))
+    with pytest.raises(FoldError) as exc:
+        sysm.sigma(5, 1e-200, 0.0)
+    assert exc.value.index == 5
+
+
+def test_fold_consistency_full_run_records_no_stop(adult_juvenile):
+    check = sc.check_fold_consistency(adult_juvenile, (1.0, 1.0), 100)
+    assert check.stopped is None
+    assert check.steps == 101
