@@ -1,0 +1,25 @@
+#!/bin/sh
+# Run each CLI command once and fail on a non-zero exit or a traceback.
+# CLI names the command to run: the installed console script by default,
+# or e.g. CLI="python -m subconverge.cli" with PYTHONPATH=src.
+CLI=${CLI:-subconverge}
+err=$(mktemp)
+status=0
+while read -r args; do
+    # shellcheck disable=SC2086  # $CLI and $args are word lists
+    if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
+        echo "FAILED: $CLI $args" >&2
+        cat "$err" >&2
+        status=1
+    fi
+done <<'COMMANDS'
+models
+simulate --model sp3 --k 3 --init 1,1,1 --steps 300
+analyze --model sp3 --k 2 --init 1,1,1 --steps 300
+analyze --model adult-juvenile --init 1,1 --steps 200
+threshold --model sp3 --k 3 --json
+fold --model adult-juvenile --init 1,1 --steps 100
+fold --model threed --init 0.9,1.1,1 --steps 100
+COMMANDS
+rm -f "$err"
+exit $status

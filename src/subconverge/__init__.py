@@ -11,13 +11,14 @@ planar and 3D systems to scalar equations, and empirical verification
 of the predictions.
 """
 
-from .analysis import (Classification, MonotoneResult, build_report,
-                       classify_limit, detect_crossing,
+from .analysis import (Classification, MonotoneResult, analyze_residues,
+                       build_report, classify_limit, detect_crossing,
+                       predict_subsequence_convergence,
                        verify_monotone_to_zero)
-from .criteria import (BoundingFunction, ThresholdResult,
+from .criteria import (BoundingFunction, ThresholdResult, bisect,
                        check_inequality_chain, predict_full_convergence,
-                       predict_subsequence_convergence, solve_threshold,
-                       symmetrize, validate_bound, verify_sublinearity)
+                       solve_threshold, symmetrize, validate_bound,
+                       verify_sublinearity)
 from .dynamics import (EquationSpec, Trajectory, evaluate_map,
                        extract_subsequence, iterate)
 from .models import (MODEL_NAMES, CompetitionParams, FixedPointResult,

@@ -1,18 +1,24 @@
-"""Empirical verification of predicted convergence behavior.
+"""Per-residue-class analysis and empirical verification.
 
-These functions inspect computed trajectories: where the threshold
-window is first entered, whether a predicted subsequence actually
-decreases monotonically, and which candidate value (zero, or a fixed
-point of the bounding function) the tail settles on.
+These functions inspect computed sequences: where the threshold window
+is first entered, whether a predicted subsequence actually decreases
+monotonically, and which candidate value (zero, or a fixed point of the
+bounding function) the tail settles on.  ``analyze_residues`` is the one
+implementation of the criterion per residue class; reports, scalar
+predictions and the planar envelope predictions are views of it.
+
+Functions of ``criteria`` are looked up on that module at call time, so
+a rebinding there (a tracer, a test double) reaches every caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from .criteria import BoundingFunction, check_inequality_chain, symmetrize
+from . import criteria
+from .criteria import BoundingFunction, ScalarMap
 from .dynamics import EquationSpec, Trajectory
 from .reports import (CONVERGING_TO_FIXED_POINT, CONVERGING_TO_ZERO,
                       INCONCLUSIVE, VIOLATED, ConvergenceReport,
@@ -102,6 +108,88 @@ def classify_limit(subseq: Sequence[float], candidates: Sequence[float],
     return Classification("inconclusive", None, mean, width)
 
 
+def analyze_residues(terms: Sequence[float], stride: int,
+                     h: Optional[ScalarMap], window: ThresholdWindow,
+                     floor: int = 0,
+                     candidates: Optional[Sequence[float]] = None,
+                     zero_tol: float = DEFAULT_ZERO_TOL,
+                     limit_tol: float = DEFAULT_LIMIT_TOL,
+                     first_only: bool = False) -> ConvergenceReport:
+    """The criterion on each residue class mod ``stride``.
+
+    A class enters at its first index >= ``floor`` whose term is in the
+    window (or exactly 0) and gets a zero-convergence prediction with its
+    chain under h (none if h is None); a failing chain is VIOLATED.
+    With ``candidates``, every class is also classified against them and
+    a class that never enters but settles on a fixed point gets an
+    empirical prediction.  ``first_only`` keeps the first crossing's
+    class only.
+    """
+    lo, hi = window.lo, window.hi
+
+    def entry(start: int, step: int) -> Optional[int]:
+        return next((n for n in range(start, len(terms), step)
+                     if lo < terms[n] < hi or terms[n] == 0.0), None)
+
+    if first_only:
+        first = entry(floor, 1)
+        entries = {} if first is None else {first % stride: first}
+    else:
+        # Starting at floor, floor + 1, ... meets each class once.
+        entries = {start % stride: entry(start, stride)
+                   for start in range(floor, floor + stride)}
+        first = min((n for n in entries.values() if n is not None),
+                    default=None)
+    predictions: List[Prediction] = []
+    limits: List[LimitClassification] = []
+    tails = {}
+    for residue in sorted(entries):
+        n0 = entries[residue]
+        if n0 is None and candidates is None:
+            continue
+        sub = terms[residue if n0 is None else n0::stride]
+        tails[residue] = list(sub[-8:])
+        cls = None if candidates is None else \
+            classify_limit(sub, candidates, limit_tol)
+        if n0 is not None:
+            chain = None if h is None else \
+                criteria.check_inequality_chain(terms, n0, stride, h)
+            verdict = CONVERGING_TO_ZERO if chain is None or chain.holds \
+                else VIOLATED
+            note = "" if candidates is None else "monotone:%s" % \
+                verify_monotone_to_zero(sub, zero_tol).status
+            predictions.append(Prediction(residue, n0, stride, verdict,
+                                          chain, limit=0.0, note=note))
+        elif cls.kind == "fixed-point":
+            predictions.append(Prediction(
+                residue, residue, stride, CONVERGING_TO_FIXED_POINT, None,
+                limit=cls.value,
+                note="empirical limit; not asserted by the criterion"))
+        if cls is not None:
+            limits.append(LimitClassification(residue, cls.kind, cls.value,
+                                              cls.tail_mean, cls.tail_width))
+    return ConvergenceReport(stride, window, first, tuple(predictions),
+                             tuple(limits), subsequence_tails=tails)
+
+
+def _scalar_report(eq: EquationSpec, bound: BoundingFunction,
+                   traj: Trajectory, limits: bool,
+                   zero_tol: float = DEFAULT_ZERO_TOL,
+                   limit_tol: float = DEFAULT_LIMIT_TOL) -> ConvergenceReport:
+    """analyze_residues on a trajectory under its bound (grid-checked
+    first if it was not), plus the full-convergence index."""
+    if not bound.grid_checked:
+        bound = criteria.validate_bound(bound)
+    k = bound.dominant_lag
+    report = analyze_residues(
+        traj.terms, k, criteria.symmetrize(bound), bound.validity,
+        criteria.chain_start_floor(eq.order, k),
+        (0.0,) + tuple(bound.fixed_points) if limits else None,
+        zero_tol, limit_tol)
+    full_from = criteria.predict_full_convergence(eq, bound, traj)
+    return replace(report, full_convergence_from=full_from)
+
+
 def build_report(eq: EquationSpec, bound: BoundingFunction,
                  traj: Trajectory,
                  zero_tol: float = DEFAULT_ZERO_TOL,
@@ -115,61 +203,20 @@ def build_report(eq: EquationSpec, bound: BoundingFunction,
     A VIOLATED verdict means the criterion's guarantee failed, i.e. the
     bound is invalid or there is a bug.
     """
-    from .criteria import (chain_start_floor, predict_full_convergence,
-                           validate_bound)
+    return _scalar_report(eq, bound, traj, True, zero_tol, limit_tol)
 
-    if not bound.grid_checked:
-        bound = validate_bound(bound)
-    k = bound.dominant_lag
-    window = bound.validity
-    h = symmetrize(bound)
-    candidates = (0.0,) + tuple(bound.fixed_points)
 
-    predictions: List[Prediction] = []
-    limits: List[LimitClassification] = []
-    tails = {}
-    first_crossing: Optional[int] = None
+def predict_subsequence_convergence(eq: EquationSpec,
+                                    bound: BoundingFunction,
+                                    traj: Trajectory) -> ConvergenceReport:
+    """Emit one zero-convergence prediction per residue class whose
+    trajectory enters the threshold window.
 
-    floor = chain_start_floor(eq.order, k)
-    for residue in range(k):
-        entry = None
-        for n in range(residue, len(traj.terms), k):
-            if n < floor:
-                continue
-            if window.contains(traj.terms[n]) or traj.terms[n] == 0.0:
-                entry = n
-                break
-        if entry is not None:
-            if first_crossing is None or entry < first_crossing:
-                first_crossing = entry
-            chain = check_inequality_chain(traj, entry, k, h)
-            sub = list(traj.terms[entry::k])
-            mono = verify_monotone_to_zero(sub, zero_tol)
-            if not chain.holds or mono.status == VIOLATION:
-                verdict = VIOLATED
-            elif mono.status == VERIFIED:
-                verdict = CONVERGING_TO_ZERO
-            else:
-                verdict = CONVERGING_TO_ZERO  # criterion-backed; tail slow
-            note = "monotone:%s" % mono.status
-            predictions.append(Prediction(residue, entry, k, verdict,
-                                          chain, limit=0.0, note=note))
-            tails[residue] = sub[-min(len(sub), 8):]
-            cls = classify_limit(sub, candidates, limit_tol)
-        else:
-            sub = list(traj.terms[residue::k])
-            cls = classify_limit(sub, candidates, limit_tol)
-            if cls.kind == "fixed-point":
-                predictions.append(Prediction(
-                    residue, residue, k, CONVERGING_TO_FIXED_POINT, None,
-                    limit=cls.value,
-                    note="empirical limit; not asserted by the criterion"))
-            tails[residue] = sub[-min(len(sub), 8):]
-        limits.append(LimitClassification(residue, cls.kind, cls.value,
-                                          cls.tail_mean, cls.tail_width))
-
-    full_from = predict_full_convergence(eq, bound, traj)
-    return ConvergenceReport(k, window, first_crossing,
-                             tuple(predictions), tuple(limits),
-                             full_convergence_from=full_from,
-                             subsequence_tails=tails)
+    Each prediction carries the verified inequality chain; a failing
+    chain marks the prediction VIOLATED, which indicates a soundness
+    problem (an invalid bound or a bug), never a benign outcome.
+    """
+    if bound.dominant_lag != eq.dominant_lag:
+        raise ValueError("bound stride %d != equation dominant lag %d"
+                         % (bound.dominant_lag, eq.dominant_lag))
+    return _scalar_report(eq, bound, traj, False)

@@ -16,21 +16,20 @@ strict: a non-finite number in it is a blow-up, never ``Infinity``.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import sys
-from fractions import Fraction
-from typing import Optional, Tuple
+from dataclasses import replace
+from typing import Optional
 
 import click
 
 from . import analysis, models, systems
-from .config import ExperimentConfig, SCHEMA_VERSION, load_config
-from .dynamics import Trajectory, iterate
+from .config import SCHEMA_VERSION, load_config
+from .dynamics import iterate
 from .errors import (BoundValidationError, ConfigError,
                      CriterionInapplicableError, DomainError,
                      ModelParameterError, NonFiniteError, SubconvergeError)
-from .sequences import ParameterSequence
 
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -38,8 +37,12 @@ EXIT_VIOLATED = 4
 EXIT_BOUND = 5
 EXIT_FOLD = 6
 
-SCALAR_MODELS = {"ricker", "sp3", "sigmoid-bh"}
-PLANAR_MODELS = {"adult-juvenile", "competition", "competition-swapped"}
+# Errors every command maps to an exit code, tried in order.
+_EXITS = (
+    ((ConfigError, ModelParameterError, DomainError), EXIT_CONFIG),
+    ((NonFiniteError, OverflowError), EXIT_BLOWUP),
+    ((BoundValidationError, CriterionInapplicableError), EXIT_BOUND),
+)
 
 
 def _fail(code: int, message: str):
@@ -47,116 +50,41 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _coerce_seq(value) -> ParameterSequence:
-    """Config/CLI parameter to sequence: number -> constant, list ->
-    periodic, {"kind": ...} -> explicit representation."""
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError as exc:
-            raise ConfigError("cannot interpret parameter %r as a "
-                              "sequence" % value) from exc
-    if isinstance(value, (int, float)):
-        return ParameterSequence.constant(value)
-    if isinstance(value, list):
-        return ParameterSequence.periodic(value)
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind == "constant":
-            return ParameterSequence.constant(value["value"])
-        if kind == "periodic":
-            return ParameterSequence.periodic(value["values"])
-        if kind == "tabulated":
-            return ParameterSequence.tabulated(value["values"],
-                                               value["fallback"])
-        raise ConfigError("unknown sequence kind %r" % kind)
-    raise ConfigError("cannot interpret parameter %r as a sequence" % value)
+def _exits(*extra):
+    """Run a command so that each mapped error ends it with its exit
+    code and one ``error:`` line (an overflow is a numerical blow-up)."""
+    table = _EXITS + extra
+    caught = tuple(cls for classes, _ in table for cls in classes)
+
+    def wrap(command):
+        @functools.wraps(command)
+        def run(*args, **kw):
+            try:
+                return command(*args, **kw)
+            except caught as exc:
+                code = next(code for classes, code in table
+                            if isinstance(exc, classes))
+                _fail(code, "numerical overflow: %s" % exc
+                      if isinstance(exc, OverflowError) else str(exc))
+        return run
+    return wrap
 
 
-def _parse_power(p) -> object:
-    if isinstance(p, int):
-        return p
-    if isinstance(p, str):
-        return Fraction(p)
-    if isinstance(p, float) and p == int(p):
-        return int(p)
-    raise ConfigError("exponent must be an integer or a fraction string "
-                      "like '4/3'")
+def _floats(text: str, option: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError("bad %s: %s" % (option, exc)) from exc
 
 
-def _parse_init(text: Optional[str], config_init):
-    if text:
-        try:
-            return [float(v) for v in text.split(",")]
-        except ValueError as exc:
-            raise ConfigError("bad --init: %s" % exc) from exc
-    return list(config_init or [])
-
-
-def _build_scalar(name: str, params: dict
-                  ) -> Tuple[object, Optional[object], float]:
-    """Returns (equation, bound-or-None, limit_offset)."""
-    if name == "sp3":
-        k = int(params.get("k", 3))
-        eq, bound = models.make_sp3(k, rigorous=bool(params.get("rigorous")))
-        return eq, bound, 0.0
-    if name == "ricker":
-        lam = float(params.get("lambda", params.get("lam", 2.0)))
-        k = int(params.get("k", 1))
-        b = params.get("b", 1.0)
-        b_list = b if isinstance(b, list) else [b]
-        m = int(params.get("m", len(b_list)))
-        spec = models.RickerFamilySpec(
-            lam, k, m, _coerce_seq(params.get("a", 0.0)),
-            tuple(_coerce_seq(v) for v in b_list))
-        eq, bound = models.make_generalized_ricker(spec)
-        return eq, bound, 0.0
-    if name == "sigmoid-bh":
-        spec = models.SigmoidBHSpec(
-            a_seq=_coerce_seq(params.get("a", 1.0)),
-            c_seq=_coerce_seq(params.get("c", 0.0)),
-            q_seq=_coerce_seq(params.get("q", 1.0)),
-            p=_parse_power(params.get("p", 2)),
-            b=float(params.get("b", 0.0)),
-            k=int(params.get("k", 1)), l=int(params.get("l", 1)))
-        eq = models.make_sigmoid_bh(spec)
-        bound = models.sigmoid_bh_bound(spec)
-        translated = models.translate_to_origin(eq, spec.b)
-        return translated, bound, spec.b
-    raise ConfigError("unknown scalar model %r" % name)
-
-
-def _build_planar(name: str, params: dict) -> systems.PlanarSystem:
-    if name == "adult-juvenile":
-        return models.make_adult_juvenile(
-            _coerce_seq(params.get("s", 0.8)),
-            _coerce_seq(params.get("t", 1.0)),
-            _coerce_seq(params.get("r", 2.0)),
-            float(params.get("lambda", params.get("lam", 2.0))))
-    cp = models.CompetitionParams(
-        _coerce_seq(params.get("r1", 1.0)), _coerce_seq(params.get("r2", 1.0)),
-        _coerce_seq(params.get("a1", 1.0)), _coerce_seq(params.get("a2", 1.0)),
-        float(params.get("delta1", 2.0)), float(params.get("delta2", 2.0)),
-        _coerce_seq(params.get("b1", 0.0)), _coerce_seq(params.get("b2", 0.0)),
-        float(params.get("delta3", 1.0)), float(params.get("delta4", 1.0)))
-    return models.make_competition(cp, swapped=(name == "competition-swapped"))
-
-
-def _build_threed(params: dict):
-    return models.make_3d_example(
-        _coerce_seq(params.get("a", 1.0)), _coerce_seq(params.get("p", 0.0)),
-        float(params.get("b", 0.0)), float(params.get("c", 1.0)),
-        float(params.get("d", 0.0)), float(params.get("q", 1.0)),
-        float(params.get("r", 1.0)), float(params.get("s", 1.0)))
-
-
-def _collect_params(config: Optional[ExperimentConfig], kw: dict) -> dict:
-    params = dict(config.params) if config else {}
-    for key, val in kw.items():
-        if val is None:
-            continue
-        params[key.replace("lam", "lambda") if key == "lam" else key] = val
-    return params
+def _initial(values: list, size: int) -> list:
+    """The initial values, or ones when none were given."""
+    if not values:
+        return [1.0] * size
+    if len(values) != size:
+        raise ConfigError("need %d initial values, got %d"
+                          % (size, len(values)))
+    return values
 
 
 def _dumps(payload, indent: Optional[int] = None) -> str:
@@ -211,28 +139,28 @@ def _model_options(fn):
     return fn
 
 
-def _gather(model, config_path, init, steps, fmt, **kw):
-    config = None
-    if config_path:
-        config = load_config(config_path)
+def _gather(model, config_path, init, steps, fmt, kw):
+    """(registry entry, raw params, coerced params, initial values,
+    steps, output format, config) from the options and the config."""
+    config = load_config(config_path) if config_path else None
     name = model or (config.model if config else None)
     if name is None:
         raise ConfigError("no model given (use --model or --config)")
-    b = kw.get("b")
-    if isinstance(b, str):
-        parts = [float(v) for v in b.split(",")]
-        kw["b"] = parts if len(parts) > 1 else parts[0]
-    elif b is not None:
-        kw["b"] = float(b)
-    if kw.get("p") is not None:
-        kw["p"] = _parse_power(kw["p"]) if not isinstance(kw["p"], str) \
-            else kw["p"]
-    params = _collect_params(config, kw)
-    initial = _parse_init(init, config.initial if config else None)
+    if kw.get("b") is not None:
+        b = _floats(kw["b"], "--b")
+        kw["b"] = b if len(b) > 1 else b[0]
+    params = dict(config.params) if config else {}
+    params.update(("lambda" if key == "lam" else key, val)
+                  for key, val in kw.items() if val is not None)
+    entry = models.REGISTRY[name]
+    initial = _floats(init, "--init") if init else \
+        list(config.initial if config else [])
     n_steps = steps if steps is not None else (config.steps if config
                                                else 300)
-    out_fmt = fmt or (config.format if config else "csv")
-    return name, params, initial, n_steps, out_fmt, config
+    if n_steps < 0:
+        raise ConfigError("steps must be a non-negative integer")
+    return (entry, params, entry.coerce(params), initial, n_steps,
+            fmt or (config.format if config else "csv"), config)
 
 
 @click.group()
@@ -248,69 +176,42 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default=None)
 @click.option("--out", default=None)
+@_exits()
 def simulate(model, config_path, init, steps, fmt, out, **kw):
     """Generate and export a trajectory or orbit."""
-    try:
-        name, params, initial, n_steps, out_fmt, _ = _gather(
-            model, config_path, init, steps, fmt, **kw)
-        if name in SCALAR_MODELS:
-            eq, _, offset = _build_scalar(name, params)
-            if not initial:
-                initial = [1.0] * eq.order
-            if name == "sigmoid-bh":
-                initial = [v - offset for v in initial]
-            traj = iterate(eq, initial, n_steps)
-            if offset:
-                traj = Trajectory(traj.initial,
-                                  tuple(t + offset for t in traj.terms),
-                                  eq, traj.diagnostic)
-            if out_fmt == "json":
-                payload = {"schema": SCHEMA_VERSION, "model": name,
+    entry, params, p, initial, n_steps, out_fmt, _ = _gather(
+        model, config_path, init, steps, fmt, kw)
+    diagnostic = None
+    if entry.kind == models.SCALAR:
+        eq, _, offset = entry.build(p)
+        initial = [v - offset for v in _initial(initial, eq.order)]
+        traj = iterate(eq, initial, n_steps)
+        if offset:
+            traj = replace(traj, terms=tuple(t + offset for t in traj.terms))
+        key, rows, to_csv = "terms", traj.terms, traj.to_csv
+        diagnostic = traj.diagnostic
+    elif entry.kind == models.PLANAR:
+        initial = _initial(initial, 2)
+        orbit = systems.iterate_system(entry.build(p), tuple(initial),
+                                       n_steps)
+        key, rows, to_csv = "points", orbit.points, orbit.to_csv
+        diagnostic = orbit.diagnostic
+    else:
+        initial = _initial(initial, 3)
+        key, rows = "points", entry.build(p)[0].iterate(tuple(initial),
+                                                        n_steps)
+
+        def to_csv():
+            return "n,x,y,z\n" + "".join("%d,%r,%r,%r\n" % (n, *st)
+                                         for n, st in enumerate(rows))
+    if out_fmt == "json":   # tuples are written as JSON arrays
+        _write_out(_dumps({"schema": SCHEMA_VERSION, "model": entry.name,
                            "params": params, "initial": initial,
-                           "steps": n_steps, "terms": list(traj.terms)}
-                _write_out(_dumps(payload), out)
-            else:
-                _write_out(traj.to_csv(), out)
-            if traj.truncated:
-                _fail(EXIT_BLOWUP, traj.diagnostic)
-        elif name in PLANAR_MODELS:
-            sysm = _build_planar(name, params)
-            if not initial:
-                initial = [1.0, 1.0]
-            orbit = systems.iterate_system(sysm, tuple(initial), n_steps)
-            if out_fmt == "json":
-                payload = {"schema": SCHEMA_VERSION, "model": name,
-                           "params": params, "initial": initial,
-                           "steps": n_steps,
-                           "points": [list(p) for p in orbit.points]}
-                _write_out(_dumps(payload), out)
-            else:
-                _write_out(orbit.to_csv(), out)
-            if orbit.diagnostic:
-                _fail(EXIT_BLOWUP, orbit.diagnostic)
-        elif name == "threed":
-            sysm, _ = _build_threed(params)
-            if not initial:
-                initial = [1.0, 1.0, 1.0]
-            states = sysm.iterate(tuple(initial), n_steps)
-            if out_fmt == "json":
-                payload = {"schema": SCHEMA_VERSION, "model": name,
-                           "params": params, "initial": initial,
-                           "steps": n_steps,
-                           "points": [list(p) for p in states]}
-                _write_out(_dumps(payload), out)
-            else:
-                lines = ["n,x,y,z"]
-                lines += ["%d,%r,%r,%r" % (n, x, y, z)
-                          for n, (x, y, z) in enumerate(states)]
-                _write_out("\n".join(lines) + "\n", out)
-        else:
-            raise ConfigError("model %r not simulatable" % name)
-    except (ConfigError, ModelParameterError, DomainError,
-            click.ClickException) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteError as exc:
-        _fail(EXIT_BLOWUP, str(exc))
+                           "steps": n_steps, key: rows}), out)
+    else:
+        _write_out(to_csv(), out)
+    if diagnostic:
+        _fail(EXIT_BLOWUP, diagnostic)
 
 
 @main.command()
@@ -319,119 +220,66 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
 @click.option("--steps", type=int, default=None)
 @click.option("--out", default=None)
 @click.option("--tol", type=float, default=None)
+@_exits()
 def analyze(model, config_path, init, steps, out, tol, **kw):
     """Apply the convergence criterion and emit a JSON report."""
-    try:
-        name, params, initial, n_steps, _, config = _gather(
-            model, config_path, init, steps, None, **kw)
-        tolerances = config.tolerances if config else {}
-        zero_tol = tol or tolerances.get("zero", analysis.DEFAULT_ZERO_TOL)
-        limit_tol = tolerances.get("limit", analysis.DEFAULT_LIMIT_TOL)
-        if name in SCALAR_MODELS:
-            eq, bound, offset = _build_scalar(name, params)
-            if bound is None:
-                raise BoundValidationError("model has no bounding function")
-            if not initial:
-                initial = [1.0] * eq.order
-            if name == "sigmoid-bh":
-                initial = [v - offset for v in initial]
-            traj = iterate(eq, initial, n_steps)
-            report = analysis.build_report(eq, bound, traj,
-                                           zero_tol=zero_tol,
-                                           limit_tol=limit_tol)
-            payload = report.to_dict()
-            payload["model"] = name
-            if offset:
-                payload["limit_offset"] = offset
-            _write_out(_dumps(payload, indent=2), out)
-            if report.any_violated:
-                _fail(EXIT_VIOLATED, "a prediction was violated "
-                                     "(soundness alarm)")
-        elif name in PLANAR_MODELS:
-            sysm = _build_planar(name, params)
-            if not initial:
-                initial = [1.0, 1.0]
-            orbit = systems.iterate_system(sysm, tuple(initial), n_steps)
-            tail = systems.check_tail_envelope(sysm)
-            alt = systems.check_alternating_envelopes(sysm)
-            if tail.applicable:
-                report = systems.predict_tail_convergence(sysm, orbit,
-                                                          tail.alpha)
-            elif alt.applicable:
-                report = systems.predict_alternating_convergence(
-                    sysm, orbit, alt.alpha)
-            else:
-                raise BoundValidationError(
-                    "no envelope criterion applies: %s / %s"
-                    % (tail.reason, alt.reason))
-            payload = report.to_dict()
-            payload["model"] = name
-            payload["criterion"] = "tail" if tail.applicable \
-                else "alternating"
-            _write_out(_dumps(payload, indent=2), out)
-            if report.any_violated:
-                _fail(EXIT_VIOLATED, "a prediction was violated "
-                                     "(soundness alarm)")
+    entry, _, p, initial, n_steps, _, config = _gather(
+        model, config_path, init, steps, None, kw)
+    tolerances = config.tolerances if config else {}
+    zero_tol = tol or tolerances.get("zero", analysis.DEFAULT_ZERO_TOL)
+    limit_tol = tolerances.get("limit", analysis.DEFAULT_LIMIT_TOL)
+    if entry.kind == models.SCALAR:
+        eq, bound, offset = entry.build(p)
+        bound = bound()
+        initial = [v - offset for v in _initial(initial, eq.order)]
+        report = analysis.build_report(eq, bound,
+                                       iterate(eq, initial, n_steps),
+                                       zero_tol=zero_tol,
+                                       limit_tol=limit_tol)
+        extra = {"limit_offset": offset} if offset else {}
+    elif entry.kind == models.PLANAR:
+        sysm = entry.build(p)
+        orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
+                                       n_steps)
+        tail = systems.check_tail_envelope(sysm)
+        alt = systems.check_alternating_envelopes(sysm)
+        if tail.applicable:
+            report = systems.predict_tail_convergence(sysm, orbit,
+                                                      tail.alpha)
+        elif alt.applicable:
+            report = systems.predict_alternating_convergence(
+                sysm, orbit, alt.alpha)
         else:
-            raise ConfigError("model %r not analyzable" % name)
-    except (BoundValidationError, CriterionInapplicableError) as exc:
-        _fail(EXIT_BOUND, str(exc))
-    except (ConfigError, ModelParameterError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteError as exc:
-        _fail(EXIT_BLOWUP, str(exc))
+            raise BoundValidationError(
+                "no envelope criterion applies: %s / %s"
+                % (tail.reason, alt.reason))
+        extra = {"criterion": "tail" if tail.applicable else "alternating"}
+    else:
+        raise ConfigError("model %r not analyzable" % entry.name)
+    payload = report.to_dict()
+    payload["model"] = entry.name
+    payload.update(extra)
+    _write_out(_dumps(payload, indent=2), out)
+    if report.any_violated:
+        _fail(EXIT_VIOLATED, "a prediction was violated (soundness alarm)")
 
 
 @main.command()
 @_model_options
 @click.option("--json", "as_json", is_flag=True)
+@_exits()
 def threshold(model, config_path, as_json, **kw):
     """Print decline thresholds and fixed points for a model family."""
-    try:
-        name, params, _, _, _, _ = _gather(model, config_path, None, None,
-                                           None, **kw)
-        out: dict = {"model": name}
-        if name in ("ricker", "sp3"):
-            if name == "sp3":
-                k = int(params.get("k", 3))
-                _, bound = models.make_sp3(k)
-                lam, a = 1.5, 1.5
-                b = (1.6, 0.7, 0.9)[k - 1]
-            else:
-                lam = float(params.get("lambda", 2.0))
-                a = float(params.get("a", 0.0))
-                b = float(params.get("b", 1.0))
-            holds, rhs = models.ricker_threshold_condition(lam, a, b)
-            fps = models.ricker_fixed_points(lam, a, b)
-            out.update({
-                "condition_holds": holds, "condition_rhs": rhs,
-                "fixed_points": {"kind": fps.kind, "u_star": fps.u_star,
-                                 "u_bar": fps.u_bar},
-                "alpha": fps.u_star if fps.kind != "none" else None,
-            })
-        elif name in ("competition", "competition-swapped"):
-            res = models.competition_threshold(
-                float(params.get("r1", 1.0)), float(params.get("a1", 1.0)),
-                float(params.get("delta1", 2.0)))
-            out.update({"alpha": res.alpha if math.isfinite(res.alpha)
-                        else "inf", "tangent": res.tangent})
-        elif name == "sigmoid-bh":
-            alpha, window = models.sigmoid_bh_window(
-                float(params.get("a", 1.0)),
-                float(Fraction(_parse_power(params.get("p", 2)))),
-                float(params.get("b", 0.0)))
-            out.update({"alpha": alpha, "window": window.as_list()})
-        else:
-            raise ConfigError("no threshold defined for model %r" % name)
-        if as_json:
-            click.echo(_dumps(out))
-        else:
-            for key, val in out.items():
-                click.echo("%s: %s" % (key, val))
-    except (ConfigError, ModelParameterError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteError as exc:
-        _fail(EXIT_BLOWUP, str(exc))
+    entry, _, p, _, _, _, _ = _gather(model, config_path, None, None, None,
+                                      kw)
+    if entry.threshold is None:
+        raise ConfigError("no threshold defined for model %r" % entry.name)
+    out = {"model": entry.name, **entry.threshold(p)}
+    if as_json:
+        click.echo(_dumps(out))
+    else:
+        for key, val in out.items():
+            click.echo("%s: %s" % (key, val))
 
 
 @main.command()
@@ -440,61 +288,40 @@ def threshold(model, config_path, as_json, **kw):
 @click.option("--steps", type=int, default=100)
 @click.option("--tol", type=float, default=1e-9)
 @click.option("--out", default=None)
+@_exits(((SubconvergeError,), EXIT_FOLD))
 def fold(model, config_path, init, steps, tol, out, **kw):
     """Fold a system to a scalar equation and verify consistency."""
-    try:
-        name, params, initial, _, _, _ = _gather(model, config_path, init,
-                                                 steps, None, **kw)
-        if name == "threed":
-            sysm, eq = _build_threed(params)
-            if not initial:
-                initial = [1.0, 1.0, 1.0]
-            states = sysm.iterate(tuple(initial), steps)
-            x_init = sysm.fold_initial(tuple(initial))
-            traj = iterate(eq, x_init, max(0, len(states) - 3))
-            max_dev = 0.0
-            first_div = None
-            for n in range(min(len(states), len(traj))):
-                dev = abs(states[n][0] - traj.terms[n]) / max(
-                    abs(states[n][0]), abs(traj.terms[n]), 1.0)
-                if dev > tol and first_div is None:
-                    first_div = n
-                max_dev = max(max_dev, dev)
-            payload = {"model": name, "order": 3, "max_deviation": max_dev,
-                       "passed": max_dev <= tol,
-                       "first_divergent": first_div}
-            _write_out(_dumps(payload, indent=2), out)
-            if max_dev > tol:
-                _fail(EXIT_FOLD, "fold inconsistency: max deviation %g, "
-                                 "first divergent index %s"
-                      % (max_dev, first_div))
-            return
-        if name not in PLANAR_MODELS:
-            raise ConfigError("model %r is not a foldable system" % name)
-        sysm = _build_planar(name, params)
+    entry, _, p, initial, steps, _, _ = _gather(model, config_path, init,
+                                                steps, None, kw)
+    if entry.kind == models.THREED:
+        sysm, eq = entry.build(p)
+        initial = tuple(_initial(initial, 3))
+        states = sysm.iterate(initial, steps)
+        traj = iterate(eq, sysm.fold_initial(initial),
+                       max(0, len(states) - 3))
+        dev, first = systems.relative_deviation(
+            [st[0] for st in states], traj.terms, tol)
+        payload = {"model": entry.name, "order": 3, "max_deviation": dev,
+                   "passed": dev <= tol, "first_divergent": first}
+    elif entry.kind == models.PLANAR:
+        sysm = entry.build(p)
         if sysm.sigma is None:
-            raise ConfigError("no solvability form for model %r" % name)
-        if not initial:
-            initial = [1.0, 1.0]
-        check = systems.check_fold_consistency(sysm, tuple(initial),
-                                               steps, tol)
+            raise ConfigError("no solvability form for model %r"
+                              % entry.name)
+        check = systems.check_fold_consistency(
+            sysm, tuple(_initial(initial, 2)), steps, tol)
+        dev = max(check.max_dev_x, check.max_dev_y)
+        first = check.first_divergent
         payload = {"descriptor": systems.folded_descriptor(sysm),
                    "max_deviation_x": check.max_dev_x,
                    "max_deviation_y": check.max_dev_y,
-                   "first_divergent": check.first_divergent,
-                   "passed": check.passed}
-        _write_out(_dumps(payload, indent=2), out)
-        if not check.passed:
-            _fail(EXIT_FOLD, "fold inconsistency: max deviation %g, first "
-                             "divergent index %s"
-                  % (max(check.max_dev_x, check.max_dev_y),
-                     check.first_divergent))
-    except (ConfigError, ModelParameterError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteError as exc:
-        _fail(EXIT_BLOWUP, str(exc))
-    except SubconvergeError as exc:
-        _fail(EXIT_FOLD, str(exc))
+                   "first_divergent": first, "passed": check.passed}
+    else:
+        raise ConfigError("model %r is not a foldable system" % entry.name)
+    _write_out(_dumps(payload, indent=2), out)
+    if not payload["passed"]:
+        _fail(EXIT_FOLD, "fold inconsistency: max deviation %g, first "
+                         "divergent index %s" % (dev, first))
 
 
 @main.command("models")

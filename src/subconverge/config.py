@@ -5,7 +5,8 @@ Example:
     {"schema": 1, "model": "sp3", "params": {"k": 3},
      "initial": [1, 1, 1], "steps": 300, "format": "csv"}
 
-Unknown keys are rejected so that typos fail loudly.
+Unknown keys are rejected so that typos fail loudly, and ``params``
+must read under the model's schema in the registry (``models.REGISTRY``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import ConfigError
-from .models import MODEL_NAMES
+from .models import MODEL_NAMES, REGISTRY
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +84,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in ("params", "analysis", "tolerances"):
         if key in raw and not isinstance(raw[key], dict):
             raise ConfigError("%s must be an object" % key)
+    REGISTRY[model].coerce(raw.get("params", {}))
     return ExperimentConfig(
         model=model,
         params=raw.get("params", {}),

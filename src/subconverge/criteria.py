@@ -5,20 +5,19 @@ g(0) = 0 and g(u) < |u| on a window (-alpha, alpha) around the origin,
 then any solution term entering that window starts a subsequence (with
 stride k) that converges to zero.  This module owns the bounding-function
 machinery: threshold solving, sublinearity falsification, the
-symmetrized bound, and the inequality chain that certifies the decrease
-step by step.
+symmetrized bound, the inequality chain that certifies the decrease
+step by step, and the one bisection every root search here uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from .dynamics import EquationSpec, Trajectory
 from .errors import BoundValidationError, CriterionInapplicableError
-from .reports import (CONVERGING_TO_ZERO, VIOLATED, ChainResult,
-                      ConvergenceReport, Prediction, ThresholdWindow)
+from .reports import ChainResult, ThresholdWindow
 
 ScalarMap = Callable[[float], float]
 
@@ -91,6 +90,27 @@ def symmetrize(bound: BoundingFunction) -> ScalarMap:
     return h
 
 
+def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
+           tol: Optional[float] = None) -> float:
+    """Root of a sign change between ``lo`` and ``hi`` (in either order).
+
+    Each step moves ``lo`` to the midpoint when ``lo_side(mid)`` holds,
+    else ``hi``.  The search stops when ``|hi - lo| <= tol`` or, without
+    a tolerance, when the midpoint equals an end (double precision is
+    exhausted); at most 200 halvings either way.  Returns the last
+    midpoint.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (hi - lo <= tol) if tol is not None else (mid == lo or mid == hi):
+            break
+        if lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_threshold(g: ScalarMap, search_hi: float,
                     tol: float = _DEFAULT_TOL,
                     scan_points: int = _DEFAULT_SCAN) -> ThresholdResult:
@@ -130,16 +150,8 @@ def solve_threshold(g: ScalarMap, search_hi: float,
                 # crossing from a tangency.
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
-            lo, hi = prev_u, u
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if hi - lo <= tol:
-                    break
-                if f(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return ThresholdResult(0.5 * (lo + hi))
+            return ThresholdResult(
+                bisect(prev_u, u, lambda v: f(v) < 0, tol=tol))
         prev_u, prev_f = u, fu
 
     # No crossing: look for a tangency where g(u)/u comes up to 1.  The
@@ -233,62 +245,10 @@ def check_inequality_chain(traj, n0: int, k: int,
     return ChainResult(True, links_checked=links)
 
 
-def _entry_index(terms: Sequence[float], window: ThresholdWindow,
-                 residue: int, k: int, min_index: int = 0
-                 ) -> Optional[int]:
-    for n in range(residue, len(terms), k):
-        if n < min_index:
-            continue
-        if window.contains(terms[n]) or terms[n] == 0.0:
-            return n
-    return None
-
-
 def chain_start_floor(order: int, k: int) -> int:
     """Smallest admissible entry index: every subsequent subsequence term
     must be generated by the map, so n0 + k >= order."""
     return max(0, order - k)
-
-
-def predict_subsequence_convergence(eq: EquationSpec,
-                                    bound: BoundingFunction,
-                                    traj: Trajectory) -> ConvergenceReport:
-    """Emit one zero-convergence prediction per residue class whose
-    trajectory enters the threshold window.
-
-    Each prediction carries the verified inequality chain; a failing
-    chain marks the prediction VIOLATED, which indicates a soundness
-    problem (an invalid bound or a bug), never a benign outcome.
-    """
-    if bound.dominant_lag != eq.dominant_lag:
-        raise ValueError("bound stride %d != equation dominant lag %d"
-                         % (bound.dominant_lag, eq.dominant_lag))
-    if not bound.grid_checked:
-        bound = validate_bound(bound)
-    k = bound.dominant_lag
-    h = symmetrize(bound)
-    window = bound.validity
-    predictions: List[Prediction] = []
-    tails = {}
-    first_crossing: Optional[int] = None
-    floor = chain_start_floor(eq.order, k)
-    for residue in range(k):
-        n0 = _entry_index(traj.terms, window, residue, k, floor)
-        if n0 is None:
-            continue
-        if first_crossing is None or n0 < first_crossing:
-            first_crossing = n0
-        chain = check_inequality_chain(traj, n0, k, h)
-        verdict = CONVERGING_TO_ZERO if chain.holds else VIOLATED
-        predictions.append(Prediction(residue, n0, k, verdict, chain,
-                                      limit=0.0))
-        sub = list(traj.terms[n0::k])
-        tails[residue] = sub[-min(len(sub), 8):]
-    full_from = predict_full_convergence(eq, bound, traj)
-    return ConvergenceReport(k, window, first_crossing,
-                             tuple(predictions),
-                             full_convergence_from=full_from,
-                             subsequence_tails=tails)
 
 
 def predict_full_convergence(eq: EquationSpec, bound: BoundingFunction,

@@ -59,11 +59,6 @@ class EquationSpec:
         return all(lo <= u <= hi for u, lo, hi in
                    zip(history, self.domain_low, self.domain_high))
 
-    def lag_projection(self) -> Tuple[float, float]:
-        """Domain interval of the dominant-lag coordinate."""
-        k = self.dominant_lag
-        return self.domain_low[k - 1], self.domain_high[k - 1]
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -5,28 +5,25 @@ class SubconvergeError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(SubconvergeError):
+class _IndexedError(SubconvergeError):
+    """An error at a known position: ``index`` is the step (or stored
+    value) where it happened, when known."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+class DomainError(_IndexedError):
     """A state left the declared invariant domain."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
-
-class NonFiniteError(SubconvergeError):
+class NonFiniteError(_IndexedError):
     """An evaluation produced inf or NaN (typically exponential overflow)."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
-
-class SequenceBoundError(SubconvergeError):
+class SequenceBoundError(_IndexedError):
     """A stored parameter value violates its declared inf/sup."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class CriterionInapplicableError(SubconvergeError):
@@ -37,14 +34,10 @@ class BoundValidationError(SubconvergeError):
     """A bounding function failed its validity checks."""
 
 
-class FoldError(SubconvergeError):
+class FoldError(_IndexedError):
     """A planar system cannot be folded (no solvability form, no
     preimage, or consistency failure).  ``index`` is the step n of the
     sigma_n that failed, when known."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class ModelParameterError(SubconvergeError):

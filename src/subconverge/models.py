@@ -20,15 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-from .criteria import (BoundingFunction, ThresholdResult, solve_threshold,
-                       validate_bound)
+from .criteria import (BoundingFunction, ThresholdResult, bisect,
+                       solve_threshold, validate_bound)
 from .dynamics import EquationSpec, check_finite_initial
-from .errors import (DomainError, FoldError, ModelParameterError,
-                     NonFiniteError)
+from .errors import (ConfigError, DomainError, FoldError,
+                     ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
-from .sequences import ParameterSequence, as_sequence
+from .sequences import CONSTANT, ParameterSequence, as_sequence
 from .systems import PlanarSystem, SigmaForm
 
 _INF = math.inf
@@ -134,10 +135,10 @@ def _ricker_bound(lam: float, a_sup: float, b_inf: float, k: int,
     return validate_bound(bound)
 
 
-def make_generalized_ricker(spec: RickerFamilySpec
-                            ) -> Tuple[EquationSpec, BoundingFunction]:
-    """Build the family's equation on [0, inf)^m together with its
-    dominant-lag bound g(u) = u^lam * exp(a_sup - b_inf u)."""
+def _ricker_parts(spec: RickerFamilySpec
+                  ) -> Tuple[EquationSpec, Callable[[], BoundingFunction]]:
+    """The checked equation, and a factory for its bound (bound
+    construction is most of a build, and only analysis needs it)."""
     if spec.lam <= 1:
         raise ModelParameterError("lam must exceed 1, got %r" % spec.lam)
     if not 1 <= spec.k <= spec.m:
@@ -154,7 +155,15 @@ def make_generalized_ricker(spec: RickerFamilySpec
             "dominant-lag coefficient must be bounded away from 0")
     eq = _ricker_equation(spec, "ricker(lam=%g,k=%d,m=%d)"
                           % (spec.lam, spec.k, spec.m))
-    return eq, _ricker_bound(spec.lam, a_sup, b_inf, spec.k)
+    return eq, lambda: _ricker_bound(spec.lam, a_sup, b_inf, spec.k)
+
+
+def make_generalized_ricker(spec: RickerFamilySpec
+                            ) -> Tuple[EquationSpec, BoundingFunction]:
+    """Build the family's equation on [0, inf)^m together with its
+    dominant-lag bound g(u) = u^lam * exp(a_sup - b_inf u)."""
+    eq, bound = _ricker_parts(spec)
+    return eq, bound()
 
 
 def ricker_threshold_condition(lam: float, a_sup: float,
@@ -207,19 +216,9 @@ def ricker_fixed_points(lam: float, a: float, b: float,
     if peak < 0:
         return FixedPointResult("none")
 
-    def bisect(lo: float, hi: float) -> float:
-        # phi(lo), phi(hi) have opposite signs; 200 halvings exhaust
-        # double precision.
-        f_lo = phi(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if (phi(mid) > 0) == (f_lo > 0):
-                lo, f_lo = mid, phi(mid)
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def root(end: float) -> float:
+        # phi(end) <= 0 < phi(u_max): halve down to double precision.
+        return bisect(end, u_max, lambda u: not phi(u) > 0)
 
     lo = u_max
     while phi(lo) > 0:
@@ -227,7 +226,7 @@ def ricker_fixed_points(lam: float, a: float, b: float,
     hi = u_max
     while phi(hi) > 0:
         hi *= 2.0
-    return FixedPointResult("pair", bisect(lo, u_max), bisect(hi, u_max))
+    return FixedPointResult("pair", root(lo), root(hi))
 
 
 # -- the third-order showcase equation ----------------------------------
@@ -235,6 +234,39 @@ def ricker_fixed_points(lam: float, a: float, b: float,
 _SP3_LAM = 1.5
 _SP3_A = 1.5
 _SP3_B = (0.0, 0.7, 0.9)
+
+
+def _sp3_b_inf(k: int) -> float:
+    """The coefficient of sp3's Ricker-type bound through lag k: the
+    lag's own for k = 2, 3; for k = 1, whose own is 0, the conventional
+    informal sum (exactly 1.6)."""
+    if k not in (1, 2, 3):
+        raise ModelParameterError("k must be 1, 2 or 3")
+    return _SP3_B[k - 1] if k > 1 else sum(_SP3_B)
+
+
+def _sp3_rigorous_bound() -> BoundingFunction:
+    def g(u: float) -> float:
+        return u ** _SP3_LAM * math.exp(_SP3_A)
+    alpha = math.exp(-_SP3_A / (_SP3_LAM - 1.0))  # root of sqrt(u)e^a=1
+    return validate_bound(BoundingFunction(
+        g=g, alpha=alpha, dominant_lag=1,
+        validity=ThresholdWindow(0.0, alpha),
+        g_domain=(0.0, _INF), name="sp3-bound(k=1,rigorous)"))
+
+
+def _sp3_parts(k: int, rigorous: bool = False
+               ) -> Tuple[EquationSpec, Callable[[], BoundingFunction]]:
+    b_inf = _sp3_b_inf(k)
+    spec = RickerFamilySpec(
+        _SP3_LAM, k, 3, ParameterSequence.constant(_SP3_A),
+        tuple(ParameterSequence.constant(b) for b in _SP3_B))
+    eq = _ricker_equation(spec, "sp3(k=%d)" % k)
+    if k == 1 and rigorous:
+        return eq, _sp3_rigorous_bound
+    name = "sp3-bound(k=%d)" % k if k > 1 else "sp3-bound(k=1,informal)"
+    return eq, lambda: _ricker_bound(_SP3_LAM, _SP3_A, b_inf, k,
+                                     informal=k == 1, name=name)
 
 
 def make_sp3(k: int, rigorous: bool = False
@@ -249,28 +281,8 @@ def make_sp3(k: int, rigorous: bool = False
     ``rigorous=True`` switches to the certified envelope
     g(u) = u^{3/2} e^{1.5} with its much smaller threshold e^{-3}.
     """
-    if k not in (1, 2, 3):
-        raise ModelParameterError("k must be 1, 2 or 3")
-    spec = RickerFamilySpec(
-        _SP3_LAM, k, 3, ParameterSequence.constant(_SP3_A),
-        tuple(ParameterSequence.constant(b) for b in _SP3_B))
-    eq = _ricker_equation(spec, "sp3(k=%d)" % k)
-    if k in (2, 3):
-        b_inf = _SP3_B[k - 1]
-        return eq, _ricker_bound(_SP3_LAM, _SP3_A, b_inf, k,
-                                 name="sp3-bound(k=%d)" % k)
-    if rigorous:
-        def g(u: float) -> float:
-            return u ** _SP3_LAM * math.exp(_SP3_A)
-        alpha = math.exp(-_SP3_A / (_SP3_LAM - 1.0))  # root of sqrt(u)e^a=1
-        bound = BoundingFunction(
-            g=g, alpha=alpha, dominant_lag=1,
-            validity=ThresholdWindow(0.0, alpha),
-            g_domain=(0.0, _INF), name="sp3-bound(k=1,rigorous)")
-        return eq, validate_bound(bound)
-    bound = _ricker_bound(_SP3_LAM, _SP3_A, sum(_SP3_B), 1, informal=True,
-                          name="sp3-bound(k=1,informal)")
-    return eq, bound
+    eq, bound = _sp3_parts(k, rigorous)
+    return eq, bound()
 
 
 # -- sigmoid Beverton-Holt with delay -----------------------------------
@@ -651,16 +663,7 @@ def competition_threshold(r1: float, a1: float, d1: float,
         return ThresholdResult(_INF)
     if bottom >= -tol * a1:
         return ThresholdResult(u_min, tangent=True)
-    lo, hi = 0.0, u_min
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if psi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi))
+    return ThresholdResult(bisect(0.0, u_min, lambda u: psi(u) > 0))
 
 
 # -- three-dimensional system and its order-3 fold ----------------------
@@ -782,7 +785,150 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     return sysm, eq
 
 
-# -- model catalog -------------------------------------------------------
+# -- model registry ------------------------------------------------------
+#
+# The one place that knows the catalog.  Each entry names a model, its
+# kind, its parameter schema, its builder and its threshold; the CLI and
+# the config loader only read entries.
 
-MODEL_NAMES = ("ricker", "sp3", "sigmoid-bh", "adult-juvenile",
-               "competition", "competition-swapped", "threed")
+SCALAR, PLANAR, THREED = "scalar", "planar", "threed"
+
+
+def _per_lag(value) -> Tuple[ParameterSequence, ...]:
+    """One coefficient sequence per list entry (a non-list is one)."""
+    return tuple(map(as_sequence, value if isinstance(value, list)
+                     else [value]))
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false, got %r" % (value,))
+    return value
+
+
+class Param(NamedTuple):
+    """A schema entry: the coercer of a raw (JSON or CLI) value, the
+    default (None: absent), and accepted aliases."""
+
+    coerce: Callable[[object], object]
+    default: object = None
+    aliases: Tuple[str, ...] = ()
+
+
+class Model(NamedTuple):
+    """A catalog entry.  ``params`` is the schema, in the order of the
+    builder's arguments.  From coerced parameters ``build`` returns, by
+    kind: scalar -- (equation translated by -offset, zero-argument bound
+    factory, offset); planar -- a PlanarSystem; threed -- (ThreeDSystem,
+    folded equation).  ``threshold`` gives the threshold command's
+    fields (None: no formula)."""
+
+    name: str
+    kind: str
+    params: Dict[str, Param]
+    build: Callable[[dict], object]
+    threshold: Optional[Callable[[dict], dict]] = None
+
+    def coerce(self, raw: dict) -> dict:
+        """Typed parameters from raw values; keys outside the schema are
+        ignored, a value the schema cannot read is a ConfigError."""
+        out = {}
+        for key, param in self.params.items():
+            name = next((n for n in (key,) + param.aliases if n in raw),
+                        None)
+            if name is None:
+                out[key] = param.default if param.default is None \
+                    else param.coerce(param.default)
+                continue
+            try:
+                out[key] = param.coerce(raw[name])
+            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError("%s parameter %r: %s"
+                                  % (self.name, name, exc)) from exc
+        return out
+
+
+def _constant(p: dict, key: str) -> float:
+    """A parameter the threshold formulas need as one constant."""
+    seqs = p[key] if isinstance(p[key], tuple) else (p[key],)
+    if len(seqs) != 1 or seqs[0].kind != CONSTANT:
+        raise ConfigError("the threshold needs %s to be one constant" % key)
+    return seqs[0].values[0]
+
+
+def _ricker_fields(lam: float, a: float, b: float) -> dict:
+    holds, rhs = ricker_threshold_condition(lam, a, b)
+    fps = ricker_fixed_points(lam, a, b)
+    return {"condition_holds": holds, "condition_rhs": rhs,
+            "fixed_points": {"kind": fps.kind, "u_star": fps.u_star,
+                             "u_bar": fps.u_bar},
+            "alpha": fps.u_star if fps.kind != "none" else None}
+
+
+def _ricker(p: dict):
+    b = p["b"]
+    return _ricker_parts(RickerFamilySpec(
+        p["lambda"], p["k"], len(b) if p["m"] is None else p["m"], p["a"],
+        b)) + (0.0,)
+
+
+def _sigmoid_bh(p: dict):
+    spec = SigmoidBHSpec(*p.values())
+    eq = translate_to_origin(make_sigmoid_bh(spec), spec.b)
+    return eq, lambda: sigmoid_bh_bound(spec), spec.b
+
+
+def _sigmoid_bh_fields(p: dict) -> dict:
+    alpha, window = sigmoid_bh_window(_constant(p, "a"), float(p["p"]),
+                                      p["b"])
+    return {"alpha": alpha, "window": window.as_list()}
+
+
+def _competition_fields(p: dict) -> dict:
+    res = competition_threshold(_constant(p, "r1"), _constant(p, "a1"),
+                                p["delta1"])
+    return {"alpha": res.alpha if math.isfinite(res.alpha) else "inf",
+            "tangent": res.tangent}
+
+
+_COMPETITION = {
+    **{key: Param(as_sequence, 1.0) for key in ("r1", "r2", "a1", "a2")},
+    "delta1": Param(float, 2.0), "delta2": Param(float, 2.0),
+    "b1": Param(as_sequence, 0.0), "b2": Param(as_sequence, 0.0),
+    "delta3": Param(float, 1.0), "delta4": Param(float, 1.0),
+}
+
+REGISTRY: Dict[str, Model] = {m.name: m for m in (
+    Model("ricker", SCALAR, {
+        "lambda": Param(float, 2.0, ("lam",)), "k": Param(int, 1),
+        "m": Param(int),                    # default: one lag per b
+        "a": Param(as_sequence, 0.0), "b": Param(_per_lag, 1.0),
+    }, _ricker, lambda p: _ricker_fields(
+        p["lambda"], _constant(p, "a"), _constant(p, "b"))),
+    Model("sp3", SCALAR, {
+        "k": Param(int, 3), "rigorous": Param(_flag, False),
+    }, lambda p: _sp3_parts(p["k"], p["rigorous"]) + (0.0,),
+        lambda p: _ricker_fields(_SP3_LAM, _SP3_A, _sp3_b_inf(p["k"]))),
+    Model("sigmoid-bh", SCALAR, {
+        "a": Param(as_sequence, 1.0), "c": Param(as_sequence, 0.0),
+        "q": Param(as_sequence, 1.0), "p": Param(Fraction, 2),
+        "b": Param(float, 0.0), "k": Param(int, 1), "l": Param(int, 1),
+    }, _sigmoid_bh, _sigmoid_bh_fields),
+    Model("adult-juvenile", PLANAR, {
+        "s": Param(as_sequence, 0.8), "t": Param(as_sequence, 1.0),
+        "r": Param(as_sequence, 2.0), "lambda": Param(float, 2.0, ("lam",)),
+    }, lambda p: make_adult_juvenile(*p.values())),
+    Model("competition", PLANAR, _COMPETITION, lambda p: make_competition(
+        CompetitionParams(*p.values())), _competition_fields),
+    Model("competition-swapped", PLANAR, _COMPETITION,
+          lambda p: make_competition(CompetitionParams(*p.values()),
+                                     swapped=True), _competition_fields),
+    Model("threed", THREED, {
+        "a": Param(as_sequence, 1.0), "p": Param(as_sequence, 0.0),
+        **{key: Param(float, default) for key, default in (
+            ("b", 0.0), ("c", 1.0), ("d", 0.0), ("q", 1.0), ("r", 1.0),
+            ("s", 1.0))},
+    }, lambda p: make_3d_example(*p.values())),
+)}
+
+MODEL_NAMES = tuple(REGISTRY)

@@ -131,9 +131,22 @@ class ParameterSequence:
 
 
 def as_sequence(value) -> ParameterSequence:
-    """Coerce a number or sequence-like into a ParameterSequence."""
+    """Coerce into a ParameterSequence: a number (or numeric text) is a
+    constant, a list periodic, and the JSON form {"kind": ...} that
+    representation."""
     if isinstance(value, ParameterSequence):
         return value
+    if isinstance(value, str):
+        value = float(value)
     if isinstance(value, (int, float)):
         return ParameterSequence.constant(value)
-    return ParameterSequence.periodic(value)
+    if not isinstance(value, dict):
+        return ParameterSequence.periodic(value)
+    kind = value.get("kind")
+    if kind == CONSTANT:
+        return ParameterSequence.constant(value["value"])
+    if kind == PERIODIC:
+        return ParameterSequence.periodic(value["values"])
+    if kind == TABULATED:
+        return ParameterSequence.tabulated(value["values"], value["fallback"])
+    raise ValueError("unknown sequence kind %r" % (kind,))

@@ -15,14 +15,16 @@ convergence criterion apply directly to the system without folding:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .criteria import (ScalarMap, check_inequality_chain, solve_threshold)
+from .analysis import analyze_residues
+from .criteria import ScalarMap, solve_threshold
 from .dynamics import EquationSpec, check_finite_initial, iterate
 from .errors import DomainError, FoldError
-from .reports import (CONVERGING_TO_ZERO, VIOLATED, ConvergenceReport,
-                      Prediction, ThresholdWindow)
+from .reports import ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
 
@@ -255,34 +257,43 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
         traj = iterate(eq, x_init, exc.index)
     xs, points, sigma = traj.terms, orbit.points, sys.sigma.solve
     n_cmp = min(len(points), len(xs))
-    max_x = max_y = 0.0
-    div_x = div_y = None
-    # Equal terms deviate by 0 (the usual case for x), so the relative
-    # deviation is only computed where they differ.
-    for n in range(n_cmp):
-        px, py = points[n]
-        x = xs[n]
-        d = abs(px - x) / max(abs(px), abs(x), 1.0) if x != px else 0.0
-        if d > tol and div_x is None:
-            div_x = n
-        if d > max_x:
-            max_x = d
-        if n + 1 == n_cmp:
-            break
-        try:
-            y = sigma(n, x, xs[n + 1])
-        except FoldError as exc:
-            if exc.index is None:
-                raise
-            stopped, n_cmp = stopped or str(exc), n + 1
-            break
-        d = abs(py - y) / max(abs(py), abs(y), 1.0) if y != py else 0.0
-        if d > tol and div_y is None:
-            div_y = n
-        if d > max_y:
-            max_y = d
+
+    def recovered_ys():
+        # y_n = sigma_n(x_n, x_{n+1}), up to the first step without one.
+        nonlocal stopped, n_cmp
+        for n in range(n_cmp - 1):
+            try:
+                yield sigma(n, xs[n], xs[n + 1])
+            except FoldError as exc:
+                if exc.index is None:
+                    raise
+                stopped, n_cmp = stopped or str(exc), n + 1
+                return
+
+    # The y pass runs first: a step without a preimage shortens n_cmp.
+    max_y, div_y = relative_deviation(map(itemgetter(1), points),
+                                      recovered_ys(), tol)
+    max_x, div_x = relative_deviation(map(itemgetter(0), points),
+                                      islice(xs, n_cmp), tol)
     return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,
                      div_x if div_x is not None else div_y, n_cmp, stopped)
+
+
+def relative_deviation(expected: Iterable[float], actual: Iterable[float],
+                       tol: float) -> Tuple[float, Optional[int]]:
+    """Largest relative deviation |e - a| / max(|e|, |a|, 1) over the
+    paired terms (as many as the shorter series has), and the first index
+    where it exceeds ``tol``."""
+    worst, first = 0.0, None
+    for n, (e, a) in enumerate(zip(expected, actual)):
+        if a == e:          # the usual case: deviation 0
+            continue
+        d = abs(e - a) / max(abs(e), abs(a), 1.0)
+        if d > tol and first is None:
+            first = n
+        if d > worst:
+            worst = d
+    return worst, first
 
 
 # -- envelope criteria ---------------------------------------------------
@@ -353,11 +364,17 @@ def check_tail_envelope(sys: PlanarSystem, grid: int = 60,
     return EnvelopeVerdict(True, res.alpha, res.tangent)
 
 
-def _first_entry(xs: Sequence[float], alpha: float) -> Optional[int]:
-    for n, x in enumerate(xs):
-        if 0.0 < x < alpha or x == 0.0:
-            return n
-    return None
+def _envelope_report(orbit: Orbit, alpha: float, stride: int,
+                     h: Optional[ScalarMap],
+                     note: Callable[[int], str]) -> ConvergenceReport:
+    """The criterion on the x-terms, for the class of the first entry
+    into (0, alpha) only; ``note(n0)`` describes the prediction."""
+    report = analyze_residues(orbit.xs, stride, h,
+                              ThresholdWindow(0.0, alpha), first_only=True)
+    return replace(
+        report, predictions=tuple(replace(p, note=note(p.start_index))
+                                  for p in report.predictions),
+        full_convergence_from=report.crossing_index if stride == 1 else None)
 
 
 def predict_alternating_convergence(sys: PlanarSystem, orbit: Orbit,
@@ -369,42 +386,24 @@ def predict_alternating_convergence(sys: PlanarSystem, orbit: Orbit,
     y_n = sigma_n(x_n, x_{n+1}) inherits the decay (reported, not
     asserted).
     """
-    window = ThresholdWindow(0.0, alpha)
-    xs = orbit.xs
-    n0 = _first_entry(xs, alpha)
-    if n0 is None:
-        return ConvergenceReport(2, window, None)
-    h = sys.envelope_f and sys.envelope_g and \
-        (lambda u: sys.envelope_f(sys.envelope_g(abs(u))))
-    chain = check_inequality_chain(xs, n0, 2, h) if h else None
-    verdict = CONVERGING_TO_ZERO if (chain is None or chain.holds) \
-        else VIOLATED
-    note = ("x-subsequence of parity %d from n0=%d; y-subsequence of "
-            "parity %d follows via y_n = sigma_n(x_n, x_{n+1})"
-            % (n0 % 2, n0, (n0 + 1) % 2))
-    pred = Prediction(n0 % 2, n0, 2, verdict, chain, limit=0.0, note=note)
-    return ConvergenceReport(2, window, n0, (pred,),
-                             subsequence_tails={n0 % 2: xs[n0::2][-8:]})
+    fbar, gbar = sys.envelope_f, sys.envelope_g
+    h = (lambda u: fbar(gbar(abs(u)))) if fbar and gbar else None
+    return _envelope_report(
+        orbit, alpha, 2, h,
+        lambda n0: "x-subsequence of parity %d from n0=%d; y-subsequence of "
+                   "parity %d follows via y_n = sigma_n(x_n, x_{n+1})"
+                   % (n0 % 2, n0, (n0 + 1) % 2))
 
 
 def predict_tail_convergence(sys: PlanarSystem, orbit: Orbit,
                              alpha: float) -> ConvergenceReport:
     """Tail prediction: once x_{n0} enters (0, alpha), the whole sequence
     x_n decreases monotonically to zero from n0 (no oscillation)."""
-    window = ThresholdWindow(0.0, alpha)
-    xs = orbit.xs
-    n0 = _first_entry(xs, alpha)
-    if n0 is None:
-        return ConvergenceReport(1, window, None)
-    h = sys.envelope_f and (lambda u: sys.envelope_f(abs(u)))
-    chain = check_inequality_chain(xs, n0, 1, h) if h else None
-    verdict = CONVERGING_TO_ZERO if (chain is None or chain.holds) \
-        else VIOLATED
-    pred = Prediction(0, n0, 1, verdict, chain, limit=0.0,
-                      note="entire x-tail monotone to 0 from n0=%d" % n0)
-    return ConvergenceReport(1, window, n0, (pred,),
-                             full_convergence_from=n0,
-                             subsequence_tails={0: xs[n0:][-8:]})
+    fbar = sys.envelope_f
+    h = (lambda u: fbar(abs(u))) if fbar else None
+    return _envelope_report(
+        orbit, alpha, 1, h,
+        lambda n0: "entire x-tail monotone to 0 from n0=%d" % n0)
 
 
 def folded_descriptor(sys: PlanarSystem) -> dict:

@@ -144,3 +144,31 @@ def test_build_report_json_roundtrip(sp3_k3, sp3_k3_traj):
     assert data["chain_verified"] is True
     assert len(data["limits"]) == 3
     assert data["window"][0] == 0.0
+
+
+# -- the per-residue engine ------------------------------------------------
+
+
+def test_prediction_is_a_report_without_limits(sp3_k3, sp3_k3_traj):
+    eq, bound = sp3_k3
+    report = sc.build_report(eq, bound, sp3_k3_traj)
+    pred = sc.predict_subsequence_convergence(eq, bound, sp3_k3_traj)
+    zero = [p for p in report.predictions if p.chain is not None]
+    assert [(p.residue_class, p.start_index, p.verdict, p.chain)
+            for p in zero] == [(p.residue_class, p.start_index, p.verdict,
+                                p.chain) for p in pred.predictions]
+    assert pred.limits == () and len(report.limits) == 3
+    assert pred.crossing_index == report.crossing_index == 132
+
+
+def test_first_only_keeps_the_class_of_the_first_crossing():
+    window = ThresholdWindow(0.0, 1.0)
+    terms = [5.0, 0.8, 0.5, 0.4, 0.2, 0.1]
+    h = lambda u: 0.9 * abs(u)  # noqa: E731
+    both = sc.analyze_residues(terms, 2, h, window)
+    first = sc.analyze_residues(terms, 2, h, window, first_only=True)
+    assert [p.start_index for p in both.predictions] == [2, 1]
+    assert [p.start_index for p in first.predictions] == [1]
+    assert first.crossing_index == both.crossing_index == 1
+    assert sc.analyze_residues([5.0, 6.0], 2, h, window,
+                               first_only=True).predictions == ()

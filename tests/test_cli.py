@@ -315,3 +315,66 @@ def test_json_output_is_strict(runner):
                                "--a", "inf"])
     assert res.exit_code == 3
     assert "Infinity" not in res.output
+
+
+# -- the exit-code contract: one error line, never a traceback -------------
+
+
+@pytest.mark.parametrize("args,config,code", [
+    (["simulate", "--model", "sp3", "--steps", "-1"], None, 2),
+    (["analyze", "--model", "sp3", "--init", "1,1"], None, 2),
+    (["simulate", "--config", "{config}"],
+     {"model": "sp3", "params": {"k": "x"}}, 2),
+    (["threshold", "--model", "ricker", "--b", "1,0.5"], None, 2),
+    (["threshold", "--config", "{config}"],
+     {"model": "ricker", "params": {"a": [1, 2]}}, 2),
+    (["analyze", "--model", "sigmoid-bh", "--p", "abc"], None, 2),
+    (["simulate", "--model", "ricker", "--b", "x"], None, 2),
+    (["simulate", "--model", "ricker", "--lambda", "2", "--a", "800",
+      "--b", "1", "--init", "0.5"], None, 3),
+    (["threshold", "--model", "sigmoid-bh", "--a", "1e-320", "--p", "2",
+      "--json"], None, 3),
+    (["analyze", "--model", "ricker", "--lambda", "1e308"], None, 3),
+], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
+        "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
+        "overflow-threshold", "overflow-bound"])
+def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
+                                             code):
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, [a.format(config=cfg) for a in args])
+    assert res.exit_code == code
+    assert not isinstance(res.exception, Exception)   # SystemExit only
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command,options", [
+    ("simulate", ["--init", "--steps", "--format", "--out"]),
+    ("analyze", ["--init", "--steps", "--out", "--tol"]),
+    ("threshold", ["--json"]),
+    ("fold", ["--init", "--steps", "--tol", "--out"]),
+])
+def test_command_options_unchanged(command, options):
+    model_options = ["--model", "--config", "--k", "--l", "--lambda", "--a",
+                     "--b", "--c", "--d", "--p", "--q", "--r", "--s", "--t",
+                     "--r1", "--r2", "--a1", "--a2", "--b1", "--b2",
+                     "--delta1", "--delta2", "--delta3", "--delta4"]
+    names = [opt for param in main.commands[command].params
+             for opt in param.opts]
+    assert names == model_options + options
+
+
+def test_simulate_and_threshold_build_no_bound(runner, monkeypatch):
+    import subconverge.models as models
+
+    def unused(*args, **kw):
+        raise AssertionError("bound built for a command that discards it")
+    monkeypatch.setattr(models, "_ricker_bound", unused)
+    for args in (["simulate", "--model", "sp3", "--steps", "5"],
+                 ["simulate", "--model", "ricker", "--steps", "5"],
+                 ["threshold", "--model", "sp3", "--json"]):
+        assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, ["analyze", "--model", "sp3"]).exit_code == 1

@@ -1,8 +1,13 @@
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+from subconverge.cli import main
 from subconverge.config import (SCHEMA_VERSION, ExperimentConfig,
                                 load_config, parse_config)
 from subconverge.errors import ConfigError
+from subconverge.models import REGISTRY
 
 
 def test_parse_minimal():
@@ -59,3 +64,25 @@ def test_load_config_file(tmp_path):
     path.write_text('{"model": "sp3", "steps": 7}')
     cfg = load_config(str(path))
     assert cfg.model == "sp3" and cfg.steps == 7
+
+
+# -- every schema key rejects a wrongly typed value -----------------------
+
+SCHEMA_KEYS = [(model.name, name) for model in REGISTRY.values()
+               for key, param in model.params.items()
+               for name in (key,) + param.aliases]
+
+
+@pytest.mark.parametrize("model,key", SCHEMA_KEYS,
+                         ids=["%s-%s" % mk for mk in SCHEMA_KEYS])
+@pytest.mark.parametrize("value", ["x", {"kind": "bogus"}, None],
+                         ids=["text", "object", "null"])
+def test_mistyped_param_exits_2_without_traceback(tmp_path, model, key,
+                                                  value):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"model": model, "params": {key: value}}))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, Exception)   # SystemExit only
+    assert res.stderr.startswith("error: ") and repr(key) in res.stderr
+    assert "Traceback" not in res.output

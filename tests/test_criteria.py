@@ -213,3 +213,18 @@ def test_validate_bound_rejects_nonzero_origin():
     bad = _bound(lambda u: abs(u) / 2 + 0.1, 1.0)
     with pytest.raises(BoundValidationError):
         validate_bound(bad)
+
+
+# -- the shared bisection --------------------------------------------------
+
+
+def test_bisect_tolerance_rule():
+    root = sc.bisect(0.0, 2.0, lambda u: u * u < 2.0, tol=1e-12)
+    assert abs(root - 2.0 ** 0.5) <= 1e-12
+
+
+def test_bisect_runs_to_double_precision_in_either_order():
+    # Without a tolerance the search ends when the midpoint hits an end.
+    for lo, hi in ((0.0, 2.0), (2.0, 0.0)):
+        root = sc.bisect(lo, hi, lambda u: (u * u < 2.0) == (lo < hi))
+        assert abs(root - 2.0 ** 0.5) <= 4e-16
