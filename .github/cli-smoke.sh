@@ -17,7 +17,10 @@ models
 simulate --model sp3 --k 3 --init 1,1,1 --steps 300
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model adult-juvenile --init 1,1 --steps 200
+analyze --model competition --init 2,1 --steps 200
+analyze --model competition-swapped --init 2,1 --steps 200
 threshold --model sp3 --k 3 --json
+threshold --model ricker --json
 fold --model adult-juvenile --init 1,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
 COMMANDS

@@ -159,7 +159,12 @@ def _gather(model, config_path, init, steps, fmt, kw):
                                                else 300)
     if n_steps < 0:
         raise ConfigError("steps must be a non-negative integer")
-    return (entry, params, entry.coerce(params), initial, n_steps,
+    # The options are shared by all models: one the model does not read
+    # is ignored (config params were checked against the schema at load).
+    names = entry.names()
+    typed = entry.coerce({key: val for key, val in params.items()
+                          if key in names})
+    return (entry, params, typed, initial, n_steps,
             fmt or (config.format if config else "csv"), config)
 
 

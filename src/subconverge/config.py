@@ -5,13 +5,16 @@ Example:
     {"schema": 1, "model": "sp3", "params": {"k": 3},
      "initial": [1, 1, 1], "steps": 300, "format": "csv"}
 
-Unknown keys are rejected so that typos fail loudly, and ``params``
-must read under the model's schema in the registry (``models.REGISTRY``).
+Unknown keys are rejected so that typos fail loudly: ``params`` must
+read under the model's schema in the registry (``models.REGISTRY``), and
+``tolerances`` may set only ``zero`` and ``limit``, each a finite,
+non-negative number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -23,6 +26,7 @@ SCHEMA_VERSION = 1
 _ALLOWED_KEYS = {"schema", "model", "params", "initial", "steps",
                  "format", "analysis", "tolerances", "terms"}
 _ALLOWED_FORMATS = {"csv", "json"}
+_TOLERANCE_KEYS = ("limit", "zero")
 
 
 @dataclass
@@ -85,6 +89,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw and not isinstance(raw[key], dict):
             raise ConfigError("%s must be an object" % key)
     REGISTRY[model].coerce(raw.get("params", {}))
+    for key, value in raw.get("tolerances", {}).items():
+        _check_tolerance(key, value)
     return ExperimentConfig(
         model=model,
         params=raw.get("params", {}),
@@ -95,6 +101,16 @@ def parse_config(text: str) -> ExperimentConfig:
         tolerances=raw.get("tolerances", {}),
         terms=raw.get("terms"),
     )
+
+
+def _check_tolerance(key: str, value) -> None:
+    if key not in _TOLERANCE_KEYS:
+        raise ConfigError("unknown tolerance %r (allowed: %s)"
+                          % (key, ", ".join(_TOLERANCE_KEYS)))
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= value < math.inf:
+        raise ConfigError("tolerance %r must be a finite, non-negative "
+                          "number, got %r" % (key, value))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from operator import truediv
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .dynamics import EquationSpec, Trajectory
 from .errors import BoundValidationError, CriterionInapplicableError
@@ -111,15 +112,55 @@ def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
     return 0.5 * (lo + hi)
 
 
+def _scan_grid(search_hi: float, scan_points: int) -> Iterator[float]:
+    """The threshold scan's points, ascending and without repeats.
+
+    A linear grid search_hi * i / scan_points (i = 1 .. scan_points) plus
+    900 log-spaced points over the 30 decades below search_hi, so roots
+    many orders of magnitude below search_hi are not stepped over.  The
+    points are exactly ``sorted(set(linear) | set(log_pts))``; they are
+    merged lazily because a scan stops at its first crossing, usually
+    long before the end.
+    """
+    log_pts = sorted([search_hi * 10.0 ** (-30.0 * i / 900)
+                      for i in range(1, 901)])
+    log_pts.append(math.inf)        # sentinel: never below a linear point
+    j, last = 0, None
+    for i in range(1, scan_points + 1):
+        u = search_hi * i / scan_points
+        while log_pts[j] < u:
+            if log_pts[j] != last:
+                last = log_pts[j]
+                yield last
+            j += 1
+        if u != last:
+            last = u
+            yield u
+    for v in log_pts[j:-1]:
+        if v != last:
+            last = v
+            yield v
+
+
+def _check_near_origin(fs: List[float]) -> None:
+    """Sublinearity must hold near 0 for the criterion to mean anything:
+    g(u) < u at one of the three smallest scan points at least."""
+    if all(fu >= 0 for fu in fs[:3]):
+        raise CriterionInapplicableError(
+            "g(u) >= u arbitrarily close to 0; no positive threshold")
+
+
 def solve_threshold(g: ScalarMap, search_hi: float,
                     tol: float = _DEFAULT_TOL,
                     scan_points: int = _DEFAULT_SCAN) -> ThresholdResult:
     """Smallest positive root of g(u) = u on (0, search_hi].
 
-    A sign-bracketing scan locates the first crossing of g(u) - u, which
-    bisection then refines to ``tol``.  If the scan finds no sign change,
-    a secondary maximum search detects tangency (g touching the identity
-    from below); otherwise the threshold is unbounded (+inf).
+    A sign-bracketing scan in ascending order locates the first crossing
+    of g(u) - u, which bisection then refines to ``tol``; the scan stops
+    there, so g is not evaluated above the first crossing.  If the scan
+    finds no sign change, a secondary maximum search detects tangency (g
+    touching the identity from below); otherwise the threshold is
+    unbounded (+inf).
 
     Raises CriterionInapplicableError when g(u) >= u already at the
     smallest sampled points, i.e. sublinearity fails near the origin.
@@ -130,29 +171,26 @@ def solve_threshold(g: ScalarMap, search_hi: float,
     def f(u: float) -> float:
         return g(u) - u
 
-    # Linear grid plus log-spaced points (30 decades below search_hi) so
-    # roots many orders of magnitude below search_hi are not stepped over.
-    linear = [search_hi * i / scan_points for i in range(1, scan_points + 1)]
-    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
-    grid = sorted(set(linear) | set(log_pts))
-    fs = [f(u) for u in grid]
-
-    # Sublinearity must hold near 0 for the criterion to mean anything.
-    if all(fu >= 0 for fu in fs[:3]):
-        raise CriterionInapplicableError(
-            "g(u) >= u arbitrarily close to 0; no positive threshold")
-
-    prev_u, prev_f = None, None
-    for u, fu in zip(grid, fs):
-        if fu >= 0 and prev_f is not None and prev_f < 0:
+    grid: List[float] = []
+    fs: List[float] = []
+    for u in _scan_grid(search_hi, scan_points):
+        fu = g(u) - u
+        # A crossing needs a negative value before it; among the first
+        # three points that also rules out the near-origin failure.
+        if fu >= 0 and fs and fs[-1] < 0:
             if fu == 0.0:
                 # Exact grid hit: look just past u to tell a transversal
                 # crossing from a tangency.
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
             return ThresholdResult(
-                bisect(prev_u, u, lambda v: f(v) < 0, tol=tol))
-        prev_u, prev_f = u, fu
+                bisect(grid[-1], u, lambda v: f(v) < 0, tol=tol))
+        grid.append(u)
+        fs.append(fu)
+        if len(fs) == 3:
+            _check_near_origin(fs)
+    if len(fs) < 3:
+        _check_near_origin(fs)
 
     # No crossing: look for a tangency where g(u)/u comes up to 1.  The
     # ratio (not g - u itself) separates a genuine touch point from the
@@ -160,7 +198,8 @@ def solve_threshold(g: ScalarMap, search_hi: float,
     def ratio(u: float) -> float:
         return f(u) / u
 
-    i_best = max(range(len(grid)), key=lambda i: ratio(grid[i]))
+    ratios = list(map(truediv, fs, grid))    # the scanned ratio(u)
+    i_best = ratios.index(max(ratios))       # its first maximum
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(len(grid) - 1, i_best + 1)]
     for _ in range(200):
@@ -184,8 +223,9 @@ def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
     """Falsification check of g(u) < |u| on a uniform grid over the window.
 
     Returns (True, None) when no counterexample is found, else
-    (False, u) with the first violating grid point.  A passing verdict is
-    evidence, not proof.
+    (False, u) with the first violating grid point; a non-finite g(u)
+    raises BoundValidationError.  A passing verdict is evidence, not
+    proof.
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
@@ -195,14 +235,15 @@ def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
         hi = (lo if math.isfinite(lo) else 0.0) + 100.0
     if math.isinf(lo):
         lo = hi - 100.0
+    span = hi - lo
     for i in range(1, grid_points):
-        u = lo + (hi - lo) * i / grid_points
+        u = lo + span * i / grid_points
         if u == 0.0:
             continue
         gu = g(u)
-        if not math.isfinite(gu):
-            raise BoundValidationError("g non-finite at u=%r" % u)
-        if gu >= abs(u):
+        if not -math.inf < gu < abs(u):     # fails on NaN and on +-inf too
+            if not math.isfinite(gu):
+                raise BoundValidationError("g non-finite at u=%r" % u)
             return False, u
     return True, None
 

@@ -398,10 +398,11 @@ def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
     equation; valid on (max{-alpha, -b}, alpha)."""
     p = _validate_power(spec.p)
     a_sup = spec.a_seq.bounds()[1]
-    alpha, _ = sigmoid_bh_window(a_sup, float(p), spec.b)
+    p_float = float(p)
+    alpha, _ = sigmoid_bh_window(a_sup, p_float, spec.b)
 
     def g(u: float) -> float:
-        return a_sup * abs(u) ** float(p)
+        return a_sup * abs(u) ** p_float
 
     lo = max(-alpha, -spec.b) if spec.b > 0 else 0.0
     window = ThresholdWindow(lo, alpha) if lo < alpha else \
@@ -829,9 +830,19 @@ class Model(NamedTuple):
     build: Callable[[dict], object]
     threshold: Optional[Callable[[dict], dict]] = None
 
+    def names(self) -> set:
+        """Every key ``coerce`` reads: the schema's keys and aliases."""
+        return set(self.params).union(*(
+            param.aliases for param in self.params.values()))
+
     def coerce(self, raw: dict) -> dict:
-        """Typed parameters from raw values; keys outside the schema are
-        ignored, a value the schema cannot read is a ConfigError."""
+        """Typed parameters from raw values; a key outside the schema and
+        its aliases, or a value the schema cannot read, is a
+        ConfigError."""
+        unknown = set(raw) - self.names()
+        if unknown:
+            raise ConfigError("unknown %s parameters: %s"
+                              % (self.name, ", ".join(sorted(unknown))))
         out = {}
         for key, param in self.params.items():
             name = next((n for n in (key,) + param.aliases if n in raw),

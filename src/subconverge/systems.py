@@ -324,23 +324,28 @@ def check_alternating_envelopes(sys: PlanarSystem, grid: int = 60,
     if sys.envelope_f is None or sys.envelope_g is None:
         return EnvelopeVerdict(False, reason="missing envelopes")
     fbar, gbar = sys.envelope_f, sys.envelope_g
+    f, g = sys.f, sys.g
     us = _grid(0.0, search_hi, grid)
+    fbar_us, gbar_us = list(map(fbar, us)), list(map(gbar, us))
     for n in sys.sample_steps:
-        for u1 in us:
-            for u2 in us:
-                if sys.f(n, u1, u2) > fbar(u2):
+        for u1, gbar_u1 in zip(us, gbar_us):
+            for u2, fbar_u2 in zip(us, fbar_us):
+                if f(n, u1, u2) > fbar_u2:
                     return EnvelopeVerdict(
                         False, reason="f_n(u1,u2) > fbar(u2)",
                         counterexample=(n, u1, u2))
-                if sys.g(n, u1, u2) > gbar(u1):
+                if g(n, u1, u2) > gbar_u1:
                     return EnvelopeVerdict(
                         False, reason="g_n(u1,u2) > gbar(u1)",
                         counterexample=(n, u1, u2))
     fine = _grid(0.0, search_hi, 10_000)
+    fbar_a = fbar(fine[0])
     for a, b in zip(fine, fine[1:]):
-        if fbar(b) < fbar(a):
+        fbar_b = fbar(b)
+        if fbar_b < fbar_a:
             return EnvelopeVerdict(False, reason="fbar not non-decreasing",
                                    counterexample=(a, b))
+        fbar_a = fbar_b
     res = solve_threshold(lambda u: fbar(gbar(u)), search_hi)
     return EnvelopeVerdict(True, res.alpha, res.tangent)
 
@@ -351,12 +356,13 @@ def check_tail_envelope(sys: PlanarSystem, grid: int = 60,
     f_n(u1, u2) <= fbar(u1) on a grid, and fbar(u) < u on (0, alpha)."""
     if sys.envelope_f is None:
         return EnvelopeVerdict(False, reason="missing envelope")
-    fbar = sys.envelope_f
+    fbar, f = sys.envelope_f, sys.f
     us = _grid(0.0, search_hi, grid)
+    fbar_us = list(map(fbar, us))
     for n in sys.sample_steps:
-        for u1 in us:
+        for u1, fbar_u1 in zip(us, fbar_us):
             for u2 in us:
-                if sys.f(n, u1, u2) > fbar(u1):
+                if f(n, u1, u2) > fbar_u1:
                     return EnvelopeVerdict(
                         False, reason="f_n(u1,u2) > fbar(u1)",
                         counterexample=(n, u1, u2))

@@ -1,0 +1,489 @@
+"""Bound construction and envelope checks against reference copies.
+
+``solve_threshold`` stops its scan at the first crossing and reuses the
+scanned values, ``verify_sublinearity`` tests each point with one
+comparison, and the envelope checks evaluate each envelope value once.
+The functions below are the earlier implementations, kept verbatim as
+the oracle: on every input both must give the same result, or raise the
+same exception with the same message.  The two intended differences
+are pinned in their own tests: g is no longer evaluated above the first
+crossing, so an error g would raise only there no longer surfaces; and
+an envelope is evaluated on the whole grid before the comparisons, so
+one that cannot be evaluated there raises even where the old loop
+returned a counterexample first.
+"""
+
+import math
+from dataclasses import replace
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subconverge import criteria, models
+from subconverge.criteria import (ThresholdResult, bisect,
+                                  solve_threshold, verify_sublinearity)
+from subconverge.errors import (BoundValidationError,
+                                CriterionInapplicableError)
+from subconverge.models import CompetitionParams, REGISTRY
+from subconverge.reports import ThresholdWindow
+from subconverge.systems import (EnvelopeVerdict, _grid,
+                                 check_alternating_envelopes,
+                                 check_tail_envelope)
+
+_DEFAULT_SCAN = 10_000
+_DEFAULT_TOL = 1e-12
+_TANGENCY_TOL = 1e-10
+NEAR_ORIGIN = "g(u) >= u arbitrarily close to 0; no positive threshold"
+
+
+# -- reference implementations (verbatim) --------------------------------
+
+
+def ref_solve_threshold(g, search_hi: float,
+                        tol: float = _DEFAULT_TOL,
+                        scan_points: int = _DEFAULT_SCAN) -> ThresholdResult:
+    if search_hi <= 0:
+        raise ValueError("search_hi must be positive")
+
+    def f(u: float) -> float:
+        return g(u) - u
+
+    # Linear grid plus log-spaced points (30 decades below search_hi) so
+    # roots many orders of magnitude below search_hi are not stepped over.
+    linear = [search_hi * i / scan_points for i in range(1, scan_points + 1)]
+    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
+    grid = sorted(set(linear) | set(log_pts))
+    fs = [f(u) for u in grid]
+
+    # Sublinearity must hold near 0 for the criterion to mean anything.
+    if all(fu >= 0 for fu in fs[:3]):
+        raise CriterionInapplicableError(
+            "g(u) >= u arbitrarily close to 0; no positive threshold")
+
+    prev_u, prev_f = None, None
+    for u, fu in zip(grid, fs):
+        if fu >= 0 and prev_f is not None and prev_f < 0:
+            if fu == 0.0:
+                # Exact grid hit: look just past u to tell a transversal
+                # crossing from a tangency.
+                probe = f(u * (1.0 + 1e-6))
+                return ThresholdResult(u, tangent=probe < 0)
+            return ThresholdResult(
+                bisect(prev_u, u, lambda v: f(v) < 0, tol=tol))
+        prev_u, prev_f = u, fu
+
+    # No crossing: look for a tangency where g(u)/u comes up to 1.  The
+    # ratio (not g - u itself) separates a genuine touch point from the
+    # trivial vanishing of g - u near the origin.
+    def ratio(u: float) -> float:
+        return f(u) / u
+
+    i_best = max(range(len(grid)), key=lambda i: ratio(grid[i]))
+    lo = grid[max(0, i_best - 1)]
+    hi = grid[min(len(grid) - 1, i_best + 1)]
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if ratio(m1) < ratio(m2):
+            lo = m1
+        else:
+            hi = m2
+    u_t = 0.5 * (lo + hi)
+    if ratio(u_t) >= -_TANGENCY_TOL:
+        return ThresholdResult(u_t, tangent=True)
+    return ThresholdResult(math.inf)
+
+
+def ref_verify_sublinearity(g, window: ThresholdWindow,
+                            grid_points: int = _DEFAULT_SCAN):
+    if grid_points < 2:
+        raise ValueError("need at least 2 grid points")
+    lo, hi = window.lo, window.hi
+    # Unbounded windows are spot-checked on a finite surrogate span.
+    if math.isinf(hi):
+        hi = (lo if math.isfinite(lo) else 0.0) + 100.0
+    if math.isinf(lo):
+        lo = hi - 100.0
+    for i in range(1, grid_points):
+        u = lo + (hi - lo) * i / grid_points
+        if u == 0.0:
+            continue
+        gu = g(u)
+        if not math.isfinite(gu):
+            raise BoundValidationError("g non-finite at u=%r" % u)
+        if gu >= abs(u):
+            return False, u
+    return True, None
+
+
+def ref_check_alternating_envelopes(sys, grid: int = 60,
+                                    search_hi: float = 10.0
+                                    ) -> EnvelopeVerdict:
+    if sys.envelope_f is None or sys.envelope_g is None:
+        return EnvelopeVerdict(False, reason="missing envelopes")
+    fbar, gbar = sys.envelope_f, sys.envelope_g
+    us = _grid(0.0, search_hi, grid)
+    for n in sys.sample_steps:
+        for u1 in us:
+            for u2 in us:
+                if sys.f(n, u1, u2) > fbar(u2):
+                    return EnvelopeVerdict(
+                        False, reason="f_n(u1,u2) > fbar(u2)",
+                        counterexample=(n, u1, u2))
+                if sys.g(n, u1, u2) > gbar(u1):
+                    return EnvelopeVerdict(
+                        False, reason="g_n(u1,u2) > gbar(u1)",
+                        counterexample=(n, u1, u2))
+    fine = _grid(0.0, search_hi, 10_000)
+    for a, b in zip(fine, fine[1:]):
+        if fbar(b) < fbar(a):
+            return EnvelopeVerdict(False, reason="fbar not non-decreasing",
+                                   counterexample=(a, b))
+    res = ref_solve_threshold(lambda u: fbar(gbar(u)), search_hi)
+    return EnvelopeVerdict(True, res.alpha, res.tangent)
+
+
+def ref_check_tail_envelope(sys, grid: int = 60,
+                            search_hi: float = 10.0) -> EnvelopeVerdict:
+    if sys.envelope_f is None:
+        return EnvelopeVerdict(False, reason="missing envelope")
+    fbar = sys.envelope_f
+    us = _grid(0.0, search_hi, grid)
+    for n in sys.sample_steps:
+        for u1 in us:
+            for u2 in us:
+                if sys.f(n, u1, u2) > fbar(u1):
+                    return EnvelopeVerdict(
+                        False, reason="f_n(u1,u2) > fbar(u1)",
+                        counterexample=(n, u1, u2))
+    res = ref_solve_threshold(fbar, search_hi)
+    return EnvelopeVerdict(True, res.alpha, res.tangent)
+
+
+# -- comparison helpers --------------------------------------------------
+
+
+def outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:        # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    """Equality that treats two NaN alphas as equal (an inapplicable
+    envelope verdict carries alpha = nan)."""
+    if isinstance(a, EnvelopeVerdict) and isinstance(b, EnvelopeVerdict) \
+            and math.isnan(a.alpha) and math.isnan(b.alpha):
+        a, b = replace(a, alpha=0.0), replace(b, alpha=0.0)
+    return a == b
+
+
+def assert_threshold_same(g, search_hi):
+    new = outcome(solve_threshold, g, search_hi)
+    assert new == outcome(ref_solve_threshold, g, search_hi)
+    return new
+
+
+def assert_sublinearity_same(g, window):
+    new = outcome(verify_sublinearity, g, window)
+    assert new == outcome(ref_verify_sublinearity, g, window)
+    return new
+
+
+def assert_envelopes_same(sysm):
+    tail = outcome(check_tail_envelope, sysm)
+    alt = outcome(check_alternating_envelopes, sysm)
+    assert same(tail, outcome(ref_check_tail_envelope, sysm))
+    assert same(alt, outcome(ref_check_alternating_envelopes, sysm))
+    return tail, alt
+
+
+def ricker_g(lam, a, b):
+    def g(u):
+        return u ** lam * math.exp(a - b * u)
+    return g
+
+
+# -- cases named by the change -------------------------------------------
+
+
+def test_finite_alpha_sp3():
+    res = assert_threshold_same(ricker_g(1.5, 1.5, 0.9), 2 * 0.5 / 0.9)
+    assert 0 < res.alpha < math.inf and not res.tangent
+
+
+def test_alpha_inf_competition():
+    sysm = REGISTRY["competition"].build(REGISTRY["competition"].coerce({}))
+    tail, _ = assert_envelopes_same(sysm)
+    assert tail.applicable and tail.alpha == math.inf
+
+
+def test_tangency_competition():
+    sysm = REGISTRY["competition"].build(
+        REGISTRY["competition"].coerce({"r1": 2.0, "a1": 1.0}))
+    tail, _ = assert_envelopes_same(sysm)
+    assert tail.tangent and abs(tail.alpha - 1.0) < 1e-5
+
+
+def test_inapplicable_near_origin():
+    res = assert_threshold_same(lambda u: 2.0 * u, 1.0)
+    assert res == (CriterionInapplicableError, NEAR_ORIGIN)
+
+
+@pytest.mark.parametrize("above, below, raises", [
+    (3, None, True),    # g(u) >= u at the three smallest points only
+    (3, 4, True),       # ... and a crossing right after them
+    (2, None, False),   # at the two smallest only: applicable
+])
+def test_near_origin_test_reads_the_first_three_points(above, below, raises):
+    points = list(islice(criteria._scan_grid(1.0, _DEFAULT_SCAN), 4))
+
+    def g(u):
+        if u <= points[above - 1] or below and u > points[below - 1]:
+            return 2.0 * u
+        return 0.5 * u
+
+    res = assert_threshold_same(g, 1.0)
+    assert (res == (CriterionInapplicableError, NEAR_ORIGIN)) == raises
+
+
+def test_two_point_grid():
+    # The smallest subnormal search_hi leaves the grid [0.0, 5e-324].
+    assert list(criteria._scan_grid(5e-324, _DEFAULT_SCAN)) == [0.0, 5e-324]
+    assert assert_threshold_same(lambda u: 2.0 * u + 1.0, 5e-324) == \
+        (CriterionInapplicableError, NEAR_ORIGIN)
+    assert assert_threshold_same(lambda u: 0.5 * u - 1.0, 5e-324) == \
+        (ZeroDivisionError, "float division by zero")
+
+
+def test_tied_ratio_maximum_takes_the_first():
+    # g(u)/u peaks at exactly the same double at the grid points 0.25 and
+    # 0.5; the tangency search starts from the first of them.
+    def g(u):
+        if u in (0.25, 0.5):
+            return u * (1.0 - 2.0 ** -37)
+        if abs(u - 0.25) < 2e-4 or abs(u - 0.5) < 2e-4:
+            return u * (1.0 - 2.0 ** -36)
+        return 0.5 * u
+
+    res = assert_threshold_same(g, 1.0)
+    assert res.tangent and abs(res.alpha - 0.25) < 2e-4
+
+
+@pytest.mark.parametrize("g, tangent", [
+    (lambda u: 2.0 * u * u, False),           # crosses at the grid's 0.5
+    (lambda u: u - (u - 0.5) ** 2, True),     # touches it there
+])
+def test_exact_grid_hit(g, tangent):
+    assert assert_threshold_same(g, 1.0) == ThresholdResult(0.5, tangent)
+
+
+def test_crossing_among_first_points():
+    # g(u) - u changes sign between the first and second scan points.
+    first, second = islice(criteria._scan_grid(1.0, _DEFAULT_SCAN), 2)
+    mid = 0.5 * (first + second)
+    res = assert_threshold_same(lambda u: 2.0 * u - mid, 1.0)
+    assert first < res.alpha < second
+
+
+def test_non_finite_and_violating_sublinearity():
+    window = ThresholdWindow(-1.0, 1.0)
+    assert assert_sublinearity_same(
+        lambda u: math.nan if u > 0.5 else 0.5 * u, window)[0] \
+        is BoundValidationError
+    assert assert_sublinearity_same(
+        lambda u: -math.inf if u < -0.5 else 0.0, window)[0] \
+        is BoundValidationError
+    assert assert_sublinearity_same(lambda u: 4.0 * u * u, window) \
+        == (False, -0.9998)
+    # g(u) = |u| exactly is a violation too.
+    assert assert_sublinearity_same(
+        lambda u: abs(u) if u >= 0.5 else 0.5 * abs(u), window) \
+        == (False, 0.5)
+    assert assert_sublinearity_same(
+        lambda u: 0.5 * abs(u), ThresholdWindow(0.0, math.inf)) \
+        == (True, None)
+
+
+def test_overflow_above_the_crossing_no_longer_raises():
+    # u^150 overflows for u > ~112, far above the root near 1; the old
+    # scan evaluated g up to search_hi = 298 and raised.
+    lam, a, b = 150.0, 0.0, 1.0
+    g, search_hi = ricker_g(lam, a, b), 2.0 * (lam - 1.0) / b
+    with pytest.raises(OverflowError):
+        ref_solve_threshold(g, search_hi)
+
+    def capped(u):          # g, with +inf where it would overflow
+        try:
+            return g(u)
+        except OverflowError:
+            return math.inf
+
+    res = solve_threshold(g, search_hi)
+    assert res == ref_solve_threshold(capped, search_hi)
+    assert 1.0 < res.alpha < 1.1
+
+
+def test_envelope_values_are_computed_before_the_grid_comparisons():
+    # x^400 overflows above ~5.9: the swapped system's fbar cannot be
+    # evaluated on the whole grid.  The old tail check returned its first
+    # counterexample before reaching those points; now the envelope is
+    # evaluated on the grid first.  The alternating check, which the CLI
+    # runs next, raised the same error before and after.
+    sysm = models.make_competition(
+        CompetitionParams.make(2, 2, 1, 1, 400, 2), swapped=True)
+    error = (OverflowError, "(34, 'Numerical result out of range')")
+    assert ref_check_tail_envelope(sysm).reason == "f_n(u1,u2) > fbar(u1)"
+    assert outcome(check_tail_envelope, sysm) == error
+    assert outcome(ref_check_alternating_envelopes, sysm) == error
+    assert outcome(check_alternating_envelopes, sysm) == error
+
+
+# -- property tests ------------------------------------------------------
+
+
+positive = st.floats(min_value=5e-324, max_value=1e308,
+                     allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive, st.integers(0, 200))
+def test_scan_grid_equals_sorted_union(search_hi, scan_points):
+    linear = [search_hi * i / scan_points for i in range(1, scan_points + 1)]
+    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
+    assert list(criteria._scan_grid(search_hi, scan_points)) == \
+        sorted(set(linear) | set(log_pts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive)
+def test_scan_grid_equals_sorted_union_default_size(search_hi):
+    linear = [search_hi * i / _DEFAULT_SCAN
+              for i in range(1, _DEFAULT_SCAN + 1)]
+    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
+    assert list(criteria._scan_grid(search_hi, _DEFAULT_SCAN)) == \
+        sorted(set(linear) | set(log_pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.05, 4.0), st.floats(-2.0, 3.0), st.floats(0.05, 3.0),
+       st.floats(0.5, 1.5))
+def test_ricker_bounds_match(lam, a, b, scale):
+    g = ricker_g(lam, a, b)
+    res = assert_threshold_same(g, 2.0 * (lam - 1.0) / b)
+    if isinstance(res, ThresholdResult) and math.isfinite(res.alpha):
+        # The bound's own window, and a stretched one that may fail.
+        assert_sublinearity_same(g, ThresholdWindow(0.0, res.alpha))
+        assert_sublinearity_same(g, ThresholdWindow(0.0, res.alpha * scale))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.booleans())
+def test_sp3_bounds_match(k, rigorous):
+    _, factory, _ = REGISTRY["sp3"].build(
+        {"k": k, "rigorous": rigorous})
+    bound = factory()
+    assert_threshold_same(bound.g, 1.0)
+    assert_sublinearity_same(bound.g, bound.validity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 5.0), st.sampled_from(["2", "3", "4/3"]),
+       st.floats(0.0, 3.0), st.floats(0.5, 1.5))
+def test_sigmoid_bh_bounds_match(a, p, b, scale):
+    spec = models.SigmoidBHSpec(*REGISTRY["sigmoid-bh"].coerce(
+        {"a": a, "p": p, "b": b}).values())
+    bound = models.sigmoid_bh_bound(spec)
+    window = bound.validity
+    assert_sublinearity_same(bound.g, window)
+    assert_sublinearity_same(bound.g, ThresholdWindow(window.lo * scale,
+                                                      window.hi * scale))
+    assert_threshold_same(bound.g, 4.0 * bound.alpha)
+
+
+coefficient = st.one_of(st.floats(0.2, 4.0),
+                        st.lists(st.floats(0.2, 4.0), min_size=2,
+                                 max_size=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), coefficient, coefficient, coefficient, coefficient,
+       st.floats(1.1, 4.0), st.floats(1.1, 4.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+def test_competition_envelopes_match(swapped, r1, r2, a1, a2, d1, d2, b1, b2,
+                                     d3, d4):
+    params = CompetitionParams.make(r1, r2, a1, a2, d1, d2, b1, b2, d3, d4)
+    assert_envelopes_same(models.make_competition(params, swapped=swapped))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.floats(0.05, 1.0),
+                 st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3)),
+       st.floats(0.2, 3.0), st.floats(-1.0, 4.0), st.floats(1.05, 4.0))
+def test_adult_juvenile_envelopes_match(s, t, r, lam):
+    assert_envelopes_same(models.make_adult_juvenile(s, t, r, lam))
+
+
+def test_envelope_counterexamples_match():
+    # Envelopes that fail each grid check, at their first failing point.
+    aj = models.make_adult_juvenile(0.8, 1.0, 2.0, 2.0)
+    below = replace(aj, envelope_f=lambda u: 0.5 * u)
+    assert assert_envelopes_same(below)[1].reason == "f_n(u1,u2) > fbar(u2)"
+    low_g = replace(aj, envelope_g=lambda u: 0.0)
+    assert assert_envelopes_same(low_g)[1].reason == "g_n(u1,u2) > gbar(u1)"
+    wavy = replace(aj, envelope_f=lambda u: u + 2.0 * abs(math.sin(u)))
+    assert assert_envelopes_same(wavy)[1].reason == \
+        "fbar not non-decreasing"
+
+
+# -- evaluation counts ---------------------------------------------------
+#
+# Exact counts, so that a scan that runs past its crossing again, or an
+# envelope value computed more than once, shows as a failure.  (Before
+# the change: 10,924 threshold evaluations for sp3 k=3, and 25,499 /
+# 45,497 + 25,499 / 34,523 + 14,525 envelope evaluations for the passing
+# checks below.)
+
+
+class Counter:
+    def __init__(self):
+        self.calls = {}
+
+    def wrap(self, key, fn):
+        def counted(*args):
+            self.calls[key] = self.calls.get(key, 0) + 1
+            return fn(*args)
+        return counted
+
+
+def test_sp3_k3_build_counts(monkeypatch):
+    count = Counter()
+    solve, validate = models.solve_threshold, models.validate_bound
+    monkeypatch.setattr(models, "solve_threshold", lambda g, *a, **kw: solve(
+        count.wrap("threshold", g), *a, **kw))
+    monkeypatch.setattr(models, "validate_bound", lambda b, *a, **kw: validate(
+        replace(b, g=count.wrap("validate", b.g)), *a, **kw))
+    _, bound = models.make_sp3(3)
+    assert bound.alpha == 0.054964735256714956
+    assert count.calls == {"threshold": 1380, "validate": 10_000}
+
+
+@pytest.mark.parametrize("name, tail_counts, alt_counts", [
+    ("competition", {"f": 11_063}, {"f": 60, "g": 60}),
+    ("competition-swapped", {"f": 60}, {"f": 21_063, "g": 11_063}),
+    ("adult-juvenile", {"f": 60}, {"f": 11_092, "g": 1_092}),
+])
+def test_envelope_check_counts(name, tail_counts, alt_counts):
+    sysm = REGISTRY[name].build(REGISTRY[name].coerce({}))
+    for check, expected in ((check_tail_envelope, tail_counts),
+                            (check_alternating_envelopes, alt_counts)):
+        count = Counter()
+        check(replace(sysm, envelope_f=count.wrap("f", sysm.envelope_f),
+                      envelope_g=count.wrap("g", sysm.envelope_g)))
+        assert count.calls == expected, check.__name__

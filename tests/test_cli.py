@@ -273,6 +273,26 @@ def test_config_unknown_key_exit_code(runner, tmp_path):
     assert "bogus" in res.output
 
 
+def test_config_tolerances_apply(runner, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"model": "sp3", "params": {"k": 3},
+                               "initial": [1, 1, 1], "steps": 450,
+                               "tolerances": {"zero": 1e-10,
+                                              "limit": 1e-3}}))
+    res = runner.invoke(main, ["analyze", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.output == runner.invoke(main, [
+        "analyze", "--model", "sp3", "--k", "3", "--init", "1,1,1",
+        "--steps", "450"]).output
+
+
+def test_options_a_model_does_not_read_are_ignored(runner):
+    # Unlike config params, the CLI's options are shared by all models.
+    res = runner.invoke(main, ["simulate", "--model", "sp3", "--init",
+                               "1,1,1", "--steps", "3", "--r1", "2"])
+    assert res.exit_code == 0
+
+
 def test_cli_overrides_config(runner, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"model": "sp3", "params": {"k": 3},
@@ -335,9 +355,18 @@ def test_json_output_is_strict(runner):
     (["threshold", "--model", "sigmoid-bh", "--a", "1e-320", "--p", "2",
       "--json"], None, 3),
     (["analyze", "--model", "ricker", "--lambda", "1e308"], None, 3),
+    (["analyze", "--config", "{config}"],
+     {"model": "sp3", "tolerances": {"limit": "x"}}, 2),
+    (["analyze", "--config", "{config}"],
+     {"model": "sp3", "tolerances": {"zero": -1e-9}}, 2),
+    (["analyze", "--config", "{config}"],
+     {"model": "sp3", "tolerances": {"lmit": 1e-3}}, 2),
+    (["simulate", "--config", "{config}"],
+     {"model": "ricker", "params": {"lamda": 3}}, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
-        "overflow-threshold", "overflow-bound"])
+        "overflow-threshold", "overflow-bound", "tolerance-text",
+        "tolerance-negative", "tolerance-unknown", "param-unknown"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"

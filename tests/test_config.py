@@ -86,3 +86,42 @@ def test_mistyped_param_exits_2_without_traceback(tmp_path, model, key,
     assert not isinstance(res.exception, Exception)   # SystemExit only
     assert res.stderr.startswith("error: ") and repr(key) in res.stderr
     assert "Traceback" not in res.output
+
+
+# -- tolerances and parameter names --------------------------------------
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"limit": "x"}, {"zero": True}, {"zero": -1e-12}, {"limit": None},
+    {"limit": [1e-3]}, {"zero": float("nan")}, {"limit": float("inf")},
+    {"tol": 1e-3},
+], ids=["text", "bool", "negative", "null", "list", "nan", "inf",
+        "unknown-key"])
+def test_bad_tolerances_rejected(tolerances):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"model": "sp3", "tolerances": tolerances}))
+    assert repr(next(iter(tolerances))) in str(exc.value)
+
+
+def test_tolerances_accepted():
+    cfg = parse_config('{"model": "sp3", "tolerances": '
+                       '{"zero": 0, "limit": 1e-3}}')
+    assert cfg.tolerances == {"zero": 0, "limit": 1e-3}
+
+
+@pytest.mark.parametrize("model", sorted(REGISTRY))
+def test_unknown_param_rejected(model):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({"model": model, "params": {"bogus": 1}}))
+    assert "bogus" in str(exc.value)
+
+
+def test_misspelt_param_rejected_alias_accepted():
+    with pytest.raises(ConfigError, match="lamda"):
+        parse_config('{"model": "ricker", "params": {"lamda": 3}}')
+    assert parse_config('{"model": "ricker", "params": {"lam": 3}}'
+                        ).params == {"lam": 3}
+    # The cli-cold benchmark's config.
+    assert parse_config('{"schema": 1, "model": "sp3", "params": {"k": 2},'
+                        ' "initial": [1, 1, 1], "steps": 300}').params \
+        == {"k": 2}
