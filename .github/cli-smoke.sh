@@ -22,6 +22,8 @@ analyze --model competition-swapped --init 2,1 --steps 200
 threshold --model sp3 --k 3 --json
 threshold --model ricker --json
 fold --model adult-juvenile --init 1,1 --steps 100
+fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.5,1.5 --steps 100
+fold --model competition-swapped --init 2,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
 COMMANDS
 rm -f "$err"

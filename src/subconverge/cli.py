@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -75,6 +76,13 @@ def _floats(text: str, option: str) -> list:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError("bad %s: %s" % (option, exc)) from exc
+
+
+def _check_tol(tol: Optional[float]) -> None:
+    """``--tol`` is a finite, non-negative number, as config tolerances are."""
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ConfigError("--tol must be a finite, non-negative number, "
+                          "got %r" % tol)
 
 
 def _initial(values: list, size: int) -> list:
@@ -228,10 +236,12 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
 @_exits()
 def analyze(model, config_path, init, steps, out, tol, **kw):
     """Apply the convergence criterion and emit a JSON report."""
+    _check_tol(tol)
     entry, _, p, initial, n_steps, _, config = _gather(
         model, config_path, init, steps, None, kw)
     tolerances = config.tolerances if config else {}
-    zero_tol = tol or tolerances.get("zero", analysis.DEFAULT_ZERO_TOL)
+    zero_tol = tol if tol is not None else \
+        tolerances.get("zero", analysis.DEFAULT_ZERO_TOL)
     limit_tol = tolerances.get("limit", analysis.DEFAULT_LIMIT_TOL)
     if entry.kind == models.SCALAR:
         eq, bound, offset = entry.build(p)
@@ -296,6 +306,7 @@ def threshold(model, config_path, as_json, **kw):
 @_exits(((SubconvergeError,), EXIT_FOLD))
 def fold(model, config_path, init, steps, tol, out, **kw):
     """Fold a system to a scalar equation and verify consistency."""
+    _check_tol(tol)
     entry, _, p, initial, steps, _, _ = _gather(model, config_path, init,
                                                 steps, None, kw)
     if entry.kind == models.THREED:

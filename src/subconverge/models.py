@@ -585,18 +585,18 @@ def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
         r_at, a_at, b_at = _at(r), _at(a), _at(b)
         if own_is_y:
             def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * y ** d / (a_at(n) + y ** d
-                                           + b_at(n) * x ** e)
+                return r_at(n) * (yd := y ** d) / (a_at(n) + yd
+                                                   + b_at(n) * x ** e)
         else:
             def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * x ** d / (a_at(n) + x ** d
-                                           + b_at(n) * y ** e)
+                return r_at(n) * (xd := x ** d) / (a_at(n) + xd
+                                                   + b_at(n) * y ** e)
     elif own_is_y:
         def rbh(n: int, x: float, y: float) -> float:
-            return r * y ** d / (a + y ** d + b * x ** e)
+            return r * (yd := y ** d) / (a + yd + b * x ** e)
     else:
         def rbh(n: int, x: float, y: float) -> float:
-            return r * x ** d / (a + x ** d + b * y ** e)
+            return r * (xd := x ** d) / (a + xd + b * y ** e)
     return rbh
 
 
@@ -614,13 +614,13 @@ def _competition_sigma(r1, a1, b1, d1: float, d3: float):
         def sigma(n: int, u: float, w: float) -> float:
             if w <= 0:
                 raise _no_preimage(n, u, w)
-            num = r1_at(n) * u ** d1 / w - a1_at(n) - u ** d1
+            num = r1_at(n) * (ud := u ** d1) / w - a1_at(n) - ud
             return (num / b1_at(n)) ** inv_d3
     else:
         def sigma(n: int, u: float, w: float) -> float:
             if w <= 0:
                 raise _no_preimage(n, u, w)
-            return ((r1 * u ** d1 / w - a1 - u ** d1) / b1) ** inv_d3
+            return ((r1 * (ud := u ** d1) / w - a1 - ud) / b1) ** inv_d3
     return sigma
 
 

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
-from operator import itemgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .analysis import analyze_residues
 from .criteria import ScalarMap, solve_threshold
-from .dynamics import EquationSpec, check_finite_initial, iterate
+from .dynamics import EquationSpec, _outside, check_finite_initial, iterate
 from .errors import DomainError, FoldError
 from .reports import ConvergenceReport, ThresholdWindow
 
@@ -157,6 +155,24 @@ def solve_sigma(sys: PlanarSystem, n: int, u: float, w: float,
     return v
 
 
+def _initial_state(sys: PlanarSystem, initial) -> Tuple[float, float]:
+    x, y = float(initial[0]), float(initial[1])
+    check_finite_initial((x, y))
+    if not sys.in_domain(x, y):
+        raise DomainError("initial point %r outside domain" % ((x, y),),
+                          index=0)
+    return x, y
+
+
+def _non_finite_state(x: float, y: float, n: int) -> str:
+    return "non-finite state (%r, %r) at step %d" % (x, y, n)
+
+
+def _state_outside(x: float, y: float, n: int) -> DomainError:
+    return DomainError("state %r outside domain at step %d" % ((x, y), n),
+                       index=n)
+
+
 def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
                    steps: int) -> Orbit:
     """Forward orbit of ``steps`` applications of the system map.
@@ -164,11 +180,7 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     The initial point must be finite.  Non-finite values truncate the
     orbit with a diagnostic; a domain exit raises DomainError.
     """
-    x, y = float(initial[0]), float(initial[1])
-    check_finite_initial((x, y))
-    if not sys.in_domain(x, y):
-        raise DomainError("initial point %r outside domain" % ((x, y),),
-                          index=0)
+    x, y = _initial_state(sys, initial)
     points: List[Tuple[float, float]] = [(x, y)]
     append, isfinite = points.append, math.isfinite
     f, g = sys.f, sys.g
@@ -177,12 +189,10 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     for n in range(steps):
         xn, yn = f(n, x, y), g(n, x, y)
         if not (isfinite(xn) and isfinite(yn)):
-            diagnostic = "non-finite state (%r, %r) at step %d" % (xn, yn,
-                                                                  n + 1)
+            diagnostic = _non_finite_state(xn, yn, n + 1)
             break
         if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
-            raise DomainError("state %r outside domain at step %d"
-                              % ((xn, yn), n + 1), index=n + 1)
+            raise _state_outside(xn, yn, n + 1)
         x, y = xn, yn
         append((x, y))
     return Orbit(points[0], tuple(points), diagnostic)
@@ -205,6 +215,7 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
         raise FoldError("system %r has no solvability form" % sys.name)
     f, g, sigma = sys.f, sys.g, sys.sigma.solve
 
+    # check_fold_consistency writes this step out in its loop.
     def evaluator(n: int, u: Sequence[float]) -> float:
         y = sigma(n - 2, u[1], u[0])
         return f(n - 1, u[0], g(n - 2, u[1], y))
@@ -235,46 +246,96 @@ class FoldCheck:
 
 def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
                            steps: int, tol: float = 1e-9) -> FoldCheck:
-    """Iterate the system and its fold side by side.
+    """Iterate the system and its fold in lockstep, in one pass.
 
-    Checks x-agreement and, when a solvability form exists, y-recovery
-    via y_n = sigma_n(x_n, x_{n+1}).  Where sigma_n raises FoldError with
-    its step (w has no preimage, e.g. once x underflows to 0), the fold
-    cannot continue: the check compares the terms before that step and
-    records why it stopped.
+    Checks x-agreement and y-recovery via y_n = sigma_n(x_n, x_{n+1}).
+    Each sigma_n is evaluated once, on the fold's terms: the value is
+    the recovered y_n and, through g_n, the fold's next term.  Where
+    sigma_n raises FoldError with an index (its step n: w has no
+    preimage, e.g. once x underflows to 0), the fold cannot continue:
+    the check compares the terms before that step and records why it
+    stopped.
+
+    Results and errors are those of iterating the direct orbit to its
+    end first (``iterate_system``), then the fold (``iterate`` on
+    ``fold_planar``), then recovering each y_n: an error of the direct
+    orbit comes first, and one of the fold is raised once the direct
+    orbit has ended.
     """
-    orbit = iterate_system(sys, initial, steps)
-    eq = fold_planar(sys)
-    x_init = fold_initial(sys, *initial)
-    stopped = orbit.diagnostic
-    try:
-        traj = iterate(eq, x_init, max(0, len(orbit) - 2))
-    except FoldError as exc:
-        if exc.index is None:
-            raise
-        # sigma_j failed, so x_{j+2} has no fold: x_0 .. x_{j+1} remain.
-        stopped = str(exc)
-        traj = iterate(eq, x_init, exc.index)
-    xs, points, sigma = traj.terms, orbit.points, sys.sigma.solve
-    n_cmp = min(len(points), len(xs))
-
-    def recovered_ys():
-        # y_n = sigma_n(x_n, x_{n+1}), up to the first step without one.
-        nonlocal stopped, n_cmp
-        for n in range(n_cmp - 1):
+    if sys.sigma is None:
+        iterate_system(sys, initial, steps)     # its errors come first
+        fold_planar(sys)                        # raises FoldError
+    x, y = _initial_state(sys, initial)
+    f, g, sigma, isfinite = sys.f, sys.g, sys.sigma.solve, math.isfinite
+    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
+    # The fold's x_{n-1}, x_n and recovered y_{n-1}.  Once the fold ends,
+    # an error it raised waits in ``pending`` for the direct orbit's end.
+    u0, u1, r = None, x, None
+    live, pending, outside, stop, n_cmp = True, None, None, None, None
+    max_x = max_y = 0.0
+    div_x = div_y = diagnostic = None
+    for n in range(steps):
+        xn, yn = f(n, x, y), g(n, x, y)
+        if not (isfinite(xn) and isfinite(yn)):
+            diagnostic, last = _non_finite_state(xn, yn, n + 1), n
+            break
+        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
+            raise _state_outside(xn, yn, n + 1)
+        if live:
+            # The fold's x_{n+1} = f_n(x_n, g_{n-1}(x_{n-1}, r)), where
+            # r = sigma_{n-1}(x_{n-1}, x_n): fold_planar's evaluator, with
+            # r already in hand.  x_1 = f_0(x_0, y_0) is the direct x_1.
             try:
-                yield sigma(n, xs[n], xs[n + 1])
-            except FoldError as exc:
-                if exc.index is None:
-                    raise
-                stopped, n_cmp = stopped or str(exc), n + 1
-                return
-
-    # The y pass runs first: a step without a preimage shortens n_cmp.
-    max_y, div_y = relative_deviation(map(itemgetter(1), points),
-                                      recovered_ys(), tol)
-    max_x, div_x = relative_deviation(map(itemgetter(0), points),
-                                      islice(xs, n_cmp), tol)
+                nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
+            except OverflowError:
+                nxt = math.inf
+            except Exception as exc:
+                nxt, pending = math.inf, exc
+            if not isfinite(nxt):       # `iterate` ends the fold at x_n
+                live, n_cmp = False, n + 1
+            else:
+                if not x_lo <= nxt <= x_hi:
+                    # `iterate` raises unless x_{n+1} is the fold's last term.
+                    live, outside = False, _outside(n + 2, (nxt, u1))
+                try:
+                    r = sigma(n, u1, nxt)
+                except Exception as exc:
+                    live = False
+                    if isinstance(exc, FoldError) and exc.index is not None:
+                        stop, n_cmp = str(exc), n + 1
+                    else:
+                        pending = exc
+                else:
+                    if r != y:
+                        d = abs(y - r) / max(abs(y), abs(r), 1.0)
+                        if d > tol and div_y is None:
+                            div_y = n
+                        if d > max_y:
+                            max_y = d
+                    if nxt != xn:
+                        d = abs(xn - nxt) / max(abs(xn), abs(nxt), 1.0)
+                        if d > tol and div_x is None:
+                            div_x = n + 1
+                        if d > max_x:
+                            max_x = d
+                    u0, u1 = u1, nxt
+        x, y = xn, yn
+    else:
+        last = max(steps, 0)    # the direct orbit's last index
+    if last:
+        sys.origin_residual()   # as fold_planar does, before the fold runs
+    else:   # no step: only the fold's initial pair (x_0, x_1) is checked
+        iterate(fold_planar(sys), fold_initial(sys, *initial), 0)
+    if outside is not None and last >= outside.index:
+        raise outside
+    if pending is not None:
+        raise pending
+    if n_cmp is None:
+        n_cmp = last + 1
+    # sigma_n failing inside the fold (the direct orbit went on past
+    # x_{n+1}) overrides a truncation diagnostic; at the last y it does not.
+    stopped = stop if stop is not None and (last > n_cmp or not diagnostic) \
+        else diagnostic
     return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,
                      div_x if div_x is not None else div_y, n_cmp, stopped)
 

@@ -340,6 +340,12 @@ def test_json_output_is_strict(runner):
 # -- the exit-code contract: one error line, never a traceback -------------
 
 
+SP3_ANALYZE = ["analyze", "--model", "sp3", "--k", "3", "--init", "1,1,1",
+               "--steps", "450"]
+AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
+           "100"]
+
+
 @pytest.mark.parametrize("args,config,code", [
     (["simulate", "--model", "sp3", "--steps", "-1"], None, 2),
     (["analyze", "--model", "sp3", "--init", "1,1"], None, 2),
@@ -363,10 +369,19 @@ def test_json_output_is_strict(runner):
      {"model": "sp3", "tolerances": {"lmit": 1e-3}}, 2),
     (["simulate", "--config", "{config}"],
      {"model": "ricker", "params": {"lamda": 3}}, 2),
+    (SP3_ANALYZE + ["--tol", "-1"], None, 2),
+    (SP3_ANALYZE + ["--tol", "nan"], None, 2),
+    (SP3_ANALYZE + ["--tol", "inf"], None, 2),
+    (AJ_FOLD + ["--tol", "-1"], None, 2),
+    (AJ_FOLD + ["--tol", "nan"], None, 2),
+    (["fold", "--model", "threed", "--init", "0.9,1.1,1", "--tol", "nan"],
+     None, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
         "overflow-threshold", "overflow-bound", "tolerance-text",
-        "tolerance-negative", "tolerance-unknown", "param-unknown"])
+        "tolerance-negative", "tolerance-unknown", "param-unknown",
+        "analyze-tol-negative", "analyze-tol-nan", "analyze-tol-inf",
+        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"
@@ -407,3 +422,20 @@ def test_simulate_and_threshold_build_no_bound(runner, monkeypatch):
                  ["threshold", "--model", "sp3", "--json"]):
         assert runner.invoke(main, args).exit_code == 0
     assert runner.invoke(main, ["analyze", "--model", "sp3"]).exit_code == 1
+
+
+def test_analyze_tol_zero_is_honoured(runner, tmp_path):
+    # With --tol 0 only an exact zero verifies a monotone tail.
+    args = ["analyze", "--model", "sp3", "--k", "1", "--init",
+            "0.5,0.5,0.5", "--steps", "12"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": "sp3",
+                               "tolerances": {"zero": 1.0}}))
+    notes = {}
+    for extra in ([], ["--tol", "0"], ["--config", str(cfg), "--tol", "0"]):
+        res = runner.invoke(main, args + extra)
+        assert res.exit_code == 0
+        notes[len(extra)] = [p["note"] for p in
+                             json.loads(res.output)["predictions"]]
+    assert notes == {0: ["monotone:verified"], 2: ["monotone:inconclusive"],
+                     4: ["monotone:inconclusive"]}
