@@ -16,6 +16,7 @@ done <<'COMMANDS'
 models
 simulate --model sp3 --k 3 --init 1,1,1 --steps 300
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
+analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200

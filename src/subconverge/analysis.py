@@ -177,8 +177,8 @@ def _scalar_report(eq: EquationSpec, bound: BoundingFunction,
                    zero_tol: float = DEFAULT_ZERO_TOL,
                    limit_tol: float = DEFAULT_LIMIT_TOL) -> ConvergenceReport:
     """analyze_residues on a trajectory under its bound (grid-checked
-    first if it was not), plus the full-convergence index."""
-    if not bound.grid_checked:
+    first if unproven), plus the full-convergence index."""
+    if bound.sublinear is None:
         bound = criteria.validate_bound(bound)
     k = bound.dominant_lag
     report = analyze_residues(

@@ -257,17 +257,17 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
                                        n_steps)
         tail = systems.check_tail_envelope(sysm)
-        alt = systems.check_alternating_envelopes(sysm)
         if tail.applicable:
             report = systems.predict_tail_convergence(sysm, orbit,
                                                       tail.alpha)
-        elif alt.applicable:
+        else:
+            alt = systems.check_alternating_envelopes(sysm)
+            if not alt.applicable:
+                raise BoundValidationError(
+                    "no envelope criterion applies: %s / %s"
+                    % (tail.reason, alt.reason))
             report = systems.predict_alternating_convergence(
                 sysm, orbit, alt.alpha)
-        else:
-            raise BoundValidationError(
-                "no envelope criterion applies: %s / %s"
-                % (tail.reason, alt.reason))
         extra = {"criterion": "tail" if tail.applicable else "alternating"}
     else:
         raise ConfigError("model %r not analyzable" % entry.name)

@@ -26,6 +26,8 @@ _DEFAULT_SCAN = 10_000
 _DEFAULT_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
 
+CLOSED_FORM, GRID = "closed-form", "grid"   # BoundingFunction.sublinear
+
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -44,10 +46,11 @@ class BoundingFunction:
     """Scalar envelope g controlling the equation through its dominant lag.
 
     ``validity`` is the window (-alpha, alpha) intersected with the
-    domain projection onto the dominant-lag axis.  ``grid_checked`` marks
-    that sublinearity was falsification-tested on a dense grid (not
-    proved); ``informal`` marks envelopes that are not certified to
-    dominate the map (user-supplied, or known-heuristic bounds).
+    domain projection onto the dominant-lag axis.  ``sublinear`` says how
+    g(u) < |u| on the window was established: CLOSED_FORM, GRID (a
+    falsification test, evidence rather than proof) or None (not yet).
+    ``informal`` marks envelopes that are not certified to dominate the
+    map (user-supplied, or known-heuristic bounds).
     """
 
     g: ScalarMap
@@ -55,7 +58,7 @@ class BoundingFunction:
     dominant_lag: int
     validity: ThresholdWindow
     tangent: bool = False
-    grid_checked: bool = False
+    sublinear: Optional[str] = None
     informal: bool = False
     g_domain: Tuple[float, float] = (-math.inf, math.inf)
     fixed_points: Tuple[float, ...] = ()
@@ -63,9 +66,6 @@ class BoundingFunction:
 
     def __call__(self, u: float) -> float:
         return self.g(u)
-
-    def with_flags(self, **kw) -> "BoundingFunction":
-        return replace(self, **kw)
 
 
 def symmetrize(bound: BoundingFunction) -> ScalarMap:
@@ -251,7 +251,7 @@ def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
 def validate_bound(bound: BoundingFunction,
                    grid_points: int = _DEFAULT_SCAN) -> BoundingFunction:
     """Check g(0)=0 (where defined) and grid-verify sublinearity on the
-    validity window; returns the bound marked grid_checked."""
+    validity window; returns the bound marked ``sublinear=GRID``."""
     lo, hi = bound.g_domain
     if lo <= 0 <= hi and bound.g(0.0) != 0.0:
         raise BoundValidationError("g(0) must be 0, got %r" % bound.g(0.0))
@@ -259,7 +259,7 @@ def validate_bound(bound: BoundingFunction,
     if not ok:
         raise BoundValidationError(
             "sublinearity fails at u=%r inside the window" % u_bad)
-    return bound.with_flags(grid_checked=True)
+    return replace(bound, sublinear=GRID)
 
 
 def check_inequality_chain(traj, n0: int, k: int,

@@ -23,16 +23,16 @@ from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from .criteria import (BoundingFunction, ThresholdResult, bisect,
-                       solve_threshold, validate_bound)
+from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
 from .dynamics import EquationSpec, check_finite_initial
-from .errors import (ConfigError, DomainError, FoldError,
-                     ModelParameterError, NonFiniteError)
+from .errors import (ConfigError, CriterionInapplicableError, DomainError,
+                     FoldError, ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
 from .sequences import CONSTANT, ParameterSequence, as_sequence
 from .systems import PlanarSystem, SigmaForm
 
 _INF = math.inf
+_MAX = 1.7976931348623157e308       # the largest double
 
 
 # -- coefficient access ---------------------------------------------------
@@ -120,19 +120,19 @@ def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
 def _ricker_bound(lam: float, a_sup: float, b_inf: float, k: int,
                   informal: bool = False,
                   name: str = "ricker-bound") -> BoundingFunction:
+    """g(u) = u^lam exp(a_sup - b_inf u); alpha is u* from
+    ``ricker_fixed_points`` (+inf without fixed points)."""
     def g(u: float) -> float:
         return u ** lam * math.exp(a_sup - b_inf * u)
 
-    search_hi = 2.0 * (lam - 1.0) / b_inf if b_inf > 0 else 10.0
-    res = solve_threshold(g, search_hi)
-    fps = ricker_fixed_points(lam, a_sup, b_inf) if b_inf > 0 \
-        else FixedPointResult("none")
-    bound = BoundingFunction(
-        g=g, alpha=res.alpha, dominant_lag=k,
-        validity=ThresholdWindow(0.0, res.alpha),
-        tangent=res.tangent, informal=informal,
-        g_domain=(0.0, _INF), fixed_points=fps.as_tuple(), name=name)
-    return validate_bound(bound)
+    fps = ricker_fixed_points(lam, a_sup, b_inf)
+    alpha = _INF if fps.kind == "none" else fps.u_star
+    return BoundingFunction(
+        g=g, alpha=alpha, dominant_lag=k,
+        validity=ThresholdWindow(0.0, alpha),
+        tangent=fps.kind == "tangent", sublinear=CLOSED_FORM,
+        informal=informal, g_domain=(0.0, _INF),
+        fixed_points=fps.as_tuple(), name=name)
 
 
 def _ricker_parts(spec: RickerFamilySpec
@@ -199,9 +199,14 @@ def ricker_fixed_points(lam: float, a: float, b: float,
                         tol: float = 1e-12) -> FixedPointResult:
     """Solve u^(lam-1) * exp(a - b u) = 1 for its positive roots.
 
-    Works on the log form (lam-1) ln u = b u - a, which is concave with
+    Works on the log form phi(u) = (lam-1) ln u + a - b u, concave with
     its maximum at u = (lam-1)/b: the sign there decides between no
-    roots, a tangency, and a pair bracketing the maximum.
+    roots, a tangency, and a pair bracketing the maximum.  Each root is
+    bisected to adjacent doubles in the last halving (u_star) or doubling
+    (u_bar) step from the maximum: u_star is the end where phi <= 0, so
+    g(u) < u on (0, u_star), and u_bar (a limit candidate) the midpoint.
+    A root below the smallest positive double raises
+    CriterionInapplicableError, one that is not finite NonFiniteError.
     """
     if lam <= 1 or b <= 0:
         raise ModelParameterError("need lam > 1 and b > 0")
@@ -210,23 +215,31 @@ def ricker_fixed_points(lam: float, a: float, b: float,
         return (lam - 1.0) * math.log(u) - b * u + a
 
     u_max = (lam - 1.0) / b
+    if u_max > _MAX:
+        raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
     peak = phi(u_max)
     if abs(peak) <= tol:
         return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
     if peak < 0:
         return FixedPointResult("none")
 
-    def root(end: float) -> float:
-        # phi(end) <= 0 < phi(u_max): halve down to double precision.
-        return bisect(end, u_max, lambda u: not phi(u) > 0)
+    def root(step: float) -> float:
+        inner, outer = u_max, min(u_max * step, _MAX)
+        while outer and outer != inner and phi(outer) > 0:
+            inner, outer = outer, min(outer * step, _MAX)
+        if not outer:
+            raise CriterionInapplicableError(
+                "g(u) >= u down to the smallest positive double")
+        if outer == inner:
+            raise NonFiniteError("a fixed point of g is not finite")
+        # Above 1, at half scale (exact), so that no midpoint overflows.
+        s = 0.5 if outer > 1.0 else 1.0
+        return bisect(outer * s, inner * s, lambda v: phi(v / s) <= 0) / s
 
-    lo = u_max
-    while phi(lo) > 0:
-        lo *= 0.5
-    hi = u_max
-    while phi(hi) > 0:
-        hi *= 2.0
-    return FixedPointResult("pair", root(lo), root(hi))
+    u_star = root(0.5)
+    if phi(u_star) > 0:
+        u_star = math.nextafter(u_star, 0.0)
+    return FixedPointResult("pair", u_star, root(2.0))
 
 
 # -- the third-order showcase equation ----------------------------------
@@ -249,10 +262,10 @@ def _sp3_rigorous_bound() -> BoundingFunction:
     def g(u: float) -> float:
         return u ** _SP3_LAM * math.exp(_SP3_A)
     alpha = math.exp(-_SP3_A / (_SP3_LAM - 1.0))  # root of sqrt(u)e^a=1
-    return validate_bound(BoundingFunction(
+    return BoundingFunction(
         g=g, alpha=alpha, dominant_lag=1,
-        validity=ThresholdWindow(0.0, alpha),
-        g_domain=(0.0, _INF), name="sp3-bound(k=1,rigorous)"))
+        validity=ThresholdWindow(0.0, alpha), sublinear=CLOSED_FORM,
+        g_domain=(0.0, _INF), name="sp3-bound(k=1,rigorous)")
 
 
 def _sp3_parts(k: int, rigorous: bool = False
@@ -395,7 +408,8 @@ def sigmoid_bh_window(a_sup: float, p: float, b: float
 
 def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
     """Bound g(u) = a_sup |u|^p for the translated (origin-fixed)
-    equation; valid on (max{-alpha, -b}, alpha)."""
+    equation; a_sup |u|^(p-1) < 1, so g(u) < |u|, on
+    (max{-alpha, -b}, alpha)."""
     p = _validate_power(spec.p)
     a_sup = spec.a_seq.bounds()[1]
     p_float = float(p)
@@ -407,10 +421,10 @@ def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
     lo = max(-alpha, -spec.b) if spec.b > 0 else 0.0
     window = ThresholdWindow(lo, alpha) if lo < alpha else \
         ThresholdWindow(0.0, alpha)
-    bound = BoundingFunction(
+    return BoundingFunction(
         g=g, alpha=alpha, dominant_lag=spec.k, validity=window,
-        g_domain=(-spec.b, _INF), fixed_points=(), name="sigmoid-bh-bound")
-    return validate_bound(bound)
+        sublinear=CLOSED_FORM, g_domain=(-spec.b, _INF), fixed_points=(),
+        name="sigmoid-bh-bound")
 
 
 def translate_to_origin(eq: EquationSpec, fixed_point: float,

@@ -27,7 +27,6 @@ from .reports import ConvergenceReport, ThresholdWindow
 SystemMap = Callable[[int, float, float], float]
 
 MULTIPLICATIVE = "multiplicative"
-ADDITIVE = "additive"
 CUSTOM = "custom"
 
 
@@ -35,56 +34,31 @@ CUSTOM = "custom"
 class SigmaForm:
     """Solvability form for f_n(u, v) = w with respect to v.
 
-    Separable forms f_n(u,v) = rho_n(u) * phi(v) (multiplicative) or
-    rho_n(u) + phi(v) (additive) carry rho and the bijection phi with its
-    inverse; anything else supplies sigma directly.  The kind is resolved
-    once, at construction: ``solve(n, u, w)`` is the plain function that
-    calling the form runs.
+    The multiplicative form f_n(u, v) = rho_n(u) * v carries rho; anything
+    else supplies sigma directly.  Either way ``solve(n, u, w)`` is the
+    plain function that calling the form runs.
     """
 
     kind: str
+    solve: Callable[[int, float, float], float]
     rho: Optional[Callable[[int, float], float]] = None
-    phi: Optional[Callable[[float], float]] = None
-    phi_inv: Optional[Callable[[float], float]] = None
-    sigma: Optional[Callable[[int, float, float], float]] = None
 
     @staticmethod
-    def multiplicative(rho, phi=None, phi_inv=None) -> "SigmaForm":
-        return SigmaForm(MULTIPLICATIVE, rho,
-                         phi or (lambda v: v), phi_inv or (lambda w: w))
-
-    @staticmethod
-    def additive(rho, phi=None, phi_inv=None) -> "SigmaForm":
-        return SigmaForm(ADDITIVE, rho,
-                         phi or (lambda v: v), phi_inv or (lambda w: w))
-
-    @staticmethod
-    def custom(sigma) -> "SigmaForm":
-        return SigmaForm(CUSTOM, sigma=sigma)
-
-    def __post_init__(self):
-        object.__setattr__(self, "solve", _sigma_solver(self))
-
-    def __call__(self, n: int, u: float, w: float) -> float:
-        return self.solve(n, u, w)
-
-
-def _sigma_solver(form: SigmaForm) -> Callable[[int, float, float], float]:
-    if form.kind == CUSTOM:
-        return form.sigma
-    rho, phi_inv = form.rho, form.phi_inv
-    if form.kind == MULTIPLICATIVE:
+    def multiplicative(rho) -> "SigmaForm":
         def solve(n: int, u: float, w: float) -> float:
             r = rho(n, u)
             if r <= 0:
                 raise FoldError("rho_%d(%r) = %r is not positive"
                                 % (n, u, r), index=n)
-            return phi_inv(w / r)
-        return solve
+            return w / r
+        return SigmaForm(MULTIPLICATIVE, solve, rho)
 
-    def solve(n: int, u: float, w: float) -> float:
-        return phi_inv(w - rho(n, u))
-    return solve
+    @staticmethod
+    def custom(sigma) -> "SigmaForm":
+        return SigmaForm(CUSTOM, sigma)
+
+    def __call__(self, n: int, u: float, w: float) -> float:
+        return self.solve(n, u, w)
 
 
 @dataclass(frozen=True)
@@ -232,8 +206,9 @@ class FoldCheck:
     """Comparison of a direct orbit against the folded scalar equation.
 
     ``steps`` is the number of x-terms compared; ``stopped`` says why the
-    comparison ended before the requested length (a truncated orbit, or a
-    step whose y has no preimage under sigma), or is None.
+    comparison ended before the requested length (a truncated orbit, a
+    non-finite fold term, or a step whose y has no preimage under sigma),
+    or is None.
     """
 
     passed: bool
@@ -293,6 +268,7 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
                 nxt, pending = math.inf, exc
             if not isfinite(nxt):       # `iterate` ends the fold at x_n
                 live, n_cmp = False, n + 1
+                stop = "fold term x_%d is not finite" % (n + 1)
             else:
                 if not x_lo <= nxt <= x_hi:
                     # `iterate` raises unless x_{n+1} is the fold's last term.
@@ -332,8 +308,8 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
         raise pending
     if n_cmp is None:
         n_cmp = last + 1
-    # sigma_n failing inside the fold (the direct orbit went on past
-    # x_{n+1}) overrides a truncation diagnostic; at the last y it does not.
+    # The fold stopping before the direct orbit's last term overrides a
+    # truncation diagnostic; stopping at that term does not.
     stopped = stop if stop is not None and (last > n_cmp or not diagnostic) \
         else diagnostic
     return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,

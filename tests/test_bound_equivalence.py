@@ -21,12 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subconverge as sc
 from subconverge import criteria, models
 from subconverge.criteria import (ThresholdResult, bisect,
                                   solve_threshold, verify_sublinearity)
 from subconverge.errors import (BoundValidationError,
                                 CriterionInapplicableError)
 from subconverge.models import CompetitionParams, REGISTRY
+
+S = sc.ParameterSequence
 from subconverge.reports import ThresholdWindow
 from subconverge.systems import (EnvelopeVerdict, _grid,
                                  check_alternating_envelopes,
@@ -448,7 +451,9 @@ def test_envelope_counterexamples_match():
 # envelope value computed more than once, shows as a failure.  (Before
 # the change: 10,924 threshold evaluations for sp3 k=3, and 25,499 /
 # 45,497 + 25,499 / 34,523 + 14,525 envelope evaluations for the passing
-# checks below.)
+# checks below.  The catalog's scalar bounds have since taken alpha from
+# their closed forms: sp3 k=3 went from 1,380 scan and 10,000 grid
+# evaluations to none.)
 
 
 class Counter:
@@ -462,16 +467,45 @@ class Counter:
         return counted
 
 
-def test_sp3_k3_build_counts(monkeypatch):
+def count_scan_and_grid(monkeypatch) -> Counter:
+    """Count g evaluations through the scan and the grid check, wherever
+    they are called from."""
     count = Counter()
-    solve, validate = models.solve_threshold, models.validate_bound
-    monkeypatch.setattr(models, "solve_threshold", lambda g, *a, **kw: solve(
-        count.wrap("threshold", g), *a, **kw))
-    monkeypatch.setattr(models, "validate_bound", lambda b, *a, **kw: validate(
-        replace(b, g=count.wrap("validate", b.g)), *a, **kw))
+    solve, verify = criteria.solve_threshold, criteria.verify_sublinearity
+    monkeypatch.setattr(criteria, "solve_threshold", lambda g, *a, **kw:
+                        solve(count.wrap("threshold", g), *a, **kw))
+    monkeypatch.setattr(criteria, "verify_sublinearity", lambda g, *a, **kw:
+                        verify(count.wrap("validate", g), *a, **kw))
+    return count
+
+
+def test_sp3_k3_build_counts(monkeypatch):
+    count = count_scan_and_grid(monkeypatch)
     _, bound = models.make_sp3(3)
-    assert bound.alpha == 0.054964735256714956
-    assert count.calls == {"threshold": 1380, "validate": 10_000}
+    assert bound.alpha == 0.0549647352569813
+    assert bound.sublinear == models.CLOSED_FORM
+    assert count.calls == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: models.make_sp3(1)[1],
+    lambda: models.make_sp3(1, rigorous=True)[1],
+    lambda: models.make_sp3(2)[1],
+    lambda: models.make_generalized_ricker(models.RickerFamilySpec(
+        1.8, 2, 3, S.periodic([1.0, 0.5]),
+        (S.constant(0.4), S.tabulated([0.7, 0.9], 0.8), S.constant(0.3))))[1],
+    lambda: models.sigmoid_bh_bound(models.SigmoidBHSpec(
+        S.constant(2.0), S.constant(1.0), S.constant(2.0), 3, 1.0, 1, 2)),
+], ids=["sp3-k1", "sp3-k1-rigorous", "sp3-k2", "ricker", "sigmoid-bh"])
+def test_catalog_bounds_evaluate_g_zero_times(monkeypatch, build):
+    count = count_scan_and_grid(monkeypatch)
+    assert build().sublinear == models.CLOSED_FORM
+    assert count.calls == {}
+    # A user-supplied bound is still grid-checked before analysis.
+    eq, bound = models.make_sp3(3)
+    user = replace(bound, sublinear=None)
+    sc.build_report(eq, user, sc.iterate(eq, (1.0, 1.0, 1.0), 5))
+    assert count.calls == {"validate": 9_999}
 
 
 @pytest.mark.parametrize("name, tail_counts, alt_counts", [

@@ -166,6 +166,57 @@ def test_analyze_planar_alternating(runner):
     assert data["stride"] == 2
 
 
+def test_analyze_planar_checks_alternating_only_without_tail(runner,
+                                                            monkeypatch):
+    import subconverge.systems as systems
+    calls = []
+    check = systems.check_alternating_envelopes
+    monkeypatch.setattr(systems, "check_alternating_envelopes",
+                        lambda sysm: calls.append(sysm.name) or check(sysm))
+    for model in ("competition", "adult-juvenile"):
+        res = runner.invoke(main, ["analyze", "--model", model, "--init",
+                                   "0.9,0.9", "--steps", "20"])
+        assert res.exit_code == 0
+    assert calls == ["adult-juvenile"]
+    # So an alternating envelope that overflows on its grid no longer
+    # fails a system the tail criterion covers (it exited 3).
+    res = runner.invoke(main, ["analyze", "--model", "competition",
+                               "--delta2", "400", "--init", "0.5,0.5",
+                               "--steps", "20"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["criterion"] == "tail"
+
+
+@pytest.mark.parametrize("params", [
+    ["--model", "sp3", "--k", "1"],
+    ["--model", "sp3", "--k", "2"],
+    ["--model", "sp3", "--k", "3"],
+    ["--model", "ricker"],
+    ["--model", "ricker", "--lambda", "1.1", "--a", "2.5", "--b", "1"],
+], ids=["sp3-k1", "sp3-k2", "sp3-k3", "ricker-defaults", "ricker-tiny-u-star"])
+def test_analyze_window_is_the_threshold_alpha(runner, params):
+    res = runner.invoke(main, ["threshold", *params, "--json"])
+    assert res.exit_code == 0
+    alpha = json.loads(res.output)["alpha"]
+    res = runner.invoke(main, ["analyze", *params, "--steps", "50"])
+    assert res.exit_code == 0
+    hi = json.loads(res.output)["window"][1]
+    if alpha is None:       # no fixed point: g(u) < u for every u > 0
+        assert hi == "inf"
+    else:
+        assert hi.hex() == alpha.hex()
+
+
+def test_analyze_ricker_with_a_tiny_threshold(runner):
+    # u* = 1.3888e-11: the scan's absolute 1e-12 tolerance overshot it,
+    # and the grid check then rejected the bound (exit 5).
+    res = runner.invoke(main, ["analyze", "--model", "ricker", "--lambda",
+                               "1.1", "--a", "2.5", "--b", "1", "--init",
+                               "0.5", "--steps", "50"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["window"] == [0.0, 1.3887943866893135e-11]
+
+
 # -- threshold -----------------------------------------------------------
 
 
@@ -361,6 +412,8 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
     (["threshold", "--model", "sigmoid-bh", "--a", "1e-320", "--p", "2",
       "--json"], None, 3),
     (["analyze", "--model", "ricker", "--lambda", "1e308"], None, 3),
+    (["threshold", "--model", "ricker", "--lambda", "1.001", "--a", "1",
+      "--json"], None, 5),
     (["analyze", "--config", "{config}"],
      {"model": "sp3", "tolerances": {"limit": "x"}}, 2),
     (["analyze", "--config", "{config}"],
@@ -378,7 +431,8 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
      None, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
-        "overflow-threshold", "overflow-bound", "tolerance-text",
+        "overflow-threshold", "overflow-bound", "threshold-underflow",
+        "tolerance-text",
         "tolerance-negative", "tolerance-unknown", "param-unknown",
         "analyze-tol-negative", "analyze-tol-nan", "analyze-tol-inf",
         "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan"])

@@ -1,0 +1,306 @@
+"""The catalog's scalar bounds against the scan and the grid check.
+
+Ricker, sp3 and sigmoid-BH bounds take alpha from their closed forms:
+u*, the smaller root of the concave log form phi(u) = (lam-1) ln u + a
+- b u, and a^(-1/(p-1)).  ``validate_bound`` (a 10,000-point grid) and
+``solve_threshold`` (the threshold scan) no longer run when they are
+built; here they are the oracle.  Every bound must pass the grid check
+on its own window, and where the scan's bracket is valid its alpha must
+equal the scan's within 1e-12 and agree on tangency.  A builder whose
+alpha is 1% too large must fail the oracle.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subconverge import models
+from subconverge.criteria import solve_threshold, validate_bound
+from subconverge.errors import (BoundValidationError,
+                                CriterionInapplicableError, NonFiniteError)
+from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
+                                ricker_fixed_points)
+from subconverge.reports import ThresholdWindow
+from subconverge.sequences import ParameterSequence as S
+
+_SCAN_POINTS = 10_000
+_MAX = 1.7976931348623157e308
+
+
+def phi(lam, a, b, u):
+    return (lam - 1.0) * math.log(u) - b * u + a
+
+
+def log_form_g(lam, a, b):
+    """The Ricker bound evaluated as exp(lam ln u + a - b u): the same
+    function, without the overflow of u**lam on its own, and +inf where
+    the value itself is beyond the doubles (so above u)."""
+    def g(u):
+        if u <= 0:
+            return 0.0
+        try:
+            return math.exp(lam * math.log(u) + a - b * u)
+        except OverflowError:
+            return math.inf
+    return g
+
+
+def assert_matches_scan(bound, search_hi):
+    res = solve_threshold(bound.g, search_hi)
+    if math.isinf(bound.alpha):
+        assert res.alpha == math.inf
+    else:
+        assert math.isclose(bound.alpha, res.alpha, rel_tol=1e-12,
+                            abs_tol=1e-12), (bound.alpha, res.alpha)
+    assert bound.tangent == res.tangent
+
+
+def scan_bracket_valid(lam, a, b, bound) -> bool:
+    """Whether the scan over (0, 2(lam-1)/b] can see what the closed form
+    sees: a clear pair whose smaller root lies above the scan's lowest
+    points with a grid point between the roots, or a peak clearly below
+    the identity.  (Near tangency the two use different tolerances.)"""
+    search_hi = 2.0 * (lam - 1.0) / b
+    peak = phi(lam, a, b, (lam - 1.0) / b)
+    if peak < -1e-9:
+        return True
+    if peak <= 1e-9 or not math.isfinite(search_hi):
+        return False
+    u_star, u_bar = bound.fixed_points
+    return (u_star > search_hi * 1e-29
+            and min(u_bar, search_hi) - u_star > 2 * search_hi / _SCAN_POINTS)
+
+
+def check_ricker(build, lam, a_sup, b_inf):
+    """The oracle for a Ricker-type bound with the given sup/inf."""
+    try:
+        bound = build()
+    except NonFiniteError:
+        # Only when u_bar lies beyond the largest double.
+        assert phi(lam, a_sup, b_inf, _MAX) > 0
+        return
+    except CriterionInapplicableError:
+        # Only when u* lies below the smallest positive double.
+        assert phi(lam, a_sup, b_inf, 5e-324) > 0
+        return
+    assert bound.sublinear == models.CLOSED_FORM
+
+    def check(bound):
+        validate_bound(bound)
+        if scan_bracket_valid(lam, a_sup, b_inf, bound):
+            assert_matches_scan(bound, 2.0 * (lam - 1.0) / b_inf)
+    try:
+        check(bound)
+    except OverflowError:
+        # g evaluates u**lam before exp(a - b u), which overflows for a
+        # large lam even where the product is small: the same checks then
+        # run on the log form of g.
+        check(replace(bound, g=log_form_g(lam, a_sup, b_inf)))
+
+
+def check_sigmoid_bh(spec):
+    bound = models.sigmoid_bh_bound(spec)
+    assert bound.sublinear == models.CLOSED_FORM
+    validate_bound(bound)
+    assert_matches_scan(bound, 4.0 * bound.alpha)
+
+
+def check_sp3(k, rigorous):
+    _, bound = models.make_sp3(k, rigorous)
+    assert bound.sublinear == models.CLOSED_FORM
+    validate_bound(bound)
+    if k == 1 and rigorous:
+        assert_matches_scan(bound, 1.0)
+    else:
+        b = models._sp3_b_inf(k)
+        assert scan_bracket_valid(1.5, 1.5, b, bound)
+        assert_matches_scan(bound, 2.0 * 0.5 / b)
+
+
+# -- strategies ----------------------------------------------------------
+
+
+lams = st.one_of(st.floats(1.05, 4.0), st.floats(4.0, 1e6))
+exponents = st.floats(-300.0, 3.0)
+
+
+def coefficient(draw, extreme, sign):
+    """A constant, periodic or tabulated sequence whose inf (sign +1) or
+    sup (sign -1) is ``extreme``."""
+    kind = draw(st.sampled_from(["constant", "periodic", "tabulated"]))
+    others = [extreme + sign * d for d in draw(
+        st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3))]
+    if kind == "constant":
+        return S.constant(extreme)
+    if kind == "periodic":
+        return S.periodic([extreme] + others)
+    return S.tabulated(others, extreme)
+
+
+@st.composite
+def ricker_specs(draw):
+    lam = draw(lams)
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, m))
+    a_seq = coefficient(draw, draw(st.floats(-3.0, 3.0)), -1)
+    b_seqs = [coefficient(draw, draw(st.floats(0.0, 3.0)), 1)
+              for _ in range(m)]
+    b_seqs[k - 1] = coefficient(draw, 10.0 ** draw(exponents), 1)
+    return RickerFamilySpec(lam, k, m, a_seq, tuple(b_seqs))
+
+
+# -- the oracle over the catalog -----------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(ricker_specs())
+def test_ricker_bounds_pass_the_oracle(spec):
+    a_sup, b_inf = spec.resolved_bounds()
+    check_ricker(lambda: models.make_generalized_ricker(spec)[1],
+                 spec.lam, a_sup, b_inf)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rigorous", [False, True])
+def test_sp3_bounds_pass_the_oracle(k, rigorous):
+    check_sp3(k, rigorous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.05, 20.0), st.sampled_from(["2", "3", "4/3", "5"]),
+       st.floats(0.0, 3.0), st.floats(0.0, 2.0))
+def test_sigmoid_bh_bounds_pass_the_oracle(a, p, b, spread):
+    spec = SigmoidBHSpec(*models.REGISTRY["sigmoid-bh"].coerce(
+        {"a": [a, a - spread * a / 4], "p": p, "b": b}).values())
+    check_sigmoid_bh(spec)
+
+
+def test_tangent_ricker_bound_matches_the_scan_on_tangency():
+    # phi peaks at exactly 0: u* = (lam-1)/b = 1, a tangency.
+    _, bound = models.make_generalized_ricker(RickerFamilySpec(
+        2.0, 1, 1, S.constant(1.0), (S.constant(1.0),)))
+    assert (bound.alpha, bound.tangent) == (1.0, True)
+    validate_bound(bound)
+    res = solve_threshold(bound.g, 2.0)
+    assert res.tangent and abs(res.alpha - 1.0) < 1e-6
+
+
+def test_the_formerly_rejected_ricker_bound_passes():
+    # lam = 1.1, a = 2.5, b = 1: u* = 1.3888e-11, where the scan's
+    # absolute tolerance overshot the root.
+    _, bound = models.make_generalized_ricker(RickerFamilySpec(
+        1.1, 1, 1, S.constant(2.5), (S.constant(1.0),)))
+    assert bound.alpha == 1.3887943866893135e-11
+    assert phi(1.1, 2.5, 1.0, bound.alpha) <= 0
+    validate_bound(bound)
+    scan = solve_threshold(bound.g, 2.0 * 0.1 / 1.0).alpha
+    assert scan > bound.alpha
+    with pytest.raises(BoundValidationError):
+        validate_bound(replace(bound, alpha=scan,
+                               validity=ThresholdWindow(0.0, scan)))
+
+
+# -- the oracle catches a wrong alpha ------------------------------------
+
+
+def scaled_fixed_points(lam, a, b, tol=1e-12):
+    res = ricker_fixed_points(lam, a, b, tol)
+    if res.kind == "none":
+        return res
+    return models.FixedPointResult(res.kind, 1.01 * res.u_star, res.u_bar)
+
+
+@pytest.mark.parametrize("build, ricker", [
+    (lambda: models.make_sp3(1)[1], (1.5, 1.5, 1.6)),
+    (lambda: models.make_sp3(2)[1], (1.5, 1.5, 0.7)),
+    (lambda: models.make_sp3(3)[1], (1.5, 1.5, 0.9)),
+    (lambda: models.make_generalized_ricker(RickerFamilySpec(
+        1.1, 1, 1, S.constant(2.5), (S.constant(1.0),)))[1],
+     (1.1, 2.5, 1.0)),
+    (lambda: models.make_generalized_ricker(RickerFamilySpec(
+        3.0, 2, 2, S.periodic([1.0, 2.0]),
+        (S.constant(0.5), S.tabulated([0.8, 0.6], 0.4))))[1],
+     (3.0, 2.0, 0.4)),
+], ids=["sp3-k1", "sp3-k2", "sp3-k3", "ricker-tiny-u-star", "ricker-varying"])
+def test_a_ricker_alpha_scaled_by_1_01_fails_the_oracle(monkeypatch, build,
+                                                        ricker):
+    check_ricker(build, *ricker)
+    monkeypatch.setattr(models, "ricker_fixed_points", scaled_fixed_points)
+    with pytest.raises((AssertionError, BoundValidationError)):
+        check_ricker(build, *ricker)
+
+
+@pytest.mark.parametrize("a, p, b", [(2.0, "3", 1.0), (0.7, "2", 2.6),
+                                     (3.0, "4/3", 0.0)])
+def test_a_sigmoid_bh_alpha_scaled_by_1_01_fails_the_oracle(monkeypatch, a,
+                                                            p, b):
+    spec = SigmoidBHSpec(*models.REGISTRY["sigmoid-bh"].coerce(
+        {"a": a, "p": p, "b": b}).values())
+    check_sigmoid_bh(spec)
+    window = models.sigmoid_bh_window
+    monkeypatch.setattr(models, "sigmoid_bh_window", lambda a_sup, p, b: (
+        window(1.01 ** (1.0 - p) * a_sup, p, b)))
+    assert models.sigmoid_bh_bound(spec).alpha == \
+        pytest.approx(1.01 * window(a, float(models.Fraction(p)), b)[0])
+    with pytest.raises((AssertionError, BoundValidationError)):
+        check_sigmoid_bh(spec)
+
+
+# -- ricker_fixed_points on its own ------------------------------------
+
+
+def assert_roots_bracket_a_sign_change(lam, a, b):
+    try:
+        res = ricker_fixed_points(lam, a, b)
+    except NonFiniteError:
+        assert phi(lam, a, b, _MAX) > 0
+        return
+    except CriterionInapplicableError:
+        assert phi(lam, a, b, 5e-324) > 0
+        return
+    if res.kind != "pair":
+        return
+
+    def f(u):
+        return phi(lam, a, b, u)
+    u_star, u_bar = res.u_star, res.u_bar
+    assert u_star < (lam - 1.0) / b < u_bar
+    # u*: the last double with phi <= 0 before the sign change.
+    assert f(u_star) <= 0 < f(math.nextafter(u_star, math.inf))
+    # u_bar: one end of an adjacent pair across the sign change.
+    below, above = math.nextafter(u_bar, 0.0), math.nextafter(u_bar, math.inf)
+    assert (f(below) > 0 >= f(u_bar)) or (f(u_bar) > 0 >= f(above))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lams, st.floats(-50.0, 50.0), exponents)
+def test_fixed_points_bracket_a_sign_change_of_phi(lam, a, b_exp):
+    assert_roots_bracket_a_sign_change(lam, a, 10.0 ** b_exp)
+
+
+def test_fixed_point_above_half_the_largest_double():
+    # u_bar = 1.42e308: its doubling bracket's midpoint would overflow.
+    assert_roots_bracket_a_sign_change(2e5, 0.0, 1e-300)
+    assert 1.4e308 < ricker_fixed_points(2e5, 0.0, 1e-300).u_bar < _MAX
+
+
+def test_fixed_points_of_a_wide_bracket():
+    # u_max = 1e300: 200 halvings of [lo, u_max] stopped at 3.11e239.
+    res = ricker_fixed_points(2.0, 0.0, 1e-300)
+    assert res.u_star == 1.0
+    assert phi(2.0, 0.0, 1e-300, res.u_star) <= 0
+    assert 6.97e302 < res.u_bar < 6.98e302
+
+
+@pytest.mark.parametrize("lam, a, b, error", [
+    (1e308, 0.0, 1.0, NonFiniteError),          # u_bar beyond the doubles
+    (1e6, 0.0, 1e-300, NonFiniteError),
+    (1e308, 0.0, 1e-300, NonFiniteError),       # (lam-1)/b overflows
+    (1.001, 1.0, 1.0, CriterionInapplicableError),  # u* underflows
+])
+def test_fixed_points_beyond_the_doubles_raise(lam, a, b, error):
+    with pytest.raises(error):
+        ricker_fixed_points(lam, a, b)

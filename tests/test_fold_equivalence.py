@@ -9,11 +9,14 @@ every input both must return the same ``FoldCheck`` (compared by repr,
 so every double is the same bits) or raise the same exception type with
 the same message and index.
 
-One difference is intended: a sigma_n whose FoldError names another
-step than n, or an f or g that raises FoldError inside the fold.  The
+Two differences are intended.  A sigma_n whose FoldError names another
+step than n, or an f or g that raises FoldError inside the fold: the
 old check re-ran the fold up to the named step; the new one takes the
 index as sigma's own step (the FoldError contract) and raises any other
 error of f or g once the direct orbit has ended.  No model does either.
+And where only a fold term overflows or is not finite, the old check
+gave no reason for comparing fewer terms (``stopped`` None); the new one
+names the term (``assert_same_but_stopped``).
 """
 
 import math
@@ -223,6 +226,19 @@ def assert_same(sysm, init, steps, tol=1e-9):
     return new
 
 
+def assert_same_but_stopped(sysm, init, steps, tol=1e-9):
+    """Both checks agree, except that the new one says that the fold's
+    last compared term was followed by one that is not finite, where the
+    old one gave no reason."""
+    new = check_fold_consistency(sysm, init, steps, tol)
+    old = ref_check_fold_consistency(sysm, init, steps, tol)
+    assert old.stopped is None
+    assert new.stopped == "fold term x_%d is not finite" % new.steps
+    assert repr(astuple(replace(new, stopped=old.stopped))) == \
+        repr(astuple(old))
+    return new
+
+
 def _raised(outcome):
     assert isinstance(outcome, tuple), outcome
     return outcome[0]
@@ -407,11 +423,11 @@ def test_fold_overflows(k, steps_after):
     def g(n, x, y):
         return 0.3 * x + math.exp(y) * 1e-3
     sysm = replace(linear(sigma=at_step(k, lambda e, n, u, w: 1e5)), g=g)
-    assert_same(sysm, (1.0, 0.5), k + 2 + steps_after)
+    assert_same_but_stopped(sysm, (1.0, 0.5), k + 2 + steps_after)
     # A fold term that is inf without an OverflowError ends it the same.
     sysm = replace(linear(sigma=at_step(k, lambda e, n, u, w: 1e308)),
                    f=lambda n, x, y: 0.5 * x + 10.0 * y)
-    assert_same(sysm, (1.0, 0.5), k + 2 + steps_after)
+    assert_same_but_stopped(sysm, (1.0, 0.5), k + 2 + steps_after)
 
 
 @pytest.mark.parametrize("steps_after", [0, 1, 5])
@@ -517,7 +533,10 @@ def test_fold_starts_from_float_x1():
 @pytest.mark.parametrize("steps", [3, 4, 10])
 def test_sigma_non_finite_value(value, steps):
     sysm = linear(sigma=at_step(2, lambda e, n, u, w: value))
-    assert_same(sysm, (1.0, 2.0), steps)
+    if steps == 3:      # sigma_2's value is the last recovered y
+        assert_same(sysm, (1.0, 2.0), steps)
+    else:               # and otherwise makes the fold's x_4 non-finite
+        assert assert_same_but_stopped(sysm, (1.0, 2.0), steps).steps == 4
 
 
 def test_no_solvability_form_matches():

@@ -1,5 +1,8 @@
 """Output digests pinned before the per-residue analysis, the model
 catalog and the bisections were each collapsed to one implementation.
+The sp3 and acceptance-sweep digests were re-pinned when the catalog's
+scalar bounds took alpha from their closed forms: only the report's
+window moved (and sp3 k=2's u_star in ``threshold-text``).
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -147,11 +150,11 @@ CLI_DIGESTS = {
     "simulate-blowup":
         "ed691e4e163853f23d3ae47b290a167dd3acde0686c3fcf7014d9846059b098d",
     "analyze-sp3-k2":
-        "3d1bb3af8b5a81d06287a201d522145eaf1abf376d447550dda917f65dba2a11",
+        "0f47f0fbe69b76440f9afe2b8a740e37cf72cefbf17d091e8ab05033ffb9db52",
     "analyze-sp3-k1":
-        "97c00d03df88e2ab0342a82c20ed35e0aa452df40588b19a78ee925bc616432c",
+        "394bcd5d070e56cc10b5327d3870c3b3d439d63a3de1097412b8845ae6285d79",
     "analyze-sp3-k3":
-        "f90a0784a5fd8312e4d00056bb27ef6fe1ffe6a517668bb2b0cd3106f036a41d",
+        "aa3aad56a9637cc743b142eb7e73a078bf181967f1431b18303b05b9134be9c4",
     "analyze-sigmoid-bh":
         "b67e432ee7424e5ef56b27d6da3c1f4406e92523f2fc7c973679ec00cf0cdac6",
     "analyze-competition":
@@ -167,7 +170,7 @@ CLI_DIGESTS = {
     "threshold-sigmoid-bh":
         "a993d8ac989a89c666ec705fd48e1f5f504117ddee90e7905fc01cb52b996b7a",
     "threshold-text":
-        "a7414c1268fcbe22e2c6b0dc435bb2fd280489ba0946efccfc41cc22459f1604",
+        "1918be3100649a2140f4a1e2c3aa3cc9e7208602c8764ce0f4d4d18e877c6fef",
     "fold-adult-juvenile":
         "468e864a1f843fe3369e515499d158bebe6fdb00cbc34bc0b5f11dcee3b4634d",
     "fold-threed":
@@ -305,13 +308,13 @@ REPORTS = [
 
 REPORT_DIGESTS = {
     "build-report-sp3-450":
-        "5c6cec7f94e441fdaf3346d3c017407f1e6f0f447ae77c1d1ea7e5b5f4aefaa2",
+        "c09f0763789ee1463c3b884dbf5c00926ac78148464e8da5cfbf24edc1a85326",
     "build-report-sp3-30000":
-        "be159d00103d03be70769a56503c5b89797051749013564e3734135b22ab3402",
+        "84a7a47f25e23d990d08aeab551143acc3f266d49830160f91c240ba6c3f52d3",
     "predict-subsequence-sp3-450":
-        "8c39a4419f3efb9b61d8296902114a27fda238f9dc97fc26f89eafc5340df7d9",
+        "03860ee6e1b3cba313bb7c428d0b65b2801397a95d671ae4a34612f0f19a6ee1",
     "acceptance-11-sweep":
-        "834f6ab32264b3600bdb514a068f6b845d32861f27a7be44b6b803a1234b5dd6",
+        "df350f72ff04d0d744d015fc34855e9f911884b01a3594ead6ddc8e828862674",
     "planar-predictions":
         "d5fd5142834b5085d8e7f55e56474b1bef786bda5198bc7b40446da6d957d886",
 }
