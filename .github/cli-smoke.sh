@@ -20,8 +20,10 @@ analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200
+analyze --model competition --delta2 400 --init 0.5,0.5 --steps 20
 threshold --model sp3 --k 3 --json
 threshold --model ricker --json
+threshold --model competition --r1 4 --a1 1 --json
 fold --model adult-juvenile --init 1,1 --steps 100
 fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.5,1.5 --steps 100
 fold --model competition-swapped --init 2,1 --steps 100

@@ -34,10 +34,11 @@ from .reports import (ChainResult, ConvergenceReport, Prediction,
 from .sequences import ParameterSequence
 from .systems import (EnvelopeVerdict, FoldCheck, Orbit, PlanarSystem,
                       SigmaForm, check_alternating_envelopes,
-                      check_fold_consistency, check_tail_envelope,
-                      fold_initial, fold_planar, iterate_system,
-                      predict_alternating_convergence,
-                      predict_tail_convergence, solve_sigma)
+                      check_envelope_cycle, check_fold_consistency,
+                      check_tail_envelope, fold_initial, fold_planar,
+                      iterate_system, predict_alternating_convergence,
+                      predict_envelope_cycle, predict_tail_convergence,
+                      solve_sigma)
 
 __version__ = "0.1.0"
 

@@ -256,19 +256,18 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         sysm = entry.build(p)
         orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
                                        n_steps)
-        tail = systems.check_tail_envelope(sysm)
-        if tail.applicable:
-            report = systems.predict_tail_convergence(sysm, orbit,
-                                                      tail.alpha)
+        reasons, fbar, gbar = [], sysm.envelope_f, sysm.envelope_g
+        for criterion, cycle in (("tail", (fbar,)),
+                                 ("alternating", (fbar, gbar))):
+            verdict = systems.check_envelope_cycle(sysm, cycle)
+            if verdict.applicable:
+                break
+            reasons.append(verdict.reason)
         else:
-            alt = systems.check_alternating_envelopes(sysm)
-            if not alt.applicable:
-                raise BoundValidationError(
-                    "no envelope criterion applies: %s / %s"
-                    % (tail.reason, alt.reason))
-            report = systems.predict_alternating_convergence(
-                sysm, orbit, alt.alpha)
-        extra = {"criterion": "tail" if tail.applicable else "alternating"}
+            raise BoundValidationError("no envelope criterion applies: %s"
+                                       % " / ".join(reasons))
+        report = systems.predict_envelope_cycle(orbit, verdict.alpha, cycle)
+        extra = {"criterion": criterion}
     else:
         raise ConfigError("model %r not analyzable" % entry.name)
     payload = report.to_dict()

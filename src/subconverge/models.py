@@ -218,7 +218,7 @@ def ricker_fixed_points(lam: float, a: float, b: float,
     if u_max > _MAX:
         raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
     peak = phi(u_max)
-    if abs(peak) <= tol:
+    if -tol <= peak <= 0:      # the safe side only: g <= u throughout
         return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
     if peak < 0:
         return FixedPointResult("none")
@@ -676,7 +676,7 @@ def competition_threshold(r1: float, a1: float, d1: float,
     bottom = psi(u_min)
     if bottom > tol * a1:
         return ThresholdResult(_INF)
-    if bottom >= -tol * a1:
+    if bottom >= 0:     # the safe side only: fbar <= u throughout
         return ThresholdResult(u_min, tangent=True)
     return ThresholdResult(bisect(0.0, u_min, lambda u: psi(u) > 0))
 
@@ -947,7 +947,7 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
         CompetitionParams(*p.values())), _competition_fields),
     Model("competition-swapped", PLANAR, _COMPETITION,
           lambda p: make_competition(CompetitionParams(*p.values()),
-                                     swapped=True), _competition_fields),
+                                     swapped=True)),
     Model("threed", THREED, {
         "a": Param(as_sequence, 1.0), "p": Param(as_sequence, 0.0),
         **{key: Param(float, default) for key, default in (

@@ -443,6 +443,11 @@ def test_envelope_counterexamples_match():
     wavy = replace(aj, envelope_f=lambda u: u + 2.0 * abs(math.sin(u)))
     assert assert_envelopes_same(wavy)[1].reason == \
         "fbar not non-decreasing"
+    no_f = replace(aj, envelope_f=None)
+    assert [v.reason for v in assert_envelopes_same(no_f)] == \
+        ["missing envelope", "missing envelopes"]
+    no_g = replace(aj, envelope_g=None)
+    assert assert_envelopes_same(no_g)[1].reason == "missing envelopes"
 
 
 # -- evaluation counts ---------------------------------------------------

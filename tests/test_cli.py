@@ -170,9 +170,14 @@ def test_analyze_planar_checks_alternating_only_without_tail(runner,
                                                             monkeypatch):
     import subconverge.systems as systems
     calls = []
-    check = systems.check_alternating_envelopes
-    monkeypatch.setattr(systems, "check_alternating_envelopes",
-                        lambda sysm: calls.append(sysm.name) or check(sysm))
+    check = systems.check_envelope_cycle
+
+    def counted(sysm, envelopes):
+        if len(envelopes) == 2:     # the alternating cycle (fbar, gbar)
+            calls.append(sysm.name)
+        return check(sysm, envelopes)
+
+    monkeypatch.setattr(systems, "check_envelope_cycle", counted)
     for model in ("competition", "adult-juvenile"):
         res = runner.invoke(main, ["analyze", "--model", model, "--init",
                                    "0.9,0.9", "--steps", "20"])
@@ -429,13 +434,16 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
     (AJ_FOLD + ["--tol", "nan"], None, 2),
     (["fold", "--model", "threed", "--init", "0.9,1.1,1", "--tol", "nan"],
      None, 2),
+    (["threshold", "--model", "competition-swapped", "--r1", "3", "--a1",
+      "2"], None, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
         "overflow-threshold", "overflow-bound", "threshold-underflow",
         "tolerance-text",
         "tolerance-negative", "tolerance-unknown", "param-unknown",
         "analyze-tol-negative", "analyze-tol-nan", "analyze-tol-inf",
-        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan"])
+        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan",
+        "threshold-competition-swapped"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"

@@ -79,6 +79,23 @@ def test_fixed_points_tangent():
     assert fps.u_star == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, kind", [
+    (1.0 - 8e-13, "tangent"),   # peak just below 0: g <= u throughout
+    (1.0 + 8e-13, "pair"),      # peak just above 0: g > u near u = 1
+])
+def test_fixed_points_near_tangency_are_sound(a, kind):
+    # lam = 2, b = 1: the log form's peak at u = 1 is a - 1, within the
+    # tangency tolerance of 0 on either side.  Only the safe side is a
+    # tangency; above it, g(u) < u must hold on the whole window.
+    fps = sc.ricker_fixed_points(2.0, a, 1.0)
+    assert fps.kind == kind
+    eq, bound = sc.make_generalized_ricker(_ricker_spec(2.0, 1, 1, a, [1.0]))
+    assert (bound.alpha, bound.tangent) == (fps.u_star, kind == "tangent")
+    window = [u for u in (1.0 - i * 1e-8 for i in range(200))
+              if u < bound.alpha]
+    assert window and all(bound.g(u) < u for u in window)
+
+
 def test_fixed_points_none():
     fps = sc.ricker_fixed_points(2.0, 0.5, 1.0)
     assert fps.kind == "none"
@@ -240,6 +257,23 @@ def test_competition_threshold_quadratic():
     assert res.tangent and res.alpha == pytest.approx(1.0)
     # no positive root
     assert math.isinf(sc.competition_threshold(1.0, 1.0, 2.0).alpha)
+
+
+@pytest.mark.parametrize("a1, tangent", [
+    (4.0 + 1e-12, True),    # bottom just above 0: fbar <= u throughout
+    (4.0 - 1e-12, False),   # bottom just below 0: fbar > u near u = 2
+])
+def test_competition_threshold_near_tangency_is_sound(a1, tangent):
+    # r1 = 3, d1 = 3: psi(u) = u^3 - 3u^2 + a1 has its minimum a1 - 4 at
+    # u = 2, within the tangency tolerance of 0 on either side.  Only
+    # the safe side is a tangency; below it, fbar(u) < u must hold on
+    # the whole window.
+    res = sc.competition_threshold(3.0, a1, 3.0)
+    assert res.tangent == tangent
+    assert (res.alpha == 2.0) if tangent else (res.alpha < 2.0)
+    window = [u for u in (2.0 - i * 1e-9 for i in range(1, 2000))
+              if u < res.alpha]
+    assert window and all(3.0 * u ** 3 / (a1 + u ** 3) < u for u in window)
 
 
 def test_competition_threshold_general_exponent():

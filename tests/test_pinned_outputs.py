@@ -64,6 +64,12 @@ CLI_CASES = [
                              "--init", "0.9,0.9", "--steps", "100"], None),
     ("analyze-adult-juvenile", ["analyze", "--model", "adult-juvenile",
                                 "--init", "1,1", "--steps", "200"], None),
+    # The one catalog system whose tail check fails and alternating passes.
+    ("analyze-competition-swapped", ["analyze", "--model",
+                                     "competition-swapped", "--r1", "3",
+                                     "--r2", "3", "--a1", "1", "--a2", "1",
+                                     "--init", "0.3,0.2", "--steps", "100"],
+     None),
     ("threshold-sp3", ["threshold", "--model", "sp3", "--k", "3", "--json"],
      None),
     ("threshold-ricker-tangent", ["threshold", "--model", "ricker",
@@ -161,6 +167,8 @@ CLI_DIGESTS = {
         "d1219bf6a73eaaf0612d83e5378ed4df215afb619984993f916d965a3e6f4e55",
     "analyze-adult-juvenile":
         "55f395667e6e284b8fe020fe23f49e0d730580a7fa1b5ad8fb2ce74f6edaabd7",
+    "analyze-competition-swapped":
+        "c1767890d788061aadbe093bfa7cbb0de3036c289f7a3de87bc9d1a6a61d58af",
     "threshold-sp3":
         "8b3476033e6f2dfbe3a4f695b91be367d2a4d04f8d923d3b19f28606d1478894",
     "threshold-ricker-tangent":
