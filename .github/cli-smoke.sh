@@ -21,9 +21,13 @@ analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200
 analyze --model competition --delta2 400 --init 0.5,0.5 --steps 20
+analyze --model competition --r1 50 --a1 600 --init 25,1 --steps 60
+analyze --model adult-juvenile --lambda 21 --r -39 --init 19,19 --steps 60
 threshold --model sp3 --k 3 --json
 threshold --model ricker --json
 threshold --model competition --r1 4 --a1 1 --json
+threshold --model adult-juvenile --json
+threshold --model competition-swapped --r1 3 --r2 3 --a1 1 --a2 1 --json
 fold --model adult-juvenile --init 1,1 --steps 100
 fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.5,1.5 --steps 100
 fold --model competition-swapped --init 2,1 --steps 100

@@ -28,7 +28,7 @@ from .models import (MODEL_NAMES, CompetitionParams, FixedPointResult,
                      make_generalized_ricker, make_sigmoid_bh, make_sp3,
                      ricker_fixed_points, ricker_threshold_condition,
                      sigmoid_bh_bound, sigmoid_bh_window,
-                     translate_to_origin)
+                     swapped_competition_threshold, translate_to_origin)
 from .reports import (ChainResult, ConvergenceReport, Prediction,
                       ThresholdWindow)
 from .sequences import ParameterSequence

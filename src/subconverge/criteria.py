@@ -92,14 +92,15 @@ def symmetrize(bound: BoundingFunction) -> ScalarMap:
 
 
 def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
-           tol: Optional[float] = None) -> float:
+           tol: Optional[float] = None, lo_end: bool = False) -> float:
     """Root of a sign change between ``lo`` and ``hi`` (in either order).
 
     Each step moves ``lo`` to the midpoint when ``lo_side(mid)`` holds,
     else ``hi``.  The search stops when ``|hi - lo| <= tol`` or, without
     a tolerance, when the midpoint equals an end (double precision is
     exhausted); at most 200 halvings either way.  Returns the last
-    midpoint.
+    midpoint or, with ``lo_end``, the last bracket's ``lo`` end: a point
+    where ``lo_side`` held (or the initial ``lo``).
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -109,7 +110,7 @@ def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo if lo_end else 0.5 * (lo + hi)
 
 
 def _scan_grid(search_hi: float, scan_points: int) -> Iterator[float]:
@@ -156,11 +157,11 @@ def solve_threshold(g: ScalarMap, search_hi: float,
     """Smallest positive root of g(u) = u on (0, search_hi].
 
     A sign-bracketing scan in ascending order locates the first crossing
-    of g(u) - u, which bisection then refines to ``tol``; the scan stops
-    there, so g is not evaluated above the first crossing.  If the scan
-    finds no sign change, a secondary maximum search detects tangency (g
-    touching the identity from below); otherwise the threshold is
-    unbounded (+inf).
+    of g(u) - u, which bisection then refines to ``tol``, returning the
+    bracket's end where g(u) < u; the scan stops there, so g is not
+    evaluated above the first crossing.  If the scan finds no sign
+    change, a secondary maximum search detects tangency (g touching the
+    identity from below); otherwise the threshold is unbounded (+inf).
 
     Raises CriterionInapplicableError when g(u) >= u already at the
     smallest sampled points, i.e. sublinearity fails near the origin.
@@ -184,7 +185,8 @@ def solve_threshold(g: ScalarMap, search_hi: float,
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
             return ThresholdResult(
-                bisect(grid[-1], u, lambda v: f(v) < 0, tol=tol))
+                bisect(grid[-1], u, lambda v: f(v) < 0, tol=tol,
+                       lo_end=True))
         grid.append(u)
         fs.append(fu)
         if len(fs) == 3:

@@ -462,7 +462,9 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     Adults all die each period; juveniles mature.  The first equation is
     multiplicatively separable, so the system folds exactly; envelope
     bounds fbar(u) = u and gbar(u) = u^lam * exp(r_sup - u) make the
-    alternating criterion applicable without folding.
+    alternating criterion applicable without folding.  Its cycle map is
+    gbar itself, a Ricker bound: alpha is ``ricker_fixed_points(lam,
+    r_sup, 1)``'s u*.
     """
     s_seq, t_seq, r_seq = map(as_sequence, (s_seq, t_seq, r_seq))
     s_lo, s_hi = s_seq.bounds()
@@ -504,7 +506,16 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
         envelope_f=lambda u: u,
         envelope_g=lambda u: u ** lam * math.exp(r_sup - u),
         sample_steps=tuple(steps),
-        name="adult-juvenile")
+        name="adult-juvenile",
+        cycle_threshold=(2, lambda: _fixed_point_threshold(
+            ricker_fixed_points(lam, r_sup, 1.0))))
+
+
+def _fixed_point_threshold(fps: FixedPointResult) -> ThresholdResult:
+    """The threshold u* of a Ricker bound's fixed points: +inf for none."""
+    if fps.kind == "none":
+        return ThresholdResult(_INF)
+    return ThresholdResult(fps.u_star, tangent=fps.kind == "tangent")
 
 
 # -- two-species competition system -------------------------------------
@@ -544,8 +555,10 @@ def make_competition(params: CompetitionParams,
     in the right-hand sides.
 
     The unswapped system admits the tail envelope
-    fbar(u) = r1_sup u^d1 / (a1_inf + u^d1); the swapped variant admits
-    the alternating envelope pair instead.
+    fbar(u) = r1_sup u^d1 / (a1_inf + u^d1), with alpha from
+    ``competition_threshold``; the swapped variant admits the
+    alternating envelope pair (fbar1, fbar2) instead, with alpha from
+    ``swapped_competition_threshold``.
     """
     p = params
     if p.d1 <= 1 or p.d2 <= 1:
@@ -582,13 +595,19 @@ def make_competition(params: CompetitionParams,
                             sigma=SigmaForm.custom(_swapped_sigma(
                                 r1, a1, b1, d1, d3)),
                             envelope_f=fbar1, envelope_g=fbar2,
-                            sample_steps=steps, name="competition-swapped")
+                            sample_steps=steps, name="competition-swapped",
+                            cycle_threshold=(2, lambda: (
+                                swapped_competition_threshold(
+                                    r1_sup, a1_inf, d1, r2_sup, a2_inf,
+                                    d2))))
     sigma = None
     if p.b1.bounds()[0] > 0:
         sigma = SigmaForm.custom(_competition_sigma(r1, a1, b1, d1, d3))
     return PlanarSystem(f=f, g=g, sigma=sigma,
                         envelope_f=fbar1, envelope_g=fbar2,
-                        sample_steps=steps, name="competition")
+                        sample_steps=steps, name="competition",
+                        cycle_threshold=(1, lambda: competition_threshold(
+                            r1_sup, a1_inf, d1)))
 
 
 def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
@@ -656,8 +675,10 @@ def competition_threshold(r1: float, a1: float, d1: float,
     """Smallest positive root of u^d1 - r1 u^(d1-1) + a1 = 0, below which
     the competition envelope satisfies fbar(u) < u.
 
-    d1 = 2 uses the closed quadratic form; other exponents fall back to
-    the polynomial's interior minimum plus bisection.
+    d1 = 2 uses the closed quadratic form, as a1 over the larger root
+    (r1 - sqrt(r1^2 - 4 a1) cancels when a1 is small); other exponents
+    fall back to the polynomial's interior minimum plus bisection, which
+    returns the end where fbar(u) < u.
     """
     if r1 <= 0 or a1 <= 0 or d1 <= 1:
         raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
@@ -667,7 +688,7 @@ def competition_threshold(r1: float, a1: float, d1: float,
             return ThresholdResult(_INF)
         if disc == 0:
             return ThresholdResult(0.5 * r1, tangent=True)
-        return ThresholdResult(0.5 * (r1 - math.sqrt(disc)))
+        return ThresholdResult(a1 / (0.5 * (r1 + math.sqrt(disc))))
 
     def psi(u: float) -> float:
         return u ** d1 - r1 * u ** (d1 - 1.0) + a1
@@ -678,7 +699,81 @@ def competition_threshold(r1: float, a1: float, d1: float,
         return ThresholdResult(_INF)
     if bottom >= 0:     # the safe side only: fbar <= u throughout
         return ThresholdResult(u_min, tangent=True)
-    return ThresholdResult(bisect(0.0, u_min, lambda u: psi(u) > 0))
+    return ThresholdResult(bisect(0.0, u_min, lambda u: psi(u) > 0,
+                                  lo_end=True))
+
+
+def _log_envelope(r: float, a: float, d: float):
+    """L(t) = ln fbar(e^t) for fbar(u) = r u^d / (a + u^d), and L'(t).
+
+    L(t) = ln r + d t - ln(a + e^(d t)) = ln r - softplus(ln a - d t),
+    written so that no exponential overflows: increasing, with slope
+    d a / (a + e^(d t)) falling from d to 0, and so concave.
+    """
+    ln_r, ln_a, exp, log1p = math.log(r), math.log(a), math.exp, math.log1p
+
+    def log_fbar(t: float) -> float:
+        x = ln_a - d * t
+        return ln_r - (max(x, 0.0) + log1p(exp(-abs(x))))
+
+    def slope(t: float) -> float:
+        x = ln_a - d * t
+        if x >= 0:
+            return d / (1.0 + exp(-x))
+        e = exp(x)
+        return d * e / (1.0 + e)
+    return log_fbar, slope
+
+
+def swapped_competition_threshold(r1: float, a1: float, d1: float,
+                                  r2: float, a2: float, d2: float
+                                  ) -> ThresholdResult:
+    """Smallest positive root of fbar1(fbar2(u)) = u, the swapped
+    competition system's alternating cycle, with fbar_i(u) =
+    r_i u^d_i / (a_i + u^d_i).
+
+    The cycle has no closed form, but its log form phi(t) = L1(L2(t)) - t
+    (L_i(t) = ln fbar_i(e^t)) is concave: each L_i is increasing and
+    concave.  phi' falls from d1 d2 - 1 > 0 (t -> -inf) to -1, so
+    bisecting its sign finds the one peak; as with
+    ``ricker_fixed_points``, phi there decides between no root (+inf), a
+    tangency (-1e-12 <= phi <= 0) and a pair, whose lower root is bisected
+    to adjacent doubles and taken at its end where phi <= 0.  A root
+    below the smallest positive double raises CriterionInapplicableError.
+    """
+    if min(r1, a1, r2, a2) <= 0 or d1 <= 1 or d2 <= 1:
+        raise ModelParameterError("need r_i, a_i > 0 and d_i > 1")
+    log_f1, slope1 = _log_envelope(r1, a1, d1)
+    log_f2, slope2 = _log_envelope(r2, a2, d2)
+
+    def phi(t: float) -> float:
+        return log_f1(log_f2(t)) - t
+
+    def rising(t: float) -> bool:   # phi'(t) > 0
+        return slope1(log_f2(t)) * slope2(t) > 1.0
+
+    # Bracket the peak by doubling steps from t = 0, then bisect phi'.
+    last, step = 0.0, 1.0 if rising(0.0) else -1.0
+    while rising(step) == (step > 0):
+        last, step = step, 2.0 * step
+    t_max = bisect(min(last, step), max(last, step), rising)
+    peak = phi(t_max)
+    if -1e-12 <= peak <= 0:     # the safe side only: fbar1(fbar2(u)) <= u
+        return ThresholdResult(math.exp(t_max), tangent=True)
+    if peak < 0:
+        return ThresholdResult(_INF)
+    step = 1.0
+    while phi(t_max - step) > 0:
+        step *= 2.0
+    u_lo, u_max = math.exp(t_max - step), math.exp(t_max)
+    if not u_lo:        # the lower root may lie below the doubles
+        u_lo = 5e-324
+        if u_max <= u_lo or phi(math.log(u_lo)) > 0:
+            raise CriterionInapplicableError(
+                "fbar1(fbar2(u)) >= u down to the smallest positive double")
+    return ThresholdResult(bisect(u_lo, u_max,
+                                  lambda u: phi(math.log(u)) <= 0,
+                                  lo_end=True))
 
 
 # -- three-dimensional system and its order-3 fold ----------------------
@@ -909,11 +1004,20 @@ def _sigmoid_bh_fields(p: dict) -> dict:
     return {"alpha": alpha, "window": window.as_list()}
 
 
-def _competition_fields(p: dict) -> dict:
-    res = competition_threshold(_constant(p, "r1"), _constant(p, "a1"),
-                                p["delta1"])
+def _threshold_fields(res: ThresholdResult) -> dict:
     return {"alpha": res.alpha if math.isfinite(res.alpha) else "inf",
             "tangent": res.tangent}
+
+
+def _competition_fields(p: dict) -> dict:
+    return _threshold_fields(competition_threshold(
+        _constant(p, "r1"), _constant(p, "a1"), p["delta1"]))
+
+
+def _swapped_fields(p: dict) -> dict:
+    return _threshold_fields(swapped_competition_threshold(
+        _constant(p, "r1"), _constant(p, "a1"), p["delta1"],
+        _constant(p, "r2"), _constant(p, "a2"), p["delta2"]))
 
 
 _COMPETITION = {
@@ -942,12 +1046,13 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
     Model("adult-juvenile", PLANAR, {
         "s": Param(as_sequence, 0.8), "t": Param(as_sequence, 1.0),
         "r": Param(as_sequence, 2.0), "lambda": Param(float, 2.0, ("lam",)),
-    }, lambda p: make_adult_juvenile(*p.values())),
+    }, lambda p: make_adult_juvenile(*p.values()),
+        lambda p: _ricker_fields(p["lambda"], _constant(p, "r"), 1.0)),
     Model("competition", PLANAR, _COMPETITION, lambda p: make_competition(
         CompetitionParams(*p.values())), _competition_fields),
     Model("competition-swapped", PLANAR, _COMPETITION,
           lambda p: make_competition(CompetitionParams(*p.values()),
-                                     swapped=True)),
+                                     swapped=True), _swapped_fields),
     Model("threed", THREED, {
         "a": Param(as_sequence, 1.0), "p": Param(as_sequence, 0.0),
         **{key: Param(float, default) for key, default in (

@@ -10,16 +10,23 @@ criterion apply directly to the system without folding:
 * alternating cycle (fbar, gbar): f_n(u1, u2) <= fbar(u2), g_n(u1, u2)
   <= gbar(u1), fbar non-decreasing, and fbar(gbar(u)) < u near 0 --
   terms of {x_n} with the parity of the crossing index converge to zero.
+
+Domination and monotonicity are grid-checked.  The threshold alpha of
+the cycle map comes from the system's ``cycle_threshold`` when the
+catalog built it (exact: a closed form or a concave log form), else
+from the threshold scan on (0, 10].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .analysis import analyze_residues
-from .criteria import ScalarMap, solve_threshold
+from .criteria import ScalarMap, ThresholdResult, solve_threshold
 from .dynamics import EquationSpec, _outside, check_finite_initial, iterate
 from .errors import DomainError, FoldError
 from .reports import ConvergenceReport, ThresholdWindow
@@ -63,7 +70,15 @@ class SigmaForm:
 
 @dataclass(frozen=True)
 class PlanarSystem:
-    """A non-autonomous planar map pair on (a subset of) the quadrant."""
+    """A non-autonomous planar map pair on (a subset of) the quadrant.
+
+    ``cycle_threshold`` is (L, solve): the length of the envelope cycle
+    the system was built for (1 tail, 2 alternating) and a zero-argument
+    function returning that cycle's exact threshold.  The envelope check
+    calls it in place of the scan; it stays with the system when
+    ``dataclasses.replace`` wraps f, g or the envelopes, so an envelope
+    replaced by a different function needs it replaced too (None: scan).
+    """
 
     f: SystemMap
     g: SystemMap
@@ -74,6 +89,8 @@ class PlanarSystem:
     domain_y: Tuple[float, float] = (0.0, math.inf)
     sample_steps: Tuple[int, ...] = tuple(range(8))
     name: str = "system"
+    cycle_threshold: Optional[
+        Tuple[int, Callable[[], ThresholdResult]]] = None
 
     def origin_residual(self) -> float:
         """Max |f_n(0,0)|, |g_n(0,0)| over the sampled steps; must be 0
@@ -350,6 +367,16 @@ def _grid(lo: float, hi: float, count: int) -> List[float]:
 
 
 _GRID, _SEARCH_HI = 60, 10.0    # the envelope grids and scan on (0, 10]
+_US = _grid(0.0, _SEARCH_HI, _GRID)         # the domination grid's axis
+
+
+@lru_cache(maxsize=1)
+def _fine_grid() -> Tuple[float, ...]:
+    """The 10,000-point monotonicity grid, built on first use (so that
+    importing the package does not pay for it)."""
+    return tuple(_grid(0.0, _SEARCH_HI, 10_000))
+
+
 Cycle = Sequence[Optional[ScalarMap]]   # envelopes, outermost first
 _NOTES = {1: "entire x-tail monotone to 0 from n0={0}",
           2: "x-subsequence of parity {1} from n0={0}; y-subsequence of "
@@ -370,12 +397,13 @@ def check_envelope_cycle(sys: PlanarSystem,
     (alternating), on grids with exact comparisons: (i) component i (f,
     then g at each point) <= envelope i at argument (i+1) mod L; (ii)
     fbar non-decreasing if L = 2; (iii) fbar(gbar(u)), or fbar(u), < u
-    on (0, alpha), by threshold solving."""
+    on (0, alpha): alpha is the system's exact ``cycle_threshold`` when
+    the cycle is its own envelopes, else the threshold scan's."""
     length = len(envelopes)
     if not all(envelopes):
         return EnvelopeVerdict(False, reason="missing envelope"
                                + "s" * (length > 1))
-    f, g, us = sys.f, sys.g, _grid(0.0, _SEARCH_HI, _GRID)
+    f, g, us = sys.f, sys.g, _US
 
     def above(i: int, n: int, u1: float, u2: float) -> EnvelopeVerdict:
         return EnvelopeVerdict(False, counterexample=(n, u1, u2), reason=(
@@ -399,15 +427,20 @@ def check_envelope_cycle(sys: PlanarSystem,
                     if g(n, u1, u2) > gbar_u1:
                         return above(1, n, u1, u2)
     for fbar in envelopes[:-1]:
-        fine = _grid(0.0, _SEARCH_HI, 10_000)
+        fine = _fine_grid()
         fbar_a = fbar(fine[0])
-        for a, b in zip(fine, fine[1:]):
+        for a, b in zip(fine, islice(fine, 1, None)):
             fbar_b = fbar(b)
             if fbar_b < fbar_a:
                 return EnvelopeVerdict(False, reason="fbar not non-decreasing",
                                        counterexample=(a, b))
             fbar_a = fbar_b
-    res = solve_threshold(_cycle_map(envelopes), _SEARCH_HI)
+    own = sys.cycle_threshold
+    if own is not None and own[0] == length and \
+            tuple(envelopes) == (sys.envelope_f, sys.envelope_g)[:length]:
+        res = own[1]()
+    else:
+        res = solve_threshold(_cycle_map(envelopes), _SEARCH_HI)
     return EnvelopeVerdict(True, res.alpha, res.tangent)
 
 

@@ -11,6 +11,15 @@ crossing, so an error g would raise only there no longer surfaces; and
 an envelope is evaluated on the whole grid before the comparisons, so
 one that cannot be evaluated there raises even where the old loop
 returned a counterexample first.
+
+Two intended differences move alpha, so alphas are compared within the
+scan's 1e-12 bracket rather than by bits: ``solve_threshold`` returns
+its last bracket's end where g(u) < u (the oracle returns the
+midpoint), and a catalog system's own envelope cycle takes its exact
+threshold instead of the scan's.  A tangency keeps the scan's looser
+search: there the alphas agree within 1e-5.  An exact threshold may lie
+below the scan's smallest points (1e-29), where the scan raised
+CriterionInapplicableError.
 """
 
 import math
@@ -179,17 +188,24 @@ def outcome(fn, *args):
 
 
 def same(a, b) -> bool:
-    """Equality that treats two NaN alphas as equal (an inapplicable
-    envelope verdict carries alpha = nan)."""
-    if isinstance(a, EnvelopeVerdict) and isinstance(b, EnvelopeVerdict) \
-            and math.isnan(a.alpha) and math.isnan(b.alpha):
-        a, b = replace(a, alpha=0.0), replace(b, alpha=0.0)
-    return a == b
+    """Equality, except that alphas (of a ThresholdResult or an
+    EnvelopeVerdict) need only agree within the scan's bracket: 1e-12
+    for a crossing, 1e-5 for a tangency.  Two NaN alphas (an inapplicable
+    envelope verdict) are equal."""
+    if not (isinstance(a, (ThresholdResult, EnvelopeVerdict))
+            and type(a) is type(b)):
+        return a == b
+    close = (a.alpha == b.alpha or math.isnan(a.alpha) and math.isnan(b.alpha)
+             or abs(a.alpha - b.alpha) <= (1e-5 if b.tangent else 1e-12))
+    return close and replace(a, alpha=0.0) == replace(b, alpha=0.0)
 
 
 def assert_threshold_same(g, search_hi):
     new = outcome(solve_threshold, g, search_hi)
-    assert new == outcome(ref_solve_threshold, g, search_hi)
+    ref = outcome(ref_solve_threshold, g, search_hi)
+    assert same(new, ref)
+    if isinstance(new, ThresholdResult) and not new.tangent:
+        assert new.alpha <= ref.alpha   # the bracket's g(u) < u end
     return new
 
 
@@ -199,11 +215,19 @@ def assert_sublinearity_same(g, window):
     return new
 
 
+def same_verdict(new, ref) -> bool:
+    """``same``, or an exact alpha below the points the scan started at."""
+    return same(new, ref) or (
+        ref == (CriterionInapplicableError, NEAR_ORIGIN)
+        and isinstance(new, EnvelopeVerdict) and new.applicable
+        and new.alpha < 1.2e-29)
+
+
 def assert_envelopes_same(sysm):
     tail = outcome(check_tail_envelope, sysm)
     alt = outcome(check_alternating_envelopes, sysm)
-    assert same(tail, outcome(ref_check_tail_envelope, sysm))
-    assert same(alt, outcome(ref_check_alternating_envelopes, sysm))
+    assert same_verdict(tail, outcome(ref_check_tail_envelope, sysm))
+    assert same_verdict(alt, outcome(ref_check_alternating_envelopes, sysm))
     return tail, alt
 
 
@@ -292,7 +316,9 @@ def test_crossing_among_first_points():
     first, second = islice(criteria._scan_grid(1.0, _DEFAULT_SCAN), 2)
     mid = 0.5 * (first + second)
     res = assert_threshold_same(lambda u: 2.0 * u - mid, 1.0)
-    assert first < res.alpha < second
+    # The bracket is narrower than the tolerance from the start: alpha is
+    # its g(u) < u end, the first point.
+    assert res.alpha == first
 
 
 def test_non_finite_and_violating_sublinearity():
@@ -329,7 +355,7 @@ def test_overflow_above_the_crossing_no_longer_raises():
             return math.inf
 
     res = solve_threshold(g, search_hi)
-    assert res == ref_solve_threshold(capped, search_hi)
+    assert same(res, ref_solve_threshold(capped, search_hi))
     assert 1.0 < res.alpha < 1.1
 
 
@@ -458,7 +484,10 @@ def test_envelope_counterexamples_match():
 # 45,497 + 25,499 / 34,523 + 14,525 envelope evaluations for the passing
 # checks below.  The catalog's scalar bounds have since taken alpha from
 # their closed forms: sp3 k=3 went from 1,380 scan and 10,000 grid
-# evaluations to none.)
+# evaluations to none.  The planar envelope cycles then took theirs from
+# the systems' exact thresholds: the passing checks below went from
+# 11,063 / 21,063 + 11,063 / 11,092 + 1,092 evaluations, the scan's
+# share, to the grids alone.)
 
 
 class Counter:
@@ -514,9 +543,9 @@ def test_catalog_bounds_evaluate_g_zero_times(monkeypatch, build):
 
 
 @pytest.mark.parametrize("name, tail_counts, alt_counts", [
-    ("competition", {"f": 11_063}, {"f": 60, "g": 60}),
-    ("competition-swapped", {"f": 60}, {"f": 21_063, "g": 11_063}),
-    ("adult-juvenile", {"f": 60}, {"f": 11_092, "g": 1_092}),
+    ("competition", {"f": 60}, {"f": 60, "g": 60}),
+    ("competition-swapped", {"f": 60}, {"f": 10_060, "g": 60}),
+    ("adult-juvenile", {"f": 60}, {"f": 10_060, "g": 60}),
 ])
 def test_envelope_check_counts(name, tail_counts, alt_counts):
     sysm = REGISTRY[name].build(REGISTRY[name].coerce({}))

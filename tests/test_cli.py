@@ -198,7 +198,20 @@ def test_analyze_planar_checks_alternating_only_without_tail(runner,
     ["--model", "sp3", "--k", "3"],
     ["--model", "ricker"],
     ["--model", "ricker", "--lambda", "1.1", "--a", "2.5", "--b", "1"],
-], ids=["sp3-k1", "sp3-k2", "sp3-k3", "ricker-defaults", "ricker-tiny-u-star"])
+    ["--model", "adult-juvenile"],
+    ["--model", "adult-juvenile", "--lambda", "21", "--r", "-39"],
+    ["--model", "adult-juvenile", "--r", "-1"],
+    ["--model", "competition-swapped", "--r1", "3", "--r2", "3", "--a1", "1",
+     "--a2", "1"],
+    ["--model", "competition-swapped", "--r1", "4", "--r2", "2", "--a1",
+     "0.5", "--delta1", "3", "--delta2", "1.5"],
+    ["--model", "competition-swapped"],
+    ["--model", "competition", "--r1", "50", "--a1", "600"],
+    ["--model", "competition", "--r1", "2", "--a1", "0.5", "--delta1", "3"],
+], ids=["sp3-k1", "sp3-k2", "sp3-k3", "ricker-defaults", "ricker-tiny-u-star",
+        "adult-juvenile-defaults", "adult-juvenile-above-10",
+        "adult-juvenile-no-root", "swapped-symmetric", "swapped-mixed",
+        "swapped-no-root", "competition-above-10", "competition-delta-3"])
 def test_analyze_window_is_the_threshold_alpha(runner, params):
     res = runner.invoke(main, ["threshold", *params, "--json"])
     assert res.exit_code == 0
@@ -206,10 +219,38 @@ def test_analyze_window_is_the_threshold_alpha(runner, params):
     res = runner.invoke(main, ["analyze", *params, "--steps", "50"])
     assert res.exit_code == 0
     hi = json.loads(res.output)["window"][1]
-    if alpha is None:       # no fixed point: g(u) < u for every u > 0
+    if alpha in (None, "inf"):  # no fixed point: g(u) < u for every u > 0
         assert hi == "inf"
     else:
         assert hi.hex() == alpha.hex()
+
+
+@pytest.mark.parametrize("params, window", [
+    (["--model", "competition", "--r1", "50", "--a1", "600", "--init",
+      "25,1"], [0.0, 20.0]),
+    (["--model", "adult-juvenile", "--lambda", "21", "--r", "-39",
+      "--init", "19,19"], [0.0, 14.545144415565264]),
+], ids=["competition", "adult-juvenile"])
+def test_analyze_planar_threshold_above_the_scan_range(runner, params,
+                                                       window):
+    # alpha lies above 10, where the threshold scan stopped: it read
+    # alpha = +inf, and the orbit's first terms, above the true alpha,
+    # violated the prediction (exit 4).
+    res = runner.invoke(main, ["analyze", *params, "--steps", "60"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["window"] == window
+
+
+def test_analyze_competition_with_a_tiny_threshold(runner):
+    # The root of fbar(u) = u is 1.6666666666712962e-10.  The scan's
+    # 1e-12 bracket, and then the quadratic formula's cancellation, put
+    # alpha above it, and x_0 between the two broke the prediction
+    # (exit 4).
+    res = runner.invoke(main, ["analyze", "--model", "competition", "--r1",
+                               "60", "--a1", "1e-8", "--init",
+                               "1.66668e-10,0", "--steps", "30"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["window"] == [0.0, 1.6666666666712962e-10]
 
 
 def test_analyze_ricker_with_a_tiny_threshold(runner):
@@ -434,16 +475,13 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
     (AJ_FOLD + ["--tol", "nan"], None, 2),
     (["fold", "--model", "threed", "--init", "0.9,1.1,1", "--tol", "nan"],
      None, 2),
-    (["threshold", "--model", "competition-swapped", "--r1", "3", "--a1",
-      "2"], None, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
         "overflow-threshold", "overflow-bound", "threshold-underflow",
         "tolerance-text",
         "tolerance-negative", "tolerance-unknown", "param-unknown",
         "analyze-tol-negative", "analyze-tol-nan", "analyze-tol-inf",
-        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan",
-        "threshold-competition-swapped"])
+        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"

@@ -1,4 +1,4 @@
-"""The catalog's scalar bounds against the scan and the grid check.
+"""The catalog's bounds against the scan and the grid check.
 
 Ricker, sp3 and sigmoid-BH bounds take alpha from their closed forms:
 u*, the smaller root of the concave log form phi(u) = (lam-1) ln u + a
@@ -8,6 +8,13 @@ built; here they are the oracle.  Every bound must pass the grid check
 on its own window, and where the scan's bracket is valid its alpha must
 equal the scan's within 1e-12 and agree on tangency.  A builder whose
 alpha is 1% too large must fail the oracle.
+
+The planar systems' envelope cycles take alpha from exact thresholds
+too: ``competition_threshold`` for the competition tail fbar1,
+``ricker_fixed_points`` for adult-juvenile's gbar, and
+``swapped_competition_threshold`` for the swapped system's
+fbar1(fbar2(u)).  Their oracle is the same scan, plus a fine grid below
+alpha on which the cycle map must stay strictly below the identity.
 """
 
 import math
@@ -18,13 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subconverge import models
-from subconverge.criteria import solve_threshold, validate_bound
+from subconverge.criteria import (ThresholdResult, solve_threshold,
+                                  validate_bound)
 from subconverge.errors import (BoundValidationError,
                                 CriterionInapplicableError, NonFiniteError)
-from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
-                                ricker_fixed_points)
+from subconverge.models import (CompetitionParams, RickerFamilySpec,
+                                SigmoidBHSpec, ricker_fixed_points)
 from subconverge.reports import ThresholdWindow
 from subconverge.sequences import ParameterSequence as S
+from subconverge.systems import check_envelope_cycle
 
 _SCAN_POINTS = 10_000
 _MAX = 1.7976931348623157e308
@@ -196,11 +205,16 @@ def test_the_formerly_rejected_ricker_bound_passes():
     assert bound.alpha == 1.3887943866893135e-11
     assert phi(1.1, 2.5, 1.0, bound.alpha) <= 0
     validate_bound(bound)
+    # The scan's last bracket is 1e-12 wide, 7% of u*.  Its midpoint lay
+    # above u*, and the grid check rejected that window; the scan now
+    # returns the bracket's end where g(u) < u, below u*.
     scan = solve_threshold(bound.g, 2.0 * 0.1 / 1.0).alpha
-    assert scan > bound.alpha
+    assert bound.alpha - 1e-12 <= scan < bound.alpha
+    validate_bound(replace(bound, alpha=scan,
+                           validity=ThresholdWindow(0.0, scan)))
     with pytest.raises(BoundValidationError):
-        validate_bound(replace(bound, alpha=scan,
-                               validity=ThresholdWindow(0.0, scan)))
+        validate_bound(replace(bound, alpha=scan + 1e-12,
+                               validity=ThresholdWindow(0.0, scan + 1e-12)))
 
 
 # -- the oracle catches a wrong alpha ------------------------------------
@@ -247,6 +261,144 @@ def test_a_sigmoid_bh_alpha_scaled_by_1_01_fails_the_oracle(monkeypatch, a,
         pytest.approx(1.01 * window(a, float(models.Fraction(p)), b)[0])
     with pytest.raises((AssertionError, BoundValidationError)):
         check_sigmoid_bh(spec)
+
+
+# -- the planar envelope cycles ------------------------------------------
+
+
+def cycle_map(sysm, length):
+    """fbar (tail) or u -> fbar(gbar(u)) (alternating), as written."""
+    fbar, gbar = sysm.envelope_f, sysm.envelope_g
+    return fbar if length == 1 else (lambda u: fbar(gbar(u)))
+
+
+def points_below(res):
+    """A fine grid of (0, alpha): 1,000 linear points, 300 log-spaced
+    ones over 30 decades and, unless alpha is a tangency (where the
+    cycle meets the identity to second order, closer than the doubles
+    resolve near alpha), 21 points closing in on alpha to within 2^-30
+    of it.  For alpha = +inf, 2,000 log-spaced points on [1e-10, 1e6]."""
+    alpha = res.alpha
+    if math.isinf(alpha):
+        return [10.0 ** (-10.0 + 16.0 * i / 1999) for i in range(2000)]
+    return ([alpha * i / 1000 for i in range(1, 1000)]
+            + [alpha * 10.0 ** (-i / 10) for i in range(1, 301)]
+            + [alpha * (1.0 - 2.0 ** -k) for k in range(10, 31)
+               if not res.tangent])
+
+
+def check_planar_cycle(sysm):
+    """The oracle for a catalog system's own envelope cycle."""
+    length, solve = sysm.cycle_threshold
+    res, cycle = solve(), cycle_map(sysm, length)
+    verdict = check_envelope_cycle(
+        sysm, (sysm.envelope_f, sysm.envelope_g)[:length])
+    assert verdict.applicable
+    assert (verdict.alpha, verdict.tangent) == (res.alpha, res.tangent)
+    bad = [u for u in points_below(res) if not cycle(u) < u]
+    assert not bad, bad[:3]
+    try:
+        scan = solve_threshold(cycle, 10.0)
+    except CriterionInapplicableError:
+        # The cycle is above the identity at the scan's three smallest
+        # points, 1e-29 to 1.2e-29: alpha must lie below them.
+        assert res.alpha < 1.2e-29
+        return
+    if math.isfinite(scan.alpha) and not scan.tangent:
+        assert not res.tangent
+        assert abs(res.alpha - scan.alpha) <= 1e-12, (res, scan)
+    elif scan.tangent and res.tangent:
+        assert abs(res.alpha - scan.alpha) <= 1e-5 * res.alpha
+    elif math.isfinite(res.alpha) and not res.tangent and res.alpha < 10:
+        # The scan saw no crossing: the cycle may rise above the identity
+        # only between two of its points, by less than 1e-6.
+        assert all(cycle(u) - u < 1e-6 * u for u in
+                   (10.0 * i / _SCAN_POINTS for i in range(1, 10_001))
+                   if u > res.alpha)
+
+
+def sequence(values):
+    """A constant, or a periodic sequence of the given values."""
+    return S.constant(values[0]) if len(values) == 1 \
+        else S.periodic(values)
+
+
+def values(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=3)
+
+
+@st.composite
+def competition_systems(draw):
+    swapped = draw(st.booleans())
+    r1, r2 = draw(values(0.2, 60.0)), draw(values(0.2, 60.0))
+    a1, a2 = draw(values(0.05, 700.0)), draw(values(0.05, 700.0))
+    b1, b2 = draw(values(0.0, 2.0)), draw(values(0.0, 2.0))
+    d1, d2 = draw(st.floats(1.1, 4.0)), draw(st.floats(1.1, 4.0))
+    d3, d4 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    return models.make_competition(CompetitionParams(
+        *map(sequence, (r1, r2, a1, a2)), d1, d2, sequence(b1),
+        sequence(b2), d3, d4), swapped=swapped)
+
+
+@st.composite
+def adult_juvenile_systems(draw):
+    return models.make_adult_juvenile(
+        sequence(draw(values(0.05, 1.0))), sequence(draw(values(0.2, 3.0))),
+        sequence(draw(values(-40.0, 5.0))), draw(st.floats(1.05, 25.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(competition_systems(), adult_juvenile_systems()))
+def test_planar_cycles_pass_the_oracle(sysm):
+    check_planar_cycle(sysm)
+
+
+PLANAR_CASES = {
+    "competition": lambda: models.make_competition(
+        CompetitionParams.make(4.0, 1.0, 1.0, 1.0, 2.0, 2.0)),
+    "competition-delta-3": lambda: models.make_competition(
+        CompetitionParams.make(S.periodic([2.0, 1.5]), 1.0, 0.5, 1.0, 3.0,
+                               2.0)),
+    "competition-above-10": lambda: models.make_competition(
+        CompetitionParams.make(50.0, 1.0, 600.0, 1.0, 2.0, 2.0)),
+    "swapped": lambda: models.make_competition(
+        CompetitionParams.make(3.0, 3.0, 1.0, 1.0, 2.0, 2.0), swapped=True),
+    "swapped-mixed": lambda: models.make_competition(
+        CompetitionParams.make(4.0, S.periodic([2.0, 1.0]), 0.5, 1.0, 3.0,
+                               1.5), swapped=True),
+    "adult-juvenile": lambda: models.make_adult_juvenile(0.8, 1.0, 2.0, 2.0),
+    "adult-juvenile-above-10": lambda: models.make_adult_juvenile(
+        0.8, 1.0, S.periodic([-39.0, -40.0]), 21.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR_CASES))
+def test_a_planar_alpha_scaled_by_1_01_fails_the_oracle(name):
+    sysm = PLANAR_CASES[name]()
+    check_planar_cycle(sysm)
+    length, solve = sysm.cycle_threshold
+    res = solve()
+    assert math.isfinite(res.alpha) and not res.tangent
+    scaled = replace(sysm, cycle_threshold=(length, lambda: ThresholdResult(
+        1.01 * res.alpha)))
+    with pytest.raises(AssertionError):
+        check_planar_cycle(scaled)
+
+
+def test_a_replaced_envelope_is_scanned():
+    # The exact threshold belongs to the system's own envelopes: a cycle
+    # of other envelopes, or a system without one, goes to the scan.
+    sysm = PLANAR_CASES["competition"]()
+
+    def double(u):
+        return 2.0 * sysm.envelope_f(u)
+    own = check_envelope_cycle(sysm, (sysm.envelope_f,))
+    assert own.alpha == models.competition_threshold(4.0, 1.0, 2.0).alpha
+    assert check_envelope_cycle(sysm, (double,)).alpha == \
+        solve_threshold(double, 10.0).alpha != own.alpha
+    user = replace(sysm, cycle_threshold=None)
+    assert check_envelope_cycle(user, (user.envelope_f,)).alpha == \
+        solve_threshold(user.envelope_f, 10.0).alpha
 
 
 # -- ricker_fixed_points on its own ------------------------------------

@@ -218,6 +218,28 @@ def test_validate_bound_rejects_nonzero_origin():
 # -- the shared bisection --------------------------------------------------
 
 
+def test_solve_threshold_returns_the_end_below_the_identity():
+    # fbar(u) = 4u^2 / (1 + u^2) crosses u at 2 - sqrt(3).  The midpoint
+    # of the last 1e-12 bracket lay 1.7e-13 above it, where fbar(u) > u.
+    def fbar(u):
+        return 4.0 * u * u / (1.0 + u * u)
+    alpha = sc.solve_threshold(fbar, 10.0).alpha
+    assert fbar(alpha) < alpha
+    assert 2.0 - 3.0 ** 0.5 - 1e-12 <= alpha <= 2.0 - 3.0 ** 0.5
+
+
+def test_bisect_lo_end():
+    # lo_end returns the end of the last bracket where lo_side held.
+    for lo, hi in ((0.0, 2.0), (2.0, 0.0)):
+        root = sc.bisect(lo, hi, lambda u: (u * u < 2.0) == (lo < hi),
+                         lo_end=True)
+        assert (root * root < 2.0) == (lo < hi)
+        assert abs(root - 2.0 ** 0.5) <= 4e-16
+    root = sc.bisect(0.0, 2.0, lambda u: u * u < 2.0, tol=1e-12,
+                     lo_end=True)
+    assert root * root < 2.0 and 2.0 ** 0.5 - root <= 1e-12
+
+
 def test_bisect_tolerance_rule():
     root = sc.bisect(0.0, 2.0, lambda u: u * u < 2.0, tol=1e-12)
     assert abs(root - 2.0 ** 0.5) <= 1e-12

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import subconverge as sc
-from subconverge.errors import ModelParameterError
+from subconverge.errors import CriterionInapplicableError, ModelParameterError
 from subconverge.models import _validate_power, rational_power
 from subconverge.sequences import ParameterSequence
 
@@ -282,6 +282,64 @@ def test_competition_threshold_general_exponent():
     u = res.alpha
     assert abs(u ** 3 - 2.0 * u * u + 0.5) < 1e-9
     assert 0 < u < 2.0 * 2.0 / 3.0
+
+
+def test_competition_threshold_bisection_ends_where_fbar_is_below_u():
+    # d1 != 2: the bisection returns its end where psi > 0, that is
+    # fbar(u) < u, next to a double where psi <= 0.
+    rng = random.Random(3)
+    for _ in range(300):
+        r1, a1 = rng.uniform(0.5, 5.0), rng.uniform(0.05, 2.0)
+        d1 = rng.uniform(1.2, 4.0)
+        u = sc.competition_threshold(r1, a1, d1).alpha
+        if math.isfinite(u) and u < r1 * (d1 - 1.0) / d1:
+            assert u ** d1 - r1 * u ** (d1 - 1.0) + a1 > 0
+
+
+def test_competition_threshold_without_cancellation():
+    # r1 = 60, a1 = 1e-8: 0.5 (r1 - sqrt(r1^2 - 4 a1)) lost five digits
+    # to cancellation and lay 1.1e-5 (relative) above the root, where
+    # fbar(u) > u.  a1 over the larger root keeps every digit.
+    r1, a1 = 60.0, 1e-8
+    u = sc.competition_threshold(r1, a1, 2.0).alpha
+    assert u == pytest.approx(1.6666666666712962e-10, rel=1e-15)
+    assert all(r1 * v * v / (a1 + v * v) < v
+               for v in (u * (1.0 - i * 1e-7) for i in range(1, 101)))
+
+
+def test_swapped_competition_threshold():
+    T = sc.swapped_competition_threshold
+    # Equal species: fbar1(fbar2(u)) = u first where fbar(u) = u, at the
+    # smaller root of u^2 - 3u + 1, (3 - sqrt(5)) / 2.
+    res = T(3.0, 1.0, 2.0, 3.0, 1.0, 2.0)
+    assert not res.tangent
+    assert res.alpha == pytest.approx((3.0 - 5.0 ** 0.5) / 2.0, rel=1e-15)
+    assert T(2.0, 1.0, 2.0, 2.0, 1.0, 2.0) == sc.ThresholdResult(1.0, True)
+    assert math.isinf(T(1.0, 1.0, 2.0, 1.0, 1.0, 2.0).alpha)
+    # Unequal species: the cycle, evaluated as written, crosses u within
+    # rounding of alpha (alpha is bisected in the log form).
+    r1, a1, d1, r2, a2, d2 = 4.0, 0.5, 3.0, 2.0, 1.0, 1.5
+    u = T(r1, a1, d1, r2, a2, d2).alpha
+
+    def cycle(v):
+        w = r2 * v ** d2 / (a2 + v ** d2)
+        return r1 * w ** d1 / (a1 + w ** d1)
+    below, above = u * (1.0 - 1e-14), u * (1.0 + 1e-14)
+    assert cycle(below) < below and cycle(above) > above
+    assert 0.37 < u < 0.374
+
+
+def test_swapped_competition_threshold_limits():
+    T = sc.swapped_competition_threshold
+    # Near 0 the cycle is ~ 1e15 u^2.25: its root 1e-12 is found in log form.
+    assert T(1e3, 1e-3, 1.5, 1e3, 1e-3, 1.5).alpha == pytest.approx(1e-12)
+    # ~ 1e1500 u^2.25: the root lies below the smallest positive double.
+    with pytest.raises(CriterionInapplicableError):
+        T(1e300, 1e-300, 1.5, 1e300, 1e-300, 1.5)
+    with pytest.raises(ModelParameterError):
+        T(1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    with pytest.raises(ModelParameterError):
+        T(1.0, 0.0, 2.0, 1.0, 1.0, 2.0)
 
 
 def test_competition_threshold_matches_envelope_root():

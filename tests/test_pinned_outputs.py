@@ -2,7 +2,10 @@
 catalog and the bisections were each collapsed to one implementation.
 The sp3 and acceptance-sweep digests were re-pinned when the catalog's
 scalar bounds took alpha from their closed forms: only the report's
-window moved (and sp3 k=2's u_star in ``threshold-text``).
+window moved (and sp3 k=2's u_star in ``threshold-text``).  The
+adult-juvenile and competition-swapped analyses and the planar
+predictions were re-pinned when the planar envelope cycles took alpha
+from their exact thresholds: again only the window moved.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -166,9 +169,9 @@ CLI_DIGESTS = {
     "analyze-competition":
         "d1219bf6a73eaaf0612d83e5378ed4df215afb619984993f916d965a3e6f4e55",
     "analyze-adult-juvenile":
-        "55f395667e6e284b8fe020fe23f49e0d730580a7fa1b5ad8fb2ce74f6edaabd7",
+        "1c07f63b7d5021ecfb6a24b07a921caf46a130316d5d5bdaaecf23c37b2f487d",
     "analyze-competition-swapped":
-        "c1767890d788061aadbe093bfa7cbb0de3036c289f7a3de87bc9d1a6a61d58af",
+        "38f304d4b9a345b8493a576dd54799a8aaf9c3d29dc4024b6706dd9946b46fb5",
     "threshold-sp3":
         "8b3476033e6f2dfbe3a4f695b91be367d2a4d04f8d923d3b19f28606d1478894",
     "threshold-ricker-tangent":
@@ -216,7 +219,7 @@ CLI_DIGESTS = {
     "cold-analyze-sigmoid-bh-c0":
         "2f428ebbcd8afe33a03e22a18f126b02361e41a4409da9838ed824a9b709e033",
     "cold-analyze-adult-juvenile":
-        "55f395667e6e284b8fe020fe23f49e0d730580a7fa1b5ad8fb2ce74f6edaabd7",
+        "1c07f63b7d5021ecfb6a24b07a921caf46a130316d5d5bdaaecf23c37b2f487d",
     "cold-fold-threed":
         "63324072fea1209e5abd3a1123456e1235907f95843a16e53cfccbc65838160a",
     "cold-simulate-config":
@@ -324,7 +327,7 @@ REPORT_DIGESTS = {
     "acceptance-11-sweep":
         "df350f72ff04d0d744d015fc34855e9f911884b01a3594ead6ddc8e828862674",
     "planar-predictions":
-        "d5fd5142834b5085d8e7f55e56474b1bef786bda5198bc7b40446da6d957d886",
+        "a362014d05da7f7b55a2f18ef01a2fd66ca2657242c837b562abf81e815264c5",
 }
 
 
