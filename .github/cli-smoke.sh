@@ -1,5 +1,7 @@
 #!/bin/sh
 # Run each CLI command once and fail on a non-zero exit or a traceback.
+# Then run each bad input once and fail unless it ends with its documented
+# exit code and exactly one "error:" line on stderr, without a traceback.
 # CLI names the command to run: the installed console script by default,
 # or e.g. CLI="python -m subconverge.cli" with PYTHONPATH=src.
 CLI=${CLI:-subconverge}
@@ -33,5 +35,28 @@ fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.
 fold --model competition-swapped --init 2,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
 COMMANDS
+# Each line: the documented exit code, then the arguments.
+while read -r code args; do
+    # shellcheck disable=SC2086  # $CLI and $args are word lists
+    $CLI $args > /dev/null 2> "$err"
+    got=$?
+    if [ "$got" -ne "$code" ] || [ "$(wc -l < "$err")" -ne 1 ] \
+            || ! grep -q '^error: ' "$err" || grep -q Traceback "$err"; then
+        echo "FAILED (exit $got, expected $code): $CLI $args" >&2
+        cat "$err" >&2
+        status=1
+    fi
+done <<'ERRORS'
+2 analyze --model sigmoid-bh --a inf --p 2 --init 0.1 --steps 3
+2 analyze --model competition --r1 inf --steps 3
+2 analyze --model ricker --lambda nan --steps 3
+2 analyze --model competition --delta1 nan --steps 3
+2 threshold --model ricker --lambda nan
+2 threshold --model adult-juvenile --r nan --json
+2 threshold --model competition --r1 inf --json
+2 threshold --model ricker --k 2 --b 1 --json
+2 threshold --model adult-juvenile --s 1.5
+2 threshold --model sigmoid-bh --k 0
+ERRORS
 rm -f "$err"
 exit $status

@@ -288,6 +288,7 @@ def threshold(model, config_path, as_json, **kw):
                                       kw)
     if entry.threshold is None:
         raise ConfigError("no threshold defined for model %r" % entry.name)
+    entry.build(p)  # the builder's checks; a scalar bound is not built
     out = {"model": entry.name, **entry.threshold(p)}
     if as_json:
         click.echo(_dumps(out))

@@ -962,10 +962,21 @@ class Model(NamedTuple):
                 continue
             try:
                 out[key] = param.coerce(raw[name])
+                if not _finite(out[key]):
+                    raise ValueError("%r is not finite" % (raw[name],))
             except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("%s parameter %r: %s"
                                   % (self.name, name, exc)) from exc
         return out
+
+
+def _finite(value) -> bool:
+    """Whether every number a coerced parameter stores is finite."""
+    if isinstance(value, ParameterSequence):
+        value = value.stored_values()
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _constant(p: dict, key: str) -> float:
@@ -1004,7 +1015,8 @@ def _sigmoid_bh_fields(p: dict) -> dict:
     return {"alpha": alpha, "window": window.as_list()}
 
 
-def _threshold_fields(res: ThresholdResult) -> dict:
+def _threshold_fields(res: Union[ThresholdResult, BoundingFunction]
+                      ) -> dict:
     return {"alpha": res.alpha if math.isfinite(res.alpha) else "inf",
             "tangent": res.tangent}
 
@@ -1037,7 +1049,9 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
     Model("sp3", SCALAR, {
         "k": Param(int, 3), "rigorous": Param(_flag, False),
     }, lambda p: _sp3_parts(p["k"], p["rigorous"]) + (0.0,),
-        lambda p: _ricker_fields(_SP3_LAM, _SP3_A, _sp3_b_inf(p["k"]))),
+        lambda p: _threshold_fields(_sp3_rigorous_bound())
+        if p["k"] == 1 and p["rigorous"]
+        else _ricker_fields(_SP3_LAM, _SP3_A, _sp3_b_inf(p["k"]))),
     Model("sigmoid-bh", SCALAR, {
         "a": Param(as_sequence, 1.0), "c": Param(as_sequence, 0.0),
         "q": Param(as_sequence, 1.0), "p": Param(Fraction, 2),

@@ -27,28 +27,19 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
-from .dynamics import EquationSpec, _outside, check_finite_initial, iterate
+from .dynamics import EquationSpec, _outside, check_finite_initial
 from .errors import DomainError, FoldError
 from .reports import ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
 
-MULTIPLICATIVE = "multiplicative"
-CUSTOM = "custom"
-
 
 @dataclass(frozen=True)
 class SigmaForm:
-    """Solvability form for f_n(u, v) = w with respect to v.
+    """Solvability form for f_n(u, v) = w with respect to v (multiplicative:
+    f_n(u, v) = rho_n(u) * v); calling it runs ``solve(n, u, w)``."""
 
-    The multiplicative form f_n(u, v) = rho_n(u) * v carries rho; anything
-    else supplies sigma directly.  Either way ``solve(n, u, w)`` is the
-    plain function that calling the form runs.
-    """
-
-    kind: str
     solve: Callable[[int, float, float], float]
-    rho: Optional[Callable[[int, float], float]] = None
 
     @staticmethod
     def multiplicative(rho) -> "SigmaForm":
@@ -58,11 +49,11 @@ class SigmaForm:
                 raise FoldError("rho_%d(%r) = %r is not positive"
                                 % (n, u, r), index=n)
             return w / r
-        return SigmaForm(MULTIPLICATIVE, solve, rho)
+        return SigmaForm(solve)
 
     @staticmethod
     def custom(sigma) -> "SigmaForm":
-        return SigmaForm(CUSTOM, sigma)
+        return SigmaForm(sigma)
 
     def __call__(self, n: int, u: float, w: float) -> float:
         return self.solve(n, u, w)
@@ -129,15 +120,20 @@ class Orbit:
         return "\n".join(lines) + "\n"
 
 
+def _solver(sys: PlanarSystem) -> Callable[[int, float, float], float]:
+    """The system's sigma, as a plain function; FoldError if it has none."""
+    if sys.sigma is None:
+        raise FoldError("system %r has no solvability form" % sys.name)
+    return sys.sigma.solve
+
+
 def solve_sigma(sys: PlanarSystem, n: int, u: float, w: float,
                 verify_tol: float = 1e-9) -> float:
     """Recover v with f_n(u, v) = w via the system's solvability form.
 
     The result is verified by substitution to ``verify_tol`` relative.
     """
-    if sys.sigma is None:
-        raise FoldError("system %r has no solvability form" % sys.name)
-    v = sys.sigma(n, u, w)
+    v = _solver(sys)(n, u, w)
     back = sys.f(n, u, v)
     if abs(back - w) > verify_tol * max(abs(w), abs(back), 1.0):
         raise FoldError(
@@ -202,9 +198,7 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
     History convention: u_1 = x_{n-1}, u_2 = x_{n-2}; sigma is applied at
     (x_{n-2}, x_{n-1}), recovering y_{n-2}.
     """
-    if sys.sigma is None:
-        raise FoldError("system %r has no solvability form" % sys.name)
-    f, g, sigma = sys.f, sys.g, sys.sigma.solve
+    f, g, sigma = sys.f, sys.g, _solver(sys)
 
     # check_fold_consistency writes this step out in its loop.
     def evaluator(n: int, u: Sequence[float]) -> float:
@@ -238,99 +232,66 @@ class FoldCheck:
 
 def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
                            steps: int, tol: float = 1e-9) -> FoldCheck:
-    """Iterate the system and its fold in lockstep, in one pass.
-
-    Checks x-agreement and y-recovery via y_n = sigma_n(x_n, x_{n+1}).
-    Each sigma_n is evaluated once, on the fold's terms: the value is
-    the recovered y_n and, through g_n, the fold's next term.  Where
-    sigma_n raises FoldError with an index (its step n: w has no
-    preimage, e.g. once x underflows to 0), the fold cannot continue:
-    the check compares the terms before that step and records why it
-    stopped.
-
-    Results and errors are those of iterating the direct orbit to its
-    end first (``iterate_system``), then the fold (``iterate`` on
-    ``fold_planar``), then recovering each y_n: an error of the direct
-    orbit comes first, and one of the fold is raised once the direct
-    orbit has ended.
+    """Iterate the system and its fold in lockstep and compare x_n, and
+    y_n with sigma_n(x_n, x_{n+1}), evaluated once per step on the fold's
+    terms.  Events surface in step order; the first stop ends the check
+    and ``stopped`` says why.  No solvability form: FoldError before any
+    step.  At step n the direct state comes first: non-finite stops,
+    outside the domain raises DomainError.  Then the fold's x_{n+1}:
+    overflow or non-finite stops; outside the domain raises DomainError
+    unless it is the last term (as ``iterate`` does); a FoldError of
+    sigma_n with an index (no preimage, e.g. x underflowed to 0) stops;
+    any other error is raised.  Zero steps evaluate nothing.
     """
-    if sys.sigma is None:
-        iterate_system(sys, initial, steps)     # its errors come first
-        fold_planar(sys)                        # raises FoldError
     x, y = _initial_state(sys, initial)
-    f, g, sigma, isfinite = sys.f, sys.g, sys.sigma.solve, math.isfinite
+    f, g, sigma, isfinite = sys.f, sys.g, _solver(sys), math.isfinite
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    # The fold's x_{n-1}, x_n and recovered y_{n-1}.  Once the fold ends,
-    # an error it raised waits in ``pending`` for the direct orbit's end.
-    u0, u1, r = None, x, None
-    live, pending, outside, stop, n_cmp = True, None, None, None, None
+    u0, u1, r = None, x, None   # the fold's x_{n-1}, x_n, recovered y_{n-1}
     max_x = max_y = 0.0
-    div_x = div_y = diagnostic = None
+    div_x = div_y = stopped = None
     for n in range(steps):
         xn, yn = f(n, x, y), g(n, x, y)
         if not (isfinite(xn) and isfinite(yn)):
-            diagnostic, last = _non_finite_state(xn, yn, n + 1), n
+            stopped = _non_finite_state(xn, yn, n + 1)
             break
         if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
             raise _state_outside(xn, yn, n + 1)
-        if live:
-            # The fold's x_{n+1} = f_n(x_n, g_{n-1}(x_{n-1}, r)), where
-            # r = sigma_{n-1}(x_{n-1}, x_n): fold_planar's evaluator, with
-            # r already in hand.  x_1 = f_0(x_0, y_0) is the direct x_1.
-            try:
-                nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
-            except OverflowError:
-                nxt = math.inf
-            except Exception as exc:
-                nxt, pending = math.inf, exc
-            if not isfinite(nxt):       # `iterate` ends the fold at x_n
-                live, n_cmp = False, n + 1
-                stop = "fold term x_%d is not finite" % (n + 1)
-            else:
-                if not x_lo <= nxt <= x_hi:
-                    # `iterate` raises unless x_{n+1} is the fold's last term.
-                    live, outside = False, _outside(n + 2, (nxt, u1))
-                try:
-                    r = sigma(n, u1, nxt)
-                except Exception as exc:
-                    live = False
-                    if isinstance(exc, FoldError) and exc.index is not None:
-                        stop, n_cmp = str(exc), n + 1
-                    else:
-                        pending = exc
-                else:
-                    if r != y:
-                        d = abs(y - r) / max(abs(y), abs(r), 1.0)
-                        if d > tol and div_y is None:
-                            div_y = n
-                        if d > max_y:
-                            max_y = d
-                    if nxt != xn:
-                        d = abs(xn - nxt) / max(abs(xn), abs(nxt), 1.0)
-                        if d > tol and div_x is None:
-                            div_x = n + 1
-                        if d > max_x:
-                            max_x = d
-                    u0, u1 = u1, nxt
-        x, y = xn, yn
+        # The fold's x_{n+1} = f_n(x_n, g_{n-1}(x_{n-1}, r)), fold_planar's
+        # evaluator with r in hand; x_1 = f_0(x_0, y_0) is the direct x_1.
+        try:
+            nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
+        except OverflowError:
+            nxt = math.inf
+        if not isfinite(nxt):
+            stopped = "fold term x_%d is not finite" % (n + 1)
+            break
+        if not x_lo <= nxt <= x_hi and n + 1 < steps:
+            raise _outside(n + 2, (nxt, u1))
+        try:
+            r = sigma(n, u1, nxt)
+        except FoldError as exc:
+            if exc.index is None:
+                raise
+            stopped = str(exc)
+            break
+        if r != y:
+            d = abs(y - r) / max(abs(y), abs(r), 1.0)
+            if d > tol and div_y is None:
+                div_y = n
+            if d > max_y:
+                max_y = d
+        if nxt != xn:
+            d = abs(xn - nxt) / max(abs(xn), abs(nxt), 1.0)
+            if d > tol and div_x is None:
+                div_x = n + 1
+            if d > max_x:
+                max_x = d
+        u0, u1 = u1, nxt
+        x, y = xn, yn   # apart: a four-name swap was ~4% slower on 3.11
     else:
-        last = max(steps, 0)    # the direct orbit's last index
-    if last:
-        sys.origin_residual()   # as fold_planar does, before the fold runs
-    else:   # no step: only the fold's initial pair (x_0, x_1) is checked
-        iterate(fold_planar(sys), fold_initial(sys, *initial), 0)
-    if outside is not None and last >= outside.index:
-        raise outside
-    if pending is not None:
-        raise pending
-    if n_cmp is None:
-        n_cmp = last + 1
-    # The fold stopping before the direct orbit's last term overrides a
-    # truncation diagnostic; stopping at that term does not.
-    stopped = stop if stop is not None and (last > n_cmp or not diagnostic) \
-        else diagnostic
+        n = max(steps, 0)   # every term x_0 .. x_steps was compared
     return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,
-                     div_x if div_x is not None else div_y, n_cmp, stopped)
+                     div_x if div_x is not None else div_y, n + 1, stopped)
 
 
 def relative_deviation(expected: Iterable[float], actual: Iterable[float],

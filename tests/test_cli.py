@@ -208,11 +208,17 @@ def test_analyze_planar_checks_alternating_only_without_tail(runner,
     ["--model", "competition-swapped"],
     ["--model", "competition", "--r1", "50", "--a1", "600"],
     ["--model", "competition", "--r1", "2", "--a1", "0.5", "--delta1", "3"],
+    {"model": "sp3", "params": {"k": 1, "rigorous": True}},
 ], ids=["sp3-k1", "sp3-k2", "sp3-k3", "ricker-defaults", "ricker-tiny-u-star",
         "adult-juvenile-defaults", "adult-juvenile-above-10",
         "adult-juvenile-no-root", "swapped-symmetric", "swapped-mixed",
-        "swapped-no-root", "competition-above-10", "competition-delta-3"])
-def test_analyze_window_is_the_threshold_alpha(runner, params):
+        "swapped-no-root", "competition-above-10", "competition-delta-3",
+        "sp3-k1-rigorous-config"])
+def test_analyze_window_is_the_threshold_alpha(runner, tmp_path, params):
+    if isinstance(params, dict):    # a config file
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(params))
+        params = ["--config", str(cfg)]
     res = runner.invoke(main, ["threshold", *params, "--json"])
     assert res.exit_code == 0
     alpha = json.loads(res.output)["alpha"]
@@ -475,13 +481,41 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
     (AJ_FOLD + ["--tol", "nan"], None, 2),
     (["fold", "--model", "threed", "--init", "0.9,1.1,1", "--tol", "nan"],
      None, 2),
+    (["threshold", "--model", "ricker", "--k", "2", "--b", "1", "--json"],
+     None, 2),
+    (["threshold", "--model", "adult-juvenile", "--s", "1.5"], None, 2),
+    (["threshold", "--model", "sigmoid-bh", "--k", "0"], None, 2),
+    (["analyze", "--model", "sigmoid-bh", "--a", "inf", "--p", "2", "--init",
+      "0.1", "--steps", "3"], None, 2),
+    (["analyze", "--model", "competition", "--r1", "inf", "--steps", "3"],
+     None, 2),
+    (["analyze", "--model", "ricker", "--lambda", "nan", "--steps", "3"],
+     None, 2),
+    (["analyze", "--model", "competition", "--delta1", "nan", "--steps",
+      "3"], None, 2),
+    (["threshold", "--model", "ricker", "--lambda", "nan"], None, 2),
+    (["threshold", "--model", "adult-juvenile", "--r", "nan", "--json"],
+     None, 2),
+    (["threshold", "--model", "competition", "--r1", "inf", "--json"], None,
+     2),
+    (["threshold", "--config", "{config}"], {"model": "ricker", "params": {
+        "a": {"kind": "tabulated", "values": [1, 2], "fallback": 1e400}}},
+     2),
+    (["analyze", "--config", "{config}"],
+     {"model": "ricker", "params": {"b": [1, -1e400]}}, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
         "overflow-threshold", "overflow-bound", "threshold-underflow",
         "tolerance-text",
         "tolerance-negative", "tolerance-unknown", "param-unknown",
         "analyze-tol-negative", "analyze-tol-nan", "analyze-tol-inf",
-        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan"])
+        "fold-tol-negative", "fold-tol-nan", "fold-threed-tol-nan",
+        "threshold-ricker-k-above-m", "threshold-adult-juvenile-s",
+        "threshold-sigmoid-bh-k", "analyze-sigmoid-bh-a-inf",
+        "analyze-competition-r1-inf", "analyze-ricker-lambda-nan",
+        "analyze-competition-delta1-nan", "threshold-ricker-lambda-nan",
+        "threshold-adult-juvenile-r-nan", "threshold-competition-r1-inf",
+        "config-tabulated-fallback-inf", "config-per-lag-b-inf"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"

@@ -9,14 +9,23 @@ every input both must return the same ``FoldCheck`` (compared by repr,
 so every double is the same bits) or raise the same exception type with
 the same message and index.
 
-Two differences are intended.  A sigma_n whose FoldError names another
+Three differences are intended.  A sigma_n whose FoldError names another
 step than n, or an f or g that raises FoldError inside the fold: the
 old check re-ran the fold up to the named step; the new one takes the
 index as sigma's own step (the FoldError contract) and raises any other
-error of f or g once the direct orbit has ended.  No model does either.
-And where only a fold term overflows or is not finite, the old check
-gave no reason for comparing fewer terms (``stopped`` None); the new one
-names the term (``assert_same_but_stopped``).
+error of f or g at once.  No model does either.  Where only a fold term
+overflows or is not finite, the old check gave no reason for comparing
+fewer terms (``stopped`` None); the new one names the term
+(``assert_same_but_stopped``).  And events surface in step order
+(``step_order``): the old check ran the whole direct orbit first, so an
+error or truncation of the direct orbit at a later step came before the
+fold's stop or error at an earlier one, a system without a solvability
+form raised the direct orbit's errors first, and f and g were evaluated
+at the origin (for ``origin_fixed``) and on the fold's initial pair even
+for zero steps.  The new check stops at the first event, raises FoldError
+for a missing form before any step, and with zero steps evaluates
+nothing.  These differ only between two errors, or an error and a stop,
+on hand-built systems; on catalog models both checks agree.
 """
 
 import math
@@ -239,6 +248,14 @@ def assert_same_but_stopped(sysm, init, steps, tol=1e-9):
     return new
 
 
+def step_order(sysm, init, steps, tol=1e-9):
+    """The new check's outcome where step order makes it differ from the
+    oracle's (which ran the direct orbit to its end first)."""
+    new = _outcome(check_fold_consistency, sysm, init, steps, tol)
+    assert new != _outcome(ref_check_fold_consistency, sysm, init, steps, tol)
+    return new
+
+
 def _raised(outcome):
     assert isinstance(outcome, tuple), outcome
     return outcome[0]
@@ -369,12 +386,22 @@ def test_linear_system_passes():
 ])
 def test_direct_orbit_goes_non_finite(init, steps):
     sysm = linear(a=1e60, b=1.0, c=1e60, d=1e60)
-    assert_same(sysm, init, steps)
+    if init != (1e300, 1.0):
+        assert_same(sysm, init, steps)
+    elif steps:     # the oracle raised on the fold's initial pair (1e300, inf)
+        assert step_order(sysm, init, steps) == "(True, 0.0, 0.0, None, 1, " \
+            "'non-finite state (inf, inf) at step 1')"
+    else:           # with no step nothing is evaluated: x_1 is never formed
+        assert step_order(sysm, init, steps) == \
+            "(True, 0.0, 0.0, None, 1, None)"
 
 
 def test_non_finite_at_step_one():
-    sysm = linear(a=1e60, b=1.0)
-    assert _raised(assert_same(sysm, (1e300, 1.0), 5)) is NonFiniteError
+    # The direct state x_1 = inf stops the check at step 1, before the
+    # fold's initial pair (x_0, x_1), on which the oracle raised.
+    out = step_order(linear(a=1e60, b=1.0), (1e300, 1.0), 5)
+    assert out == "(True, 0.0, 0.0, None, 1, " \
+        "'non-finite state (inf, 3e+299) at step 1')"
     out = _result(assert_same(linear(c=1e60, d=1e60), (1.0, 1e300), 5))
     assert out == "(True, 0.0, 0.0, None, 1, " \
         "'non-finite state (2.5e+299, inf) at step 1')"
@@ -382,16 +409,26 @@ def test_non_finite_at_step_one():
 
 @pytest.mark.parametrize("fold_stop", [2, 5])
 def test_direct_domain_exit_beats_every_fold_event(fold_stop):
-    # y leaves (0, 10) at step 8, after the fold stopped at sigma_k.
+    # The direct state leaves (0, 10) at step 6.  It beats every event of
+    # sigma_5, which comes later in step order; sigma_2's come first.
     stop = linear(a=0.5, b=1.0, c=0.0, d=1.5, domain_y=(0.0, 10.0),
                   sigma=at_step(fold_stop, raising(
                       FoldError("no preimage", index=fold_stop))))
-    assert _raised(assert_same(stop, (1.0, 1.0), 20)) is DomainError
-    for exc in (FoldError("no index"), ZeroDivisionError("sigma"),
-                OverflowError("sigma")):
-        sysm = replace(stop, sigma=linear(
-            a=0.5, b=1.0, sigma=at_step(fold_stop, raising(exc))).sigma)
-        assert _raised(assert_same(sysm, (1.0, 1.0), 20)) is DomainError
+    excs = (FoldError("no index"), ZeroDivisionError("sigma"),
+            OverflowError("sigma"))
+    systems = [replace(stop, sigma=linear(
+        a=0.5, b=1.0, sigma=at_step(fold_stop, raising(exc))).sigma)
+        for exc in excs]
+    if fold_stop == 5:
+        assert _raised(assert_same(stop, (1.0, 1.0), 20)) is DomainError
+        for sysm in systems:
+            assert _raised(assert_same(sysm, (1.0, 1.0), 20)) is DomainError
+    else:
+        assert step_order(stop, (1.0, 1.0), 20) == \
+            "(True, 0.0, 0.0, None, 3, 'no preimage')"
+        for exc, sysm in zip(excs, systems):
+            assert step_order(sysm, (1.0, 1.0), 20) == \
+                (type(exc), str(exc), None)
     # Without the domain exit the fold's own outcome shows.
     free = replace(stop, domain_y=(0.0, math.inf))
     out = _result(assert_same(free, (1.0, 1.0), 20))
@@ -459,12 +496,16 @@ def test_sigma_fold_error(k, with_index, steps):
 @pytest.mark.parametrize("blow_up_at", [0, 1, 2, 6])
 def test_fold_stop_and_truncation_diagnostic(k, blow_up_at):
     # The direct orbit goes non-finite near where sigma_k fails: the
-    # recorded reason depends on which comes first.
+    # recorded reason is that of the event that comes first.
     def f(n, x, y):
         return 1e300 * 1e300 if n == k + blow_up_at else 0.5 * x + 0.25 * y
     sysm = replace(linear(sigma=at_step(k, raising(
         FoldError("no preimage", index=k)))), f=f)
-    assert_same(sysm, (1.0, 2.0), 20)
+    if blow_up_at != 1:
+        assert_same(sysm, (1.0, 2.0), 20)
+    else:   # sigma_k fails at step k, the direct state one step later
+        assert step_order(sysm, (1.0, 2.0), 20) == \
+            "(True, 0.0, 0.0, None, %d, 'no preimage')" % (k + 1)
 
 
 @pytest.mark.parametrize("k", [0, 3, 7])
@@ -495,24 +536,30 @@ def test_degenerate_tolerances_match(tol):
 
 
 def test_errors_at_the_origin_come_after_the_direct_orbit():
-    # fold_planar evaluates f and g at the origin for origin_fixed.
+    # The oracle's fold_planar evaluated f and g at the origin (for
+    # origin_fixed) once the direct orbit had ended; the new check never
+    # evaluates them there.
     def g(n, x, y):
         if x == 0.0 and y == 0.0:
             raise ZeroDivisionError("g at the origin")
         return 0.3 * x + 1.5 * y
     sysm = replace(linear(d=1.5), g=g)
-    for steps in (0, 1, 5):
-        assert _raised(assert_same(sysm, (1.0, 2.0), steps)) \
-            is ZeroDivisionError
-    # y grows past 10 at step 3: the direct orbit's error comes first.
+    for steps, result in ((0, "(True, 0.0, 0.0, None, 1, None)"),
+                          (1, "(True, 0.0, 0.0, None, 2, None)"),
+                          (5, "(True, 0.0, 1.6917684184764294e-16, None, "
+                              "6, None)")):
+        assert step_order(sysm, (1.0, 2.0), steps) == result
+    # y grows past 10 at step 3: the direct orbit's error.
     outside = replace(sysm, domain_y=(0.0, 10.0))
     assert _raised(assert_same(outside, (1.0, 2.0), 40)) is DomainError
+    # The oracle took max() over no sampled steps.
     bare = replace(linear(), sample_steps=())
-    assert _raised(assert_same(bare, (1.0, 2.0), 5)) is ValueError
-    # ... and before any error of the fold.
+    assert step_order(bare, (1.0, 2.0), 5) == \
+        "(True, 0.0, 0.0, None, 6, None)"
+    # An error of sigma_2 is raised at step 2.
     failing = replace(sysm, sigma=linear(
         d=1.5, sigma=at_step(2, raising(ValueError("sigma")))).sigma)
-    assert _raised(assert_same(failing, (1.0, 2.0), 5)) is ZeroDivisionError
+    assert step_order(failing, (1.0, 2.0), 5) == (ValueError, "sigma", None)
 
 
 def test_fold_starts_from_float_x1():
@@ -542,8 +589,11 @@ def test_sigma_non_finite_value(value, steps):
 def test_no_solvability_form_matches():
     sysm = replace(linear(), sigma=None)
     assert _raised(assert_same(sysm, (1.0, 2.0), 5)) is FoldError
+    # FoldError comes before any step, where the oracle ran the direct
+    # orbit first (x leaves (0, 0.9) at step 1).
     outside = replace(sysm, domain_x=(0.0, 0.9))
-    assert _raised(assert_same(outside, (0.85, 2.0), 5)) is DomainError
+    assert step_order(outside, (0.85, 2.0), 5) == (
+        FoldError, "system 'system' has no solvability form", None)
 
 
 # -- sigma once per recovered y; the fold's terms ------------------------
@@ -595,3 +645,19 @@ def test_extinct_orbit_sigma_calls():
     check = check_fold_consistency(sysm, (1.5, 1.5), 30_000)
     assert check.steps == 18
     assert len(calls) == 18       # sigma_0 .. sigma_17, the last failing
+
+
+def test_extinct_orbit_stops_with_the_fold():
+    # The fold stops at sigma_17: neither orbit is iterated past step 17.
+    sysm = sc.make_competition(EXTINCT)
+    steps = []
+
+    def recording(h):
+        def call(n, x, y):
+            steps.append(n)
+            return h(n, x, y)
+        return call
+    sysm = replace(sysm, f=recording(sysm.f), g=recording(sysm.g))
+    check = check_fold_consistency(sysm, (1.5, 1.5), 30_000)
+    assert check.stopped.startswith("sigma_17")
+    assert max(steps) == 17
