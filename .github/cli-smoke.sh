@@ -25,6 +25,8 @@ analyze --model competition-swapped --init 2,1 --steps 200
 analyze --model competition --delta2 400 --init 0.5,0.5 --steps 20
 analyze --model competition --r1 50 --a1 600 --init 25,1 --steps 60
 analyze --model adult-juvenile --lambda 21 --r -39 --init 19,19 --steps 60
+analyze --model adult-juvenile --s 0.01 --init 1,1 --steps 50
+analyze --model competition-swapped --b1 1e6 --init 1,1 --steps 30
 threshold --model sp3 --k 3 --json
 threshold --model ricker --json
 threshold --model competition --r1 4 --a1 1 --json

@@ -256,18 +256,16 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         sysm = entry.build(p)
         orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
                                        n_steps)
-        reasons, fbar, gbar = [], sysm.envelope_f, sysm.envelope_g
-        for criterion, cycle in (("tail", (fbar,)),
-                                 ("alternating", (fbar, gbar))):
-            verdict = systems.check_envelope_cycle(sysm, cycle)
-            if verdict.applicable:
-                break
-            reasons.append(verdict.reason)
-        else:
-            raise BoundValidationError("no envelope criterion applies: %s"
-                                       % " / ".join(reasons))
+        # The cycle the builder certified a threshold for: 1 tail,
+        # 2 alternating.
+        length = sysm.cycle_threshold[0]
+        cycle = (sysm.envelope_f, sysm.envelope_g)[:length]
+        verdict = systems.check_envelope_cycle(sysm, cycle)
+        if not verdict.applicable:
+            raise BoundValidationError("envelope criterion does not apply: "
+                                       "%s" % verdict.reason)
         report = systems.predict_envelope_cycle(orbit, verdict.alpha, cycle)
-        extra = {"criterion": criterion}
+        extra = {"criterion": ("tail", "alternating")[length - 1]}
     else:
         raise ConfigError("model %r not analyzable" % entry.name)
     payload = report.to_dict()

@@ -24,7 +24,7 @@ from .models import MODEL_NAMES, REGISTRY
 SCHEMA_VERSION = 1
 
 _ALLOWED_KEYS = {"schema", "model", "params", "initial", "steps",
-                 "format", "analysis", "tolerances", "terms"}
+                 "format", "tolerances", "terms"}
 _ALLOWED_FORMATS = {"csv", "json"}
 _TOLERANCE_KEYS = ("limit", "zero")
 
@@ -36,7 +36,6 @@ class ExperimentConfig:
     initial: List[float] = field(default_factory=list)
     steps: int = 100
     format: str = "csv"
-    analysis: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     terms: Optional[List[float]] = None   # round-trip payload, ignored
 
@@ -49,8 +48,6 @@ class ExperimentConfig:
             "steps": self.steps,
             "format": self.format,
         }
-        if self.analysis:
-            d["analysis"] = self.analysis
         if self.tolerances:
             d["tolerances"] = self.tolerances
         if self.terms is not None:
@@ -85,7 +82,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(initial, list) or \
             not all(isinstance(v, (int, float)) for v in initial):
         raise ConfigError("initial must be a list of numbers")
-    for key in ("params", "analysis", "tolerances"):
+    for key in ("params", "tolerances"):
         if key in raw and not isinstance(raw[key], dict):
             raise ConfigError("%s must be an object" % key)
     REGISTRY[model].coerce(raw.get("params", {}))
@@ -97,7 +94,6 @@ def parse_config(text: str) -> ExperimentConfig:
         initial=[float(v) for v in initial],
         steps=steps,
         format=fmt,
-        analysis=raw.get("analysis", {}),
         tolerances=raw.get("tolerances", {}),
         terms=raw.get("terms"),
     )

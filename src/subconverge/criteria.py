@@ -37,9 +37,6 @@ class ThresholdResult:
     alpha: float
     tangent: bool = False          # g touches the identity without crossing
 
-    def __float__(self) -> float:
-        return self.alpha
-
 
 @dataclass(frozen=True)
 class BoundingFunction:

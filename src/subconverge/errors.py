@@ -22,10 +22,6 @@ class NonFiniteError(_IndexedError):
     """An evaluation produced inf or NaN (typically exponential overflow)."""
 
 
-class SequenceBoundError(_IndexedError):
-    """A stored parameter value violates its declared inf/sup."""
-
-
 class CriterionInapplicableError(SubconvergeError):
     """The sublinearity hypothesis fails arbitrarily close to the origin."""
 

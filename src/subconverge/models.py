@@ -61,9 +61,7 @@ def _at(resolved):
 class RickerFamilySpec:
     """Parameters of the generalized Ricker recurrence.
 
-    ``b_seqs[i]`` is the coefficient of x_{n-(i+1)}.  ``a_sup`` and
-    ``b_inf`` default to the verified bounds of the coefficient
-    sequences.
+    ``b_seqs[i]`` is the coefficient of x_{n-(i+1)}.
     """
 
     lam: float
@@ -71,22 +69,24 @@ class RickerFamilySpec:
     m: int
     a_seq: ParameterSequence
     b_seqs: Tuple[ParameterSequence, ...]
-    a_sup: Optional[float] = None
-    b_inf: Optional[float] = None
 
     def resolved_bounds(self) -> Tuple[float, float]:
-        a_sup = self.a_seq.bounds()[1] if self.a_sup is None else self.a_sup
-        b_inf = self.b_seqs[self.k - 1].bounds()[0] \
-            if self.b_inf is None else self.b_inf
-        return a_sup, b_inf
+        """(a_sup, b_inf): the sup of a and the inf of the dominant lag's
+        coefficient."""
+        return self.a_seq.bounds()[1], self.b_seqs[self.k - 1].bounds()[0]
 
 
 def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
-    lam, k, m = spec.lam, spec.k, spec.m
-    km1 = k - 1
-    exp = math.exp
-    a = spec.a_seq.resolve()
-    bs = tuple(seq.resolve() for seq in spec.b_seqs)
+    return _ricker_map(spec.lam, spec.k, spec.a_seq.resolve(),
+                       tuple(seq.resolve() for seq in spec.b_seqs), name)
+
+
+def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
+                ) -> EquationSpec:
+    """x_n = x_{n-k}^lam exp(a_n - b_{1,n} x_{n-1} - ... - b_{m,n} x_{n-m})
+    on [0, inf)^m, m = len(bs), from resolved coefficients (each a float
+    or a function of n)."""
+    m, km1, exp = len(bs), k - 1, math.exp
     # Every form accumulates a_n - b_1 u_1 - ... - b_m u_m left to right;
     # the crossing indices depend on that order.
     if _varying(a, *bs):
@@ -98,8 +98,8 @@ def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
                 e -= b_i(n) * u_i
             return u[km1] ** lam * exp(e)
     elif m == 3:
-        # Unrolled for order 3 (sp3, and any three-lag Ricker model): at
-        # this size the loop costs more than the map itself.
+        # Unrolled for order 3 (sp3, the threed fold, and any three-lag
+        # Ricker model): at this size the loop costs more than the map.
         b1, b2, b3 = bs
 
         def evaluator(n: int, u: Sequence[float]) -> float:
@@ -486,8 +486,8 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
         def g(n: int, u: float, v: float) -> float:
             return u ** lam * exp(r_at(n) - u - t_at(n) * v)
 
-        def rho(n: int, u: float) -> float:
-            return s_at(n)
+        def sigma(n: int, u: float, w: float) -> float:
+            return w / s_at(n)
     else:
         def f(n: int, u: float, v: float) -> float:
             return s * v
@@ -495,14 +495,14 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
         def g(n: int, u: float, v: float) -> float:
             return u ** lam * exp(r - u - t * v)
 
-        def rho(n: int, u: float) -> float:
-            return s
+        def sigma(n: int, u: float, w: float) -> float:
+            return w / s
 
     steps = sorted(set(s_seq.sample_indices()) | set(t_seq.sample_indices())
                    | set(r_seq.sample_indices()))
     return PlanarSystem(
         f=f, g=g,
-        sigma=SigmaForm.multiplicative(rho),
+        sigma=SigmaForm.custom(sigma),
         envelope_f=lambda u: u,
         envelope_g=lambda u: u ** lam * math.exp(r_sup - u),
         sample_steps=tuple(steps),
@@ -860,7 +860,8 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     """Build the 3D system and its closed-form order-3 fold
     x_n = x_{n-3}^{cr} * exp(a_{n-1} + cr ln s - b x_{n-1}
                              - (c p_{n-2} + d s) x_{n-2} - cqs x_{n-3}),
-    a Ricker-family equation with lam = cr and dominant lag 3."""
+    a Ricker map with lam = cr and k = m = 3, built by the family's own
+    builder from those coefficients."""
     if b < 0 or d < 0:
         raise ModelParameterError("b and d must be non-negative")
     if min(c, q, r, s) <= 0:
@@ -869,30 +870,12 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     sysm = ThreeDSystem(a_seq, p_seq, float(b), float(c), float(d),
                         float(q), float(r), float(s))
     cr = c * r
-    cr_ln_s = cr * math.log(s)
-    cqs = c * q * s
-    ds = d * s
-    exp = math.exp
+    cr_ln_s, ds = cr * math.log(s), d * s
     a, p = a_seq.resolve(), p_seq.resolve()
-    if _varying(a, p):
-        a_at, p_at = _at(a), _at(p)
-
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            e = a_at(n - 1) + cr_ln_s - b * u[0] \
-                - (c * p_at(n - 2) + ds) * u[1] - cqs * u[2]
-            return u[2] ** cr * exp(e)
-    else:
-        # With constant a and p, the first sum and the lag-2 coefficient
-        # are the same doubles at every step: computed once.
-        a_0, b_2 = a + cr_ln_s, c * p + ds
-
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            return u[2] ** cr * exp(a_0 - b * u[0] - b_2 * u[1] - cqs * u[2])
-
-    eq = EquationSpec(order=3, dominant_lag=3, evaluator=evaluator,
-                      domain_low=(0.0,) * 3, domain_high=(_INF,) * 3,
-                      name="threed-folded", origin_fixed=cr > 0)
-    return sysm, eq
+    a_fold = (lambda n: a(n - 1) + cr_ln_s) if callable(a) else a + cr_ln_s
+    p_fold = (lambda n: c * p(n - 2) + ds) if callable(p) else c * p + ds
+    return sysm, _ricker_map(cr, 3, a_fold, (b, p_fold, c * q * s),
+                             "threed-folded")
 
 
 # -- model registry ------------------------------------------------------

@@ -2,17 +2,15 @@
 
 A sequence is one of three finite representations: a constant, a periodic
 list, or a finite table with a fallback value for indices past the end.
-Every representation carries declared inf/sup metadata so that envelope
-bounds can be formed without scanning an infinite index set.
+Each emits only finitely many distinct values, so its inf and sup are the
+min and max of what it stores: envelope bounds need no scan of an
+infinite index set.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
-
-from .errors import SequenceBoundError
 
 CONSTANT = "constant"
 PERIODIC = "periodic"
@@ -30,37 +28,24 @@ class ParameterSequence:
     kind: str
     values: Tuple[float, ...]
     fallback: Optional[float] = None
-    declared_inf: float = field(default=-math.inf)
-    declared_sup: float = field(default=math.inf)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "ParameterSequence":
-        v = float(value)
-        return ParameterSequence(CONSTANT, (v,), None, v, v)
+        return ParameterSequence(CONSTANT, (float(value),))
 
     @staticmethod
-    def periodic(values: Sequence[float],
-                 declared_inf: Optional[float] = None,
-                 declared_sup: Optional[float] = None) -> "ParameterSequence":
+    def periodic(values: Sequence[float]) -> "ParameterSequence":
         if not values:
             raise ValueError("periodic list must be non-empty")
-        vals = tuple(float(v) for v in values)
-        lo = min(vals) if declared_inf is None else float(declared_inf)
-        hi = max(vals) if declared_sup is None else float(declared_sup)
-        return ParameterSequence(PERIODIC, vals, None, lo, hi)
+        return ParameterSequence(PERIODIC, tuple(float(v) for v in values))
 
     @staticmethod
-    def tabulated(values: Sequence[float], fallback: float,
-                  declared_inf: Optional[float] = None,
-                  declared_sup: Optional[float] = None) -> "ParameterSequence":
-        vals = tuple(float(v) for v in values)
-        fb = float(fallback)
-        stored = vals + (fb,)
-        lo = min(stored) if declared_inf is None else float(declared_inf)
-        hi = max(stored) if declared_sup is None else float(declared_sup)
-        return ParameterSequence(TABULATED, vals, fb, lo, hi)
+    def tabulated(values: Sequence[float],
+                  fallback: float) -> "ParameterSequence":
+        return ParameterSequence(TABULATED, tuple(float(v) for v in values),
+                                 float(fallback))
 
     # -- access ---------------------------------------------------------
 
@@ -102,20 +87,10 @@ class ParameterSequence:
         return self.values
 
     def bounds(self) -> Tuple[float, float]:
-        """Verified (inf, sup) of the sequence.
-
-        Declared bounds are checked against the stored values and
-        tightened to the exact min/max when the declaration is looser.
-        """
+        """Exact (inf, sup) of the sequence: the min and max of its
+        stored values."""
         stored = self.stored_values()
-        for i, v in enumerate(stored):
-            if v < self.declared_inf or v > self.declared_sup:
-                raise SequenceBoundError(
-                    "stored value %r at index %d violates declared bounds "
-                    "[%r, %r]" % (v, i, self.declared_inf, self.declared_sup),
-                    index=i)
-        return max(self.declared_inf, min(stored)), \
-            min(self.declared_sup, max(stored))
+        return min(stored), max(stored)
 
     def sample_indices(self, extra: int = 4) -> Tuple[int, ...]:
         """Step indices that exercise every stored value at least once.

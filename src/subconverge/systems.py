@@ -36,20 +36,10 @@ SystemMap = Callable[[int, float, float], float]
 
 @dataclass(frozen=True)
 class SigmaForm:
-    """Solvability form for f_n(u, v) = w with respect to v (multiplicative:
-    f_n(u, v) = rho_n(u) * v); calling it runs ``solve(n, u, w)``."""
+    """Solvability form for f_n(u, v) = w with respect to v; calling it
+    runs ``solve(n, u, w)``."""
 
     solve: Callable[[int, float, float], float]
-
-    @staticmethod
-    def multiplicative(rho) -> "SigmaForm":
-        def solve(n: int, u: float, w: float) -> float:
-            r = rho(n, u)
-            if r <= 0:
-                raise FoldError("rho_%d(%r) = %r is not positive"
-                                % (n, u, r), index=n)
-            return w / r
-        return SigmaForm(solve)
 
     @staticmethod
     def custom(sigma) -> "SigmaForm":

@@ -192,6 +192,27 @@ def test_analyze_planar_checks_alternating_only_without_tail(runner,
     assert json.loads(res.output)["criterion"] == "tail"
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "adult-juvenile", "--s", "0.01", "--init", "1,1",
+     "--steps", "50"],
+    ["--model", "competition-swapped", "--b1", "1e6", "--init", "1,1",
+     "--steps", "30"],
+], ids=["adult-juvenile-small-s", "competition-swapped-large-b1"])
+def test_analyze_planar_uses_the_certified_cycle(runner, monkeypatch, args):
+    # Both pass the tail cycle's domination grid, but only the alternating
+    # cycle is certified: the tail's scan raises (exit 5) or gives
+    # alpha = inf and a false soundness alarm (exit 4).
+    import subconverge.systems as systems
+
+    def no_scan(*_, **__):
+        raise AssertionError("the threshold scan ran")
+
+    monkeypatch.setattr(systems, "solve_threshold", no_scan)
+    res = runner.invoke(main, ["analyze"] + args)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["criterion"] == "alternating"
+
+
 @pytest.mark.parametrize("params", [
     ["--model", "sp3", "--k", "1"],
     ["--model", "sp3", "--k", "2"],

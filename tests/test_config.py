@@ -33,6 +33,17 @@ def test_unknown_key_rejected():
     assert "stepz" in str(exc.value)
 
 
+def test_analysis_key_rejected(tmp_path):
+    text = '{"model": "sp3", "analysis": {"k": 2}}'
+    with pytest.raises(ConfigError, match="unknown config keys: analysis"):
+        parse_config(text)
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["analyze", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: unknown config keys: analysis")
+
+
 def test_bad_inputs_rejected():
     for text in ('not json', '[1, 2]', '{"model": "no-such-model"}',
                  '{"model": "sp3", "schema": 9}',

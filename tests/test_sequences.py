@@ -1,6 +1,5 @@
 import pytest
 
-from subconverge.errors import SequenceBoundError
 from subconverge.sequences import ParameterSequence, as_sequence
 
 
@@ -10,11 +9,9 @@ def test_constant_bounds():
     assert seq(0) == seq(17) == 1.5
 
 
-def test_periodic_cycles_and_tightens_bounds():
-    seq = ParameterSequence.periodic([0.5, 0.9, 0.7],
-                                     declared_inf=0.0, declared_sup=1.0)
+def test_periodic_cycles_and_bounds_are_its_min_max():
+    seq = ParameterSequence.periodic([0.5, 0.9, 0.7])
     assert [seq(n) for n in range(5)] == [0.5, 0.9, 0.7, 0.5, 0.9]
-    # declared (0, 1) tightens to the exact min/max of the stored list
     assert seq.bounds() == (0.5, 0.9)
 
 
@@ -24,8 +21,7 @@ def test_periodic_empty_rejected():
 
 
 def test_tabulated_fallback():
-    seq = ParameterSequence.tabulated([2.0, 3.0], fallback=2.5,
-                                      declared_inf=2.0, declared_sup=3.0)
+    seq = ParameterSequence.tabulated([2.0, 3.0], fallback=2.5)
     assert seq(0) == 2.0
     assert seq(1) == 3.0
     assert seq(2) == 2.5
@@ -33,12 +29,21 @@ def test_tabulated_fallback():
     assert seq.bounds() == (2.0, 3.0)
 
 
-def test_declared_bound_violation_reports_index():
-    seq = ParameterSequence.periodic([0.5, 1.5], declared_inf=0.0,
-                                     declared_sup=1.0)
-    with pytest.raises(SequenceBoundError) as exc:
-        seq.bounds()
-    assert exc.value.index == 1
+@pytest.mark.parametrize("seq,expected", [
+    (ParameterSequence.constant(-0.25), (-0.25, -0.25)),
+    (ParameterSequence.periodic([3, -1.5, 2]), (-1.5, 3.0)),
+    (ParameterSequence.tabulated([0.4, 0.6], fallback=0.1), (0.1, 0.6)),
+    (ParameterSequence.tabulated([0.4, 0.6], fallback=0.9), (0.4, 0.9)),
+    (ParameterSequence.tabulated([], fallback=1.25), (1.25, 1.25)),
+], ids=["constant", "periodic", "tabulated-fallback-min",
+        "tabulated-fallback-max", "tabulated-fallback-only"])
+def test_bounds_are_min_and_max_of_stored_values(seq, expected):
+    assert seq.bounds() == expected
+    assert seq.bounds() == (min(seq.stored_values()),
+                            max(seq.stored_values()))
+    # The bounds are values the sequence takes.
+    emitted = {seq(n) for n in range(-3, 12)}
+    assert set(seq.bounds()) <= emitted
 
 
 def test_sample_indices_cover_representation():
