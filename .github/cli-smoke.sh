@@ -59,6 +59,7 @@ done <<'ERRORS'
 2 threshold --model ricker --k 2 --b 1 --json
 2 threshold --model adult-juvenile --s 1.5
 2 threshold --model sigmoid-bh --k 0
+5 analyze --model competition-swapped --delta1 30 --init 1,1 --steps 30
 ERRORS
 rm -f "$err"
 exit $status

@@ -11,7 +11,9 @@ criterion apply directly to the system without folding:
   <= gbar(u1), fbar non-decreasing, and fbar(gbar(u)) < u near 0 --
   terms of {x_n} with the parity of the crossing index converge to zero.
 
-Domination and monotonicity are grid-checked.  The threshold alpha of
+A catalog builder proves domination and monotonicity for its own cycle
+and attaches the proof as a ``CycleCertificate``; any other cycle, and a
+user-built system, has them checked on grids.  The threshold alpha of
 the cycle map comes from the system's ``cycle_threshold`` when the
 catalog built it (exact: a closed form or a concave log form), else
 from the threshold scan on (0, 10].
@@ -20,15 +22,17 @@ from the threshold scan on (0, 10].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
 from .dynamics import EquationSpec, _outside, check_finite_initial
-from .errors import DomainError, FoldError
+from .errors import CriterionInapplicableError, DomainError, FoldError
 from .reports import ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
@@ -49,6 +53,19 @@ class SigmaForm:
         return self.solve(n, u, w)
 
 
+class CycleCertificate(NamedTuple):
+    """A builder's proof of the premises of its own envelope cycle of
+    length ``length``, exact in floating point: each component is at most
+    its envelope on the whole quadrant, and, when ``monotone``, fbar is
+    non-decreasing on the envelope check's monotonicity grid (so the grid
+    would pass).  ``maps`` are the objects (f, g, envelope_f, envelope_g)
+    the proof is about."""
+
+    length: int
+    maps: Tuple[Callable, ...]
+    monotone: bool = True
+
+
 @dataclass(frozen=True)
 class PlanarSystem:
     """A non-autonomous planar map pair on (a subset of) the quadrant.
@@ -59,6 +76,10 @@ class PlanarSystem:
     calls it in place of the scan; it stays with the system when
     ``dataclasses.replace`` wraps f, g or the envelopes, so an envelope
     replaced by a different function needs it replaced too (None: scan).
+    ``certificate`` lets the envelope check skip its grids for that
+    cycle; it too stays with the system under ``replace``, but it covers
+    the system only while f, g and both envelopes are the very objects in
+    its ``maps``, so replacing any of them brings the grids back.
     """
 
     f: SystemMap
@@ -72,6 +93,7 @@ class PlanarSystem:
     name: str = "system"
     cycle_threshold: Optional[
         Tuple[int, Callable[[], ThresholdResult]]] = None
+    certificate: Optional[CycleCertificate] = None
 
     def origin_residual(self) -> float:
         """Max |f_n(0,0)|, |g_n(0,0)| over the sampled steps; must be 0
@@ -342,18 +364,26 @@ def _cycle_map(envelopes: Sequence[ScalarMap]) -> ScalarMap:
     return lambda u: fbar(gbar(u))
 
 
-def check_envelope_cycle(sys: PlanarSystem,
-                         envelopes: Cycle) -> EnvelopeVerdict:
-    """Envelope check for the cycle (fbar,) (tail) or (fbar, gbar)
-    (alternating), on grids with exact comparisons: (i) component i (f,
-    then g at each point) <= envelope i at argument (i+1) mod L; (ii)
-    fbar non-decreasing if L = 2; (iii) fbar(gbar(u)), or fbar(u), < u
-    on (0, alpha): alpha is the system's exact ``cycle_threshold`` when
-    the cycle is its own envelopes, else the threshold scan's."""
+def _certificate(sys: PlanarSystem,
+                 envelopes: Cycle) -> Optional[CycleCertificate]:
+    """The system's certificate if it covers this cycle: the system's own
+    envelopes, of the certified length, and f, g and both envelopes still
+    the objects it was proved for."""
+    cert = sys.certificate
+    if cert is None or cert.length != len(envelopes):
+        return None
+    own = (sys.f, sys.g, sys.envelope_f, sys.envelope_g)
+    if all(map(operator.is_, cert.maps, own)) and \
+            all(map(operator.is_, envelopes, own[2:])):
+        return cert
+    return None
+
+
+def _domination_grid(sys: PlanarSystem,
+                     envelopes: Cycle) -> Optional[EnvelopeVerdict]:
+    """Component i (f, then g at each point) <= envelope i at argument
+    (i+1) mod L on the 60x60 grid: the first counterexample, or None."""
     length = len(envelopes)
-    if not all(envelopes):
-        return EnvelopeVerdict(False, reason="missing envelope"
-                               + "s" * (length > 1))
     f, g, us = sys.f, sys.g, _US
 
     def above(i: int, n: int, u1: float, u2: float) -> EnvelopeVerdict:
@@ -377,21 +407,54 @@ def check_envelope_cycle(sys: PlanarSystem,
                         return above(0, n, u1, u2)
                     if g(n, u1, u2) > gbar_u1:
                         return above(1, n, u1, u2)
-    for fbar in envelopes[:-1]:
-        fine = _fine_grid()
-        fbar_a = fbar(fine[0])
-        for a, b in zip(fine, islice(fine, 1, None)):
-            fbar_b = fbar(b)
-            if fbar_b < fbar_a:
-                return EnvelopeVerdict(False, reason="fbar not non-decreasing",
-                                       counterexample=(a, b))
-            fbar_a = fbar_b
+    return None
+
+
+def _monotonicity_grid(fbar: ScalarMap) -> Optional[EnvelopeVerdict]:
+    """fbar non-decreasing on the 10,000-point grid: the first pair of
+    points where it falls, or None."""
+    fine = _fine_grid()
+    fbar_a = fbar(fine[0])
+    for a, b in zip(fine, islice(fine, 1, None)):
+        fbar_b = fbar(b)
+        if fbar_b < fbar_a:
+            return EnvelopeVerdict(False, reason="fbar not non-decreasing",
+                                   counterexample=(a, b))
+        fbar_a = fbar_b
+    return None
+
+
+def check_envelope_cycle(sys: PlanarSystem,
+                         envelopes: Cycle) -> EnvelopeVerdict:
+    """Envelope check for the cycle (fbar,) (tail) or (fbar, gbar)
+    (alternating): (i) component i (f, then g at each point) <= envelope
+    i at argument (i+1) mod L; (ii) fbar non-decreasing if L = 2; (iii)
+    fbar(gbar(u)), or fbar(u), < u on (0, alpha).  (i) and (ii) are
+    checked on grids with exact comparisons, except what the system's
+    certificate proves for its own cycle; alpha is the system's exact
+    ``cycle_threshold`` when the cycle is its own envelopes, else the
+    threshold scan's, and a scan that finds no positive threshold makes
+    the criterion inapplicable."""
+    length = len(envelopes)
+    if not all(envelopes):
+        return EnvelopeVerdict(False, reason="missing envelope"
+                               + "s" * (length > 1))
+    cert = _certificate(sys, envelopes)
+    failed = _domination_grid(sys, envelopes) if cert is None else None
+    if failed is None and length == 2 and (cert is None
+                                           or not cert.monotone):
+        failed = _monotonicity_grid(envelopes[0])
+    if failed is not None:
+        return failed
     own = sys.cycle_threshold
     if own is not None and own[0] == length and \
             tuple(envelopes) == (sys.envelope_f, sys.envelope_g)[:length]:
         res = own[1]()
     else:
-        res = solve_threshold(_cycle_map(envelopes), _SEARCH_HI)
+        try:
+            res = solve_threshold(_cycle_map(envelopes), _SEARCH_HI)
+        except CriterionInapplicableError as exc:
+            return EnvelopeVerdict(False, reason=str(exc))
     return EnvelopeVerdict(True, res.alpha, res.tangent)
 
 

@@ -5,12 +5,14 @@ scanned values, ``verify_sublinearity`` tests each point with one
 comparison, and the envelope checks evaluate each envelope value once.
 The functions below are the earlier implementations, kept verbatim as
 the oracle: on every input both must give the same result, or raise the
-same exception with the same message.  The two intended differences
-are pinned in their own tests: g is no longer evaluated above the first
-crossing, so an error g would raise only there no longer surfaces; and
-an envelope is evaluated on the whole grid before the comparisons, so
-one that cannot be evaluated there raises even where the old loop
-returned a counterexample first.
+same exception with the same message.  Three intended differences are
+pinned in their own tests: g is no longer evaluated above the first
+crossing, so an error g would raise only there no longer surfaces; an
+envelope is evaluated on the whole grid before the comparisons, so one
+that cannot be evaluated there raises even where the old loop returned
+a counterexample first; and an envelope check whose scan finds no
+positive threshold returns an inapplicable verdict with the scan's
+message, where the oracle raised CriterionInapplicableError.
 
 Two intended differences move alpha, so alphas are compared within the
 scan's 1e-12 bracket rather than by bits: ``solve_threshold`` returns
@@ -216,11 +218,14 @@ def assert_sublinearity_same(g, window):
 
 
 def same_verdict(new, ref) -> bool:
-    """``same``, or an exact alpha below the points the scan started at."""
+    """``same``, or where the oracle's scan raised: an exact alpha below
+    the points the scan started at, or the scan's message as the reason
+    of an inapplicable verdict."""
     return same(new, ref) or (
         ref == (CriterionInapplicableError, NEAR_ORIGIN)
-        and isinstance(new, EnvelopeVerdict) and new.applicable
-        and new.alpha < 1.2e-29)
+        and isinstance(new, EnvelopeVerdict)
+        and (new.applicable and new.alpha < 1.2e-29
+             or new == EnvelopeVerdict(False, reason=NEAR_ORIGIN)))
 
 
 def assert_envelopes_same(sysm):
@@ -372,6 +377,17 @@ def test_envelope_values_are_computed_before_the_grid_comparisons():
     assert outcome(check_tail_envelope, sysm) == error
     assert outcome(ref_check_alternating_envelopes, sysm) == error
     assert outcome(check_alternating_envelopes, sysm) == error
+
+
+def test_a_scan_without_a_threshold_is_an_inapplicable_verdict():
+    # s = 0.01 lets f = s v pass the tail grid of fbar = id; the scan of
+    # the identity then finds no positive threshold.
+    sysm = models.make_adult_juvenile(0.01, 1.0, 2.0, 2.0)
+    tail, alt = assert_envelopes_same(sysm)
+    assert outcome(ref_check_tail_envelope, sysm) == \
+        (CriterionInapplicableError, NEAR_ORIGIN)
+    assert tail == EnvelopeVerdict(False, reason=NEAR_ORIGIN)
+    assert alt.applicable
 
 
 # -- property tests ------------------------------------------------------

@@ -213,6 +213,31 @@ def test_analyze_planar_uses_the_certified_cycle(runner, monkeypatch, args):
     assert json.loads(res.output)["criterion"] == "alternating"
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "competition", "--delta1", "400"],
+    ["--model", "competition-swapped", "--delta2", "400"],
+    ["--model", "adult-juvenile", "--lambda", "400"],
+], ids=["competition", "competition-swapped", "adult-juvenile"])
+def test_a_certified_envelope_is_not_evaluated_on_a_grid(runner, args):
+    # Each of these envelopes overflows on the domination grid, up to
+    # u = 10 (it exited 3); the builder's certificate proves domination,
+    # so no grid runs and the orbit from (0.5, 0.5) is analyzed.
+    res = runner.invoke(main, ["analyze"] + args + ["--init", "0.5,0.5",
+                                                    "--steps", "20"])
+    assert res.exit_code == 0, res.output
+    assert not any(p["verdict"] == "violated"
+                   for p in json.loads(res.output)["predictions"])
+
+
+def test_a_saturated_swapped_cycle_exits_5(runner):
+    res = runner.invoke(main, ["analyze", "--model", "competition-swapped",
+                               "--delta1", "30", "--init", "1,1",
+                               "--steps", "30"])
+    assert res.exit_code == 5
+    assert res.stderr == ("error: envelope criterion does not apply: "
+                          "fbar not non-decreasing\n")
+
+
 @pytest.mark.parametrize("params", [
     ["--model", "sp3", "--k", "1"],
     ["--model", "sp3", "--k", "2"],

@@ -15,6 +15,10 @@ too: ``competition_threshold`` for the competition tail fbar1,
 ``swapped_competition_threshold`` for the swapped system's
 fbar1(fbar2(u)).  Their oracle is the same scan, plus a fine grid below
 alpha on which the cycle map must stay strictly below the identity.
+The builders certify their cycles' domination and monotonicity, so the
+envelope check no longer grid-checks them; the oracle keeps its own copy
+of both grids, with points added toward 0, and a certificate attached
+to an envelope shrunk by 1% must fail it.
 """
 
 import math
@@ -287,10 +291,46 @@ def points_below(res):
                if not res.tangent])
 
 
+def grid_axis(count):
+    """The envelope check's grid on (0, 10] (``count`` linear points),
+    with the points 1e-1, 1e-3, ..., 1e-29 added."""
+    return sorted({10.0 * i / count for i in range(1, count + 1)}
+                  | {10.0 ** -k for k in range(1, 31, 2)})
+
+
+def first_domination_failure(sysm, length):
+    """Component i <= envelope i at argument (i+1) mod L, on the grid:
+    the first (n, u1, u2) where it fails, or None."""
+    f, g, us = sysm.f, sysm.g, grid_axis(60)
+    fbar_us = list(map(sysm.envelope_f, us))
+    if length == 1:
+        return next(((n, u1, u2) for n in sysm.sample_steps
+                     for u1, fbar_u1 in zip(us, fbar_us) for u2 in us
+                     if f(n, u1, u2) > fbar_u1), None)
+    gbar_us = list(map(sysm.envelope_g, us))
+    return next(((n, u1, u2) for n in sysm.sample_steps
+                 for u1, gbar_u1 in zip(us, gbar_us)
+                 for u2, fbar_u2 in zip(us, fbar_us)
+                 if f(n, u1, u2) > fbar_u2 or g(n, u1, u2) > gbar_u1), None)
+
+
+def first_fall(fbar):
+    """The first pair of adjacent points of the fine grid where fbar
+    falls, or None."""
+    us = grid_axis(10_000)
+    values = list(map(fbar, us))
+    return next(((a, b) for a, b, fa, fb in zip(us, us[1:], values,
+                                                  values[1:]) if fb < fa),
+                None)
+
+
 def check_planar_cycle(sysm):
     """The oracle for a catalog system's own envelope cycle."""
     length, solve = sysm.cycle_threshold
     res, cycle = solve(), cycle_map(sysm, length)
+    assert first_domination_failure(sysm, length) is None
+    if length == 2:
+        assert first_fall(sysm.envelope_f) is None
     verdict = check_envelope_cycle(
         sysm, (sysm.envelope_f, sysm.envelope_g)[:length])
     assert verdict.applicable
@@ -317,34 +357,34 @@ def check_planar_cycle(sysm):
                    if u > res.alpha)
 
 
-def sequence(values):
-    """A constant, or a periodic sequence of the given values."""
-    return S.constant(values[0]) if len(values) == 1 \
+@st.composite
+def sequences(draw, lo, hi):
+    """A constant, periodic or tabulated sequence of values in [lo, hi]."""
+    values = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["constant", "periodic", "tabulated"]))
+    if kind == "tabulated":
+        return S.tabulated(values, draw(st.floats(lo, hi)))
+    return S.constant(values[0]) if kind == "constant" \
         else S.periodic(values)
-
-
-def values(lo, hi):
-    return st.lists(st.floats(lo, hi), min_size=1, max_size=3)
 
 
 @st.composite
 def competition_systems(draw):
     swapped = draw(st.booleans())
-    r1, r2 = draw(values(0.2, 60.0)), draw(values(0.2, 60.0))
-    a1, a2 = draw(values(0.05, 700.0)), draw(values(0.05, 700.0))
-    b1, b2 = draw(values(0.0, 2.0)), draw(values(0.0, 2.0))
+    r1, r2 = draw(sequences(0.2, 60.0)), draw(sequences(0.2, 60.0))
+    a1, a2 = draw(sequences(0.05, 700.0)), draw(sequences(0.05, 700.0))
+    b1, b2 = draw(sequences(0.0, 2.0)), draw(sequences(0.0, 2.0))
     d1, d2 = draw(st.floats(1.1, 4.0)), draw(st.floats(1.1, 4.0))
     d3, d4 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
     return models.make_competition(CompetitionParams(
-        *map(sequence, (r1, r2, a1, a2)), d1, d2, sequence(b1),
-        sequence(b2), d3, d4), swapped=swapped)
+        r1, r2, a1, a2, d1, d2, b1, b2, d3, d4), swapped=swapped)
 
 
 @st.composite
 def adult_juvenile_systems(draw):
     return models.make_adult_juvenile(
-        sequence(draw(values(0.05, 1.0))), sequence(draw(values(0.2, 3.0))),
-        sequence(draw(values(-40.0, 5.0))), draw(st.floats(1.05, 25.0)))
+        draw(sequences(0.05, 1.0)), draw(sequences(0.2, 3.0)),
+        draw(sequences(-40.0, 5.0)), draw(st.floats(1.05, 25.0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,6 +423,41 @@ def test_a_planar_alpha_scaled_by_1_01_fails_the_oracle(name):
         1.01 * res.alpha)))
     with pytest.raises(AssertionError):
         check_planar_cycle(scaled)
+
+
+def shrunk_and_certified(sysm, field):
+    """The system with one envelope scaled by 0.99 and its certificate
+    re-attached to the new envelope, as a builder that proved the wrong
+    envelope would attach it."""
+    old = getattr(sysm, field)
+
+    def shrunk(u):
+        return 0.99 * old(u)
+    mutant = replace(sysm, **{field: shrunk})
+    maps = (mutant.f, mutant.g, mutant.envelope_f, mutant.envelope_g)
+    return replace(mutant, certificate=sysm.certificate._replace(maps=maps))
+
+
+@pytest.mark.parametrize("name, field", [
+    ("competition", "envelope_f"),
+    ("competition-delta-3", "envelope_f"),
+    ("swapped", "envelope_f"),
+    ("swapped-mixed", "envelope_g"),
+    ("adult-juvenile", "envelope_g"),
+    ("adult-juvenile-above-10", "envelope_g"),
+])
+def test_a_certified_envelope_shrunk_by_1_percent_fails_the_oracle(name,
+                                                                   field):
+    sysm = PLANAR_CASES[name]()
+    check_planar_cycle(sysm)
+    mutant = shrunk_and_certified(sysm, field)
+    length = sysm.cycle_threshold[0]
+    # The envelope check trusts the certificate and runs no grid ...
+    assert check_envelope_cycle(
+        mutant, (mutant.envelope_f, mutant.envelope_g)[:length]).applicable
+    # ... and the oracle's own grids catch the envelope.
+    with pytest.raises(AssertionError):
+        check_planar_cycle(mutant)
 
 
 def test_a_replaced_envelope_is_scanned():
