@@ -6,7 +6,18 @@
 # or e.g. CLI="python -m subconverge.cli" with PYTHONPATH=src.
 CLI=${CLI:-subconverge}
 err=$(mktemp)
+# A Ricker model whose coefficients vary with n: periodic a, and a
+# tabulated coefficient on the middle lag.
+cfg=$(mktemp)
+cat > "$cfg" <<'JSON'
+{"model": "ricker",
+ "params": {"lambda": 1.5, "k": 1, "a": [0.5, 1, 1.5],
+            "b": [0.5, {"kind": "tabulated", "values": [0.7, 0.8, 0.9],
+                        "fallback": 0.8}, 0.9]},
+ "initial": [1, 1, 1], "steps": 300}
+JSON
 status=0
+# The list below is expanded by the shell, so that $cfg names the file.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -14,11 +25,13 @@ while read -r args; do
         cat "$err" >&2
         status=1
     fi
-done <<'COMMANDS'
+done <<COMMANDS
 models
 simulate --model sp3 --k 3 --init 1,1,1 --steps 300
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
+analyze --config $cfg
+analyze --model sigmoid-bh --a 2 --c 1 --q 2 --p 3 --b 1 --k 1 --l 2 --init 1.1,1.1 --steps 300
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200
@@ -61,5 +74,5 @@ done <<'ERRORS'
 2 threshold --model sigmoid-bh --k 0
 5 analyze --model competition-swapped --delta1 30 --init 1,1 --steps 30
 ERRORS
-rm -f "$err"
+rm -f "$err" "$cfg"
 exit $status

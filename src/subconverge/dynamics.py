@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
@@ -32,6 +33,13 @@ class EquationSpec:
 
     ``origin_fixed`` declares that F_n(0, ..., 0) = 0 for all n, which is
     required before convergence criteria may be applied.
+
+    ``translated`` is an optional builder's form of the map conjugated
+    by a fixed point: ``(evaluator, b, G)`` with G(n, v) equal, bit for
+    bit, to ``evaluator(n, [v_i + b, ...]) - b``.  It holds only while
+    ``evaluator`` is still the first entry (``translate_to_origin``
+    checks by identity), so ``dataclasses.replace`` with a new evaluator
+    voids it.
     """
 
     order: int
@@ -41,6 +49,7 @@ class EquationSpec:
     domain_high: Tuple[float, ...] = ()
     name: str = "equation"
     origin_fixed: bool = False
+    translated: Optional[Tuple[Evaluator, float, Evaluator]] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -147,8 +156,8 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     Initial values are given oldest first (x_0, ..., x_{m-1}) and must
     be finite.  A non-finite term truncates the trajectory and records a
     diagnostic; a domain exit raises DomainError with the offending
-    index.  The evaluator receives each window as a fresh list, most
-    recent term first.
+    index.  The evaluator receives each window as a tuple, most recent
+    term first.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -177,12 +186,16 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
         return Trajectory(init, tuple(terms), eq, diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
+    # Lag i+1 reads terms from index m-1-i on; the list iterators see each
+    # term appended before the next window is drawn, and range comes first
+    # in the zip so that no window is drawn past the last step.
+    windows = zip(*[islice(terms, m - 1 - i, None) for i in range(m)])
     evaluator = eq.evaluator
     isfinite = math.isfinite
     append = terms.append
-    for n in range(m, end):
+    for n, u in zip(range(m, end), windows):
         try:
-            x = evaluator(n, terms[:stop:-1])
+            x = evaluator(n, u)
         except OverflowError as exc:
             diagnostic = str(_overflow(n, exc))
             break

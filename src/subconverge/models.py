@@ -89,17 +89,23 @@ def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
     m, km1, exp = len(bs), k - 1, math.exp
     # Every form accumulates a_n - b_1 u_1 - ... - b_m u_m left to right;
     # the crossing indices depend on that order.
+    # Order 3 (sp3, the threed fold, and any three-lag Ricker model) is
+    # unrolled: at this size the loop costs more than the map.
     if _varying(a, *bs):
         a_at, b_at = _at(a), tuple(map(_at, bs))
+        if m == 3:
+            b1, b2, b3 = b_at
 
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            e = a_at(n)
-            for b_i, u_i in zip(b_at, u):
-                e -= b_i(n) * u_i
-            return u[km1] ** lam * exp(e)
+            def evaluator(n: int, u: Sequence[float]) -> float:
+                e = a_at(n) - b1(n) * u[0] - b2(n) * u[1] - b3(n) * u[2]
+                return u[km1] ** lam * exp(e)
+        else:
+            def evaluator(n: int, u: Sequence[float]) -> float:
+                e = a_at(n)
+                for b_i, u_i in zip(b_at, u):
+                    e -= b_i(n) * u_i
+                return u[km1] ** lam * exp(e)
     elif m == 3:
-        # Unrolled for order 3 (sp3, the threed fold, and any three-lag
-        # Ricker model): at this size the loop costs more than the map.
         b1, b2, b3 = bs
 
         def evaluator(n: int, u: Sequence[float]) -> float:
@@ -374,6 +380,9 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     km1, lm1 = k - 1, l - 1
     a, c, q = (seq.resolve() for seq in (spec.a_seq, spec.c_seq, spec.q_seq))
     absolute, power = _real_power(p)      # rational_power, resolved
+    # Each ``translated`` is translate_to_origin's round trip
+    # F(n, [v + b, ...]) - b with F's operations in their order, in one
+    # frame.
     if _varying(a, c, q):
         a_at, c_at, q_at = _at(a), _at(c), _at(q)
 
@@ -381,16 +390,27 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
             x = u[km1] - b
             num = a_at(n) * (abs(x) if absolute else x) ** power
             return num / (1.0 + c_at(n) * u[lm1] ** q_at(n)) + b
+
+        def translated(n: int, v: Sequence[float]) -> float:
+            x = (v[km1] + b) - b
+            num = a_at(n) * (abs(x) if absolute else x) ** power
+            return (num / (1.0 + c_at(n) * (v[lm1] + b) ** q_at(n)) + b) - b
     else:
         def evaluator(n: int, u: Sequence[float]) -> float:
             x = u[km1] - b
             num = a * (abs(x) if absolute else x) ** power
             return num / (1.0 + c * u[lm1] ** q) + b
 
+        def translated(n: int, v: Sequence[float]) -> float:
+            x = (v[km1] + b) - b
+            num = a * (abs(x) if absolute else x) ** power
+            return (num / (1.0 + c * (v[lm1] + b) ** q) + b) - b
+
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
                         name="sigmoid-bh(p=%s,b=%g,k=%d,l=%d)"
-                             % (p, b, k, l))
+                             % (p, b, k, l),
+                        translated=(evaluator, b, translated))
 
 
 def sigmoid_bh_window(a_sup: float, p: float, b: float
@@ -430,7 +450,15 @@ def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
 def translate_to_origin(eq: EquationSpec, fixed_point: float,
                         check_tol: float = 1e-9) -> EquationSpec:
     """Conjugate the equation by y = x - b so the fixed point b moves to
-    the origin; verifies numerically that b actually is fixed."""
+    the origin; verifies numerically that b actually is fixed.
+
+    The conjugate is the round trip G(n, v) = F(n, [v_i + b, ...]) - b,
+    or the builder's equal form in one frame when ``eq.translated``
+    holds for this evaluator and b.  The round trip rounds each term to
+    a multiple of ulp(b): where b + y rounds up, a translated term can
+    land above what a bound on G allows, and the inequality chain
+    reports a violation that exact arithmetic would not.
+    """
     b = float(fixed_point)
     m = eq.order
     const = (b,) * m
@@ -441,10 +469,14 @@ def translate_to_origin(eq: EquationSpec, fixed_point: float,
                 "%r is not a fixed value: F_%d(b,...,b) = %r" % (b, n, val))
     if b == 0.0:
         return eq
-    base = eq.evaluator
+    form = eq.translated
+    if form is not None and form[0] is eq.evaluator and form[1] == b:
+        evaluator = form[2]
+    else:
+        base = eq.evaluator
 
-    def evaluator(n: int, v: Sequence[float]) -> float:
-        return base(n, [vi + b for vi in v]) - b
+        def evaluator(n: int, v: Sequence[float]) -> float:
+            return base(n, [vi + b for vi in v]) - b
 
     return EquationSpec(
         order=m, dominant_lag=eq.dominant_lag, evaluator=evaluator,

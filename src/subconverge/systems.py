@@ -286,14 +286,24 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
                 raise
             stopped = str(exc)
             break
+        # Each deviation is |a - b| / max(|a|, |b|, 1) with max()'s
+        # comparisons written out, in its order (the call costs more than
+        # the step's arithmetic): a later operand replaces the running
+        # maximum only if it is greater, so a NaN |r| is passed over.
         if r != y:
-            d = abs(y - r) / max(abs(y), abs(r), 1.0)
+            s, t = abs(y), abs(r)
+            if t > s:
+                s = t
+            d = abs(y - r) / (1.0 if 1.0 > s else s)
             if d > tol and div_y is None:
                 div_y = n
             if d > max_y:
                 max_y = d
         if nxt != xn:
-            d = abs(xn - nxt) / max(abs(xn), abs(nxt), 1.0)
+            s, t = abs(xn), abs(nxt)
+            if t > s:
+                s = t
+            d = abs(xn - nxt) / (1.0 if 1.0 > s else s)
             if d > tol and div_x is None:
                 div_x = n + 1
             if d > max_x:
