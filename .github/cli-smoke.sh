@@ -40,6 +40,9 @@ analyze --model competition --r1 50 --a1 600 --init 25,1 --steps 60
 analyze --model adult-juvenile --lambda 21 --r -39 --init 19,19 --steps 60
 analyze --model adult-juvenile --s 0.01 --init 1,1 --steps 50
 analyze --model competition-swapped --b1 1e6 --init 1,1 --steps 30
+analyze --model competition-swapped --delta1 30 --init 1,1 --steps 30
+analyze --model competition-swapped --delta1 400 --init 0.5,0.5 --steps 20
+analyze --model competition-swapped --r1 2.4775435411239406 --r2 2.1597108745573808 --a1 2.0098908143898324 --a2 1.596075972834719 --delta1 2.7115852941823113 --delta2 2.445635238355775 --b1 0.5608716508659177 --b2 0.880629950850026 --init 2.4008015981807587,0.5526209873182195 --steps 300
 threshold --model sp3 --k 3 --json
 threshold --model ricker --json
 threshold --model competition --r1 4 --a1 1 --json
@@ -72,7 +75,7 @@ done <<'ERRORS'
 2 threshold --model ricker --k 2 --b 1 --json
 2 threshold --model adult-juvenile --s 1.5
 2 threshold --model sigmoid-bh --k 0
-5 analyze --model competition-swapped --delta1 30 --init 1,1 --steps 30
+5 threshold --model ricker --lambda 1.001 --a 1 --json
 ERRORS
 rm -f "$err" "$cfg"
 exit $status

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import criteria
-from .criteria import BoundingFunction, ScalarMap
+from .criteria import BoundingFunction
 from .dynamics import EquationSpec, Trajectory
 from .reports import (CONVERGING_TO_FIXED_POINT, CONVERGING_TO_ZERO,
-                      INCONCLUSIVE, VIOLATED, ConvergenceReport,
+                      INCONCLUSIVE, VIOLATED, ChainResult, ConvergenceReport,
                       LimitClassification, Prediction, ThresholdWindow)
 
 VERIFIED = "verified"
@@ -109,8 +109,8 @@ def classify_limit(subseq: Sequence[float], candidates: Sequence[float],
 
 
 def analyze_residues(terms: Sequence[float], stride: int,
-                     h: Optional[ScalarMap], window: ThresholdWindow,
-                     floor: int = 0,
+                     chain: Optional[Callable[[int], ChainResult]],
+                     window: ThresholdWindow, floor: int = 0,
                      candidates: Optional[Sequence[float]] = None,
                      zero_tol: float = DEFAULT_ZERO_TOL,
                      limit_tol: float = DEFAULT_LIMIT_TOL,
@@ -118,8 +118,8 @@ def analyze_residues(terms: Sequence[float], stride: int,
     """The criterion on each residue class mod ``stride``.
 
     A class enters at its first index >= ``floor`` whose term is in the
-    window (or exactly 0) and gets a zero-convergence prediction with its
-    chain under h (none if h is None); a failing chain is VIOLATED.
+    window (or exactly 0) and gets a zero-convergence prediction with
+    ``chain(n0)`` (no chain if ``chain`` is None), VIOLATED if it fails.
     With ``candidates``, every class is also classified against them and
     a class that never enters but settles on a fixed point gets an
     empirical prediction.  ``first_only`` keeps the first crossing's
@@ -152,14 +152,13 @@ def analyze_residues(terms: Sequence[float], stride: int,
         cls = None if candidates is None else \
             classify_limit(sub, candidates, limit_tol)
         if n0 is not None:
-            chain = None if h is None else \
-                criteria.check_inequality_chain(terms, n0, stride, h)
-            verdict = CONVERGING_TO_ZERO if chain is None or chain.holds \
+            links = None if chain is None else chain(n0)
+            verdict = CONVERGING_TO_ZERO if links is None or links.holds \
                 else VIOLATED
             note = "" if candidates is None else "monotone:%s" % \
                 verify_monotone_to_zero(sub, zero_tol).status
             predictions.append(Prediction(residue, n0, stride, verdict,
-                                          chain, limit=0.0, note=note))
+                                          links, limit=0.0, note=note))
         elif cls.kind == "fixed-point":
             predictions.append(Prediction(
                 residue, residue, stride, CONVERGING_TO_FIXED_POINT, None,
@@ -180,10 +179,10 @@ def _scalar_report(eq: EquationSpec, bound: BoundingFunction,
     first if unproven), plus the full-convergence index."""
     if bound.sublinear is None:
         bound = criteria.validate_bound(bound)
-    k = bound.dominant_lag
+    k, h, terms = bound.dominant_lag, criteria.symmetrize(bound), traj.terms
     report = analyze_residues(
-        traj.terms, k, criteria.symmetrize(bound), bound.validity,
-        criteria.chain_start_floor(eq.order, k),
+        terms, k, lambda n0: criteria.check_inequality_chain(terms, n0, k, h),
+        bound.validity, criteria.chain_start_floor(eq.order, k),
         (0.0,) + tuple(bound.fixed_points) if limits else None,
         zero_tol, limit_tol)
     full_from = criteria.predict_full_convergence(eq, bound, traj)

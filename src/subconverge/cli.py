@@ -316,7 +316,7 @@ def fold(model, config_path, init, steps, tol, out, **kw):
         dev, first = systems.relative_deviation(
             [st[0] for st in states], traj.terms, tol)
         payload = {"model": entry.name, "order": 3, "max_deviation": dev,
-                   "passed": dev <= tol, "first_divergent": first}
+                   "passed": first is None, "first_divergent": first}
     elif entry.kind == models.PLANAR:
         sysm = entry.build(p)
         if sysm.sigma is None:

@@ -607,8 +607,9 @@ def make_competition(params: CompetitionParams,
     Either cycle is certified in floating point on the quadrant: an
     envelope computes the same X ** d as its map, fl(r_n X) <= fl(r_sup
     X), and fl(fl(a_n + X) + fl(b_n Y^e)) >= fl(a_inf + X), so the
-    quotient can only round lower in the map.  fbar1's monotonicity on
-    the check's grid is certified where ``_rises_on_the_grid`` holds.
+    quotient can only round lower in the map.  fbar1 increases in the
+    reals (derivative r a d u^(d-1) / (a + u^d)^2 > 0), all that the
+    alternating links use.
     """
     p = params
     if p.d1 <= 1 or p.d2 <= 1:
@@ -651,9 +652,7 @@ def make_competition(params: CompetitionParams,
                                 swapped_competition_threshold(
                                     r1_sup, a1_inf, d1, r2_sup, a2_inf,
                                     d2))),
-                            certificate=CycleCertificate(
-                                2, maps, _rises_on_the_grid(
-                                    r1_sup, a1_inf, d1)))
+                            certificate=CycleCertificate(2, maps))
     sigma = None
     if p.b1.bounds()[0] > 0:
         sigma = SigmaForm.custom(_competition_sigma(r1, a1, b1, d1, d3))
@@ -663,39 +662,6 @@ def make_competition(params: CompetitionParams,
                         cycle_threshold=(1, lambda: competition_threshold(
                             r1_sup, a1_inf, d1)),
                         certificate=CycleCertificate(1, maps))
-
-
-def _rises_on_the_grid(r: float, a: float, d: float) -> bool:
-    """Whether fbar(u) = r * u ** d / (a + u ** d), evaluated as written,
-    is non-decreasing on the envelope check's monotonicity grid u_i =
-    10 i / 10,000 (i = 1 .. 10,000), so that the grid would pass.  In
-    the reals fbar increases, but where it saturates (u^d >> a) each step
-    raises it by less than its rounding, and the grid rejects it.
-
-    Let X = fl(u ** d), from a pow with error below one ulp on normal
-    results.  Consecutive points differ by a factor >= 10 / 9.999, so ln X
-    rises by >= 0.99999e-4 d per step (the rounding of u_i and of pow
-    costs < 1e-15).  ln fbar has slope a / (a + X) in ln X, falling in X,
-    so in the reals each step raises ln fbar by >= 0.99999e-4 d / (1 +
-    10^d / a) (X <= 10^d (1 + 2^-52)).  The roundings of r X, a + X and
-    the quotient move the computed ln fbar by < 3.4e-16 each way while no
-    result is subnormal or infinite, so each step rises if 0.99999e-4 d /
-    (1 + 10^d / a) > 6.8e-16.  The first condition, d <= 10 + log10(a),
-    gives that with a factor >= 14 to spare (d > 1); over 3,000 random
-    draws the grid first rejected at 10^d / a ~ 10^12.9.  Where X lies
-    below ulp(a), a + X rounds to a and the computed fbar moves with r X
-    alone: the same bounds hold, with slope 1.
-
-    The other conditions keep every result normal and finite on [1e-3,
-    10], X in [10^-3d, 10^d]: X itself (3d <= 300), r X (log10 r + d <=
-    300), fbar >= r X / (a + 1) for X <= 1 (log10 r - 3d - log10(a + 1)
-    >= -300) and a + X (log10 a <= 300).  In log form, so nothing here
-    overflows.  Outside them the grid runs.
-    """
-    log_r, log_a = math.log10(r), math.log10(a)
-    return (d <= 10.0 + log_a and 3.0 * d <= 300.0 and log_a <= 300.0
-            and log_r + d <= 300.0
-            and log_r - 3.0 * d - math.log10(1.0 + a) >= -300.0)
 
 
 def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):

@@ -38,8 +38,9 @@ class ThresholdWindow:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Outcome of verifying the two-sided decrease inequalities along a
-    subsequence: |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}|."""
+    """Outcome of verifying the decrease inequalities link by link along a
+    subsequence: |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}|, or an
+    alternating planar cycle's links (``systems._alternating_links``)."""
 
     holds: bool
     first_violation: Optional[int] = None   # j of the first failing link

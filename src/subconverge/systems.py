@@ -10,6 +10,8 @@ criterion apply directly to the system without folding:
 * alternating cycle (fbar, gbar): f_n(u1, u2) <= fbar(u2), g_n(u1, u2)
   <= gbar(u1), fbar non-decreasing, and fbar(gbar(u)) < u near 0 --
   terms of {x_n} with the parity of the crossing index converge to zero.
+  A link runs through the orbit's own y-term (``_alternating_links``),
+  so fbar need be non-decreasing only in the reals.
 
 A catalog builder proves domination and monotonicity for its own cycle
 and attaches the proof as a ``CycleCertificate``; any other cycle, and a
@@ -29,11 +31,12 @@ from itertools import islice
 from typing import (Callable, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
+from . import criteria
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
 from .dynamics import EquationSpec, _outside, check_finite_initial
 from .errors import CriterionInapplicableError, DomainError, FoldError
-from .reports import ConvergenceReport, ThresholdWindow
+from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
 
@@ -55,15 +58,14 @@ class SigmaForm:
 
 class CycleCertificate(NamedTuple):
     """A builder's proof of the premises of its own envelope cycle of
-    length ``length``, exact in floating point: each component is at most
-    its envelope on the whole quadrant, and, when ``monotone``, fbar is
-    non-decreasing on the envelope check's monotonicity grid (so the grid
-    would pass).  ``maps`` are the objects (f, g, envelope_f, envelope_g)
-    the proof is about."""
+    length ``length``: each component is at most its envelope on the whole
+    quadrant, exactly in floating point, and fbar increases in the reals
+    (all that the alternating links of ``predict_envelope_cycle`` use).
+    ``maps`` are the objects (f, g, envelope_f, envelope_g) the proof is
+    about."""
 
     length: int
     maps: Tuple[Callable, ...]
-    monotone: bool = True
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class PlanarSystem:
     calls it in place of the scan; it stays with the system when
     ``dataclasses.replace`` wraps f, g or the envelopes, so an envelope
     replaced by a different function needs it replaced too (None: scan).
-    ``certificate`` lets the envelope check skip its grids for that
+    ``certificate`` lets the envelope check skip both grids for that
     cycle; it too stays with the system under ``replace``, but it covers
     the system only while f, g and both envelopes are the very objects in
     its ``maps``, so replacing any of them brings the grids back.
@@ -231,7 +233,8 @@ class FoldCheck:
     ``steps`` is the number of x-terms compared; ``stopped`` says why the
     comparison ended before the requested length (a truncated orbit, a
     non-finite fold term, or a step whose y has no preimage under sigma),
-    or is None.
+    or is None.  A NaN deviation fails the check at ``first_divergent``;
+    ``max_dev_x``/``max_dev_y`` pass it over (they may read 0.0).
     """
 
     passed: bool
@@ -289,13 +292,14 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
         # Each deviation is |a - b| / max(|a|, |b|, 1) with max()'s
         # comparisons written out, in its order (the call costs more than
         # the step's arithmetic): a later operand replaces the running
-        # maximum only if it is greater, so a NaN |r| is passed over.
+        # maximum only if it is greater, so a NaN |r| or d is passed over;
+        # a NaN d (r NaN or infinite) still diverges.
         if r != y:
             s, t = abs(y), abs(r)
             if t > s:
                 s = t
             d = abs(y - r) / (1.0 if 1.0 > s else s)
-            if d > tol and div_y is None:
+            if (d > tol or d != d) and div_y is None:
                 div_y = n
             if d > max_y:
                 max_y = d
@@ -304,7 +308,7 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
             if t > s:
                 s = t
             d = abs(xn - nxt) / (1.0 if 1.0 > s else s)
-            if d > tol and div_x is None:
+            if (d > tol or d != d) and div_x is None:
                 div_x = n + 1
             if d > max_x:
                 max_x = d
@@ -312,21 +316,22 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
         x, y = xn, yn   # apart: a four-name swap was ~4% slower on 3.11
     else:
         n = max(steps, 0)   # every term x_0 .. x_steps was compared
-    return FoldCheck(max_x <= tol and max_y <= tol, max_x, max_y,
-                     div_x if div_x is not None else div_y, n + 1, stopped)
+    first = div_x if div_x is not None else div_y
+    return FoldCheck(max_x <= tol and max_y <= tol and first is None, max_x,
+                     max_y, first, n + 1, stopped)
 
 
 def relative_deviation(expected: Iterable[float], actual: Iterable[float],
                        tol: float) -> Tuple[float, Optional[int]]:
     """Largest relative deviation |e - a| / max(|e|, |a|, 1) over the
     paired terms (as many as the shorter series has), and the first index
-    where it exceeds ``tol``."""
+    where it exceeds ``tol`` or is NaN (the largest passes NaN over)."""
     worst, first = 0.0, None
     for n, (e, a) in enumerate(zip(expected, actual)):
         if a == e:          # the usual case: deviation 0
             continue
         d = abs(e - a) / max(abs(e), abs(a), 1.0)
-        if d > tol and first is None:
+        if (d > tol or d != d) and first is None:
             first = n
         if d > worst:
             worst = d
@@ -440,22 +445,21 @@ def check_envelope_cycle(sys: PlanarSystem,
     (alternating): (i) component i (f, then g at each point) <= envelope
     i at argument (i+1) mod L; (ii) fbar non-decreasing if L = 2; (iii)
     fbar(gbar(u)), or fbar(u), < u on (0, alpha).  (i) and (ii) are
-    checked on grids with exact comparisons, except what the system's
-    certificate proves for its own cycle; alpha is the system's exact
-    ``cycle_threshold`` when the cycle is its own envelopes, else the
-    threshold scan's, and a scan that finds no positive threshold makes
-    the criterion inapplicable."""
+    checked on grids with exact comparisons, unless the system's
+    certificate proves them for its own cycle ((ii) in the reals); alpha
+    is the system's exact ``cycle_threshold`` when the cycle is its own
+    envelopes, else the threshold scan's, and a scan that finds no
+    positive threshold makes the criterion inapplicable."""
     length = len(envelopes)
     if not all(envelopes):
         return EnvelopeVerdict(False, reason="missing envelope"
                                + "s" * (length > 1))
-    cert = _certificate(sys, envelopes)
-    failed = _domination_grid(sys, envelopes) if cert is None else None
-    if failed is None and length == 2 and (cert is None
-                                           or not cert.monotone):
-        failed = _monotonicity_grid(envelopes[0])
-    if failed is not None:
-        return failed
+    if _certificate(sys, envelopes) is None:
+        failed = _domination_grid(sys, envelopes)
+        if failed is None and length == 2:
+            failed = _monotonicity_grid(envelopes[0])
+        if failed is not None:
+            return failed
     own = sys.cycle_threshold
     if own is not None and own[0] == length and \
             tuple(envelopes) == (sys.envelope_f, sys.envelope_g)[:length]:
@@ -476,14 +480,41 @@ def check_tail_envelope(sys: PlanarSystem) -> EnvelopeVerdict:
     return check_envelope_cycle(sys, (sys.envelope_f,))
 
 
+def _alternating_links(points: Sequence[Tuple[float, float]], n0: int,
+                       fbar: ScalarMap, gbar: ScalarMap) -> ChainResult:
+    """The alternating chain from x_{n0} through the orbit's own y-terms:
+    link j (n = n0 + 2j) holds when |y_{n+1}| <= gbar(|x_n|) and
+    |x_{n+2}| <= fbar(|y_{n+1}|) < |x_n|.  The fields mean what they mean
+    for ``check_inequality_chain``: j counts links, and an exact zero
+    x_n ends the chain, holding."""
+    j = 0
+    for n in range(n0, len(points) - 2, 2):
+        x0 = abs(points[n][0])
+        if x0 == 0.0:
+            return ChainResult(True, links_checked=j, terminated_at_zero=j)
+        y1 = abs(points[n + 1][1])
+        if not (y1 <= gbar(x0) and abs(points[n + 2][0]) <= fbar(y1) < x0):
+            return ChainResult(False, first_violation=j, links_checked=j)
+        j += 1
+    return ChainResult(True, links_checked=j)
+
+
 def predict_envelope_cycle(orbit: Orbit, alpha: float,
                            envelopes: Cycle) -> ConvergenceReport:
     """Once x_{n0} enters (0, alpha), x_{n0}, x_{n0+L}, ... (L the cycle
     length) decrease to zero; for L = 2 the other-parity y-terms follow
-    when they inherit the decay (reported, not asserted)."""
-    stride, cycle = len(envelopes), _cycle_map(envelopes)
-    h = (lambda u: cycle(abs(u))) if all(envelopes) else None
-    report = analyze_residues(orbit.xs, stride, h,
+    when they inherit the decay (reported, not asserted).  The chain is
+    ``check_inequality_chain`` under fbar for L = 1, and
+    ``_alternating_links`` for L = 2."""
+    stride, terms, fbar = len(envelopes), orbit.xs, envelopes[0]
+    if not all(envelopes):
+        chain = None
+    elif stride == 1:
+        chain = (lambda n0: criteria.check_inequality_chain(
+            terms, n0, 1, lambda u: fbar(abs(u))))
+    else:
+        chain = (lambda n0: _alternating_links(orbit.points, n0, *envelopes))
+    report = analyze_residues(terms, stride, chain,
                               ThresholdWindow(0.0, alpha), first_only=True)
     predictions = tuple(replace(p, note=_NOTES[stride].format(
         p.start_index, p.start_index % 2, (p.start_index + 1) % 2))

@@ -165,10 +165,14 @@ def test_first_only_keeps_the_class_of_the_first_crossing():
     window = ThresholdWindow(0.0, 1.0)
     terms = [5.0, 0.8, 0.5, 0.4, 0.2, 0.1]
     h = lambda u: 0.9 * abs(u)  # noqa: E731
-    both = sc.analyze_residues(terms, 2, h, window)
-    first = sc.analyze_residues(terms, 2, h, window, first_only=True)
+
+    def chain(n0):
+        return sc.check_inequality_chain(terms, n0, 2, h)
+    both = sc.analyze_residues(terms, 2, chain, window)
+    first = sc.analyze_residues(terms, 2, chain, window, first_only=True)
     assert [p.start_index for p in both.predictions] == [2, 1]
     assert [p.start_index for p in first.predictions] == [1]
+    assert [p.chain for p in first.predictions] == [chain(1)]
     assert first.crossing_index == both.crossing_index == 1
-    assert sc.analyze_residues([5.0, 6.0], 2, h, window,
+    assert sc.analyze_residues([5.0, 6.0], 2, chain, window,
                                first_only=True).predictions == ()

@@ -369,14 +369,18 @@ def test_envelope_values_are_computed_before_the_grid_comparisons():
     # evaluated on the whole grid.  The old tail check returned its first
     # counterexample before reaching those points; now the envelope is
     # evaluated on the grid first.  The alternating check, which the CLI
-    # runs next, raised the same error before and after.
+    # runs next, raised the same error on its monotonicity grid; the
+    # certificate now covers that cycle, so only an uncertified copy
+    # still runs the grid and raises.
     sysm = models.make_competition(
         CompetitionParams.make(2, 2, 1, 1, 400, 2), swapped=True)
     error = (OverflowError, "(34, 'Numerical result out of range')")
     assert ref_check_tail_envelope(sysm).reason == "f_n(u1,u2) > fbar(u1)"
     assert outcome(check_tail_envelope, sysm) == error
     assert outcome(ref_check_alternating_envelopes, sysm) == error
-    assert outcome(check_alternating_envelopes, sysm) == error
+    assert outcome(check_alternating_envelopes,
+                   replace(sysm, certificate=None)) == error
+    assert check_alternating_envelopes(sysm).applicable
 
 
 def test_a_scan_without_a_threshold_is_an_inapplicable_verdict():

@@ -229,13 +229,37 @@ def test_a_certified_envelope_is_not_evaluated_on_a_grid(runner, args):
                    for p in json.loads(res.output)["predictions"])
 
 
-def test_a_saturated_swapped_cycle_exits_5(runner):
-    res = runner.invoke(main, ["analyze", "--model", "competition-swapped",
-                               "--delta1", "30", "--init", "1,1",
-                               "--steps", "30"])
-    assert res.exit_code == 5
-    assert res.stderr == ("error: envelope criterion does not apply: "
-                          "fbar not non-decreasing\n")
+ONE_ULP = ["--r1", "2.4775435411239406", "--r2", "2.1597108745573808",
+           "--a1", "2.0098908143898324", "--a2", "1.596075972834719",
+           "--delta1", "2.7115852941823113", "--delta2", "2.445635238355775",
+           "--b1", "0.5608716508659177", "--b2", "0.880629950850026",
+           "--init", "2.4008015981807587,0.5526209873182195",
+           "--steps", "300"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--delta1", "30", "--init", "1,1", "--steps", "30"],
+    ["--delta1", "400", "--init", "0.5,0.5", "--steps", "20"],
+    ONE_ULP,
+], ids=["saturated-delta1-30", "overflowing-delta1-400", "one-ulp"])
+def test_swapped_cycles_once_refused_exit_0(runner, monkeypatch, args):
+    # The monotonicity grid rejected f̄₁ where it saturates (exit 5) and
+    # overflowed on it at d1 = 400 (exit 3); the x-only chain through
+    # f̄₁∘f̄₂ failed by one ulp on the last orbit (exit 4).  The links
+    # run through the orbit's own y-terms, and no grid runs.
+    import subconverge.systems as systems
+
+    def no_grid(*_, **__):
+        raise AssertionError("an envelope grid ran")
+
+    monkeypatch.setattr(systems, "_domination_grid", no_grid)
+    monkeypatch.setattr(systems, "_monotonicity_grid", no_grid)
+    res = runner.invoke(main, ["analyze", "--model", "competition-swapped"]
+                        + args)
+    assert res.exit_code == 0, res.output
+    predictions = json.loads(res.output)["predictions"]
+    assert predictions
+    assert not any(p["verdict"] == "violated" for p in predictions)
 
 
 @pytest.mark.parametrize("params", [

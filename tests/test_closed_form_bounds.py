@@ -18,7 +18,9 @@ alpha on which the cycle map must stay strictly below the identity.
 The builders certify their cycles' domination and monotonicity, so the
 envelope check no longer grid-checks them; the oracle keeps its own copy
 of both grids, with points added toward 0, and a certificate attached
-to an envelope shrunk by 1% must fail it.
+to an envelope shrunk by 1% must fail it.  On orbits, the alternating
+links must hold for every swapped system, fbar1 saturated or not, and
+must fail on pinned orbits once an envelope is shrunk by 1%.
 """
 
 import math
@@ -37,7 +39,8 @@ from subconverge.models import (CompetitionParams, RickerFamilySpec,
                                 SigmoidBHSpec, ricker_fixed_points)
 from subconverge.reports import ThresholdWindow
 from subconverge.sequences import ParameterSequence as S
-from subconverge.systems import check_envelope_cycle
+from subconverge.systems import (check_envelope_cycle, iterate_system,
+                                 predict_alternating_convergence)
 
 _SCAN_POINTS = 10_000
 _MAX = 1.7976931348623157e308
@@ -458,6 +461,53 @@ def test_a_certified_envelope_shrunk_by_1_percent_fails_the_oracle(name,
     # ... and the oracle's own grids catch the envelope.
     with pytest.raises(AssertionError):
         check_planar_cycle(mutant)
+
+
+# -- the alternating links on orbits ------------------------------------
+
+
+@st.composite
+def saturated_swapped(draw):
+    """A swapped system whose fbar1 saturates (d1 in 20-60), where the
+    monotonicity grid rejected it, with an initial point."""
+    sysm = models.make_competition(CompetitionParams(
+        draw(sequences(0.2, 60.0)), draw(sequences(0.2, 60.0)),
+        draw(sequences(0.05, 700.0)), draw(sequences(0.05, 700.0)),
+        draw(st.floats(20.0, 60.0)), draw(st.floats(1.1, 4.0)),
+        draw(sequences(0.0, 2.0)), draw(sequences(0.0, 2.0)),
+        draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))), swapped=True)
+    return sysm, (draw(st.floats(0.01, 5.0)), draw(st.floats(0.01, 5.0)))
+
+
+def alternating_report(sysm, initial, steps):
+    orbit = iterate_system(sysm, initial, steps)
+    verdict = check_envelope_cycle(sysm, (sysm.envelope_f, sysm.envelope_g))
+    assert verdict.applicable
+    return predict_alternating_convergence(sysm, orbit, verdict.alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(saturated_swapped())
+def test_saturated_swapped_orbits_hold_their_links(case):
+    sysm, initial = case
+    report = alternating_report(sysm, initial, 120)
+    assert not report.any_violated
+
+
+@pytest.mark.parametrize("build, initial", [
+    (lambda: models.make_competition(CompetitionParams.make(
+        1.0, 1.0, 1.0, 1.0, 2.0, 2.0), swapped=True), (2.0, 1.0)),
+    (lambda: models.make_adult_juvenile(1.0, 1e-12, 2.0, 2.0), (0.1, 0.1)),
+], ids=["swapped-default", "adult-juvenile-s1"])
+@pytest.mark.parametrize("field", ["envelope_f", "envelope_g"])
+def test_a_certified_envelope_shrunk_by_1_percent_is_violated(build, initial,
+                                                              field):
+    sysm = build()
+    assert not alternating_report(sysm, initial, 30).any_violated
+    # The certificate trusted, no grid runs: the links catch the envelope.
+    report = alternating_report(shrunk_and_certified(sysm, field), initial,
+                                30)
+    assert report.any_violated
 
 
 def test_a_replaced_envelope_is_scanned():

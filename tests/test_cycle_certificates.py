@@ -1,25 +1,20 @@
 """The catalog's envelope-cycle certificates: where they skip the grids.
 
 Each planar builder proves domination for its own cycle in floating
-point, and monotonicity of fbar where that is exact (adult-juvenile's
-identity) or where ``models._rises_on_the_grid`` shows the monotonicity
-grid would pass (the swapped competition fbar1).  The envelope check
-then skips those grids for that cycle only, and only while the system's
-f, g and envelopes are the objects the certificate was proved for.
-Whether a certified cycle is right is the oracle's business
-(``tests/test_closed_form_bounds.py``).
+point, and that fbar increases in the reals (adult-juvenile's identity;
+the swapped competition fbar1 by its derivative), which is all the
+alternating links use.  The envelope check then skips both grids for
+that cycle only, and only while the system's f, g and envelopes are the
+objects the certificate was proved for.  Whether a certified cycle is
+right is the oracle's business (``tests/test_closed_form_bounds.py``).
 """
 
-import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from subconverge import models, systems
-from subconverge.models import REGISTRY, CompetitionParams
-from subconverge.sequences import ParameterSequence as S
+from subconverge import systems
+from subconverge.models import REGISTRY
 from subconverge.systems import (check_alternating_envelopes,
                                  check_envelope_cycle, check_tail_envelope)
 
@@ -123,59 +118,21 @@ def test_a_certificate_covers_only_the_systems_own_envelopes(no_grids):
         check_envelope_cycle(sysm, (lambda u: fbar(u),))
 
 
-# -- the swapped cycle's rounding guard ------------------------------
+# -- swapped cycles the grids used to reject ---------------------------
 
 
-def test_the_guard_assumes_the_checks_grid():
-    fine = systems._fine_grid()
-    assert (len(fine), fine[0], fine[-2], fine[-1]) == \
-        (10_000, 1e-3, 9.999, 10.0)
-
-
-def test_a_saturated_swapped_cycle_is_still_rejected():
-    # d1 = 30 > 10 + log10(a1_inf) = 10: outside the guard the grid runs,
-    # and it finds fbar1 falling by an ulp where it saturates.
-    sysm = build("competition-swapped", delta1=30.0)
-    assert not sysm.certificate.monotone
+@pytest.mark.parametrize("d1", [20.0, 30.0, 60.0, 400.0])
+def test_a_saturated_swapped_cycle_touches_no_grid(monkeypatch, d1):
+    # The monotonicity grid rejected fbar1 for every d1 >= 20, where it
+    # saturates and rises by less than its rounding, and overflowed on it
+    # at d1 = 400.
+    def no_grid(*_, **__):
+        raise GridUsed
+    monkeypatch.setattr(systems, "_domination_grid", no_grid)
+    monkeypatch.setattr(systems, "_monotonicity_grid", no_grid)
+    sysm = build("competition-swapped", delta1=d1)
     verdict = check_alternating_envelopes(sysm)
-    assert not verdict.applicable
-    assert verdict.reason == "fbar not non-decreasing"
-
-
-@pytest.mark.parametrize("r, a, d", [
-    (1.0, 1.0, 10.0 + 1e-9),        # 10^d / a just above 10^10
-    (1e100, 1e95, 101.0),           # u^d below 1e-300 on the grid
-    (1e250, 1e60, 60.0),            # r u^d above 1e300
-    (1e-150, 1e60, 60.0),           # fbar below 1e-300 near u = 1e-3
-    (1e100, 1e301, 20.0),           # a above 1e300
-])
-def test_guard_conditions(r, a, d):
-    assert not models._rises_on_the_grid(r, a, d)
-    assert models._rises_on_the_grid(1.0, 1.0, 10.0)
-
-
-@st.composite
-def guarded_swapped(draw):
-    """A swapped system whose fbar1 lies within the guard: a1 (constant or
-    periodic) up to 1e60, d1 up to 10 + log10(a1_inf), often at the
-    limit, r1 over 60 decades."""
-    log_a = draw(st.floats(-8.0, 60.0))
-    a_inf = 10.0 ** log_a
-    a1 = draw(st.sampled_from([S.constant(a_inf), S.periodic(
-        [a_inf, 2.0 * a_inf, 1.5 * a_inf])]))
-    top = min(10.0 + math.log10(a_inf), 60.0)
-    assume(top > 1.01)
-    d1 = draw(st.one_of(st.floats(1.01, top),
-                        st.floats(max(1.01, top - 0.5), top)))
-    r1 = 10.0 ** draw(st.floats(-30.0, 30.0))
-    return models.make_competition(CompetitionParams.make(
-        r1, 1.0, a1, 1.0, d1, 2.0), swapped=True)
-
-
-@settings(max_examples=200, deadline=None)
-@given(guarded_swapped())
-def test_where_the_guard_holds_the_grid_passes(sysm):
-    assert sysm.certificate.monotone
-    fine = [10.0 * i / 10_000 for i in range(1, 10_001)]   # the old grid
-    values = list(map(sysm.envelope_f, fine))
-    assert all(a <= b for a, b in zip(values, values[1:]))
+    assert verdict.applicable
+    assert verdict.alpha == sysm.cycle_threshold[1]().alpha
+    with pytest.raises(GridUsed):
+        check_alternating_envelopes(replace(sysm, certificate=None))

@@ -43,7 +43,7 @@ from subconverge.dynamics import EquationSpec, Trajectory, evaluate_map
 from subconverge.errors import (DomainError, FoldError, NonFiniteError)
 from subconverge.systems import (FoldCheck, Orbit, PlanarSystem, SigmaForm,
                                  check_fold_consistency, fold_initial,
-                                 fold_planar)
+                                 fold_planar, relative_deviation)
 
 
 # -- reference implementation (verbatim) ---------------------------------
@@ -579,11 +579,30 @@ def test_fold_starts_from_float_x1():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("steps", [3, 4, 10])
 def test_sigma_non_finite_value(value, steps):
+    # A NaN or infinite recovered y_2 makes its deviation NaN.  The oracle
+    # passed it over; the check now fails there (first_divergent 2), and
+    # its maxima, which pass NaN over, read 0.0 as the oracle's do.
     sysm = linear(sigma=at_step(2, lambda e, n, u, w: value))
-    if steps == 3:      # sigma_2's value is the last recovered y
-        assert_same(sysm, (1.0, 2.0), steps)
-    else:               # and otherwise makes the fold's x_4 non-finite
-        assert assert_same_but_stopped(sysm, (1.0, 2.0), steps).steps == 4
+    old = ref_check_fold_consistency(sysm, (1.0, 2.0), steps)
+    new = check_fold_consistency(sysm, (1.0, 2.0), steps)
+    assert (old.passed, old.first_divergent) == (True, None)
+    assert (new.passed, new.max_dev_x, new.max_dev_y,
+            new.first_divergent) == (False, 0.0, 0.0, 2)
+    expected = replace(old, passed=False, first_divergent=2)
+    if steps > 3:       # sigma_2's value makes the fold's x_4 non-finite
+        assert (new.steps, new.stopped) == (
+            4, "fold term x_4 is not finite")
+        new = replace(new, stopped=None)
+    assert repr(astuple(new)) == repr(astuple(expected))
+
+
+def test_a_nan_deviation_diverges():
+    # relative_deviation keeps its largest numeric deviation, 0.0, and
+    # names the NaN one's index.
+    assert relative_deviation([1.0, 2.0], [1.0, math.nan], 1e-9) == \
+        (0.0, 1)
+    assert relative_deviation([1.0, math.inf], [1.0, math.inf], 1e-9) == \
+        (0.0, None)
 
 
 def test_no_solvability_form_matches():
