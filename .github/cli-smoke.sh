@@ -53,6 +53,17 @@ fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.
 fold --model competition-swapped --init 2,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
 COMMANDS
+# A planar simulate --format json output reads back as a config.
+orbit=$(mktemp)
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI simulate --model adult-juvenile --init 1,1 --steps 3 \
+        --format json --out "$orbit" 2> "$err" \
+        || ! $CLI analyze --config "$orbit" > /dev/null 2>> "$err" \
+        || grep -q Traceback "$err"; then
+    echo "FAILED: simulate --format json, then analyze --config" >&2
+    cat "$err" >&2
+    status=1
+fi
 # Each line: the documented exit code, then the arguments.
 while read -r code args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
@@ -76,6 +87,8 @@ done <<'ERRORS'
 2 threshold --model adult-juvenile --s 1.5
 2 threshold --model sigmoid-bh --k 0
 5 threshold --model ricker --lambda 1.001 --a 1 --json
+2 analyze --model sp3 --k x
+2 analyze --model nope
 ERRORS
-rm -f "$err" "$cfg"
+rm -f "$err" "$cfg" "$orbit"
 exit $status

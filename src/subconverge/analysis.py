@@ -31,14 +31,11 @@ DEFAULT_ZERO_TOL = 1e-10
 DEFAULT_LIMIT_TOL = 1e-3
 
 
-def detect_crossing(traj, window: ThresholdWindow,
-                    from_index: int = 0) -> Optional[int]:
-    """Smallest n >= from_index with the term strictly inside the window."""
+def detect_crossing(traj, window: ThresholdWindow) -> Optional[int]:
+    """Smallest n with the term strictly inside the window."""
     terms = traj.terms if isinstance(traj, Trajectory) else traj
-    if from_index < 0:
-        raise ValueError("from_index must be >= 0")
-    for n in range(from_index, len(terms)):
-        if window.contains(terms[n]):
+    for n, x in enumerate(terms):
+        if window.contains(x):
             return n
     return None
 

@@ -176,7 +176,27 @@ def _gather(model, config_path, init, steps, fmt, kw):
             fmt or (config.format if config else "csv"), config)
 
 
-@click.group()
+def _one_line(call, *args):
+    """``call(*args)``, with click's own usage error (an unknown command
+    or option, a value its type rejects) ending as every bad input does:
+    exit 2 and one ``error:`` line, not click's usage block."""
+    try:
+        return call(*args)
+    except click.UsageError as exc:
+        _fail(EXIT_CONFIG, exc.format_message())
+
+
+class _Main(click.Group):
+    def parse_args(self, ctx, args):
+        if not args:    # a bare ``subconverge`` prints the help
+            return super().parse_args(ctx, args)
+        return _one_line(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _one_line(super().invoke, ctx)
+
+
+@click.group(cls=_Main)
 def main():
     """Convergence analysis of nonlinear difference equations and
     planar systems."""

@@ -8,7 +8,9 @@ Example:
 Unknown keys are rejected so that typos fail loudly: ``params`` must
 read under the model's schema in the registry (``models.REGISTRY``), and
 ``tolerances`` may set only ``zero`` and ``limit``, each a finite,
-non-negative number.
+non-negative number.  ``terms`` and ``points``, the payload of a
+``simulate --format json`` output, are accepted and ignored, so that
+output reads back as a config.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .errors import ConfigError
 from .models import MODEL_NAMES, REGISTRY
@@ -24,7 +26,7 @@ from .models import MODEL_NAMES, REGISTRY
 SCHEMA_VERSION = 1
 
 _ALLOWED_KEYS = {"schema", "model", "params", "initial", "steps",
-                 "format", "tolerances", "terms"}
+                 "format", "tolerances", "terms", "points"}
 _ALLOWED_FORMATS = {"csv", "json"}
 _TOLERANCE_KEYS = ("limit", "zero")
 
@@ -37,7 +39,6 @@ class ExperimentConfig:
     steps: int = 100
     format: str = "csv"
     tolerances: dict = field(default_factory=dict)
-    terms: Optional[List[float]] = None   # round-trip payload, ignored
 
     def to_dict(self) -> dict:
         d = {
@@ -50,8 +51,6 @@ class ExperimentConfig:
         }
         if self.tolerances:
             d["tolerances"] = self.tolerances
-        if self.terms is not None:
-            d["terms"] = self.terms
         return d
 
 
@@ -95,7 +94,6 @@ def parse_config(text: str) -> ExperimentConfig:
         steps=steps,
         format=fmt,
         tolerances=raw.get("tolerances", {}),
-        terms=raw.get("terms"),
     )
 
 

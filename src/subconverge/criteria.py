@@ -22,8 +22,8 @@ from .reports import ChainResult, ThresholdWindow
 
 ScalarMap = Callable[[float], float]
 
-_DEFAULT_SCAN = 10_000
-_DEFAULT_TOL = 1e-12
+_GRID_POINTS = 10_000      # the threshold scan's and the sublinearity grid's
+_ROOT_TOL = 1e-12          # the threshold's bisection and ternary search
 _TANGENCY_TOL = 1e-10
 
 CLOSED_FORM, GRID = "closed-form", "grid"   # BoundingFunction.sublinear
@@ -148,14 +148,12 @@ def _check_near_origin(fs: List[float]) -> None:
             "g(u) >= u arbitrarily close to 0; no positive threshold")
 
 
-def solve_threshold(g: ScalarMap, search_hi: float,
-                    tol: float = _DEFAULT_TOL,
-                    scan_points: int = _DEFAULT_SCAN) -> ThresholdResult:
+def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
     """Smallest positive root of g(u) = u on (0, search_hi].
 
     A sign-bracketing scan in ascending order locates the first crossing
-    of g(u) - u, which bisection then refines to ``tol``, returning the
-    bracket's end where g(u) < u; the scan stops there, so g is not
+    of g(u) - u, which bisection then refines to ``_ROOT_TOL``, returning
+    the bracket's end where g(u) < u; the scan stops there, so g is not
     evaluated above the first crossing.  If the scan finds no sign
     change, a secondary maximum search detects tangency (g touching the
     identity from below); otherwise the threshold is unbounded (+inf).
@@ -171,7 +169,7 @@ def solve_threshold(g: ScalarMap, search_hi: float,
 
     grid: List[float] = []
     fs: List[float] = []
-    for u in _scan_grid(search_hi, scan_points):
+    for u in _scan_grid(search_hi, _GRID_POINTS):
         fu = g(u) - u
         # A crossing needs a negative value before it; among the first
         # three points that also rules out the near-origin failure.
@@ -182,7 +180,7 @@ def solve_threshold(g: ScalarMap, search_hi: float,
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
             return ThresholdResult(
-                bisect(grid[-1], u, lambda v: f(v) < 0, tol=tol,
+                bisect(grid[-1], u, lambda v: f(v) < 0, tol=_ROOT_TOL,
                        lo_end=True))
         grid.append(u)
         fs.append(fu)
@@ -202,7 +200,7 @@ def solve_threshold(g: ScalarMap, search_hi: float,
     lo = grid[max(0, i_best - 1)]
     hi = grid[min(len(grid) - 1, i_best + 1)]
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _ROOT_TOL:
             break
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
@@ -216,18 +214,16 @@ def solve_threshold(g: ScalarMap, search_hi: float,
     return ThresholdResult(math.inf)
 
 
-def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
-                        grid_points: int = _DEFAULT_SCAN
+def verify_sublinearity(g: ScalarMap, window: ThresholdWindow
                         ) -> Tuple[bool, Optional[float]]:
-    """Falsification check of g(u) < |u| on a uniform grid over the window.
+    """Falsification check of g(u) < |u| on a uniform grid of
+    ``_GRID_POINTS`` intervals over the window.
 
     Returns (True, None) when no counterexample is found, else
     (False, u) with the first violating grid point; a non-finite g(u)
     raises BoundValidationError.  A passing verdict is evidence, not
     proof.
     """
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
     lo, hi = window.lo, window.hi
     # Unbounded windows are spot-checked on a finite surrogate span.
     if math.isinf(hi):
@@ -235,8 +231,8 @@ def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
     if math.isinf(lo):
         lo = hi - 100.0
     span = hi - lo
-    for i in range(1, grid_points):
-        u = lo + span * i / grid_points
+    for i in range(1, _GRID_POINTS):
+        u = lo + span * i / _GRID_POINTS
         if u == 0.0:
             continue
         gu = g(u)
@@ -247,14 +243,13 @@ def verify_sublinearity(g: ScalarMap, window: ThresholdWindow,
     return True, None
 
 
-def validate_bound(bound: BoundingFunction,
-                   grid_points: int = _DEFAULT_SCAN) -> BoundingFunction:
+def validate_bound(bound: BoundingFunction) -> BoundingFunction:
     """Check g(0)=0 (where defined) and grid-verify sublinearity on the
     validity window; returns the bound marked ``sublinear=GRID``."""
     lo, hi = bound.g_domain
     if lo <= 0 <= hi and bound.g(0.0) != 0.0:
         raise BoundValidationError("g(0) must be 0, got %r" % bound.g(0.0))
-    ok, u_bad = verify_sublinearity(bound.g, bound.validity, grid_points)
+    ok, u_bad = verify_sublinearity(bound.g, bound.validity)
     if not ok:
         raise BoundValidationError(
             "sublinearity fails at u=%r inside the window" % u_bad)

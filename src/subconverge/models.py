@@ -18,7 +18,7 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -31,8 +31,12 @@ from .reports import ThresholdWindow
 from .sequences import CONSTANT, ParameterSequence, as_sequence
 from .systems import CycleCertificate, PlanarSystem, SigmaForm
 
+State3 = Tuple[float, float, float]
+
 _INF = math.inf
 _MAX = 1.7976931348623157e308       # the largest double
+_TANGENT_TOL = 1e-12    # a peak this close to the identity is a tangency
+_FIXED_TOL = 1e-9       # translate_to_origin's check that b is fixed
 
 
 # -- coefficient access ---------------------------------------------------
@@ -132,19 +136,20 @@ def _ricker_bound(lam: float, a_sup: float, b_inf: float, k: int,
         return u ** lam * math.exp(a_sup - b_inf * u)
 
     fps = ricker_fixed_points(lam, a_sup, b_inf)
-    alpha = _INF if fps.kind == "none" else fps.u_star
+    threshold = _fixed_point_threshold(fps)
     return BoundingFunction(
-        g=g, alpha=alpha, dominant_lag=k,
-        validity=ThresholdWindow(0.0, alpha),
-        tangent=fps.kind == "tangent", sublinear=CLOSED_FORM,
+        g=g, alpha=threshold.alpha, dominant_lag=k,
+        validity=ThresholdWindow(0.0, threshold.alpha),
+        tangent=threshold.tangent, sublinear=CLOSED_FORM,
         informal=informal, g_domain=(0.0, _INF),
         fixed_points=fps.as_tuple(), name=name)
 
 
 def _ricker_parts(spec: RickerFamilySpec
                   ) -> Tuple[EquationSpec, Callable[[], BoundingFunction]]:
-    """The checked equation, and a factory for its bound (bound
-    construction is most of a build, and only analysis needs it)."""
+    """The checked equation, and a factory for its bound: the bound can
+    fail to build where the equation runs (no positive threshold), and
+    only analysis needs it, so ``simulate`` must not build it."""
     if spec.lam <= 1:
         raise ModelParameterError("lam must exceed 1, got %r" % spec.lam)
     if not 1 <= spec.k <= spec.m:
@@ -201,15 +206,15 @@ class FixedPointResult:
         return ()
 
 
-def ricker_fixed_points(lam: float, a: float, b: float,
-                        tol: float = 1e-12) -> FixedPointResult:
+def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     """Solve u^(lam-1) * exp(a - b u) = 1 for its positive roots.
 
     Works on the log form phi(u) = (lam-1) ln u + a - b u, concave with
     its maximum at u = (lam-1)/b: the sign there decides between no
-    roots, a tangency, and a pair bracketing the maximum.  Each root is
-    bisected to adjacent doubles in the last halving (u_star) or doubling
-    (u_bar) step from the maximum: u_star is the end where phi <= 0, so
+    roots, a tangency (a peak in [-_TANGENT_TOL, 0]), and a pair
+    bracketing the maximum.  Each root is bisected to adjacent doubles
+    in the last halving (u_star) or doubling (u_bar) step from the
+    maximum: u_star is the end where phi <= 0, so
     g(u) < u on (0, u_star), and u_bar (a limit candidate) the midpoint.
     A root below the smallest positive double raises
     CriterionInapplicableError, one that is not finite NonFiniteError.
@@ -224,7 +229,7 @@ def ricker_fixed_points(lam: float, a: float, b: float,
     if u_max > _MAX:
         raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
     peak = phi(u_max)
-    if -tol <= peak <= 0:      # the safe side only: g <= u throughout
+    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: g <= u throughout
         return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
     if peak < 0:
         return FixedPointResult("none")
@@ -246,6 +251,13 @@ def ricker_fixed_points(lam: float, a: float, b: float,
     if phi(u_star) > 0:
         u_star = math.nextafter(u_star, 0.0)
     return FixedPointResult("pair", u_star, root(2.0))
+
+
+def _fixed_point_threshold(fps: FixedPointResult) -> ThresholdResult:
+    """The threshold u* of a Ricker bound's fixed points: +inf for none."""
+    if fps.kind == "none":
+        return ThresholdResult(_INF)
+    return ThresholdResult(fps.u_star, tangent=fps.kind == "tangent")
 
 
 # -- the third-order showcase equation ----------------------------------
@@ -447,8 +459,8 @@ def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
         name="sigmoid-bh-bound")
 
 
-def translate_to_origin(eq: EquationSpec, fixed_point: float,
-                        check_tol: float = 1e-9) -> EquationSpec:
+def translate_to_origin(eq: EquationSpec, fixed_point: float
+                        ) -> EquationSpec:
     """Conjugate the equation by y = x - b so the fixed point b moves to
     the origin; verifies numerically that b actually is fixed.
 
@@ -464,7 +476,7 @@ def translate_to_origin(eq: EquationSpec, fixed_point: float,
     const = (b,) * m
     for n in range(m, m + 8):
         val = eq.evaluator(n, const)
-        if abs(val - b) > check_tol * max(1.0, abs(b)):
+        if abs(val - b) > _FIXED_TOL * max(1.0, abs(b)):
             raise ModelParameterError(
                 "%r is not a fixed value: F_%d(b,...,b) = %r" % (b, n, val))
     if b == 0.0:
@@ -555,13 +567,6 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
         certificate=CycleCertificate(2, (f, g, fbar, gbar)))
 
 
-def _fixed_point_threshold(fps: FixedPointResult) -> ThresholdResult:
-    """The threshold u* of a Ricker bound's fixed points: +inf for none."""
-    if fps.kind == "none":
-        return ThresholdResult(_INF)
-    return ThresholdResult(fps.u_star, tangent=fps.kind == "tangent")
-
-
 # -- two-species competition system -------------------------------------
 
 
@@ -576,12 +581,10 @@ class CompetitionParams:
     a2: ParameterSequence
     d1: float
     d2: float
-    b1: ParameterSequence = field(
-        default_factory=lambda: ParameterSequence.constant(0.0))
-    b2: ParameterSequence = field(
-        default_factory=lambda: ParameterSequence.constant(0.0))
-    d3: float = 1.0
-    d4: float = 1.0
+    b1: ParameterSequence
+    b2: ParameterSequence
+    d3: float
+    d4: float
 
     @staticmethod
     def make(r1, r2, a1, a2, d1, d2, b1=0.0, b2=0.0,
@@ -724,8 +727,8 @@ def _swapped_sigma(r1, a1, b1, d1: float, d3: float):
     return sigma
 
 
-def competition_threshold(r1: float, a1: float, d1: float,
-                          tol: float = 1e-12) -> ThresholdResult:
+def competition_threshold(r1: float, a1: float,
+                          d1: float) -> ThresholdResult:
     """Smallest positive root of u^d1 - r1 u^(d1-1) + a1 = 0, below which
     the competition envelope satisfies fbar(u) < u.
 
@@ -749,7 +752,7 @@ def competition_threshold(r1: float, a1: float, d1: float,
 
     u_min = r1 * (d1 - 1.0) / d1
     bottom = psi(u_min)
-    if bottom > tol * a1:
+    if bottom > _TANGENT_TOL * a1:
         return ThresholdResult(_INF)
     if bottom >= 0:     # the safe side only: fbar <= u throughout
         return ThresholdResult(u_min, tangent=True)
@@ -833,38 +836,24 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
 # -- three-dimensional system and its order-3 fold ----------------------
 
 
-@dataclass(frozen=True)
 class ThreeDSystem:
     """x_{n+1} = exp(a_n - b x_n - c y_n - d z_n),
     y_{n+1} = p_n x_n + q z_n - r ln z_n,
-    z_{n+1} = s x_n, with c, q, r, s > 0 and b, d >= 0."""
+    z_{n+1} = s x_n, with c, q, r, s > 0 and b, d >= 0.  ``step(n, state)``
+    is that map (DomainError when z_n <= 0); ``make_3d_example`` builds
+    it from the coefficients."""
 
-    a_seq: ParameterSequence
-    p_seq: ParameterSequence
-    b: float
-    c: float
-    d: float
-    q: float
-    r: float
-    s: float
+    def __init__(self, step: Callable[[int, State3], State3]):
+        self.step = step
 
-    def __post_init__(self):
-        # The step map, built once from the resolved coefficients.
-        object.__setattr__(self, "_step", _threed_step(self))
-
-    def step(self, n: int, state: Tuple[float, float, float]
-             ) -> Tuple[float, float, float]:
-        return self._step(n, state)
-
-    def iterate(self, initial: Tuple[float, float, float],
-                steps: int) -> List[Tuple[float, float, float]]:
+    def iterate(self, initial: State3, steps: int) -> List[State3]:
         x0, y0, z0 = (float(v) for v in initial)
         check_finite_initial((x0, y0, z0))
         if x0 <= 0 or z0 <= 0:
             raise DomainError("x_0 and z_0 must be positive")
         state = (x0, y0, z0)
         states = [state]
-        append, step, isfinite = states.append, self._step, math.isfinite
+        append, step, isfinite = states.append, self.step, math.isfinite
         for n in range(steps):
             state = step(n, state)
             x, y, z = state
@@ -874,22 +863,20 @@ class ThreeDSystem:
             append(state)
         return states
 
-    def fold_initial(self, initial: Tuple[float, float, float]
-                     ) -> Tuple[float, float, float]:
+    def fold_initial(self, initial: State3) -> State3:
         """(x_0, x_1, x_2) feeding the folded order-3 equation."""
         states = self.iterate(initial, 2)
         return tuple(st[0] for st in states)
 
 
-def _threed_step(sysm: ThreeDSystem):
-    b, c, d, q, r, s = sysm.b, sysm.c, sysm.d, sysm.q, sysm.r, sysm.s
-    a, p = sysm.a_seq.resolve(), sysm.p_seq.resolve()
+def _threed_step(a, p, b: float, c: float, d: float, q: float, r: float,
+                 s: float) -> Callable[[int, State3], State3]:
+    """The step map over resolved coefficients a, p (``resolve``)."""
     exp, log = math.exp, math.log
     if _varying(a, p):
         a_at, p_at = _at(a), _at(p)
 
-        def step(n: int, state: Tuple[float, float, float]
-                 ) -> Tuple[float, float, float]:
+        def step(n: int, state: State3) -> State3:
             x, y, z = state
             if z <= 0:
                 raise DomainError("z_%d = %r is not positive" % (n, z),
@@ -897,8 +884,7 @@ def _threed_step(sysm: ThreeDSystem):
             return (exp(a_at(n) - b * x - c * y - d * z),
                     p_at(n) * x + q * z - r * log(z), s * x)
     else:
-        def step(n: int, state: Tuple[float, float, float]
-                 ) -> Tuple[float, float, float]:
+        def step(n: int, state: State3) -> State3:
             x, y, z = state
             if z <= 0:
                 raise DomainError("z_%d = %r is not positive" % (n, z),
@@ -920,12 +906,11 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
         raise ModelParameterError("b and d must be non-negative")
     if min(c, q, r, s) <= 0:
         raise ModelParameterError("c, q, r, s must be positive")
-    a_seq, p_seq = as_sequence(a_seq), as_sequence(p_seq)
-    sysm = ThreeDSystem(a_seq, p_seq, float(b), float(c), float(d),
-                        float(q), float(r), float(s))
+    a, p = as_sequence(a_seq).resolve(), as_sequence(p_seq).resolve()
+    sysm = ThreeDSystem(_threed_step(a, p, float(b), float(c), float(d),
+                                     float(q), float(r), float(s)))
     cr = c * r
     cr_ln_s, ds = cr * math.log(s), d * s
-    a, p = a_seq.resolve(), p_seq.resolve()
     a_fold = (lambda n: a(n - 1) + cr_ln_s) if callable(a) else a + cr_ln_s
     p_fold = (lambda n: c * p(n - 2) + ds) if callable(p) else c * p + ds
     return sysm, _ricker_map(cr, 3, a_fold, (b, p_fold, c * q * s),
@@ -966,8 +951,9 @@ class Model(NamedTuple):
     """A catalog entry.  ``params`` is the schema, in the order of the
     builder's arguments.  From coerced parameters ``build`` returns, by
     kind: scalar -- (equation translated by -offset, zero-argument bound
-    factory, offset); planar -- a PlanarSystem; threed -- (ThreeDSystem,
-    folded equation).  ``threshold`` gives the threshold command's
+    factory, offset; a factory, because a bound that cannot be built
+    must fail ``analyze`` only, never ``simulate``); planar -- a
+    PlanarSystem; threed -- (ThreeDSystem, folded equation).  ``threshold`` gives the threshold command's
     fields (None: no formula)."""
 
     name: str

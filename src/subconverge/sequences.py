@@ -16,6 +16,8 @@ CONSTANT = "constant"
 PERIODIC = "periodic"
 TABULATED = "tabulated"
 
+_PAST_TABLE = 4     # steps past a table's end that sample its fallback
+
 
 @dataclass(frozen=True)
 class ParameterSequence:
@@ -92,7 +94,7 @@ class ParameterSequence:
         stored = self.stored_values()
         return min(stored), max(stored)
 
-    def sample_indices(self, extra: int = 4) -> Tuple[int, ...]:
+    def sample_indices(self) -> Tuple[int, ...]:
         """Step indices that exercise every stored value at least once.
 
         Used by grid checks that must cover the whole (finite)
@@ -102,7 +104,7 @@ class ParameterSequence:
             return (0,)
         if self.kind == PERIODIC:
             return tuple(range(len(self.values)))
-        return tuple(range(len(self.values) + extra))
+        return tuple(range(len(self.values) + _PAST_TABLE))
 
 
 def as_sequence(value) -> ParameterSequence:

@@ -40,6 +40,8 @@ from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
 
+_SIGMA_TOL = 1e-9       # solve_sigma's relative check by substitution
+
 
 @dataclass(frozen=True)
 class SigmaForm:
@@ -110,9 +112,9 @@ class PlanarSystem:
 
 @dataclass(frozen=True)
 class Orbit:
-    """A forward orbit {(x_n, y_n)} of a planar system."""
+    """A forward orbit {(x_n, y_n)} of a planar system; ``points[0]`` is
+    the initial point."""
 
-    initial: Tuple[float, float]
     points: Tuple[Tuple[float, float], ...]
     diagnostic: Optional[str] = None
 
@@ -141,15 +143,14 @@ def _solver(sys: PlanarSystem) -> Callable[[int, float, float], float]:
     return sys.sigma.solve
 
 
-def solve_sigma(sys: PlanarSystem, n: int, u: float, w: float,
-                verify_tol: float = 1e-9) -> float:
+def solve_sigma(sys: PlanarSystem, n: int, u: float, w: float) -> float:
     """Recover v with f_n(u, v) = w via the system's solvability form.
 
-    The result is verified by substitution to ``verify_tol`` relative.
+    The result is verified by substitution to ``_SIGMA_TOL`` relative.
     """
     v = _solver(sys)(n, u, w)
     back = sys.f(n, u, v)
-    if abs(back - w) > verify_tol * max(abs(w), abs(back), 1.0):
+    if abs(back - w) > _SIGMA_TOL * max(abs(w), abs(back), 1.0):
         raise FoldError(
             "sigma verification failed at n=%d: f(%r, %r) = %r != %r"
             % (n, u, v, back, w))
@@ -196,7 +197,7 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
             raise _state_outside(xn, yn, n + 1)
         x, y = xn, yn
         append((x, y))
-    return Orbit(points[0], tuple(points), diagnostic)
+    return Orbit(tuple(points), diagnostic)
 
 
 def fold_initial(sys: PlanarSystem, x0: float, y0: float

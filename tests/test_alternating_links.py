@@ -23,7 +23,7 @@ def gbar(u):
 
 
 def orbit(*points):
-    return Orbit(points[0], tuple(points))
+    return Orbit(tuple(points))
 
 
 def test_links_that_hold():

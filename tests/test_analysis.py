@@ -20,13 +20,6 @@ def test_detect_crossing_strictness():
     assert detect_crossing([0.05, 0.0, 0.06], window) is None
 
 
-def test_detect_crossing_from_index():
-    window = ThresholdWindow(0.0, 0.05)
-    assert detect_crossing([0.04, 1.0, 0.03], window, from_index=1) == 2
-    with pytest.raises(ValueError):
-        detect_crossing([0.04], window, from_index=-1)
-
-
 def test_detect_crossing_on_trajectory(sp3_k3, sp3_k3_traj):
     _, bound = sp3_k3
     assert detect_crossing(sp3_k3_traj, bound.validity) == 132

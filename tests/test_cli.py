@@ -438,6 +438,24 @@ def test_config_driven_simulate(runner, tmp_path):
     assert len(data["terms"]) == 13
 
 
+@pytest.mark.parametrize("command, run", [
+    ("analyze", ["--model", "ricker", "--lambda", "1.5", "--init", "0.5"]),
+    ("analyze", ["--model", "adult-juvenile", "--init", "1,1"]),
+    ("fold", ["--model", "threed", "--init", "0.9,1.1,1"]),
+], ids=["scalar", "planar", "threed"])
+def test_simulate_json_reads_back_as_a_config(runner, tmp_path, command,
+                                              run):
+    # The output's "terms" or "points" are accepted and ignored; model,
+    # params and initial values read back.
+    out = tmp_path / "run.json"
+    steps = ["--steps", "3"]
+    assert runner.invoke(main, ["simulate", "--format", "json", "--out",
+                                str(out)] + run + steps).exit_code == 0
+    res = runner.invoke(main, [command, "--config", str(out)] + steps)
+    assert res.exit_code == 0
+    assert res.output == runner.invoke(main, [command] + run + steps).output
+
+
 def test_config_unknown_key_exit_code(runner, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"model": "sp3", "bogus": 1}')
@@ -573,6 +591,12 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
      2),
     (["analyze", "--config", "{config}"],
      {"model": "ricker", "params": {"b": [1, -1e400]}}, 2),
+    (["analyze", "--model", "sp3", "--k", "x"], None, 2),
+    (["simulate", "--model", "sp3", "--steps", "x"], None, 2),
+    (["analyze", "--model", "nope"], None, 2),
+    (["analyze", "--model", "ricker", "--a", "1,2"], None, 2),
+    (["analyze", "--bogus", "1"], None, 2),
+    (["nosuch"], None, 2),
 ], ids=["negative-steps", "short-init", "config-k-text", "threshold-b-list",
         "threshold-a-periodic", "p-text", "b-text", "overflow-simulate",
         "overflow-threshold", "overflow-bound", "threshold-underflow",
@@ -585,7 +609,9 @@ AJ_FOLD = ["fold", "--model", "adult-juvenile", "--init", "1,1", "--steps",
         "analyze-competition-r1-inf", "analyze-ricker-lambda-nan",
         "analyze-competition-delta1-nan", "threshold-ricker-lambda-nan",
         "threshold-adult-juvenile-r-nan", "threshold-competition-r1-inf",
-        "config-tabulated-fallback-inf", "config-per-lag-b-inf"])
+        "config-tabulated-fallback-inf", "config-per-lag-b-inf",
+        "click-k-text", "click-steps-text", "click-model-unknown",
+        "click-a-list", "click-option-unknown", "click-command-unknown"])
 def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
                                              code):
     cfg = tmp_path / "config.json"
@@ -597,6 +623,15 @@ def test_bad_input_exits_with_one_error_line(runner, tmp_path, args, config,
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.output
+
+
+def test_help_is_not_a_usage_error(runner):
+    # A bare command prints the help, as click does; --help exits 0.
+    bare = runner.invoke(main, [])
+    assert "Commands:" in bare.output and "error:" not in bare.output
+    for args in (["--help"], ["analyze", "--help"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0 and "Usage:" in res.output
 
 
 @pytest.mark.parametrize("command,options", [
@@ -616,7 +651,14 @@ def test_command_options_unchanged(command, options):
 
 
 def test_simulate_and_threshold_build_no_bound(runner, monkeypatch):
+    """A bound that cannot be built must fail ``analyze`` only: the
+    equation runs where its bound has no positive threshold."""
     import subconverge.models as models
+
+    failing = ["--model", "ricker", "--lambda", "1.001", "--a", "1",
+               "--init", "0.5", "--steps", "3"]
+    assert runner.invoke(main, ["simulate"] + failing).exit_code == 0
+    assert runner.invoke(main, ["analyze"] + failing).exit_code == 5
 
     def unused(*args, **kw):
         raise AssertionError("bound built for a command that discards it")

@@ -227,8 +227,8 @@ def test_the_formerly_rejected_ricker_bound_passes():
 # -- the oracle catches a wrong alpha ------------------------------------
 
 
-def scaled_fixed_points(lam, a, b, tol=1e-12):
-    res = ricker_fixed_points(lam, a, b, tol)
+def scaled_fixed_points(lam, a, b):
+    res = ricker_fixed_points(lam, a, b)
     if res.kind == "none":
         return res
     return models.FixedPointResult(res.kind, 1.01 * res.u_star, res.u_bar)

@@ -136,3 +136,17 @@ def test_a_saturated_swapped_cycle_touches_no_grid(monkeypatch, d1):
     assert verdict.alpha == sysm.cycle_threshold[1]().alpha
     with pytest.raises(GridUsed):
         check_alternating_envelopes(replace(sysm, certificate=None))
+
+
+# -- an uncertified cycle the grids miss --------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, ROADMAP item 8: the 60x60 domination grid starts at "
+    "u = 1/6, and the map exceeds the tail envelope below it"))
+def test_an_uncertified_tail_the_grid_misses_is_inapplicable():
+    # The swapped system certifies its alternating cycle only; the tail
+    # is grid-checked, and the grid reads applicable, alpha = inf.  The
+    # orbit from (1, 1) over 30 steps then reports a violated prediction.
+    sysm = build("competition-swapped", b1=1e6)
+    assert not check_tail_envelope(sysm).applicable

@@ -139,7 +139,7 @@ def ref_iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
                               % ((xn, yn), n + 1), index=n + 1)
         x, y = xn, yn
         append((x, y))
-    return Orbit(points[0], tuple(points), diagnostic)
+    return Orbit(tuple(points), diagnostic)
 
 
 def ref_fold_initial(sys: PlanarSystem, x0: float, y0: float

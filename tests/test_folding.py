@@ -196,7 +196,7 @@ def test_tail_prediction_competition():
 
 
 def test_prediction_without_crossing(adult_juvenile):
-    orbit = sc.Orbit((5.0, 5.0), ((5.0, 5.0), (4.0, 6.0)))
+    orbit = sc.Orbit(((5.0, 5.0), (4.0, 6.0)))
     report = sc.predict_alternating_convergence(adult_juvenile, orbit, 0.1)
     assert report.crossing_index is None
     assert report.predictions == ()

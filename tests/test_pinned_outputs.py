@@ -299,7 +299,7 @@ def _planar_reports():
         comp, sc.iterate_system(comp, (0.9, 0.9), 100),
         sc.check_tail_envelope(comp).alpha)
     yield sc.predict_alternating_convergence(
-        aj, sc.Orbit((5.0, 5.0), ((5.0, 5.0), (4.0, 6.0))), 0.1)
+        aj, sc.Orbit(((5.0, 5.0), (4.0, 6.0))), 0.1)
     swapped = sc.make_competition(sc.CompetitionParams.make(
         1.0, 1.0, 1.0, 1.0, 2.0, 2.0), swapped=True)
     yield sc.predict_alternating_convergence(
