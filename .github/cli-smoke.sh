@@ -16,8 +16,14 @@ cat > "$cfg" <<'JSON'
                         "fallback": 0.8}, 0.9]},
  "initial": [1, 1, 1], "steps": 300}
 JSON
+# A fold config that sets its own number of steps.
+fold_cfg=$(mktemp)
+cat > "$fold_cfg" <<'JSON'
+{"model": "adult-juvenile", "initial": [1, 1], "steps": 3}
+JSON
 status=0
-# The list below is expanded by the shell, so that $cfg names the file.
+# The list below is expanded by the shell, so that $cfg and $fold_cfg name
+# the files.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -48,10 +54,13 @@ threshold --model ricker --json
 threshold --model competition --r1 4 --a1 1 --json
 threshold --model adult-juvenile --json
 threshold --model competition-swapped --r1 3 --r2 3 --a1 1 --a2 1 --json
+threshold --model competition --delta1 3 --a1 1e-300 --json
+analyze --model competition --delta1 3 --a1 1e-300 --init 0.5,0.5 --steps 20
 fold --model adult-juvenile --init 1,1 --steps 100
 fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.5,1.5 --steps 100
 fold --model competition-swapped --init 2,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
+fold --config $fold_cfg
 COMMANDS
 # A planar simulate --format json output reads back as a config.
 orbit=$(mktemp)
@@ -87,8 +96,12 @@ done <<'ERRORS'
 2 threshold --model adult-juvenile --s 1.5
 2 threshold --model sigmoid-bh --k 0
 5 threshold --model ricker --lambda 1.001 --a 1 --json
+5 threshold --model competition --delta1 1.01 --a1 1e-30
+5 analyze --model competition --a1 1e-5 --b2 1 --delta1 1.01 --init 1,2 --steps 50
+5 threshold --model sigmoid-bh --p 3 --b 1e300
+6 fold --model competition --b1 1 --delta3 2 --init 1,0 --steps 6
 2 analyze --model sp3 --k x
 2 analyze --model nope
 ERRORS
-rm -f "$err" "$cfg" "$orbit"
+rm -f "$err" "$cfg" "$fold_cfg" "$orbit"
 exit $status

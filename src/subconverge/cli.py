@@ -217,8 +217,8 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
     diagnostic = None
     if entry.kind == models.SCALAR:
         eq, _, offset = entry.build(p)
-        initial = [v - offset for v in _initial(initial, eq.order)]
-        traj = iterate(eq, initial, n_steps)
+        initial = _initial(initial, eq.order)
+        traj = iterate(eq, [v - offset for v in initial], n_steps)
         if offset:
             traj = replace(traj, terms=tuple(t + offset for t in traj.terms))
         key, rows, to_csv = "terms", traj.terms, traj.to_csv
@@ -318,13 +318,15 @@ def threshold(model, config_path, as_json, **kw):
 @main.command()
 @_model_options
 @click.option("--init", default=None)
-@click.option("--steps", type=int, default=100)
+@click.option("--steps", type=int, default=None)
 @click.option("--tol", type=float, default=1e-9)
 @click.option("--out", default=None)
 @_exits(((SubconvergeError,), EXIT_FOLD))
 def fold(model, config_path, init, steps, tol, out, **kw):
     """Fold a system to a scalar equation and verify consistency."""
     _check_tol(tol)
+    if steps is None and not config_path:
+        steps = 100     # else the config's steps, 100 where it sets none
     entry, _, p, initial, steps, _, _ = _gather(model, config_path, init,
                                                 steps, None, kw)
     if entry.kind == models.THREED:

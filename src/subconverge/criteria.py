@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from operator import truediv
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .dynamics import EquationSpec, Trajectory
 from .errors import BoundValidationError, CriterionInapplicableError
@@ -23,7 +23,7 @@ from .reports import ChainResult, ThresholdWindow
 ScalarMap = Callable[[float], float]
 
 _GRID_POINTS = 10_000      # the threshold scan's and the sublinearity grid's
-_ROOT_TOL = 1e-12          # the threshold's bisection and ternary search
+_ROOT_TOL = 1e-12          # the tangency search's ternary stop
 _TANGENCY_TOL = 1e-10
 
 CLOSED_FORM, GRID = "closed-form", "grid"   # BoundingFunction.sublinear
@@ -89,55 +89,36 @@ def symmetrize(bound: BoundingFunction) -> ScalarMap:
 
 
 def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
-           tol: Optional[float] = None, lo_end: bool = False) -> float:
-    """Root of a sign change between ``lo`` and ``hi`` (in either order).
-
-    Each step moves ``lo`` to the midpoint when ``lo_side(mid)`` holds,
-    else ``hi``.  The search stops when ``|hi - lo| <= tol`` or, without
-    a tolerance, when the midpoint equals an end (double precision is
-    exhausted); at most 200 halvings either way.  Returns the last
-    midpoint or, with ``lo_end``, the last bracket's ``lo`` end: a point
-    where ``lo_side`` held (or the initial ``lo``).
+           lo_end: bool = False) -> float:
+    """Root of a sign change between ``lo`` and ``hi`` (in either order),
+    bisected to adjacent doubles: each step moves ``lo`` to the midpoint
+    ``0.5 * lo + 0.5 * hi`` (``0.5 * (lo + hi)`` away from the
+    subnormals, without its overflow) when ``lo_side(mid)`` holds, else
+    ``hi``, until the midpoint equals an end.  No tolerance; (0, the
+    largest double) takes about 2,100 halvings, under the loop's bound.
+    Returns the last midpoint or, with ``lo_end``, the last bracket's
+    ``lo`` end: a point where ``lo_side`` held (or the initial ``lo``).
     """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo <= tol) if tol is not None else (mid == lo or mid == hi):
+    for _ in range(2200):
+        mid = 0.5 * lo + 0.5 * hi
+        if mid == lo or mid == hi:
             break
         if lo_side(mid):
             lo = mid
         else:
             hi = mid
-    return lo if lo_end else 0.5 * (lo + hi)
+    return lo if lo_end else 0.5 * lo + 0.5 * hi
 
 
-def _scan_grid(search_hi: float, scan_points: int) -> Iterator[float]:
-    """The threshold scan's points, ascending and without repeats.
-
-    A linear grid search_hi * i / scan_points (i = 1 .. scan_points) plus
+def _scan_grid(search_hi: float) -> List[float]:
+    """The threshold scan's points, ascending and without repeats: a
+    linear grid search_hi * i / _GRID_POINTS (i = 1 .. _GRID_POINTS) and
     900 log-spaced points over the 30 decades below search_hi, so roots
-    many orders of magnitude below search_hi are not stepped over.  The
-    points are exactly ``sorted(set(linear) | set(log_pts))``; they are
-    merged lazily because a scan stops at its first crossing, usually
-    long before the end.
-    """
-    log_pts = sorted([search_hi * 10.0 ** (-30.0 * i / 900)
-                      for i in range(1, 901)])
-    log_pts.append(math.inf)        # sentinel: never below a linear point
-    j, last = 0, None
-    for i in range(1, scan_points + 1):
-        u = search_hi * i / scan_points
-        while log_pts[j] < u:
-            if log_pts[j] != last:
-                last = log_pts[j]
-                yield last
-            j += 1
-        if u != last:
-            last = u
-            yield u
-    for v in log_pts[j:-1]:
-        if v != last:
-            last = v
-            yield v
+    many orders of magnitude below search_hi are not stepped over."""
+    linear = [search_hi * i / _GRID_POINTS
+              for i in range(1, _GRID_POINTS + 1)]
+    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
+    return sorted(set(linear) | set(log_pts))
 
 
 def _check_near_origin(fs: List[float]) -> None:
@@ -152,8 +133,8 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
     """Smallest positive root of g(u) = u on (0, search_hi].
 
     A sign-bracketing scan in ascending order locates the first crossing
-    of g(u) - u, which bisection then refines to ``_ROOT_TOL``, returning
-    the bracket's end where g(u) < u; the scan stops there, so g is not
+    of g(u) - u, which ``bisect`` then refines to adjacent doubles,
+    returning the end where g(u) < u; the scan stops there, so g is not
     evaluated above the first crossing.  If the scan finds no sign
     change, a secondary maximum search detects tangency (g touching the
     identity from below); otherwise the threshold is unbounded (+inf).
@@ -169,7 +150,7 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
 
     grid: List[float] = []
     fs: List[float] = []
-    for u in _scan_grid(search_hi, _GRID_POINTS):
+    for u in _scan_grid(search_hi):
         fu = g(u) - u
         # A crossing needs a negative value before it; among the first
         # three points that also rules out the near-origin failure.
@@ -180,8 +161,7 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
             return ThresholdResult(
-                bisect(grid[-1], u, lambda v: f(v) < 0, tol=_ROOT_TOL,
-                       lo_end=True))
+                bisect(grid[-1], u, lambda v: f(v) < 0, lo_end=True))
         grid.append(u)
         fs.append(fu)
         if len(fs) == 3:

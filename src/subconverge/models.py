@@ -212,12 +212,11 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     Works on the log form phi(u) = (lam-1) ln u + a - b u, concave with
     its maximum at u = (lam-1)/b: the sign there decides between no
     roots, a tangency (a peak in [-_TANGENT_TOL, 0]), and a pair
-    bracketing the maximum.  Each root is bisected to adjacent doubles
-    in the last halving (u_star) or doubling (u_bar) step from the
-    maximum: u_star is the end where phi <= 0, so
-    g(u) < u on (0, u_star), and u_bar (a limit candidate) the midpoint.
-    A root below the smallest positive double raises
-    CriterionInapplicableError, one that is not finite NonFiniteError.
+    bracketing the maximum.  u_star is ``_lower_root`` below it (the end
+    where phi <= 0, so g(u) < u on (0, u_star); CriterionInapplicableError
+    below the doubles), u_bar (a limit candidate) the midpoint of the last
+    doubling step from it bisected to adjacent doubles (NonFiniteError
+    past them).
     """
     if lam <= 1 or b <= 0:
         raise ModelParameterError("need lam > 1 and b > 0")
@@ -234,23 +233,28 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     if peak < 0:
         return FixedPointResult("none")
 
-    def root(step: float) -> float:
-        inner, outer = u_max, min(u_max * step, _MAX)
-        while outer and outer != inner and phi(outer) > 0:
-            inner, outer = outer, min(outer * step, _MAX)
-        if not outer:
-            raise CriterionInapplicableError(
-                "g(u) >= u down to the smallest positive double")
-        if outer == inner:
-            raise NonFiniteError("a fixed point of g is not finite")
-        # Above 1, at half scale (exact), so that no midpoint overflows.
-        s = 0.5 if outer > 1.0 else 1.0
-        return bisect(outer * s, inner * s, lambda v: phi(v / s) <= 0) / s
+    def below(u: float) -> bool:
+        return phi(u) <= 0
 
-    u_star = root(0.5)
-    if phi(u_star) > 0:
-        u_star = math.nextafter(u_star, 0.0)
-    return FixedPointResult("pair", u_star, root(2.0))
+    u_star = _lower_root(below, u_max, "g(u)")
+    inner, outer = u_max, min(u_max * 2.0, _MAX)
+    while outer != inner and phi(outer) > 0:
+        inner, outer = outer, min(outer * 2.0, _MAX)
+    if outer == inner:
+        raise NonFiniteError("a fixed point of g is not finite")
+    return FixedPointResult("pair", u_star, bisect(outer, inner, below))
+
+
+def _lower_root(below: Callable[[float], bool], peak: float,
+                cycle: str) -> float:
+    """The end where ``below`` holds (``cycle`` <= u) of (0, peak)
+    bisected to adjacent doubles; CriterionInapplicableError for a root
+    below the smallest positive double."""
+    u = bisect(0.0, peak, below, lo_end=True)
+    if not u:
+        raise CriterionInapplicableError(
+            "%s >= u down to the smallest positive double" % cycle)
+    return u
 
 
 def _fixed_point_threshold(fps: FixedPointResult) -> ThresholdResult:
@@ -425,17 +429,25 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
                         translated=(evaluator, b, translated))
 
 
-def sigmoid_bh_window(a_sup: float, p: float, b: float
-                      ) -> Tuple[float, ThresholdWindow]:
-    """Threshold alpha = a_sup^(-1/(p-1)) and the window
-    (max{0, b - alpha}, b + alpha) around the fixed point b: any solution
-    term landing there starts a stride-k subsequence converging to b."""
+def _sigmoid_bh_alpha(a_sup: float, p: float) -> float:
+    """Threshold alpha = a_sup^(-1/(p-1)) of the translated equation."""
     if p <= 1:
         raise ModelParameterError("window formula requires p > 1")
     if a_sup <= 0:
         raise ModelParameterError("a_sup must be positive")
-    alpha = a_sup ** (-1.0 / (p - 1.0))
-    return alpha, ThresholdWindow(max(0.0, b - alpha), b + alpha)
+    return a_sup ** (-1.0 / (p - 1.0))
+
+
+def sigmoid_bh_window(a_sup: float, p: float, b: float
+                      ) -> Tuple[float, ThresholdWindow]:
+    """Threshold alpha and the window (max{0, b - alpha}, b + alpha)
+    around the fixed point b, from which a stride-k subsequence converges
+    to b; CriterionInapplicableError where the window rounds onto b."""
+    alpha = _sigmoid_bh_alpha(a_sup, p)
+    lo, hi = max(0.0, b - alpha), b + alpha
+    if not lo < hi:
+        raise CriterionInapplicableError("the window rounds onto b = %r" % b)
+    return alpha, ThresholdWindow(lo, hi)
 
 
 def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
@@ -445,7 +457,7 @@ def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
     p = _validate_power(spec.p)
     a_sup = spec.a_seq.bounds()[1]
     p_float = float(p)
-    alpha, _ = sigmoid_bh_window(a_sup, p_float, spec.b)
+    alpha = _sigmoid_bh_alpha(a_sup, p_float)
 
     def g(u: float) -> float:
         return a_sup * abs(u) ** p_float
@@ -733,9 +745,9 @@ def competition_threshold(r1: float, a1: float,
     the competition envelope satisfies fbar(u) < u.
 
     d1 = 2 uses the closed quadratic form, as a1 over the larger root
-    (r1 - sqrt(r1^2 - 4 a1) cancels when a1 is small); other exponents
-    fall back to the polynomial's interior minimum plus bisection, which
-    returns the end where fbar(u) < u.
+    (r1 - sqrt(r1^2 - 4 a1) cancels when a1 is small).  Other exponents
+    take ``_lower_root`` below the polynomial's interior minimum: the end
+    of an adjacent pair of doubles where fbar(u) < u, or a raise.
     """
     if r1 <= 0 or a1 <= 0 or d1 <= 1:
         raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
@@ -756,8 +768,8 @@ def competition_threshold(r1: float, a1: float,
         return ThresholdResult(_INF)
     if bottom >= 0:     # the safe side only: fbar <= u throughout
         return ThresholdResult(u_min, tangent=True)
-    return ThresholdResult(bisect(0.0, u_min, lambda u: psi(u) > 0,
-                                  lo_end=True))
+    return ThresholdResult(_lower_root(lambda u: psi(u) > 0, u_min,
+                                       "fbar(u)"))
 
 
 def _log_envelope(r: float, a: float, d: float):
@@ -794,9 +806,9 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
     concave.  phi' falls from d1 d2 - 1 > 0 (t -> -inf) to -1, so
     bisecting its sign finds the one peak; as with
     ``ricker_fixed_points``, phi there decides between no root (+inf), a
-    tangency (-1e-12 <= phi <= 0) and a pair, whose lower root is bisected
-    to adjacent doubles and taken at its end where phi <= 0.  A root
-    below the smallest positive double raises CriterionInapplicableError.
+    tangency (a peak in [-_TANGENT_TOL, 0]) and a pair, whose lower root
+    is ``_lower_root`` below the peak: the end of an adjacent pair of
+    doubles where phi <= 0, or a raise.
     """
     if min(r1, a1, r2, a2) <= 0 or d1 <= 1 or d2 <= 1:
         raise ModelParameterError("need r_i, a_i > 0 and d_i > 1")
@@ -815,22 +827,12 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
         last, step = step, 2.0 * step
     t_max = bisect(min(last, step), max(last, step), rising)
     peak = phi(t_max)
-    if -1e-12 <= peak <= 0:     # the safe side only: fbar1(fbar2(u)) <= u
+    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: fbar1(fbar2(u)) <= u
         return ThresholdResult(math.exp(t_max), tangent=True)
     if peak < 0:
         return ThresholdResult(_INF)
-    step = 1.0
-    while phi(t_max - step) > 0:
-        step *= 2.0
-    u_lo, u_max = math.exp(t_max - step), math.exp(t_max)
-    if not u_lo:        # the lower root may lie below the doubles
-        u_lo = 5e-324
-        if u_max <= u_lo or phi(math.log(u_lo)) > 0:
-            raise CriterionInapplicableError(
-                "fbar1(fbar2(u)) >= u down to the smallest positive double")
-    return ThresholdResult(bisect(u_lo, u_max,
-                                  lambda u: phi(math.log(u)) <= 0,
-                                  lo_end=True))
+    return ThresholdResult(_lower_root(lambda u: phi(math.log(u)) <= 0,
+                                       math.exp(t_max), "fbar1(fbar2(u))"))
 
 
 # -- three-dimensional system and its order-3 fold ----------------------

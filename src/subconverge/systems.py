@@ -254,10 +254,10 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     and ``stopped`` says why.  No solvability form: FoldError before any
     step.  At step n the direct state comes first: non-finite stops,
     outside the domain raises DomainError.  Then the fold's x_{n+1}:
-    overflow or non-finite stops; outside the domain raises DomainError
-    unless it is the last term (as ``iterate`` does); a FoldError of
-    sigma_n with an index (no preimage, e.g. x underflowed to 0) stops;
-    any other error is raised.  Zero steps evaluate nothing.
+    overflow, a non-finite or a complex value stops; outside the domain
+    raises DomainError unless it is the last term (as ``iterate`` does);
+    a FoldError of sigma_n with an index (no preimage, e.g. x underflowed
+    to 0) stops; any other error is raised.  Zero steps evaluate nothing.
     """
     x, y = _initial_state(sys, initial)
     f, g, sigma, isfinite = sys.f, sys.g, _solver(sys), math.isfinite
@@ -276,9 +276,13 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
         # evaluator with r in hand; x_1 = f_0(x_0, y_0) is the direct x_1.
         try:
             nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
+            finite = isfinite(nxt)
         except OverflowError:
-            nxt = math.inf
-        if not isfinite(nxt):
+            finite = False
+        except TypeError:   # complex: a root or power of a negative value
+            stopped = "fold term x_%d is not real" % (n + 1)
+            break
+        if not finite:
             stopped = "fold term x_%d is not finite" % (n + 1)
             break
         if not x_lo <= nxt <= x_hi and n + 1 < steps:

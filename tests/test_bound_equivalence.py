@@ -15,18 +15,29 @@ positive threshold returns an inapplicable verdict with the scan's
 message, where the oracle raised CriterionInapplicableError.
 
 Two intended differences move alpha, so alphas are compared within the
-scan's 1e-12 bracket rather than by bits: ``solve_threshold`` returns
-its last bracket's end where g(u) < u (the oracle returns the
-midpoint), and a catalog system's own envelope cycle takes its exact
-threshold instead of the scan's.  A tangency keeps the scan's looser
+scan's 1e-12 bracket rather than by bits: ``solve_threshold`` bisects
+to adjacent doubles and returns the end where g(u) < u (the oracle
+returns the midpoint of a 1e-12 bracket), and a catalog system's own
+envelope cycle takes its exact threshold instead of the scan's.  A tangency keeps the scan's looser
 search: there the alphas agree within 1e-5.  An exact threshold may lie
 below the scan's smallest points (1e-29), where the scan raised
 CriterionInapplicableError.
+
+The catalog's closed-form roots (``ricker_fixed_points``,
+``competition_threshold``, ``swapped_competition_threshold``) now take
+their lower root from one bisection of (0, peak) to adjacent doubles.
+Their earlier versions, and the bisection with its 200-halving cap and
+tolerance that they and the scan called (``ref_bisect``), are kept
+verbatim below too.  Where the earlier bracket was exhausted, the
+Ricker and competition roots keep their bits.  Where the cap cut it
+short, the earlier alpha lay below the root (or was 0.0); the swapped
+alpha may also move by a few ulps where its log-form predicate flips
+more than once next to the root.  So every finite alpha is checked to
+be the below-side end of an adjacent pair of doubles.
 """
 
 import math
 from dataclasses import replace
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +45,15 @@ from hypothesis import strategies as st
 
 import subconverge as sc
 from subconverge import criteria, models
-from subconverge.criteria import (ThresholdResult, bisect,
-                                  solve_threshold, verify_sublinearity)
+from subconverge.criteria import (ThresholdResult, solve_threshold,
+                                  verify_sublinearity)
 from subconverge.errors import (BoundValidationError,
-                                CriterionInapplicableError)
-from subconverge.models import CompetitionParams, REGISTRY
+                                CriterionInapplicableError,
+                                ModelParameterError, NonFiniteError)
+from subconverge.models import (CompetitionParams, FixedPointResult, REGISTRY,
+                                _log_envelope, competition_threshold,
+                                ricker_fixed_points,
+                                swapped_competition_threshold)
 
 S = sc.ParameterSequence
 from subconverge.reports import ThresholdWindow
@@ -53,6 +68,19 @@ NEAR_ORIGIN = "g(u) >= u arbitrarily close to 0; no positive threshold"
 
 
 # -- reference implementations (verbatim) --------------------------------
+
+
+def ref_bisect(lo: float, hi: float, lo_side, tol=None,
+               lo_end: bool = False) -> float:
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (hi - lo <= tol) if tol is not None else (mid == lo or mid == hi):
+            break
+        if lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo_end else 0.5 * (lo + hi)
 
 
 def ref_solve_threshold(g, search_hi: float,
@@ -85,7 +113,7 @@ def ref_solve_threshold(g, search_hi: float,
                 probe = f(u * (1.0 + 1e-6))
                 return ThresholdResult(u, tangent=probe < 0)
             return ThresholdResult(
-                bisect(prev_u, u, lambda v: f(v) < 0, tol=tol))
+                ref_bisect(prev_u, u, lambda v: f(v) < 0, tol=tol))
         prev_u, prev_f = u, fu
 
     # No crossing: look for a tangency where g(u)/u comes up to 1.  The
@@ -178,6 +206,110 @@ def ref_check_tail_envelope(sys, grid: int = 60,
     return EnvelopeVerdict(True, res.alpha, res.tangent)
 
 
+_TANGENT_TOL = 1e-12
+_INF, _MAX = math.inf, 1.7976931348623157e308
+
+
+def ref_ricker_fixed_points(lam: float, a: float,
+                            b: float) -> FixedPointResult:
+    if lam <= 1 or b <= 0:
+        raise ModelParameterError("need lam > 1 and b > 0")
+
+    def phi(u: float) -> float:
+        return (lam - 1.0) * math.log(u) - b * u + a
+
+    u_max = (lam - 1.0) / b
+    if u_max > _MAX:
+        raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
+    peak = phi(u_max)
+    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: g <= u throughout
+        return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
+    if peak < 0:
+        return FixedPointResult("none")
+
+    def root(step: float) -> float:
+        inner, outer = u_max, min(u_max * step, _MAX)
+        while outer and outer != inner and phi(outer) > 0:
+            inner, outer = outer, min(outer * step, _MAX)
+        if not outer:
+            raise CriterionInapplicableError(
+                "g(u) >= u down to the smallest positive double")
+        if outer == inner:
+            raise NonFiniteError("a fixed point of g is not finite")
+        # Above 1, at half scale (exact), so that no midpoint overflows.
+        s = 0.5 if outer > 1.0 else 1.0
+        return ref_bisect(outer * s, inner * s,
+                          lambda v: phi(v / s) <= 0) / s
+
+    u_star = root(0.5)
+    if phi(u_star) > 0:
+        u_star = math.nextafter(u_star, 0.0)
+    return FixedPointResult("pair", u_star, root(2.0))
+
+
+def ref_competition_threshold(r1: float, a1: float,
+                              d1: float) -> ThresholdResult:
+    if r1 <= 0 or a1 <= 0 or d1 <= 1:
+        raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
+    if d1 == 2.0:
+        disc = r1 * r1 - 4.0 * a1
+        if disc < 0:
+            return ThresholdResult(_INF)
+        if disc == 0:
+            return ThresholdResult(0.5 * r1, tangent=True)
+        return ThresholdResult(a1 / (0.5 * (r1 + math.sqrt(disc))))
+
+    def psi(u: float) -> float:
+        return u ** d1 - r1 * u ** (d1 - 1.0) + a1
+
+    u_min = r1 * (d1 - 1.0) / d1
+    bottom = psi(u_min)
+    if bottom > _TANGENT_TOL * a1:
+        return ThresholdResult(_INF)
+    if bottom >= 0:     # the safe side only: fbar <= u throughout
+        return ThresholdResult(u_min, tangent=True)
+    return ThresholdResult(ref_bisect(0.0, u_min, lambda u: psi(u) > 0,
+                                      lo_end=True))
+
+
+def ref_swapped_competition_threshold(r1: float, a1: float, d1: float,
+                                      r2: float, a2: float, d2: float
+                                      ) -> ThresholdResult:
+    if min(r1, a1, r2, a2) <= 0 or d1 <= 1 or d2 <= 1:
+        raise ModelParameterError("need r_i, a_i > 0 and d_i > 1")
+    log_f1, slope1 = _log_envelope(r1, a1, d1)
+    log_f2, slope2 = _log_envelope(r2, a2, d2)
+
+    def phi(t: float) -> float:
+        return log_f1(log_f2(t)) - t
+
+    def rising(t: float) -> bool:   # phi'(t) > 0
+        return slope1(log_f2(t)) * slope2(t) > 1.0
+
+    # Bracket the peak by doubling steps from t = 0, then bisect phi'.
+    last, step = 0.0, 1.0 if rising(0.0) else -1.0
+    while rising(step) == (step > 0):
+        last, step = step, 2.0 * step
+    t_max = ref_bisect(min(last, step), max(last, step), rising)
+    peak = phi(t_max)
+    if -1e-12 <= peak <= 0:     # the safe side only: fbar1(fbar2(u)) <= u
+        return ThresholdResult(math.exp(t_max), tangent=True)
+    if peak < 0:
+        return ThresholdResult(_INF)
+    step = 1.0
+    while phi(t_max - step) > 0:
+        step *= 2.0
+    u_lo, u_max = math.exp(t_max - step), math.exp(t_max)
+    if not u_lo:        # the lower root may lie below the doubles
+        u_lo = 5e-324
+        if u_max <= u_lo or phi(math.log(u_lo)) > 0:
+            raise CriterionInapplicableError(
+                "fbar1(fbar2(u)) >= u down to the smallest positive double")
+    return ThresholdResult(ref_bisect(u_lo, u_max,
+                                      lambda u: phi(math.log(u)) <= 0,
+                                      lo_end=True))
+
+
 # -- comparison helpers --------------------------------------------------
 
 
@@ -206,8 +338,9 @@ def assert_threshold_same(g, search_hi):
     new = outcome(solve_threshold, g, search_hi)
     ref = outcome(ref_solve_threshold, g, search_hi)
     assert same(new, ref)
-    if isinstance(new, ThresholdResult) and not new.tangent:
-        assert new.alpha <= ref.alpha   # the bracket's g(u) < u end
+    if isinstance(new, ThresholdResult) and not new.tangent and \
+            math.isfinite(new.alpha) and new.alpha != ref.alpha:
+        assert g(new.alpha) - new.alpha < 0     # the g(u) < u end
     return new
 
 
@@ -274,7 +407,7 @@ def test_inapplicable_near_origin():
     (2, None, False),   # at the two smallest only: applicable
 ])
 def test_near_origin_test_reads_the_first_three_points(above, below, raises):
-    points = list(islice(criteria._scan_grid(1.0, _DEFAULT_SCAN), 4))
+    points = criteria._scan_grid(1.0)[:4]
 
     def g(u):
         if u <= points[above - 1] or below and u > points[below - 1]:
@@ -287,7 +420,7 @@ def test_near_origin_test_reads_the_first_three_points(above, below, raises):
 
 def test_two_point_grid():
     # The smallest subnormal search_hi leaves the grid [0.0, 5e-324].
-    assert list(criteria._scan_grid(5e-324, _DEFAULT_SCAN)) == [0.0, 5e-324]
+    assert criteria._scan_grid(5e-324) == [0.0, 5e-324]
     assert assert_threshold_same(lambda u: 2.0 * u + 1.0, 5e-324) == \
         (CriterionInapplicableError, NEAR_ORIGIN)
     assert assert_threshold_same(lambda u: 0.5 * u - 1.0, 5e-324) == \
@@ -318,12 +451,13 @@ def test_exact_grid_hit(g, tangent):
 
 def test_crossing_among_first_points():
     # g(u) - u changes sign between the first and second scan points.
-    first, second = islice(criteria._scan_grid(1.0, _DEFAULT_SCAN), 2)
+    first, second = criteria._scan_grid(1.0)[:2]
     mid = 0.5 * (first + second)
     res = assert_threshold_same(lambda u: 2.0 * u - mid, 1.0)
-    # The bracket is narrower than the tolerance from the start: alpha is
-    # its g(u) < u end, the first point.
-    assert res.alpha == first
+    # The bracket was narrower than the old 1e-12 tolerance from the
+    # start; bisected to adjacent doubles, alpha is the last double below
+    # the root.
+    assert res.alpha == math.nextafter(mid, 0.0)
 
 
 def test_non_finite_and_violating_sublinearity():
@@ -401,22 +535,13 @@ positive = st.floats(min_value=5e-324, max_value=1e308,
                      allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=150, deadline=None)
-@given(positive, st.integers(0, 200))
-def test_scan_grid_equals_sorted_union(search_hi, scan_points):
-    linear = [search_hi * i / scan_points for i in range(1, scan_points + 1)]
-    log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
-    assert list(criteria._scan_grid(search_hi, scan_points)) == \
-        sorted(set(linear) | set(log_pts))
-
-
 @settings(max_examples=30, deadline=None)
 @given(positive)
-def test_scan_grid_equals_sorted_union_default_size(search_hi):
+def test_scan_grid_equals_sorted_union(search_hi):
     linear = [search_hi * i / _DEFAULT_SCAN
               for i in range(1, _DEFAULT_SCAN + 1)]
     log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
-    assert list(criteria._scan_grid(search_hi, _DEFAULT_SCAN)) == \
+    assert criteria._scan_grid(search_hi) == \
         sorted(set(linear) | set(log_pts))
 
 
@@ -575,3 +700,113 @@ def test_envelope_check_counts(name, tail_counts, alt_counts):
         check(replace(sysm, envelope_f=count.wrap("f", sysm.envelope_f),
                       envelope_g=count.wrap("g", sysm.envelope_g)))
         assert count.calls == expected, check.__name__
+
+
+# -- the catalog's lower roots -------------------------------------------
+
+
+def ricker_below(lam, a, b):
+    return lambda u: (lam - 1.0) * math.log(u) - b * u + a <= 0
+
+
+def competition_below(r1, a1, d1):
+    return lambda u: u ** d1 - r1 * u ** (d1 - 1.0) + a1 > 0
+
+
+def swapped_below(r1, a1, d1, r2, a2, d2):
+    log_f1, _ = _log_envelope(r1, a1, d1)
+    log_f2, _ = _log_envelope(r2, a2, d2)
+    return lambda u: log_f1(log_f2(math.log(u))) - math.log(u) <= 0
+
+
+def assert_below_side_end(alpha, below):
+    """alpha is positive, below the root, and its upper neighbour is not."""
+    assert alpha > 0 and below(alpha)
+    assert not below(math.nextafter(alpha, math.inf))
+
+
+def lower_root(solve, below, *args):
+    """The solver's outcome, after checking its lower root: a below-side
+    end of an adjacent pair, or a raise where the smallest positive
+    double is not below the root."""
+    res = outcome(solve, *args)
+    if isinstance(res, tuple) and res[0] is CriterionInapplicableError:
+        assert res[1].endswith("down to the smallest positive double")
+        assert not below(5e-324)
+    elif isinstance(res, FixedPointResult) and res.kind == "pair":
+        assert_below_side_end(res.u_star, below)
+    elif isinstance(res, ThresholdResult) and not res.tangent \
+            and res.alpha != math.inf:
+        assert_below_side_end(res.alpha, below)
+    return res
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1.05, 4.0), st.floats(4.0, 1e6)),
+       st.floats(-50.0, 50.0), st.floats(-300.0, 3.0))
+def test_ricker_fixed_points_match(lam, a, b_exp):
+    b = 10.0 ** b_exp
+    new = lower_root(ricker_fixed_points, ricker_below(lam, a, b), lam, a, b)
+    assert new == outcome(ref_ricker_fixed_points, lam, a, b)
+
+
+exponents = st.one_of(st.floats(1.001, 1.2), st.floats(1.2, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0), exponents)
+def test_competition_threshold_matches(r1_exp, a1_exp, d1):
+    r1, a1 = 10.0 ** r1_exp, 10.0 ** a1_exp
+    below = competition_below(r1, a1, d1)
+    ref = outcome(ref_competition_threshold, r1, a1, d1)
+    if d1 == 2.0:       # the closed quadratic form, untouched
+        assert outcome(competition_threshold, r1, a1, d1) == ref
+        return
+    new = lower_root(competition_threshold, below, r1, a1, d1)
+    if not isinstance(ref, ThresholdResult) or ref.tangent or \
+            ref.alpha == math.inf or ref.alpha > 0 and \
+            below(ref.alpha) and not below(math.nextafter(ref.alpha,
+                                                          math.inf)):
+        assert new == ref   # the oracle's bracket ended on adjacent doubles
+    else:                   # the cap cut it short: alpha was below the root
+        assert ref.alpha < getattr(new, "alpha", math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.0, 3.0), st.floats(-300.0, 3.0), exponents,
+       st.floats(-1.0, 3.0), st.floats(-300.0, 3.0), exponents)
+def test_swapped_competition_threshold_ends_below_the_root(
+        r1_exp, a1_exp, d1, r2_exp, a2_exp, d2):
+    args = (10.0 ** r1_exp, 10.0 ** a1_exp, d1,
+            10.0 ** r2_exp, 10.0 ** a2_exp, d2)
+    new = lower_root(swapped_competition_threshold, swapped_below(*args),
+                     *args)
+    ref = outcome(ref_swapped_competition_threshold, *args)
+    if not isinstance(ref, ThresholdResult) or ref.tangent or \
+            ref.alpha == math.inf:
+        assert new == ref
+
+
+def test_a_deep_competition_root_is_found():
+    # 200 halvings of (0, u_min) reach ~1e-60; the root is near 1e-150.
+    assert ref_competition_threshold(1.0, 1e-300, 3.0).alpha == 0.0
+    res = lower_root(competition_threshold, competition_below(
+        1.0, 1e-300, 3.0), 1.0, 1e-300, 3.0)
+    assert res == ThresholdResult(9.999999999999999e-151)
+
+
+def test_a_competition_root_below_the_doubles_raises():
+    # u^0.01 (u - 1) + 1e-30 = 0 near u = 1e-3000.
+    assert ref_competition_threshold(1.0, 1e-30, 1.01).alpha == 0.0
+    with pytest.raises(CriterionInapplicableError):
+        competition_threshold(1.0, 1e-30, 1.01)
+
+
+def test_a_deep_swapped_root_is_found():
+    # The t-walk's bracket needed more than 200 halvings.
+    args = (122.53623418225607, 5.974318695293356e-14, 1.3400950881042115,
+            3.9217041985450445, 1.6765618155349744e-16, 1.0395263072887615)
+    assert ref_swapped_competition_threshold(*args).alpha < 1e-136
+    res = lower_root(swapped_competition_threshold, swapped_below(*args),
+                     *args)
+    assert res == ThresholdResult(1.7244882735314033e-95)

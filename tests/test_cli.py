@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from subconverge import systems
 from subconverge.cli import main
 
 
@@ -442,7 +443,10 @@ def test_config_driven_simulate(runner, tmp_path):
     ("analyze", ["--model", "ricker", "--lambda", "1.5", "--init", "0.5"]),
     ("analyze", ["--model", "adult-juvenile", "--init", "1,1"]),
     ("fold", ["--model", "threed", "--init", "0.9,1.1,1"]),
-], ids=["scalar", "planar", "threed"])
+    # Translated to its fixed point b inside; written as given.
+    ("simulate", ["--model", "sigmoid-bh", "--a", "0.7", "--b", "2.6",
+                  "--p", "2", "--init", "3.2"]),
+], ids=["scalar", "planar", "threed", "sigmoid-bh-off-origin"])
 def test_simulate_json_reads_back_as_a_config(runner, tmp_path, command,
                                               run):
     # The output's "terms" or "points" are accepted and ignored; model,
@@ -454,6 +458,22 @@ def test_simulate_json_reads_back_as_a_config(runner, tmp_path, command,
     res = runner.invoke(main, [command, "--config", str(out)] + steps)
     assert res.exit_code == 0
     assert res.output == runner.invoke(main, [command] + run + steps).output
+
+
+@pytest.mark.parametrize("config, steps", [
+    ({"steps": 3}, 3), ({}, 100)], ids=["config-steps", "default"])
+def test_fold_config_steps(runner, tmp_path, monkeypatch, config, steps):
+    check, seen = systems.check_fold_consistency, []
+    monkeypatch.setattr(systems, "check_fold_consistency",
+                        lambda sysm, init, n, tol: seen.append(n) or
+                        check(sysm, init, n, tol))
+    cfg = tmp_path / "fold.json"
+    cfg.write_text(json.dumps({"model": "adult-juvenile",
+                               "initial": [1, 1], **config}))
+    assert runner.invoke(main, ["fold", "--config", str(cfg)]).exit_code == 0
+    assert runner.invoke(main, ["fold", "--config", str(cfg), "--steps",
+                                "7"]).exit_code == 0
+    assert seen == [steps, 7]
 
 
 def test_config_unknown_key_exit_code(runner, tmp_path):

@@ -261,11 +261,11 @@ def test_a_sigmoid_bh_alpha_scaled_by_1_01_fails_the_oracle(monkeypatch, a,
     spec = SigmoidBHSpec(*models.REGISTRY["sigmoid-bh"].coerce(
         {"a": a, "p": p, "b": b}).values())
     check_sigmoid_bh(spec)
-    window = models.sigmoid_bh_window
-    monkeypatch.setattr(models, "sigmoid_bh_window", lambda a_sup, p, b: (
-        window(1.01 ** (1.0 - p) * a_sup, p, b)))
+    alpha = models._sigmoid_bh_alpha
+    monkeypatch.setattr(models, "_sigmoid_bh_alpha", lambda a_sup, p: (
+        alpha(1.01 ** (1.0 - p) * a_sup, p)))
     assert models.sigmoid_bh_bound(spec).alpha == \
-        pytest.approx(1.01 * window(a, float(models.Fraction(p)), b)[0])
+        pytest.approx(1.01 * alpha(a, float(models.Fraction(p))))
     with pytest.raises((AssertionError, BoundValidationError)):
         check_sigmoid_bh(spec)
 

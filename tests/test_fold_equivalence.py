@@ -9,14 +9,18 @@ every input both must return the same ``FoldCheck`` (compared by repr,
 so every double is the same bits) or raise the same exception type with
 the same message and index.
 
-Three differences are intended.  A sigma_n whose FoldError names another
+Four differences are intended.  A sigma_n whose FoldError names another
 step than n, or an f or g that raises FoldError inside the fold: the
 old check re-ran the fold up to the named step; the new one takes the
 index as sigma's own step (the FoldError contract) and raises any other
 error of f or g at once.  No model does either.  Where only a fold term
 overflows or is not finite, the old check gave no reason for comparing
 fewer terms (``stopped`` None); the new one names the term
-(``assert_same_but_stopped``).  And events surface in step order
+(``assert_same_but_stopped``).  Where a fold term is complex (sigma
+took a root of a value that rounded below 0, or g a power of a negative
+recovered y), the old check raised TypeError; the new one stops there
+and names the term (``assert_same_but_not_real``).  And events surface
+in step order
 (``step_order``): the old check ran the whole direct orbit first, so an
 error or truncation of the direct orbit at a later step came before the
 fold's stop or error at an earlier one, a system without a solvability
@@ -248,6 +252,19 @@ def assert_same_but_stopped(sysm, init, steps, tol=1e-9):
     return new
 
 
+def assert_same_but_not_real(sysm, init, steps, tol=1e-9):
+    """Both checks agree, except where the old one raised TypeError on a
+    complex fold term: the new one stops there and names it."""
+    new = _outcome(check_fold_consistency, sysm, init, steps, tol)
+    old = _outcome(ref_check_fold_consistency, sysm, init, steps, tol)
+    if old[:2] != (TypeError, "must be real number, not complex"):
+        assert new == old
+        return new
+    check = check_fold_consistency(sysm, init, steps, tol)
+    assert check.stopped == "fold term x_%d is not real" % check.steps
+    return check
+
+
 def step_order(sysm, init, steps, tol=1e-9):
     """The new check's outcome where step order makes it differ from the
     oracle's (which ran the direct orbit to its end first)."""
@@ -300,7 +317,22 @@ def test_competition_matches(swapped, r1, r2, a1, a2, d1, d2, b1, b2, d3,
                              d4, x0, y0, steps, tol):
     sysm = sc.make_competition(sc.CompetitionParams.make(
         r1, r2, a1, a2, d1, d2, b1, b2, d3, d4), swapped=swapped)
-    assert_same(sysm, (x0, y0), steps, tol)
+    assert_same_but_not_real(sysm, (x0, y0), steps, tol)
+
+
+@pytest.mark.parametrize("params, init, steps, expected", [
+    # y_0 = 0: sigma's numerator rounds just below 0 before its root.
+    (dict(b1=1.0, d3=2.0), (1.0, 0.0), 6, (False, 2, 6)),
+    # The recovered y_0 cancels to -7.4e283; g raises it to 1.01.
+    (dict(a1=1e300, d2=1.01, b2=1e-30, b1=2.0), (0.5, 1.0), 50,
+     (False, 0, 2)),
+], ids=["sigma-root", "g-power"])
+def test_a_complex_fold_term_stops_the_check(params, init, steps, expected):
+    sysm = sc.make_competition(sc.CompetitionParams.make(**{
+        "r1": 1.0, "r2": 1.0, "a1": 1.0, "a2": 1.0, "d1": 2.0, "d2": 2.0,
+        **params}))
+    check = assert_same_but_not_real(sysm, init, steps)
+    assert (check.passed, check.first_divergent, check.steps) == expected
 
 
 EXTINCT = sc.CompetitionParams.make(3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 0.5, 0.5)
