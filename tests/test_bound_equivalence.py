@@ -545,6 +545,20 @@ def test_scan_grid_equals_sorted_union(search_hi):
         sorted(set(linear) | set(log_pts))
 
 
+@settings(max_examples=30, deadline=None)
+@given(positive)
+def test_scan_grid_equals_sorted_union_default_size(search_hi):
+    # The reference scans default to the library's grid size: every one
+    # of the _DEFAULT_SCAN linear points is on the grid, which rises
+    # strictly.
+    assert criteria._GRID_POINTS == _DEFAULT_SCAN
+    grid = criteria._scan_grid(search_hi)
+    on_grid = set(grid)
+    assert all(search_hi * i / _DEFAULT_SCAN in on_grid
+               for i in range(1, _DEFAULT_SCAN + 1))
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1.05, 4.0), st.floats(-2.0, 3.0), st.floats(0.05, 3.0),
        st.floats(0.5, 1.5))
