@@ -103,5 +103,22 @@ done <<'ERRORS'
 2 analyze --model sp3 --k x
 2 analyze --model nope
 ERRORS
+# A scalar command loads no planar code.  -X importtime lists on stderr
+# every module that the importable package (the installed one, or
+# PYTHONPATH=src) loads while the command runs in process.
+while read -r args; do
+    if ! python -X importtime -c \
+            "from subconverge.cli import main; main([$args])" \
+            > /dev/null 2> "$err" \
+            || ! grep -q ' subconverge\.models$' "$err" \
+            || grep -q ' subconverge\.systems$' "$err"; then
+        echo "FAILED: [$args] imports subconverge.systems, or did not run" >&2
+        grep 'subconverge\|Error' "$err" >&2
+        status=1
+    fi
+done <<'SCALAR'
+"models"
+"analyze", "--model", "sp3", "--init", "1,1,1", "--steps", "30"
+SCALAR
 rm -f "$err" "$cfg" "$fold_cfg" "$orbit"
 exit $status

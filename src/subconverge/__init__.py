@@ -9,37 +9,68 @@ that converges to zero.  The package supplies the bound machinery,
 built-in population-model families with certified bounds, folding of
 planar and 3D systems to scalar equations, and empirical verification
 of the predictions.
+
+Importing the package runs no submodule: each public name is imported
+from its module on first use (PEP 562), so a scalar command never loads
+the planar code.
 """
 
-from .analysis import (Classification, MonotoneResult, analyze_residues,
-                       build_report, classify_limit, detect_crossing,
-                       predict_subsequence_convergence,
-                       verify_monotone_to_zero)
-from .criteria import (BoundingFunction, ThresholdResult, bisect,
-                       check_inequality_chain, predict_full_convergence,
-                       solve_threshold, symmetrize, validate_bound,
-                       verify_sublinearity)
-from .dynamics import (EquationSpec, Trajectory, evaluate_map,
-                       extract_subsequence, iterate)
-from .models import (MODEL_NAMES, CompetitionParams, FixedPointResult,
-                     RickerFamilySpec,
-                     SigmoidBHSpec, ThreeDSystem, competition_threshold,
-                     make_3d_example, make_adult_juvenile, make_competition,
-                     make_generalized_ricker, make_sigmoid_bh, make_sp3,
-                     ricker_fixed_points, ricker_threshold_condition,
-                     sigmoid_bh_bound, sigmoid_bh_window,
-                     swapped_competition_threshold, translate_to_origin)
-from .reports import (ChainResult, ConvergenceReport, Prediction,
-                      ThresholdWindow)
-from .sequences import ParameterSequence
-from .systems import (EnvelopeVerdict, FoldCheck, Orbit, PlanarSystem,
-                      SigmaForm, check_alternating_envelopes,
-                      check_envelope_cycle, check_fold_consistency,
-                      check_tail_envelope, fold_initial, fold_planar,
-                      iterate_system, predict_alternating_convergence,
-                      predict_envelope_cycle, predict_tail_convergence,
-                      solve_sigma)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The module each public name is read from.
+_SOURCES = {
+    "analysis": ("Classification", "MonotoneResult", "analyze_residues",
+                 "build_report", "classify_limit", "detect_crossing",
+                 "predict_subsequence_convergence",
+                 "verify_monotone_to_zero"),
+    "criteria": ("BoundingFunction", "ThresholdResult", "bisect",
+                 "check_inequality_chain", "predict_full_convergence",
+                 "solve_threshold", "symmetrize", "validate_bound",
+                 "verify_sublinearity"),
+    "dynamics": ("EquationSpec", "Trajectory", "evaluate_map",
+                 "extract_subsequence", "iterate"),
+    # (models reads the planar builders' names from planar on first use)
+    "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",
+               "SigmoidBHSpec", "ThreeDSystem", "make_3d_example",
+               "make_generalized_ricker", "make_sigmoid_bh", "make_sp3",
+               "ricker_fixed_points", "ricker_threshold_condition",
+               "sigmoid_bh_bound", "sigmoid_bh_window",
+               "translate_to_origin", "CompetitionParams",
+               "competition_threshold", "make_adult_juvenile",
+               "make_competition", "swapped_competition_threshold"),
+    "reports": ("ChainResult", "ConvergenceReport", "Prediction",
+                "ThresholdWindow"),
+    "sequences": ("ParameterSequence",),
+    "systems": ("EnvelopeVerdict", "FoldCheck", "Orbit", "PlanarSystem",
+                "SigmaForm", "check_alternating_envelopes",
+                "check_envelope_cycle", "check_fold_consistency",
+                "check_tail_envelope", "fold_initial", "fold_planar",
+                "iterate_system", "predict_alternating_convergence",
+                "predict_envelope_cycle", "predict_tail_convergence",
+                "solve_sigma"),
+}
+_WHERE = {name: module for module, names in _SOURCES.items()
+          for name in names}
+_WHERE.update((module, module) for module in (*_SOURCES, "errors"))
+
+__all__ = sorted(_WHERE)
+
+
+def __getattr__(name: str):
+    module = _WHERE.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    path = "%s.%s" % (__name__, module)
+    __import__(path)    # the interpreter's import, which -X importtime logs
+    value = sys.modules[path]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

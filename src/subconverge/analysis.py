@@ -14,8 +14,8 @@ a rebinding there (a tracer, a test double) reaches every caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from . import criteria
 from .criteria import BoundingFunction
@@ -40,8 +40,7 @@ def detect_crossing(traj, window: ThresholdWindow) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class MonotoneResult:
+class MonotoneResult(NamedTuple):
     status: str                     # verified | violation | inconclusive
     violation_index: Optional[int] = None
     final_value: Optional[float] = None
@@ -72,8 +71,7 @@ def verify_monotone_to_zero(subseq: Sequence[float],
     return MonotoneResult(INCONCLUSIVE, final_value=subseq[-1])
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str                       # zero | fixed-point | inconclusive
     value: Optional[float]
     tail_mean: float

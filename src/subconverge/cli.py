@@ -12,6 +12,9 @@ Exit codes: 0 ok, 2 config error, 3 numerical blow-up (including
 non-finite initial values), 4 violated prediction (soundness alarm),
 5 bound validation failure, 6 fold inconsistency.  All JSON output is
 strict: a non-finite number in it is a blow-up, never ``Infinity``.
+
+Only the planar branches import ``systems`` (and the registry's planar
+entries ``planar``), so a scalar command loads no planar code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 
 import click
 
-from . import analysis, models, systems
+from . import analysis, models
 from .config import SCHEMA_VERSION, load_config
 from .dynamics import iterate
 from .errors import (BoundValidationError, ConfigError,
@@ -224,6 +227,7 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
         key, rows, to_csv = "terms", traj.terms, traj.to_csv
         diagnostic = traj.diagnostic
     elif entry.kind == models.PLANAR:
+        from . import systems
         initial = _initial(initial, 2)
         orbit = systems.iterate_system(entry.build(p), tuple(initial),
                                        n_steps)
@@ -273,6 +277,7 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
                                        limit_tol=limit_tol)
         extra = {"limit_offset": offset} if offset else {}
     elif entry.kind == models.PLANAR:
+        from . import systems
         sysm = entry.build(p)
         orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
                                        n_steps)
@@ -335,11 +340,12 @@ def fold(model, config_path, init, steps, tol, out, **kw):
         states = sysm.iterate(initial, steps)
         traj = iterate(eq, sysm.fold_initial(initial),
                        max(0, len(states) - 3))
-        dev, first = systems.relative_deviation(
+        dev, first = models.relative_deviation(
             [st[0] for st in states], traj.terms, tol)
         payload = {"model": entry.name, "order": 3, "max_deviation": dev,
                    "passed": first is None, "first_divergent": first}
     elif entry.kind == models.PLANAR:
+        from . import systems
         sysm = entry.build(p)
         if sysm.sigma is None:
             raise ConfigError("no solvability form for model %r"

@@ -9,27 +9,31 @@ Families:
   whose delay k in {1, 2, 3} selects which subsequences converge;
 * a delayed sigmoid Beverton-Holt equation with an off-origin fixed
   point, handled by translation;
-* the adult-juvenile planar system and the two-species competition
-  system (plus its variable-swapped variant);
 * a three-dimensional system that folds to an order-3 Ricker-type
   equation.
+
+The planar families (adult-juvenile, competition) are built in
+``planar``, the one builder module that needs ``systems``.  This module
+and its registry import it only when a planar model is built, so a
+scalar model loads no planar code; ``models.make_competition`` and the
+other planar names still resolve, through ``__getattr__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
 from .dynamics import EquationSpec, check_finite_initial
 from .errors import (ConfigError, CriterionInapplicableError, DomainError,
-                     FoldError, ModelParameterError, NonFiniteError)
+                     ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
 from .sequences import CONSTANT, ParameterSequence, as_sequence
-from .systems import CycleCertificate, PlanarSystem, SigmaForm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 State3 = Tuple[float, float, float]
 
@@ -61,8 +65,7 @@ def _at(resolved):
 # -- generalized Ricker family ------------------------------------------
 
 
-@dataclass(frozen=True)
-class RickerFamilySpec:
+class RickerFamilySpec(NamedTuple):
     """Parameters of the generalized Ricker recurrence.
 
     ``b_seqs[i]`` is the coefficient of x_{n-(i+1)}.
@@ -190,8 +193,7 @@ def ricker_threshold_condition(lam: float, a_sup: float,
     return a_sup >= rhs, rhs
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """Positive fixed points of g(u) = u^lam * exp(a - b u)."""
 
     kind: str                       # none | tangent | pair
@@ -323,13 +325,20 @@ def make_sp3(k: int, rigorous: bool = False
 # -- sigmoid Beverton-Holt with delay -----------------------------------
 
 
-RationalPower = Union[int, Fraction]
+RationalPower = Union[int, "Fraction"]
+
+
+def _fraction(p) -> Fraction:
+    """``Fraction(p)``, importing ``fractions`` (and ``decimal``) only
+    where a sigmoid-BH exponent is read."""
+    from fractions import Fraction
+    return Fraction(p)
 
 
 def _validate_power(p: RationalPower) -> Fraction:
     """Admissible exponents: positive integers, or even/odd rationals
     (which stay real on negative bases)."""
-    frac = Fraction(p)
+    frac = _fraction(p)
     if frac <= 0:
         raise ModelParameterError("exponent must be positive")
     if frac.denominator == 1:
@@ -355,8 +364,7 @@ def rational_power(x: float, p: Fraction) -> float:
     return (abs(x) if absolute else x) ** power
 
 
-@dataclass(frozen=True)
-class SigmoidBHSpec:
+class SigmoidBHSpec(NamedTuple):
     """Parameters of
     x_n = a_n (x_{n-k} - b)^p / (1 + c_n x_{n-l}^{q_n}) + b."""
 
@@ -509,332 +517,6 @@ def translate_to_origin(eq: EquationSpec, fixed_point: float
         name=eq.name + "-translated", origin_fixed=True)
 
 
-# -- adult-juvenile planar system ---------------------------------------
-
-
-def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
-    """x_{n+1} = s_n y_n,  y_{n+1} = x_n^lam * exp(r_n - x_n - t_n y_n).
-
-    Adults all die each period; juveniles mature.  The first equation is
-    multiplicatively separable, so the system folds exactly; envelope
-    bounds fbar(u) = u and gbar(u) = u^lam * exp(r_sup - u) make the
-    alternating criterion applicable without folding.  Its cycle map is
-    gbar itself, a Ricker bound: alpha is ``ricker_fixed_points(lam,
-    r_sup, 1)``'s u*.
-
-    The cycle is certified in floating point on the quadrant: fl(s_n v)
-    <= v since s_n <= 1; fl(fl(r_n - u) - fl(t_n v)) <= fl(r_sup - u)
-    since r_n <= r_sup and t_n v >= 0, so with the same u ** lam and a
-    monotone ``exp``, g <= gbar; and fbar, the identity, is increasing.
-    """
-    s_seq, t_seq, r_seq = map(as_sequence, (s_seq, t_seq, r_seq))
-    s_lo, s_hi = s_seq.bounds()
-    if s_lo <= 0 or s_hi > 1:
-        raise ModelParameterError("s_n must lie in (0, 1]")
-    if t_seq.bounds()[0] <= 0:
-        raise ModelParameterError("t_n must be positive")
-    if lam <= 1:
-        raise ModelParameterError("lam must exceed 1")
-    r_sup = r_seq.bounds()[1]
-    exp = math.exp
-    s, t, r = s_seq.resolve(), t_seq.resolve(), r_seq.resolve()
-    if _varying(s, t, r):
-        s_at, t_at, r_at = _at(s), _at(t), _at(r)
-
-        def f(n: int, u: float, v: float) -> float:
-            return s_at(n) * v
-
-        def g(n: int, u: float, v: float) -> float:
-            return u ** lam * exp(r_at(n) - u - t_at(n) * v)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            return w / s_at(n)
-    else:
-        def f(n: int, u: float, v: float) -> float:
-            return s * v
-
-        def g(n: int, u: float, v: float) -> float:
-            return u ** lam * exp(r - u - t * v)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            return w / s
-
-    def fbar(u: float) -> float:
-        return u
-
-    def gbar(u: float) -> float:
-        return u ** lam * exp(r_sup - u)
-
-    steps = sorted(set(s_seq.sample_indices()) | set(t_seq.sample_indices())
-                   | set(r_seq.sample_indices()))
-    return PlanarSystem(
-        f=f, g=g,
-        sigma=SigmaForm.custom(sigma),
-        envelope_f=fbar,
-        envelope_g=gbar,
-        sample_steps=tuple(steps),
-        name="adult-juvenile",
-        cycle_threshold=(2, lambda: _fixed_point_threshold(
-            ricker_fixed_points(lam, r_sup, 1.0))),
-        certificate=CycleCertificate(2, (f, g, fbar, gbar)))
-
-
-# -- two-species competition system -------------------------------------
-
-
-@dataclass(frozen=True)
-class CompetitionParams:
-    """Ricker-Beverton-Holt competition parameters; all per-species
-    sequences coercible from scalars."""
-
-    r1: ParameterSequence
-    r2: ParameterSequence
-    a1: ParameterSequence
-    a2: ParameterSequence
-    d1: float
-    d2: float
-    b1: ParameterSequence
-    b2: ParameterSequence
-    d3: float
-    d4: float
-
-    @staticmethod
-    def make(r1, r2, a1, a2, d1, d2, b1=0.0, b2=0.0,
-             d3=1.0, d4=1.0) -> "CompetitionParams":
-        return CompetitionParams(
-            as_sequence(r1), as_sequence(r2), as_sequence(a1),
-            as_sequence(a2), float(d1), float(d2),
-            as_sequence(b1), as_sequence(b2), float(d3), float(d4))
-
-
-def make_competition(params: CompetitionParams,
-                     swapped: bool = False) -> PlanarSystem:
-    """x_{n+1} = r_{1,n} x_n^d1 / (a_{1,n} + x_n^d1 + b_{1,n} y_n^d3) and
-    the analogous y-equation; ``swapped`` exchanges the roles of x and y
-    in the right-hand sides.
-
-    The unswapped system admits the tail envelope
-    fbar(u) = r1_sup u^d1 / (a1_inf + u^d1), with alpha from
-    ``competition_threshold``; the swapped variant admits the
-    alternating envelope pair (fbar1, fbar2) instead, with alpha from
-    ``swapped_competition_threshold``.
-
-    Either cycle is certified in floating point on the quadrant: an
-    envelope computes the same X ** d as its map, fl(r_n X) <= fl(r_sup
-    X), and fl(fl(a_n + X) + fl(b_n Y^e)) >= fl(a_inf + X), so the
-    quotient can only round lower in the map.  fbar1 increases in the
-    reals (derivative r a d u^(d-1) / (a + u^d)^2 > 0), all that the
-    alternating links use.
-    """
-    p = params
-    if p.d1 <= 1 or p.d2 <= 1:
-        raise ModelParameterError("d1, d2 must exceed 1")
-    if p.d3 <= 0 or p.d4 <= 0:
-        raise ModelParameterError("d3, d4 must be positive")
-    for name, seq in (("r1", p.r1), ("r2", p.r2), ("a1", p.a1),
-                      ("a2", p.a2)):
-        if seq.bounds()[0] <= 0:
-            raise ModelParameterError("%s must be positive" % name)
-    if p.b1.bounds()[0] < 0 or p.b2.bounds()[0] < 0:
-        raise ModelParameterError("b1, b2 must be non-negative")
-
-    r1_sup, a1_inf = p.r1.bounds()[1], p.a1.bounds()[0]
-    r2_sup, a2_inf = p.r2.bounds()[1], p.a2.bounds()[0]
-    d1, d2, d3, d4 = p.d1, p.d2, p.d3, p.d4
-    r1, a1, b1 = p.r1.resolve(), p.a1.resolve(), p.b1.resolve()
-    # The x-equation reads its own species from y when swapped, and the
-    # y-equation reads its own from x unless swapped.
-    f = _rbh_map(r1, a1, b1, d1, d3, own_is_y=swapped)
-    g = _rbh_map(p.r2.resolve(), p.a2.resolve(), p.b2.resolve(), d2, d4,
-                 own_is_y=not swapped)
-
-    def fbar1(u: float) -> float:
-        return r1_sup * u ** d1 / (a1_inf + u ** d1)
-
-    def fbar2(u: float) -> float:
-        return r2_sup * u ** d2 / (a2_inf + u ** d2)
-
-    steps = tuple(sorted(set().union(*(
-        s.sample_indices() for s in (p.r1, p.r2, p.a1, p.a2, p.b1, p.b2)))))
-    maps = (f, g, fbar1, fbar2)
-    if swapped:
-        return PlanarSystem(f=f, g=g,
-                            sigma=SigmaForm.custom(_swapped_sigma(
-                                r1, a1, b1, d1, d3)),
-                            envelope_f=fbar1, envelope_g=fbar2,
-                            sample_steps=steps, name="competition-swapped",
-                            cycle_threshold=(2, lambda: (
-                                swapped_competition_threshold(
-                                    r1_sup, a1_inf, d1, r2_sup, a2_inf,
-                                    d2))),
-                            certificate=CycleCertificate(2, maps))
-    sigma = None
-    if p.b1.bounds()[0] > 0:
-        sigma = SigmaForm.custom(_competition_sigma(r1, a1, b1, d1, d3))
-    return PlanarSystem(f=f, g=g, sigma=sigma,
-                        envelope_f=fbar1, envelope_g=fbar2,
-                        sample_steps=steps, name="competition",
-                        cycle_threshold=(1, lambda: competition_threshold(
-                            r1_sup, a1_inf, d1)),
-                        certificate=CycleCertificate(1, maps))
-
-
-def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
-    """(n, x, y) -> r_n X^d / (a_n + X^d + b_n Y^e) from resolved
-    coefficients, where X is the species' own state (x, or y when
-    ``own_is_y``) and Y the other one."""
-    if _varying(r, a, b):
-        r_at, a_at, b_at = _at(r), _at(a), _at(b)
-        if own_is_y:
-            def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * (yd := y ** d) / (a_at(n) + yd
-                                                   + b_at(n) * x ** e)
-        else:
-            def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * (xd := x ** d) / (a_at(n) + xd
-                                                   + b_at(n) * y ** e)
-    elif own_is_y:
-        def rbh(n: int, x: float, y: float) -> float:
-            return r * (yd := y ** d) / (a + yd + b * x ** e)
-    else:
-        def rbh(n: int, x: float, y: float) -> float:
-            return r * (xd := x ** d) / (a + xd + b * y ** e)
-    return rbh
-
-
-def _no_preimage(n: int, u: float, w: float) -> FoldError:
-    return FoldError("sigma_%d: w=%r has no preimage at u=%r" % (n, w, u),
-                     index=n)
-
-
-def _competition_sigma(r1, a1, b1, d1: float, d3: float):
-    """Solve w = r1 u^d1 / (a1 + u^d1 + b1 v^d3) for v (needs w > 0)."""
-    inv_d3 = 1.0 / d3
-    if _varying(r1, a1, b1):
-        r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            if w <= 0:
-                raise _no_preimage(n, u, w)
-            num = r1_at(n) * (ud := u ** d1) / w - a1_at(n) - ud
-            return (num / b1_at(n)) ** inv_d3
-    else:
-        def sigma(n: int, u: float, w: float) -> float:
-            if w <= 0:
-                raise _no_preimage(n, u, w)
-            return ((r1 * (ud := u ** d1) / w - a1 - ud) / b1) ** inv_d3
-    return sigma
-
-
-def _swapped_sigma(r1, a1, b1, d1: float, d3: float):
-    """Solve w = r1 v^d1 / (a1 + v^d1 + b1 u^d3) for v (needs w < r1)."""
-    inv_d1 = 1.0 / d1
-    r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
-
-    def sigma(n: int, u: float, w: float) -> float:
-        denom = r1_at(n) - w
-        if denom <= 0:
-            raise _no_preimage(n, u, w)
-        return (w * (a1_at(n) + b1_at(n) * u ** d3) / denom) ** inv_d1
-    return sigma
-
-
-def competition_threshold(r1: float, a1: float,
-                          d1: float) -> ThresholdResult:
-    """Smallest positive root of u^d1 - r1 u^(d1-1) + a1 = 0, below which
-    the competition envelope satisfies fbar(u) < u.
-
-    d1 = 2 uses the closed quadratic form, as a1 over the larger root
-    (r1 - sqrt(r1^2 - 4 a1) cancels when a1 is small).  Other exponents
-    take ``_lower_root`` below the polynomial's interior minimum: the end
-    of an adjacent pair of doubles where fbar(u) < u, or a raise.
-    """
-    if r1 <= 0 or a1 <= 0 or d1 <= 1:
-        raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
-    if d1 == 2.0:
-        disc = r1 * r1 - 4.0 * a1
-        if disc < 0:
-            return ThresholdResult(_INF)
-        if disc == 0:
-            return ThresholdResult(0.5 * r1, tangent=True)
-        return ThresholdResult(a1 / (0.5 * (r1 + math.sqrt(disc))))
-
-    def psi(u: float) -> float:
-        return u ** d1 - r1 * u ** (d1 - 1.0) + a1
-
-    u_min = r1 * (d1 - 1.0) / d1
-    bottom = psi(u_min)
-    if bottom > _TANGENT_TOL * a1:
-        return ThresholdResult(_INF)
-    if bottom >= 0:     # the safe side only: fbar <= u throughout
-        return ThresholdResult(u_min, tangent=True)
-    return ThresholdResult(_lower_root(lambda u: psi(u) > 0, u_min,
-                                       "fbar(u)"))
-
-
-def _log_envelope(r: float, a: float, d: float):
-    """L(t) = ln fbar(e^t) for fbar(u) = r u^d / (a + u^d), and L'(t).
-
-    L(t) = ln r + d t - ln(a + e^(d t)) = ln r - softplus(ln a - d t),
-    written so that no exponential overflows: increasing, with slope
-    d a / (a + e^(d t)) falling from d to 0, and so concave.
-    """
-    ln_r, ln_a, exp, log1p = math.log(r), math.log(a), math.exp, math.log1p
-
-    def log_fbar(t: float) -> float:
-        x = ln_a - d * t
-        return ln_r - (max(x, 0.0) + log1p(exp(-abs(x))))
-
-    def slope(t: float) -> float:
-        x = ln_a - d * t
-        if x >= 0:
-            return d / (1.0 + exp(-x))
-        e = exp(x)
-        return d * e / (1.0 + e)
-    return log_fbar, slope
-
-
-def swapped_competition_threshold(r1: float, a1: float, d1: float,
-                                  r2: float, a2: float, d2: float
-                                  ) -> ThresholdResult:
-    """Smallest positive root of fbar1(fbar2(u)) = u, the swapped
-    competition system's alternating cycle, with fbar_i(u) =
-    r_i u^d_i / (a_i + u^d_i).
-
-    The cycle has no closed form, but its log form phi(t) = L1(L2(t)) - t
-    (L_i(t) = ln fbar_i(e^t)) is concave: each L_i is increasing and
-    concave.  phi' falls from d1 d2 - 1 > 0 (t -> -inf) to -1, so
-    bisecting its sign finds the one peak; as with
-    ``ricker_fixed_points``, phi there decides between no root (+inf), a
-    tangency (a peak in [-_TANGENT_TOL, 0]) and a pair, whose lower root
-    is ``_lower_root`` below the peak: the end of an adjacent pair of
-    doubles where phi <= 0, or a raise.
-    """
-    if min(r1, a1, r2, a2) <= 0 or d1 <= 1 or d2 <= 1:
-        raise ModelParameterError("need r_i, a_i > 0 and d_i > 1")
-    log_f1, slope1 = _log_envelope(r1, a1, d1)
-    log_f2, slope2 = _log_envelope(r2, a2, d2)
-
-    def phi(t: float) -> float:
-        return log_f1(log_f2(t)) - t
-
-    def rising(t: float) -> bool:   # phi'(t) > 0
-        return slope1(log_f2(t)) * slope2(t) > 1.0
-
-    # Bracket the peak by doubling steps from t = 0, then bisect phi'.
-    last, step = 0.0, 1.0 if rising(0.0) else -1.0
-    while rising(step) == (step > 0):
-        last, step = step, 2.0 * step
-    t_max = bisect(min(last, step), max(last, step), rising)
-    peak = phi(t_max)
-    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: fbar1(fbar2(u)) <= u
-        return ThresholdResult(math.exp(t_max), tangent=True)
-    if peak < 0:
-        return ThresholdResult(_INF)
-    return ThresholdResult(_lower_root(lambda u: phi(math.log(u)) <= 0,
-                                       math.exp(t_max), "fbar1(fbar2(u))"))
-
-
 # -- three-dimensional system and its order-3 fold ----------------------
 
 
@@ -917,6 +599,23 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     p_fold = (lambda n: c * p(n - 2) + ds) if callable(p) else c * p + ds
     return sysm, _ricker_map(cr, 3, a_fold, (b, p_fold, c * q * s),
                              "threed-folded")
+
+
+def relative_deviation(expected: Iterable[float], actual: Iterable[float],
+                       tol: float) -> Tuple[float, Optional[int]]:
+    """Largest relative deviation |e - a| / max(|e|, |a|, 1) over the
+    paired terms (as many as the shorter series has), and the first index
+    where it exceeds ``tol`` or is NaN (the largest passes NaN over)."""
+    worst, first = 0.0, None
+    for n, (e, a) in enumerate(zip(expected, actual)):
+        if a == e:          # the usual case: deviation 0
+            continue
+        d = abs(e - a) / max(abs(e), abs(a), 1.0)
+        if (d > tol or d != d) and first is None:
+            first = n
+        if d > worst:
+            worst = d
+    return worst, first
 
 
 # -- model registry ------------------------------------------------------
@@ -1046,13 +745,25 @@ def _threshold_fields(res: Union[ThresholdResult, BoundingFunction]
             "tangent": res.tangent}
 
 
+def _planar():
+    """The ``planar`` module, imported when a planar entry is first used."""
+    from . import planar
+    return planar
+
+
+def _competition(p: dict, swapped: bool = False):
+    planar = _planar()
+    return planar.make_competition(planar.CompetitionParams(*p.values()),
+                                   swapped)
+
+
 def _competition_fields(p: dict) -> dict:
-    return _threshold_fields(competition_threshold(
+    return _threshold_fields(_planar().competition_threshold(
         _constant(p, "r1"), _constant(p, "a1"), p["delta1"]))
 
 
 def _swapped_fields(p: dict) -> dict:
-    return _threshold_fields(swapped_competition_threshold(
+    return _threshold_fields(_planar().swapped_competition_threshold(
         _constant(p, "r1"), _constant(p, "a1"), p["delta1"],
         _constant(p, "r2"), _constant(p, "a2"), p["delta2"]))
 
@@ -1079,19 +790,18 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
         else _ricker_fields(_SP3_LAM, _SP3_A, _sp3_b_inf(p["k"]))),
     Model("sigmoid-bh", SCALAR, {
         "a": Param(as_sequence, 1.0), "c": Param(as_sequence, 0.0),
-        "q": Param(as_sequence, 1.0), "p": Param(Fraction, 2),
+        "q": Param(as_sequence, 1.0), "p": Param(_fraction, 2),
         "b": Param(float, 0.0), "k": Param(int, 1), "l": Param(int, 1),
     }, _sigmoid_bh, _sigmoid_bh_fields),
     Model("adult-juvenile", PLANAR, {
         "s": Param(as_sequence, 0.8), "t": Param(as_sequence, 1.0),
         "r": Param(as_sequence, 2.0), "lambda": Param(float, 2.0, ("lam",)),
-    }, lambda p: make_adult_juvenile(*p.values()),
+    }, lambda p: _planar().make_adult_juvenile(*p.values()),
         lambda p: _ricker_fields(p["lambda"], _constant(p, "r"), 1.0)),
-    Model("competition", PLANAR, _COMPETITION, lambda p: make_competition(
-        CompetitionParams(*p.values())), _competition_fields),
+    Model("competition", PLANAR, _COMPETITION, _competition,
+          _competition_fields),
     Model("competition-swapped", PLANAR, _COMPETITION,
-          lambda p: make_competition(CompetitionParams(*p.values()),
-                                     swapped=True), _swapped_fields),
+          lambda p: _competition(p, swapped=True), _swapped_fields),
     Model("threed", THREED, {
         "a": Param(as_sequence, 1.0), "p": Param(as_sequence, 0.0),
         **{key: Param(float, default) for key, default in (
@@ -1101,3 +811,14 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
 )}
 
 MODEL_NAMES = tuple(REGISTRY)
+
+_PLANAR_NAMES = frozenset({"CompetitionParams", "competition_threshold",
+                           "make_adult_juvenile", "make_competition",
+                           "swapped_competition_threshold"})
+
+
+def __getattr__(name: str):
+    """The planar builders' public names, from ``planar`` on first use."""
+    if name in _PLANAR_NAMES:
+        return getattr(_planar(), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 # Prediction / classification verdicts.
 CONVERGING_TO_ZERO = "converging-to-zero"
@@ -14,20 +14,24 @@ INCONCLUSIVE = "inconclusive"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class ThresholdWindow:
+class _Interval(NamedTuple):
+    lo: float
+    hi: float
+
+
+class ThresholdWindow(_Interval):
     """Open interval of state values from which convergence is predicted.
 
     For positive-domain models this is (0, alpha); after translation it
     may be an off-origin interval around a fixed point.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __new__(cls, lo: float, hi: float) -> "ThresholdWindow":
+        if not lo < hi:
             raise ValueError("window requires lo < hi")
+        return super().__new__(cls, lo, hi)
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
@@ -36,8 +40,7 @@ class ThresholdWindow:
         return [self.lo, self.hi]
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """Outcome of verifying the decrease inequalities link by link along a
     subsequence: |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}|, or an
     alternating planar cycle's links (``systems._alternating_links``)."""
@@ -65,8 +68,7 @@ class Prediction:
         return self.chain is not None and self.chain.holds
 
 
-@dataclass(frozen=True)
-class LimitClassification:
+class LimitClassification(NamedTuple):
     residue_class: int
     kind: str                      # zero | fixed-point | inconclusive
     value: Optional[float]

@@ -28,8 +28,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
-from typing import (Callable, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import criteria
 from .analysis import analyze_residues
@@ -43,8 +42,7 @@ SystemMap = Callable[[int, float, float], float]
 _SIGMA_TOL = 1e-9       # solve_sigma's relative check by substitution
 
 
-@dataclass(frozen=True)
-class SigmaForm:
+class SigmaForm(NamedTuple):
     """Solvability form for f_n(u, v) = w with respect to v; calling it
     runs ``solve(n, u, w)``."""
 
@@ -110,8 +108,7 @@ class PlanarSystem:
                 and self.domain_y[0] <= y <= self.domain_y[1])
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A forward orbit {(x_n, y_n)} of a planar system; ``points[0]`` is
     the initial point."""
 
@@ -227,8 +224,7 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
                         origin_fixed=sys.origin_residual() == 0.0)
 
 
-@dataclass(frozen=True)
-class FoldCheck:
+class FoldCheck(NamedTuple):
     """Comparison of a direct orbit against the folded scalar equation.
 
     ``steps`` is the number of x-terms compared; ``stopped`` says why the
@@ -326,28 +322,10 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
                      max_y, first, n + 1, stopped)
 
 
-def relative_deviation(expected: Iterable[float], actual: Iterable[float],
-                       tol: float) -> Tuple[float, Optional[int]]:
-    """Largest relative deviation |e - a| / max(|e|, |a|, 1) over the
-    paired terms (as many as the shorter series has), and the first index
-    where it exceeds ``tol`` or is NaN (the largest passes NaN over)."""
-    worst, first = 0.0, None
-    for n, (e, a) in enumerate(zip(expected, actual)):
-        if a == e:          # the usual case: deviation 0
-            continue
-        d = abs(e - a) / max(abs(e), abs(a), 1.0)
-        if (d > tol or d != d) and first is None:
-            first = n
-        if d > worst:
-            worst = d
-    return worst, first
-
-
 # -- envelope criteria ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeVerdict:
+class EnvelopeVerdict(NamedTuple):
     applicable: bool
     alpha: float = math.nan
     tangent: bool = False

@@ -40,7 +40,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
@@ -51,9 +51,9 @@ from subconverge.errors import (BoundValidationError,
                                 CriterionInapplicableError,
                                 ModelParameterError, NonFiniteError)
 from subconverge.models import (CompetitionParams, FixedPointResult, REGISTRY,
-                                _log_envelope, competition_threshold,
-                                ricker_fixed_points,
+                                competition_threshold, ricker_fixed_points,
                                 swapped_competition_threshold)
+from subconverge.planar import _log_envelope
 
 S = sc.ParameterSequence
 from subconverge.reports import ThresholdWindow
@@ -331,7 +331,7 @@ def same(a, b) -> bool:
         return a == b
     close = (a.alpha == b.alpha or math.isnan(a.alpha) and math.isnan(b.alpha)
              or abs(a.alpha - b.alpha) <= (1e-5 if b.tangent else 1e-12))
-    return close and replace(a, alpha=0.0) == replace(b, alpha=0.0)
+    return close and a._replace(alpha=0.0) == b._replace(alpha=0.0)
 
 
 def assert_threshold_same(g, search_hi):
@@ -538,6 +538,7 @@ positive = st.floats(min_value=5e-324, max_value=1e308,
 @settings(max_examples=30, deadline=None)
 @given(positive)
 def test_scan_grid_equals_sorted_union(search_hi):
+    assume(search_hi * _DEFAULT_SCAN < math.inf)    # else: the next test
     linear = [search_hi * i / _DEFAULT_SCAN
               for i in range(1, _DEFAULT_SCAN + 1)]
     log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
@@ -552,10 +553,24 @@ def test_scan_grid_equals_sorted_union_default_size(search_hi):
     # of the _DEFAULT_SCAN linear points is on the grid, which rises
     # strictly.
     assert criteria._GRID_POINTS == _DEFAULT_SCAN
+    assume(search_hi * _DEFAULT_SCAN < math.inf)    # else: the next test
     grid = criteria._scan_grid(search_hi)
     on_grid = set(grid)
     assert all(search_hi * i / _DEFAULT_SCAN in on_grid
                for i in range(1, _DEFAULT_SCAN + 1))
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=1.8e304, max_value=1.7976931348623157e308))
+@example(1.7976931348623157e308)
+def test_scan_grid_stays_finite_where_search_hi_times_i_overflows(search_hi):
+    # search_hi * i overflows for the top linear points here, and the
+    # grid takes them as search_hi * (i / _DEFAULT_SCAN) instead.
+    assert search_hi * _DEFAULT_SCAN == math.inf
+    grid = criteria._scan_grid(search_hi)
+    assert all(map(math.isfinite, grid))
+    assert grid[-1] <= search_hi
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 

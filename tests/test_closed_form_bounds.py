@@ -25,6 +25,7 @@ must fail on pinned orbits once an envelope is shrunk by 1%.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -265,7 +266,7 @@ def test_a_sigmoid_bh_alpha_scaled_by_1_01_fails_the_oracle(monkeypatch, a,
     monkeypatch.setattr(models, "_sigmoid_bh_alpha", lambda a_sup, p: (
         alpha(1.01 ** (1.0 - p) * a_sup, p)))
     assert models.sigmoid_bh_bound(spec).alpha == \
-        pytest.approx(1.01 * alpha(a, float(models.Fraction(p))))
+        pytest.approx(1.01 * alpha(a, float(Fraction(p))))
     with pytest.raises((AssertionError, BoundValidationError)):
         check_sigmoid_bh(spec)
 

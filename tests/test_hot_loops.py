@@ -9,7 +9,6 @@ bits the plain form gives; the oracles live here, not in the package.
 import dataclasses
 import math
 import struct
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -359,7 +358,7 @@ def answering(answers, initial, steps):
 
 def _fold_outcome(check, sysm, init, steps, tol):
     try:
-        return repr(astuple(check(sysm, init, steps, tol)))
+        return repr(tuple(check(sysm, init, steps, tol)))
     except Exception as exc:    # noqa: BLE001 -- any error must match
         return type(exc), str(exc), getattr(exc, "index", None)
 
