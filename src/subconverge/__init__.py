@@ -31,15 +31,15 @@ _SOURCES = {
                  "verify_sublinearity"),
     "dynamics": ("EquationSpec", "Trajectory", "evaluate_map",
                  "extract_subsequence", "iterate"),
-    # (models reads the planar builders' names from planar on first use)
     "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",
                "SigmoidBHSpec", "ThreeDSystem", "make_3d_example",
                "make_generalized_ricker", "make_sigmoid_bh", "make_sp3",
                "ricker_fixed_points", "ricker_threshold_condition",
                "sigmoid_bh_bound", "sigmoid_bh_window",
-               "translate_to_origin", "CompetitionParams",
-               "competition_threshold", "make_adult_juvenile",
-               "make_competition", "swapped_competition_threshold"),
+               "translate_to_origin"),
+    "planar": ("CompetitionParams", "competition_threshold",
+               "make_adult_juvenile", "make_competition",
+               "swapped_competition_threshold"),
     "reports": ("ChainResult", "ConvergenceReport", "Prediction",
                 "ThresholdWindow"),
     "sequences": ("ParameterSequence",),
@@ -53,7 +53,11 @@ _SOURCES = {
 }
 _WHERE = {name: module for module, names in _SOURCES.items()
           for name in names}
-_WHERE.update((module, module) for module in (*_SOURCES, "errors"))
+# The submodules the namespace binds; ``planar`` is reached through its
+# names, or bound by importing it.
+_WHERE.update((module, module) for module in (
+    "analysis", "criteria", "dynamics", "errors", "models", "reports",
+    "sequences", "systems"))
 
 __all__ = sorted(_WHERE)
 

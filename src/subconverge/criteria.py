@@ -113,13 +113,8 @@ def _scan_grid(search_hi: float) -> List[float]:
     """The threshold scan's points, ascending and without repeats: a
     linear grid search_hi * i / _GRID_POINTS (i = 1 .. _GRID_POINTS) and
     900 log-spaced points over the 30 decades below search_hi, so roots
-    many orders of magnitude below search_hi are not stepped over.
-    Where search_hi * _GRID_POINTS overflows (search_hi above ~1.8e304)
-    a point is search_hi * (i / _GRID_POINTS) instead: i / _GRID_POINTS
-    <= 1, so no product overflows and the last point is search_hi."""
-    wide = search_hi * _GRID_POINTS == math.inf
-    linear = [search_hi * (i / _GRID_POINTS) if wide
-              else search_hi * i / _GRID_POINTS
+    many orders of magnitude below search_hi are not stepped over."""
+    linear = [search_hi * i / _GRID_POINTS
               for i in range(1, _GRID_POINTS + 1)]
     log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
     return sorted(set(linear) | set(log_pts))

@@ -13,10 +13,9 @@ Families:
   equation.
 
 The planar families (adult-juvenile, competition) are built in
-``planar``, the one builder module that needs ``systems``.  This module
-and its registry import it only when a planar model is built, so a
-scalar model loads no planar code; ``models.make_competition`` and the
-other planar names still resolve, through ``__getattr__``.
+``planar``, the one builder module that needs ``systems``.  The registry
+imports it only when a planar model is built, so a scalar model loads
+no planar code.
 """
 
 from __future__ import annotations
@@ -811,14 +810,3 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
 )}
 
 MODEL_NAMES = tuple(REGISTRY)
-
-_PLANAR_NAMES = frozenset({"CompetitionParams", "competition_threshold",
-                           "make_adult_juvenile", "make_competition",
-                           "swapped_competition_threshold"})
-
-
-def __getattr__(name: str):
-    """The planar builders' public names, from ``planar`` on first use."""
-    if name in _PLANAR_NAMES:
-        return getattr(_planar(), name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

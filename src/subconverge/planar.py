@@ -7,8 +7,8 @@
 
 These are the only builders that need ``systems``; they live apart from
 the scalar families of ``models`` so that a scalar command loads no
-planar code.  ``models`` and the package resolve their names here on
-first use.
+planar code.  The registry and the package import this module on first
+use.
 """
 
 from __future__ import annotations

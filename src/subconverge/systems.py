@@ -108,7 +108,8 @@ class PlanarSystem:
                 and self.domain_y[0] <= y <= self.domain_y[1])
 
 
-class Orbit(NamedTuple):
+@dataclass(frozen=True)
+class Orbit:
     """A forward orbit {(x_n, y_n)} of a planar system; ``points[0]`` is
     the initial point."""
 

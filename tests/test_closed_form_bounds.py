@@ -31,13 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subconverge import models
+from subconverge import models, planar
 from subconverge.criteria import (ThresholdResult, solve_threshold,
                                   validate_bound)
 from subconverge.errors import (BoundValidationError,
                                 CriterionInapplicableError, NonFiniteError)
-from subconverge.models import (CompetitionParams, RickerFamilySpec,
-                                SigmoidBHSpec, ricker_fixed_points)
+from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
+                                ricker_fixed_points)
+from subconverge.planar import CompetitionParams
 from subconverge.reports import ThresholdWindow
 from subconverge.sequences import ParameterSequence as S
 from subconverge.systems import (check_envelope_cycle, iterate_system,
@@ -380,13 +381,13 @@ def competition_systems(draw):
     b1, b2 = draw(sequences(0.0, 2.0)), draw(sequences(0.0, 2.0))
     d1, d2 = draw(st.floats(1.1, 4.0)), draw(st.floats(1.1, 4.0))
     d3, d4 = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
-    return models.make_competition(CompetitionParams(
+    return planar.make_competition(CompetitionParams(
         r1, r2, a1, a2, d1, d2, b1, b2, d3, d4), swapped=swapped)
 
 
 @st.composite
 def adult_juvenile_systems(draw):
-    return models.make_adult_juvenile(
+    return planar.make_adult_juvenile(
         draw(sequences(0.05, 1.0)), draw(sequences(0.2, 3.0)),
         draw(sequences(-40.0, 5.0)), draw(st.floats(1.05, 25.0)))
 
@@ -398,20 +399,20 @@ def test_planar_cycles_pass_the_oracle(sysm):
 
 
 PLANAR_CASES = {
-    "competition": lambda: models.make_competition(
+    "competition": lambda: planar.make_competition(
         CompetitionParams.make(4.0, 1.0, 1.0, 1.0, 2.0, 2.0)),
-    "competition-delta-3": lambda: models.make_competition(
+    "competition-delta-3": lambda: planar.make_competition(
         CompetitionParams.make(S.periodic([2.0, 1.5]), 1.0, 0.5, 1.0, 3.0,
                                2.0)),
-    "competition-above-10": lambda: models.make_competition(
+    "competition-above-10": lambda: planar.make_competition(
         CompetitionParams.make(50.0, 1.0, 600.0, 1.0, 2.0, 2.0)),
-    "swapped": lambda: models.make_competition(
+    "swapped": lambda: planar.make_competition(
         CompetitionParams.make(3.0, 3.0, 1.0, 1.0, 2.0, 2.0), swapped=True),
-    "swapped-mixed": lambda: models.make_competition(
+    "swapped-mixed": lambda: planar.make_competition(
         CompetitionParams.make(4.0, S.periodic([2.0, 1.0]), 0.5, 1.0, 3.0,
                                1.5), swapped=True),
-    "adult-juvenile": lambda: models.make_adult_juvenile(0.8, 1.0, 2.0, 2.0),
-    "adult-juvenile-above-10": lambda: models.make_adult_juvenile(
+    "adult-juvenile": lambda: planar.make_adult_juvenile(0.8, 1.0, 2.0, 2.0),
+    "adult-juvenile-above-10": lambda: planar.make_adult_juvenile(
         0.8, 1.0, S.periodic([-39.0, -40.0]), 21.0),
 }
 
@@ -471,7 +472,7 @@ def test_a_certified_envelope_shrunk_by_1_percent_fails_the_oracle(name,
 def saturated_swapped(draw):
     """A swapped system whose fbar1 saturates (d1 in 20-60), where the
     monotonicity grid rejected it, with an initial point."""
-    sysm = models.make_competition(CompetitionParams(
+    sysm = planar.make_competition(CompetitionParams(
         draw(sequences(0.2, 60.0)), draw(sequences(0.2, 60.0)),
         draw(sequences(0.05, 700.0)), draw(sequences(0.05, 700.0)),
         draw(st.floats(20.0, 60.0)), draw(st.floats(1.1, 4.0)),
@@ -496,9 +497,9 @@ def test_saturated_swapped_orbits_hold_their_links(case):
 
 
 @pytest.mark.parametrize("build, initial", [
-    (lambda: models.make_competition(CompetitionParams.make(
+    (lambda: planar.make_competition(CompetitionParams.make(
         1.0, 1.0, 1.0, 1.0, 2.0, 2.0), swapped=True), (2.0, 1.0)),
-    (lambda: models.make_adult_juvenile(1.0, 1e-12, 2.0, 2.0), (0.1, 0.1)),
+    (lambda: planar.make_adult_juvenile(1.0, 1e-12, 2.0, 2.0), (0.1, 0.1)),
 ], ids=["swapped-default", "adult-juvenile-s1"])
 @pytest.mark.parametrize("field", ["envelope_f", "envelope_g"])
 def test_a_certified_envelope_shrunk_by_1_percent_is_violated(build, initial,
@@ -519,7 +520,7 @@ def test_a_replaced_envelope_is_scanned():
     def double(u):
         return 2.0 * sysm.envelope_f(u)
     own = check_envelope_cycle(sysm, (sysm.envelope_f,))
-    assert own.alpha == models.competition_threshold(4.0, 1.0, 2.0).alpha
+    assert own.alpha == planar.competition_threshold(4.0, 1.0, 2.0).alpha
     assert check_envelope_cycle(sysm, (double,)).alpha == \
         solve_threshold(double, 10.0).alpha != own.alpha
     user = replace(sysm, cycle_threshold=None)

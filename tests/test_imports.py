@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import subconverge
+from subconverge import planar
 
 # The public names of the package, as ``__all__`` listed them when
 # ``__init__`` imported every module.
@@ -106,8 +107,7 @@ def test_all_lists_the_public_names():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(subconverge, name) is not None, name
-    assert subconverge.make_competition is \
-        subconverge.models.make_competition
+    assert subconverge.make_competition is planar.make_competition
     assert subconverge.systems.PlanarSystem is subconverge.PlanarSystem
 
 
