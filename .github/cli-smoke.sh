@@ -103,22 +103,29 @@ done <<'ERRORS'
 2 analyze --model sp3 --k x
 2 analyze --model nope
 ERRORS
-# A scalar command loads no planar code.  -X importtime lists on stderr
-# every module that the importable package (the installed one, or
-# PYTHONPATH=src) loads while the command runs in process.
-while read -r args; do
+# A command loads only what it runs: no command loads click, a scalar
+# one no planar code, and only analyze the analysis; none without
+# --config loads the config schema.  -X importtime lists on stderr every
+# module that the importable package (the installed one, or
+# PYTHONPATH=src) loads while the command runs in process.  Each line:
+# the arguments, then a pattern of the modules the command must not load.
+while IFS=';' read -r args forbidden; do
     if ! python -X importtime -c \
             "from subconverge.cli import main; main([$args])" \
             > /dev/null 2> "$err" \
             || ! grep -q ' subconverge\.models$' "$err" \
-            || grep -q ' subconverge\.systems$' "$err"; then
-        echo "FAILED: [$args] imports subconverge.systems, or did not run" >&2
-        grep 'subconverge\|Error' "$err" >&2
+            || grep -Eq " ($forbidden)\$" "$err"; then
+        echo "FAILED: [$args] imports one of $forbidden, or did not run" >&2
+        grep 'subconverge\|click\|Error' "$err" >&2
         status=1
     fi
 done <<'SCALAR'
-"models"
-"analyze", "--model", "sp3", "--init", "1,1,1", "--steps", "30"
+"models";click(\..*)?|subconverge\.(systems|planar|analysis|config)
+"simulate", "--model", "ricker", "--steps", "20";click(\..*)?|subconverge\.(systems|planar|analysis|config)
+"analyze", "--model", "sp3", "--init", "1,1,1", "--steps", "30";click(\..*)?|subconverge\.(systems|planar|config)
+"threshold", "--model", "sp3", "--json";click(\..*)?|subconverge\.(systems|planar|analysis|config)
+"fold", "--model", "threed", "--init", "0.9,1.1,1", "--steps", "50";click(\..*)?|subconverge\.(systems|planar|analysis|config)
+"analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config
 SCALAR
 rm -f "$err" "$cfg" "$fold_cfg" "$orbit"
 exit $status

@@ -13,8 +13,12 @@ non-finite initial values), 4 violated prediction (soundness alarm),
 5 bound validation failure, 6 fold inconsistency.  All JSON output is
 strict: a non-finite number in it is a blow-up, never ``Infinity``.
 
-Only the planar branches import ``systems`` (and the registry's planar
-entries ``planar``), so a scalar command loads no planar code.
+The options are read by a small table-driven parser that splits a
+command line, and words each usage error, as click 8 does.  A command
+imports what only it reads: ``analyze`` the analysis, a ``--config`` or
+``simulate --format json`` the config schema, and the planar branches
+``systems`` (and the registry's planar entries ``planar``), so a scalar
+command loads no planar code.
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
 
-import click
-
-from . import analysis, models
-from .config import SCHEMA_VERSION, load_config
+from . import models
 from .dynamics import iterate
 from .errors import (BoundValidationError, ConfigError,
                      CriterionInapplicableError, DomainError,
@@ -49,8 +51,15 @@ _EXITS = (
 )
 
 
+def _echo(text: str, stream=None):
+    """Write ``text`` and flush, so stdout and stderr keep their order."""
+    stream = stream or sys.stdout
+    stream.write(text)
+    stream.flush()
+
+
 def _fail(code: int, message: str):
-    click.echo("error: %s" % message, err=True)
+    _echo("error: %s\n" % message, sys.stderr)
     sys.exit(code)
 
 
@@ -112,48 +121,252 @@ def _write_out(text: str, out: Optional[str]):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        _echo(text if text.endswith("\n") else text + "\n")
 
 
-_MODEL_OPTIONS = [
-    click.option("--model", "model", type=click.Choice(models.MODEL_NAMES)),
-    click.option("--config", "config_path", type=click.Path()),
-    click.option("--k", type=int, default=None),
-    click.option("--l", type=int, default=None),
-    click.option("--lambda", "lam", type=float, default=None),
-    click.option("--a", type=float, default=None),
-    click.option("--b", "b", default=None,
-                 help="scalar, or comma list of per-lag coefficients"),
-    click.option("--c", type=float, default=None),
-    click.option("--d", type=float, default=None),
-    click.option("--p", default=None),
-    click.option("--q", type=float, default=None),
-    click.option("--r", type=float, default=None),
-    click.option("--s", type=float, default=None),
-    click.option("--t", type=float, default=None),
-    click.option("--r1", type=float, default=None),
-    click.option("--r2", type=float, default=None),
-    click.option("--a1", type=float, default=None),
-    click.option("--a2", type=float, default=None),
-    click.option("--b1", type=float, default=None),
-    click.option("--b2", type=float, default=None),
-    click.option("--delta1", type=float, default=None),
-    click.option("--delta2", type=float, default=None),
-    click.option("--delta3", type=float, default=None),
-    click.option("--delta4", type=float, default=None),
-]
+# -- options ---------------------------------------------------------------
+
+# Each option is a (flag, dest, type[, help]) row.  The type is the
+# metavar: INTEGER and FLOAT values are converted, TEXT and PATH values
+# kept as given, a tuple lists the choices, and None makes a switch that
+# takes no value.
+_MODEL_OPTIONS = (
+    ("--model", "model", models.MODEL_NAMES),
+    ("--config", "config_path", "PATH"),
+    ("--k", "k", "INTEGER"),
+    ("--l", "l", "INTEGER"),
+    ("--lambda", "lam", "FLOAT"),
+    ("--a", "a", "FLOAT"),
+    ("--b", "b", "TEXT", "scalar, or comma list of per-lag coefficients"),
+    ("--c", "c", "FLOAT"),
+    ("--d", "d", "FLOAT"),
+    ("--p", "p", "TEXT"),
+    ("--q", "q", "FLOAT"),
+    ("--r", "r", "FLOAT"),
+    ("--s", "s", "FLOAT"),
+    ("--t", "t", "FLOAT"),
+    ("--r1", "r1", "FLOAT"),
+    ("--r2", "r2", "FLOAT"),
+    ("--a1", "a1", "FLOAT"),
+    ("--a2", "a2", "FLOAT"),
+    ("--b1", "b1", "FLOAT"),
+    ("--b2", "b2", "FLOAT"),
+    ("--delta1", "delta1", "FLOAT"),
+    ("--delta2", "delta2", "FLOAT"),
+    ("--delta3", "delta3", "FLOAT"),
+    ("--delta4", "delta4", "FLOAT"),
+)
+_HELP = ("--help", "help", None, "Show this message and exit.")
+_NUMBERS = {"INTEGER": (int, "integer"), "FLOAT": (float, "float")}
 
 
-def _model_options(fn):
-    for opt in reversed(_MODEL_OPTIONS):
-        fn = opt(fn)
-    return fn
+def _no_such(what: str, name: str, known=()) -> None:
+    """An unknown option or command, with the ``known`` names that are
+    close to it."""
+    message = "No such %s %r." % (what, name)
+    if known:
+        from difflib import get_close_matches
+        close = sorted(get_close_matches(name, known))
+        if len(close) == 1:
+            message += " Did you mean %r?" % close[0]
+        elif close:
+            message += " (Did you mean one of: %s?)" % ", ".join(
+                map(repr, close))
+    _fail(EXIT_CONFIG, message)
+
+
+def _parse(args: list, rows, interspersed: bool):
+    """Split ``args`` into (values, rest).  ``values`` maps the dest of
+    each option given to its text (True for a switch), in the order the
+    options first appear; a repeated option keeps its last value.
+    ``rest`` holds the other arguments.  ``--opt=value`` equals ``--opt
+    value``, a value is the next argument even if it starts with a dash,
+    and ``--`` ends the options; so does the first other argument unless
+    ``interspersed``.  A flag must be given in full."""
+    flags = {row[0]: row for row in rows}
+    values, rest = {}, []
+    while args:
+        arg, args = args[0], args[1:]
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                args = [arg] + args
+                break
+            rest.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            if arg[:2] == "--":
+                _no_such("option", flag, flags)
+            _no_such("option", arg[:2])
+        _, dest, kind = flags[flag][:3]
+        if kind is None:
+            if eq:
+                _fail(EXIT_CONFIG, "Option %r does not take a value." % flag)
+            value = True
+        elif not eq:
+            if not args:
+                _fail(EXIT_CONFIG, "Option %r requires an argument." % flag)
+            value, args = args[0], args[1:]
+        values[dest] = value
+    return values, rest + args
+
+
+def _convert(values: dict, rows) -> dict:
+    """The values typed, in the order given; the first value its type
+    rejects ends the run."""
+    kinds = {row[1]: row for row in rows}
+    for dest, text in values.items():
+        flag, _, kind = kinds[dest][:3]
+        if kind in _NUMBERS:
+            number, name = _NUMBERS[kind]
+            try:
+                values[dest] = number(text)
+            except ValueError:
+                _fail(EXIT_CONFIG, "Invalid value for %r: %r is not a "
+                      "valid %s." % (flag, text, name))
+        elif isinstance(kind, tuple) and text not in kind:
+            _fail(EXIT_CONFIG, "Invalid value for %r: %r is not one of %s."
+                  % (flag, text, ", ".join(map(repr, kind))))
+    return values
+
+
+def _help(usage: str, summary: str, sections) -> str:
+    """Help text in click's layout on an 80-column terminal: the usage
+    line, the summary, then each section as two columns."""
+    from textwrap import wrap
+    lines = ["Usage: " + usage, "", "  " + summary]
+    for title, rows in sections:
+        width = min(max(len(term) for term, _ in rows), 30)
+        indent = " " * (width + 4)
+        lines += ["", title + ":"]
+        for term, text in rows:
+            if not text:
+                lines.append("  " + term)
+                continue
+            first, *more = wrap(text, 74 - width)
+            if len(term) <= width:
+                lines.append("  %-*s  %s" % (width, term, first))
+            else:
+                lines += ["  " + term, indent + first]
+            lines += [indent + line for line in more]
+    return "\n".join(lines)
+
+
+def _option_help(rows) -> list:
+    """(term, text) help rows for option rows."""
+    out = []
+    for flag, _, kind, *text in rows:
+        if isinstance(kind, tuple):
+            flag += " [%s]" % "|".join(kind)
+        elif kind:
+            flag += " " + kind
+        out.append((flag, text[0] if text else ""))
+    return out
+
+
+def _prog_name() -> str:
+    """The program's name as its caller typed it: the script's file name,
+    or ``python -m package.module``."""
+    path = os.path.basename(sys.argv[0])
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return path
+    module = os.path.splitext(path)[0]
+    if module != "__main__":
+        package += "." + module
+    return "python -m " + package.lstrip(".")
+
+
+class _Main:
+    """The ``subconverge`` entry point: ``main()`` reads ``sys.argv``,
+    ``main([...])`` the given arguments.  ``main.main(args, prog_name)``
+    is the same call under click's name for it, as
+    ``click.testing.CliRunner`` makes it."""
+
+    name = "main"
+    summary = ("Convergence analysis of nonlinear difference equations and "
+               "planar systems.")
+
+    def __init__(self):
+        self.commands = {}   # name -> (command, its option rows)
+
+    def command(self, name: str, rows=()):
+        """Register a command and its option rows; its docstring is its
+        one-line help."""
+        def register(command):
+            self.commands[name] = (command, rows)
+            return command
+        return register
+
+    def __call__(self, args=None):
+        self.main(args)
+
+    def main(self, args=None, prog_name=None):
+        try:
+            self._run(sys.argv[1:] if args is None else list(args),
+                      prog_name or _prog_name())
+        except (EOFError, KeyboardInterrupt):
+            _echo("\nAborted!\n", sys.stderr)
+            sys.exit(1)
+        except BrokenPipeError:
+            # The reader has gone: end with 1 and send what is left
+            # unflushed nowhere, so that no second error follows at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+    def _group_help(self, prog: str) -> str:
+        return _help(prog + " [OPTIONS] COMMAND [ARGS]...", self.summary,
+                     [("Options", _option_help([_HELP])),
+                      ("Commands", [(name, self.commands[name][0].__doc__)
+                                    for name in sorted(self.commands)])])
+
+    def _group_options(self, args: list, prog: str) -> list:
+        values, rest = _parse(args, [_HELP], interspersed=False)
+        if values:
+            _echo(self._group_help(prog) + "\n")
+            sys.exit(0)
+        return rest
+
+    def _run(self, args: list, prog: str):
+        if not args:
+            _echo(self._group_help(prog) + "\n", sys.stderr)
+            sys.exit(EXIT_CONFIG)
+        args = self._group_options(args, prog)
+        if not args:
+            _fail(EXIT_CONFIG, "Missing command.")
+        name = args[0]
+        if name not in self.commands:
+            if name[:1] == "-":     # after ``--``: parsed as options again
+                self._group_options(args, prog)
+            _no_such("command", name, self.commands)
+        command, rows = self.commands[name]
+        values, extra = _parse(args[1:], rows + (_HELP,), interspersed=True)
+        if "help" in values:
+            _echo(_help("%s %s [OPTIONS]" % (prog, name), command.__doc__,
+                        [("Options", _option_help(rows + (_HELP,)))])
+                  + "\n")
+            sys.exit(0)
+        kw = _convert(values, rows)
+        if extra:
+            _fail(EXIT_CONFIG, "Got unexpected extra argument%s (%s)"
+                  % ("s" if len(extra) > 1 else "", " ".join(extra)))
+        for _, dest, kind, *_ in rows:
+            kw.setdefault(dest, False if kind is None else None)
+        command(**kw)
+
+
+main = _Main()
 
 
 def _gather(model, config_path, init, steps, fmt, kw):
     """(registry entry, raw params, coerced params, initial values,
     steps, output format, config) from the options and the config."""
-    config = load_config(config_path) if config_path else None
+    config = None
+    if config_path:
+        from .config import load_config
+        config = load_config(config_path)
     name = model or (config.model if config else None)
     if name is None:
         raise ConfigError("no model given (use --model or --config)")
@@ -179,39 +392,11 @@ def _gather(model, config_path, init, steps, fmt, kw):
             fmt or (config.format if config else "csv"), config)
 
 
-def _one_line(call, *args):
-    """``call(*args)``, with click's own usage error (an unknown command
-    or option, a value its type rejects) ending as every bad input does:
-    exit 2 and one ``error:`` line, not click's usage block."""
-    try:
-        return call(*args)
-    except click.UsageError as exc:
-        _fail(EXIT_CONFIG, exc.format_message())
-
-
-class _Main(click.Group):
-    def parse_args(self, ctx, args):
-        if not args:    # a bare ``subconverge`` prints the help
-            return super().parse_args(ctx, args)
-        return _one_line(super().parse_args, ctx, args)
-
-    def invoke(self, ctx):
-        return _one_line(super().invoke, ctx)
-
-
-@click.group(cls=_Main)
-def main():
-    """Convergence analysis of nonlinear difference equations and
-    planar systems."""
-
-
-@main.command()
-@_model_options
-@click.option("--init", default=None, help="comma-separated initial values")
-@click.option("--steps", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default=None)
-@click.option("--out", default=None)
+@main.command("simulate", _MODEL_OPTIONS + (
+              ("--init", "init", "TEXT", "comma-separated initial values"),
+              ("--steps", "steps", "INTEGER"),
+              ("--format", "fmt", ("csv", "json")),
+              ("--out", "out", "TEXT")))
 @_exits()
 def simulate(model, config_path, init, steps, fmt, out, **kw):
     """Generate and export a trajectory or orbit."""
@@ -242,6 +427,7 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
             return "n,x,y,z\n" + "".join("%d,%r,%r,%r\n" % (n, *st)
                                          for n, st in enumerate(rows))
     if out_fmt == "json":   # tuples are written as JSON arrays
+        from .config import SCHEMA_VERSION
         _write_out(_dumps({"schema": SCHEMA_VERSION, "model": entry.name,
                            "params": params, "initial": initial,
                            "steps": n_steps, key: rows}), out)
@@ -251,15 +437,15 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
         _fail(EXIT_BLOWUP, diagnostic)
 
 
-@main.command()
-@_model_options
-@click.option("--init", default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--out", default=None)
-@click.option("--tol", type=float, default=None)
+@main.command("analyze", _MODEL_OPTIONS + (
+              ("--init", "init", "TEXT"),
+              ("--steps", "steps", "INTEGER"),
+              ("--out", "out", "TEXT"),
+              ("--tol", "tol", "FLOAT")))
 @_exits()
 def analyze(model, config_path, init, steps, out, tol, **kw):
     """Apply the convergence criterion and emit a JSON report."""
+    from . import analysis
     _check_tol(tol)
     entry, _, p, initial, n_steps, _, config = _gather(
         model, config_path, init, steps, None, kw)
@@ -301,9 +487,7 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         _fail(EXIT_VIOLATED, "a prediction was violated (soundness alarm)")
 
 
-@main.command()
-@_model_options
-@click.option("--json", "as_json", is_flag=True)
+@main.command("threshold", _MODEL_OPTIONS + (("--json", "as_json", None),))
 @_exits()
 def threshold(model, config_path, as_json, **kw):
     """Print decline thresholds and fixed points for a model family."""
@@ -314,21 +498,21 @@ def threshold(model, config_path, as_json, **kw):
     entry.build(p)  # the builder's checks; a scalar bound is not built
     out = {"model": entry.name, **entry.threshold(p)}
     if as_json:
-        click.echo(_dumps(out))
+        _echo(_dumps(out) + "\n")
     else:
         for key, val in out.items():
-            click.echo("%s: %s" % (key, val))
+            _echo("%s: %s\n" % (key, val))
 
 
-@main.command()
-@_model_options
-@click.option("--init", default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--tol", type=float, default=1e-9)
-@click.option("--out", default=None)
+@main.command("fold", _MODEL_OPTIONS + (
+              ("--init", "init", "TEXT"),
+              ("--steps", "steps", "INTEGER"),
+              ("--tol", "tol", "FLOAT"),
+              ("--out", "out", "TEXT")))
 @_exits(((SubconvergeError,), EXIT_FOLD))
 def fold(model, config_path, init, steps, tol, out, **kw):
     """Fold a system to a scalar equation and verify consistency."""
+    tol = 1e-9 if tol is None else tol
     _check_tol(tol)
     if steps is None and not config_path:
         steps = 100     # else the config's steps, 100 where it sets none
@@ -370,7 +554,7 @@ def fold(model, config_path, init, steps, tol, out, **kw):
 def list_models():
     """List the model catalog."""
     for name in models.MODEL_NAMES:
-        click.echo(name)
+        _echo(name + "\n")
 
 
 if __name__ == "__main__":

@@ -113,9 +113,14 @@ def _scan_grid(search_hi: float) -> List[float]:
     """The threshold scan's points, ascending and without repeats: a
     linear grid search_hi * i / _GRID_POINTS (i = 1 .. _GRID_POINTS) and
     900 log-spaced points over the 30 decades below search_hi, so roots
-    many orders of magnitude below search_hi are not stepped over."""
-    linear = [search_hi * i / _GRID_POINTS
-              for i in range(1, _GRID_POINTS + 1)]
+    many orders of magnitude below search_hi are not stepped over.
+    Where search_hi * i overflows, a linear point is search_hi *
+    (i / _GRID_POINTS); the last one is search_hi itself, its exact
+    value.  So every point is finite and at most search_hi."""
+    linear = [v / _GRID_POINTS if (v := search_hi * i) < math.inf
+              else search_hi * (i / _GRID_POINTS)
+              for i in range(1, _GRID_POINTS)]
+    linear.append(search_hi)
     log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
     return sorted(set(linear) | set(log_pts))
 

@@ -37,10 +37,11 @@ be the below-side end of an adjacent pair of doubles.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
@@ -531,32 +532,47 @@ def test_a_scan_without_a_threshold_is_an_inapplicable_verdict():
 # -- property tests ------------------------------------------------------
 
 
-positive = st.floats(min_value=5e-324, max_value=1e308,
-                     allow_nan=False, allow_infinity=False)
+# Up to the largest double: above ~1.8e304, search_hi * i overflows for
+# the top linear points.
+positive = st.floats(min_value=5e-324, allow_nan=False,
+                     allow_infinity=False)
+
+
+def ref_linear(search_hi):
+    """The scan's linear points: search_hi * i / N, or search_hi * (i / N)
+    where search_hi * i overflows, and search_hi itself for i = N."""
+    return [search_hi * i / _DEFAULT_SCAN if search_hi * i < math.inf
+            else search_hi * (i / _DEFAULT_SCAN)
+            for i in range(1, _DEFAULT_SCAN)] + [search_hi]
 
 
 @settings(max_examples=30, deadline=None)
 @given(positive)
+@example(sys.float_info.max)
+@example(1.8e304)
+@example(3.7469301455335216)    # search_hi * N / N rounds one ulp above
 def test_scan_grid_equals_sorted_union(search_hi):
-    linear = [search_hi * i / _DEFAULT_SCAN
-              for i in range(1, _DEFAULT_SCAN + 1)]
     log_pts = [search_hi * 10.0 ** (-30.0 * i / 900) for i in range(1, 901)]
     assert criteria._scan_grid(search_hi) == \
-        sorted(set(linear) | set(log_pts))
+        sorted(set(ref_linear(search_hi)) | set(log_pts))
 
 
 @settings(max_examples=30, deadline=None)
 @given(positive)
+@example(sys.float_info.max)
+@example(1.8e304)
+@example(3.7469301455335216)
 def test_scan_grid_equals_sorted_union_default_size(search_hi):
     # The reference scans default to the library's grid size: every one
     # of the _DEFAULT_SCAN linear points is on the grid, which rises
-    # strictly.
+    # strictly, and every point is finite and at most search_hi.
     assert criteria._GRID_POINTS == _DEFAULT_SCAN
     grid = criteria._scan_grid(search_hi)
     on_grid = set(grid)
-    assert all(search_hi * i / _DEFAULT_SCAN in on_grid
-               for i in range(1, _DEFAULT_SCAN + 1))
+    assert all(u in on_grid for u in ref_linear(search_hi))
     assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert all(math.isfinite(u) and u <= search_hi for u in grid)
+    assert grid[-1] == search_hi
 
 
 @settings(max_examples=60, deadline=None)

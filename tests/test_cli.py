@@ -665,8 +665,8 @@ def test_command_options_unchanged(command, options):
                      "--b", "--c", "--d", "--p", "--q", "--r", "--s", "--t",
                      "--r1", "--r2", "--a1", "--a2", "--b1", "--b2",
                      "--delta1", "--delta2", "--delta3", "--delta4"]
-    names = [opt for param in main.commands[command].params
-             for opt in param.opts]
+    _, rows = main.commands[command]
+    names = [flag for flag, *_ in rows]
     assert names == model_options + options
 
 

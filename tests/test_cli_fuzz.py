@@ -20,8 +20,7 @@ from subconverge.cli import main
 VALUES = ("1e-300", "1e-30", "1e-5", "0.5", "1", "1.01", "2", "3", "50",
           "1e6", "1e300", "-1", "0")
 LAGS = ("1", "2", "3")
-OPTIONS = {opt[2:] for param in main.commands["analyze"].params
-           for opt in param.opts}
+OPTIONS = {flag[2:] for flag, *_ in main.commands["analyze"][1]}
 COMMANDS = (["simulate"], ["simulate", "--format", "json"], ["analyze"],
             ["threshold"], ["threshold", "--json"], ["fold"])
 

@@ -2,9 +2,11 @@
 
 ``import subconverge`` runs no submodule: each public name is imported
 from its module on first use (PEP 562).  A scalar command, and ``fold``
-of the 3D model, load neither ``systems`` nor the planar builders.
-Footprints are read in fresh interpreters, since this test process has
-long since imported everything.
+of the 3D model, load neither ``systems`` nor the planar builders.  No
+command loads ``click``; only ``analyze`` loads the analysis, and only a
+command that reads a config, or writes ``simulate --format json``, the
+config schema.  Footprints are read in fresh interpreters, since this
+test process has long since imported everything.
 """
 
 import json
@@ -44,7 +46,8 @@ PUBLIC = [
     'verify_monotone_to_zero', 'verify_sublinearity',
 ]
 
-# Run a CLI command in process, then print the package modules loaded.
+# Run a CLI command in process, then print the package's and click's
+# modules loaded.
 _RUN = """
 import json, sys
 from subconverge.cli import main
@@ -53,13 +56,13 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("subconverge"))))
+                        if m.split(".")[0] in ("subconverge", "click"))))
 """
 
 
 def _loaded(code: str, *args: str) -> list:
-    """The ``subconverge`` modules a fresh interpreter has loaded after
-    running ``code``, which prints them as its last line."""
+    """The modules a fresh interpreter has loaded after running ``code``,
+    which prints those it looks for as its last line."""
     src = os.path.dirname(os.path.dirname(subconverge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -70,15 +73,20 @@ def _loaded(code: str, *args: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args", [
-    ["models"],
-    ["simulate", "--model", "ricker", "--steps", "20"],
-    ["analyze", "--model", "sp3", "--k", "3", "--init", "1,1,1",
-     "--steps", "300"],
-    ["threshold", "--model", "sp3", "--json"],
-    ["fold", "--model", "threed", "--init", "0.9,1.1,1", "--steps", "50"],
-], ids=["models", "simulate-ricker", "analyze-sp3", "threshold-sp3",
-        "fold-threed"])
+SCALAR = {
+    "models": ["models"],
+    "simulate-ricker": ["simulate", "--model", "ricker", "--steps", "20"],
+    "analyze-sp3": ["analyze", "--model", "sp3", "--k", "3", "--init",
+                    "1,1,1", "--steps", "300"],
+    "threshold-sp3": ["threshold", "--model", "sp3", "--json"],
+    "fold-threed": ["fold", "--model", "threed", "--init", "0.9,1.1,1",
+                    "--steps", "50"],
+}
+PLANAR = ["analyze", "--model", "adult-juvenile", "--init", "1,1",
+          "--steps", "20"]
+
+
+@pytest.mark.parametrize("args", SCALAR.values(), ids=SCALAR)
 def test_a_scalar_command_loads_no_planar_code(args):
     loaded = _loaded(_RUN, *args)
     assert "subconverge.models" in loaded
@@ -86,10 +94,38 @@ def test_a_scalar_command_loads_no_planar_code(args):
     assert "subconverge.planar" not in loaded
 
 
+@pytest.mark.parametrize("args", SCALAR.values(), ids=SCALAR)
+def test_a_command_loads_the_analysis_only_if_it_analyzes(args):
+    loaded = _loaded(_RUN, *args)
+    assert ("subconverge.analysis" in loaded) == (args[0] == "analyze")
+    assert "subconverge.config" not in loaded
+    assert not [m for m in loaded if m.startswith("click")]
+
+
 def test_a_planar_command_loads_the_planar_code():
-    loaded = _loaded(_RUN, "analyze", "--model", "adult-juvenile", "--init",
-                     "1,1", "--steps", "20")
+    loaded = _loaded(_RUN, *PLANAR)
     assert {"subconverge.planar", "subconverge.systems"} <= set(loaded)
+    assert "subconverge.config" not in loaded
+    assert not [m for m in loaded if m.startswith("click")]
+
+
+def test_a_command_that_reads_a_config_loads_the_config(tmp_path):
+    config = tmp_path / "sp3.json"
+    config.write_text('{"model": "sp3", "steps": 30}')
+    for args in (["analyze", "--config", str(config)],
+                 ["simulate", "--model", "sp3", "--steps", "3", "--format",
+                  "json"]):
+        loaded = _loaded(_RUN, *args)
+        assert "subconverge.config" in loaded
+        assert not [m for m in loaded if m.startswith("click")]
+
+
+def test_importing_the_cli_loads_no_click():
+    loaded = _loaded("import json, sys, subconverge.cli\n"
+                     "print(json.dumps([m for m in sys.modules "
+                     "if m.split('.')[0] in ('subconverge', 'click')]))")
+    assert "subconverge.cli" in loaded
+    assert not [m for m in loaded if m.startswith("click")]
 
 
 def test_importing_the_package_runs_no_submodule():
