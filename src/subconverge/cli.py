@@ -239,18 +239,14 @@ def _help(usage: str, summary: str, sections) -> str:
     lines = ["Usage: " + usage, "", "  " + summary]
     for title, rows in sections:
         width = min(max(len(term) for term, _ in rows), 30)
-        indent = " " * (width + 4)
         lines += ["", title + ":"]
         for term, text in rows:
             if not text:
                 lines.append("  " + term)
                 continue
             first, *more = wrap(text, 74 - width)
-            if len(term) <= width:
-                lines.append("  %-*s  %s" % (width, term, first))
-            else:
-                lines += ["  " + term, indent + first]
-            lines += [indent + line for line in more]
+            lines.append("  %-*s  %s" % (width, term, first))
+            lines += [" " * (width + 4) + line for line in more]
     return "\n".join(lines)
 
 
