@@ -21,9 +21,21 @@ fold_cfg=$(mktemp)
 cat > "$fold_cfg" <<'JSON'
 {"model": "adult-juvenile", "initial": [1, 1], "steps": 3}
 JSON
+# sp3's rigorous k = 1 bound, the Ricker bound without a lag-1 coefficient.
+rigorous_cfg=$(mktemp)
+cat > "$rigorous_cfg" <<'JSON'
+{"model": "sp3", "params": {"k": 1, "rigorous": true}, "initial": [1, 1, 1]}
+JSON
+# A config that gives a JSON boolean where a number belongs.
+bool_cfg=$(mktemp)
+cat > "$bool_cfg" <<'JSON'
+{"model": "sp3", "steps": true}
+JSON
+# A directory that does not exist, for an --out that cannot be written.
+no_dir=$(mktemp -u)
 status=0
-# The list below is expanded by the shell, so that $cfg and $fold_cfg name
-# the files.
+# The list below is expanded by the shell, so that $cfg, $fold_cfg and
+# $rigorous_cfg name the files.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -37,6 +49,7 @@ simulate --model sp3 --k 3 --init 1,1,1 --steps 300
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --config $cfg
+analyze --config $rigorous_cfg
 analyze --model sigmoid-bh --a 2 --c 1 --q 2 --p 3 --b 1 --k 1 --l 2 --init 1.1,1.1 --steps 300
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
@@ -73,7 +86,8 @@ if ! $CLI simulate --model adult-juvenile --init 1,1 --steps 3 \
     cat "$err" >&2
     status=1
 fi
-# Each line: the documented exit code, then the arguments.
+# Each line: the documented exit code, then the arguments.  The list is
+# expanded by the shell, for $no_dir and $bool_cfg.
 while read -r code args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     $CLI $args > /dev/null 2> "$err"
@@ -84,7 +98,7 @@ while read -r code args; do
         cat "$err" >&2
         status=1
     fi
-done <<'ERRORS'
+done <<ERRORS
 2 analyze --model sigmoid-bh --a inf --p 2 --init 0.1 --steps 3
 2 analyze --model competition --r1 inf --steps 3
 2 analyze --model ricker --lambda nan --steps 3
@@ -102,6 +116,10 @@ done <<'ERRORS'
 6 fold --model competition --b1 1 --delta3 2 --init 1,0 --steps 6
 2 analyze --model sp3 --k x
 2 analyze --model nope
+2 simulate --model sp3 --steps 3 --out $no_dir/out.csv
+2 analyze --model sp3 --steps 3 --out $no_dir/out.json
+2 fold --model threed --steps 3 --out $no_dir/out.json
+2 analyze --config $bool_cfg
 ERRORS
 # A command loads only what it runs: no command loads click, a scalar
 # one no planar code, and only analyze the analysis; none without
@@ -127,5 +145,5 @@ done <<'SCALAR'
 "fold", "--model", "threed", "--init", "0.9,1.1,1", "--steps", "50";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config
 SCALAR
-rm -f "$err" "$cfg" "$fold_cfg" "$orbit"
+rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit"
 exit $status

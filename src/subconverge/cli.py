@@ -118,8 +118,11 @@ def _dumps(payload, indent: Optional[int] = None) -> str:
 
 def _write_out(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (out, exc)) from exc
     else:
         _echo(text if text.endswith("\n") else text + "\n")
 

@@ -75,11 +75,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if fmt not in _ALLOWED_FORMATS:
         raise ConfigError("format must be csv or json")
     steps = raw.get("steps", 100)
-    if not isinstance(steps, int) or steps < 0:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
         raise ConfigError("steps must be a non-negative integer")
     initial = raw.get("initial", [])
-    if not isinstance(initial, list) or \
-            not all(isinstance(v, (int, float)) for v in initial):
+    if not isinstance(initial, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in initial):
         raise ConfigError("initial must be a list of numbers")
     for key in ("params", "tolerances"):
         if key in raw and not isinstance(raw[key], dict):

@@ -132,19 +132,27 @@ def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
 def _ricker_bound(lam: float, a_sup: float, b_inf: float, k: int,
                   informal: bool = False,
                   name: str = "ricker-bound") -> BoundingFunction:
-    """g(u) = u^lam exp(a_sup - b_inf u); alpha is u* from
-    ``ricker_fixed_points`` (+inf without fixed points)."""
-    def g(u: float) -> float:
-        return u ** lam * math.exp(a_sup - b_inf * u)
+    """g(u): the family's map at a_sup, b_inf on lag k and 0 on the other
+    lags (README, "How a bound is built"), with u on lag k.  alpha is u*
+    from ``ricker_fixed_points`` (+inf without fixed points), or for
+    b_inf = 0, where g has none, exp(-a_sup/(lam-1))."""
+    zeros = (0.0,) * (k - 1)
+    evaluator = _ricker_map(lam, k, a_sup, zeros + (b_inf,), name).evaluator
 
-    fps = ricker_fixed_points(lam, a_sup, b_inf)
-    threshold = _fixed_point_threshold(fps)
+    def g(u: float) -> float:
+        return evaluator(0, zeros + (u,))
+
+    if b_inf:
+        fps = ricker_fixed_points(lam, a_sup, b_inf)
+        threshold, fixed = _fixed_point_threshold(fps), fps.as_tuple()
+    else:
+        threshold, fixed = ThresholdResult(math.exp(-a_sup / (lam - 1.0))), ()
     return BoundingFunction(
         g=g, alpha=threshold.alpha, dominant_lag=k,
         validity=ThresholdWindow(0.0, threshold.alpha),
         tangent=threshold.tangent, sublinear=CLOSED_FORM,
         informal=informal, g_domain=(0.0, _INF),
-        fixed_points=fps.as_tuple(), name=name)
+        fixed_points=fixed, name=name)
 
 
 def _ricker_parts(spec: RickerFamilySpec
@@ -272,50 +280,36 @@ _SP3_A = 1.5
 _SP3_B = (0.0, 0.7, 0.9)
 
 
-def _sp3_b_inf(k: int) -> float:
+def _sp3_b_inf(k: int, rigorous: bool) -> float:
     """The coefficient of sp3's Ricker-type bound through lag k: the
-    lag's own for k = 2, 3; for k = 1, whose own is 0, the conventional
-    informal sum (exactly 1.6)."""
+    lag's own (0 for k = 1 with ``rigorous``), or for k = 1 without it
+    the conventional informal sum (exactly 1.6)."""
     if k not in (1, 2, 3):
         raise ModelParameterError("k must be 1, 2 or 3")
-    return _SP3_B[k - 1] if k > 1 else sum(_SP3_B)
-
-
-def _sp3_rigorous_bound() -> BoundingFunction:
-    def g(u: float) -> float:
-        return u ** _SP3_LAM * math.exp(_SP3_A)
-    alpha = math.exp(-_SP3_A / (_SP3_LAM - 1.0))  # root of sqrt(u)e^a=1
-    return BoundingFunction(
-        g=g, alpha=alpha, dominant_lag=1,
-        validity=ThresholdWindow(0.0, alpha), sublinear=CLOSED_FORM,
-        g_domain=(0.0, _INF), name="sp3-bound(k=1,rigorous)")
+    return _SP3_B[k - 1] if k > 1 or rigorous else sum(_SP3_B)
 
 
 def _sp3_parts(k: int, rigorous: bool = False
                ) -> Tuple[EquationSpec, Callable[[], BoundingFunction]]:
-    b_inf = _sp3_b_inf(k)
+    b_inf = _sp3_b_inf(k, rigorous)
     spec = RickerFamilySpec(
         _SP3_LAM, k, 3, ParameterSequence.constant(_SP3_A),
         tuple(ParameterSequence.constant(b) for b in _SP3_B))
     eq = _ricker_equation(spec, "sp3(k=%d)" % k)
-    if k == 1 and rigorous:
-        return eq, _sp3_rigorous_bound
-    name = "sp3-bound(k=%d)" % k if k > 1 else "sp3-bound(k=1,informal)"
+    informal = b_inf != _SP3_B[k - 1]
+    name = "sp3-bound(k=%d%s)" % (k, ",informal" if informal else
+                                  "" if b_inf else ",rigorous")
     return eq, lambda: _ricker_bound(_SP3_LAM, _SP3_A, b_inf, k,
-                                     informal=k == 1, name=name)
+                                     informal=informal, name=name)
 
 
 def make_sp3(k: int, rigorous: bool = False
              ) -> Tuple[EquationSpec, BoundingFunction]:
     """x_n = x_{n-k}^{3/2} * exp(1.5 - 0.7 x_{n-2} - 0.9 x_{n-3}),
-    k in {1, 2, 3}.
-
-    Bounds: k=3 uses exponent coefficient 0.9 and k=2 uses 0.7 (both are
-    genuine dominant-lag bounds).  For k=1 the lag-1 coefficient is 0, so
-    no Ricker-type bound exists through that lag; the conventional choice
-    exp(1.5 - 1.6 u) is provided flagged ``informal``, and
-    ``rigorous=True`` switches to the certified envelope
-    g(u) = u^{3/2} e^{1.5} with its much smaller threshold e^{-3}.
+    k in {1, 2, 3}, with the Ricker bound through lag k at the lag's own
+    coefficient.  For k = 1 that is 0 (``rigorous=True``: g(u) =
+    u^{3/2} e^{1.5}, threshold e^{-3}); by default k = 1 takes the
+    conventional exp(1.5 - 1.6 u) instead, flagged ``informal``.
     """
     eq, bound = _sp3_parts(k, rigorous)
     return eq, bound()
@@ -684,6 +678,8 @@ class Model(NamedTuple):
                     else param.coerce(param.default)
                 continue
             try:
+                if param.coerce is not _flag and _holds_bool(raw[name]):
+                    raise TypeError("expected a number, not true or false")
                 out[key] = param.coerce(raw[name])
                 if not _finite(out[key]):
                     raise ValueError("%r is not finite" % (raw[name],))
@@ -691,6 +687,15 @@ class Model(NamedTuple):
                 raise ConfigError("%s parameter %r: %s"
                                   % (self.name, name, exc)) from exc
         return out
+
+
+def _holds_bool(value) -> bool:
+    """Whether a raw value is or holds JSON's true or false."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 def _finite(value) -> bool:
@@ -711,6 +716,8 @@ def _constant(p: dict, key: str) -> float:
 
 
 def _ricker_fields(lam: float, a: float, b: float) -> dict:
+    if not b:   # g(u) = u^lam e^a: no fixed points, alpha alone
+        return _threshold_fields(_ricker_bound(lam, a, b, 1))
     holds, rhs = ricker_threshold_condition(lam, a, b)
     fps = ricker_fixed_points(lam, a, b)
     return {"condition_holds": holds, "condition_rhs": rhs,
@@ -784,9 +791,8 @@ REGISTRY: Dict[str, Model] = {m.name: m for m in (
     Model("sp3", SCALAR, {
         "k": Param(int, 3), "rigorous": Param(_flag, False),
     }, lambda p: _sp3_parts(p["k"], p["rigorous"]) + (0.0,),
-        lambda p: _threshold_fields(_sp3_rigorous_bound())
-        if p["k"] == 1 and p["rigorous"]
-        else _ricker_fields(_SP3_LAM, _SP3_A, _sp3_b_inf(p["k"]))),
+        lambda p: _ricker_fields(_SP3_LAM, _SP3_A,
+                                 _sp3_b_inf(p["k"], p["rigorous"]))),
     Model("sigmoid-bh", SCALAR, {
         "a": Param(as_sequence, 1.0), "c": Param(as_sequence, 0.0),
         "q": Param(as_sequence, 1.0), "p": Param(_fraction, 2),

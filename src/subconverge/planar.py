@@ -32,16 +32,13 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     """x_{n+1} = s_n y_n,  y_{n+1} = x_n^lam * exp(r_n - x_n - t_n y_n).
 
     Adults all die each period; juveniles mature.  The first equation is
-    multiplicatively separable, so the system folds exactly; envelope
-    bounds fbar(u) = u and gbar(u) = u^lam * exp(r_sup - u) make the
-    alternating criterion applicable without folding.  Its cycle map is
-    gbar itself, a Ricker bound: alpha is ``ricker_fixed_points(lam,
-    r_sup, 1)``'s u*.
-
-    The cycle is certified in floating point on the quadrant: fl(s_n v)
-    <= v since s_n <= 1; fl(fl(r_n - u) - fl(t_n v)) <= fl(r_sup - u)
-    since r_n <= r_sup and t_n v >= 0, so with the same u ** lam and a
-    monotone ``exp``, g <= gbar; and fbar, the identity, is increasing.
+    multiplicatively separable, so the system folds exactly.  The
+    envelopes are the maps themselves at dominating constants (README,
+    "How a bound is built"): fbar(u) = f at s = 1, the identity, and
+    gbar(u) = g at r_sup with v = 0, u^lam exp(r_sup - u).  They make the
+    alternating criterion applicable without folding, and the cycle map
+    is gbar, a Ricker bound: alpha is ``ricker_fixed_points(lam, r_sup,
+    1)``'s u*.
     """
     s_seq, t_seq, r_seq = map(as_sequence, (s_seq, t_seq, r_seq))
     s_lo, s_hi = s_seq.bounds()
@@ -52,8 +49,24 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     if lam <= 1:
         raise ModelParameterError("lam must exceed 1")
     r_sup = r_seq.bounds()[1]
+    f, g, sigma = _adult_juvenile_maps(s_seq.resolve(), t_seq.resolve(),
+                                       r_seq.resolve(), lam)
+    f_top, g_top, _ = _adult_juvenile_maps(1.0, 0.0, r_sup, lam)
+    fbar, gbar = _envelope(f_top, True), _envelope(g_top, False)
+    steps = sorted(set(s_seq.sample_indices()) | set(t_seq.sample_indices())
+                   | set(r_seq.sample_indices()))
+    return PlanarSystem(
+        f=f, g=g, sigma=SigmaForm.custom(sigma), envelope_f=fbar,
+        envelope_g=gbar, sample_steps=tuple(steps), name="adult-juvenile",
+        cycle_threshold=(2, lambda: _fixed_point_threshold(
+            models.ricker_fixed_points(lam, r_sup, 1.0))),
+        certificate=CycleCertificate(2, (f, g, fbar, gbar)))
+
+
+def _adult_juvenile_maps(s, t, r, lam: float):
+    """The adult-juvenile (f, g, sigma) from resolved coefficients; sigma
+    solves w = f(n, u, v) for v."""
     exp = math.exp
-    s, t, r = s_seq.resolve(), t_seq.resolve(), r_seq.resolve()
     if _varying(s, t, r):
         s_at, t_at, r_at = _at(s), _at(t), _at(r)
 
@@ -74,25 +87,15 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
 
         def sigma(n: int, u: float, w: float) -> float:
             return w / s
+    return f, g, sigma
 
-    def fbar(u: float) -> float:
-        return u
 
-    def gbar(u: float) -> float:
-        return u ** lam * exp(r_sup - u)
-
-    steps = sorted(set(s_seq.sample_indices()) | set(t_seq.sample_indices())
-                   | set(r_seq.sample_indices()))
-    return PlanarSystem(
-        f=f, g=g,
-        sigma=SigmaForm.custom(sigma),
-        envelope_f=fbar,
-        envelope_g=gbar,
-        sample_steps=tuple(steps),
-        name="adult-juvenile",
-        cycle_threshold=(2, lambda: _fixed_point_threshold(
-            models.ricker_fixed_points(lam, r_sup, 1.0))),
-        certificate=CycleCertificate(2, (f, g, fbar, gbar)))
+def _envelope(planar_map, own_is_y: bool):
+    """u -> a planar map at step 0, its own species at u and the other at
+    0: at dominating constants, the envelope of the species' maps."""
+    if own_is_y:
+        return lambda u: planar_map(0, 0.0, u)
+    return lambda u: planar_map(0, u, 0.0)
 
 
 # -- two-species competition system -------------------------------------
@@ -128,17 +131,14 @@ def make_competition(params: CompetitionParams,
     the analogous y-equation; ``swapped`` exchanges the roles of x and y
     in the right-hand sides.
 
-    The unswapped system admits the tail envelope
-    fbar(u) = r1_sup u^d1 / (a1_inf + u^d1), with alpha from
+    Each species' envelope is its own map at r_sup and a_inf with the
+    other species at 0 (README, "How a bound is built"):
+    fbar_i(u) = r_i_sup u^d_i / (a_i_inf + u^d_i).  The unswapped system
+    admits the tail envelope fbar1, with alpha from
     ``competition_threshold``; the swapped variant admits the
     alternating envelope pair (fbar1, fbar2) instead, with alpha from
-    ``swapped_competition_threshold``.
-
-    Either cycle is certified in floating point on the quadrant: an
-    envelope computes the same X ** d as its map, fl(r_n X) <= fl(r_sup
-    X), and fl(fl(a_n + X) + fl(b_n Y^e)) >= fl(a_inf + X), so the
-    quotient can only round lower in the map.  fbar1 increases in the
-    reals (derivative r a d u^(d-1) / (a + u^d)^2 > 0), all that the
+    ``swapped_competition_threshold``.  fbar1 increases in the reals
+    (derivative r a d u^(d-1) / (a + u^d)^2 > 0), all that the
     alternating links use.
     """
     p = params
@@ -163,35 +163,24 @@ def make_competition(params: CompetitionParams,
     g = _rbh_map(p.r2.resolve(), p.a2.resolve(), p.b2.resolve(), d2, d4,
                  own_is_y=not swapped)
 
-    def fbar1(u: float) -> float:
-        return r1_sup * u ** d1 / (a1_inf + u ** d1)
-
-    def fbar2(u: float) -> float:
-        return r2_sup * u ** d2 / (a2_inf + u ** d2)
-
+    fbar1 = _envelope(_rbh_map(r1_sup, a1_inf, 0.0, d1, d3, False), False)
+    fbar2 = _envelope(_rbh_map(r2_sup, a2_inf, 0.0, d2, d4, False), False)
     steps = tuple(sorted(set().union(*(
         s.sample_indices() for s in (p.r1, p.r2, p.a1, p.a2, p.b1, p.b2)))))
-    maps = (f, g, fbar1, fbar2)
     if swapped:
-        return PlanarSystem(f=f, g=g,
-                            sigma=SigmaForm.custom(_swapped_sigma(
-                                r1, a1, b1, d1, d3)),
-                            envelope_f=fbar1, envelope_g=fbar2,
-                            sample_steps=steps, name="competition-swapped",
-                            cycle_threshold=(2, lambda: (
-                                swapped_competition_threshold(
-                                    r1_sup, a1_inf, d1, r2_sup, a2_inf,
-                                    d2))),
-                            certificate=CycleCertificate(2, maps))
-    sigma = None
-    if p.b1.bounds()[0] > 0:
-        sigma = SigmaForm.custom(_competition_sigma(r1, a1, b1, d1, d3))
-    return PlanarSystem(f=f, g=g, sigma=sigma,
-                        envelope_f=fbar1, envelope_g=fbar2,
-                        sample_steps=steps, name="competition",
-                        cycle_threshold=(1, lambda: competition_threshold(
-                            r1_sup, a1_inf, d1)),
-                        certificate=CycleCertificate(1, maps))
+        sigma = _swapped_sigma(r1, a1, b1, d1, d3)
+        cycle = (2, lambda: swapped_competition_threshold(
+            r1_sup, a1_inf, d1, r2_sup, a2_inf, d2))
+    else:
+        sigma = _competition_sigma(r1, a1, b1, d1, d3) \
+            if p.b1.bounds()[0] > 0 else None
+        cycle = (1, lambda: competition_threshold(r1_sup, a1_inf, d1))
+    return PlanarSystem(
+        f=f, g=g, sigma=SigmaForm.custom(sigma) if sigma else None,
+        envelope_f=fbar1, envelope_g=fbar2, sample_steps=steps,
+        name="competition-swapped" if swapped else "competition",
+        cycle_threshold=cycle,
+        certificate=CycleCertificate(cycle[0], (f, g, fbar1, fbar2)))
 
 
 def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):

@@ -59,10 +59,10 @@ class SigmaForm(NamedTuple):
 class CycleCertificate(NamedTuple):
     """A builder's proof of the premises of its own envelope cycle of
     length ``length``: each component is at most its envelope on the whole
-    quadrant, exactly in floating point, and fbar increases in the reals
-    (all that the alternating links of ``predict_envelope_cycle`` use).
-    ``maps`` are the objects (f, g, envelope_f, envelope_g) the proof is
-    about."""
+    quadrant in floating point (each envelope is its map at dominating
+    constants: README, "How a bound is built"), and fbar increases in the
+    reals, all that the alternating links use.  ``maps`` are the objects
+    (f, g, envelope_f, envelope_g) the proof is about."""
 
     length: int
     maps: Tuple[Callable, ...]

@@ -690,6 +690,23 @@ def test_simulate_and_threshold_build_no_bound(runner, monkeypatch):
     assert runner.invoke(main, ["analyze", "--model", "sp3"]).exit_code == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "sp3", "--steps", "5"],
+    ["analyze", "--model", "sp3", "--steps", "5"],
+    ["fold", "--model", "threed", "--steps", "5"],
+], ids=["simulate", "analyze", "fold"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_out_that_cannot_be_written_exits_2(runner, tmp_path, command,
+                                            target):
+    out = tmp_path / "no-such-dir" / "out.json" if target == "missing-dir" \
+        else tmp_path
+    res = runner.invoke(main, command + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, Exception)   # SystemExit only
+    assert res.stderr.startswith("error: cannot write %s: " % out)
+    assert res.stderr.count("\n") == 1
+
+
 def test_analyze_tol_zero_is_honoured(runner, tmp_path):
     # With --tol 0 only an exact zero verifies a monotone tail.
     args = ["analyze", "--model", "sp3", "--k", "1", "--init",

@@ -21,6 +21,13 @@ of both grids, with points added toward 0, and a certificate attached
 to an envelope shrunk by 1% must fail it.  On orbits, the alternating
 links must hold for every swapped system, fbar1 saturated or not, and
 must fail on pinned orbits once an envelope is shrunk by 1%.
+
+Every bound and envelope above but sigmoid-BH's is its family's own map
+at dominating constants.  Drawn coefficients, lag values and steps check
+that it lies above the map in floating point, and libm's ``exp``, the
+one operation that argument takes on trust, is checked on adjacent
+doubles.  A bound's map read at a non-dominating constant must end
+``analyze`` with exit 4 on an orbit where map and bound coincide.
 """
 
 import math
@@ -28,10 +35,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subconverge import models, planar
+from subconverge.cli import main
 from subconverge.criteria import (ThresholdResult, solve_threshold,
                                   validate_bound)
 from subconverge.errors import (BoundValidationError,
@@ -133,7 +142,7 @@ def check_sp3(k, rigorous):
     if k == 1 and rigorous:
         assert_matches_scan(bound, 1.0)
     else:
-        b = models._sp3_b_inf(k)
+        b = models._sp3_b_inf(k, rigorous)
         assert scan_bracket_valid(1.5, 1.5, b, bound)
         assert_matches_scan(bound, 2.0 * 0.5 / b)
 
@@ -510,6 +519,150 @@ def test_a_certified_envelope_shrunk_by_1_percent_is_violated(build, initial,
     report = alternating_report(shrunk_and_certified(sysm, field), initial,
                                 30)
     assert report.any_violated
+
+
+# -- each bound is its family's map at dominating constants -------------
+#
+# Rounding to nearest is monotone, so a map evaluated with every operand on
+# its dominating side computes a double at least as large as the map at
+# any admissible coefficients: fl(|F_n(u)|) <= fl(g(u_k)) in floating
+# point.  An overflow counts as +inf, so one in F needs one in g.
+
+
+def value(fn, *args) -> float:
+    """fn(*args), with an OverflowError read as +inf."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+steps = st.integers(0, 12)      # beyond a table's end: its fallback
+states = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300))
+
+
+@st.composite
+def dominated_ricker(draw):
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    b_seqs = [draw(sequences(0.0, 3.0)) for _ in range(m)]
+    b_seqs[k - 1] = draw(sequences(1e-3, 3.0))
+    spec = RickerFamilySpec(draw(st.one_of(st.floats(1.01, 4.0),
+                                           st.floats(4.0, 1e3))),
+                            k, m, draw(sequences(-3.0, 3.0)), tuple(b_seqs))
+    return (models.make_generalized_ricker(spec), draw(steps),
+            draw(st.lists(states, min_size=m, max_size=m)))
+
+
+@st.composite
+def dominated_sp3(draw):
+    k, rigorous = draw(st.sampled_from([(1, True), (2, False), (3, False),
+                                        (2, True), (3, True)]))
+    return (models.make_sp3(k, rigorous), draw(steps),
+            draw(st.lists(states, min_size=3, max_size=3)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(dominated_ricker(), dominated_sp3()))
+def test_a_scalar_map_lies_below_its_bound(case):
+    (eq, bound), n, u = case
+    assert not bound.informal
+    lag = u[bound.dominant_lag - 1]
+    assert abs(value(eq.evaluator, n, u)) <= value(bound.g, lag)
+
+
+# Below 1e60 no competition power overflows.  Above it the other species'
+# Y ** e can raise in the map where its envelope, with Y at 0, has no such
+# term: the map itself fails there (exit 3), not the bound.
+competition_states = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(competition_systems(), steps, competition_states, competition_states)
+def test_competition_maps_lie_below_their_envelopes(sysm, n, x, y):
+    # Each species' envelope reads its own species: y for f when swapped.
+    own_f, own_g = (y, x) if sysm.name == "competition-swapped" else (x, y)
+    assert sysm.f(n, x, y) <= sysm.envelope_f(own_f)
+    assert sysm.g(n, x, y) <= sysm.envelope_g(own_g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(adult_juvenile_systems(), steps, states, states)
+def test_adult_juvenile_maps_lie_below_their_envelopes(sysm, n, x, y):
+    assert sysm.f(n, x, y) <= sysm.envelope_f(y)
+    assert value(sysm.g, n, x, y) <= value(sysm.envelope_g, x)
+
+
+_EXP_LO, _EXP_HI = -745.2, 709.8    # exp is 0.0 below, overflows above
+
+
+def exp_arguments():
+    """100,001 evenly spaced points over [_EXP_LO, _EXP_HI], 20,002
+    log-spaced ones of either sign within 1e-300..100 of 0, where exp
+    rounds onto 1, and the ends: the largest doubles of either sign and
+    the points where exp leaves 0 and reaches overflow."""
+    span = _EXP_HI - _EXP_LO
+    linear = [_EXP_LO + span * i / 100_000 for i in range(100_001)]
+    near_zero = [sign * 10.0 ** (-300.0 + 302.0 * i / 10_000)
+                 for sign in (-1.0, 1.0) for i in range(10_001)]
+    ends = [-_MAX, -745.1332191019412, -745.1332191019411,
+            709.782712893384, _MAX]
+    return linear + near_zero + ends
+
+
+def test_exp_is_non_decreasing_on_adjacent_doubles():
+    """The one operation the lemma takes on trust: libm's exp, which IEEE
+    754 does not require to be correctly rounded."""
+    points = exp_arguments()
+    assert len(points) >= 100_000
+    for x in points:
+        up = math.nextafter(x, math.inf)
+        assert value(math.exp, x) <= value(math.exp, up), (x, up)
+    points.sort()
+    values = [value(math.exp, x) for x in points]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# -- a bound's map at a non-dominating constant -------------------------
+
+
+@pytest.mark.parametrize("args, end", [
+    # Ricker k = m = 1 with constant coefficients: the orbit is g's.
+    (["--model", "ricker", "--lambda", "2", "--a", "0.5", "--b", "1",
+      "--init", "0.5"], "sup"),
+    (["--model", "ricker", "--lambda", "2", "--a", "0.5", "--b", "1",
+      "--init", "0.5"], "inf"),
+    # b1 = b2 = 0: each species' map is its envelope.
+    (["--model", "competition", "--init", "0.5,0.5"], "sup"),
+    (["--model", "competition", "--init", "0.5,0.5"], "inf"),
+    (["--model", "competition-swapped", "--init", "2,1"], "sup"),
+    (["--model", "competition-swapped", "--init", "2,1"], "inf"),
+    # s = 1: f is fbar; t y_n ~ 1e-13 keeps g within 2e-6 of gbar.
+    (["--model", "adult-juvenile", "--s", "1", "--t", "1e-12",
+      "--init", "0.1,0.1"], "sup"),
+], ids=["ricker-a-sup", "ricker-b-inf", "competition-r1-sup",
+        "competition-a1-inf", "swapped-r-sup", "swapped-a-inf",
+        "adult-juvenile-r-sup"])
+def test_a_bound_map_at_a_non_dominating_constant_exits_4(monkeypatch, args,
+                                                          end):
+    """Every builder reads its dominating constants from ``bounds``: with
+    each sup lowered (growth) or each inf raised (damping) by a relative
+    1e-6, the bound's map no longer dominates the map, and an orbit on
+    which the two coincided bit for bit raises the soundness alarm."""
+    command = ["analyze"] + args + ["--steps", "30"]
+    runner = CliRunner()
+    assert runner.invoke(main, command).exit_code == 0
+    bounds = S.bounds
+
+    def off(seq):
+        lo, hi = bounds(seq)
+        return (lo, hi * (1.0 - 1e-6)) if end == "sup" else \
+            (lo * (1.0 + 1e-6), hi)
+    monkeypatch.setattr(S, "bounds", off)
+    res = runner.invoke(main, command)
+    assert res.exit_code == 4
+    assert res.stderr == "error: a prediction was violated (soundness " \
+                         "alarm)\n"
 
 
 def test_a_replaced_envelope_is_scanned():

@@ -136,3 +136,45 @@ def test_misspelt_param_rejected_alias_accepted():
     assert parse_config('{"schema": 1, "model": "sp3", "params": {"k": 2},'
                         ' "initial": [1, 1, 1], "steps": 300}').params \
         == {"k": 2}
+
+
+# -- JSON booleans are not numbers ---------------------------------------
+
+NUMERIC_KEYS = [(model, key) for model, key in SCHEMA_KEYS
+                if key != "rigorous"]
+
+
+@pytest.mark.parametrize("model,key", NUMERIC_KEYS,
+                         ids=["%s-%s" % mk for mk in NUMERIC_KEYS])
+@pytest.mark.parametrize("value", [True, False, [1, True]],
+                         ids=["true", "false", "list"])
+def test_boolean_param_exits_2(tmp_path, model, key, value):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"model": model, "params": {key: value}}))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: %s parameter %r: expected a number, not " \
+                         "true or false\n" % (model, key)
+
+
+@pytest.mark.parametrize("text", [
+    '{"model": "sp3", "steps": true}',
+    '{"model": "sp3", "initial": [true, false, 1]}',
+    '{"model": "sp3", "params": {"k": true}}',
+    '{"model": "ricker", "params": {"a": {"kind": "tabulated", '
+    '"values": [1], "fallback": false}}}',
+    '{"model": "sp3", "params": {"k": 1, "rigorous": 1}}',
+], ids=["steps", "initial", "k", "tabulated-fallback", "rigorous-number"])
+def test_boolean_where_a_number_belongs_rejected(text, tmp_path):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    res = CliRunner().invoke(main, ["analyze", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_rigorous_is_still_a_boolean():
+    assert parse_config('{"model": "sp3", "params": {"k": 1, '
+                        '"rigorous": true}}').params["rigorous"] is True
