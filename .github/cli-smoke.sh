@@ -51,6 +51,8 @@ analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --config $cfg
 analyze --config $rigorous_cfg
 analyze --model sigmoid-bh --a 2 --c 1 --q 2 --p 3 --b 1 --k 1 --l 2 --init 1.1,1.1 --steps 300
+analyze --model sigmoid-bh --a 0.7 --b 2.6 --p 2 --init 3.2 --steps 40
+analyze --model sigmoid-bh --p 3 --b 1 --init 0.2 --steps 30
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200
@@ -100,6 +102,9 @@ while read -r code args; do
     fi
 done <<ERRORS
 2 analyze --model sigmoid-bh --a inf --p 2 --init 0.1 --steps 3
+2 analyze --model sigmoid-bh --p 1e400 --b 1
+2 simulate --model sigmoid-bh --p 1e400 --b 1
+2 threshold --model sigmoid-bh --p 1e400 --b 1
 2 analyze --model competition --r1 inf --steps 3
 2 analyze --model ricker --lambda nan --steps 3
 2 analyze --model competition --delta1 nan --steps 3

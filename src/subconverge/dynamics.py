@@ -35,8 +35,8 @@ class EquationSpec:
     required before convergence criteria may be applied.
 
     ``translated`` is an optional builder's form of the map conjugated
-    by a fixed point: ``(evaluator, b, G)`` with G(n, v) equal, bit for
-    bit, to ``evaluator(n, [v_i + b, ...]) - b``.  It holds only while
+    by a fixed point b: ``(evaluator, b, G)`` with G the map written
+    in y = x - b.  It holds only while
     ``evaluator`` is still the first entry (``translate_to_origin``
     checks by identity), so ``dataclasses.replace`` with a new evaluator
     voids it.

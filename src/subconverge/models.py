@@ -344,17 +344,11 @@ def _validate_power(p: RationalPower) -> Fraction:
 
 
 def _real_power(p: Fraction) -> Tuple[bool, Union[int, float]]:
-    """(whether to take |x| first, exponent) for x**p on the real branch."""
+    """(whether to take |x| first, exponent) for x**p on the real branch:
+    integer exponents keep the sign, even/odd rationals give |x|**p."""
     if p.denominator == 1:
         return False, int(p)
     return True, float(p)
-
-
-def rational_power(x: float, p: Fraction) -> float:
-    """x**p on the real branch: integer exponents keep their sign, and
-    even/odd rationals give |x|**p."""
-    absolute, power = _real_power(p)
-    return (abs(x) if absolute else x) ** power
 
 
 class SigmoidBHSpec(NamedTuple):
@@ -378,7 +372,9 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     """Build the delayed sigmoid Beverton-Holt equation on [0, inf)^m.
 
     The equation has a fixed point at b; apply translate_to_origin
-    before using the convergence criterion.
+    before using the convergence criterion.  ``translated`` is the map
+    written in y = x - b, not translate_to_origin's round trip: no term
+    is rounded to a multiple of ulp(b).
     """
     p = _validate_power(spec.p)
     if spec.k < 1 or spec.l < 1:
@@ -396,10 +392,7 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     b, k, l = spec.b, spec.k, spec.l
     km1, lm1 = k - 1, l - 1
     a, c, q = (seq.resolve() for seq in (spec.a_seq, spec.c_seq, spec.q_seq))
-    absolute, power = _real_power(p)      # rational_power, resolved
-    # Each ``translated`` is translate_to_origin's round trip
-    # F(n, [v + b, ...]) - b with F's operations in their order, in one
-    # frame.
+    absolute, power = _real_power(p)
     if _varying(a, c, q):
         a_at, c_at, q_at = _at(a), _at(c), _at(q)
 
@@ -409,9 +402,9 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
             return num / (1.0 + c_at(n) * u[lm1] ** q_at(n)) + b
 
         def translated(n: int, v: Sequence[float]) -> float:
-            x = (v[km1] + b) - b
-            num = a_at(n) * (abs(x) if absolute else x) ** power
-            return (num / (1.0 + c_at(n) * (v[lm1] + b) ** q_at(n)) + b) - b
+            y = v[km1]
+            num = a_at(n) * (abs(y) if absolute else y) ** power
+            return num / (1.0 + c_at(n) * (v[lm1] + b) ** q_at(n))
     else:
         def evaluator(n: int, u: Sequence[float]) -> float:
             x = u[km1] - b
@@ -419,9 +412,9 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
             return num / (1.0 + c * u[lm1] ** q) + b
 
         def translated(n: int, v: Sequence[float]) -> float:
-            x = (v[km1] + b) - b
-            num = a * (abs(x) if absolute else x) ** power
-            return (num / (1.0 + c * (v[lm1] + b) ** q) + b) - b
+            y = v[km1]
+            num = a * (abs(y) if absolute else y) ** power
+            return num / (1.0 + c * (v[lm1] + b) ** q)
 
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
@@ -452,22 +445,24 @@ def sigmoid_bh_window(a_sup: float, p: float, b: float
 
 
 def sigmoid_bh_bound(spec: SigmoidBHSpec) -> BoundingFunction:
-    """Bound g(u) = a_sup |u|^p for the translated (origin-fixed)
-    equation; a_sup |u|^(p-1) < 1, so g(u) < |u|, on
-    (max{-alpha, -b}, alpha)."""
-    p = _validate_power(spec.p)
+    """g(u): |the family's map in y = x - b| at a_sup and c = 0, with u on
+    lag k and 0 on the other lags (README, "How a bound is built").  Its
+    denominator is exactly 1.0, so g(u) = a_sup |u|^p, and a_sup
+    |u|^(p-1) < 1, so g(u) < |u|, on (max{-alpha, -b}, alpha)."""
     a_sup = spec.a_seq.bounds()[1]
-    p_float = float(p)
-    alpha = _sigmoid_bh_alpha(a_sup, p_float)
+    alpha = _sigmoid_bh_alpha(a_sup, float(_validate_power(spec.p)))
+    translated = make_sigmoid_bh(spec._replace(
+        a_seq=ParameterSequence.constant(a_sup),
+        c_seq=ParameterSequence.constant(0.0))).translated[2]
+    head, tail = (0.0,) * (spec.k - 1), (0.0,) * (spec.order - spec.k)
 
     def g(u: float) -> float:
-        return a_sup * abs(u) ** p_float
+        return abs(translated(0, head + (u,) + tail))
 
     lo = max(-alpha, -spec.b) if spec.b > 0 else 0.0
-    window = ThresholdWindow(lo, alpha) if lo < alpha else \
-        ThresholdWindow(0.0, alpha)
     return BoundingFunction(
-        g=g, alpha=alpha, dominant_lag=spec.k, validity=window,
+        g=g, alpha=alpha, dominant_lag=spec.k,
+        validity=ThresholdWindow(lo, alpha),
         sublinear=CLOSED_FORM, g_domain=(-spec.b, _INF), fixed_points=(),
         name="sigmoid-bh-bound")
 
@@ -477,12 +472,12 @@ def translate_to_origin(eq: EquationSpec, fixed_point: float
     """Conjugate the equation by y = x - b so the fixed point b moves to
     the origin; verifies numerically that b actually is fixed.
 
-    The conjugate is the round trip G(n, v) = F(n, [v_i + b, ...]) - b,
-    or the builder's equal form in one frame when ``eq.translated``
-    holds for this evaluator and b.  The round trip rounds each term to
-    a multiple of ulp(b): where b + y rounds up, a translated term can
-    land above what a bound on G allows, and the inequality chain
-    reports a violation that exact arithmetic would not.
+    The conjugate is the builder's map written in y when ``eq.translated``
+    holds for this evaluator and b, or else the round trip G(n, v) =
+    F(n, [v_i + b, ...]) - b.  The round trip rounds each term to a
+    multiple of ulp(b): where b + y rounds up, a translated term can land
+    above what a bound on G allows, and the inequality chain reports a
+    violation that exact arithmetic would not.
     """
     b = float(fixed_point)
     m = eq.order
@@ -699,12 +694,13 @@ def _holds_bool(value) -> bool:
 
 
 def _finite(value) -> bool:
-    """Whether every number a coerced parameter stores is finite."""
+    """Whether every number a coerced parameter stores is finite: a float
+    or a sigmoid-BH exponent at most the largest double."""
     if isinstance(value, ParameterSequence):
         value = value.stored_values()
     if isinstance(value, tuple):
         return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+    return isinstance(value, int) or abs(value) <= _MAX
 
 
 def _constant(p: dict, key: str) -> float:

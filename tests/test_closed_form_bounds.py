@@ -22,12 +22,13 @@ to an envelope shrunk by 1% must fail it.  On orbits, the alternating
 links must hold for every swapped system, fbar1 saturated or not, and
 must fail on pinned orbits once an envelope is shrunk by 1%.
 
-Every bound and envelope above but sigmoid-BH's is its family's own map
-at dominating constants.  Drawn coefficients, lag values and steps check
-that it lies above the map in floating point, and libm's ``exp``, the
-one operation that argument takes on trust, is checked on adjacent
-doubles.  A bound's map read at a non-dominating constant must end
-``analyze`` with exit 4 on an orbit where map and bound coincide.
+Every bound and envelope above is its family's own map at dominating
+constants (sigmoid-BH's: its map written in y = x - b).  Drawn
+coefficients, lag values and steps check that it lies above the map in
+floating point, and libm's ``exp``, the one operation that argument
+takes on trust, is checked on adjacent doubles.  A bound's map read at
+a non-dominating constant must end ``analyze`` with exit 4 on an orbit
+where map and bound coincide.
 """
 
 import math
@@ -562,8 +563,24 @@ def dominated_sp3(draw):
             draw(st.lists(states, min_size=3, max_size=3)))
 
 
+@st.composite
+def dominated_sigmoid_bh(draw):
+    b = draw(st.floats(0.0, 5.0))
+    spec = SigmoidBHSpec(
+        draw(sequences(0.05, 3.0)),
+        draw(st.one_of(st.just(S.constant(0.0)), sequences(0.0, 2.0))),
+        draw(sequences(0.1, 3.0)),
+        draw(st.sampled_from([2, 3, 5, Fraction(4, 3), Fraction(6, 5),
+                              Fraction(8, 7)])),
+        b, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    eq = models.translate_to_origin(models.make_sigmoid_bh(spec), b)
+    lags = st.one_of(st.floats(-b, 10.0), st.floats(-b, 1e6))
+    return ((eq, models.sigmoid_bh_bound(spec)), draw(steps),
+            draw(st.lists(lags, min_size=spec.order, max_size=spec.order)))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.one_of(dominated_ricker(), dominated_sp3()))
+@given(st.one_of(dominated_ricker(), dominated_sp3(), dominated_sigmoid_bh()))
 def test_a_scalar_map_lies_below_its_bound(case):
     (eq, bound), n, u = case
     assert not bound.informal
@@ -640,9 +657,12 @@ def test_exp_is_non_decreasing_on_adjacent_doubles():
     # s = 1: f is fbar; t y_n ~ 1e-13 keeps g within 2e-6 of gbar.
     (["--model", "adult-juvenile", "--s", "1", "--t", "1e-12",
       "--init", "0.1,0.1"], "sup"),
+    # c = 0: the translated map is its bound at a_sup.
+    (["--model", "sigmoid-bh", "--a", "0.7", "--b", "2.6", "--p", "2",
+      "--init", "3.2"], "sup"),
 ], ids=["ricker-a-sup", "ricker-b-inf", "competition-r1-sup",
         "competition-a1-inf", "swapped-r-sup", "swapped-a-inf",
-        "adult-juvenile-r-sup"])
+        "adult-juvenile-r-sup", "sigmoid-bh-a-sup"])
 def test_a_bound_map_at_a_non_dominating_constant_exits_4(monkeypatch, args,
                                                           end):
     """Every builder reads its dominating constants from ``bounds``: with

@@ -178,3 +178,27 @@ def test_boolean_where_a_number_belongs_rejected(text, tmp_path):
 def test_rigorous_is_still_a_boolean():
     assert parse_config('{"model": "sp3", "params": {"k": 1, '
                         '"rigorous": true}}').params["rigorous"] is True
+
+
+# -- an exponent that no double holds ------------------------------------
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "threshold"])
+def test_an_exponent_beyond_the_doubles_exits_2(command):
+    res = CliRunner().invoke(main, [command, "--model", "sigmoid-bh", "--p",
+                                    "1e400", "--b", "1"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: sigmoid-bh parameter 'p': '1e400' is not " \
+                         "finite\n"
+
+
+def test_an_exponent_beyond_the_doubles_in_a_config_exits_2(tmp_path):
+    with pytest.raises(ConfigError, match="'p'"):
+        REGISTRY["sigmoid-bh"].coerce({"p": "1e400"})
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"model": "sigmoid-bh",
+                                "params": {"p": "1e400", "b": 1}}))
+    res = CliRunner().invoke(main, ["analyze", "--config", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: sigmoid-bh parameter 'p': '1e400' is not " \
+                         "finite\n"

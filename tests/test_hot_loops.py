@@ -1,9 +1,10 @@
 """The per-step forms of the hot loops against plain oracles.
 
 ``iterate`` draws its windows from list iterators, the varying Ricker
-map of order 3 is unrolled, sigmoid-BH carries its translated form, and
-the fold check writes out the comparisons of max().  Each must give the
-bits the plain form gives; the oracles live here, not in the package.
+map of order 3 is unrolled, sigmoid-BH carries its map written in
+y = x - b, and the fold check writes out the comparisons of max().  Each
+must give the bits the plain form gives; the oracles live here, not in
+the package.
 """
 
 import dataclasses
@@ -118,6 +119,24 @@ def round_trip(base, b):
     return lambda n, v: base(n, [vi + b for vi in v]) - b
 
 
+def y_formula(spec):
+    """The conjugate G_n(v) = F_n(v + b) - b written in y = v_k:
+    a_n y^p / (1 + c_n (v_l + b)^{q_n}), with y^p keeping its sign for an
+    integer p and taken as |y|^p for an even/odd p, and seq(n)."""
+    p = Fraction(spec.p)
+
+    def power(y):
+        return y ** int(p) if p.denominator == 1 else abs(y) ** float(p)
+
+    def g(n, v):
+        w = v[spec.l - 1] + spec.b
+        return spec.a_seq(n) * power(v[spec.k - 1]) / (
+            1.0 + spec.c_seq(n) * w ** spec.q_seq(n))
+    return g
+
+
+# The round trip in these names is the conjugate F(y + b) - b, which the
+# builder writes in y; the oracle writes it in y too, from the formula.
 @pytest.mark.parametrize("varying", [False, True],
                          ids=["constant", "varying"])
 @settings(max_examples=150, deadline=None)
@@ -127,7 +146,7 @@ def test_sigmoid_translated_form_matches_the_round_trip(varying, data):
     eq = sc.make_sigmoid_bh(spec)
     shifted = sc.translate_to_origin(eq, spec.b)
     assert shifted.evaluator is eq.translated[2]
-    oracle = round_trip(eq.evaluator, spec.b)
+    oracle = y_formula(spec)
     for n in (0, 1, 2, 5, 9):
         v = data.draw(st.lists(st.floats(-spec.b, 4.0), min_size=spec.order,
                                max_size=spec.order))
@@ -143,9 +162,7 @@ def test_sigmoid_translated_orbit_matches_the_round_trip(p, c, varying):
     cs = S.tabulated((c, 2 * c, c), c) if varying else S.constant(c)
     spec = sc.SigmoidBHSpec(a, cs, S.constant(2.0), p=p, b=1.0, k=2, l=1)
     shifted = sc.translate_to_origin(sc.make_sigmoid_bh(spec), 1.0)
-    oracle = dataclasses.replace(
-        shifted, evaluator=round_trip(sc.make_sigmoid_bh(spec).evaluator,
-                                      1.0))
+    oracle = dataclasses.replace(shifted, evaluator=y_formula(spec))
     init = (-0.3, 0.2)
     got = sc.iterate(shifted, init, 300).terms
     assert list(map(_bits, got)) == \
@@ -176,8 +193,9 @@ def test_a_replaced_evaluator_gets_the_round_trip(steps):
     del calls[:]                # the fixed-point check's calls
     traj = sc.iterate(shifted, (0.1, 0.1), steps)
     assert calls == list(range(2, 2 + steps))
-    assert traj.terms == \
-        sc.iterate(sc.translate_to_origin(eq, 1.0), (0.1, 0.1), steps).terms
+    oracle = dataclasses.replace(shifted,
+                                 evaluator=round_trip(eq.evaluator, 1.0))
+    assert traj.terms == sc.iterate(oracle, (0.1, 0.1), steps).terms
 
 
 def test_another_fixed_point_gets_the_round_trip():

@@ -6,6 +6,9 @@ window moved (and sp3 k=2's u_star in ``threshold-text``).  The
 adult-juvenile and competition-swapped analyses and the planar
 predictions were re-pinned when the planar envelope cycles took alpha
 from their exact thresholds: again only the window moved.
+``cold-analyze-sigmoid-bh-c0`` was re-pinned when sigmoid-BH's
+translated map came to be written in y = x - b: its exit 4, a false
+alarm of the (v + b) - b round trip, became exit 0.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -217,7 +220,7 @@ CLI_DIGESTS = {
     "cold-analyze-sigmoid-bh-c1":
         "b67e432ee7424e5ef56b27d6da3c1f4406e92523f2fc7c973679ec00cf0cdac6",
     "cold-analyze-sigmoid-bh-c0":
-        "2f428ebbcd8afe33a03e22a18f126b02361e41a4409da9838ed824a9b709e033",
+        "4789a354394120aa964000609ce363d2b1b6a6411cea3397e763511f52af58c8",
     "cold-analyze-adult-juvenile":
         "1c07f63b7d5021ecfb6a24b07a921caf46a130316d5d5bdaaecf23c37b2f487d",
     "cold-fold-threed":
