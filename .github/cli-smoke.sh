@@ -46,6 +46,9 @@ while read -r args; do
 done <<COMMANDS
 models
 simulate --model sp3 --k 3 --init 1,1,1 --steps 300
+simulate --model sigmoid-bh --p 3 --b 1 --init 0.2 --steps 30
+simulate --model competition-swapped --init 2,1 --steps 50
+simulate --model threed --init 0.9,1.1,1 --steps 50
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --config $cfg

@@ -22,15 +22,13 @@ __version__ = "0.1.0"
 # The module each public name is read from.
 _SOURCES = {
     "analysis": ("Classification", "MonotoneResult", "analyze_residues",
-                 "build_report", "classify_limit", "detect_crossing",
-                 "predict_subsequence_convergence",
+                 "build_report", "classify_limit",
                  "verify_monotone_to_zero"),
     "criteria": ("BoundingFunction", "ThresholdResult", "bisect",
                  "check_inequality_chain", "predict_full_convergence",
                  "solve_threshold", "symmetrize", "validate_bound",
                  "verify_sublinearity"),
-    "dynamics": ("EquationSpec", "Trajectory", "evaluate_map",
-                 "extract_subsequence", "iterate"),
+    "dynamics": ("EquationSpec", "Trajectory", "evaluate_map", "iterate"),
     "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",
                "SigmoidBHSpec", "ThreeDSystem", "make_3d_example",
                "make_generalized_ricker", "make_sigmoid_bh", "make_sp3",
@@ -48,8 +46,7 @@ _SOURCES = {
                 "check_envelope_cycle", "check_fold_consistency",
                 "check_tail_envelope", "fold_initial", "fold_planar",
                 "iterate_system", "predict_alternating_convergence",
-                "predict_envelope_cycle", "predict_tail_convergence",
-                "solve_sigma"),
+                "predict_envelope_cycle", "predict_tail_convergence"),
 }
 _WHERE = {name: module for module, names in _SOURCES.items()
           for name in names}

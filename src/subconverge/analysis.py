@@ -1,11 +1,12 @@
 """Per-residue-class analysis and empirical verification.
 
-These functions inspect computed sequences: where the threshold window
-is first entered, whether a predicted subsequence actually decreases
-monotonically, and which candidate value (zero, or a fixed point of the
-bounding function) the tail settles on.  ``analyze_residues`` is the one
-implementation of the criterion per residue class; reports, scalar
-predictions and the planar envelope predictions are views of it.
+These functions inspect computed sequences: where each residue class
+first enters the threshold window, whether a predicted subsequence
+actually decreases monotonically, and which candidate value (zero, or a
+fixed point of the bounding function) the tail settles on.
+``analyze_residues`` is the one implementation of the criterion per
+residue class; ``build_report`` (the scalar report) and the planar
+envelope predictions are views of it.
 
 Functions of ``criteria`` are looked up on that module at call time, so
 a rebinding there (a tracer, a test double) reaches every caller.
@@ -29,15 +30,6 @@ VIOLATION = "violation"
 
 DEFAULT_ZERO_TOL = 1e-10
 DEFAULT_LIMIT_TOL = 1e-3
-
-
-def detect_crossing(traj, window: ThresholdWindow) -> Optional[int]:
-    """Smallest n with the term strictly inside the window."""
-    terms = traj.terms if isinstance(traj, Trajectory) else traj
-    for n, x in enumerate(terms):
-        if window.contains(x):
-            return n
-    return None
 
 
 class MonotoneResult(NamedTuple):
@@ -166,24 +158,6 @@ def analyze_residues(terms: Sequence[float], stride: int,
                              tuple(limits), subsequence_tails=tails)
 
 
-def _scalar_report(eq: EquationSpec, bound: BoundingFunction,
-                   traj: Trajectory, limits: bool,
-                   zero_tol: float = DEFAULT_ZERO_TOL,
-                   limit_tol: float = DEFAULT_LIMIT_TOL) -> ConvergenceReport:
-    """analyze_residues on a trajectory under its bound (grid-checked
-    first if unproven), plus the full-convergence index."""
-    if bound.sublinear is None:
-        bound = criteria.validate_bound(bound)
-    k, h, terms = bound.dominant_lag, criteria.symmetrize(bound), traj.terms
-    report = analyze_residues(
-        terms, k, lambda n0: criteria.check_inequality_chain(terms, n0, k, h),
-        bound.validity, criteria.chain_start_floor(eq.order, k),
-        (0.0,) + tuple(bound.fixed_points) if limits else None,
-        zero_tol, limit_tol)
-    full_from = criteria.predict_full_convergence(eq, bound, traj)
-    return replace(report, full_convergence_from=full_from)
-
-
 def build_report(eq: EquationSpec, bound: BoundingFunction,
                  traj: Trajectory,
                  zero_tol: float = DEFAULT_ZERO_TOL,
@@ -195,22 +169,19 @@ def build_report(eq: EquationSpec, bound: BoundingFunction,
     tail limit.  Classes that never enter the window are still
     classified (they may settle on a positive fixed point of the bound).
     A VIOLATED verdict means the criterion's guarantee failed, i.e. the
-    bound is invalid or there is a bug.
-    """
-    return _scalar_report(eq, bound, traj, True, zero_tol, limit_tol)
-
-
-def predict_subsequence_convergence(eq: EquationSpec,
-                                    bound: BoundingFunction,
-                                    traj: Trajectory) -> ConvergenceReport:
-    """Emit one zero-convergence prediction per residue class whose
-    trajectory enters the threshold window.
-
-    Each prediction carries the verified inequality chain; a failing
-    chain marks the prediction VIOLATED, which indicates a soundness
-    problem (an invalid bound or a bug), never a benign outcome.
+    bound is invalid or there is a bug.  An unproven bound is
+    grid-checked first; a bound whose stride is not the equation's
+    dominant lag raises ValueError.
     """
     if bound.dominant_lag != eq.dominant_lag:
         raise ValueError("bound stride %d != equation dominant lag %d"
                          % (bound.dominant_lag, eq.dominant_lag))
-    return _scalar_report(eq, bound, traj, False)
+    if bound.sublinear is None:
+        bound = criteria.validate_bound(bound)
+    k, h, terms = bound.dominant_lag, criteria.symmetrize(bound), traj.terms
+    report = analyze_residues(
+        terms, k, lambda n0: criteria.check_inequality_chain(terms, n0, k, h),
+        bound.validity, criteria.chain_start_floor(eq.order, k),
+        (0.0,) + tuple(bound.fixed_points), zero_tol, limit_tol)
+    full_from = criteria.predict_full_convergence(eq, bound, traj)
+    return replace(report, full_convergence_from=full_from)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from operator import truediv
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics import EquationSpec, Trajectory
 from .errors import BoundValidationError, CriterionInapplicableError
@@ -240,14 +240,13 @@ def validate_bound(bound: BoundingFunction) -> BoundingFunction:
     return replace(bound, sublinear=GRID)
 
 
-def check_inequality_chain(traj, n0: int, k: int,
+def check_inequality_chain(terms: Sequence[float], n0: int, k: int,
                            h: ScalarMap) -> ChainResult:
     """Verify |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}| link by link.
 
     An exact zero term means the subsequence has reached its limit; the
     chain terminates there and counts as holding.
     """
-    terms = traj.terms if isinstance(traj, Trajectory) else traj
     j = 0
     links = 0
     while n0 + (j + 1) * k < len(terms):

@@ -7,9 +7,8 @@ model builder and fold in this package uses the same convention.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ class EquationSpec:
     in y = x - b.  It holds only while
     ``evaluator`` is still the first entry (``translate_to_origin``
     checks by identity), so ``dataclasses.replace`` with a new evaluator
-    voids it.
+    voids it, even one made with ``functools.wraps``.
     """
 
     order: int
@@ -79,16 +78,11 @@ class Trajectory:
     non-finite value.
     """
 
-    initial: Tuple[float, ...]
     terms: Tuple[float, ...]
-    equation: Optional[EquationSpec] = field(default=None, compare=False)
     diagnostic: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __getitem__(self, n):
-        return self.terms[n]
 
     @property
     def truncated(self) -> bool:
@@ -98,13 +92,6 @@ class Trajectory:
         lines = ["n,x"]
         lines += ["%d,%r" % (n, x) for n, x in enumerate(self.terms)]
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "equation": self.equation.name if self.equation else None,
-            "initial": list(self.initial),
-            "terms": list(self.terms),
-        })
 
 
 def _overflow(n: int, exc: OverflowError) -> NonFiniteError:
@@ -183,7 +170,7 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
             except NonFiniteError as exc:
                 diagnostic = str(exc)
                 break
-        return Trajectory(init, tuple(terms), eq, diagnostic)
+        return Trajectory(tuple(terms), diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
     # Lag i+1 reads terms from index m-1-i on; the list iterators see each
@@ -205,14 +192,4 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
         append(x)
         if not lo <= x <= hi and n + 1 < end:
             raise _outside(n + 1, terms[:stop:-1])
-    return Trajectory(init, tuple(terms), eq, diagnostic)
-
-
-def extract_subsequence(traj, start: int, stride: int) -> List[float]:
-    """Terms at indices start, start+stride, start+2*stride, ... in order."""
-    terms = traj.terms if isinstance(traj, Trajectory) else traj
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if not 0 <= start < len(terms):
-        raise IndexError("start index %d out of range" % start)
-    return list(terms[start::stride])
+    return Trajectory(tuple(terms), diagnostic)

@@ -33,9 +33,6 @@ class ThresholdWindow(_Interval):
             raise ValueError("window requires lo < hi")
         return super().__new__(cls, lo, hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def as_list(self) -> List[float]:
         return [self.lo, self.hi]
 

@@ -39,8 +39,6 @@ from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
 
-_SIGMA_TOL = 1e-9       # solve_sigma's relative check by substitution
-
 
 class SigmaForm(NamedTuple):
     """Solvability form for f_n(u, v) = w with respect to v; calling it
@@ -139,20 +137,6 @@ def _solver(sys: PlanarSystem) -> Callable[[int, float, float], float]:
     if sys.sigma is None:
         raise FoldError("system %r has no solvability form" % sys.name)
     return sys.sigma.solve
-
-
-def solve_sigma(sys: PlanarSystem, n: int, u: float, w: float) -> float:
-    """Recover v with f_n(u, v) = w via the system's solvability form.
-
-    The result is verified by substitution to ``_SIGMA_TOL`` relative.
-    """
-    v = _solver(sys)(n, u, w)
-    back = sys.f(n, u, v)
-    if abs(back - w) > _SIGMA_TOL * max(abs(w), abs(back), 1.0):
-        raise FoldError(
-            "sigma verification failed at n=%d: f(%r, %r) = %r != %r"
-            % (n, u, v, back, w))
-    return v
 
 
 def _initial_state(sys: PlanarSystem, initial) -> Tuple[float, float]:

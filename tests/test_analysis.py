@@ -2,7 +2,7 @@ import pytest
 
 import subconverge as sc
 from subconverge.analysis import (VERIFIED, VIOLATION, classify_limit,
-                                  detect_crossing, verify_monotone_to_zero)
+                                  verify_monotone_to_zero)
 from subconverge.reports import ThresholdWindow
 
 
@@ -11,18 +11,21 @@ from subconverge.reports import ThresholdWindow
 
 def test_detect_crossing_simple():
     window = ThresholdWindow(0.0, 0.05)
-    assert detect_crossing([1.0, 0.9, 0.04, 0.5], window) == 2
+    report = sc.analyze_residues([1.0, 0.9, 0.04, 0.5], 1, None, window)
+    assert report.crossing_index == 2
 
 
 def test_detect_crossing_strictness():
     window = ThresholdWindow(0.0, 0.05)
-    # boundary values and exact zero are not strictly inside
-    assert detect_crossing([0.05, 0.0, 0.06], window) is None
+    # a boundary value is not strictly inside; an exact zero is the limit
+    # itself, so the class enters there
+    report = sc.analyze_residues([0.05, 0.0, 0.06], 1, None, window)
+    assert report.crossing_index == 1
 
 
 def test_detect_crossing_on_trajectory(sp3_k3, sp3_k3_traj):
-    _, bound = sp3_k3
-    assert detect_crossing(sp3_k3_traj, bound.validity) == 132
+    eq, bound = sp3_k3
+    assert sc.build_report(eq, bound, sp3_k3_traj).crossing_index == 132
 
 
 # -- monotone verification -----------------------------------------------
@@ -57,7 +60,7 @@ def test_monotone_empty_rejected():
 
 
 def test_monotone_on_predicted_subsequence(sp3_k3_traj):
-    sub = sc.extract_subsequence(sp3_k3_traj, 132, 3)
+    sub = sp3_k3_traj.terms[132::3]
     assert verify_monotone_to_zero(sub).status == VERIFIED
 
 
@@ -145,7 +148,10 @@ def test_build_report_json_roundtrip(sp3_k3, sp3_k3_traj):
 def test_prediction_is_a_report_without_limits(sp3_k3, sp3_k3_traj):
     eq, bound = sp3_k3
     report = sc.build_report(eq, bound, sp3_k3_traj)
-    pred = sc.predict_subsequence_convergence(eq, bound, sp3_k3_traj)
+    terms, h = sp3_k3_traj.terms, sc.symmetrize(bound)
+    pred = sc.analyze_residues(
+        terms, 3, lambda n0: sc.check_inequality_chain(terms, n0, 3, h),
+        bound.validity)
     zero = [p for p in report.predictions if p.chain is not None]
     assert [(p.residue_class, p.start_index, p.verdict, p.chain)
             for p in zero] == [(p.residue_class, p.start_index, p.verdict,

@@ -132,7 +132,7 @@ def test_threshold_correctness_invariant():
 def test_chain_holds_along_predicted_subsequence(sp3_k3, sp3_k3_traj):
     _, bound = sp3_k3
     h = sc.symmetrize(bound)
-    res = sc.check_inequality_chain(sp3_k3_traj, 132, 3, h)
+    res = sc.check_inequality_chain(sp3_k3_traj.terms, 132, 3, h)
     assert res.holds
 
 
@@ -154,8 +154,9 @@ def test_chain_violation_reported():
 
 def test_predict_subsequence_figure1(sp3_k3, sp3_k3_traj):
     eq, bound = sp3_k3
-    report = sc.predict_subsequence_convergence(eq, bound, sp3_k3_traj)
-    starts = {p.residue_class: p.start_index for p in report.predictions}
+    report = sc.build_report(eq, bound, sp3_k3_traj)
+    starts = {p.residue_class: p.start_index for p in report.predictions
+              if p.chain is not None}
     assert starts == {0: 132, 1: 166}
     assert report.crossing_index == 132
     assert report.chain_verified
@@ -165,7 +166,7 @@ def test_predict_subsequence_figure1(sp3_k3, sp3_k3_traj):
 def test_predict_all_zero_trajectory(sp3_k3):
     eq, bound = sp3_k3
     traj = sc.iterate(eq, (0.0, 0.0, 0.0), 30)
-    report = sc.predict_subsequence_convergence(eq, bound, traj)
+    report = sc.build_report(eq, bound, traj)
     assert len(report.predictions) == 3
     assert all(p.start_index == p.residue_class for p in report.predictions)
 
@@ -173,7 +174,7 @@ def test_predict_all_zero_trajectory(sp3_k3):
 def test_predict_k2_crossing(sp3_k2):
     eq, bound = sp3_k2
     traj = sc.iterate(eq, (1.0, 1.0, 1.0), 100)
-    report = sc.predict_subsequence_convergence(eq, bound, traj)
+    report = sc.build_report(eq, bound, traj)
     assert report.crossing_index == 25
     pred = {p.residue_class: p for p in report.predictions}[25 % 2]
     assert pred.start_index == 25
@@ -189,14 +190,14 @@ def test_full_convergence_k1(sp3_k1):
 def test_full_convergence_inside_window():
     eq, bound = sc.make_sp3(2)
     traj_terms = [0.01, 0.02, 0.03, 0.01]
-    traj = sc.Trajectory((0.01, 0.02), tuple(traj_terms), eq)
+    traj = sc.Trajectory(tuple(traj_terms))
     # index 0 is initial data (order 3, stride 2): guarantee starts at 1
     assert sc.predict_full_convergence(eq, bound, traj) == 1
 
 
 def test_full_convergence_none_when_outside(sp3_k2):
     eq, bound = sp3_k2
-    traj = sc.Trajectory((1.0, 1.0), (1.0, 1.0, 2.0, 3.0), eq)
+    traj = sc.Trajectory((1.0, 1.0, 2.0, 3.0))
     assert sc.predict_full_convergence(eq, bound, traj) is None
 
 
@@ -205,7 +206,7 @@ def test_stride_mismatch_rejected(sp3_k3, sp3_k2):
     _, bound2 = sp3_k2
     traj = sc.iterate(eq3, (1.0, 1.0, 1.0), 10)
     with pytest.raises(ValueError):
-        sc.predict_subsequence_convergence(eq3, bound2, traj)
+        sc.build_report(eq3, bound2, traj)
 
 
 def test_validate_bound_rejects_nonzero_origin():

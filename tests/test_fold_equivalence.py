@@ -100,7 +100,7 @@ def ref_iterate(eq: EquationSpec, initial: Sequence[float],
             except NonFiniteError as exc:
                 diagnostic = str(exc)
                 break
-        return Trajectory(init, tuple(terms), eq, diagnostic)
+        return Trajectory(tuple(terms), diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
     evaluator = eq.evaluator
@@ -118,7 +118,7 @@ def ref_iterate(eq: EquationSpec, initial: Sequence[float],
         append(x)
         if not lo <= x <= hi and n + 1 < end:
             raise _outside(n + 1, terms[:stop:-1])
-    return Trajectory(init, tuple(terms), eq, diagnostic)
+    return Trajectory(tuple(terms), diagnostic)
 
 
 def ref_iterate_system(sys: PlanarSystem, initial: Tuple[float, float],

@@ -14,24 +14,17 @@ from subconverge.systems import folded_descriptor
 
 
 def test_solve_sigma_multiplicative(adult_juvenile):
-    # x' = 0.8 y, so y = w / 0.8
-    assert sc.solve_sigma(adult_juvenile, 0, 5.0, 2.0) == pytest.approx(2.5)
+    # x' = 0.8 y, so y = w / 0.8; substituted back, f gives w again
+    v = adult_juvenile.sigma(0, 5.0, 2.0)
+    assert v == pytest.approx(2.5)
+    assert adult_juvenile.f(0, 5.0, v) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_solve_sigma_requires_form():
     sysm = sc.PlanarSystem(f=lambda n, x, y: x * y,
                            g=lambda n, x, y: x + y)
     with pytest.raises(FoldError):
-        sc.solve_sigma(sysm, 0, 1.0, 1.0)
-
-
-def test_solve_sigma_verifies_substitution():
-    # a wrong sigma must be caught by the substitution check
-    sysm = sc.PlanarSystem(f=lambda n, x, y: 2.0 * y,
-                           g=lambda n, x, y: x,
-                           sigma=sc.SigmaForm.custom(lambda n, u, w: w))
-    with pytest.raises(FoldError):
-        sc.solve_sigma(sysm, 0, 1.0, 3.0)
+        sc.fold_planar(sysm)
 
 
 def test_solve_sigma_competition_swapped():
@@ -41,7 +34,9 @@ def test_solve_sigma_competition_swapped():
     # pick v, compute w = f(u, v), recover v
     u, v = 0.7, 0.4
     w = sysm.f(0, u, v)
-    assert sc.solve_sigma(sysm, 0, u, w) == pytest.approx(v, rel=1e-9)
+    got = sysm.sigma(0, u, w)
+    assert got == pytest.approx(v, rel=1e-9)
+    assert sysm.f(0, u, got) == pytest.approx(w, rel=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -49,7 +44,9 @@ def test_solve_sigma_competition_swapped():
 def test_sigma_inversion_property(u, v):
     sysm = sc.make_adult_juvenile(0.8, 1.0, 2.0, 2.0)
     w = sysm.f(3, u, v)
-    assert sc.solve_sigma(sysm, 3, u, w) == pytest.approx(v, rel=1e-12)
+    got = sysm.sigma(3, u, w)
+    assert got == pytest.approx(v, rel=1e-12)
+    assert sysm.f(3, u, got) == pytest.approx(w, rel=1e-9)
 
 
 # -- folding -------------------------------------------------------------

@@ -8,6 +8,7 @@ the package.
 """
 
 import dataclasses
+import functools
 import math
 import struct
 from fractions import Fraction
@@ -177,8 +178,11 @@ def _sigmoid(a=2.0, c=1.0, b=1.0):
         S.constant(a), S.constant(c), S.constant(2.0), p=2, b=b, k=1, l=2))
 
 
-@pytest.mark.parametrize("steps", [0, 1, 250])
-def test_a_replaced_evaluator_gets_the_round_trip(steps):
+@pytest.mark.parametrize(
+    "steps,wraps", [(steps, wraps) for wraps in (False, True)
+                    for steps in (0, 1, 250)],
+    ids=["0", "1", "250", "0-wraps", "1-wraps", "250-wraps"])
+def test_a_replaced_evaluator_gets_the_round_trip(steps, wraps):
     eq = _sigmoid()
     calls = []
 
@@ -186,6 +190,11 @@ def test_a_replaced_evaluator_gets_the_round_trip(steps):
         calls.append(n)
         return eq.evaluator(n, u)
 
+    if wraps:
+        # functools.wraps copies the evaluator's name and __dict__, so
+        # only the identity check tells the wrapper from the builder's map.
+        wrapped = functools.wraps(eq.evaluator)(wrapped)
+        assert wrapped.__wrapped__ is eq.evaluator
     replaced = dataclasses.replace(eq, evaluator=wrapped)
     assert replaced.translated is eq.translated     # carried, but void
     shifted = sc.translate_to_origin(replaced, 1.0)

@@ -19,30 +19,26 @@ import pytest
 import subconverge
 from subconverge import planar
 
-# The public names of the package, as ``__all__`` listed them when
-# ``__init__`` imported every module.
+# The public names of the package; ``__all__`` lists exactly these.
 PUBLIC = [
     'BoundingFunction', 'ChainResult', 'Classification', 'CompetitionParams',
-    'ConvergenceReport', 'EnvelopeVerdict', 'EquationSpec',
-    'FixedPointResult', 'FoldCheck', 'MODEL_NAMES', 'MonotoneResult',
-    'Orbit', 'ParameterSequence', 'PlanarSystem', 'Prediction',
-    'RickerFamilySpec', 'SigmaForm', 'SigmoidBHSpec', 'ThreeDSystem',
-    'ThresholdResult', 'ThresholdWindow', 'Trajectory', 'analysis',
-    'analyze_residues', 'bisect', 'build_report',
+    'ConvergenceReport', 'EnvelopeVerdict', 'EquationSpec', 'FixedPointResult',
+    'FoldCheck', 'MODEL_NAMES', 'MonotoneResult', 'Orbit', 'ParameterSequence',
+    'PlanarSystem', 'Prediction', 'RickerFamilySpec', 'SigmaForm',
+    'SigmoidBHSpec', 'ThreeDSystem', 'ThresholdResult', 'ThresholdWindow',
+    'Trajectory', 'analysis', 'analyze_residues', 'bisect', 'build_report',
     'check_alternating_envelopes', 'check_envelope_cycle',
-    'check_fold_consistency', 'check_inequality_chain',
-    'check_tail_envelope', 'classify_limit', 'competition_threshold',
-    'criteria', 'detect_crossing', 'dynamics', 'errors', 'evaluate_map',
-    'extract_subsequence', 'fold_initial', 'fold_planar', 'iterate',
+    'check_fold_consistency', 'check_inequality_chain', 'check_tail_envelope',
+    'classify_limit', 'competition_threshold', 'criteria', 'dynamics',
+    'errors', 'evaluate_map', 'fold_initial', 'fold_planar', 'iterate',
     'iterate_system', 'make_3d_example', 'make_adult_juvenile',
     'make_competition', 'make_generalized_ricker', 'make_sigmoid_bh',
     'make_sp3', 'models', 'predict_alternating_convergence',
     'predict_envelope_cycle', 'predict_full_convergence',
-    'predict_subsequence_convergence', 'predict_tail_convergence',
-    'reports', 'ricker_fixed_points', 'ricker_threshold_condition',
-    'sequences', 'sigmoid_bh_bound', 'sigmoid_bh_window', 'solve_sigma',
-    'solve_threshold', 'swapped_competition_threshold', 'symmetrize',
-    'systems', 'translate_to_origin', 'validate_bound',
+    'predict_tail_convergence', 'reports', 'ricker_fixed_points',
+    'ricker_threshold_condition', 'sequences', 'sigmoid_bh_bound',
+    'sigmoid_bh_window', 'solve_threshold', 'swapped_competition_threshold',
+    'symmetrize', 'systems', 'translate_to_origin', 'validate_bound',
     'verify_monotone_to_zero', 'verify_sublinearity',
 ]
 

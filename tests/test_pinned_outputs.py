@@ -314,8 +314,6 @@ REPORTS = [
     ("build-report-sp3-450", lambda: _sp3_reports(sc.build_report, 450)),
     ("build-report-sp3-30000",
      lambda: _sp3_reports(sc.build_report, 30_000)),
-    ("predict-subsequence-sp3-450",
-     lambda: _sp3_reports(sc.predict_subsequence_convergence, 450)),
     ("acceptance-11-sweep", _acceptance_sweep),
     ("planar-predictions", _planar_reports),
 ]
@@ -325,8 +323,6 @@ REPORT_DIGESTS = {
         "c09f0763789ee1463c3b884dbf5c00926ac78148464e8da5cfbf24edc1a85326",
     "build-report-sp3-30000":
         "84a7a47f25e23d990d08aeab551143acc3f266d49830160f91c240ba6c3f52d3",
-    "predict-subsequence-sp3-450":
-        "03860ee6e1b3cba313bb7c428d0b65b2801397a95d671ae4a34612f0f19a6ee1",
     "acceptance-11-sweep":
         "df350f72ff04d0d744d015fc34855e9f911884b01a3594ead6ddc8e828862674",
     "planar-predictions":
