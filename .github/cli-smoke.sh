@@ -21,6 +21,31 @@ fold_cfg=$(mktemp)
 cat > "$fold_cfg" <<'JSON'
 {"model": "adult-juvenile", "initial": [1, 1], "steps": 3}
 JSON
+# Periodic coefficients, which only a config can give: each reaches a
+# map (and for the swapped competition its sigma) rendered for
+# step-dependent coefficients.
+aj_cfg=$(mktemp)
+cat > "$aj_cfg" <<'JSON'
+{"model": "adult-juvenile", "params": {"s": [0.8, 0.6, 0.9]},
+ "initial": [1, 1], "steps": 100}
+JSON
+swapped_cfg=$(mktemp)
+cat > "$swapped_cfg" <<'JSON'
+{"model": "competition-swapped", "params": {"r1": [1, 1.2]},
+ "initial": [2, 1], "steps": 100}
+JSON
+sigmoid_cfg=$(mktemp)
+cat > "$sigmoid_cfg" <<'JSON'
+{"model": "sigmoid-bh",
+ "params": {"a": [2, 1.5], "c": [1, 0.5], "q": 2, "p": 3, "b": 1,
+            "k": 1, "l": 2},
+ "initial": [1.1, 1.1], "steps": 300}
+JSON
+threed_cfg=$(mktemp)
+cat > "$threed_cfg" <<'JSON'
+{"model": "threed", "params": {"a": [1, 0.8], "p": [0.1, -0.2]},
+ "initial": [0.9, 1.1, 1], "steps": 100}
+JSON
 # sp3's rigorous k = 1 bound, the Ricker bound without a lag-1 coefficient.
 rigorous_cfg=$(mktemp)
 cat > "$rigorous_cfg" <<'JSON'
@@ -34,8 +59,8 @@ JSON
 # A directory that does not exist, for an --out that cannot be written.
 no_dir=$(mktemp -u)
 status=0
-# The list below is expanded by the shell, so that $cfg, $fold_cfg and
-# $rigorous_cfg name the files.
+# The list below is expanded by the shell, so that $cfg, $fold_cfg,
+# $rigorous_cfg and the periodic configs name the files.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -79,6 +104,10 @@ fold --model competition --r1 3 --r2 3 --a1 2 --a2 2 --b1 0.5 --b2 0.5 --init 1.
 fold --model competition-swapped --init 2,1 --steps 100
 fold --model threed --init 0.9,1.1,1 --steps 100
 fold --config $fold_cfg
+fold --config $aj_cfg
+fold --config $swapped_cfg
+analyze --config $sigmoid_cfg
+fold --config $threed_cfg
 COMMANDS
 # A planar simulate --format json output reads back as a config.
 orbit=$(mktemp)
@@ -153,5 +182,6 @@ done <<'SCALAR'
 "fold", "--model", "threed", "--init", "0.9,1.1,1", "--steps", "50";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config
 SCALAR
-rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit"
+rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit" \
+    "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg"
 exit $status

@@ -20,6 +20,7 @@ no planar code.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple, Union)
@@ -42,23 +43,37 @@ _TANGENT_TOL = 1e-12    # a peak this close to the identity is a tangency
 _FIXED_TOL = 1e-9       # translate_to_origin's check that b is fixed
 
 
-# -- coefficient access ---------------------------------------------------
+# -- map bodies -----------------------------------------------------------
 #
-# Builders resolve every ParameterSequence once (``resolve``): constants
-# become floats the maps close over, periodic and tabulated sequences
-# become plain closures.  Each map has a constant-coefficient form and a
-# general form; both keep the arithmetic of the formula exactly as
-# written, so orbits do not depend on which form was built.
+# Each family's map, sigma and step is written once, as the text of a
+# function body in which every coefficient is a {placeholder}.  Builders
+# resolve each ParameterSequence once (``resolve``) and ``_render`` fills
+# the body in: a constant coefficient is read by its bare name, a
+# step-dependent one as name(n).  Only fixed text and ints enter the
+# source, and the values are bound by name in the function's own
+# namespace.  So models that differ only in their values share one code
+# object, compiled once per shape (the body, and which coefficients
+# vary), and a bound rendered from its map's body at dominating
+# constants runs the map's operations in the map's order.
 
 
-def _varying(*resolved) -> bool:
-    """Whether any resolved coefficient depends on the step."""
-    return any(map(callable, resolved))
+@functools.lru_cache(maxsize=128)
+def _compiled(signature: str, body: str, keys: Tuple[str, ...],
+              varying: Tuple[bool, ...]):
+    return compile("def %s:\n%s" % (signature, body.format_map({
+        key: "%s(n)" % key if step else key
+        for key, step in zip(keys, varying)})), "<rendered map>", "exec")
 
 
-def _at(resolved):
-    """A resolved coefficient as a function of the step n."""
-    return resolved if callable(resolved) else (lambda n: resolved)
+def _render(signature: str, body: str, names: dict, **coeffs) -> Callable:
+    """``def signature: body`` as a function, with each {placeholder} of
+    ``body`` filled in for its resolved coefficient (a float or a function
+    of n) in ``coeffs``, over a fresh namespace of ``names`` and
+    ``coeffs``."""
+    namespace = dict(names, **coeffs)
+    exec(_compiled(signature, body, tuple(coeffs),
+                   tuple(map(callable, coeffs.values()))), namespace)
+    return namespace[signature.partition("(")[0]]
 
 
 # -- generalized Ricker family ------------------------------------------
@@ -87,43 +102,26 @@ def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
                        tuple(seq.resolve() for seq in spec.b_seqs), name)
 
 
+@functools.lru_cache(maxsize=128)
+def _ricker_body(m: int, k: int) -> str:
+    """The map's body: a_n - b_1 u_1 - ... - b_m u_m accumulates left to
+    right, one statement per lag (as one expression, a few thousand lags
+    nest too deep to compile).  The crossing indices depend on that
+    order."""
+    return "    e = {a}\n%s    return u[%d] ** lam * exp(e)\n" % (
+        "".join("    e -= {b%d} * u[%d]\n" % (i + 1, i) for i in range(m)),
+        k - 1)
+
+
 def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
                 ) -> EquationSpec:
     """x_n = x_{n-k}^lam exp(a_n - b_{1,n} x_{n-1} - ... - b_{m,n} x_{n-m})
     on [0, inf)^m, m = len(bs), from resolved coefficients (each a float
     or a function of n)."""
-    m, km1, exp = len(bs), k - 1, math.exp
-    # Every form accumulates a_n - b_1 u_1 - ... - b_m u_m left to right;
-    # the crossing indices depend on that order.
-    # Order 3 (sp3, the threed fold, and any three-lag Ricker model) is
-    # unrolled: at this size the loop costs more than the map.
-    if _varying(a, *bs):
-        a_at, b_at = _at(a), tuple(map(_at, bs))
-        if m == 3:
-            b1, b2, b3 = b_at
-
-            def evaluator(n: int, u: Sequence[float]) -> float:
-                e = a_at(n) - b1(n) * u[0] - b2(n) * u[1] - b3(n) * u[2]
-                return u[km1] ** lam * exp(e)
-        else:
-            def evaluator(n: int, u: Sequence[float]) -> float:
-                e = a_at(n)
-                for b_i, u_i in zip(b_at, u):
-                    e -= b_i(n) * u_i
-                return u[km1] ** lam * exp(e)
-    elif m == 3:
-        b1, b2, b3 = bs
-
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            return u[km1] ** lam * exp(a - b1 * u[0] - b2 * u[1]
-                                       - b3 * u[2])
-    else:
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            e = a
-            for b_i, u_i in zip(bs, u):
-                e -= b_i * u_i
-            return u[km1] ** lam * exp(e)
-
+    m = len(bs)
+    evaluator = _render("evaluator(n, u)", _ricker_body(m, k),
+                        {"lam": lam, "exp": math.exp}, a=a,
+                        **{"b%d" % (i + 1): b for i, b in enumerate(bs)})
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
                         name=name, origin_fixed=True)
@@ -368,6 +366,19 @@ class SigmoidBHSpec(NamedTuple):
         return max(self.k, self.l)
 
 
+# The map in x, and written in y = x - b.
+_SIGMOID_BH = """\
+    x = u[%d] - b
+    num = {a} * (abs(x) if absolute else x) ** power
+    return num / (1.0 + {c} * u[%d] ** {q}) + b
+"""
+_SIGMOID_BH_Y = """\
+    y = v[%d]
+    num = {a} * (abs(y) if absolute else y) ** power
+    return num / (1.0 + {c} * (v[%d] + b) ** {q})
+"""
+
+
 def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     """Build the delayed sigmoid Beverton-Holt equation on [0, inf)^m.
 
@@ -390,32 +401,14 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
         raise ModelParameterError("b must be non-negative")
     m = spec.order
     b, k, l = spec.b, spec.k, spec.l
-    km1, lm1 = k - 1, l - 1
-    a, c, q = (seq.resolve() for seq in (spec.a_seq, spec.c_seq, spec.q_seq))
     absolute, power = _real_power(p)
-    if _varying(a, c, q):
-        a_at, c_at, q_at = _at(a), _at(c), _at(q)
-
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            x = u[km1] - b
-            num = a_at(n) * (abs(x) if absolute else x) ** power
-            return num / (1.0 + c_at(n) * u[lm1] ** q_at(n)) + b
-
-        def translated(n: int, v: Sequence[float]) -> float:
-            y = v[km1]
-            num = a_at(n) * (abs(y) if absolute else y) ** power
-            return num / (1.0 + c_at(n) * (v[lm1] + b) ** q_at(n))
-    else:
-        def evaluator(n: int, u: Sequence[float]) -> float:
-            x = u[km1] - b
-            num = a * (abs(x) if absolute else x) ** power
-            return num / (1.0 + c * u[lm1] ** q) + b
-
-        def translated(n: int, v: Sequence[float]) -> float:
-            y = v[km1]
-            num = a * (abs(y) if absolute else y) ** power
-            return num / (1.0 + c * (v[lm1] + b) ** q)
-
+    names = {"b": b, "absolute": absolute, "power": power}
+    coeffs = {"a": spec.a_seq.resolve(), "c": spec.c_seq.resolve(),
+              "q": spec.q_seq.resolve()}
+    evaluator = _render("evaluator(n, u)", _SIGMOID_BH % (k - 1, l - 1),
+                        names, **coeffs)
+    translated = _render("translated(n, v)", _SIGMOID_BH_Y % (k - 1, l - 1),
+                         names, **coeffs)
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
                         name="sigmoid-bh(p=%s,b=%g,k=%d,l=%d)"
@@ -541,29 +534,13 @@ class ThreeDSystem:
         return tuple(st[0] for st in states)
 
 
-def _threed_step(a, p, b: float, c: float, d: float, q: float, r: float,
-                 s: float) -> Callable[[int, State3], State3]:
-    """The step map over resolved coefficients a, p (``resolve``)."""
-    exp, log = math.exp, math.log
-    if _varying(a, p):
-        a_at, p_at = _at(a), _at(p)
-
-        def step(n: int, state: State3) -> State3:
-            x, y, z = state
-            if z <= 0:
-                raise DomainError("z_%d = %r is not positive" % (n, z),
-                                  index=n)
-            return (exp(a_at(n) - b * x - c * y - d * z),
-                    p_at(n) * x + q * z - r * log(z), s * x)
-    else:
-        def step(n: int, state: State3) -> State3:
-            x, y, z = state
-            if z <= 0:
-                raise DomainError("z_%d = %r is not positive" % (n, z),
-                                  index=n)
-            return (exp(a - b * x - c * y - d * z),
-                    p * x + q * z - r * log(z), s * x)
-    return step
+_THREED_STEP = """\
+    x, y, z = state
+    if z <= 0:
+        raise DomainError("z_%d = %r is not positive" % (n, z), index=n)
+    return (exp({a} - b * x - c * y - d * z),
+            {p} * x + q * z - r * log(z), s * x)
+"""
 
 
 def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
@@ -579,8 +556,10 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     if min(c, q, r, s) <= 0:
         raise ModelParameterError("c, q, r, s must be positive")
     a, p = as_sequence(a_seq).resolve(), as_sequence(p_seq).resolve()
-    sysm = ThreeDSystem(_threed_step(a, p, float(b), float(c), float(d),
-                                     float(q), float(r), float(s)))
+    sysm = ThreeDSystem(_render("step(n, state)", _THREED_STEP, dict(
+        b=float(b), c=float(c), d=float(d), q=float(q), r=float(r),
+        s=float(s), exp=math.exp, log=math.log, DomainError=DomainError),
+        a=a, p=p))
     cr = c * r
     cr_ln_s, ds = cr * math.log(s), d * s
     a_fold = (lambda n: a(n - 1) + cr_ln_s) if callable(a) else a + cr_ln_s
@@ -642,8 +621,9 @@ class Model(NamedTuple):
     kind: scalar -- (equation translated by -offset, zero-argument bound
     factory, offset; a factory, because a bound that cannot be built
     must fail ``analyze`` only, never ``simulate``); planar -- a
-    PlanarSystem; threed -- (ThreeDSystem, folded equation).  ``threshold`` gives the threshold command's
-    fields (None: no formula)."""
+    PlanarSystem; threed -- (ThreeDSystem, folded equation).
+    ``threshold`` gives the threshold command's fields (None: no
+    formula)."""
 
     name: str
     kind: str

@@ -19,8 +19,8 @@ from typing import NamedTuple
 from . import models
 from .criteria import ThresholdResult, bisect
 from .errors import FoldError, ModelParameterError
-from .models import (_INF, _TANGENT_TOL, _at, _fixed_point_threshold,
-                     _lower_root, _varying)
+from .models import (_INF, _TANGENT_TOL, _fixed_point_threshold,
+                     _lower_root, _render)
 from .sequences import ParameterSequence, as_sequence
 from .systems import CycleCertificate, PlanarSystem, SigmaForm
 
@@ -66,28 +66,12 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
 def _adult_juvenile_maps(s, t, r, lam: float):
     """The adult-juvenile (f, g, sigma) from resolved coefficients; sigma
     solves w = f(n, u, v) for v."""
-    exp = math.exp
-    if _varying(s, t, r):
-        s_at, t_at, r_at = _at(s), _at(t), _at(r)
-
-        def f(n: int, u: float, v: float) -> float:
-            return s_at(n) * v
-
-        def g(n: int, u: float, v: float) -> float:
-            return u ** lam * exp(r_at(n) - u - t_at(n) * v)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            return w / s_at(n)
-    else:
-        def f(n: int, u: float, v: float) -> float:
-            return s * v
-
-        def g(n: int, u: float, v: float) -> float:
-            return u ** lam * exp(r - u - t * v)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            return w / s
-    return f, g, sigma
+    names = {"lam": lam, "exp": math.exp}
+    return (_render("f(n, u, v)", "    return {s} * v\n", names, s=s),
+            _render("g(n, u, v)",
+                    "    return u ** lam * exp({r} - u - {t} * v)\n", names,
+                    r=r, t=t),
+            _render("sigma(n, u, w)", "    return w / {s}\n", names, s=s))
 
 
 def _envelope(planar_map, own_is_y: bool):
@@ -186,24 +170,12 @@ def make_competition(params: CompetitionParams,
 def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
     """(n, x, y) -> r_n X^d / (a_n + X^d + b_n Y^e) from resolved
     coefficients, where X is the species' own state (x, or y when
-    ``own_is_y``) and Y the other one."""
-    if _varying(r, a, b):
-        r_at, a_at, b_at = _at(r), _at(a), _at(b)
-        if own_is_y:
-            def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * (yd := y ** d) / (a_at(n) + yd
-                                                   + b_at(n) * x ** e)
-        else:
-            def rbh(n: int, x: float, y: float) -> float:
-                return r_at(n) * (xd := x ** d) / (a_at(n) + xd
-                                                   + b_at(n) * y ** e)
-    elif own_is_y:
-        def rbh(n: int, x: float, y: float) -> float:
-            return r * (yd := y ** d) / (a + yd + b * x ** e)
-    else:
-        def rbh(n: int, x: float, y: float) -> float:
-            return r * (xd := x ** d) / (a + xd + b * y ** e)
-    return rbh
+    ``own_is_y``) and Y the other one: the signature names x and y own
+    and other in that order."""
+    return _render("rbh(n, other, own)" if own_is_y else "rbh(n, own, other)",
+                   "    return {r} * (own_d := own ** d)"
+                   " / ({a} + own_d + {b} * other ** e)\n",
+                   {"d": d, "e": e}, r=r, a=a, b=b)
 
 
 def _no_preimage(n: int, u: float, w: float) -> FoldError:
@@ -211,36 +183,31 @@ def _no_preimage(n: int, u: float, w: float) -> FoldError:
                      index=n)
 
 
+_COMPETITION_SIGMA = """\
+    if w <= 0:
+        raise no_preimage(n, u, w)
+    return (({r1} * (ud := u ** d1) / w - {a1} - ud) / {b1}) ** inv_d3
+"""
+_SWAPPED_SIGMA = """\
+    denom = {r1} - w
+    if denom <= 0:
+        raise no_preimage(n, u, w)
+    return (w * ({a1} + {b1} * u ** d3) / denom) ** inv_d1
+"""
+
+
 def _competition_sigma(r1, a1, b1, d1: float, d3: float):
     """Solve w = r1 u^d1 / (a1 + u^d1 + b1 v^d3) for v (needs w > 0)."""
-    inv_d3 = 1.0 / d3
-    if _varying(r1, a1, b1):
-        r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
-
-        def sigma(n: int, u: float, w: float) -> float:
-            if w <= 0:
-                raise _no_preimage(n, u, w)
-            num = r1_at(n) * (ud := u ** d1) / w - a1_at(n) - ud
-            return (num / b1_at(n)) ** inv_d3
-    else:
-        def sigma(n: int, u: float, w: float) -> float:
-            if w <= 0:
-                raise _no_preimage(n, u, w)
-            return ((r1 * (ud := u ** d1) / w - a1 - ud) / b1) ** inv_d3
-    return sigma
+    return _render("sigma(n, u, w)", _COMPETITION_SIGMA, {
+        "d1": d1, "inv_d3": 1.0 / d3, "no_preimage": _no_preimage},
+        r1=r1, a1=a1, b1=b1)
 
 
 def _swapped_sigma(r1, a1, b1, d1: float, d3: float):
     """Solve w = r1 v^d1 / (a1 + v^d1 + b1 u^d3) for v (needs w < r1)."""
-    inv_d1 = 1.0 / d1
-    r1_at, a1_at, b1_at = _at(r1), _at(a1), _at(b1)
-
-    def sigma(n: int, u: float, w: float) -> float:
-        denom = r1_at(n) - w
-        if denom <= 0:
-            raise _no_preimage(n, u, w)
-        return (w * (a1_at(n) + b1_at(n) * u ** d3) / denom) ** inv_d1
-    return sigma
+    return _render("sigma(n, u, w)", _SWAPPED_SIGMA, {
+        "d3": d3, "inv_d1": 1.0 / d1, "no_preimage": _no_preimage},
+        r1=r1, a1=a1, b1=b1)
 
 
 def competition_threshold(r1: float, a1: float,

@@ -63,10 +63,11 @@ class ParameterSequence:
     def resolve(self) -> Union[float, Callable[[int], float]]:
         """Build-time accessor for model builders.
 
-        A constant resolves to its float, which the builder closes over;
-        a periodic or tabulated sequence resolves to a closure over its
-        tuple that indexes without any per-call kind dispatch.  Either
-        way the values are exactly those of ``self(n)``.
+        A constant resolves to its float, which a rendered map reads by
+        name; a periodic or tabulated sequence resolves to a closure over
+        its tuple, which the map calls at n, that indexes without any
+        per-call kind dispatch.  Either way the values are exactly those
+        of ``self(n)``.
         """
         values = self.values
         if self.kind == CONSTANT:
