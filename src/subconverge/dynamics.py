@@ -7,9 +7,10 @@ model builder and fold in this package uses the same convention.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
@@ -17,6 +18,7 @@ from .errors import DomainError, NonFiniteError
 Evaluator = Callable[[int, Sequence[float]], float]
 
 _INF = math.inf
+_MAX = 1.7976931348623157e308       # the largest double
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,156 @@ def evaluate_map(eq: EquationSpec, n: int, history: Sequence[float]) -> float:
     return value
 
 
+# -- rendered maps and orbit loops ------------------------------------------
+#
+# Each catalog map, sigma and step is written once, as the text of a
+# function body in which every value of the model is a {placeholder}; the
+# body's other names are shared functions (exp, log, ...).  ``_render``
+# fills a body in: a constant coefficient is read by its bare name, a
+# step-dependent one as name(n).  Only fixed text and ints enter the
+# source, and the values are bound by name in the function's own
+# namespace.  So models that differ only in their values share one code
+# object, compiled once per shape (the body, and which coefficients
+# vary), and a bound rendered from its map's body at dominating
+# constants runs the map's operations in the map's order.
+#
+# The orbit loops inline the same bodies.  ``_RENDERED`` holds the parts
+# of every function ``_render`` made, keyed by the function itself: a
+# wrapper (even one made with functools.wraps, which copies __dict__) is
+# another object, so it is called once per step like any evaluator.  A
+# loop is compiled once per shape and takes the values as arguments.
+
+
+# A rendered function's shape is what its code depends on: the tuple
+# (params, body, keys, varying, names) of its parameter names, its body,
+# its placeholders, whether each varies with n, and the other names its
+# body reads.  Each entry is (shape, the values of names + keys).
+_RENDERED: "weakref.WeakKeyDictionary[Callable, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _rendered(function: Callable) -> Optional[tuple]:
+    try:
+        return _RENDERED.get(function)
+    except TypeError:   # not weakly referable, so not rendered
+        return None
+
+
+def _fill(body: str, keys: Tuple[str, ...], varying: Tuple[bool, ...],
+          prefix: str = "") -> str:
+    return body.format_map({key: prefix + key + ("(n)" if step else "")
+                            for key, step in zip(keys, varying)})
+
+
+@functools.lru_cache(maxsize=128)
+def _compiled(signature: str, body: str, keys: Tuple[str, ...],
+              varying: Tuple[bool, ...], names: Tuple[str, ...]):
+    """The code of ``def signature: body`` filled in, its function's name
+    and its shape."""
+    name, _, params = signature.rstrip(")").partition("(")
+    return (compile("def %s:\n%s" % (signature, _fill(body, keys, varying)),
+                    "<rendered map>", "exec"), name,
+            (tuple(p.strip() for p in params.split(",")), body, keys,
+             varying, names))
+
+
+def _render(signature: str, body: str, names: dict, **coeffs) -> Callable:
+    """``def signature: body`` as a function, with each {placeholder} of
+    ``body`` filled in for its resolved coefficient (a float or a function
+    of n) in ``coeffs``, over a fresh namespace of ``names`` and
+    ``coeffs``.  The step is the parameter n, and ``names`` are shared
+    functions (exp, log, ...): each name means one object in every body,
+    so a loop that inlines two bodies reads it once."""
+    namespace = dict(names, **coeffs)
+    code, name, shape = _compiled(signature, body, tuple(coeffs), tuple(
+        map(callable, coeffs.values())), tuple(names))
+    exec(code, namespace)
+    # Popped, so that no cycle keeps the function and its namespace alive
+    # until the garbage collector runs: they go, and leave the registry,
+    # with their last reference.
+    function = namespace.pop(name)
+    _RENDERED[function] = shape, (*names.values(), *coeffs.values())
+    return function
+
+
+def _statements(shape: tuple, result: str, indent: str,
+                prefix: str = "") -> str:
+    """The body as the statements of a loop's step: placeholders filled in
+    under ``prefix``, and each ``return`` assigning ``result`` (so no
+    statement may follow a return on its path)."""
+    _, body, keys, varying, _ = shape
+    text = _fill(body, keys, varying, prefix)
+    return "".join(indent + line for line in
+                   text.replace("return ", result + " = ").splitlines(True))
+
+
+def _loop(source: str, helpers: Tuple[Callable, ...]) -> Callable:
+    """The function ``orbit`` that ``source`` defines, reading each of
+    ``helpers`` by its own name."""
+    namespace = {helper.__name__: helper for helper in helpers}
+    exec(compile(source, "<orbit loop>", "exec"), namespace)
+    return namespace["orbit"]
+
+
+def _stop(n: int, x: float, end: int, terms: List[float], m: int
+          ) -> Optional[str]:
+    """Why an orbit of order m stops at the term x of step n, which failed
+    the loop's check: a diagnostic if x is not finite, a DomainError if x
+    leaves the domain before the last step, or None if it is the last term
+    (no window reads it)."""
+    if not math.isfinite(x):
+        return str(_non_finite(n, x))
+    if n + 1 < end:
+        terms.append(x)
+        raise _outside(n + 1, terms[:-m - 1:-1])
+    return None
+
+
+# The lags u0 (x_{n-1}) ... u{m-1} shift through locals; with finite
+# bounds, ``lo <= x <= hi`` passes exactly the finite terms in lag 1's
+# interval.
+_ITERATE = """\
+def orbit(terms, end, lo, hi, in_domain, %(args)s):
+    %(oldest_first)s= terms
+    append = terms.append
+    try:
+        for n in range(len(terms), end):
+%(step)s
+            if not %(check)s and (stop := _stop(n, x, end, terms, %(m)d)):
+                return stop
+            append(x)
+            %(lags)s= x, %(window)s
+    except OverflowError as exc:
+        return str(_overflow(n, exc))
+"""
+
+
+@functools.lru_cache(maxsize=128)
+def _iterate_loop(shape: Optional[tuple], m: int,
+                  uniform: bool) -> Callable:
+    """The orbit loop of order m for a rendered map's ``shape`` (None: the
+    evaluator is called), with one interval for every lag (``uniform``)
+    or one per lag (then the window is checked whole).  The body reads
+    its lags as u[i] (under its own parameter name), its only brackets;
+    the loop reads them as u{i}."""
+    lags = ["u%d, " % i for i in range(m)]
+    window = "".join(lags[:-1])
+    if shape is None:
+        args = "evaluator"
+        step = "            x = evaluator(n, (%s))\n" % "".join(lags)
+    else:
+        params, _, keys, _, names = shape
+        args = ", ".join(names + keys)
+        step = _statements(shape, "x", " " * 8).replace(
+            params[1] + "[", "u").replace("]", "")
+    check = "lo <= x <= hi" if uniform else \
+        "(lo <= x <= hi and in_domain((x, %s)))" % window
+    return _loop(_ITERATE % {
+        "args": args, "oldest_first": "".join(reversed(lags)),
+        "step": step.rstrip("\n"), "check": check, "m": m,
+        "window": window, "lags": "".join(lags)}, (_overflow, _stop))
+
+
 def iterate(eq: EquationSpec, initial: Sequence[float],
             steps: int) -> Trajectory:
     """Generate the forward orbit for ``steps`` terms past the initial data.
@@ -143,8 +295,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     Initial values are given oldest first (x_0, ..., x_{m-1}) and must
     be finite.  A non-finite term truncates the trajectory and records a
     diagnostic; a domain exit raises DomainError with the offending
-    index.  The evaluator receives each window as a tuple, most recent
-    term first.
+    index.  An evaluator that ``_render`` made runs inlined in the loop;
+    any other is called once per step with the window as a tuple, most
+    recent term first.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -156,40 +309,13 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     if not eq.in_domain(init[::-1]):
         raise DomainError("initial values %r outside domain" % (init,),
                           index=0)
-    terms: List[float] = list(init)
-    m = eq.order
-    end = m + steps
-    stop = -m - 1           # terms[:stop:-1] is the window x_{n-1}..x_{n-m}
-    diagnostic = None
+    m, terms = eq.order, list(init)
     lo, hi = eq.domain_low[0], eq.domain_high[0]
-    if eq.domain_low.count(lo) != m or eq.domain_high.count(hi) != m:
-        # Lags with different intervals: check the whole window each step.
-        for n in range(m, end):
-            try:
-                terms.append(evaluate_map(eq, n, terms[:stop:-1]))
-            except NonFiniteError as exc:
-                diagnostic = str(exc)
-                break
-        return Trajectory(tuple(terms), diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
-    # Lag i+1 reads terms from index m-1-i on; the list iterators see each
-    # term appended before the next window is drawn, and range comes first
-    # in the zip so that no window is drawn past the last step.
-    windows = zip(*[islice(terms, m - 1 - i, None) for i in range(m)])
-    evaluator = eq.evaluator
-    isfinite = math.isfinite
-    append = terms.append
-    for n, u in zip(range(m, end), windows):
-        try:
-            x = evaluator(n, u)
-        except OverflowError as exc:
-            diagnostic = str(_overflow(n, exc))
-            break
-        if not isfinite(x):
-            diagnostic = str(_non_finite(n, x))
-            break
-        append(x)
-        if not lo <= x <= hi and n + 1 < end:
-            raise _outside(n + 1, terms[:stop:-1])
+    uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
+    shape, values = _rendered(eq.evaluator) or (None, (eq.evaluator,))
+    diagnostic = _iterate_loop(shape, m, uniform)(
+        terms, m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain,
+        *values)
     return Trajectory(tuple(terms), diagnostic)

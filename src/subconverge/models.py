@@ -26,7 +26,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
-from .dynamics import EquationSpec, check_finite_initial
+from .dynamics import EquationSpec, _render, check_finite_initial
 from .errors import (ConfigError, CriterionInapplicableError, DomainError,
                      ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
@@ -41,39 +41,6 @@ _INF = math.inf
 _MAX = 1.7976931348623157e308       # the largest double
 _TANGENT_TOL = 1e-12    # a peak this close to the identity is a tangency
 _FIXED_TOL = 1e-9       # translate_to_origin's check that b is fixed
-
-
-# -- map bodies -----------------------------------------------------------
-#
-# Each family's map, sigma and step is written once, as the text of a
-# function body in which every coefficient is a {placeholder}.  Builders
-# resolve each ParameterSequence once (``resolve``) and ``_render`` fills
-# the body in: a constant coefficient is read by its bare name, a
-# step-dependent one as name(n).  Only fixed text and ints enter the
-# source, and the values are bound by name in the function's own
-# namespace.  So models that differ only in their values share one code
-# object, compiled once per shape (the body, and which coefficients
-# vary), and a bound rendered from its map's body at dominating
-# constants runs the map's operations in the map's order.
-
-
-@functools.lru_cache(maxsize=128)
-def _compiled(signature: str, body: str, keys: Tuple[str, ...],
-              varying: Tuple[bool, ...]):
-    return compile("def %s:\n%s" % (signature, body.format_map({
-        key: "%s(n)" % key if step else key
-        for key, step in zip(keys, varying)})), "<rendered map>", "exec")
-
-
-def _render(signature: str, body: str, names: dict, **coeffs) -> Callable:
-    """``def signature: body`` as a function, with each {placeholder} of
-    ``body`` filled in for its resolved coefficient (a float or a function
-    of n) in ``coeffs``, over a fresh namespace of ``names`` and
-    ``coeffs``."""
-    namespace = dict(names, **coeffs)
-    exec(_compiled(signature, body, tuple(coeffs),
-                   tuple(map(callable, coeffs.values()))), namespace)
-    return namespace[signature.partition("(")[0]]
 
 
 # -- generalized Ricker family ------------------------------------------
@@ -102,15 +69,35 @@ def _ricker_equation(spec: RickerFamilySpec, name: str) -> EquationSpec:
                        tuple(seq.resolve() for seq in spec.b_seqs), name)
 
 
+_RICKER = """\
+    e = {a}
+%(lags)s    try:
+        return u[%(k)d] ** {lam} * exp(e)
+    except OverflowError:
+        return ricker_log(u[%(k)d], {lam}, e)
+"""
+
+
 @functools.lru_cache(maxsize=128)
 def _ricker_body(m: int, k: int) -> str:
     """The map's body: a_n - b_1 u_1 - ... - b_m u_m accumulates left to
     right, one statement per lag (as one expression, a few thousand lags
     nest too deep to compile).  The crossing indices depend on that
-    order."""
-    return "    e = {a}\n%s    return u[%d] ** lam * exp(e)\n" % (
-        "".join("    e -= {b%d} * u[%d]\n" % (i + 1, i) for i in range(m)),
-        k - 1)
+    order.  Where u_k^lam or exp(e) overflows on its own, the term is
+    ``_ricker_log``'s."""
+    return _RICKER % {"k": k - 1, "lags": "".join(
+        "    e -= {b%d} * u[%d]\n" % (i + 1, i) for i in range(m))}
+
+
+def _ricker_log(u: float, lam: float, e: float) -> float:
+    """u^lam e^e as exp(lam ln u + e), 0 at u = 0.  Called while the
+    overflow of the direct form is handled: where this overflows too, or
+    u < 0, the bare ``raise`` re-raises that first overflow."""
+    try:
+        return math.exp(lam * math.log(u) + e) if u else 0.0
+    except (OverflowError, ValueError):
+        pass
+    raise
 
 
 def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
@@ -120,7 +107,8 @@ def _ricker_map(lam: float, k: int, a, bs: Tuple, name: str
     or a function of n)."""
     m = len(bs)
     evaluator = _render("evaluator(n, u)", _ricker_body(m, k),
-                        {"lam": lam, "exp": math.exp}, a=a,
+                        {"exp": math.exp, "ricker_log": _ricker_log}, lam=lam,
+                        a=a,
                         **{"b%d" % (i + 1): b for i, b in enumerate(bs)})
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
@@ -368,14 +356,14 @@ class SigmoidBHSpec(NamedTuple):
 
 # The map in x, and written in y = x - b.
 _SIGMOID_BH = """\
-    x = u[%d] - b
-    num = {a} * (abs(x) if absolute else x) ** power
-    return num / (1.0 + {c} * u[%d] ** {q}) + b
+    x = u[%d] - {b}
+    num = {a} * (abs(x) if {absolute} else x) ** {power}
+    return num / (1.0 + {c} * u[%d] ** {q}) + {b}
 """
 _SIGMOID_BH_Y = """\
     y = v[%d]
-    num = {a} * (abs(y) if absolute else y) ** power
-    return num / (1.0 + {c} * (v[%d] + b) ** {q})
+    num = {a} * (abs(y) if {absolute} else y) ** {power}
+    return num / (1.0 + {c} * (v[%d] + {b}) ** {q})
 """
 
 
@@ -402,13 +390,13 @@ def make_sigmoid_bh(spec: SigmoidBHSpec) -> EquationSpec:
     m = spec.order
     b, k, l = spec.b, spec.k, spec.l
     absolute, power = _real_power(p)
-    names = {"b": b, "absolute": absolute, "power": power}
     coeffs = {"a": spec.a_seq.resolve(), "c": spec.c_seq.resolve(),
-              "q": spec.q_seq.resolve()}
+              "q": spec.q_seq.resolve(), "b": b, "absolute": absolute,
+              "power": power}
     evaluator = _render("evaluator(n, u)", _SIGMOID_BH % (k - 1, l - 1),
-                        names, **coeffs)
+                        {}, **coeffs)
     translated = _render("translated(n, v)", _SIGMOID_BH_Y % (k - 1, l - 1),
-                         names, **coeffs)
+                         {}, **coeffs)
     return EquationSpec(order=m, dominant_lag=k, evaluator=evaluator,
                         domain_low=(0.0,) * m, domain_high=(_INF,) * m,
                         name="sigmoid-bh(p=%s,b=%g,k=%d,l=%d)"
@@ -538,8 +526,8 @@ _THREED_STEP = """\
     x, y, z = state
     if z <= 0:
         raise DomainError("z_%d = %r is not positive" % (n, z), index=n)
-    return (exp({a} - b * x - c * y - d * z),
-            {p} * x + q * z - r * log(z), s * x)
+    return (exp({a} - {b} * x - {c} * y - {d} * z),
+            {p} * x + {q} * z - {r} * log(z), {s} * x)
 """
 
 
@@ -556,10 +544,11 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     if min(c, q, r, s) <= 0:
         raise ModelParameterError("c, q, r, s must be positive")
     a, p = as_sequence(a_seq).resolve(), as_sequence(p_seq).resolve()
-    sysm = ThreeDSystem(_render("step(n, state)", _THREED_STEP, dict(
-        b=float(b), c=float(c), d=float(d), q=float(q), r=float(r),
-        s=float(s), exp=math.exp, log=math.log, DomainError=DomainError),
-        a=a, p=p))
+    sysm = ThreeDSystem(_render(
+        "step(n, state)", _THREED_STEP,
+        {"exp": math.exp, "log": math.log, "DomainError": DomainError},
+        a=a, p=p, b=float(b), c=float(c), d=float(d), q=float(q),
+        r=float(r), s=float(s)))
     cr = c * r
     cr_ln_s, ds = cr * math.log(s), d * s
     a_fold = (lambda n: a(n - 1) + cr_ln_s) if callable(a) else a + cr_ln_s

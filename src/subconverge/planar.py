@@ -18,9 +18,10 @@ from typing import NamedTuple
 
 from . import models
 from .criteria import ThresholdResult, bisect
+from .dynamics import _render
 from .errors import FoldError, ModelParameterError
 from .models import (_INF, _TANGENT_TOL, _fixed_point_threshold,
-                     _lower_root, _render)
+                     _lower_root)
 from .sequences import ParameterSequence, as_sequence
 from .systems import CycleCertificate, PlanarSystem, SigmaForm
 
@@ -66,12 +67,11 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
 def _adult_juvenile_maps(s, t, r, lam: float):
     """The adult-juvenile (f, g, sigma) from resolved coefficients; sigma
     solves w = f(n, u, v) for v."""
-    names = {"lam": lam, "exp": math.exp}
-    return (_render("f(n, u, v)", "    return {s} * v\n", names, s=s),
+    return (_render("f(n, u, v)", "    return {s} * v\n", {}, s=s),
             _render("g(n, u, v)",
-                    "    return u ** lam * exp({r} - u - {t} * v)\n", names,
-                    r=r, t=t),
-            _render("sigma(n, u, w)", "    return w / {s}\n", names, s=s))
+                    "    return u ** {lam} * exp({r} - u - {t} * v)\n",
+                    {"exp": math.exp}, lam=lam, r=r, t=t),
+            _render("sigma(n, u, w)", "    return w / {s}\n", {}, s=s))
 
 
 def _envelope(planar_map, own_is_y: bool):
@@ -167,15 +167,48 @@ def make_competition(params: CompetitionParams,
         certificate=CycleCertificate(cycle[0], (f, g, fbar1, fbar2)))
 
 
+_EXP_SAFE = 709.0     # exp stays finite below (it overflows above ~709.78)
+_RBH = """\
+    try:
+        return {r} * (own_d := own ** {d}) / ({a} + own_d + {b} * other ** {e})
+    except OverflowError:
+        return rbh_log({r}, {a}, {b}, own, other, {d}, {e})
+"""
+
+
 def _rbh_map(r, a, b, d: float, e: float, own_is_y: bool):
     """(n, x, y) -> r_n X^d / (a_n + X^d + b_n Y^e) from resolved
     coefficients, where X is the species' own state (x, or y when
     ``own_is_y``) and Y the other one: the signature names x and y own
-    and other in that order."""
+    and other in that order.  Where X^d or Y^e overflows on its own, the
+    quotient is ``_rbh_log``'s."""
     return _render("rbh(n, other, own)" if own_is_y else "rbh(n, own, other)",
-                   "    return {r} * (own_d := own ** d)"
-                   " / ({a} + own_d + {b} * other ** e)\n",
-                   {"d": d, "e": e}, r=r, a=a, b=b)
+                   _RBH, {"rbh_log": _rbh_log}, r=r, a=a, b=b, d=d, e=e)
+
+
+def _rbh_log(r: float, a: float, b: float, own: float, other: float,
+             d: float, e: float) -> float:
+    """r X^d / (a + X^d + b Y^e) for X = own, Y = other >= 0 where X^d or
+    Y^e overflows, with b Y^e as exp(ln b + e ln Y) (0 for b Y = 0).
+    While X^d and b Y^e are finite, the map's own operations; else each
+    term over the larger of them, the exponents taken in logs.  Each
+    form is the envelope's (b = 0) plus a term >= 0 in the denominator,
+    or at most about 0.7 of the envelope, so the map stays below it.
+    Called while the overflow of the direct form is handled: for a
+    negative state the bare ``raise`` re-raises it."""
+    if own < 0 or other < 0:
+        raise
+    q = math.log(b) + e * math.log(other) if b and other else -_INF
+    try:
+        own_d = own ** d
+        if q < _EXP_SAFE:
+            return r * own_d / (a + own_d + math.exp(q))
+    except OverflowError:
+        pass
+    p = d * math.log(own) if own else -_INF
+    top = max(p, q)
+    return r * math.exp(p - top) / (a * math.exp(-top) + math.exp(p - top)
+                                    + math.exp(q - top))
 
 
 def _no_preimage(n: int, u: float, w: float) -> FoldError:
@@ -186,28 +219,28 @@ def _no_preimage(n: int, u: float, w: float) -> FoldError:
 _COMPETITION_SIGMA = """\
     if w <= 0:
         raise no_preimage(n, u, w)
-    return (({r1} * (ud := u ** d1) / w - {a1} - ud) / {b1}) ** inv_d3
+    return (({r1} * (ud := u ** {d1}) / w - {a1} - ud) / {b1}) ** {inv_d3}
 """
 _SWAPPED_SIGMA = """\
     denom = {r1} - w
     if denom <= 0:
         raise no_preimage(n, u, w)
-    return (w * ({a1} + {b1} * u ** d3) / denom) ** inv_d1
+    return (w * ({a1} + {b1} * u ** {d3}) / denom) ** {inv_d1}
 """
 
 
 def _competition_sigma(r1, a1, b1, d1: float, d3: float):
     """Solve w = r1 u^d1 / (a1 + u^d1 + b1 v^d3) for v (needs w > 0)."""
-    return _render("sigma(n, u, w)", _COMPETITION_SIGMA, {
-        "d1": d1, "inv_d3": 1.0 / d3, "no_preimage": _no_preimage},
-        r1=r1, a1=a1, b1=b1)
+    return _render("sigma(n, u, w)", _COMPETITION_SIGMA,
+                   {"no_preimage": _no_preimage}, r1=r1, a1=a1, b1=b1, d1=d1,
+                   inv_d3=1.0 / d3)
 
 
 def _swapped_sigma(r1, a1, b1, d1: float, d3: float):
     """Solve w = r1 v^d1 / (a1 + v^d1 + b1 u^d3) for v (needs w < r1)."""
-    return _render("sigma(n, u, w)", _SWAPPED_SIGMA, {
-        "d3": d3, "inv_d1": 1.0 / d1, "no_preimage": _no_preimage},
-        r1=r1, a1=a1, b1=b1)
+    return _render("sigma(n, u, w)", _SWAPPED_SIGMA,
+                   {"no_preimage": _no_preimage}, r1=r1, a1=a1, b1=b1, d3=d3,
+                   inv_d1=1.0 / d1)
 
 
 def competition_threshold(r1: float, a1: float,

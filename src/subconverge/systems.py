@@ -33,7 +33,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import criteria
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
-from .dynamics import EquationSpec, _outside, check_finite_initial
+from .dynamics import (_MAX, EquationSpec, _loop, _outside, _rendered,
+                       _statements, check_finite_initial)
 from .errors import CriterionInapplicableError, DomainError, FoldError
 from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
@@ -157,6 +158,47 @@ def _state_outside(x: float, y: float, n: int) -> DomainError:
                        index=n)
 
 
+# A rendered f or g runs inlined, its parameters bound to (n, x, y) and
+# its placeholders read under the prefix f_ or g_; any other is called.
+# With finite bounds, the one comparison passes exactly the finite states
+# inside the domain.
+_ITERATE_SYSTEM = """\
+def orbit(points, x, y, steps, x_lo, x_hi, y_lo, y_hi, %(args)s):
+    append = points.append
+    for n in range(steps):
+%(f)s
+%(g)s
+        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
+            if not (isfinite(xn) and isfinite(yn)):
+                return _non_finite_state(xn, yn, n + 1)
+            raise _state_outside(xn, yn, n + 1)
+        x, y = xn, yn
+        append((x, y))
+"""
+
+
+@lru_cache(maxsize=128)
+def _system_loop(f: Optional[tuple], g: Optional[tuple]) -> Callable:
+    """The orbit loop for the shapes of a rendered f and g (None: that
+    map is called).  Each map's values are its names' then its keys'; a
+    name both read is the same object, read from f's."""
+    args, steps = [], []
+    for shape, name, result in ((f, "f", "xn"), (g, "g", "yn")):
+        if shape is None:
+            args.append(name)
+            steps.append("        %s = %s(n, x, y)" % (result, name))
+            continue
+        params, _, keys, _, names = shape
+        args += [name + "_" + key if key in args else key for key in names]
+        args += [name + "_" + key for key in keys]
+        steps.append("        %s = x, y\n%s" % (
+            ", ".join(params[1:]),
+            _statements(shape, result, " " * 4, name + "_").rstrip()))
+    return _loop(_ITERATE_SYSTEM % {"args": ", ".join(args), "f": steps[0],
+                                    "g": steps[1]},
+                 (math.isfinite, _non_finite_state, _state_outside))
+
+
 def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
                    steps: int) -> Orbit:
     """Forward orbit of ``steps`` applications of the system map.
@@ -166,19 +208,12 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     """
     x, y = _initial_state(sys, initial)
     points: List[Tuple[float, float]] = [(x, y)]
-    append, isfinite = points.append, math.isfinite
-    f, g = sys.f, sys.g
+    f_shape, f_values = _rendered(sys.f) or (None, (sys.f,))
+    g_shape, g_values = _rendered(sys.g) or (None, (sys.g,))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    diagnostic = None
-    for n in range(steps):
-        xn, yn = f(n, x, y), g(n, x, y)
-        if not (isfinite(xn) and isfinite(yn)):
-            diagnostic = _non_finite_state(xn, yn, n + 1)
-            break
-        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
-            raise _state_outside(xn, yn, n + 1)
-        x, y = xn, yn
-        append((x, y))
+    diagnostic = _system_loop(f_shape, g_shape)(
+        points, x, y, steps, max(x_lo, -_MAX), min(x_hi, _MAX),
+        max(y_lo, -_MAX), min(y_hi, _MAX), *f_values, *g_values)
     return Orbit(tuple(points), diagnostic)
 
 

@@ -500,21 +500,27 @@ def test_overflow_above_the_crossing_no_longer_raises():
 
 
 def test_envelope_values_are_computed_before_the_grid_comparisons():
-    # x^400 overflows above ~5.9: the swapped system's fbar cannot be
-    # evaluated on the whole grid.  The old tail check returned its first
-    # counterexample before reaching those points; now the envelope is
-    # evaluated on the grid first.  The alternating check, which the CLI
-    # runs next, raised the same error on its monotonicity grid; the
-    # certificate now covers that cycle, so only an uncertified copy
-    # still runs the grid and raises.
+    # x^400 overflows above ~5.9: an envelope written as the plain quotient
+    # cannot be evaluated on the whole grid.  The old tail check returned
+    # its first counterexample before reaching those points; now the
+    # envelope is evaluated on the grid first.  The alternating check,
+    # which the CLI runs next, raised the same error on its monotonicity
+    # grid.  The catalog's own fbar takes the quotient in logs where the
+    # power overflows, so it no longer raises: the plain quotient below is
+    # that fbar as it was, and replacing the envelope voids the
+    # certificate, so the alternating check runs the grid.
     sysm = planar.make_competition(
         CompetitionParams.make(2, 2, 1, 1, 400, 2), swapped=True)
+    plain = replace(sysm, envelope_f=lambda u: 2.0 * (ud := u ** 400.0) / (
+        1.0 + ud + 0.0 * 0.0 ** 1.0))
     error = (OverflowError, "(34, 'Numerical result out of range')")
-    assert ref_check_tail_envelope(sysm).reason == "f_n(u1,u2) > fbar(u1)"
-    assert outcome(check_tail_envelope, sysm) == error
-    assert outcome(ref_check_alternating_envelopes, sysm) == error
-    assert outcome(check_alternating_envelopes,
-                   replace(sysm, certificate=None)) == error
+    assert ref_check_tail_envelope(plain).reason == "f_n(u1,u2) > fbar(u1)"
+    assert outcome(check_tail_envelope, plain) == error
+    assert outcome(ref_check_alternating_envelopes, plain) == error
+    assert outcome(check_alternating_envelopes, plain) == error
+    # The catalog's fbar is finite on the whole grid, and the checks agree
+    # with their oracles on it.
+    assert_envelopes_same(replace(sysm, certificate=None))
     assert check_alternating_envelopes(sysm).applicable
 
 

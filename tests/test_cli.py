@@ -95,12 +95,32 @@ def test_simulate_bad_init(runner):
 
 
 def test_simulate_blowup_exit_code(runner):
-    # lam just above 1 with huge growth: push far outside the window
+    # Huge growth: x_3 = x_2^5 e^(10 - 1e-300 x_2) is about e^787, past
+    # the largest double in the log form too.
     res = runner.invoke(main, ["simulate", "--model", "ricker",
                                "--lambda", "5", "--k", "1", "--a", "10",
-                               "--b", "1e-15", "--init", "50",
+                               "--b", "1e-300", "--init", "50",
                                "--steps", "50"])
     assert res.exit_code == 3
+    assert "overflow at step 3: (34, 'Numerical result out of range')" \
+        in res.output
+
+
+@pytest.mark.parametrize("args,row", [
+    # x_2^5 overflows, but e^(10 - 1e-15 x_2) is 0: x_3 is 0.0
+    (["--model", "ricker", "--lambda", "5", "--k", "1", "--a", "10", "--b",
+      "1e-15", "--init", "50"], "3,0.0"),
+    # 2.5^1000 overflows, but x_1 = e^(1000 ln 2.5 - 2500) is 0.0
+    (["--model", "ricker", "--lambda", "1000", "--b", "1000", "--init",
+      "2.5"], "1,0.0"),
+    # y^2 = 1e400 overflows in both maps, but x_1 rounds to 0 and y_1 to 1
+    (["--model", "competition", "--b1", "1", "--delta3", "2", "--init",
+      "1,1e200"], "1,0.0,1.0"),
+], ids=["ricker-exp-underflows", "ricker-power-overflows", "competition"])
+def test_an_overflowing_power_with_a_finite_term_exits_0(runner, args, row):
+    res = runner.invoke(main, ["simulate"] + args + ["--steps", "3"])
+    assert res.exit_code == 0, res.output
+    assert row in res.output.splitlines()
 
 
 # -- analyze -------------------------------------------------------------

@@ -588,10 +588,10 @@ def test_a_scalar_map_lies_below_its_bound(case):
     assert abs(value(eq.evaluator, n, u)) <= value(bound.g, lag)
 
 
-# Below 1e60 no competition power overflows.  Above it the other species'
-# Y ** e can raise in the map where its envelope, with Y at 0, has no such
-# term: the map itself fails there (exit 3), not the bound.
-competition_states = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e60))
+# Every finite state: where X ** d or the other species' Y ** e overflows
+# on its own, the map and its envelope take the quotient in logs.
+competition_states = st.one_of(st.floats(0.0, 10.0),
+                               st.floats(0.0, 1.7976931348623157e308))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

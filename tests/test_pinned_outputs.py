@@ -8,7 +8,10 @@ predictions were re-pinned when the planar envelope cycles took alpha
 from their exact thresholds: again only the window moved.
 ``cold-analyze-sigmoid-bh-c0`` was re-pinned when sigmoid-BH's
 translated map came to be written in y = x - b: its exit 4, a false
-alarm of the (v + b) - b round trip, became exit 0.
+alarm of the (v + b) - b round trip, became exit 0.  ``simulate-blowup``
+moved to b = 1e-300 when the Ricker map came to take u^lam e^e in logs
+where a factor overflows alone: at b = 1e-15 its x_3 is 0.0, not an
+overflow (exit 0, not 3).  The two ``log-form`` cases pin that fallback.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -55,8 +58,15 @@ CLI_CASES = [
     ("simulate-bad-init", ["simulate", "--model", "sp3", "--init",
                            "one,two"], None),
     ("simulate-blowup", ["simulate", "--model", "ricker", "--lambda", "5",
-                         "--k", "1", "--a", "10", "--b", "1e-15", "--init",
+                         "--k", "1", "--a", "10", "--b", "1e-300", "--init",
                          "50", "--steps", "50"], None),
+    ("simulate-ricker-log-form", ["simulate", "--model", "ricker",
+                                  "--lambda", "1000", "--b", "1000",
+                                  "--init", "2.5", "--steps", "3"], None),
+    ("simulate-competition-log-form", ["simulate", "--model", "competition",
+                                       "--b1", "1", "--delta3", "2",
+                                       "--init", "1,1e200", "--steps", "3"],
+     None),
     ("analyze-sp3-k2", ["analyze", "--model", "sp3", "--k", "2", "--init",
                         "1,1,1", "--steps", "300"], None),
     ("analyze-sp3-k1", ["analyze", "--model", "sp3", "--k", "1", "--init",
@@ -160,7 +170,11 @@ CLI_DIGESTS = {
     "simulate-bad-init":
         "5f8bd21203fdbe78b3339b6c8102f5a67cea53316e7b8797aa7aea63e498d985",
     "simulate-blowup":
-        "ed691e4e163853f23d3ae47b290a167dd3acde0686c3fcf7014d9846059b098d",
+        "4bf7329610ec0f51ae5565f492584bbdc1568345bf0436205985ff808fdb41fd",
+    "simulate-ricker-log-form":
+        "5c31225892fe8b3f830965507bf65111d7d81a9d0d54b39675cd6d743f225e99",
+    "simulate-competition-log-form":
+        "1049ca7c52ee807d4d4fd287e3a5b797783f76825882c71a8004d376ea44e062",
     "analyze-sp3-k2":
         "0f47f0fbe69b76440f9afe2b8a740e37cf72cefbf17d091e8ab05033ffb9db52",
     "analyze-sp3-k1":

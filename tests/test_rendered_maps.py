@@ -1,30 +1,49 @@
-"""Each family's rendered map against the closures it replaced.
+"""Each family's rendered map, and the orbit loops that inline it,
+against the closures the maps replaced.
 
 Every catalog map, sigma and step is one body of text, filled in for
-constant or step-dependent coefficients by ``models._render``.  The
+constant or step-dependent coefficients by ``dynamics._render``.  The
 closures below are the constant/varying pairs the builders had before,
-kept verbatim as the oracle.  On seeded draws of constant, periodic,
-tabulated and mixed coefficients, each rendered function must return the
-same double (compared by repr, so every bit) or raise the same exception
-type with the same message and index.  The draws reach ``DomainError`` at
-z <= 0, the sigmas' indexed ``FoldError`` and ``OverflowError``.
+kept verbatim as the oracle; where a power overflows on its own, the
+Ricker and competition maps now take the term in logs, and the oracle
+adds that fallback around the closures.  On seeded draws of constant,
+periodic, tabulated and mixed coefficients, each rendered function must
+return the same double (compared by repr, so every bit) or raise the same
+exception type with the same message and index.  The draws reach
+``DomainError`` at z <= 0, the sigmas' indexed ``FoldError`` and
+``OverflowError``.
+
+``iterate`` and ``iterate_system`` inline a rendered map's body in their
+loop and call any other evaluator, such as these closures, once per step.
+The orbits of both must agree term for term, with the same diagnostics
+and the same ``DomainError`` messages and indices.
 """
 
 import dataclasses
+import decimal
+import functools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import List, Sequence, Tuple
 
 import pytest
 
 import subconverge as sc
-from subconverge.dynamics import EquationSpec
-from subconverge.errors import DomainError, FoldError, SubconvergeError
+from subconverge.dynamics import (EquationSpec, Trajectory, _non_finite,
+                                  _outside, _overflow, check_finite_initial,
+                                  evaluate_map)
+from subconverge.errors import (DomainError, FoldError, NonFiniteError,
+                                SubconvergeError)
 from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
                                 _real_power, _validate_power)
-from subconverge.planar import CompetitionParams
+from subconverge.planar import CompetitionParams, _rbh_log
 from subconverge.sequences import ParameterSequence as S
+from subconverge.systems import (Orbit, _initial_state, _non_finite_state,
+                                 _state_outside)
+
+_INF = math.inf
 
 
 # -- reference implementation (verbatim) ---------------------------------
@@ -206,6 +225,197 @@ def ref_swapped_sigma(r1, a1, b1, d1: float, d3: float):
     return sigma
 
 
+def ref_iterate(eq: EquationSpec, initial: Sequence[float],
+                steps: int) -> Trajectory:
+    """``iterate`` before its loop was rendered (verbatim): a zip loop
+    over list iterators, or ``evaluate_map`` on lags with different
+    intervals."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    init = tuple(float(v) for v in initial)
+    if len(init) != eq.order:
+        raise ValueError("need %d initial values, got %d"
+                         % (eq.order, len(init)))
+    check_finite_initial(init)
+    if not eq.in_domain(init[::-1]):
+        raise DomainError("initial values %r outside domain" % (init,),
+                          index=0)
+    terms: List[float] = list(init)
+    m = eq.order
+    end = m + steps
+    stop = -m - 1           # terms[:stop:-1] is the window x_{n-1}..x_{n-m}
+    diagnostic = None
+    lo, hi = eq.domain_low[0], eq.domain_high[0]
+    if eq.domain_low.count(lo) != m or eq.domain_high.count(hi) != m:
+        # Lags with different intervals: check the whole window each step.
+        for n in range(m, end):
+            try:
+                terms.append(evaluate_map(eq, n, terms[:stop:-1]))
+            except NonFiniteError as exc:
+                diagnostic = str(exc)
+                break
+        return Trajectory(tuple(terms), diagnostic)
+    # One interval for every lag: a window leaves the domain exactly when
+    # its newest term does, so each term is checked once, as it enters.
+    # Lag i+1 reads terms from index m-1-i on; the list iterators see each
+    # term appended before the next window is drawn, and range comes first
+    # in the zip so that no window is drawn past the last step.
+    windows = zip(*[islice(terms, m - 1 - i, None) for i in range(m)])
+    evaluator = eq.evaluator
+    isfinite = math.isfinite
+    append = terms.append
+    for n, u in zip(range(m, end), windows):
+        try:
+            x = evaluator(n, u)
+        except OverflowError as exc:
+            diagnostic = str(_overflow(n, exc))
+            break
+        if not isfinite(x):
+            diagnostic = str(_non_finite(n, x))
+            break
+        append(x)
+        if not lo <= x <= hi and n + 1 < end:
+            raise _outside(n + 1, terms[:stop:-1])
+    return Trajectory(tuple(terms), diagnostic)
+
+
+def ref_iterate_system(sys, initial, steps: int) -> Orbit:
+    """``iterate_system`` before its loop was rendered (verbatim)."""
+    x, y = _initial_state(sys, initial)
+    points: List[Tuple[float, float]] = [(x, y)]
+    append, isfinite = points.append, math.isfinite
+    f, g = sys.f, sys.g
+    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
+    diagnostic = None
+    for n in range(steps):
+        xn, yn = f(n, x, y), g(n, x, y)
+        if not (isfinite(xn) and isfinite(yn)):
+            diagnostic = _non_finite_state(xn, yn, n + 1)
+            break
+        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
+            raise _state_outside(xn, yn, n + 1)
+        x, y = xn, yn
+        append((x, y))
+    return Orbit(tuple(points), diagnostic)
+
+
+# -- the overflow fallbacks ---------------------------------------------------
+#
+# Where u^lam or exp(e) overflows on its own, the Ricker map takes
+# exp(lam ln u_k + e); the competition map takes its quotient in log form
+# (``planar._rbh_log``) where X^d or Y^e does.  The closures above raise
+# there; these wrappers add the fallback, so the closures stay verbatim.
+
+
+def ricker_exponent(a, bs):
+    """e = a_n - b_1,n u_1 - ... - b_m,n u_m, accumulated left to right."""
+    a_at, b_at = _at(a), tuple(map(_at, bs))
+
+    def exponent(n: int, u: Sequence[float]) -> float:
+        e = a_at(n)
+        for b_i, u_i in zip(b_at, u):
+            e -= b_i(n) * u_i
+        return e
+    return exponent
+
+
+def with_ricker_log_form(ref, lam: float, k: int, exponent):
+    """``ref``, or where it overflows exp(lam ln u_k + e) (0.0 at u_k = 0);
+    ref's own error where that overflows too, or u_k < 0."""
+    def evaluator(n: int, u: Sequence[float]) -> float:
+        try:
+            return ref(n, u)
+        except OverflowError:
+            if not u[k - 1]:
+                return 0.0
+            try:
+                return math.exp(lam * math.log(u[k - 1]) + exponent(n, u))
+            except (OverflowError, ValueError):
+                pass
+            raise
+    return evaluator
+
+
+def ref_ricker(lam: float, k: int, a, bs):
+    """The Ricker closure with the log-form fallback."""
+    return with_ricker_log_form(ref_ricker_evaluator(lam, k, a, bs), lam, k,
+                                ricker_exponent(a, bs))
+
+
+def ref_rbh(r, a, b, d: float, e: float, own_is_y: bool):
+    """The competition closure, or where it overflows on the quadrant the
+    log form of its quotient."""
+    ref = ref_rbh_map(r, a, b, d, e, own_is_y)
+    r_at, a_at, b_at = _at(r), _at(a), _at(b)
+
+    def rbh(n: int, x: float, y: float) -> float:
+        try:
+            return ref(n, x, y)
+        except OverflowError:
+            own, other = (y, x) if own_is_y else (x, y)
+            if own < 0 or other < 0:
+                raise
+            return _rbh_log(r_at(n), a_at(n), b_at(n), own, other, d, e)
+    return rbh
+
+
+def _relative(got: float, exact: decimal.Decimal) -> float:
+    return float(abs((decimal.Decimal(got) - exact) / exact))
+
+
+def _overflowing_log(rng: random.Random, power: float) -> float:
+    """ln u for which u ** power overflows."""
+    return rng.uniform(709.8 / power, 709.7)
+
+
+def test_the_log_forms_are_accurate():
+    """Against 40-digit decimals, where a power or exp overflows on its own
+    and the exact term is a normal double: exp(s) is off by about |s| ulps
+    when s is off by one, so the bound grows with the exponents' size."""
+    rng = random.Random("log-forms")
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for i in range(400):
+            # u^lam e^a with lam ln u + a = t in (-700, 700)
+            lam, t = rng.uniform(1.1, 1000.0), rng.uniform(-700.0, 700.0)
+            if i % 2:
+                a = rng.uniform(710.0, 1500.0)
+                log_u = (t - a) / lam
+            else:
+                log_u = _overflowing_log(rng, lam)
+                a = t - lam * log_u
+            u = math.exp(log_u)
+            ricker = sc.models._ricker_map(lam, 1, a, (0.0,), "r").evaluator
+            exact = (D(lam) * D(u).ln() + D(a)).exp()
+            assert _relative(ricker(0, (u,)), exact) < \
+                1e-15 * (abs(lam * log_u) + abs(a) + 1.0), (lam, a, u)
+        checked = 0
+        for i in range(400):
+            # r X^d / (a + X^d + b Y^e) with X^d or Y^e past the doubles
+            r, a = rng.uniform(0.2, 60.0), rng.uniform(0.05, 700.0)
+            b = rng.choice((0.0, rng.uniform(0.0, 2.0),
+                            10.0 ** rng.uniform(-300, 0)))
+            d, e = rng.uniform(1.1, 4.0), rng.uniform(0.2, 3.0)
+            x, y = (math.exp(rng.uniform(-690.0, 690.0) / d),
+                    math.exp(rng.uniform(-690.0, 690.0) / max(e, 1.0)))
+            if i % 2:
+                x = math.exp(_overflowing_log(rng, d))
+            else:   # a finite Y with Y^e past the doubles needs e > 1
+                e = rng.uniform(1.05, 3.0)
+                y = math.exp(_overflowing_log(rng, e))
+            xd, ye = (D(d) * D(x).ln()).exp(), (D(e) * D(y).ln()).exp()
+            exact = D(r) * xd / (D(a) + xd + D(b) * ye)
+            if exact < D("2.3e-308") or D(r) * xd > D("1.7e308"):
+                continue    # subnormal, or r X^d is inf in the direct form
+            rbh = sc.planar._rbh_map(r, a, b, d, e, False)
+            size = abs(d * math.log(x)) + abs(e * math.log(y)) + 1.0
+            assert _relative(rbh(0, x, y), exact) < 1e-15 * size, \
+                (r, a, b, d, e, x, y)
+            checked += 1
+    assert checked > 100
+
+
 # -- comparison ------------------------------------------------------------
 
 KINDS = ("constant", "periodic", "tabulated", "mixed")
@@ -273,8 +483,8 @@ def test_ricker_map_matches_reference(m, k, kind):
             rng.uniform(1.1, 3.0), k, m, _draw_seq(rng, kind, -1.0, 800.0),
             tuple(_draw_seq(rng, kind, 0.1, 1.5) for _ in range(m)))
         eq, _ = sc.models._ricker_parts(spec)
-        ref = ref_ricker_evaluator(spec.lam, k, spec.a_seq.resolve(),
-                                   tuple(s.resolve() for s in spec.b_seqs))
+        ref = ref_ricker(spec.lam, k, spec.a_seq.resolve(),
+                         tuple(s.resolve() for s in spec.b_seqs))
         for n in _steps(rng):
             u = tuple(_value(rng) for _ in range(m))
             tally.same(eq.evaluator, ref, n, u)
@@ -284,9 +494,9 @@ def test_ricker_map_matches_reference(m, k, kind):
     assert OverflowError in tally.raised
 
 
-def _orbit(eq: EquationSpec, init, steps: int = 60):
+def _orbit(eq: EquationSpec, init, steps: int = 60, iterate=sc.iterate):
     try:
-        traj = sc.iterate(eq, init, steps)
+        traj = iterate(eq, init, steps)
     except SubconvergeError as exc:
         return type(exc), str(exc), getattr(exc, "index", None)
     return repr(traj.terms), traj.diagnostic
@@ -297,7 +507,7 @@ def test_ricker_bound_is_the_map_at_dominating_constants():
     for m, k in RICKER_ORDERS:
         lam, a_sup, b_inf = rng.uniform(1.1, 3.0), rng.uniform(0, 2), 0.7
         bound = sc.models._ricker_bound(lam, a_sup, b_inf, k)
-        ref = ref_ricker_evaluator(lam, k, a_sup, (0.0,) * (k - 1) + (b_inf,))
+        ref = ref_ricker(lam, k, a_sup, (0.0,) * (k - 1) + (b_inf,))
         for _ in range(20):
             u = _value(rng)
             assert _call(bound.g, u) == \
@@ -385,12 +595,10 @@ def test_competition_maps_match_reference(kind, swapped):
         sysm = sc.make_competition(CompetitionParams.make(
             r1, r2, a1, a2, d1, d2, b1, b2, d3, d4), swapped)
         res = [seq.resolve() for seq in (r1, a1, b1, r2, a2, b2)]
-        f = ref_rbh_map(*res[:3], d1, d3, own_is_y=swapped)
-        g = ref_rbh_map(*res[3:], d2, d4, own_is_y=not swapped)
-        fbar1 = ref_rbh_map(r1.bounds()[1], a1.bounds()[0], 0.0, d1, d3,
-                            False)
-        fbar2 = ref_rbh_map(r2.bounds()[1], a2.bounds()[0], 0.0, d2, d4,
-                            False)
+        f = ref_rbh(*res[:3], d1, d3, own_is_y=swapped)
+        g = ref_rbh(*res[3:], d2, d4, own_is_y=not swapped)
+        fbar1 = ref_rbh(r1.bounds()[1], a1.bounds()[0], 0.0, d1, d3, False)
+        fbar2 = ref_rbh(r2.bounds()[1], a2.bounds()[0], 0.0, d2, d4, False)
         if swapped:
             sigma = ref_swapped_sigma(*res[:3], d1, d3)
         elif b1.bounds()[0] > 0:
@@ -409,6 +617,257 @@ def test_competition_maps_match_reference(kind, swapped):
                 tally.same(sysm.sigma, sigma, n, u, w)
     assert FoldError in tally.raised
     assert OverflowError in tally.raised
+
+
+# -- the orbit loops --------------------------------------------------------
+
+
+class Seen:
+    """How the compared orbits ended: with every term, a diagnostic, a
+    DomainError, or an error of the map (planar maps raise their
+    OverflowError)."""
+
+    def __init__(self):
+        self.ends = set()
+
+    def add(self, outcome):
+        if outcome[0] is DomainError:
+            self.ends.add("domain")
+        elif isinstance(outcome[0], type):
+            self.ends.add(outcome[0].__name__)
+        else:
+            self.ends.add("truncated" if outcome[1] else "complete")
+
+
+def _same_orbits(eq: EquationSpec, ref: EquationSpec, init, steps: int,
+                 seen: Seen):
+    """The rendered loop of ``eq`` against ``ref``'s called evaluator, in
+    the loop and in the loop before it was rendered; on a domain exit,
+    the orbits that end on the exit's term too, which do not raise."""
+    got = _orbit(eq, init, steps)
+    assert got == _orbit(ref, init, steps) == \
+        _orbit(ref, init, steps, ref_iterate), init
+    seen.add(got)
+    if got[0] is DomainError and got[2]:    # not the initial values
+        last = got[2] - len(init)       # the exit's term is the last one
+        end = _orbit(eq, init, last)
+        assert end == _orbit(ref, init, last) == \
+            _orbit(ref, init, last, ref_iterate) and end[1] is None
+        seen.ends.add("domain on the last step")
+
+
+def _init(rng: random.Random, m: int, lo: float, hi: float):
+    return tuple(rng.choice((rng.uniform(lo, hi), _value(rng, lo, hi)))
+                 for _ in range(m))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m,k", RICKER_ORDERS)
+def test_ricker_loop_matches_the_reference_loop(m, k, kind):
+    """Also with one interval for every lag below 40 (a domain exit), and
+    with 40 on the last lag only (the window is checked whole).  Every
+    fourth draw has a > 712, where e^a overflows in the log form too."""
+    rng = random.Random("ricker-loop:%d:%d:%s" % (m, k, kind))
+    seen = Seen()
+    for i in range(24):
+        a = _draw_seq(rng, kind, 712.0 if i % 4 == 3 else -1.0, 800.0)
+        spec = RickerFamilySpec(
+            rng.uniform(1.1, 3.0), k, m, a,
+            tuple(_draw_seq(rng, kind, 0.0, 1.5) for _ in range(m)))
+        eq, _ = sc.models._ricker_parts(spec)
+        high = ((), (40.0,) * m, (_INF,) * (m - 1) + (40.0,))[i % 3]
+        if high:
+            eq = dataclasses.replace(eq, domain_high=high)
+        ref = dataclasses.replace(eq, evaluator=ref_ricker(
+            spec.lam, k, spec.a_seq.resolve(),
+            tuple(s.resolve() for s in spec.b_seqs)))
+        _same_orbits(eq, ref, _init(rng, m, 0.0, 3.0), 120, seen)
+    assert {"truncated", "domain", "domain on the last step"} <= seen.ends
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", POWERS, ids=str)
+def test_sigmoid_bh_loops_match_the_reference_loops(p, kind):
+    """In x, and in y = x - b through ``translate_to_origin``."""
+    rng = random.Random("sigmoid-bh-loop:%s:%s" % (p, kind))
+    seen = Seen()
+    for _ in range(24):
+        k, l = rng.randint(1, 3), rng.randint(1, 3)
+        b = rng.choice((0.0, rng.uniform(0.0, 3.0)))
+        spec = SigmoidBHSpec(_draw_seq(rng, kind, 0.1, 3.0),
+                             _draw_seq(rng, kind, 0.0, 2.0),
+                             _draw_seq(rng, kind, 0.3, 2.5), p, b, k, l)
+        eq = sc.make_sigmoid_bh(spec)
+        evaluator, translated = ref_sigmoid_bh(spec)
+        init = _init(rng, spec.order, 0.0, 2.0 * b + 2.0)
+        _same_orbits(eq, dataclasses.replace(eq, evaluator=evaluator), init,
+                     120, seen)
+        if b:
+            shifted = sc.translate_to_origin(eq, b)
+            assert shifted.evaluator is eq.translated[2]
+            _same_orbits(shifted, dataclasses.replace(
+                shifted, evaluator=translated), [v - b for v in init], 120,
+                seen)
+    assert "domain" in seen.ends or isinstance(p, Fraction) or p % 2 == 0
+    assert len(seen.ends) > 1
+
+
+@pytest.mark.parametrize("a_kind", KINDS)
+@pytest.mark.parametrize("p_kind", KINDS)
+def test_threed_fold_loop_matches_the_reference_loop(a_kind, p_kind):
+    """The fold is a Ricker map with lam = cr, k = m = 3, coefficient
+    a_{n-1} + cr ln s and lag coefficients (b, c p_{n-2} + d s, c q s)."""
+    rng = random.Random("threed-fold-loop:%s:%s" % (a_kind, p_kind))
+    seen = Seen()
+    for i in range(24):
+        a_seq = _draw_seq(rng, a_kind, -1.0, 6.0)
+        p_seq = _draw_seq(rng, p_kind, -1.0, 0.5)
+        b, d = rng.uniform(0.0, 0.5), rng.choice((0.0, rng.uniform(0.0, 0.5)))
+        c, q, r, s = (rng.uniform(0.2, 1.7) for _ in range(4))
+        _, eq = sc.make_3d_example(a_seq, p_seq, b, c, d, q, r, s)
+        a_at, p_at = _at(a_seq.resolve()), _at(p_seq.resolve())
+        cr, cr_ln_s = c * r, c * r * math.log(s)
+        ref = ref_ricker(cr, 3, lambda n: a_at(n - 1) + cr_ln_s,
+                         (b, lambda n: c * p_at(n - 2) + d * s, c * q * s))
+        _same_orbits(eq, dataclasses.replace(eq, evaluator=ref),
+                     _init(rng, 3, 0.0, 3.0), 120, seen)
+    assert {"complete", "truncated"} <= seen.ends
+
+
+def _system_orbit(sysm, init, steps: int = 120,
+                  iterate_system=sc.iterate_system):
+    try:
+        orbit = iterate_system(sysm, init, steps)
+    except (SubconvergeError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return repr(orbit.points), orbit.diagnostic
+
+
+def _same_system_orbits(sysm, f, g, init, seen: Seen):
+    """The loop with sysm's rendered f and g inlined against the one that
+    calls the reference closures, against each mix, and against the loop
+    before it was rendered."""
+    got = _system_orbit(sysm, init)
+    seen.add(got)
+    for mix in ({"f": f, "g": g}, {"f": f}, {"g": g}):
+        assert got == _system_orbit(dataclasses.replace(sysm, **mix), init)
+    assert got == _system_orbit(dataclasses.replace(sysm, f=f, g=g), init,
+                                iterate_system=ref_iterate_system)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adult_juvenile_loop_matches_the_reference_loop(kind):
+    rng = random.Random("adult-juvenile-loop:%s" % kind)
+    seen = Seen()
+    for i in range(24):
+        s, t = _draw_seq(rng, kind, 0.1, 1.0), _draw_seq(rng, kind, 0.1, 2.0)
+        r, lam = _draw_seq(rng, kind, -1.0, 6.0), rng.uniform(1.1, 3.0)
+        sysm = sc.make_adult_juvenile(s, t, r, lam)
+        if i % 3 == 0:
+            sysm = dataclasses.replace(sysm, domain_y=(0.0, 3.0))
+        f, g, _ = ref_adult_juvenile_maps(s.resolve(), t.resolve(),
+                                          r.resolve(), lam)
+        init = (1e200, 1.0) if i % 6 == 5 else _init(rng, 2, 0.0, 3.0)
+        _same_system_orbits(sysm, f, g, init, seen)
+    assert {"domain", "OverflowError"} <= seen.ends
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["tail", "swapped"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_competition_loop_matches_the_reference_loop(kind, swapped):
+    rng = random.Random("competition-loop:%s:%s" % (kind, swapped))
+    seen = Seen()
+    for i in range(24):
+        r1, r2, a1, a2 = (_draw_seq(rng, kind, 0.5, 3.0) for _ in range(4))
+        b1, b2 = (_draw_seq(rng, kind, 0.0, 1.0) for _ in range(2))
+        d1, d2 = rng.uniform(1.1, 3.0), rng.uniform(1.1, 3.0)
+        d3, d4 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        sysm = sc.make_competition(CompetitionParams.make(
+            r1, r2, a1, a2, d1, d2, b1, b2, d3, d4), swapped)
+        if i % 3 == 0:
+            sysm = dataclasses.replace(sysm, domain_x=(0.0, 1.0))
+        res = [seq.resolve() for seq in (r1, a1, b1, r2, a2, b2)]
+        f = ref_rbh(*res[:3], d1, d3, own_is_y=swapped)
+        g = ref_rbh(*res[3:], d2, d4, own_is_y=not swapped)
+        _same_system_orbits(sysm, f, g, _init(rng, 2, 0.0, 3.0), seen)
+    # 3 X^2 is past the largest double, which no power raises for: the
+    # map gives inf, and the orbit ends on a non-finite state.
+    sysm = sc.make_competition(CompetitionParams.make(3, 3, 1, 1, 2, 2),
+                               swapped)
+    f = ref_rbh(3.0, 1.0, 0.0, 2.0, 1.0, own_is_y=swapped)
+    g = ref_rbh(3.0, 1.0, 0.0, 2.0, 1.0, own_is_y=not swapped)
+    _same_system_orbits(sysm, f, g, (1.2e154, 1.2e154), seen)
+    assert {"domain", "complete", "truncated"} <= seen.ends
+
+
+# -- wrappers ----------------------------------------------------------------
+
+
+class Counter:
+    """A callable object without a weak reference slot."""
+
+    __slots__ = ("fn", "calls")
+
+    def __init__(self, fn, calls):
+        self.fn, self.calls = fn, calls
+
+    def __call__(self, n, *args):
+        self.calls.append(n)
+        return self.fn(n, *args)
+
+
+def _wrappers(fn, calls):
+    """A plain closure, a functools.wraps wrapper and a callable object
+    around ``fn``, each recording the step of every call."""
+    def closure(n, *args):
+        calls.append(n)
+        return fn(n, *args)
+    return {"closure": closure, "wraps": functools.wraps(fn)(closure),
+            "object": Counter(fn, calls)}
+
+
+WRAPPERS = ("closure", "wraps", "object")
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_a_wrapped_evaluator_is_called_once_per_step(wrapper):
+    """As perfbench's counting wrapper is, installed by dataclasses.replace:
+    so map-evaluation counts stay exact."""
+    sigmoid = sc.make_sigmoid_bh(SigmoidBHSpec(
+        S.periodic((2.0, 1.5)), S.constant(1.0), S.constant(2.0), 3, 1.0, 1,
+        2))
+    for eq, init in ((sc.make_sp3(3)[0], (1.0, 1.0, 1.0)),
+                     (sigmoid, (1.1, 1.1)),
+                     (sc.translate_to_origin(sigmoid, 1.0), (0.1, 0.1)),
+                     (sc.make_3d_example(S.periodic((1.0, 0.8)), 0.0, 0.0,
+                                         1.0, 0.0, 1.0, 1.0, 1.0)[1],
+                      (0.9, 1.0, 1.1))):
+        calls = []
+        wrapped = dataclasses.replace(
+            eq, evaluator=_wrappers(eq.evaluator, calls)[wrapper])
+        traj = sc.iterate(wrapped, init, 200)
+        assert calls == list(range(eq.order, eq.order + 200))
+        assert repr(traj.terms) == repr(sc.iterate(eq, init, 200).terms)
+
+
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_wrapped_system_maps_are_called_once_per_step(wrapper):
+    for sysm, init in ((sc.make_adult_juvenile(S.periodic((0.8, 0.6)), 1.0,
+                                               2.0, 2.0), (1.0, 1.0)),
+                       (sc.make_competition(CompetitionParams.make(
+                           3, 3, 1, 1, 2, 2, 0.3, 0.3)), (2.0, 1.0)),
+                       (sc.make_competition(CompetitionParams.make(
+                           S.periodic((1, 1.2)), 1, 1, 1, 2, 2), True),
+                        (2.0, 1.0))):
+        expected = repr(sc.iterate_system(sysm, init, 200).points)
+        for names in (("f",), ("g",), ("f", "g")):
+            calls = {name: [] for name in names}
+            wrapped = dataclasses.replace(sysm, **{
+                name: _wrappers(getattr(sysm, name), calls[name])[wrapper]
+                for name in names})
+            orbit = sc.iterate_system(wrapped, init, 200)
+            assert calls == {name: list(range(200)) for name in names}
+            assert repr(orbit.points) == expected
 
 
 # -- large order -----------------------------------------------------------

@@ -4,12 +4,16 @@ evaluator.
 ``make_3d_example`` builds its order-3 fold with the generalized Ricker
 builder: lam = cr, k = m = 3, the coefficient a_{n-1} + cr ln s and the
 lag coefficients (b, c p_{n-2} + d s, c q s).  ``ref_fold`` below is the
-two-form evaluator the fold had before, kept verbatim as the oracle.  On
-every input both must give the same terms (compared by repr, so every
-double is the same bits) and the same diagnostic, or raise the same
-exception type with the same message and index.
+two-form evaluator the fold had before, kept verbatim as the oracle, with
+the Ricker map's log form added where u_3^cr or exp(e) overflows on its
+own (``with_log_form``).  On every input both must give the same terms
+(compared by repr, so every double is the same bits) and the same
+diagnostic, or raise the same exception type with the same message and
+index.  The fold's orbit runs its map inlined in ``iterate``'s loop, and
+the oracle's runs it called from the same loop.
 """
 
+import dataclasses
 import math
 import random
 from typing import Sequence
@@ -58,6 +62,31 @@ def ref_fold(a_seq, p_seq, b, c, d, q, r, s) -> EquationSpec:
                         name="threed-folded", origin_fixed=cr > 0)
 
 
+def with_log_form(ref: EquationSpec, a_seq, p_seq, b, c, d, q, r, s
+                  ) -> EquationSpec:
+    """``ref``, or where it overflows exp(cr ln u_3 + e) with the fold's
+    exponent e accumulated left to right (0.0 at u_3 = 0); ref's own error
+    where that overflows too, or u_3 < 0."""
+    cr, ds, cqs = c * r, d * s, c * q * s
+    cr_ln_s = cr * math.log(s)
+    a_at, p_at = _at(a_seq.resolve()), _at(p_seq.resolve())
+    base = ref.evaluator
+
+    def evaluator(n: int, u: Sequence[float]) -> float:
+        try:
+            return base(n, u)
+        except OverflowError:
+            e = a_at(n - 1) + cr_ln_s
+            for coeff, u_i in zip((b, c * p_at(n - 2) + ds, cqs), u):
+                e -= coeff * u_i
+            try:
+                return math.exp(cr * math.log(u[2]) + e) if u[2] else 0.0
+            except (OverflowError, ValueError):
+                pass
+            raise
+    return dataclasses.replace(ref, evaluator=evaluator)
+
+
 # -- comparison ------------------------------------------------------------
 
 KINDS = ("constant", "periodic", "tabulated")
@@ -103,7 +132,8 @@ def test_fold_matches_reference_evaluator(a_kind, p_kind):
         b, d = rng.uniform(0.0, 0.5), rng.choice((0.0, rng.uniform(0.0, 0.5)))
         c, q, r, s = (rng.uniform(0.2, 1.7) for _ in range(4))
         sysm, eq = sc.make_3d_example(a, p, b, c, d, q, r, s)
-        ref = ref_fold(a, p, b, c, d, q, r, s)
+        ref = with_log_form(ref_fold(a, p, b, c, d, q, r, s), a, p, b, c, d,
+                            q, r, s)
         assert (eq.order, eq.dominant_lag, eq.domain_low, eq.domain_high,
                 eq.name, eq.origin_fixed) == \
             (ref.order, ref.dominant_lag, ref.domain_low, ref.domain_high,
