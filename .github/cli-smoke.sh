@@ -60,7 +60,7 @@ JSON
 no_dir=$(mktemp -u)
 status=0
 # The list below is expanded by the shell, so that $cfg, $fold_cfg,
-# $rigorous_cfg and the periodic configs name the files.  Its last three
+# $rigorous_cfg and the periodic configs name the files.  Its last five
 # commands overflow in a power whose term is finite (the maps then take
 # the term in logs), so they too must exit 0.
 while read -r args; do
@@ -113,6 +113,8 @@ fold --config $threed_cfg
 simulate --model ricker --lambda 1000 --b 1000 --init 2.5 --steps 3
 simulate --model ricker --lambda 5 --k 1 --a 10 --b 1e-15 --init 50 --steps 50
 simulate --model competition --b1 1 --delta3 2 --init 1,1e200 --steps 3
+simulate --model adult-juvenile --init 1e200,1 --steps 2
+fold --model adult-juvenile --init 1e200,1 --steps 3
 COMMANDS
 # A planar simulate --format json output reads back as a config.
 orbit=$(mktemp)

@@ -166,11 +166,14 @@ _RENDERED: "weakref.WeakKeyDictionary[Callable, tuple]" = \
     weakref.WeakKeyDictionary()
 
 
-def _rendered(function: Callable) -> Optional[tuple]:
+def _rendered(function: Callable) -> tuple:
+    """(shape, values) of a function ``_render`` made, which a loop
+    inlines; (None, (function,)) for any other, which it calls."""
     try:
-        return _RENDERED.get(function)
+        parts = _RENDERED.get(function)
     except TypeError:   # not weakly referable, so not rendered
-        return None
+        parts = None
+    return parts or (None, (function,))
 
 
 def _fill(body: str, keys: Tuple[str, ...], varying: Tuple[bool, ...],
@@ -314,7 +317,7 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
-    shape, values = _rendered(eq.evaluator) or (None, (eq.evaluator,))
+    shape, values = _rendered(eq.evaluator)
     diagnostic = _iterate_loop(shape, m, uniform)(
         terms, m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain,
         *values)

@@ -64,13 +64,23 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
         certificate=CycleCertificate(2, (f, g, fbar, gbar)))
 
 
+_ADULT_JUVENILE_G = """\
+    e = {r} - u - {t} * v
+    try:
+        return u ** {lam} * exp(e)
+    except OverflowError:
+        return ricker_log(u, {lam}, e)
+"""
+
+
 def _adult_juvenile_maps(s, t, r, lam: float):
     """The adult-juvenile (f, g, sigma) from resolved coefficients; sigma
-    solves w = f(n, u, v) for v."""
+    solves w = f(n, u, v) for v.  g is the Ricker body's: where u^lam or
+    exp(e) overflows on its own, the term is ``_ricker_log``'s."""
     return (_render("f(n, u, v)", "    return {s} * v\n", {}, s=s),
-            _render("g(n, u, v)",
-                    "    return u ** {lam} * exp({r} - u - {t} * v)\n",
-                    {"exp": math.exp}, lam=lam, r=r, t=t),
+            _render("g(n, u, v)", _ADULT_JUVENILE_G,
+                    {"exp": math.exp, "ricker_log": models._ricker_log},
+                    lam=lam, r=r, t=t),
             _render("sigma(n, u, w)", "    return w / {s}\n", {}, s=s))
 
 

@@ -23,8 +23,10 @@ from the threshold scan on (0, 10].
 
 from __future__ import annotations
 
+import io
 import math
 import operator
+import tokenize
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
@@ -158,8 +160,58 @@ def _state_outside(x: float, y: float, n: int) -> DomainError:
                        index=n)
 
 
-# A rendered f or g runs inlined, its parameters bound to (n, x, y) and
-# its placeholders read under the prefix f_ or g_; any other is called.
+# In the system loops, a map that ``_render`` made runs inlined: its
+# parameters bound to the step's operands, its placeholders read under its
+# own prefix (f_, g_ or sigma_).  Any other map is called.
+
+
+def _loop_args(maps: Sequence[Tuple[Optional[tuple], str]]) -> str:
+    """The loop's parameters for the values of each (shape, name) of
+    ``maps``: the map itself if it is called (shape None), else its
+    names', then its keys'.  A name two maps read is the same object, and
+    the loop reads it from the first."""
+    args: List[str] = []
+    for shape, name in maps:
+        if shape is None:
+            args.append(name)
+            continue
+        _, _, keys, _, names = shape
+        args += [name + "_" + key if key in args else key for key in names]
+        args += [name + "_" + key for key in keys]
+    return ", ".join(args)
+
+
+def _renamed(text: str, old: str, new: str) -> str:
+    """``text`` with each name ``old`` read as ``new`` (an attribute or a
+    string keeps its text)."""
+    tokens, prev = [], None
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME and token.string == old and \
+                prev != ".":
+            token = token._replace(string=new)
+        tokens.append(token)
+        prev = token.string
+    return tokenize.untokenize(tokens)
+
+
+def _map_step(shape: Optional[tuple], name: str, result: str,
+              operands: str, indent: str, step: str = "n") -> str:
+    """``result = name(step, operands)`` as statements of a loop at
+    ``indent``: a rendered map's body with its parameters bound to the
+    operands, or the call.  At a step other than the loop's n, the body
+    reads its n (in its coefficients too) as name_n, bound to that step,
+    so the loop's own index is never rebound."""
+    if shape is None:
+        return "%s%s = %s(%s, %s)" % (indent, result, name, step, operands)
+    # A body is indented one level already.
+    body = _statements(shape, result, indent[4:], name + "_").rstrip()
+    if step != "n":
+        body = "%s%s_n = %s\n%s" % (indent, name, step,
+                                    _renamed(body, "n", name + "_n"))
+    return "%s%s = %s\n%s" % (indent, ", ".join(shape[0][1:]), operands,
+                              body)
+
+
 # With finite bounds, the one comparison passes exactly the finite states
 # inside the domain.
 _ITERATE_SYSTEM = """\
@@ -180,23 +232,13 @@ def orbit(points, x, y, steps, x_lo, x_hi, y_lo, y_hi, %(args)s):
 @lru_cache(maxsize=128)
 def _system_loop(f: Optional[tuple], g: Optional[tuple]) -> Callable:
     """The orbit loop for the shapes of a rendered f and g (None: that
-    map is called).  Each map's values are its names' then its keys'; a
-    name both read is the same object, read from f's."""
-    args, steps = [], []
-    for shape, name, result in ((f, "f", "xn"), (g, "g", "yn")):
-        if shape is None:
-            args.append(name)
-            steps.append("        %s = %s(n, x, y)" % (result, name))
-            continue
-        params, _, keys, _, names = shape
-        args += [name + "_" + key if key in args else key for key in names]
-        args += [name + "_" + key for key in keys]
-        steps.append("        %s = x, y\n%s" % (
-            ", ".join(params[1:]),
-            _statements(shape, result, " " * 4, name + "_").rstrip()))
-    return _loop(_ITERATE_SYSTEM % {"args": ", ".join(args), "f": steps[0],
-                                    "g": steps[1]},
-                 (math.isfinite, _non_finite_state, _state_outside))
+    map is called)."""
+    indent = " " * 8
+    return _loop(_ITERATE_SYSTEM % {
+        "args": _loop_args(((f, "f"), (g, "g"))),
+        "f": _map_step(f, "f", "xn", "x, y", indent),
+        "g": _map_step(g, "g", "yn", "x, y", indent)},
+        (math.isfinite, _non_finite_state, _state_outside))
 
 
 def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
@@ -208,10 +250,9 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     """
     x, y = _initial_state(sys, initial)
     points: List[Tuple[float, float]] = [(x, y)]
-    f_shape, f_values = _rendered(sys.f) or (None, (sys.f,))
-    g_shape, g_values = _rendered(sys.g) or (None, (sys.g,))
+    (f, f_values), (g, g_values) = map(_rendered, (sys.f, sys.g))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    diagnostic = _system_loop(f_shape, g_shape)(
+    diagnostic = _system_loop(f, g)(
         points, x, y, steps, max(x_lo, -_MAX), min(x_hi, _MAX),
         max(y_lo, -_MAX), min(y_hi, _MAX), *f_values, *g_values)
     return Orbit(tuple(points), diagnostic)
@@ -232,7 +273,8 @@ def fold_planar(sys: PlanarSystem) -> EquationSpec:
     """
     f, g, sigma = sys.f, sys.g, _solver(sys)
 
-    # check_fold_consistency writes this step out in its loop.
+    # check_fold_consistency runs this step in its rendered loop, with the
+    # y that sigma recovered at the step before in hand.
     def evaluator(n: int, u: Sequence[float]) -> float:
         y = sigma(n - 2, u[1], u[0])
         return f(n - 1, u[0], g(n - 2, u[1], y))
@@ -262,59 +304,50 @@ class FoldCheck(NamedTuple):
     stopped: Optional[str] = None
 
 
-def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
-                           steps: int, tol: float = 1e-9) -> FoldCheck:
-    """Iterate the system and its fold in lockstep and compare x_n, and
-    y_n with sigma_n(x_n, x_{n+1}), evaluated once per step on the fold's
-    terms.  Events surface in step order; the first stop ends the check
-    and ``stopped`` says why.  No solvability form: FoldError before any
-    step.  At step n the direct state comes first: non-finite stops,
-    outside the domain raises DomainError.  Then the fold's x_{n+1}:
-    overflow, a non-finite or a complex value stops; outside the domain
-    raises DomainError unless it is the last term (as ``iterate`` does);
-    a FoldError of sigma_n with an index (no preimage, e.g. x underflowed
-    to 0) stops; any other error is raised.  Zero steps evaluate nothing.
-    """
-    x, y = _initial_state(sys, initial)
-    f, g, sigma, isfinite = sys.f, sys.g, _solver(sys), math.isfinite
-    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
+# The direct state comes first, then the fold's x_{n+1} =
+# f_n(x_n, g_{n-1}(x_{n-1}, r)): fold_planar's evaluator with r, the y_{n-1}
+# sigma recovered, in hand; x_1 = f_0(x_0, y_0) is the direct x_1.  Each
+# deviation is |a - b| / max(|a|, |b|, 1) with max()'s comparisons written
+# out, in its order: a later operand replaces the running maximum only if
+# it is greater, so a NaN |r| or d is passed over; a NaN d (r NaN or
+# infinite) still diverges.
+_CHECK_FOLD = """\
+def orbit(x, y, steps, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
     u0, u1, r = None, x, None   # the fold's x_{n-1}, x_n, recovered y_{n-1}
     max_x = max_y = 0.0
     div_x = div_y = stopped = None
     for n in range(steps):
-        xn, yn = f(n, x, y), g(n, x, y)
+%(f)s
+%(g)s
         if not (isfinite(xn) and isfinite(yn)):
             stopped = _non_finite_state(xn, yn, n + 1)
             break
         if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
             raise _state_outside(xn, yn, n + 1)
-        # The fold's x_{n+1} = f_n(x_n, g_{n-1}(x_{n-1}, r)), fold_planar's
-        # evaluator with r in hand; x_1 = f_0(x_0, y_0) is the direct x_1.
         try:
-            nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
+            if n:
+%(fold_g)s
+%(fold_f)s
+            else:
+                nxt = float(xn)
             finite = isfinite(nxt)
         except OverflowError:
             finite = False
         except TypeError:   # complex: a root or power of a negative value
-            stopped = "fold term x_%d is not real" % (n + 1)
+            stopped = "fold term x_%%d is not real" %% (n + 1)
             break
         if not finite:
-            stopped = "fold term x_%d is not finite" % (n + 1)
+            stopped = "fold term x_%%d is not finite" %% (n + 1)
             break
         if not x_lo <= nxt <= x_hi and n + 1 < steps:
             raise _outside(n + 2, (nxt, u1))
         try:
-            r = sigma(n, u1, nxt)
+%(sigma)s
         except FoldError as exc:
             if exc.index is None:
                 raise
             stopped = str(exc)
             break
-        # Each deviation is |a - b| / max(|a|, |b|, 1) with max()'s
-        # comparisons written out, in its order (the call costs more than
-        # the step's arithmetic): a later operand replaces the running
-        # maximum only if it is greater, so a NaN |r| or d is passed over;
-        # a NaN d (r NaN or infinite) still diverges.
         if r != y:
             s, t = abs(y), abs(r)
             if t > s:
@@ -334,12 +367,55 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
             if d > max_x:
                 max_x = d
         u0, u1 = u1, nxt
-        x, y = xn, yn   # apart: a four-name swap was ~4% slower on 3.11
+        x, y = xn, yn   # apart: a four-name swap was ~4%% slower on 3.11
     else:
         n = max(steps, 0)   # every term x_0 .. x_steps was compared
     first = div_x if div_x is not None else div_y
     return FoldCheck(max_x <= tol and max_y <= tol and first is None, max_x,
                      max_y, first, n + 1, stopped)
+"""
+
+
+@lru_cache(maxsize=128)
+def _fold_loop(f: Optional[tuple], g: Optional[tuple],
+               sigma: Optional[tuple]) -> Callable:
+    """The fold check's loop for the shapes of a rendered f, g and sigma
+    (None: that map is called).  f and g each run twice per step: on the
+    direct state, and in the fold term, g at step n - 1."""
+    direct, fold = " " * 8, " " * 16
+    return _loop(_CHECK_FOLD % {
+        "args": _loop_args(((f, "f"), (g, "g"), (sigma, "sigma"))),
+        "f": _map_step(f, "f", "xn", "x, y", direct),
+        "g": _map_step(g, "g", "yn", "x, y", direct),
+        "fold_g": _map_step(g, "g", "gy", "u0, r", fold, "n - 1"),
+        "fold_f": _map_step(f, "f", "nxt", "u1, gy", fold),
+        "sigma": _map_step(sigma, "sigma", "r", "u1, nxt", " " * 12)},
+        (math.isfinite, _non_finite_state, _state_outside, _outside,
+         FoldError, FoldCheck))
+
+
+def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
+                           steps: int, tol: float = 1e-9) -> FoldCheck:
+    """Iterate the system and its fold in lockstep and compare x_n, and
+    y_n with sigma_n(x_n, x_{n+1}), evaluated once per step on the fold's
+    terms.  Events surface in step order; the first stop ends the check
+    and ``stopped`` says why.  No solvability form: FoldError before any
+    step.  At step n the direct state comes first: non-finite stops,
+    outside the domain raises DomainError.  Then the fold's x_{n+1}:
+    overflow, a non-finite or a complex value stops; outside the domain
+    raises DomainError unless it is the last term (as ``iterate`` does);
+    a FoldError of sigma_n with an index (no preimage, e.g. x underflowed
+    to 0) stops; any other error is raised.  Zero steps evaluate nothing.
+    A rendered f, g or sigma runs inlined in the loop; any other is called
+    once per use: at step 0 f, g and sigma once each, at each later step f
+    and g twice and sigma once.
+    """
+    x, y = _initial_state(sys, initial)
+    (f, f_values), (g, g_values), (sigma, s_values) = map(
+        _rendered, (sys.f, sys.g, _solver(sys)))
+    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
+    return _fold_loop(f, g, sigma)(x, y, steps, tol, x_lo, x_hi, y_lo, y_hi,
+                                   *f_values, *g_values, *s_values)
 
 
 # -- envelope criteria ---------------------------------------------------

@@ -2,12 +2,14 @@
 
 ``iterate`` shifts each window through locals with the rendered map
 inlined, sigmoid-BH carries its map written in y = x - b, and the fold
-check writes out the comparisons of max().  Each must give the bits the
-plain form gives; the oracles live here, not in the package.
+check writes out the comparisons of max() and inlines a rendered f, g
+and sigma.  Each must give the bits the plain form gives; the oracles
+live here, not in the package.
 """
 
 import dataclasses
 import functools
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -20,9 +22,11 @@ import subconverge as sc
 from subconverge.dynamics import _outside
 from subconverge.errors import DomainError, FoldError, ModelParameterError
 from subconverge.models import _ricker_parts
+from subconverge.planar import CompetitionParams
 from subconverge.systems import (FoldCheck, PlanarSystem, SigmaForm,
-                                 _initial_state, _non_finite_state,
-                                 _solver, _state_outside)
+                                 _fold_loop, _initial_state,
+                                 _non_finite_state, _solver, _state_outside)
+from test_rendered_maps import WRAPPERS, _wrappers
 
 S = sc.ParameterSequence
 
@@ -297,8 +301,10 @@ def test_a_domain_exit_names_the_window_it_would_enter(order):
 
 def old_check_fold_consistency(sys, initial, steps, tol=1e-9):
     """The fold check with max() for each deviation, as it was written
-    before the comparisons were spelled out, but with the rule that came
-    later: a NaN deviation diverges (max() still passes it over)."""
+    before the comparisons were spelled out and before its loop was
+    rendered, but with the rules that came later: a NaN deviation
+    diverges (max() still passes it over), and a complex fold term
+    stops the check."""
     x, y = _initial_state(sys, initial)
     f, g, sigma, isfinite = sys.f, sys.g, _solver(sys), math.isfinite
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
@@ -314,9 +320,13 @@ def old_check_fold_consistency(sys, initial, steps, tol=1e-9):
             raise _state_outside(xn, yn, n + 1)
         try:
             nxt = f(n, u1, g(n - 1, u0, r)) if n else float(xn)
+            finite = isfinite(nxt)
         except OverflowError:
-            nxt = math.inf
-        if not isfinite(nxt):
+            finite = False
+        except TypeError:
+            stopped = "fold term x_%d is not real" % (n + 1)
+            break
+        if not finite:
             stopped = "fold term x_%d is not finite" % (n + 1)
             break
         if not x_lo <= nxt <= x_hi and n + 1 < steps:
@@ -415,3 +425,173 @@ def test_fold_deviations_match_the_max_loop_on_draws(answers, init, steps,
     assert _fold_outcome(sc.check_fold_consistency, sysm, init, steps,
                          tol) == \
         _fold_outcome(old_check_fold_consistency, sysm, init, steps, tol)
+
+
+# -- the rendered fold loop --------------------------------------------------
+#
+# check_fold_consistency inlines a rendered f, g and sigma, g at step
+# n - 1 in the fold term, and calls any other.  On catalog systems, on
+# each mix of inlined and called maps, and on every stop path, it must
+# give old_check_fold_consistency's FoldCheck or exception.
+
+
+def _with_maps(sysm, maps):
+    """sysm with f, g or sigma replaced by the functions in ``maps``."""
+    if "sigma" in maps:
+        maps = dict(maps, sigma=SigmaForm.custom(maps["sigma"]))
+    return dataclasses.replace(sysm, **maps)
+
+
+def _own_maps(sysm):
+    return {"f": sysm.f, "g": sysm.g, "sigma": _solver(sysm)}
+
+
+def _answers(sysm, step, value):
+    """sysm whose sigma answers ``value`` at ``step``."""
+    solve = _solver(sysm)
+
+    def sigma(n, u, w):
+        return value if n == step else solve(n, u, w)
+    return _with_maps(sysm, {"sigma": sigma})
+
+
+def _competition(swapped=False, d2=2.0, b=0.3):
+    return sc.make_competition(CompetitionParams.make(
+        3.0, 3.0, 1.0, 1.0, 2.0, d2, b, b), swapped)
+
+
+def _adult_juvenile(kind="constant", **replace):
+    seqs = {"constant": (0.8, 1.0, 2.0),
+            "periodic": (S.periodic((0.8, 0.6, 0.9)),
+                         S.periodic((1.0, 1.4)),
+                         S.periodic((2.0, 1.5, 2.5, 1.8))),
+            "tabulated": (S.tabulated((0.7, 0.9, 0.8), 0.75),
+                          S.tabulated((1.2, 0.8), 1.0),
+                          S.tabulated((2.2, 1.6, 2.4, 1.9, 2.1), 2.0))}
+    sysm = sc.make_adult_juvenile(*seqs[kind], 2.0)
+    return dataclasses.replace(sysm, **replace)
+
+
+def _no_index_at_3(n, u, w):
+    """The constant adult-juvenile sigma, but a FoldError without an
+    index at step 3."""
+    if n == 3:
+        raise FoldError("none")
+    return w / 0.8
+
+
+# (system, initial point, steps, the outcome's start): each catalog system
+# on a long orbit, then one case per stop path.
+FOLD_CASES = {
+    "competition": (_competition(), (2.0, 1.0), 300,
+                    "(True, "),
+    "competition-swapped": (_competition(True), (2.0, 1.0), 300,
+                            "(True, "),
+    "adult-juvenile-constant": (_adult_juvenile(), (1.0, 1.0), 300,
+                                "(True, "),
+    "adult-juvenile-periodic": (_adult_juvenile("periodic"), (1.0, 1.0),
+                                300, "(True, "),
+    "adult-juvenile-tabulated": (_adult_juvenile("tabulated"), (1.0, 1.0),
+                                 300, "(True, "),
+    "zero-steps": (_adult_juvenile("periodic"), (1.0, 1.0), 0,
+                   "(True, 0.0, 0.0, None, 1, None)"),
+    "one-step": (_competition(True), (2.0, 1.0), 1, "(True, "),
+    # 3 X^2 is past the largest double, which no power raises for.
+    "non-finite-state": (_competition(), (1.2e154, 1.2e154), 10,
+                         "(True, 0.0, 0.0, None, 1, 'non-finite state "
+                         "(inf, inf) at step 1')"),
+    "state-outside": (_adult_juvenile(domain_y=(0.0, 3.0)), (1.0, 1.0), 40,
+                      str((DomainError,
+                           "state (0.05040394810921217, 3.4047162562462074) "
+                           "outside domain at step 9", 9))),
+    # g(2, x_2, -1e300) overflows exp, and so does its log form.
+    "fold-term-overflows": (_answers(_adult_juvenile("periodic"), 2, -1e300),
+                            (1.0, 1.0), 40, "(False, "),
+    # g(2, x_2, -0.5) takes (-0.5) ** 2.5.
+    "fold-term-complex": (_answers(_competition(d2=2.5), 2, -0.5),
+                          (2.0, 1.0), 40, "(False, "),
+    "fold-term-outside": (_answers(_adult_juvenile(domain_x=(0.0, 5.0)), 2,
+                                   -5.0), (1.0, 1.0), 40,
+                          "(<class 'subconverge.errors.DomainError'>, "
+                          "'history ("),
+    "fold-term-outside-last": (_answers(_adult_juvenile(domain_x=(0.0, 5.0)),
+                                        2, -5.0), (1.0, 1.0), 4, "(False, "),
+    # x underflows to 0.0, where the competition sigma has no preimage.
+    "fold-error-indexed": (sc.make_competition(CompetitionParams.make(
+        3, 3, 2, 2, 2, 2, 0.5, 0.5)), (1.5, 1.5), 3000, "(True, "),
+    # r1 Y^d / (a + Y^d + b X^e) rounds to r1, the swapped sigma's pole.
+    "fold-error-indexed-swapped": (_competition(True), (1.0, 1e10), 10,
+                                   "(True, 0.0, 0.0, None, 1, 'sigma_0: "),
+    "fold-error-unindexed": (_with_maps(_adult_juvenile(), {
+        "sigma": _no_index_at_3}), (1.0, 1.0), 40,
+        str((FoldError, "none", None))),
+}
+
+# The stop each stop case must reach, in its FoldCheck's ``stopped``.
+FOLD_STOPS = {
+    "fold-term-overflows": "fold term x_4 is not finite",
+    "fold-term-complex": "fold term x_4 is not real",
+    "fold-error-indexed": "sigma_17: w=0.0 has no preimage",
+}
+
+MIXES = [names for size in (0, 1, 2, 3)
+         for names in itertools.combinations(("f", "g", "sigma"), size)]
+
+
+@pytest.mark.parametrize("kind", WRAPPERS)
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_the_rendered_fold_loop_matches_the_old_loop(case, kind):
+    sysm, init, steps, start = FOLD_CASES[case]
+    own = _own_maps(sysm)
+    expected = _fold_outcome(old_check_fold_consistency, sysm, init, steps,
+                             1e-9)
+    assert str(expected).startswith(start), expected
+    if case in FOLD_STOPS:
+        assert FOLD_STOPS[case] in expected
+    for names in MIXES:
+        calls = []
+        mixed = _with_maps(sysm, {name: _wrappers(own[name], calls)[kind]
+                                  for name in names})
+        assert _fold_outcome(sc.check_fold_consistency, mixed, init, steps,
+                             1e-9) == expected, names
+
+
+@pytest.mark.parametrize("kind", WRAPPERS)
+@pytest.mark.parametrize("system", ["competition", "competition-swapped",
+                                    "adult-juvenile-periodic"])
+@pytest.mark.parametrize("steps", [0, 1, 2, 60])
+def test_a_called_fold_map_runs_once_per_use(system, steps, kind):
+    """At step 0 f, g and sigma run once each; at each later step f and g
+    twice (g at n - 1 in the fold term) and sigma once."""
+    sysm, init, _, _ = FOLD_CASES[system]
+    own = _own_maps(sysm)
+    expected = repr(sc.check_fold_consistency(sysm, init, steps))
+    for names in MIXES[1:]:
+        calls = {name: [] for name in names}
+        wrapped = _with_maps(sysm, {
+            name: _wrappers(own[name], calls[name])[kind] for name in names})
+        assert repr(sc.check_fold_consistency(wrapped, init, steps)) == \
+            expected
+        per_step = {"f": lambda n: [n, n] if n else [0],
+                    "g": lambda n: [n, n - 1] if n else [0],
+                    "sigma": lambda n: [n]}
+        assert calls == {name: [m for n in range(steps)
+                                for m in per_step[name](n)]
+                         for name in names}
+
+
+def test_fold_builds_that_differ_in_values_share_one_loop():
+    """The loop compiles once per shape of f, g and sigma and takes the
+    values as arguments."""
+    for build in (lambda a: sc.make_adult_juvenile(
+                      S.periodic((a, 0.6)), 1.0, 2.0, 2.0),
+                  lambda a: sc.make_competition(CompetitionParams.make(
+                      3.0, 3.0, a, 1.0, 2.0, 2.0, 0.3, 0.3), True)):
+        one, two = build(0.8), build(0.7)
+        assert one.f is not two.f
+        sc.check_fold_consistency(one, (1.0, 1.0), 60)
+        misses = _fold_loop.cache_info().misses
+        check = sc.check_fold_consistency(two, (1.0, 1.0), 60)
+        assert _fold_loop.cache_info().misses == misses
+        assert repr(check) == repr(old_check_fold_consistency(
+            two, (1.0, 1.0), 60))

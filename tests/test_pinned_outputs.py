@@ -11,7 +11,9 @@ translated map came to be written in y = x - b: its exit 4, a false
 alarm of the (v + b) - b round trip, became exit 0.  ``simulate-blowup``
 moved to b = 1e-300 when the Ricker map came to take u^lam e^e in logs
 where a factor overflows alone: at b = 1e-15 its x_3 is 0.0, not an
-overflow (exit 0, not 3).  The two ``log-form`` cases pin that fallback.
+overflow (exit 0, not 3).  The ``log-form`` cases pin that fallback; the
+two adult-juvenile ones were pinned when adult-juvenile's g took the same
+fallback, and exited 3 before.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -66,6 +68,12 @@ CLI_CASES = [
     ("simulate-competition-log-form", ["simulate", "--model", "competition",
                                        "--b1", "1", "--delta3", "2",
                                        "--init", "1,1e200", "--steps", "3"],
+     None),
+    ("simulate-adult-juvenile-log-form", ["simulate", "--model",
+                                          "adult-juvenile", "--init",
+                                          "1e200,1", "--steps", "2"], None),
+    ("fold-adult-juvenile-log-form", ["fold", "--model", "adult-juvenile",
+                                      "--init", "1e200,1", "--steps", "3"],
      None),
     ("analyze-sp3-k2", ["analyze", "--model", "sp3", "--k", "2", "--init",
                         "1,1,1", "--steps", "300"], None),
@@ -175,6 +183,10 @@ CLI_DIGESTS = {
         "5c31225892fe8b3f830965507bf65111d7d81a9d0d54b39675cd6d743f225e99",
     "simulate-competition-log-form":
         "1049ca7c52ee807d4d4fd287e3a5b797783f76825882c71a8004d376ea44e062",
+    "simulate-adult-juvenile-log-form":
+        "e85c90bd84be05ab11f3e24c4542a97991daef33d41e09ff3e8dce613ab37ff9",
+    "fold-adult-juvenile-log-form":
+        "fbd0364040a1daf8c4e8a75a3b1cbf54b9aa14a4d780d93f194bb1f28f95ef0d",
     "analyze-sp3-k2":
         "0f47f0fbe69b76440f9afe2b8a740e37cf72cefbf17d091e8ab05033ffb9db52",
     "analyze-sp3-k1":

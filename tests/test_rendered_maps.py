@@ -5,8 +5,8 @@ Every catalog map, sigma and step is one body of text, filled in for
 constant or step-dependent coefficients by ``dynamics._render``.  The
 closures below are the constant/varying pairs the builders had before,
 kept verbatim as the oracle; where a power overflows on its own, the
-Ricker and competition maps now take the term in logs, and the oracle
-adds that fallback around the closures.  On seeded draws of constant,
+Ricker and competition maps and adult-juvenile's g now take the term in
+logs, and the oracle adds that fallback around the closures.  On seeded draws of constant,
 periodic, tabulated and mixed coefficients, each rendered function must
 return the same double (compared by repr, so every bit) or raise the same
 exception type with the same message and index.  The draws reach
@@ -301,8 +301,8 @@ def ref_iterate_system(sys, initial, steps: int) -> Orbit:
 
 # -- the overflow fallbacks ---------------------------------------------------
 #
-# Where u^lam or exp(e) overflows on its own, the Ricker map takes
-# exp(lam ln u_k + e); the competition map takes its quotient in log form
+# Where u^lam or exp(e) overflows on its own, the Ricker map and
+# adult-juvenile's g take exp(lam ln u + e); the competition map takes its quotient in log form
 # (``planar._rbh_log``) where X^d or Y^e does.  The closures above raise
 # there; these wrappers add the fallback, so the closures stay verbatim.
 
@@ -340,6 +340,17 @@ def ref_ricker(lam: float, k: int, a, bs):
     """The Ricker closure with the log-form fallback."""
     return with_ricker_log_form(ref_ricker_evaluator(lam, k, a, bs), lam, k,
                                 ricker_exponent(a, bs))
+
+
+def ref_adult_juvenile(s, t, r, lam: float):
+    """The adult-juvenile closures, g with the Ricker fallback on its
+    exponent e = r_n - u - t_n v."""
+    f, g, sigma = ref_adult_juvenile_maps(s, t, r, lam)
+    r_at, t_at = _at(r), _at(t)
+    ricker = with_ricker_log_form(
+        lambda n, w: g(n, *w), lam, 1,
+        lambda n, w: r_at(n) - w[0] - t_at(n) * w[1])
+    return f, lambda n, u, v: ricker(n, (u, v)), sigma
 
 
 def ref_rbh(r, a, b, d: float, e: float, own_is_y: bool):
@@ -570,9 +581,9 @@ def test_adult_juvenile_maps_match_reference(kind):
         s, t = _draw_seq(rng, kind, 0.1, 1.0), _draw_seq(rng, kind, 0.1, 2.0)
         r, lam = _draw_seq(rng, kind, -1.0, 800.0), rng.uniform(1.1, 3.0)
         sysm = sc.make_adult_juvenile(s, t, r, lam)
-        f, g, sigma = ref_adult_juvenile_maps(s.resolve(), t.resolve(),
-                                              r.resolve(), lam)
-        _, g_top, _ = ref_adult_juvenile_maps(1.0, 0.0, r.bounds()[1], lam)
+        f, g, sigma = ref_adult_juvenile(s.resolve(), t.resolve(),
+                                         r.resolve(), lam)
+        _, g_top, _ = ref_adult_juvenile(1.0, 0.0, r.bounds()[1], lam)
         for args in _planar_args(rng):
             tally.same(sysm.f, f, *args)
             tally.same(sysm.g, g, *args)
@@ -765,11 +776,16 @@ def test_adult_juvenile_loop_matches_the_reference_loop(kind):
         sysm = sc.make_adult_juvenile(s, t, r, lam)
         if i % 3 == 0:
             sysm = dataclasses.replace(sysm, domain_y=(0.0, 3.0))
-        f, g, _ = ref_adult_juvenile_maps(s.resolve(), t.resolve(),
-                                          r.resolve(), lam)
+        f, g, _ = ref_adult_juvenile(s.resolve(), t.resolve(), r.resolve(),
+                                     lam)
+        # x = 1e200 overflows u^lam, and g takes the term in logs.
         init = (1e200, 1.0) if i % 6 == 5 else _init(rng, 2, 0.0, 3.0)
         _same_system_orbits(sysm, f, g, init, seen)
-    assert {"domain", "OverflowError"} <= seen.ends
+    # exp(799) overflows in both forms: the first overflow stands.
+    f, g, _ = ref_adult_juvenile(1.0, 1.0, 800.0, 2.0)
+    _same_system_orbits(sc.make_adult_juvenile(1.0, 1.0, 800.0, 2.0), f, g,
+                        (1.0, 0.0), seen)
+    assert {"domain", "complete", "OverflowError"} <= seen.ends
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["tail", "swapped"])
@@ -816,13 +832,19 @@ class Counter:
         return self.fn(n, *args)
 
 
-def _wrappers(fn, calls):
-    """A plain closure, a functools.wraps wrapper and a callable object
-    around ``fn``, each recording the step of every call."""
+def _recording(fn, calls):
     def closure(n, *args):
         calls.append(n)
         return fn(n, *args)
-    return {"closure": closure, "wraps": functools.wraps(fn)(closure),
+    return closure
+
+
+def _wrappers(fn, calls):
+    """A plain closure, a functools.wraps wrapper and a callable object
+    around ``fn``, each recording the step of every call.  (wraps updates
+    the function it is given, so the wrapper is a closure of its own.)"""
+    return {"closure": _recording(fn, calls),
+            "wraps": functools.wraps(fn)(_recording(fn, calls)),
             "object": Counter(fn, calls)}
 
 
