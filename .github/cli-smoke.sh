@@ -127,6 +127,17 @@ if ! $CLI simulate --model adult-juvenile --init 1,1 --steps 3 \
     cat "$err" >&2
     status=1
 fi
+# A planar fold check that stops early (sigma_0 has no preimage) exits 0,
+# and its payload says why it stopped.
+folded=$(mktemp)
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI fold --model competition-swapped --init 1,1e10 --steps 100 \
+        > "$folded" 2> "$err" || grep -q Traceback "$err" \
+        || ! grep -q '"stopped": "' "$folded"; then
+    echo "FAILED: fold that stops early must exit 0 and say why" >&2
+    cat "$err" "$folded" >&2
+    status=1
+fi
 # Each line: the documented exit code, then the arguments.  The list is
 # expanded by the shell, for $no_dir and $bool_cfg.
 while read -r code args; do
@@ -190,5 +201,5 @@ done <<'SCALAR'
 "analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config
 SCALAR
 rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit" \
-    "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg"
+    "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg" "$folded"
 exit $status

@@ -6,7 +6,8 @@ actually decreases monotonically, and which candidate value (zero, or a
 fixed point of the bounding function) the tail settles on.
 ``analyze_residues`` is the one implementation of the criterion per
 residue class; ``build_report`` (the scalar report) and the planar
-envelope predictions are views of it.
+envelope predictions are views of it, with every chain
+``criteria.check_inequality_chain``'s.
 
 Functions of ``criteria`` are looked up on that module at call time, so
 a rebinding there (a tracer, a test double) reaches every caller.
@@ -178,9 +179,11 @@ def build_report(eq: EquationSpec, bound: BoundingFunction,
                          % (bound.dominant_lag, eq.dominant_lag))
     if bound.sublinear is None:
         bound = criteria.validate_bound(bound)
-    k, h, terms = bound.dominant_lag, criteria.symmetrize(bound), traj.terms
+    k, terms = bound.dominant_lag, traj.terms
+    cycle = (criteria.symmetrize(bound),)
     report = analyze_residues(
-        terms, k, lambda n0: criteria.check_inequality_chain(terms, n0, k, h),
+        terms, k,
+        lambda n0: criteria.check_inequality_chain(terms, n0, k, cycle),
         bound.validity, criteria.chain_start_floor(eq.order, k),
         (0.0,) + tuple(bound.fixed_points), zero_tol, limit_tol)
     full_from = criteria.predict_full_convergence(eq, bound, traj)

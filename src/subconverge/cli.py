@@ -540,7 +540,8 @@ def fold(model, config_path, init, steps, tol, out, **kw):
         payload = {"descriptor": systems.folded_descriptor(sysm),
                    "max_deviation_x": check.max_dev_x,
                    "max_deviation_y": check.max_dev_y,
-                   "first_divergent": first, "passed": check.passed}
+                   "first_divergent": first, "passed": check.passed,
+                   "steps": check.steps, "stopped": check.stopped}
     else:
         raise ConfigError("model %r is not a foldable system" % entry.name)
     _write_out(_dumps(payload, indent=2), out)

@@ -5,8 +5,8 @@ g(0) = 0 and g(u) < |u| on a window (-alpha, alpha) around the origin,
 then any solution term entering that window starts a subsequence (with
 stride k) that converges to zero.  This module owns the bounding-function
 machinery: threshold solving, sublinearity falsification, the
-symmetrized bound, the inequality chain that certifies the decrease
-step by step, and the one bisection every root search here uses.
+symmetrized bound, the one link engine of scalar and planar chains, and
+the one bisection every root search here uses.
 """
 
 from __future__ import annotations
@@ -241,26 +241,29 @@ def validate_bound(bound: BoundingFunction) -> BoundingFunction:
 
 
 def check_inequality_chain(terms: Sequence[float], n0: int, k: int,
-                           h: ScalarMap) -> ChainResult:
-    """Verify |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}| link by link.
-
-    An exact zero term means the subsequence has reached its limit; the
-    chain terminates there and counts as holding.
+                           cycle: Tuple[ScalarMap, ...]) -> ChainResult:
+    """Verify the chain from x_{n0} link by link under a cycle of L maps
+    e_0 .. e_{L-1} of |term|: link j runs from z_0 = x_{n0+jLk} through L
+    stride-k steps, each |z_{i+1}| <= e_i(|z_i|), and closes with the last
+    bound < |z_0|.  Only complete links are checked; an exact zero at a
+    link's start is the limit, and ends the chain holding.
     """
-    j = 0
-    links = 0
-    while n0 + (j + 1) * k < len(terms):
-        x0 = terms[n0 + j * k]
-        x1 = terms[n0 + (j + 1) * k]
-        if x0 == 0.0:
-            return ChainResult(True, links_checked=links,
-                               terminated_at_zero=j)
-        hx = h(x0)
-        if not (abs(x1) <= hx < abs(x0)):
-            return ChainResult(False, first_violation=j, links_checked=links)
-        links += 1
-        j += 1
-    return ChainResult(True, links_checked=links)
+    span = len(cycle) * k
+    starts = range(n0, len(terms) - span, span)
+    z = abs(terms[n0]) if starts else 0.0   # each term is read once
+    for j, start in enumerate(starts):
+        if z == 0.0:
+            return ChainResult(True, links_checked=j, terminated_at_zero=j)
+        first, i = z, start
+        for e in cycle:
+            bound = e(z)
+            i += k
+            z = abs(terms[i])
+            if not z <= bound:
+                return ChainResult(False, first_violation=j, links_checked=j)
+        if not bound < first:
+            return ChainResult(False, first_violation=j, links_checked=j)
+    return ChainResult(True, links_checked=len(starts))
 
 
 def chain_start_floor(order: int, k: int) -> int:

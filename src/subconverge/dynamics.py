@@ -141,15 +141,15 @@ def evaluate_map(eq: EquationSpec, n: int, history: Sequence[float]) -> float:
 # -- rendered maps and orbit loops ------------------------------------------
 #
 # Each catalog map, sigma and step is written once, as the text of a
-# function body in which every value of the model is a {placeholder}; the
-# body's other names are shared functions (exp, log, ...).  ``_render``
-# fills a body in: a constant coefficient is read by its bare name, a
-# step-dependent one as name(n).  Only fixed text and ints enter the
-# source, and the values are bound by name in the function's own
-# namespace.  So models that differ only in their values share one code
-# object, compiled once per shape (the body, and which coefficients
-# vary), and a bound rendered from its map's body at dominating
-# constants runs the map's operations in the map's order.
+# function body in which every value of the model is a {placeholder}, and
+# the step is {n}; the body's other names are shared functions (exp, log,
+# ...).  ``_render`` fills a body in: a constant coefficient is read by its
+# bare name, a step-dependent one as name(n).  Only fixed text and ints
+# enter the source, and the values are bound by name in the function's
+# own namespace.  So models that differ only in their values share one
+# code object, compiled once per shape (the body, and which coefficients
+# vary), and a bound rendered from its map's body at dominating constants
+# runs the map's operations in the map's order.
 #
 # The orbit loops inline the same bodies.  ``_RENDERED`` holds the parts
 # of every function ``_render`` made, keyed by the function itself: a
@@ -177,9 +177,12 @@ def _rendered(function: Callable) -> tuple:
 
 
 def _fill(body: str, keys: Tuple[str, ...], varying: Tuple[bool, ...],
-          prefix: str = "") -> str:
-    return body.format_map({key: prefix + key + ("(n)" if step else "")
-                            for key, step in zip(keys, varying)})
+          prefix: str = "", step: str = "n") -> str:
+    """``body`` with {n} read as ``step``, and each {placeholder} as its
+    value's name under ``prefix``: called at ``step`` if it varies."""
+    return body.format_map(dict(
+        {key: prefix + key + ("(%s)" % step if varies else "")
+         for key, varies in zip(keys, varying)}, n=step))
 
 
 @functools.lru_cache(maxsize=128)
@@ -214,12 +217,12 @@ def _render(signature: str, body: str, names: dict, **coeffs) -> Callable:
 
 
 def _statements(shape: tuple, result: str, indent: str,
-                prefix: str = "") -> str:
-    """The body as the statements of a loop's step: placeholders filled in
-    under ``prefix``, and each ``return`` assigning ``result`` (so no
-    statement may follow a return on its path)."""
+                prefix: str = "", step: str = "n") -> str:
+    """The body as the statements of a loop's step ``step``: placeholders
+    filled in under ``prefix``, and each ``return`` assigning ``result``
+    (so no statement may follow a return on its path)."""
     _, body, keys, varying, _ = shape
-    text = _fill(body, keys, varying, prefix)
+    text = _fill(body, keys, varying, prefix, step)
     return "".join(indent + line for line in
                    text.replace("return ", result + " = ").splitlines(True))
 

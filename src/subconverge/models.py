@@ -525,7 +525,7 @@ class ThreeDSystem:
 _THREED_STEP = """\
     x, y, z = state
     if z <= 0:
-        raise DomainError("z_%d = %r is not positive" % (n, z), index=n)
+        raise DomainError("z_%d = %r is not positive" % ({n}, z), index={n})
     return (exp({a} - {b} * x - {c} * y - {d} * z),
             {p} * x + {q} * z - {r} * log(z), {s} * x)
 """

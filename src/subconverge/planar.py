@@ -228,13 +228,13 @@ def _no_preimage(n: int, u: float, w: float) -> FoldError:
 
 _COMPETITION_SIGMA = """\
     if w <= 0:
-        raise no_preimage(n, u, w)
+        raise no_preimage({n}, u, w)
     return (({r1} * (ud := u ** {d1}) / w - {a1} - ud) / {b1}) ** {inv_d3}
 """
 _SWAPPED_SIGMA = """\
     denom = {r1} - w
     if denom <= 0:
-        raise no_preimage(n, u, w)
+        raise no_preimage({n}, u, w)
     return (w * ({a1} + {b1} * u ** {d3}) / denom) ** {inv_d1}
 """
 

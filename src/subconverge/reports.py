@@ -38,9 +38,9 @@ class ThresholdWindow(_Interval):
 
 
 class ChainResult(NamedTuple):
-    """Outcome of verifying the decrease inequalities link by link along a
-    subsequence: |x_{n0+(j+1)k}| <= h(x_{n0+jk}) < |x_{n0+jk}|, or an
-    alternating planar cycle's links (``systems._alternating_links``)."""
+    """Outcome of ``criteria.check_inequality_chain``: the decrease
+    inequalities verified link by link along a subsequence, under a
+    scalar bound or a planar envelope cycle."""
 
     holds: bool
     first_violation: Optional[int] = None   # j of the first failing link

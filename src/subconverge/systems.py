@@ -10,8 +10,9 @@ criterion apply directly to the system without folding:
 * alternating cycle (fbar, gbar): f_n(u1, u2) <= fbar(u2), g_n(u1, u2)
   <= gbar(u1), fbar non-decreasing, and fbar(gbar(u)) < u near 0 --
   terms of {x_n} with the parity of the crossing index converge to zero.
-  A link runs through the orbit's own y-term (``_alternating_links``),
-  so fbar need be non-decreasing only in the reals.
+  The chain (``criteria.check_inequality_chain`` under (gbar, fbar), as
+  the tail's is under (fbar,)) runs through the orbit's own y-terms, so
+  fbar need be non-decreasing only in the reals.
 
 A catalog builder proves domination and monotonicity for its own cycle
 and attaches the proof as a ``CycleCertificate``; any other cycle, and a
@@ -23,10 +24,8 @@ from the threshold scan on (0, 10].
 
 from __future__ import annotations
 
-import io
 import math
 import operator
-import tokenize
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
@@ -181,35 +180,22 @@ def _loop_args(maps: Sequence[Tuple[Optional[tuple], str]]) -> str:
     return ", ".join(args)
 
 
-def _renamed(text: str, old: str, new: str) -> str:
-    """``text`` with each name ``old`` read as ``new`` (an attribute or a
-    string keeps its text)."""
-    tokens, prev = [], None
-    for token in tokenize.generate_tokens(io.StringIO(text).readline):
-        if token.type == tokenize.NAME and token.string == old and \
-                prev != ".":
-            token = token._replace(string=new)
-        tokens.append(token)
-        prev = token.string
-    return tokenize.untokenize(tokens)
-
-
 def _map_step(shape: Optional[tuple], name: str, result: str,
               operands: str, indent: str, step: str = "n") -> str:
     """``result = name(step, operands)`` as statements of a loop at
     ``indent``: a rendered map's body with its parameters bound to the
     operands, or the call.  At a step other than the loop's n, the body
-    reads its n (in its coefficients too) as name_n, bound to that step,
-    so the loop's own index is never rebound."""
+    reads its step (in its coefficients too) as name_n, bound to that
+    step, so the loop's own index is never rebound."""
     if shape is None:
         return "%s%s = %s(%s, %s)" % (indent, result, name, step, operands)
-    # A body is indented one level already.
-    body = _statements(shape, result, indent[4:], name + "_").rstrip()
+    head = "%s%s = %s\n" % (indent, ", ".join(shape[0][1:]), operands)
     if step != "n":
-        body = "%s%s_n = %s\n%s" % (indent, name, step,
-                                    _renamed(body, "n", name + "_n"))
-    return "%s%s = %s\n%s" % (indent, ", ".join(shape[0][1:]), operands,
-                              body)
+        head += "%s%s_n = %s\n" % (indent, name, step)
+        step = name + "_n"
+    # A body is indented one level already.
+    return head + _statements(shape, result, indent[4:], name + "_",
+                              step).rstrip()
 
 
 # With finite bounds, the one comparison passes exactly the finite states
@@ -559,23 +545,21 @@ def check_tail_envelope(sys: PlanarSystem) -> EnvelopeVerdict:
     return check_envelope_cycle(sys, (sys.envelope_f,))
 
 
-def _alternating_links(points: Sequence[Tuple[float, float]], n0: int,
-                       fbar: ScalarMap, gbar: ScalarMap) -> ChainResult:
-    """The alternating chain from x_{n0} through the orbit's own y-terms:
-    link j (n = n0 + 2j) holds when |y_{n+1}| <= gbar(|x_n|) and
-    |x_{n+2}| <= fbar(|y_{n+1}|) < |x_n|.  The fields mean what they mean
-    for ``check_inequality_chain``: j counts links, and an exact zero
-    x_n ends the chain, holding."""
-    j = 0
-    for n in range(n0, len(points) - 2, 2):
-        x0 = abs(points[n][0])
-        if x0 == 0.0:
-            return ChainResult(True, links_checked=j, terminated_at_zero=j)
-        y1 = abs(points[n + 1][1])
-        if not (y1 <= gbar(x0) and abs(points[n + 2][0]) <= fbar(y1) < x0):
-            return ChainResult(False, first_violation=j, links_checked=j)
-        j += 1
-    return ChainResult(True, links_checked=j)
+class _Alternating:
+    """x_n, y_{n+1}, x_{n+2}, ... for n of the parity of ``n0``: the terms
+    an alternating chain from x_{n0} runs through, read from the orbit's
+    points by index (never copied)."""
+
+    __slots__ = ("points", "n0")
+
+    def __init__(self, points: Sequence[Tuple[float, float]], n0: int):
+        self.points, self.n0 = points, n0
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, n: int) -> float:
+        return self.points[n][(n - self.n0) & 1]
 
 
 def predict_envelope_cycle(orbit: Orbit, alpha: float,
@@ -583,17 +567,14 @@ def predict_envelope_cycle(orbit: Orbit, alpha: float,
     """Once x_{n0} enters (0, alpha), x_{n0}, x_{n0+L}, ... (L the cycle
     length) decrease to zero; for L = 2 the other-parity y-terms follow
     when they inherit the decay (reported, not asserted).  The chain is
-    ``check_inequality_chain`` under fbar for L = 1, and
-    ``_alternating_links`` for L = 2."""
-    stride, terms, fbar = len(envelopes), orbit.xs, envelopes[0]
-    if not all(envelopes):
-        chain = None
-    elif stride == 1:
-        chain = (lambda n0: criteria.check_inequality_chain(
-            terms, n0, 1, lambda u: fbar(abs(u))))
-    else:
-        chain = (lambda n0: _alternating_links(orbit.points, n0, *envelopes))
-    report = analyze_residues(terms, stride, chain,
+    ``check_inequality_chain`` under the reversed cycle: (fbar,) on the
+    x-terms, or (gbar, fbar) on x_{n0}, y_{n0+1}, x_{n0+2}, ..."""
+    stride, terms, cycle = len(envelopes), orbit.xs, tuple(envelopes[::-1])
+
+    def chain(n0: int) -> ChainResult:
+        seq = terms if stride == 1 else _Alternating(orbit.points, n0)
+        return criteria.check_inequality_chain(seq, n0, 1, cycle)
+    report = analyze_residues(terms, stride, chain if all(envelopes) else None,
                               ThresholdWindow(0.0, alpha), first_only=True)
     predictions = tuple(replace(p, note=_NOTES[stride].format(
         p.start_index, p.start_index % 2, (p.start_index + 1) % 2))

@@ -1,9 +1,10 @@
 """The alternating planar chain, link by link through the orbit's y-terms.
 
 A link from x_n holds when |y_{n+1}| <= gbar(|x_n|) and |x_{n+2}| <=
-fbar(|y_{n+1}|) < |x_n|.  It needs fbar monotone only in the reals: the
-x-only chain under fbar(gbar(u)) also needs it between adjacent doubles,
-which the swapped competition fbar1 is not.
+fbar(|y_{n+1}|) < |x_n|: ``check_inequality_chain`` under the cycle
+(gbar, fbar) on x_n, y_{n+1}, x_{n+2}, ...  It needs fbar monotone only
+in the reals: the x-only chain under fbar(gbar(u)) also needs it between
+adjacent doubles, which the swapped competition fbar1 is not.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import subconverge as sc
 from subconverge.models import REGISTRY
 from subconverge.reports import ChainResult
-from subconverge.systems import Orbit, _alternating_links
+from subconverge.systems import Orbit, _Alternating
 
 
 def fbar(u):
@@ -26,13 +27,18 @@ def orbit(*points):
     return Orbit(tuple(points))
 
 
+def links(points, n0, fbar, gbar):
+    return sc.check_inequality_chain(_Alternating(points, n0), n0, 1,
+                                     (gbar, fbar))
+
+
 def test_links_that_hold():
     points = orbit((1.0, 9.0), (4.0, 1.0), (0.5, 4.0), (2.0, 0.5),
                    (0.25, 9.0)).points
-    assert _alternating_links(points, 0, fbar, gbar) == \
+    assert links(points, 0, fbar, gbar) == \
         ChainResult(True, links_checked=2)
     # The odd parity: one link, from x_1 through y_2 to x_3.
-    assert _alternating_links(points, 1, fbar, gbar) == \
+    assert links(points, 1, fbar, gbar) == \
         ChainResult(True, links_checked=1)
 
 
@@ -44,7 +50,7 @@ def test_a_link_above_its_envelope_fails(y3, x4):
     # 1, or x_4 > fbar(y_3) = 0.5 with y_3 <= gbar(1).
     points = orbit((2.0, 0.0), (0.0, 2.0), (1.0, 0.0), (9.0, y3),
                    (x4, 0.0)).points
-    assert _alternating_links(points, 0, fbar, gbar) == \
+    assert links(points, 0, fbar, gbar) == \
         ChainResult(False, first_violation=1, links_checked=1)
 
 
@@ -52,7 +58,7 @@ def test_a_link_whose_envelope_does_not_fall_fails():
     # Under fbar = gbar = id, y_1 <= gbar(x_0) and x_2 <= fbar(y_1), but
     # fbar(y_1) = x_0.
     points = orbit((1.0, 0.0), (0.0, 1.0), (0.5, 0.0)).points
-    assert _alternating_links(points, 0, gbar, gbar) == \
+    assert links(points, 0, gbar, gbar) == \
         ChainResult(False, first_violation=0, links_checked=0)
 
 
@@ -61,7 +67,7 @@ def test_an_exact_zero_ends_the_chain():
     # y_3 lies above gbar(0) = 0.
     points = orbit((1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 5.0),
                    (3.0, 0.0)).points
-    assert _alternating_links(points, 0, fbar, gbar) == \
+    assert links(points, 0, fbar, gbar) == \
         ChainResult(True, links_checked=1, terminated_at_zero=1)
 
 
@@ -74,7 +80,7 @@ def test_the_links_count_as_the_x_only_chain_does():
     (pred,) = report.predictions
     old = sc.check_inequality_chain(
         orb.xs, pred.start_index, 2,
-        lambda u: sysm.envelope_f(sysm.envelope_g(abs(u))))
+        (lambda u: sysm.envelope_f(sysm.envelope_g(u)),))
     assert old.holds and pred.chain == old
 
 
@@ -96,6 +102,6 @@ def test_the_one_ulp_orbit_holds():
     # exceeds it by rounding, since fbar1 is not monotone between
     # adjacent doubles.
     (pred,) = report.predictions
-    cycle = lambda u: sysm.envelope_f(sysm.envelope_g(abs(u)))  # noqa: E731
+    cycle = (lambda u: sysm.envelope_f(sysm.envelope_g(u)),)
     old = sc.check_inequality_chain(orb.xs, pred.start_index, 2, cycle)
     assert not old.holds

@@ -150,7 +150,7 @@ def test_prediction_is_a_report_without_limits(sp3_k3, sp3_k3_traj):
     report = sc.build_report(eq, bound, sp3_k3_traj)
     terms, h = sp3_k3_traj.terms, sc.symmetrize(bound)
     pred = sc.analyze_residues(
-        terms, 3, lambda n0: sc.check_inequality_chain(terms, n0, 3, h),
+        terms, 3, lambda n0: sc.check_inequality_chain(terms, n0, 3, (h,)),
         bound.validity)
     zero = [p for p in report.predictions if p.chain is not None]
     assert [(p.residue_class, p.start_index, p.verdict, p.chain)
@@ -163,10 +163,10 @@ def test_prediction_is_a_report_without_limits(sp3_k3, sp3_k3_traj):
 def test_first_only_keeps_the_class_of_the_first_crossing():
     window = ThresholdWindow(0.0, 1.0)
     terms = [5.0, 0.8, 0.5, 0.4, 0.2, 0.1]
-    h = lambda u: 0.9 * abs(u)  # noqa: E731
+    h = lambda u: 0.9 * u  # noqa: E731
 
     def chain(n0):
-        return sc.check_inequality_chain(terms, n0, 2, h)
+        return sc.check_inequality_chain(terms, n0, 2, (h,))
     both = sc.analyze_residues(terms, 2, chain, window)
     first = sc.analyze_residues(terms, 2, chain, window, first_only=True)
     assert [p.start_index for p in both.predictions] == [2, 1]

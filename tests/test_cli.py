@@ -419,6 +419,18 @@ def test_fold_adult_juvenile(runner):
     assert data["passed"] is True
     assert data["max_deviation_x"] <= 1e-9
     assert data["descriptor"]["order"] == 2
+    assert (data["steps"], data["stopped"]) == (101, None)
+
+
+def test_a_planar_fold_says_where_it_stopped(runner):
+    # sigma_0 has no preimage at w = x_1 = 1: the check passes (exit 0)
+    # on the one term it compared, and says so.
+    res = runner.invoke(main, ["fold", "--model", "competition-swapped",
+                               "--init", "1,1e10", "--steps", "100"])
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["passed"] is True and data["steps"] == 1
+    assert data["stopped"] == "sigma_0: w=1.0 has no preimage at u=1.0"
 
 
 def test_fold_threed(runner):

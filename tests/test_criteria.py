@@ -132,19 +132,20 @@ def test_threshold_correctness_invariant():
 def test_chain_holds_along_predicted_subsequence(sp3_k3, sp3_k3_traj):
     _, bound = sp3_k3
     h = sc.symmetrize(bound)
-    res = sc.check_inequality_chain(sp3_k3_traj.terms, 132, 3, h)
+    res = sc.check_inequality_chain(sp3_k3_traj.terms, 132, 3, (h,))
     assert res.holds
 
 
 def test_chain_zero_terms_terminate():
-    res = sc.check_inequality_chain([0.0, 0.0, 0.0], 0, 1, lambda u: u / 2)
+    res = sc.check_inequality_chain([0.0, 0.0, 0.0], 0, 1,
+                                    (lambda u: u / 2,))
     assert res.holds
     assert res.terminated_at_zero == 0
 
 
 def test_chain_violation_reported():
     traj = [0.04, 0.9, 0.05]  # 0.05 > h(0.04) = 0.02
-    res = sc.check_inequality_chain(traj, 0, 2, lambda u: abs(u) / 2)
+    res = sc.check_inequality_chain(traj, 0, 2, (lambda u: u / 2,))
     assert not res.holds
     assert res.first_violation == 0
 

@@ -13,7 +13,10 @@ moved to b = 1e-300 when the Ricker map came to take u^lam e^e in logs
 where a factor overflows alone: at b = 1e-15 its x_3 is 0.0, not an
 overflow (exit 0, not 3).  The ``log-form`` cases pin that fallback; the
 two adult-juvenile ones were pinned when adult-juvenile's g took the same
-fallback, and exited 3 before.
+fallback, and exited 3 before.  The two planar fold digests were re-pinned
+when the planar fold payload gained the check's ``steps`` and ``stopped``
+(the number of x-terms compared, and why the comparison ended early):
+nothing else in it moved.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -186,7 +189,7 @@ CLI_DIGESTS = {
     "simulate-adult-juvenile-log-form":
         "e85c90bd84be05ab11f3e24c4542a97991daef33d41e09ff3e8dce613ab37ff9",
     "fold-adult-juvenile-log-form":
-        "fbd0364040a1daf8c4e8a75a3b1cbf54b9aa14a4d780d93f194bb1f28f95ef0d",
+        "52c5a10106e9618fb9e5c2a287a77ce3c5f046914fd011eaea26d17f9213fef5",
     "analyze-sp3-k2":
         "0f47f0fbe69b76440f9afe2b8a740e37cf72cefbf17d091e8ab05033ffb9db52",
     "analyze-sp3-k1":
@@ -212,7 +215,7 @@ CLI_DIGESTS = {
     "threshold-text":
         "1918be3100649a2140f4a1e2c3aa3cc9e7208602c8764ce0f4d4d18e877c6fef",
     "fold-adult-juvenile":
-        "468e864a1f843fe3369e515499d158bebe6fdb00cbc34bc0b5f11dcee3b4634d",
+        "0204a54d82a3032384942dda61035a179798cb4709dd90efcd84ea947b7c7f14",
     "fold-threed":
         "b4457d28b1b68c29dfab6b2e93584488373eb0b9ba9a2b49d07aef0055350a28",
     "fold-no-solvability":

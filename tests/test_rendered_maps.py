@@ -22,8 +22,10 @@ and the same ``DomainError`` messages and indices.
 import dataclasses
 import decimal
 import functools
+import io
 import math
 import random
+import tokenize
 from fractions import Fraction
 from itertools import islice
 from typing import List, Sequence, Tuple
@@ -31,8 +33,9 @@ from typing import List, Sequence, Tuple
 import pytest
 
 import subconverge as sc
-from subconverge.dynamics import (EquationSpec, Trajectory, _non_finite,
-                                  _outside, _overflow, check_finite_initial,
+from subconverge.dynamics import (EquationSpec, Trajectory, _fill,
+                                  _non_finite, _outside, _overflow,
+                                  _rendered, check_finite_initial,
                                   evaluate_map)
 from subconverge.errors import (DomainError, FoldError, NonFiniteError,
                                 SubconvergeError)
@@ -954,3 +957,18 @@ def test_builds_that_differ_in_values_share_code():
     for one, two in zip(first, second):
         assert one is not two
         assert one.__code__ is two.__code__, one.__qualname__
+
+
+def test_no_body_reads_a_bare_n():
+    """A body reads its step only as {n} (a step-dependent coefficient
+    through its placeholder), so a loop runs it at another step, as the
+    fold check runs g at n - 1, by filling {n} with that step's name."""
+    for fn in _builds(random.Random("bare-n")):
+        shape, _ = _rendered(fn)
+        _, body, keys, varying, _ = shape
+        text = _fill(body, keys, varying, step="step")
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+        bare = [tok.start for prev, tok in zip(tokens, tokens[1:])
+                if tok.type == tokenize.NAME and tok.string == "n"
+                and prev.string != "."]
+        assert not bare, (fn.__qualname__, text)
