@@ -28,7 +28,7 @@ _SOURCES = {
                  "check_inequality_chain", "predict_full_convergence",
                  "solve_threshold", "symmetrize", "validate_bound",
                  "verify_sublinearity"),
-    "dynamics": ("EquationSpec", "Trajectory", "evaluate_map", "iterate"),
+    "dynamics": ("EquationSpec", "Trajectory", "iterate"),
     "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",
                "SigmoidBHSpec", "ThreeDSystem", "make_3d_example",
                "make_generalized_ricker", "make_sigmoid_bh", "make_sp3",

@@ -466,9 +466,8 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
         sysm = entry.build(p)
         orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
                                        n_steps)
-        # The cycle the builder certified a threshold for: 1 tail,
-        # 2 alternating.
-        length = sysm.cycle_threshold[0]
+        # The cycle the builder certified: 1 tail, 2 alternating.
+        length = sysm.certificate.length
         cycle = (sysm.envelope_f, sysm.envelope_g)[:length]
         verdict = systems.check_envelope_cycle(sysm, cycle)
         if not verdict.applicable:

@@ -118,26 +118,6 @@ def check_finite_initial(initial: Sequence[float]) -> None:
                              % (tuple(initial),), index=0)
 
 
-def evaluate_map(eq: EquationSpec, n: int, history: Sequence[float]) -> float:
-    """Apply F_n to a history vector (u_1 = x_{n-1} first).
-
-    Raises DomainError if the history leaves the declared domain and
-    NonFiniteError if the result overflows.
-    """
-    if len(history) != eq.order:
-        raise ValueError("history length %d != order %d"
-                         % (len(history), eq.order))
-    if not eq.in_domain(history):
-        raise _outside(n, history)
-    try:
-        value = eq.evaluator(n, history)
-    except OverflowError as exc:
-        raise _overflow(n, exc) from exc
-    if not math.isfinite(value):
-        raise _non_finite(n, value)
-    return value
-
-
 # -- rendered maps and orbit loops ------------------------------------------
 #
 # Each catalog map, sigma and step is written once, as the text of a

@@ -205,13 +205,12 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     """Solve u^(lam-1) * exp(a - b u) = 1 for its positive roots.
 
     Works on the log form phi(u) = (lam-1) ln u + a - b u, concave with
-    its maximum at u = (lam-1)/b: the sign there decides between no
-    roots, a tangency (a peak in [-_TANGENT_TOL, 0]), and a pair
-    bracketing the maximum.  u_star is ``_lower_root`` below it (the end
-    where phi <= 0, so g(u) < u on (0, u_star); CriterionInapplicableError
-    below the doubles), u_bar (a limit candidate) the midpoint of the last
-    doubling step from it bisected to adjacent doubles (NonFiniteError
-    past them).
+    its maximum at u = (lam-1)/b: ``_peak_threshold`` of phi there decides
+    between no roots, a tangency and a pair bracketing the maximum.
+    u_star is ``_lower_root`` below it (the end where phi <= 0, so
+    g(u) < u on (0, u_star); CriterionInapplicableError below the
+    doubles), u_bar (a limit candidate) the midpoint of the last doubling
+    step from it bisected to adjacent doubles (NonFiniteError past them).
     """
     if lam <= 1 or b <= 0:
         raise ModelParameterError("need lam > 1 and b > 0")
@@ -219,25 +218,37 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     def phi(u: float) -> float:
         return (lam - 1.0) * math.log(u) - b * u + a
 
-    u_max = (lam - 1.0) / b
-    if u_max > _MAX:
-        raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
-    peak = phi(u_max)
-    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: g <= u throughout
-        return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
-    if peak < 0:
-        return FixedPointResult("none")
-
     def below(u: float) -> bool:
         return phi(u) <= 0
 
-    u_star = _lower_root(below, u_max, "g(u)")
+    u_max = (lam - 1.0) / b
+    if u_max > _MAX:
+        raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
+    res = _peak_threshold(phi(u_max), u_max,
+                          lambda: _lower_root(below, u_max, "g(u)"))
+    if res.tangent:
+        return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
+    if res.alpha == _INF:
+        return FixedPointResult("none")
     inner, outer = u_max, min(u_max * 2.0, _MAX)
     while outer != inner and phi(outer) > 0:
         inner, outer = outer, min(outer * 2.0, _MAX)
     if outer == inner:
         raise NonFiniteError("a fixed point of g is not finite")
-    return FixedPointResult("pair", u_star, bisect(outer, inner, below))
+    return FixedPointResult("pair", res.alpha, bisect(outer, inner, below))
+
+
+def _peak_threshold(excess: float, u_peak: float, root: Callable[[], float],
+                    scale: float = 1.0) -> ThresholdResult:
+    """The threshold of a cycle map that meets the identity at most twice
+    and peaks over it by ``excess`` at u_peak (in any form that has the
+    sign of map(u) - u): +inf (no root) for an excess below
+    -_TANGENT_TOL * scale, a tangency at u_peak for one in
+    [-_TANGENT_TOL * scale, 0] (the safe side only: the map <= u
+    throughout), else (also for NaN) ``root()``, the lower root."""
+    if -_TANGENT_TOL * scale <= excess <= 0:
+        return ThresholdResult(u_peak, tangent=True)
+    return ThresholdResult(_INF if excess < 0 else root())
 
 
 def _lower_root(below: Callable[[float], bool], peak: float,

@@ -20,8 +20,8 @@ from . import models
 from .criteria import ThresholdResult, bisect
 from .dynamics import _render
 from .errors import FoldError, ModelParameterError
-from .models import (_INF, _TANGENT_TOL, _fixed_point_threshold,
-                     _lower_root)
+from .models import (_INF, _MAX, _fixed_point_threshold, _lower_root,
+                     _peak_threshold)
 from .sequences import ParameterSequence, as_sequence
 from .systems import CycleCertificate, PlanarSystem, SigmaForm
 
@@ -38,8 +38,8 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     "How a bound is built"): fbar(u) = f at s = 1, the identity, and
     gbar(u) = g at r_sup with v = 0, u^lam exp(r_sup - u).  They make the
     alternating criterion applicable without folding, and the cycle map
-    is gbar, a Ricker bound: alpha is ``ricker_fixed_points(lam, r_sup,
-    1)``'s u*.
+    is gbar, a Ricker bound: its certificate's threshold is
+    ``ricker_fixed_points(lam, r_sup, 1)``'s u*.
     """
     s_seq, t_seq, r_seq = map(as_sequence, (s_seq, t_seq, r_seq))
     s_lo, s_hi = s_seq.bounds()
@@ -59,9 +59,9 @@ def make_adult_juvenile(s_seq, t_seq, r_seq, lam: float) -> PlanarSystem:
     return PlanarSystem(
         f=f, g=g, sigma=SigmaForm.custom(sigma), envelope_f=fbar,
         envelope_g=gbar, sample_steps=tuple(steps), name="adult-juvenile",
-        cycle_threshold=(2, lambda: _fixed_point_threshold(
-            models.ricker_fixed_points(lam, r_sup, 1.0))),
-        certificate=CycleCertificate(2, (f, g, fbar, gbar)))
+        certificate=CycleCertificate(
+            2, (f, g, fbar, gbar), lambda: _fixed_point_threshold(
+                models.ricker_fixed_points(lam, r_sup, 1.0))))
 
 
 _ADULT_JUVENILE_G = """\
@@ -128,9 +128,9 @@ def make_competition(params: CompetitionParams,
     Each species' envelope is its own map at r_sup and a_inf with the
     other species at 0 (README, "How a bound is built"):
     fbar_i(u) = r_i_sup u^d_i / (a_i_inf + u^d_i).  The unswapped system
-    admits the tail envelope fbar1, with alpha from
+    admits the tail envelope fbar1, whose certificate's threshold is
     ``competition_threshold``; the swapped variant admits the
-    alternating envelope pair (fbar1, fbar2) instead, with alpha from
+    alternating envelope pair (fbar1, fbar2) instead, with
     ``swapped_competition_threshold``.  fbar1 increases in the reals
     (derivative r a d u^(d-1) / (a + u^d)^2 > 0), all that the
     alternating links use.
@@ -161,20 +161,21 @@ def make_competition(params: CompetitionParams,
     fbar2 = _envelope(_rbh_map(r2_sup, a2_inf, 0.0, d2, d4, False), False)
     steps = tuple(sorted(set().union(*(
         s.sample_indices() for s in (p.r1, p.r2, p.a1, p.a2, p.b1, p.b2)))))
+    maps = (f, g, fbar1, fbar2)
     if swapped:
         sigma = _swapped_sigma(r1, a1, b1, d1, d3)
-        cycle = (2, lambda: swapped_competition_threshold(
+        cert = CycleCertificate(2, maps, lambda: swapped_competition_threshold(
             r1_sup, a1_inf, d1, r2_sup, a2_inf, d2))
     else:
         sigma = _competition_sigma(r1, a1, b1, d1, d3) \
             if p.b1.bounds()[0] > 0 else None
-        cycle = (1, lambda: competition_threshold(r1_sup, a1_inf, d1))
+        cert = CycleCertificate(1, maps, lambda: competition_threshold(
+            r1_sup, a1_inf, d1))
     return PlanarSystem(
         f=f, g=g, sigma=SigmaForm.custom(sigma) if sigma else None,
         envelope_f=fbar1, envelope_g=fbar2, sample_steps=steps,
         name="competition-swapped" if swapped else "competition",
-        cycle_threshold=cycle,
-        certificate=CycleCertificate(cycle[0], (f, g, fbar1, fbar2)))
+        certificate=cert)
 
 
 _EXP_SAFE = 709.0     # exp stays finite below (it overflows above ~709.78)
@@ -258,32 +259,27 @@ def competition_threshold(r1: float, a1: float,
     """Smallest positive root of u^d1 - r1 u^(d1-1) + a1 = 0, below which
     the competition envelope satisfies fbar(u) < u.
 
-    d1 = 2 uses the closed quadratic form, as a1 over the larger root
-    (r1 - sqrt(r1^2 - 4 a1) cancels when a1 is small).  Other exponents
-    take ``_lower_root`` below the polynomial's interior minimum: the end
-    of an adjacent pair of doubles where fbar(u) < u, or a raise.
+    The polynomial psi is (u - fbar(u)) (a1 + u^d1) / u, so -psi at its
+    interior minimum u_min = r1 (d1-1)/d1 is the excess that
+    ``_peak_threshold`` reads, on the scale of a1.  d1 = 2 uses the
+    closed quadratic form: the excess is disc/4 = r1^2/4 - a1 at r1/2, and
+    the root a1 over the larger root (r1 - sqrt(disc) cancels when a1 is
+    small).  Other exponents take ``_lower_root`` below u_min: the end of
+    an adjacent pair of doubles where fbar(u) < u, or a raise.
     """
     if r1 <= 0 or a1 <= 0 or d1 <= 1:
         raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
     if d1 == 2.0:
         disc = r1 * r1 - 4.0 * a1
-        if disc < 0:
-            return ThresholdResult(_INF)
-        if disc == 0:
-            return ThresholdResult(0.5 * r1, tangent=True)
-        return ThresholdResult(a1 / (0.5 * (r1 + math.sqrt(disc))))
+        return _peak_threshold(0.25 * disc, 0.5 * r1, lambda: a1 / (
+            0.5 * (r1 + math.sqrt(disc))), a1)
 
     def psi(u: float) -> float:
         return u ** d1 - r1 * u ** (d1 - 1.0) + a1
 
     u_min = r1 * (d1 - 1.0) / d1
-    bottom = psi(u_min)
-    if bottom > _TANGENT_TOL * a1:
-        return ThresholdResult(_INF)
-    if bottom >= 0:     # the safe side only: fbar <= u throughout
-        return ThresholdResult(u_min, tangent=True)
-    return ThresholdResult(_lower_root(lambda u: psi(u) > 0, u_min,
-                                       "fbar(u)"))
+    return _peak_threshold(-psi(u_min), u_min, lambda: _lower_root(
+        lambda u: psi(u) > 0, u_min, "fbar(u)"), a1)
 
 
 def _log_envelope(r: float, a: float, d: float):
@@ -319,9 +315,9 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
     (L_i(t) = ln fbar_i(e^t)) is concave: each L_i is increasing and
     concave.  phi' falls from d1 d2 - 1 > 0 (t -> -inf) to -1, so
     bisecting its sign finds the one peak; as with
-    ``ricker_fixed_points``, phi there decides between no root (+inf), a
-    tangency (a peak in [-_TANGENT_TOL, 0]) and a pair, whose lower root
-    is ``_lower_root`` below the peak: the end of an adjacent pair of
+    ``ricker_fixed_points``, ``_peak_threshold`` of phi there decides
+    between no root (+inf), a tangency and a pair, whose lower root is
+    ``_lower_root`` below the peak: the end of an adjacent pair of
     doubles where phi <= 0, or a raise.
     """
     if min(r1, a1, r2, a2) <= 0 or d1 <= 1 or d2 <= 1:
@@ -340,10 +336,7 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
     while rising(step) == (step > 0):
         last, step = step, 2.0 * step
     t_max = bisect(min(last, step), max(last, step), rising)
-    peak = phi(t_max)
-    if -_TANGENT_TOL <= peak <= 0:  # the safe side only: fbar1(fbar2(u)) <= u
-        return ThresholdResult(math.exp(t_max), tangent=True)
-    if peak < 0:
-        return ThresholdResult(_INF)
-    return ThresholdResult(_lower_root(lambda u: phi(math.log(u)) <= 0,
-                                       math.exp(t_max), "fbar1(fbar2(u))"))
+    # e^t overflows just past ln(_MAX) >= ln r1 >= L1, where phi < 0.
+    u_max = math.exp(t_max) if t_max <= math.log(_MAX) else _INF
+    return _peak_threshold(phi(t_max), u_max, lambda: _lower_root(
+        lambda u: phi(math.log(u)) <= 0, u_max, "fbar1(fbar2(u))"))

@@ -17,7 +17,7 @@ criterion apply directly to the system without folding:
 A catalog builder proves domination and monotonicity for its own cycle
 and attaches the proof as a ``CycleCertificate``; any other cycle, and a
 user-built system, has them checked on grids.  The threshold alpha of
-the cycle map comes from the system's ``cycle_threshold`` when the
+the cycle map comes from the certificate's ``threshold`` when the
 catalog built it (exact: a closed form or a concave log form), else
 from the threshold scan on (0, 10].
 """
@@ -57,31 +57,34 @@ class SigmaForm(NamedTuple):
 
 
 class CycleCertificate(NamedTuple):
-    """A builder's proof of the premises of its own envelope cycle of
-    length ``length``: each component is at most its envelope on the whole
-    quadrant in floating point (each envelope is its map at dominating
-    constants: README, "How a bound is built"), and fbar increases in the
-    reals, all that the alternating links use.  ``maps`` are the objects
-    (f, g, envelope_f, envelope_g) the proof is about."""
+    """A builder's record of its own envelope cycle of length ``length``
+    (1 tail, 2 alternating).
+
+    The proof of the cycle's premises: each component is at most its
+    envelope on the whole quadrant in floating point (each envelope is its
+    map at dominating constants: README, "How a bound is built"), and fbar
+    increases in the reals, all that the alternating links use.  ``maps``
+    are the objects (f, g, envelope_f, envelope_g) the proof is about.
+    The certificate stays with the system under ``dataclasses.replace``,
+    but the proof covers it only while f, g and both envelopes are those
+    very objects, so replacing any of them brings the grids back.
+
+    ``threshold`` returns the cycle map's exact threshold, called in place
+    of the scan.  It holds for the system's own envelopes, also after
+    ``replace`` wrapped them, so an envelope replaced by a different
+    function needs it replaced too (None: scan)."""
 
     length: int
     maps: Tuple[Callable, ...]
+    threshold: Optional[Callable[[], ThresholdResult]] = None
 
 
 @dataclass(frozen=True)
 class PlanarSystem:
     """A non-autonomous planar map pair on (a subset of) the quadrant.
 
-    ``cycle_threshold`` is (L, solve): the length of the envelope cycle
-    the system was built for (1 tail, 2 alternating) and a zero-argument
-    function returning that cycle's exact threshold.  The envelope check
-    calls it in place of the scan; it stays with the system when
-    ``dataclasses.replace`` wraps f, g or the envelopes, so an envelope
-    replaced by a different function needs it replaced too (None: scan).
-    ``certificate`` lets the envelope check skip both grids for that
-    cycle; it too stays with the system under ``replace``, but it covers
-    the system only while f, g and both envelopes are the very objects in
-    its ``maps``, so replacing any of them brings the grids back.
+    A catalog builder attaches the ``certificate`` of the envelope cycle
+    it built the system for; a user-built system has none.
     """
 
     f: SystemMap
@@ -93,8 +96,6 @@ class PlanarSystem:
     domain_y: Tuple[float, float] = (0.0, math.inf)
     sample_steps: Tuple[int, ...] = tuple(range(8))
     name: str = "system"
-    cycle_threshold: Optional[
-        Tuple[int, Callable[[], ThresholdResult]]] = None
     certificate: Optional[CycleCertificate] = None
 
     def origin_residual(self) -> float:
@@ -184,13 +185,14 @@ def _map_step(shape: Optional[tuple], name: str, result: str,
               operands: str, indent: str, step: str = "n") -> str:
     """``result = name(step, operands)`` as statements of a loop at
     ``indent``: a rendered map's body with its parameters bound to the
-    operands, or the call.  At a step other than the loop's n, the body
-    reads its step (in its coefficients too) as name_n, bound to that
-    step, so the loop's own index is never rebound."""
+    operands, or the call.  At a step other than the loop's n, a body
+    that reads its step (as {n} or through a varying coefficient) reads
+    it as name_n, bound to that step, so the loop's own index is never
+    rebound."""
     if shape is None:
         return "%s%s = %s(%s, %s)" % (indent, result, name, step, operands)
     head = "%s%s = %s\n" % (indent, ", ".join(shape[0][1:]), operands)
-    if step != "n":
+    if step != "n" and ("{n}" in shape[1] or any(shape[3])):
         head += "%s%s_n = %s\n" % (indent, name, step)
         step = name + "_n"
     # A body is indented one level already.
@@ -444,17 +446,13 @@ def _cycle_map(envelopes: Sequence[ScalarMap]) -> ScalarMap:
     return lambda u: fbar(gbar(u))
 
 
-def _certificate(sys: PlanarSystem,
-                 envelopes: Cycle) -> Optional[CycleCertificate]:
-    """The system's certificate if it covers this cycle: the system's own
-    envelopes, of the certified length, and f, g and both envelopes still
-    the objects it was proved for."""
+def _own_certificate(sys: PlanarSystem,
+                     envelopes: Cycle) -> Optional[CycleCertificate]:
+    """The system's certificate if this cycle is its own: the system's
+    own envelopes, of the certified length."""
     cert = sys.certificate
-    if cert is None or cert.length != len(envelopes):
-        return None
-    own = (sys.f, sys.g, sys.envelope_f, sys.envelope_g)
-    if all(map(operator.is_, cert.maps, own)) and \
-            all(map(operator.is_, envelopes, own[2:])):
+    if cert is not None and cert.length == len(envelopes) and all(map(
+            operator.is_, envelopes, (sys.envelope_f, sys.envelope_g))):
         return cert
     return None
 
@@ -511,24 +509,25 @@ def check_envelope_cycle(sys: PlanarSystem,
     i at argument (i+1) mod L; (ii) fbar non-decreasing if L = 2; (iii)
     fbar(gbar(u)), or fbar(u), < u on (0, alpha).  (i) and (ii) are
     checked on grids with exact comparisons, unless the system's
-    certificate proves them for its own cycle ((ii) in the reals); alpha
-    is the system's exact ``cycle_threshold`` when the cycle is its own
-    envelopes, else the threshold scan's, and a scan that finds no
-    positive threshold makes the criterion inapplicable."""
+    certificate proves them for its own cycle ((ii) in the reals), with
+    f, g and both envelopes the objects it was proved for; alpha is the
+    certificate's exact ``threshold`` when the cycle is its own, else the
+    threshold scan's, and a scan that finds no positive threshold makes
+    the criterion inapplicable."""
     length = len(envelopes)
     if not all(envelopes):
         return EnvelopeVerdict(False, reason="missing envelope"
                                + "s" * (length > 1))
-    if _certificate(sys, envelopes) is None:
+    cert = _own_certificate(sys, envelopes)
+    if cert is None or not all(map(operator.is_, cert.maps, (
+            sys.f, sys.g, sys.envelope_f, sys.envelope_g))):
         failed = _domination_grid(sys, envelopes)
         if failed is None and length == 2:
             failed = _monotonicity_grid(envelopes[0])
         if failed is not None:
             return failed
-    own = sys.cycle_threshold
-    if own is not None and own[0] == length and \
-            tuple(envelopes) == (sys.envelope_f, sys.envelope_g)[:length]:
-        res = own[1]()
+    if cert is not None and cert.threshold is not None:
+        res = cert.threshold()
     else:
         try:
             res = solve_threshold(_cycle_map(envelopes), _SEARCH_HI)

@@ -341,8 +341,8 @@ def first_fall(fbar):
 
 def check_planar_cycle(sysm):
     """The oracle for a catalog system's own envelope cycle."""
-    length, solve = sysm.cycle_threshold
-    res, cycle = solve(), cycle_map(sysm, length)
+    length = sysm.certificate.length
+    res, cycle = sysm.certificate.threshold(), cycle_map(sysm, length)
     assert first_domination_failure(sysm, length) is None
     if length == 2:
         assert first_fall(sysm.envelope_f) is None
@@ -431,11 +431,10 @@ PLANAR_CASES = {
 def test_a_planar_alpha_scaled_by_1_01_fails_the_oracle(name):
     sysm = PLANAR_CASES[name]()
     check_planar_cycle(sysm)
-    length, solve = sysm.cycle_threshold
-    res = solve()
+    res = sysm.certificate.threshold()
     assert math.isfinite(res.alpha) and not res.tangent
-    scaled = replace(sysm, cycle_threshold=(length, lambda: ThresholdResult(
-        1.01 * res.alpha)))
+    scaled = replace(sysm, certificate=sysm.certificate._replace(
+        threshold=lambda: ThresholdResult(1.01 * res.alpha)))
     with pytest.raises(AssertionError):
         check_planar_cycle(scaled)
 
@@ -466,7 +465,7 @@ def test_a_certified_envelope_shrunk_by_1_percent_fails_the_oracle(name,
     sysm = PLANAR_CASES[name]()
     check_planar_cycle(sysm)
     mutant = shrunk_and_certified(sysm, field)
-    length = sysm.cycle_threshold[0]
+    length = sysm.certificate.length
     # The envelope check trusts the certificate and runs no grid ...
     assert check_envelope_cycle(
         mutant, (mutant.envelope_f, mutant.envelope_g)[:length]).applicable
@@ -687,7 +686,8 @@ def test_a_bound_map_at_a_non_dominating_constant_exits_4(monkeypatch, args,
 
 def test_a_replaced_envelope_is_scanned():
     # The exact threshold belongs to the system's own envelopes: a cycle
-    # of other envelopes, or a system without one, goes to the scan.
+    # of other envelopes, a system without a certificate, or one whose
+    # certificate has no threshold, goes to the scan.
     sysm = PLANAR_CASES["competition"]()
 
     def double(u):
@@ -696,9 +696,10 @@ def test_a_replaced_envelope_is_scanned():
     assert own.alpha == planar.competition_threshold(4.0, 1.0, 2.0).alpha
     assert check_envelope_cycle(sysm, (double,)).alpha == \
         solve_threshold(double, 10.0).alpha != own.alpha
-    user = replace(sysm, cycle_threshold=None)
-    assert check_envelope_cycle(user, (user.envelope_f,)).alpha == \
-        solve_threshold(user.envelope_f, 10.0).alpha
+    for user in (replace(sysm, certificate=None), replace(
+            sysm, certificate=sysm.certificate._replace(threshold=None))):
+        assert check_envelope_cycle(user, (user.envelope_f,)).alpha == \
+            solve_threshold(user.envelope_f, 10.0).alpha
 
 
 # -- ricker_fixed_points on its own ------------------------------------

@@ -5,8 +5,10 @@ point, and that fbar increases in the reals (adult-juvenile's identity;
 the swapped competition fbar1 by its derivative), which is all the
 alternating links use.  The envelope check then skips both grids for
 that cycle only, and only while the system's f, g and envelopes are the
-objects the certificate was proved for.  Whether a certified cycle is
-right is the oracle's business (``tests/test_closed_form_bounds.py``).
+objects the certificate was proved for.  The certificate's threshold
+holds for the system's own envelopes, wrapped or not.  Whether a
+certified cycle is right is the oracle's business
+(``tests/test_closed_form_bounds.py``).
 """
 
 from dataclasses import replace
@@ -67,7 +69,15 @@ CATALOG = {
 
 
 def own_cycle(sysm):
-    return (sysm.envelope_f, sysm.envelope_g)[:sysm.cycle_threshold[0]]
+    return (sysm.envelope_f, sysm.envelope_g)[:sysm.certificate.length]
+
+
+def unproved(sysm):
+    """The system with its certificate's proof voided, so that the grids
+    run: the record proves nothing about f, g or the envelopes, and keeps
+    its length and threshold."""
+    return replace(sysm, certificate=sysm.certificate._replace(
+        maps=(None,) * 4))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -75,16 +85,15 @@ def test_a_catalog_cycle_touches_no_grid(no_grids, name):
     sysm = CATALOG[name]()
     verdict = check_envelope_cycle(sysm, own_cycle(sysm))
     assert verdict.applicable
-    assert (verdict.alpha, verdict.tangent) == (
-        sysm.cycle_threshold[1]().alpha, sysm.cycle_threshold[1]().tangent)
+    assert (verdict.alpha, verdict.tangent) == tuple(
+        sysm.certificate.threshold())
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_the_grids_match_the_certified_verdict(name):
     sysm = CATALOG[name]()
-    length = sysm.cycle_threshold[0]
-    uncertified = replace(sysm, certificate=None)
-    assert check_envelope_cycle(uncertified, own_cycle(sysm)) == \
+    length = sysm.certificate.length
+    assert check_envelope_cycle(unproved(sysm), own_cycle(sysm)) == \
         check_envelope_cycle(sysm, own_cycle(sysm))
     assert systems._domination_grid(sysm, own_cycle(sysm)) is None
     if length == 2:
@@ -104,7 +113,7 @@ def test_replacing_a_map_brings_the_grids_back(no_grids, name, field):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_the_other_cycle_is_grid_checked(no_grids, name):
     sysm = CATALOG[name]()
-    other = check_alternating_envelopes if sysm.cycle_threshold[0] == 1 \
+    other = check_alternating_envelopes if sysm.certificate.length == 1 \
         else check_tail_envelope
     with pytest.raises(GridUsed):
         other(sysm)
@@ -133,7 +142,7 @@ def test_a_saturated_swapped_cycle_touches_no_grid(monkeypatch, d1):
     sysm = build("competition-swapped", delta1=d1)
     verdict = check_alternating_envelopes(sysm)
     assert verdict.applicable
-    assert verdict.alpha == sysm.cycle_threshold[1]().alpha
+    assert verdict.alpha == sysm.certificate.threshold().alpha
     with pytest.raises(GridUsed):
         check_alternating_envelopes(replace(sysm, certificate=None))
 
@@ -150,3 +159,16 @@ def test_an_uncertified_tail_the_grid_misses_is_inapplicable():
     # orbit from (1, 1) over 30 steps then reports a violated prediction.
     sysm = build("competition-swapped", b1=1e6)
     assert not check_tail_envelope(sysm).applicable
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_wrapped_envelopes_keep_the_threshold(name):
+    # A counting wrapper (perfbench's ``count_system``) changes no value:
+    # the grids run, and alpha is still the certificate's threshold.
+    sysm = CATALOG[name]()
+    wrapped = replace(sysm, **{
+        field: (lambda old: lambda u: old(u))(getattr(sysm, field))
+        for field in ("envelope_f", "envelope_g")})
+    verdict = check_envelope_cycle(wrapped, own_cycle(wrapped))
+    assert (verdict.applicable, verdict.alpha, verdict.tangent) == (
+        True, *sysm.certificate.threshold())

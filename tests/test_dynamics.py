@@ -11,33 +11,33 @@ from subconverge.errors import DomainError, NonFiniteError
 def test_evaluate_map_first_step(sp3_k3):
     eq, _ = sp3_k3
     # all-ones history: exponent 1.5 - 0.7 - 0.9 = -0.1
-    assert sc.evaluate_map(eq, 3, (1.0, 1.0, 1.0)) == \
+    assert eq.evaluator(3, (1.0, 1.0, 1.0)) == \
         pytest.approx(math.exp(-0.1), rel=1e-12)
 
 
 def test_evaluate_map_zero_history_is_fixed(sp3_k3):
     eq, _ = sp3_k3
-    assert sc.evaluate_map(eq, 5, (0.0, 0.0, 0.0)) == 0.0
+    assert eq.evaluator(5, (0.0, 0.0, 0.0)) == 0.0
 
 
 def test_evaluate_map_second_step_matches_hand_arithmetic(sp3_k3):
     # x_4 = x_1^{3/2} e^{1.5 - 0.7 x_2 - 0.9 x_1} with x_1 = x_2 = 1
     eq, _ = sp3_k3
     x3 = math.exp(-0.1)
-    assert sc.evaluate_map(eq, 4, (x3, 1.0, 1.0)) == \
+    assert eq.evaluator(4, (x3, 1.0, 1.0)) == \
         pytest.approx(math.exp(-0.1), rel=1e-12)
 
 
-def test_evaluate_map_rejects_wrong_history_length(sp3_k3):
+def test_iterate_rejects_wrong_initial_length(sp3_k3):
     eq, _ = sp3_k3
     with pytest.raises(ValueError):
-        sc.evaluate_map(eq, 3, (1.0, 1.0))
+        sc.iterate(eq, (1.0, 1.0), 3)
 
 
-def test_evaluate_map_rejects_domain_violation(sp3_k3):
+def test_iterate_rejects_initial_outside_domain(sp3_k3):
     eq, _ = sp3_k3
     with pytest.raises(DomainError):
-        sc.evaluate_map(eq, 3, (-1.0, 1.0, 1.0))
+        sc.iterate(eq, (1.0, 1.0, -1.0), 3)
 
 
 def test_iterate_two_steps(sp3_k3):
@@ -105,12 +105,12 @@ def test_csv_export(sp3_k3):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.01, 3.0), min_size=3, max_size=3),
        st.integers(0, 40))
-def test_iterate_matches_evaluate_map(init, steps):
+def test_iterate_matches_the_evaluator(init, steps):
     eq, _ = sc.make_sp3(3)
     traj = sc.iterate(eq, init, steps)
     for n in range(3, len(traj.terms)):
         window = tuple(traj.terms[n - i] for i in (1, 2, 3))
-        assert traj.terms[n] == sc.evaluate_map(eq, n, window)
+        assert traj.terms[n] == eq.evaluator(n, window)
 
 
 @pytest.mark.parametrize("init", [(math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),

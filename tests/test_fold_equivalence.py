@@ -43,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
-from subconverge.dynamics import EquationSpec, Trajectory, evaluate_map
+from subconverge.dynamics import EquationSpec, Trajectory
 from subconverge.errors import (DomainError, FoldError, NonFiniteError)
 from subconverge.models import relative_deviation
 from subconverge.systems import (FoldCheck, Orbit, PlanarSystem, SigmaForm,
@@ -93,13 +93,21 @@ def ref_iterate(eq: EquationSpec, initial: Sequence[float],
     diagnostic = None
     lo, hi = eq.domain_low[0], eq.domain_high[0]
     if eq.domain_low.count(lo) != m or eq.domain_high.count(hi) != m:
-        # Lags with different intervals: check the whole window each step.
+        # Lags with different intervals: check the whole window each step
+        # (the checks of the former evaluate_map, written out).
         for n in range(m, end):
+            u = terms[:stop:-1]
+            if not eq.in_domain(u):
+                raise _outside(n, u)
             try:
-                terms.append(evaluate_map(eq, n, terms[:stop:-1]))
-            except NonFiniteError as exc:
-                diagnostic = str(exc)
+                x = eq.evaluator(n, u)
+            except OverflowError as exc:
+                diagnostic = str(_overflow(n, exc))
                 break
+            if not math.isfinite(x):
+                diagnostic = str(_non_finite(n, x))
+                break
+            terms.append(x)
         return Trajectory(tuple(terms), diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.

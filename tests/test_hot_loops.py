@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
+from subconverge import systems
 from subconverge.dynamics import _outside
 from subconverge.errors import DomainError, FoldError, ModelParameterError
 from subconverge.models import _ricker_parts
@@ -595,3 +596,23 @@ def test_fold_builds_that_differ_in_values_share_one_loop():
         assert _fold_loop.cache_info().misses == misses
         assert repr(check) == repr(old_check_fold_consistency(
             two, (1.0, 1.0), 60))
+
+
+def _fold_source(sysm, monkeypatch):
+    """The source of the fold check's loop for the system's maps."""
+    monkeypatch.setattr(systems, "_loop", lambda source, helpers: source)
+    return _fold_loop.__wrapped__(*(
+        systems._rendered(m)[0] for m in (sysm.f, sysm.g, _solver(sysm))))
+
+
+@pytest.mark.parametrize("t, binds", [(1.0, False),
+                                      (S.periodic([1.0, 0.5]), True)],
+                         ids=["constant", "periodic"])
+def test_the_fold_binds_g_n_only_where_g_reads_its_step(monkeypatch, t,
+                                                        binds):
+    # g runs at step n - 1 in the fold term.  Adult-juvenile's g reads its
+    # step only through t and r, so a constant g needs no g_n.
+    sysm = sc.make_adult_juvenile(0.8, t, 2.0, 2.0)
+    source = _fold_source(sysm, monkeypatch)
+    assert ("g_n = n - 1" in source) is binds
+    assert ("g_t(g_n)" in source) is binds

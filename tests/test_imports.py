@@ -30,11 +30,11 @@ PUBLIC = [
     'check_alternating_envelopes', 'check_envelope_cycle',
     'check_fold_consistency', 'check_inequality_chain', 'check_tail_envelope',
     'classify_limit', 'competition_threshold', 'criteria', 'dynamics',
-    'errors', 'evaluate_map', 'fold_initial', 'fold_planar', 'iterate',
-    'iterate_system', 'make_3d_example', 'make_adult_juvenile',
-    'make_competition', 'make_generalized_ricker', 'make_sigmoid_bh',
-    'make_sp3', 'models', 'predict_alternating_convergence',
-    'predict_envelope_cycle', 'predict_full_convergence',
+    'errors', 'fold_initial', 'fold_planar', 'iterate', 'iterate_system',
+    'make_3d_example', 'make_adult_juvenile', 'make_competition',
+    'make_generalized_ricker', 'make_sigmoid_bh', 'make_sp3', 'models',
+    'predict_alternating_convergence', 'predict_envelope_cycle',
+    'predict_full_convergence',
     'predict_tail_convergence', 'reports', 'ricker_fixed_points',
     'ricker_threshold_condition', 'sequences', 'sigmoid_bh_bound',
     'sigmoid_bh_window', 'solve_threshold', 'swapped_competition_threshold',

@@ -22,7 +22,7 @@ def test_ricker_evaluator_hand_value():
     eq, _ = sc.make_generalized_ricker(_ricker_spec(2.0, 1, 2, 1.0,
                                                     (0.5, 0.25)))
     # x_n = x_{n-1}^2 e^{1 - 0.5 x_{n-1} - 0.25 x_{n-2}}
-    got = sc.evaluate_map(eq, 2, (2.0, 4.0))
+    got = eq.evaluator(2, (2.0, 4.0))
     assert got == pytest.approx(4.0 * math.exp(1.0 - 1.0 - 1.0), rel=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_sp3_bound_dominates_map_on_random_histories(sp3_k3):
     rng = random.Random(20260826)
     for _ in range(100_000):
         u = [rng.uniform(0.0, 10.0) for _ in range(3)]
-        assert sc.evaluate_map(eq, 5, u) <= bound.g(u[2])
+        assert eq.evaluator(5, u) <= bound.g(u[2])
 
 
 def test_sp3_k2_bound_dominates(sp3_k2):
@@ -142,7 +142,7 @@ def test_sp3_k2_bound_dominates(sp3_k2):
     rng = random.Random(7)
     for _ in range(10_000):
         u = [rng.uniform(0.0, 10.0) for _ in range(3)]
-        assert sc.evaluate_map(eq, 5, u) <= bound.g(u[1])
+        assert eq.evaluator(5, u) <= bound.g(u[1])
 
 
 # -- sigmoid Beverton-Holt ----------------------------------------------
@@ -158,7 +158,7 @@ def _bh_spec(a=2.0, c=1.0, q=2.0, p=3, b=1.0, k=1, l=2):
 def test_sigmoid_bh_hand_value():
     eq = sc.make_sigmoid_bh(_bh_spec())
     # x = a (u1 - b)^3 / (1 + c u2^2) + b at u1 = 1.1, u2 = 2
-    got = sc.evaluate_map(eq, 2, (1.1, 2.0))
+    got = eq.evaluator(2, (1.1, 2.0))
     want = 2.0 * 0.1 ** 3 / (1.0 + 4.0) + 1.0
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(1.0004, rel=1e-12)
@@ -166,7 +166,7 @@ def test_sigmoid_bh_hand_value():
 
 def test_sigmoid_bh_fixed_point_is_b():
     eq = sc.make_sigmoid_bh(_bh_spec())
-    assert sc.evaluate_map(eq, 9, (1.0, 1.0)) == pytest.approx(1.0)
+    assert eq.evaluator(9, (1.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_sigmoid_bh_window():
@@ -213,8 +213,8 @@ def test_translation_round_trip():
     assert shifted.origin_fixed
     # y-coordinates: F~(v) = F(v + b) - b
     for u1, u2 in ((1.1, 2.0), (0.5, 0.5), (1.7, 0.2)):
-        direct = sc.evaluate_map(eq, 4, (u1, u2))
-        via = sc.evaluate_map(shifted, 4, (u1 - 1.0, u2 - 1.0)) + 1.0
+        direct = eq.evaluator(4, (u1, u2))
+        via = shifted.evaluator(4, (u1 - 1.0, u2 - 1.0)) + 1.0
         assert via == pytest.approx(direct, rel=1e-12)
 
 
@@ -231,7 +231,7 @@ def test_sigmoid_bh_translated_dominated_by_bound():
     rng = random.Random(99)
     for _ in range(10_000):
         v = [rng.uniform(-1.0, 3.0) for _ in range(2)]
-        assert abs(sc.evaluate_map(eq, 3, v)) <= bound.g(v[0])
+        assert abs(eq.evaluator(3, v)) <= bound.g(v[0])
 
 
 # -- planar and 3D builders ---------------------------------------------

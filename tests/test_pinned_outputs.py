@@ -16,7 +16,10 @@ two adult-juvenile ones were pinned when adult-juvenile's g took the same
 fallback, and exited 3 before.  The two planar fold digests were re-pinned
 when the planar fold payload gained the check's ``steps`` and ``stopped``
 (the number of x-terms compared, and why the comparison ended early):
-nothing else in it moved.
+nothing else in it moved.  The two ``near-tangent`` competition cases
+were pinned when d1 = 2's closed form took the tangent band that every
+other threshold has: there ``threshold`` read alpha = +inf, and
+``analyze`` exited 4.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -40,6 +43,10 @@ THREED = ["--model", "threed", "--a", "0.5", "--p", "0.4", "--b", "0.2",
 SIGMOID_C1 = ["--model", "sigmoid-bh", "--a", "2", "--c", "1", "--q", "2",
               "--p", "3", "--b", "1", "--k", "1", "--l", "2",
               "--init", "1.1,1.1"]
+# d1 = 2 with a1 one double above r1^2/4: fbar(u) < u for all u > 0, and
+# fbar(1.0) rounds to 1.0.
+NEAR_TANGENT = ["--model", "competition", "--r1", "2", "--a1",
+                "1.0000000000000002"]
 
 # (id, argv, config written to {config} or None).  The invocations of
 # tests/test_cli.py, then the cli-cold commands of perfbench/bench_cases.py
@@ -105,6 +112,10 @@ CLI_CASES = [
     ("threshold-competition", ["threshold", "--model", "competition",
                                "--r1", "1", "--a1", "1", "--delta1", "2",
                                "--json"], None),
+    ("threshold-competition-near-tangent",
+     ["threshold"] + NEAR_TANGENT + ["--json"], None),
+    ("analyze-competition-near-tangent",
+     ["analyze"] + NEAR_TANGENT + ["--init", "1,1", "--steps", "60"], None),
     ("threshold-sigmoid-bh", ["threshold", "--model", "sigmoid-bh", "--a",
                               "2", "--p", "3", "--b", "1", "--json"], None),
     ("threshold-text", ["threshold", "--model", "sp3", "--k", "2"], None),
@@ -210,6 +221,10 @@ CLI_DIGESTS = {
         "addf1dbfd095c7a147f21384738d30298c5f417a7b7555588a4bc7f411e85abb",
     "threshold-competition":
         "eede4dccebaa4f65df270cdd6ccd4107162fb0bc6d87399183af7beab3c16d3d",
+    "threshold-competition-near-tangent":
+        "d033d4d35f7814a390637e6aacd12df6317a031170c1125cf4ed718462ab3ca6",
+    "analyze-competition-near-tangent":
+        "30e2b83ac3e3cf7b8068b6e9a69ba5cd041242654046722833844b6caa0f3a10",
     "threshold-sigmoid-bh":
         "a993d8ac989a89c666ec705fd48e1f5f504117ddee90e7905fc01cb52b996b7a",
     "threshold-text":
@@ -275,6 +290,18 @@ def cli_digest(args, config, tmp_path) -> str:
                          ids=[c[0] for c in CLI_CASES])
 def test_cli_stdout_and_exit_code_pinned(name, args, config, tmp_path):
     assert cli_digest(args, config, tmp_path) == CLI_DIGESTS[name]
+
+
+def test_the_near_tangent_competition_is_a_tangency():
+    # The closed form for d1 = 2 read alpha = +inf here, and the orbit,
+    # which sits at 1.0 = fl(fbar(1.0)), gave a false exit 4.
+    res = CliRunner().invoke(main, ["threshold"] + NEAR_TANGENT + ["--json"])
+    assert (res.exit_code, res.stdout) == (
+        0, '{"model": "competition", "alpha": 1.0, "tangent": true}\n')
+    res = CliRunner().invoke(main, ["analyze"] + NEAR_TANGENT
+                             + ["--init", "1,1", "--steps", "60"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["window"] == [0.0, 1.0]
 
 
 # -- reports ---------------------------------------------------------------

@@ -35,8 +35,7 @@ import pytest
 import subconverge as sc
 from subconverge.dynamics import (EquationSpec, Trajectory, _fill,
                                   _non_finite, _outside, _overflow,
-                                  _rendered, check_finite_initial,
-                                  evaluate_map)
+                                  _rendered, check_finite_initial)
 from subconverge.errors import (DomainError, FoldError, NonFiniteError,
                                 SubconvergeError)
 from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
@@ -230,9 +229,10 @@ def ref_swapped_sigma(r1, a1, b1, d1: float, d3: float):
 
 def ref_iterate(eq: EquationSpec, initial: Sequence[float],
                 steps: int) -> Trajectory:
-    """``iterate`` before its loop was rendered (verbatim): a zip loop
-    over list iterators, or ``evaluate_map`` on lags with different
-    intervals."""
+    """``iterate`` before its loop was rendered (verbatim, with the
+    checks of the former ``evaluate_map`` written out): a zip loop over
+    list iterators, or the evaluator on the whole window, checked, on
+    lags with different intervals."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     init = tuple(float(v) for v in initial)
@@ -252,11 +252,18 @@ def ref_iterate(eq: EquationSpec, initial: Sequence[float],
     if eq.domain_low.count(lo) != m or eq.domain_high.count(hi) != m:
         # Lags with different intervals: check the whole window each step.
         for n in range(m, end):
+            u = terms[:stop:-1]
+            if not eq.in_domain(u):
+                raise _outside(n, u)
             try:
-                terms.append(evaluate_map(eq, n, terms[:stop:-1]))
-            except NonFiniteError as exc:
-                diagnostic = str(exc)
+                x = eq.evaluator(n, u)
+            except OverflowError as exc:
+                diagnostic = str(_overflow(n, exc))
                 break
+            if not math.isfinite(x):
+                diagnostic = str(_non_finite(n, x))
+                break
+            terms.append(x)
         return Trajectory(tuple(terms), diagnostic)
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
