@@ -76,6 +76,7 @@ simulate --model sp3 --k 3 --init 1,1,1 --steps 300
 simulate --model sigmoid-bh --p 3 --b 1 --init 0.2 --steps 30
 simulate --model competition-swapped --init 2,1 --steps 50
 simulate --model threed --init 0.9,1.1,1 --steps 50
+simulate --model threed --init 0.9,1.1,1 --steps 200000
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
 analyze --config $cfg
@@ -136,6 +137,17 @@ if ! $CLI fold --model competition-swapped --init 1,1e10 --steps 100 \
         > "$folded" 2> "$err" || grep -q Traceback "$err" \
         || ! grep -q '"stopped": "' "$folded"; then
     echo "FAILED: fold that stops early must exit 0 and say why" >&2
+    cat "$err" "$folded" >&2
+    status=1
+fi
+# A million-step fold check of an orbit that repeats bit for bit (the
+# check ends at the first repeated block) exits 0 and passes.
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI fold --model competition --r1 3 --r2 3 --a1 1 --a2 1 --b1 0.3 \
+        --b2 0.3 --init 2,1 --steps 1000000 > "$folded" 2> "$err" \
+        || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
+then
+    echo "FAILED: a million-step fold check must exit 0 and pass" >&2
     cat "$err" "$folded" >&2
     status=1
 fi

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import weakref
+from array import array
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
@@ -215,6 +218,47 @@ def _loop(source: str, helpers: Tuple[Callable, ...]) -> Callable:
     return namespace["orbit"]
 
 
+_BLOCK = 840    # lcm(1, ..., 8): every period up to 8 divides a block
+
+
+def _blocked(steps: int, *shapes: Optional[tuple]) -> bool:
+    """Whether a loop of ``steps`` steps over maps of these shapes runs in
+    blocks: it is longer than one block, and every map is rendered with
+    constant coefficients, so that the loop is a function of its state (a
+    body reads its step only to raise).  A ``steps`` that is not an integer
+    raises the TypeError that range() would."""
+    return operator.index(steps) > _BLOCK and all(
+        shape is not None and not any(shape[3]) for shape in shapes)
+
+
+def _same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether two states hold the same doubles (0.0 and -0.0 differ); a
+    value that is not a real number (None, a complex) matches nothing."""
+    try:
+        return array("d", a).tobytes() == array("d", b).tobytes()
+    except TypeError:
+        return False
+
+
+def _in_blocks(loop: Callable, seq: list, end: int,
+               state: Optional[Callable], *args) -> Optional[str]:
+    """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
+    appends items up to ``stop`` and returns why it stopped early, or None.
+    Given ``state(i)``, the state after item i of a ``_blocked`` loop, the
+    loop runs in blocks of _BLOCK items, and once a block ends in the bits
+    of the state one block earlier, the last block repeats to ``end``."""
+    stop = end if state is None else len(seq) + _BLOCK
+    while True:
+        stopped = loop(seq, min(stop, end), *args)
+        if stopped is not None or len(seq) >= end:
+            return stopped
+        last = len(seq) - 1
+        if _same_bits(state(last), state(last - _BLOCK)):
+            seq.extend(islice(cycle(seq[-_BLOCK:]), end - len(seq)))
+            return None
+        stop += _BLOCK
+
+
 def _stop(n: int, x: float, end: int, terms: List[float], m: int
           ) -> Optional[str]:
     """Why an orbit of order m stops at the term x of step n, which failed
@@ -231,16 +275,17 @@ def _stop(n: int, x: float, end: int, terms: List[float], m: int
 
 # The lags u0 (x_{n-1}) ... u{m-1} shift through locals; with finite
 # bounds, ``lo <= x <= hi`` passes exactly the finite terms in lag 1's
-# interval.
+# interval.  The loop runs to ``stop``, and ``end`` is the orbit's last
+# term, which may leave the domain.
 _ITERATE = """\
-def orbit(terms, end, lo, hi, in_domain, %(args)s):
-    %(oldest_first)s= terms
+def orbit(terms, stop, end, lo, hi, in_domain, %(args)s):
+    %(oldest_first)s= terms[-%(m)d:]
     append = terms.append
     try:
-        for n in range(len(terms), end):
+        for n in range(len(terms), stop):
 %(step)s
-            if not %(check)s and (stop := _stop(n, x, end, terms, %(m)d)):
-                return stop
+            if not %(check)s and (why := _stop(n, x, end, terms, %(m)d)):
+                return why
             append(x)
             %(lags)s= x, %(window)s
     except OverflowError as exc:
@@ -281,9 +326,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     Initial values are given oldest first (x_0, ..., x_{m-1}) and must
     be finite.  A non-finite term truncates the trajectory and records a
     diagnostic; a domain exit raises DomainError with the offending
-    index.  An evaluator that ``_render`` made runs inlined in the loop;
-    any other is called once per step with the window as a tuple, most
-    recent term first.
+    index.  An evaluator that ``_render`` made runs inlined in the loop
+    (``_in_blocks``); any other is called once per step with the window
+    as a tuple, most recent term first.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -301,7 +346,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     # its newest term does, so each term is checked once, as it enters.
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
     shape, values = _rendered(eq.evaluator)
-    diagnostic = _iterate_loop(shape, m, uniform)(
-        terms, m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain,
-        *values)
+    window = (lambda i: terms[i + 1 - m:i + 1]) if _blocked(steps, shape) \
+        else None
+    diagnostic = _in_blocks(
+        _iterate_loop(shape, m, uniform), terms, m + steps, window,
+        m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
     return Trajectory(tuple(terms), diagnostic)

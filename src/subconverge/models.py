@@ -26,7 +26,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
-from .dynamics import EquationSpec, _render, check_finite_initial
+from .dynamics import (EquationSpec, _blocked, _in_blocks, _render,
+                       _rendered, check_finite_initial)
 from .errors import (ConfigError, CriterionInapplicableError, DomainError,
                      ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
@@ -511,26 +512,35 @@ class ThreeDSystem:
         self.step = step
 
     def iterate(self, initial: State3, steps: int) -> List[State3]:
+        """The states of ``steps`` applications of ``step``, in blocks
+        (``dynamics._in_blocks``); a non-finite state raises."""
         x0, y0, z0 = (float(v) for v in initial)
         check_finite_initial((x0, y0, z0))
         if x0 <= 0 or z0 <= 0:
             raise DomainError("x_0 and z_0 must be positive")
-        state = (x0, y0, z0)
-        states = [state]
-        append, step, isfinite = states.append, self.step, math.isfinite
-        for n in range(steps):
-            state = step(n, state)
-            x, y, z = state
-            if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                raise NonFiniteError("non-finite state at step %d" % (n + 1),
-                                     index=n + 1)
-            append(state)
+        states = [(x0, y0, z0)]
+        state = states.__getitem__ if _blocked(
+            steps, _rendered(self.step)[0]) else None
+        _in_blocks(_threed_orbit, states, steps + 1, state, self.step)
         return states
 
     def fold_initial(self, initial: State3) -> State3:
         """(x_0, x_1, x_2) feeding the folded order-3 equation."""
         states = self.iterate(initial, 2)
         return tuple(st[0] for st in states)
+
+
+def _threed_orbit(states: List[State3], stop: int,
+                  step: Callable[[int, State3], State3]) -> None:
+    """Extend ``states`` to ``stop`` states with ``step``."""
+    append, isfinite, state = states.append, math.isfinite, states[-1]
+    for n in range(len(states) - 1, stop - 1):
+        state = step(n, state)
+        x, y, z = state
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise NonFiniteError("non-finite state at step %d" % (n + 1),
+                                 index=n + 1)
+        append(state)
 
 
 _THREED_STEP = """\

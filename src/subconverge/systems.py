@@ -34,8 +34,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import criteria
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
-from .dynamics import (_MAX, EquationSpec, _loop, _outside, _rendered,
-                       _statements, check_finite_initial)
+from .dynamics import (_BLOCK, _MAX, EquationSpec, _blocked, _in_blocks,
+                       _loop, _outside, _rendered, _same_bits, _statements,
+                       check_finite_initial)
 from .errors import CriterionInapplicableError, DomainError, FoldError
 from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
@@ -201,11 +202,12 @@ def _map_step(shape: Optional[tuple], name: str, result: str,
 
 
 # With finite bounds, the one comparison passes exactly the finite states
-# inside the domain.
+# inside the domain.  The loop runs until ``points`` holds ``stop`` points.
 _ITERATE_SYSTEM = """\
-def orbit(points, x, y, steps, x_lo, x_hi, y_lo, y_hi, %(args)s):
+def orbit(points, stop, x_lo, x_hi, y_lo, y_hi, %(args)s):
     append = points.append
-    for n in range(steps):
+    x, y = points[-1]
+    for n in range(len(points) - 1, stop - 1):
 %(f)s
 %(g)s
         if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
@@ -236,13 +238,14 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     The initial point must be finite.  Non-finite values truncate the
     orbit with a diagnostic; a domain exit raises DomainError.
     """
-    x, y = _initial_state(sys, initial)
-    points: List[Tuple[float, float]] = [(x, y)]
+    points: List[Tuple[float, float]] = [_initial_state(sys, initial)]
     (f, f_values), (g, g_values) = map(_rendered, (sys.f, sys.g))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    diagnostic = _system_loop(f, g)(
-        points, x, y, steps, max(x_lo, -_MAX), min(x_hi, _MAX),
-        max(y_lo, -_MAX), min(y_hi, _MAX), *f_values, *g_values)
+    state = points.__getitem__ if _blocked(steps, f, g) else None
+    diagnostic = _in_blocks(
+        _system_loop(f, g), points, steps + 1, state, max(x_lo, -_MAX),
+        min(x_hi, _MAX), max(y_lo, -_MAX), min(y_hi, _MAX), *f_values,
+        *g_values)
     return Orbit(tuple(points), diagnostic)
 
 
@@ -300,64 +303,69 @@ class FoldCheck(NamedTuple):
 # it is greater, so a NaN |r| or d is passed over; a NaN d (r NaN or
 # infinite) still diverges.
 _CHECK_FOLD = """\
-def orbit(x, y, steps, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
+def orbit(x, y, steps, block, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
     u0, u1, r = None, x, None   # the fold's x_{n-1}, x_n, recovered y_{n-1}
     max_x = max_y = 0.0
-    div_x = div_y = stopped = None
-    for n in range(steps):
+    div_x = div_y = stopped = previous = None
+    for start in range(0, steps, block):
+        for n in range(start, min(start + block, steps)):
 %(f)s
 %(g)s
-        if not (isfinite(xn) and isfinite(yn)):
-            stopped = _non_finite_state(xn, yn, n + 1)
-            break
-        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
-            raise _state_outside(xn, yn, n + 1)
-        try:
-            if n:
+            if not (isfinite(xn) and isfinite(yn)):
+                stopped = _non_finite_state(xn, yn, n + 1)
+                break
+            if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
+                raise _state_outside(xn, yn, n + 1)
+            try:
+                if n:
 %(fold_g)s
 %(fold_f)s
-            else:
-                nxt = float(xn)
-            finite = isfinite(nxt)
-        except OverflowError:
-            finite = False
-        except TypeError:   # complex: a root or power of a negative value
-            stopped = "fold term x_%%d is not real" %% (n + 1)
-            break
-        if not finite:
-            stopped = "fold term x_%%d is not finite" %% (n + 1)
-            break
-        if not x_lo <= nxt <= x_hi and n + 1 < steps:
-            raise _outside(n + 2, (nxt, u1))
-        try:
+                else:
+                    nxt = float(xn)
+                finite = isfinite(nxt)
+            except OverflowError:
+                finite = False
+            except TypeError:   # complex: a root or power of a negative value
+                stopped = "fold term x_%%d is not real" %% (n + 1)
+                break
+            if not finite:
+                stopped = "fold term x_%%d is not finite" %% (n + 1)
+                break
+            if not x_lo <= nxt <= x_hi and n + 1 < steps:
+                raise _outside(n + 2, (nxt, u1))
+            try:
 %(sigma)s
-        except FoldError as exc:
-            if exc.index is None:
-                raise
-            stopped = str(exc)
-            break
-        if r != y:
-            s, t = abs(y), abs(r)
-            if t > s:
-                s = t
-            d = abs(y - r) / (1.0 if 1.0 > s else s)
-            if (d > tol or d != d) and div_y is None:
-                div_y = n
-            if d > max_y:
-                max_y = d
-        if nxt != xn:
-            s, t = abs(xn), abs(nxt)
-            if t > s:
-                s = t
-            d = abs(xn - nxt) / (1.0 if 1.0 > s else s)
-            if (d > tol or d != d) and div_x is None:
-                div_x = n + 1
-            if d > max_x:
-                max_x = d
-        u0, u1 = u1, nxt
-        x, y = xn, yn   # apart: a four-name swap was ~4%% slower on 3.11
-    else:
-        n = max(steps, 0)   # every term x_0 .. x_steps was compared
+            except FoldError as exc:
+                if exc.index is None:
+                    raise
+                stopped = str(exc)
+                break
+            if r != y:
+                s, t = abs(y), abs(r)
+                if t > s:
+                    s = t
+                d = abs(y - r) / (1.0 if 1.0 > s else s)
+                if (d > tol or d != d) and div_y is None:
+                    div_y = n
+                if d > max_y:
+                    max_y = d
+            if nxt != xn:
+                s, t = abs(xn), abs(nxt)
+                if t > s:
+                    s = t
+                d = abs(xn - nxt) / (1.0 if 1.0 > s else s)
+                if (d > tol or d != d) and div_x is None:
+                    div_x = n + 1
+                if d > max_x:
+                    max_x = d
+            u0, u1 = u1, nxt
+            x, y = xn, yn   # apart: a four-name swap was ~4%% slower on 3.11
+        else:   # a block's end: is the state the last block end's?
+            if not _same_bits(previous, previous := (x, y, u0, u1, r)):
+                continue
+        break
+    if stopped is None:     # every term x_0 .. x_steps was compared
+        n = max(steps, 0)
     first = div_x if div_x is not None else div_y
     return FoldCheck(max_x <= tol and max_y <= tol and first is None, max_x,
                      max_y, first, n + 1, stopped)
@@ -370,16 +378,16 @@ def _fold_loop(f: Optional[tuple], g: Optional[tuple],
     """The fold check's loop for the shapes of a rendered f, g and sigma
     (None: that map is called).  f and g each run twice per step: on the
     direct state, and in the fold term, g at step n - 1."""
-    direct, fold = " " * 8, " " * 16
+    direct, fold = " " * 12, " " * 20
     return _loop(_CHECK_FOLD % {
         "args": _loop_args(((f, "f"), (g, "g"), (sigma, "sigma"))),
         "f": _map_step(f, "f", "xn", "x, y", direct),
         "g": _map_step(g, "g", "yn", "x, y", direct),
         "fold_g": _map_step(g, "g", "gy", "u0, r", fold, "n - 1"),
         "fold_f": _map_step(f, "f", "nxt", "u1, gy", fold),
-        "sigma": _map_step(sigma, "sigma", "r", "u1, nxt", " " * 12)},
+        "sigma": _map_step(sigma, "sigma", "r", "u1, nxt", " " * 16)},
         (math.isfinite, _non_finite_state, _state_outside, _outside,
-         FoldError, FoldCheck))
+         FoldError, FoldCheck, _same_bits))
 
 
 def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
@@ -396,14 +404,17 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     to 0) stops; any other error is raised.  Zero steps evaluate nothing.
     A rendered f, g or sigma runs inlined in the loop; any other is called
     once per use: at step 0 f, g and sigma once each, at each later step f
-    and g twice and sigma once.
+    and g twice and sigma once.  As ``dynamics._in_blocks`` does, a
+    ``_blocked`` check ends at a block end whose state (x, y, x_{n-1},
+    x_n, y_{n-1}) repeats: every later step repeats a compared one.
     """
     x, y = _initial_state(sys, initial)
     (f, f_values), (g, g_values), (sigma, s_values) = map(
         _rendered, (sys.f, sys.g, _solver(sys)))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    return _fold_loop(f, g, sigma)(x, y, steps, tol, x_lo, x_hi, y_lo, y_hi,
-                                   *f_values, *g_values, *s_values)
+    block = _BLOCK if _blocked(steps, f, g, sigma) else max(steps, 1)
+    return _fold_loop(f, g, sigma)(x, y, steps, block, tol, x_lo, x_hi, y_lo,
+                                   y_hi, *f_values, *g_values, *s_values)
 
 
 # -- envelope criteria ---------------------------------------------------
@@ -519,8 +530,9 @@ def check_envelope_cycle(sys: PlanarSystem,
         return EnvelopeVerdict(False, reason="missing envelope"
                                + "s" * (length > 1))
     cert = _own_certificate(sys, envelopes)
-    if cert is None or not all(map(operator.is_, cert.maps, (
-            sys.f, sys.g, sys.envelope_f, sys.envelope_g))):
+    maps = (sys.f, sys.g, sys.envelope_f, sys.envelope_g)
+    if cert is None or len(cert.maps) != len(maps) or not all(
+            map(operator.is_, cert.maps, maps)):
         failed = _domination_grid(sys, envelopes)
         if failed is None and length == 2:
             failed = _monotonicity_grid(envelopes[0])

@@ -17,7 +17,8 @@ import pytest
 
 from subconverge import systems
 from subconverge.models import REGISTRY
-from subconverge.systems import (check_alternating_envelopes,
+from subconverge.systems import (CycleCertificate,
+                                 check_alternating_envelopes,
                                  check_envelope_cycle, check_tail_envelope)
 
 
@@ -125,6 +126,19 @@ def test_a_certificate_covers_only_the_systems_own_envelopes(no_grids):
     fbar = sysm.envelope_f
     with pytest.raises(GridUsed):
         check_envelope_cycle(sysm, (lambda u: fbar(u),))
+
+
+@pytest.mark.parametrize("maps", [0, 1, 3, 5], ids="{}-maps".format)
+def test_a_certificate_of_other_length_covers_nothing(maps):
+    # Its maps, a prefix of the system's own (padded past four), are
+    # compared whole: a shorter tuple must not end the comparison early.
+    sysm = build("competition-swapped", b1=1e6)
+    sysm = replace(sysm, envelope_f=lambda u: 1e-3 * u)
+    own = (sysm.f, sysm.g, sysm.envelope_f, sysm.envelope_g, sysm.f)
+    verdict = check_tail_envelope(replace(
+        sysm, certificate=CycleCertificate(1, own[:maps])))
+    assert not verdict.applicable
+    assert verdict.reason == "f_n(u1,u2) > fbar(u1)"
 
 
 # -- swapped cycles the grids used to reject ---------------------------

@@ -902,6 +902,51 @@ def test_wrapped_system_maps_are_called_once_per_step(wrapper):
             assert repr(orbit.points) == expected
 
 
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_wrappers_run_at_every_step_of_a_repeating_orbit(wrapper):
+    """Orbits that repeat bit for bit from step 72 at most, over 30,000
+    steps: the loops copy a repeated block of rendered maps, but a
+    wrapped evaluator, f, g, sigma or 3D step still runs at every step
+    (in the fold check, f and g twice a step after step 0), and the
+    results are the unwrapped ones."""
+    steps = 30_000
+    eq = sc.make_sp3(1)[0]
+    calls = []
+    wrapped = dataclasses.replace(
+        eq, evaluator=_wrappers(eq.evaluator, calls)[wrapper])
+    assert repr(sc.iterate(wrapped, (1.0, 1.0, 1.0), steps).terms) == \
+        repr(sc.iterate(eq, (1.0, 1.0, 1.0), steps).terms)
+    assert calls == list(range(3, 3 + steps))
+    threed = sc.make_3d_example(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0)[0]
+    calls = []
+    states = sc.ThreeDSystem(_wrappers(threed.step, calls)[wrapper]).iterate(
+        (0.9, 1.1, 1.0), steps)
+    assert repr(states) == repr(threed.iterate((0.9, 1.1, 1.0), steps))
+    assert calls == list(range(steps))
+    sysm = sc.make_competition(CompetitionParams.make(
+        3, 3, 1, 1, 2, 2, 0.3, 0.3))
+    orbit = repr(sc.iterate_system(sysm, (2.0, 1.0), steps).points)
+    check = repr(sc.check_fold_consistency(sysm, (2.0, 1.0), steps))
+    later = range(1, steps)
+    for name, per_step in (("f", [[n, n] for n in later]),
+                           ("g", [[n, n - 1] for n in later]),
+                           ("sigma", [[n] for n in later])):
+        calls = []
+        if name == "sigma":
+            wrapped = dataclasses.replace(sysm, sigma=sc.SigmaForm.custom(
+                _wrappers(sysm.sigma.solve, calls)[wrapper]))
+        else:
+            wrapped = dataclasses.replace(sysm, **{name: _wrappers(
+                getattr(sysm, name), calls)[wrapper]})
+            assert repr(sc.iterate_system(wrapped, (2.0, 1.0),
+                                          steps).points) == orbit
+            assert calls == list(range(steps))
+            calls.clear()
+        assert repr(sc.check_fold_consistency(wrapped, (2.0, 1.0),
+                                              steps)) == check
+        assert calls == [0] + [n for pair in per_step for n in pair]
+
+
 # -- large order -----------------------------------------------------------
 
 
@@ -979,3 +1024,24 @@ def test_no_body_reads_a_bare_n():
                 if tok.type == tokenize.NAME and tok.string == "n"
                 and prev.string != "."]
         assert not bare, (fn.__qualname__, text)
+
+
+def test_a_body_reads_its_step_only_to_raise():
+    """The premise of the loops' block copy: with constant coefficients a
+    body reads its step, as {n}, only in a ``raise`` statement, so a
+    state that repeats has a future that repeats."""
+    readers = set()
+    for fn in _builds(random.Random("raise-n")):
+        _, body, keys, _, _ = _rendered(fn)[0]
+        text = _fill(body, keys, (False,) * len(keys), step="step")
+        line: List[str] = []
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NEWLINE:
+                if "step" in line:
+                    assert line[0] == "raise", text
+                    readers.add(fn.__qualname__)
+                line = []
+            elif tok.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER,
+                              tokenize.STRING):
+                line.append(tok.string)
+    assert readers == {"step", "sigma"}
