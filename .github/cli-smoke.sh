@@ -46,6 +46,23 @@ cat > "$threed_cfg" <<'JSON'
 {"model": "threed", "params": {"a": [1, 0.8], "p": [0.1, -0.2]},
  "initial": [0.9, 1.1, 1], "steps": 100}
 JSON
+# The benchmark's Ricker model, with a periodic a and a tabulated middle
+# coefficient, over a million steps: its orbit repeats with period 12
+# from step 103, and the loop copies its blocks from there.
+long_cfg=$(mktemp)
+cat > "$long_cfg" <<'JSON'
+{"model": "ricker",
+ "params": {"lambda": 1.8, "k": 2, "a": [0.5, 1, 1.5],
+            "b": [0.4, {"kind": "tabulated", "values": [0.5, 0.7, 0.6, 0.8],
+                        "fallback": 0.6}, 0.3]},
+ "initial": [0.5, 1, 1.5], "steps": 1000000}
+JSON
+# Adult-juvenile with a periodic s, for a million-step fold check.
+aj_long_cfg=$(mktemp)
+cat > "$aj_long_cfg" <<'JSON'
+{"model": "adult-juvenile", "params": {"s": [0.8, 0.6, 0.9]},
+ "initial": [1, 1], "steps": 1000000}
+JSON
 # sp3's rigorous k = 1 bound, the Ricker bound without a lag-1 coefficient.
 rigorous_cfg=$(mktemp)
 cat > "$rigorous_cfg" <<'JSON'
@@ -60,9 +77,11 @@ JSON
 no_dir=$(mktemp -u)
 status=0
 # The list below is expanded by the shell, so that $cfg, $fold_cfg,
-# $rigorous_cfg and the periodic configs name the files.  Its last five
-# commands overflow in a power whose term is finite (the maps then take
-# the term in logs), so they too must exit 0.
+# $rigorous_cfg, $long_cfg and the periodic configs name the files.  The
+# tangent Ricker orbit from 0.99999999, which g maps to itself, starts
+# outside the window.  The last five commands overflow in a power whose
+# term is finite (the maps then take the term in logs), so they too must
+# exit 0.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -79,6 +98,7 @@ simulate --model threed --init 0.9,1.1,1 --steps 50
 simulate --model threed --init 0.9,1.1,1 --steps 200000
 analyze --model sp3 --k 2 --init 1,1,1 --steps 300
 analyze --model ricker --lambda 1.1 --a 2.5 --b 1 --init 0.5 --steps 50
+analyze --model ricker --lambda 2 --a 1 --b 1 --init 0.99999999 --steps 5
 analyze --config $cfg
 analyze --config $rigorous_cfg
 analyze --model sigmoid-bh --a 2 --c 1 --q 2 --p 3 --b 1 --k 1 --l 2 --init 1.1,1.1 --steps 300
@@ -112,6 +132,7 @@ fold --config $aj_cfg
 fold --config $swapped_cfg
 analyze --config $sigmoid_cfg
 fold --config $threed_cfg
+simulate --config $long_cfg --format json
 simulate --model ricker --lambda 1000 --b 1000 --init 2.5 --steps 3
 simulate --model ricker --lambda 5 --k 1 --a 10 --b 1e-15 --init 50 --steps 50
 simulate --model competition --b1 1 --delta3 2 --init 1,1e200 --steps 3
@@ -148,6 +169,15 @@ if ! $CLI fold --model competition --r1 3 --r2 3 --a1 1 --a2 1 --b1 0.3 \
         || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
 then
     echo "FAILED: a million-step fold check must exit 0 and pass" >&2
+    cat "$err" "$folded" >&2
+    status=1
+fi
+# The same with a periodic coefficient, whose period divides the block.
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI fold --config "$aj_long_cfg" > "$folded" 2> "$err" \
+        || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
+then
+    echo "FAILED: a million-step periodic fold check must exit 0 and pass" >&2
     cat "$err" "$folded" >&2
     status=1
 fi
@@ -214,5 +244,6 @@ done <<'SCALAR'
 "analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config
 SCALAR
 rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit" \
-    "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg" "$folded"
+    "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg" "$folded" \
+    "$long_cfg" "$aj_long_cfg"
 exit $status

@@ -17,6 +17,7 @@ from itertools import cycle, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
+from .sequences import _REPEATS
 
 Evaluator = Callable[[int, Sequence[float]], float]
 
@@ -221,14 +222,26 @@ def _loop(source: str, helpers: Tuple[Callable, ...]) -> Callable:
 _BLOCK = 840    # lcm(1, ..., 8): every period up to 8 divides a block
 
 
-def _blocked(steps: int, *shapes: Optional[tuple]) -> bool:
-    """Whether a loop of ``steps`` steps over maps of these shapes runs in
-    blocks: it is longer than one block, and every map is rendered with
-    constant coefficients, so that the loop is a function of its state (a
-    body reads its step only to raise).  A ``steps`` that is not an integer
-    raises the TypeError that range() would."""
-    return operator.index(steps) > _BLOCK and all(
-        shape is not None and not any(shape[3]) for shape in shapes)
+def _blocked(steps: int, *maps: tuple) -> Optional[int]:
+    """The step from which a loop of ``steps`` steps over these maps (each
+    ``(shape, values)`` of ``_rendered``) is a function of its state, or
+    None when it does not run in blocks.  It does when it is longer than a
+    block, every map is rendered, and each coefficient that varies has an
+    (onset, period) in ``sequences._REPEATS`` whose period divides _BLOCK
+    (a constant: 0, 1).  The step is the latest onset: from there a block
+    on, every step reads the same coefficients (a body reads its step
+    only to raise).  A ``steps`` that is not an integer raises range()'s
+    TypeError."""
+    if operator.index(steps) <= _BLOCK:
+        return None
+    try:    # a called map has no shape, a wrapper no record
+        repeats = [_REPEATS[value] if varies else (0, 1)
+                   for shape, values in maps for varies, value in
+                   zip(shape[3], values[len(shape[4]):])]
+    except (KeyError, TypeError):
+        return None
+    return None if any(_BLOCK % period for _, period in repeats) else max(
+        (onset for onset, _ in repeats), default=0)
 
 
 def _same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -240,20 +253,22 @@ def _same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
         return False
 
 
-def _in_blocks(loop: Callable, seq: list, end: int,
-               state: Optional[Callable], *args) -> Optional[str]:
+def _in_blocks(loop: Callable, seq: list, end: int, state: Callable,
+               first: Optional[int], *args) -> Optional[str]:
     """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
     appends items up to ``stop`` and returns why it stopped early, or None.
-    Given ``state(i)``, the state after item i of a ``_blocked`` loop, the
-    loop runs in blocks of _BLOCK items, and once a block ends in the bits
-    of the state one block earlier, the last block repeats to ``end``."""
-    stop = end if state is None else len(seq) + _BLOCK
+    Given the ``first`` of ``_blocked``, the loop runs in blocks of _BLOCK
+    items, and once a block ends in the bits of ``state(i)``, the state
+    after item i, one block earlier, at an i of at least ``first``, the
+    last block repeats to ``end``."""
+    stop = end if first is None else len(seq) + _BLOCK
     while True:
         stopped = loop(seq, min(stop, end), *args)
         if stopped is not None or len(seq) >= end:
             return stopped
         last = len(seq) - 1
-        if _same_bits(state(last), state(last - _BLOCK)):
+        if last - _BLOCK >= first and \
+                _same_bits(state(last), state(last - _BLOCK)):
             seq.extend(islice(cycle(seq[-_BLOCK:]), end - len(seq)))
             return None
         stop += _BLOCK
@@ -345,10 +360,10 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     # One interval for every lag: a window leaves the domain exactly when
     # its newest term does, so each term is checked once, as it enters.
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
-    shape, values = _rendered(eq.evaluator)
-    window = (lambda i: terms[i + 1 - m:i + 1]) if _blocked(steps, shape) \
-        else None
+    shape, values = rendered = _rendered(eq.evaluator)
+    first = _blocked(steps, rendered)
     diagnostic = _in_blocks(
-        _iterate_loop(shape, m, uniform), terms, m + steps, window,
-        m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
+        _iterate_loop(shape, m, uniform), terms, m + steps,
+        lambda i: terms[i + 1 - m:i + 1], first, m + steps,
+        max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
     return Trajectory(tuple(terms), diagnostic)

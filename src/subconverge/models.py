@@ -198,7 +198,7 @@ class FixedPointResult(NamedTuple):
         if self.kind == "pair":
             return (self.u_star, self.u_bar)
         if self.kind == "tangent":
-            return (self.u_star,)
+            return (self.u_bar,)
         return ()
 
 
@@ -212,6 +212,8 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     g(u) < u on (0, u_star); CriterionInapplicableError below the
     doubles), u_bar (a limit candidate) the midpoint of the last doubling
     step from it bisected to adjacent doubles (NonFiniteError past them).
+    A tangency's u_bar is the touch point and its u_star the end of the
+    window below it, where phi < -_TANGENT_TOL.
     """
     if lam <= 1 or b <= 0:
         raise ModelParameterError("need lam > 1 and b > 0")
@@ -225,10 +227,10 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     u_max = (lam - 1.0) / b
     if u_max > _MAX:
         raise NonFiniteError("(lam-1)/b = %r is not finite" % u_max)
-    res = _peak_threshold(phi(u_max), u_max,
+    res = _peak_threshold(phi(u_max), u_max, phi,
                           lambda: _lower_root(below, u_max, "g(u)"))
     if res.tangent:
-        return FixedPointResult("tangent", u_star=u_max, u_bar=u_max)
+        return FixedPointResult("tangent", u_star=res.alpha, u_bar=u_max)
     if res.alpha == _INF:
         return FixedPointResult("none")
     inner, outer = u_max, min(u_max * 2.0, _MAX)
@@ -239,16 +241,23 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     return FixedPointResult("pair", res.alpha, bisect(outer, inner, below))
 
 
-def _peak_threshold(excess: float, u_peak: float, root: Callable[[], float],
+def _peak_threshold(excess: float, u_peak: float,
+                    log_ratio: Callable[[float], float],
+                    root: Callable[[], float],
                     scale: float = 1.0) -> ThresholdResult:
     """The threshold of a cycle map that meets the identity at most twice
     and peaks over it by ``excess`` at u_peak (in any form that has the
     sign of map(u) - u): +inf (no root) for an excess below
-    -_TANGENT_TOL * scale, a tangency at u_peak for one in
-    [-_TANGENT_TOL * scale, 0] (the safe side only: the map <= u
-    throughout), else (also for NaN) ``root()``, the lower root."""
+    -_TANGENT_TOL * scale, a tangency for one in [-_TANGENT_TOL * scale,
+    0] (the safe side only: the map <= u throughout), else (also for NaN)
+    ``root()``, the lower root.  A tangent window ends below u_peak, at
+    ``_lower_root`` of ``log_ratio``(u) = ln(map(u) / u) < -_TANGENT_TOL:
+    nearer the peak the computed map rounds onto u (or above it) about as
+    often as below it, and a chain link closes only where it is below."""
     if -_TANGENT_TOL * scale <= excess <= 0:
-        return ThresholdResult(u_peak, tangent=True)
+        return ThresholdResult(_lower_root(
+            lambda u: log_ratio(u) < -_TANGENT_TOL, u_peak, "the cycle map"),
+            tangent=True)
     return ThresholdResult(_INF if excess < 0 else root())
 
 
@@ -519,9 +528,9 @@ class ThreeDSystem:
         if x0 <= 0 or z0 <= 0:
             raise DomainError("x_0 and z_0 must be positive")
         states = [(x0, y0, z0)]
-        state = states.__getitem__ if _blocked(
-            steps, _rendered(self.step)[0]) else None
-        _in_blocks(_threed_orbit, states, steps + 1, state, self.step)
+        first = _blocked(steps, _rendered(self.step))
+        _in_blocks(_threed_orbit, states, steps + 1, states.__getitem__,
+                   first, self.step)
         return states
 
     def fold_initial(self, initial: State3) -> State3:

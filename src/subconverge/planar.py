@@ -269,16 +269,20 @@ def competition_threshold(r1: float, a1: float,
     """
     if r1 <= 0 or a1 <= 0 or d1 <= 1:
         raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
+
+    def log_ratio(u: float) -> float:   # read at a tangency only
+        return _log_envelope(r1, a1, d1)[0](t := math.log(u)) - t
+
     if d1 == 2.0:
         disc = r1 * r1 - 4.0 * a1
-        return _peak_threshold(0.25 * disc, 0.5 * r1, lambda: a1 / (
+        return _peak_threshold(0.25 * disc, 0.5 * r1, log_ratio, lambda: a1 / (
             0.5 * (r1 + math.sqrt(disc))), a1)
 
     def psi(u: float) -> float:
         return u ** d1 - r1 * u ** (d1 - 1.0) + a1
 
     u_min = r1 * (d1 - 1.0) / d1
-    return _peak_threshold(-psi(u_min), u_min, lambda: _lower_root(
+    return _peak_threshold(-psi(u_min), u_min, log_ratio, lambda: _lower_root(
         lambda u: psi(u) > 0, u_min, "fbar(u)"), a1)
 
 
@@ -338,5 +342,6 @@ def swapped_competition_threshold(r1: float, a1: float, d1: float,
     t_max = bisect(min(last, step), max(last, step), rising)
     # e^t overflows just past ln(_MAX) >= ln r1 >= L1, where phi < 0.
     u_max = math.exp(t_max) if t_max <= math.log(_MAX) else _INF
-    return _peak_threshold(phi(t_max), u_max, lambda: _lower_root(
-        lambda u: phi(math.log(u)) <= 0, u_max, "fbar1(fbar2(u))"))
+    return _peak_threshold(
+        phi(t_max), u_max, lambda u: phi(math.log(u)), lambda: _lower_root(
+            lambda u: phi(math.log(u)) <= 0, u_max, "fbar1(fbar2(u))"))

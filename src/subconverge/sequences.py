@@ -9,6 +9,7 @@ infinite index set.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -17,6 +18,9 @@ PERIODIC = "periodic"
 TABULATED = "tabulated"
 
 _PAST_TABLE = 4     # steps past a table's end that sample its fallback
+
+_REPEATS: "weakref.WeakKeyDictionary[Callable, Tuple[int, int]]" = \
+    weakref.WeakKeyDictionary()     # see ParameterSequence.resolve
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,11 @@ class ParameterSequence:
         name; a periodic or tabulated sequence resolves to a closure over
         its tuple, which the map calls at n, that indexes without any
         per-call kind dispatch.  Either way the values are exactly those
-        of ``self(n)``.
+        of ``self(n)``.  ``_REPEATS`` holds the closure's (onset, period),
+        c(n + period) = c(n) for n >= onset, for ``dynamics._blocked``:
+        (0, len(values)) if periodic, (len(values), 1) for a table, past
+        which it reads its fallback.  Keyed by the closure itself, so a
+        wrapper (even a functools.wraps one) has no entry.
         """
         values = self.values
         if self.kind == CONSTANT:
@@ -76,11 +84,13 @@ class ParameterSequence:
         if self.kind == PERIODIC:
             def periodic(n: int) -> float:
                 return values[n % size]
+            _REPEATS[periodic] = 0, size
             return periodic
         fallback = self.fallback
 
         def tabulated(n: int) -> float:
             return values[n] if 0 <= n < size else fallback
+        _REPEATS[tabulated] = size, 1
         return tabulated
 
     def stored_values(self) -> Tuple[float, ...]:

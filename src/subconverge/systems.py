@@ -239,13 +239,13 @@ def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
     orbit with a diagnostic; a domain exit raises DomainError.
     """
     points: List[Tuple[float, float]] = [_initial_state(sys, initial)]
-    (f, f_values), (g, g_values) = map(_rendered, (sys.f, sys.g))
+    maps = (f, f_values), (g, g_values) = _rendered(sys.f), _rendered(sys.g)
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    state = points.__getitem__ if _blocked(steps, f, g) else None
+    first = _blocked(steps, *maps)
     diagnostic = _in_blocks(
-        _system_loop(f, g), points, steps + 1, state, max(x_lo, -_MAX),
-        min(x_hi, _MAX), max(y_lo, -_MAX), min(y_hi, _MAX), *f_values,
-        *g_values)
+        _system_loop(f, g), points, steps + 1, points.__getitem__, first,
+        max(x_lo, -_MAX), min(x_hi, _MAX), max(y_lo, -_MAX), min(y_hi, _MAX),
+        *f_values, *g_values)
     return Orbit(tuple(points), diagnostic)
 
 
@@ -303,7 +303,7 @@ class FoldCheck(NamedTuple):
 # it is greater, so a NaN |r| or d is passed over; a NaN d (r NaN or
 # infinite) still diverges.
 _CHECK_FOLD = """\
-def orbit(x, y, steps, block, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
+def orbit(x, y, steps, block, first, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
     u0, u1, r = None, x, None   # the fold's x_{n-1}, x_n, recovered y_{n-1}
     max_x = max_y = 0.0
     div_x = div_y = stopped = previous = None
@@ -361,7 +361,8 @@ def orbit(x, y, steps, block, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
             u0, u1 = u1, nxt
             x, y = xn, yn   # apart: a four-name swap was ~4%% slower on 3.11
         else:   # a block's end: is the state the last block end's?
-            if not _same_bits(previous, previous := (x, y, u0, u1, r)):
+            state, previous = previous, (x, y, u0, u1, r)
+            if n - block < first or not _same_bits(state, previous):
                 continue
         break
     if stopped is None:     # every term x_0 .. x_steps was compared
@@ -406,15 +407,19 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     once per use: at step 0 f, g and sigma once each, at each later step f
     and g twice and sigma once.  As ``dynamics._in_blocks`` does, a
     ``_blocked`` check ends at a block end whose state (x, y, x_{n-1},
-    x_n, y_{n-1}) repeats: every later step repeats a compared one.
+    x_n, y_{n-1}) repeats the one a block earlier, once that earlier end
+    is at or past ``_blocked``'s first step (the fold reads g at n - 1):
+    every later step repeats a compared one.
     """
     x, y = _initial_state(sys, initial)
-    (f, f_values), (g, g_values), (sigma, s_values) = map(
-        _rendered, (sys.f, sys.g, _solver(sys)))
+    maps = (f, f_values), (g, g_values), (sigma, s_values) = tuple(map(
+        _rendered, (sys.f, sys.g, _solver(sys))))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    block = _BLOCK if _blocked(steps, f, g, sigma) else max(steps, 1)
-    return _fold_loop(f, g, sigma)(x, y, steps, block, tol, x_lo, x_hi, y_lo,
-                                   y_hi, *f_values, *g_values, *s_values)
+    first = _blocked(steps, *maps)
+    block = max(steps, 1) if first is None else _BLOCK
+    return _fold_loop(f, g, sigma)(x, y, steps, block, first or 0, tol, x_lo,
+                                   x_hi, y_lo, y_hi, *f_values, *g_values,
+                                   *s_values)
 
 
 # -- envelope criteria ---------------------------------------------------

@@ -103,9 +103,12 @@ def test_acceptance_04_fixed_points_against_sign_scan():
 def test_acceptance_05_tangency_boundary_case():
     holds, rhs = sc.ricker_threshold_condition(2.0, 1.0, 1.0)
     fps = sc.ricker_fixed_points(2.0, 1.0, 1.0)
+    # u_bar is the touch point; u_star, the window's end, lies below it
+    # (where the computed g is below u).
     ok = (holds and rhs == pytest.approx(1.0, abs=1e-12)
           and fps.kind == "tangent"
-          and fps.u_star == pytest.approx(1.0, abs=1e-9))
+          and fps.u_bar == pytest.approx(1.0, abs=1e-9)
+          and 1.0 - 1e-5 < fps.u_star < fps.u_bar)
     _report("05 threshold condition equality is the tangency case", ok,
             "rhs=%r kind=%s" % (rhs, fps.kind))
 

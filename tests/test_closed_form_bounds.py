@@ -207,10 +207,12 @@ def test_sigmoid_bh_bounds_pass_the_oracle(a, p, b, spread):
 
 
 def test_tangent_ricker_bound_matches_the_scan_on_tangency():
-    # phi peaks at exactly 0: u* = (lam-1)/b = 1, a tangency.
+    # phi peaks at exactly 0: (lam-1)/b = 1, a tangency, whose window
+    # ends below 1, where the computed g is below u.
     _, bound = models.make_generalized_ricker(RickerFamilySpec(
         2.0, 1, 1, S.constant(1.0), (S.constant(1.0),)))
-    assert (bound.alpha, bound.tangent) == (1.0, True)
+    assert bound.tangent and 1.0 - 1e-5 < bound.alpha < 1.0
+    assert bound.fixed_points == (1.0,)
     validate_bound(bound)
     res = solve_threshold(bound.g, 2.0)
     assert res.tangent and abs(res.alpha - 1.0) < 1e-6

@@ -3,20 +3,26 @@ every step.
 
 ``iterate``, ``iterate_system``, ``check_fold_consistency`` and
 ``ThreeDSystem.iterate`` run in blocks of ``dynamics._BLOCK`` steps when
-every map of the loop is rendered with constant coefficients.  Once the
-state at a block end has the bits of the state one block earlier, every
-later step repeats one already taken: the stored loops copy the last
-block to the end, and the fold check returns.  The loops below are the
-ones that took every step, kept verbatim as the oracle.  On seeded
-draws of every catalog family with constant coefficients, at step counts
-around one and two blocks, both must give the same terms (by bits), the
-same diagnostic and every ``FoldCheck`` field, or raise the same
-exception type with the same message and index.
+every map of the loop is rendered, and each coefficient that varies with
+n is a periodic or tabulated sequence's own closure whose period divides
+the block.  Once the state at a block end has the bits of the state one
+block earlier, and that earlier end is at or past every table's end,
+every later step repeats one already taken: the stored loops copy the
+last block to the end, and the fold check returns.  The loops below are
+the ones that took every step, kept verbatim as the oracle.  On seeded
+draws of every catalog family, with constant coefficients and with
+periodic and tabulated ones, at step counts around one and two blocks
+(and around a long table's end), both must give the same terms (by
+bits), the same diagnostic and every ``FoldCheck`` field, or raise the
+same exception type with the same message and index.
 
-The draws reach orbits of period 1, 2, 4 and 6.  A chaotic Ricker orbit
-never repeats, an orbit whose state differs one block later only in the
-sign of a zero must not be copied, and neither may an orbit whose
-coefficients vary with n.
+The draws reach orbits of period 1, 2, 4 and 6, and the benchmark's
+periodic Ricker orbit period 12.  A chaotic Ricker orbit never repeats,
+an orbit whose state differs one block later only in the sign of a zero
+must not be copied, and neither may an orbit whose coefficients have a
+period that does not divide the block or are called through a wrapper.
+An orbit that repeats before a table ends, and changes after, is copied
+only after.
 """
 
 import dataclasses
@@ -31,7 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import pytest
 
 import subconverge as sc
-from subconverge import dynamics, systems
+from subconverge import dynamics, models, planar, systems
 from subconverge.dynamics import (_BLOCK, _MAX, EquationSpec, Trajectory,
                                   _loop, _overflow, _render, _rendered,
                                   _statements, _stop, check_finite_initial)
@@ -39,9 +45,9 @@ from subconverge.errors import DomainError, NonFiniteError
 from subconverge.planar import CompetitionParams
 from subconverge.sequences import ParameterSequence as S
 from subconverge.systems import (FoldCheck, FoldError, Orbit, PlanarSystem,
-                                 _initial_state, _loop_args, _map_step,
-                                 _non_finite_state, _outside, _solver,
-                                 _state_outside)
+                                 SigmaForm, _initial_state, _loop_args,
+                                 _map_step, _non_finite_state, _outside,
+                                 _solver, _state_outside)
 
 State3 = Tuple[float, float, float]
 
@@ -568,19 +574,212 @@ def test_a_domain_exit_on_the_last_term(repeats):
     assert raised.value.index == B + 1
 
 
-def test_periodic_coefficients_never_copy(repeats):
-    """The Ricker periodic/tabulated case of the benchmark, and
-    adult-juvenile with a periodic s: the phase is not in the state."""
+def test_periodic_coefficients_copy_when_the_period_divides_the_block(
+        repeats):
+    """The Ricker periodic/tabulated case of the benchmark (period 3 and a
+    table of 4, its orbit of period 12 from step 103), adult-juvenile
+    with a periodic s, and the 3D system with a periodic a.  The 3D
+    fold's coefficients are closures of its own, which are called."""
     eq, _ = sc.make_generalized_ricker(sc.RickerFamilySpec(
         1.8, 2, 3, S.periodic((0.5, 1.0, 1.5)),
         (S.constant(0.4), S.tabulated((0.5, 0.7, 0.6, 0.8), 0.6),
          S.constant(0.3))))
-    same_scalar(eq, (0.5, 1.0, 1.5))
+    same_scalar(eq, (0.5, 1.0, 1.5), STEPS + (30_000,))
+    terms = ref_iterate(eq, (0.5, 1.0, 1.5), 2 * B).terms
+    assert _period([_bits(terms[i:i + 3]) for i in range(2 * B - 2)]) == 12
+    assert True in repeats
+    repeats.clear()
     same_planar(sc.make_adult_juvenile(S.periodic((0.8, 0.6, 0.9)), 1.0,
                                        2.0, 2.0), (1.0, 1.0))
+    assert True in repeats
+    repeats.clear()
     sysm, fold = sc.make_3d_example(S.periodic((1.0, 0.8)), 0.0, 0.0, 1.0,
                                     0.0, 1.0, 1.0, 1.0)
     same_threed(sysm, (0.9, 1.1, 1.0))
+    assert True in repeats
+    repeats.clear()
     same_scalar(fold, sysm.fold_initial((0.9, 1.1, 1.0)))
-    assert True not in repeats
+    assert repeats == []
 
+
+# -- coefficients that vary with n --------------------------------------------
+
+DIVIDING = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15)    # periods dividing B
+
+
+def _varying(rng, lo: float, hi: float) -> S:
+    """A seeded coefficient on [lo, hi]: periodic, with a period that
+    divides B, or a table of up to 2,000 entries, all drawn or all one
+    value, with a fallback of its own."""
+    if rng.random() < 0.5:
+        return S.periodic([rng.uniform(lo, hi)
+                           for _ in range(rng.choice(DIVIDING))])
+    size = rng.randint(1, 2000)
+    table = [rng.uniform(lo, hi) for _ in range(size)] \
+        if rng.random() < 0.5 else [rng.uniform(lo, hi)] * size
+    return S.tabulated(table, rng.uniform(lo, hi))
+
+
+def _steps(*seqs: S) -> Tuple[int, ...]:
+    """STEPS, and around the longest table's end if it is past 2B."""
+    onset = max([len(seq.values) for seq in seqs if seq.kind == "tabulated"],
+                default=0)
+    return STEPS + ((onset - 1, onset, onset + 1) if onset > 2 * B else ())
+
+
+def test_ricker_varying_draws(repeats):
+    rng = random.Random("fast-forward:ricker:varying")
+    for _ in range(16):
+        m = rng.randint(1, 3)
+        seqs = (_varying(rng, -1.0, 2.0),) + tuple(
+            _varying(rng, 0.2, 1.2) if rng.random() < 0.5
+            else S.constant(rng.uniform(0.2, 1.2)) for _ in range(m))
+        eq, _ = sc.make_generalized_ricker(sc.RickerFamilySpec(
+            rng.uniform(1.2, 2.5), rng.randint(1, m), m, seqs[0], seqs[1:]))
+        same_scalar(eq, [rng.uniform(0.0, 3.0) for _ in range(m)],
+                    _steps(*seqs))
+    assert True in repeats
+
+
+def test_sigmoid_bh_varying_draws(repeats):
+    """In x, and in y = x - b through ``translate_to_origin``."""
+    rng = random.Random("fast-forward:sigmoid-bh:varying")
+    for _ in range(12):
+        seqs = (_varying(rng, 0.1, 3.0), _varying(rng, 0.0, 2.0),
+                _varying(rng, 0.3, 2.5))
+        spec = sc.SigmoidBHSpec(*seqs, rng.choice((2, 3)),
+                                rng.uniform(0.0, 3.0), rng.randint(1, 3),
+                                rng.randint(1, 3))
+        eq = sc.make_sigmoid_bh(spec)
+        init = [rng.uniform(0.0, 2.0 * spec.b + 2.0)
+                for _ in range(eq.order)]
+        same_scalar(eq, init, _steps(*seqs))
+        same_scalar(sc.translate_to_origin(eq, spec.b),
+                    [v - spec.b for v in init], _steps(*seqs))
+    assert True in repeats
+
+
+def test_adult_juvenile_varying_draws(repeats):
+    """The orbit and the fold check."""
+    rng = random.Random("fast-forward:adult-juvenile:varying")
+    for _ in range(12):
+        seqs = (_varying(rng, 0.1, 1.0), _varying(rng, 0.1, 2.0),
+                _varying(rng, -1.0, 4.0))
+        sysm = sc.make_adult_juvenile(*seqs, rng.uniform(1.1, 3.0))
+        same_planar(sysm, (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)),
+                    _steps(*seqs))
+    assert True in repeats
+
+
+def test_threed_varying_draws(repeats):
+    """The 3D system; its order-3 fold runs every step."""
+    rng = random.Random("fast-forward:threed:varying")
+    for _ in range(12):
+        seqs = (_varying(rng, 0.5, 1.5), _varying(rng, -0.3, 0.3))
+        b, d = rng.uniform(0.0, 0.5), rng.choice((0.0, rng.uniform(0.0, 0.2)))
+        c, q, r, s = (rng.uniform(0.5, 1.2) for _ in range(4))
+        sysm, eq = sc.make_3d_example(*seqs, b, c, d, q, r, s)
+        init = (rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0),
+                rng.uniform(0.1, 2.0))
+        same_threed(sysm, init, _steps(*seqs))
+        same_scalar(eq, sysm.fold_initial(init), _steps(*seqs))
+    assert True in repeats
+
+
+def _ricker_with(a: S) -> EquationSpec:
+    """The benchmark's m = 3 Ricker shape with the coefficient ``a``."""
+    return sc.make_generalized_ricker(sc.RickerFamilySpec(
+        1.8, 2, 3, a, (S.constant(0.4), S.constant(0.6),
+                       S.constant(0.3))))[0]
+
+
+@pytest.mark.parametrize("period", DIVIDING + (9, 11, 16))
+def test_a_period_copies_only_when_it_divides_the_block(period, repeats):
+    """Every period here makes an orbit that repeats; a period that does
+    not divide B never runs in blocks, so no state is compared."""
+    a = S.periodic([0.5 + (i % 3) * 0.5 + 0.01 * i for i in range(period)])
+    same_scalar(_ricker_with(a), (0.5, 1.0, 1.5))
+    same_planar(sc.make_adult_juvenile(
+        S.periodic([0.6 + 0.3 * (i * 7 % period) / period
+                    for i in range(period)]), 1.0, 2.0, 2.0), (1.0, 1.0))
+    sysm, _ = sc.make_3d_example(
+        S.periodic([1.0 - 0.2 * (i % 2) + 0.01 * i for i in range(period)]),
+        0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+    same_threed(sysm, (0.9, 1.1, 1.0))
+    if B % period:
+        assert repeats == []
+    else:
+        assert True in repeats
+
+
+def test_a_wrapped_coefficient_runs_every_step(repeats):
+    """A coefficient closure called through a functools.wraps wrapper
+    (which copies the closure's __dict__) has no record, so the loop
+    takes every step."""
+    def wrapped(seq: S):
+        closure = seq.resolve()
+        return functools.wraps(closure)(lambda n: closure(n))
+    a = wrapped(S.periodic((0.5, 1.0, 1.5)))
+    eq = models._ricker_map(1.8, 2, a, (0.4, 0.6, 0.3), "wrapped")
+    same_scalar(eq, (0.5, 1.0, 1.5))
+    f, g, sigma = planar._adult_juvenile_maps(
+        wrapped(S.periodic((0.8, 0.6, 0.9))), 1.0, 2.0, 2.0)
+    same_planar(PlanarSystem(f, g, sigma=SigmaForm.custom(sigma)),
+                (1.0, 1.0))
+    assert repeats == []
+    assert _ricker_with(S.periodic((0.5, 1.0, 1.5))).evaluator(7, (
+        1.0, 1.0, 1.0)) == eq.evaluator(7, (1.0, 1.0, 1.0))
+
+
+def _table(size: int, regular: float, other: float, blip: bool) -> S:
+    """A table of ``size`` entries of ``regular`` and a fallback of
+    ``other``; with ``blip``, the table is ``regular`` but its last
+    entry, ``other``, and the fallback is ``regular`` again."""
+    if blip:
+        return S.tabulated([regular] * (size - 1) + [other], regular)
+    return S.tabulated([regular] * size, other)
+
+
+def _three(sp3_a: S, aj_r: S, threed_a: S):
+    """sp3 with the coefficient a, adult-juvenile with r and the 3D
+    system with a, each with its initial values."""
+    sp3, _ = sc.make_generalized_ricker(sc.RickerFamilySpec(
+        1.5, 3, 3, sp3_a, (S.constant(0.0), S.constant(0.7),
+                           S.constant(0.9))))
+    threed, _ = sc.make_3d_example(threed_a, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0,
+                                   1.0)
+    return ((sp3, (1.0, 1.0, 1.0)),
+            (sc.make_adult_juvenile(0.8, 1.0, aj_r, 2.0), (1.0, 1.0)),
+            (threed, (0.9, 1.1, 1.0)))
+
+
+@pytest.mark.parametrize("blip", [False, True], ids=["switch", "blip"])
+@pytest.mark.parametrize("size", [2 * B - 1, 2 * B, 2 * B + 1])
+def test_an_orbit_repeating_before_its_table_ends_is_copied_after(
+        size, blip, repeats):
+    """Each orbit repeats bit for bit long before its table ends.  Then
+    it takes another cycle, from its fallback, or (a blip) is knocked off
+    its cycle by the table's last entry and comes back to it, bit for
+    bit, within a block: a copy of the block before, or across, the
+    table's end, or a fold check ended there, would be wrong.  With 2B + 1
+    entries, the planar and 3D state at step 2B is a block end that the
+    table's last entry is yet to act on."""
+    tables = _three(_table(size, 1.5, 1.2, blip),
+                    _table(size, 2.0, 1.5, blip),
+                    _table(size, 1.0, 0.8, blip))
+    (sp3, sp3_init), (aj, aj_init), (threed, threed_init) = tables
+    around = (size - 1, size, size + 1, size + B + 1)
+    same_scalar(sp3, sp3_init, STEPS + around)
+    same_planar(aj, aj_init, STEPS + around)
+    same_threed(threed, threed_init, STEPS + around)
+    assert True in repeats
+    # The table acts: each orbit differs from the one whose coefficient
+    # stays at the table's value (a blip may hit an sp3 term whose x_{n-3}
+    # is 0, or an adult-juvenile one whose x_n is, and change nothing).
+    runs = (lambda eq, init: ref_iterate(eq, init, 5 * B).terms,
+            lambda sysm, init: ref_iterate_system(sysm, init, 5 * B).points,
+            lambda sysm, init: ref_threed_iterate(sysm, init, 5 * B))
+    changed = [run(*table) != run(*constant) for run, table, constant in zip(
+        runs, tables, _three(S.constant(1.5), S.constant(2.0),
+                             S.constant(1.0)))]
+    assert changed[2] and (blip or all(changed))

@@ -137,7 +137,9 @@ def test_alternating_tangency_at_unit_rate():
     sysm = sc.make_adult_juvenile(1.0, 1.0, 1.0, 2.0)
     verdict = sc.check_alternating_envelopes(sysm)
     assert verdict.applicable
-    assert verdict.alpha == pytest.approx(1.0, abs=1e-6)
+    # The touch point is 1; the window ends below it, where the computed
+    # cycle map is below u.
+    assert 1.0 - 1e-5 < verdict.alpha < 1.0
     assert verdict.tangent
 
 

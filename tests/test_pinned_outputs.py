@@ -19,7 +19,12 @@ when the planar fold payload gained the check's ``steps`` and ``stopped``
 nothing else in it moved.  The two ``near-tangent`` competition cases
 were pinned when d1 = 2's closed form took the tangent band that every
 other threshold has: there ``threshold`` read alpha = +inf, and
-``analyze`` exited 4.
+``analyze`` exited 4.  ``threshold-ricker-tangent``, the two
+``near-tangent`` cases and ``cold-analyze-ricker`` were re-pinned when a
+tangent window came to end below the touch point, where ln(map(u) / u)
+falls under -1e-12: only alpha (and the report's window) moved.
+``analyze-ricker-tangent-stall`` was pinned then: its orbit, which g
+maps to itself just under the touch point, exited 4.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -109,6 +114,11 @@ CLI_CASES = [
     ("threshold-ricker-tangent", ["threshold", "--model", "ricker",
                                   "--lambda", "2", "--a", "1", "--b", "1",
                                   "--json"], None),
+    # g maps 0.99999999 to itself: the orbit starts outside the window.
+    ("analyze-ricker-tangent-stall", ["analyze", "--model", "ricker",
+                                      "--lambda", "2", "--a", "1", "--b",
+                                      "1", "--init", "0.99999999",
+                                      "--steps", "5"], None),
     ("threshold-competition", ["threshold", "--model", "competition",
                                "--r1", "1", "--a1", "1", "--delta1", "2",
                                "--json"], None),
@@ -218,13 +228,15 @@ CLI_DIGESTS = {
     "threshold-sp3":
         "8b3476033e6f2dfbe3a4f695b91be367d2a4d04f8d923d3b19f28606d1478894",
     "threshold-ricker-tangent":
-        "addf1dbfd095c7a147f21384738d30298c5f417a7b7555588a4bc7f411e85abb",
+        "c764555ac5e07cbe82f5439700d3e3dd2e99faa3aa1461d8f9af90d6205b25da",
+    "analyze-ricker-tangent-stall":
+        "501e5a479cdd7f91d511d2279a594604ef997ab50cdc09a6e29f29a7c501f3ff",
     "threshold-competition":
         "eede4dccebaa4f65df270cdd6ccd4107162fb0bc6d87399183af7beab3c16d3d",
     "threshold-competition-near-tangent":
-        "d033d4d35f7814a390637e6aacd12df6317a031170c1125cf4ed718462ab3ca6",
+        "331419a41bc7215398b06b7ef353ee47c523d376a5e13886180da1b5580daa24",
     "analyze-competition-near-tangent":
-        "30e2b83ac3e3cf7b8068b6e9a69ba5cd041242654046722833844b6caa0f3a10",
+        "55e53f15aa150be7171b54019e1d9f85571e977dd31dfe3c18c48b2136aceb30",
     "threshold-sigmoid-bh":
         "a993d8ac989a89c666ec705fd48e1f5f504117ddee90e7905fc01cb52b996b7a",
     "threshold-text":
@@ -260,7 +272,7 @@ CLI_DIGESTS = {
     "cold-simulate-ricker-json":
         "9ed45987990a2acc2e910a05ede6fa1d45e90a230c14dd68669aff5c91a4a4a7",
     "cold-analyze-ricker":
-        "1e67282205b2a341277ef33e83282c3436273a76eaafaf13b33557aa8f319287",
+        "9f74cb2709e24263bab9abe28a99e808678decd7a9e71dec1e37cdf7d1f14066",
     "cold-analyze-sigmoid-bh-c1":
         "b67e432ee7424e5ef56b27d6da3c1f4406e92523f2fc7c973679ec00cf0cdac6",
     "cold-analyze-sigmoid-bh-c0":
@@ -295,13 +307,16 @@ def test_cli_stdout_and_exit_code_pinned(name, args, config, tmp_path):
 def test_the_near_tangent_competition_is_a_tangency():
     # The closed form for d1 = 2 read alpha = +inf here, and the orbit,
     # which sits at 1.0 = fl(fbar(1.0)), gave a false exit 4.
+    # Its window ends below the touch point 1.0.
+    alpha = 0.999998585861627
     res = CliRunner().invoke(main, ["threshold"] + NEAR_TANGENT + ["--json"])
     assert (res.exit_code, res.stdout) == (
-        0, '{"model": "competition", "alpha": 1.0, "tangent": true}\n')
+        0, '{"model": "competition", "alpha": %r, "tangent": true}\n'
+        % alpha)
     res = CliRunner().invoke(main, ["analyze"] + NEAR_TANGENT
                              + ["--init", "1,1", "--steps", "60"])
     assert res.exit_code == 0
-    assert json.loads(res.stdout)["window"] == [0.0, 1.0]
+    assert json.loads(res.stdout)["window"] == [0.0, alpha]
 
 
 # -- reports ---------------------------------------------------------------

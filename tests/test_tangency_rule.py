@@ -9,8 +9,15 @@ the value each tail compared, straddling every band edge (-1e-12 times
 the scale, and 0, each with the doubles either side), the rule must give
 the same ``ThresholdResult`` bits, except in one band: d1 = 2 with
 -1e-12 a1 <= disc/4 < 0, where the closed form tested ``disc == 0``
-alone and read +inf for a near-tangent, and which now reads tangent at
-r1/2 as every other exponent does.
+alone and read +inf for a near-tangent, and which now reads tangent as
+every other exponent does.
+
+A tangency no longer ends its window at the peak, where the computed
+cycle map rounds onto u or above it about as often as below it: the
+window ends where ln(map(u) / u) falls under -1e-12.  So where a tail
+read tangent at the peak, the rule must read tangent at the end of an
+adjacent pair of doubles below the peak across which that log ratio
+crosses -1e-12.
 """
 
 import math
@@ -20,7 +27,8 @@ import pytest
 
 from subconverge.criteria import ThresholdResult
 from subconverge.models import (_INF, _TANGENT_TOL, FixedPointResult,
-                                _fixed_point_threshold, _peak_threshold)
+                                _fixed_point_threshold, _peak_threshold,
+                                ricker_fixed_points)
 from subconverge.planar import competition_threshold
 
 
@@ -88,13 +96,33 @@ def same(a, b):
     return repr(tuple(a)) == repr(tuple(b))
 
 
+def log_ratio(u_peak):
+    """A concave ln(map(u) / u) that touches 0 at u_peak."""
+    return lambda u: -math.log(u / u_peak) ** 2
+
+
+def rule(excess, u_peak, root, scale=1.0):
+    return _peak_threshold(excess, u_peak, log_ratio(u_peak), root, scale)
+
+
+def agrees(new, old, u_peak):
+    """``new`` is ``old``, or for an old tangency at u_peak a tangency
+    whose window ends where the log ratio crosses -1e-12 below it."""
+    if not old.tangent:
+        return same(new, old)
+    ratio = log_ratio(u_peak)
+    return new.tangent and old.alpha == u_peak and 0 < new.alpha < u_peak \
+        and ratio(new.alpha) < -_TANGENT_TOL \
+        <= ratio(math.nextafter(new.alpha, _INF))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_ricker_tail(seed):
     for _, u_max, root in draws(seed):
         for peak in straddling(1.0):
             old = _fixed_point_threshold(ricker_tail(peak, u_max,
                                                      lambda: root))
-            assert same(_peak_threshold(peak, u_max, lambda: root), old), \
+            assert agrees(rule(peak, u_max, lambda: root), old, u_max), \
                 (peak, u_max)
 
 
@@ -104,8 +132,8 @@ def test_competition_tail(seed):
         for excess in straddling(a1):
             bottom = -excess
             old = competition_tail(bottom, u_min, lambda: root, a1)
-            new = _peak_threshold(excess, u_min, lambda: root, a1)
-            assert same(new, old), (bottom, a1)
+            new = rule(excess, u_min, lambda: root, a1)
+            assert agrees(new, old, u_min), (bottom, a1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -114,8 +142,8 @@ def test_swapped_tail(seed):
         t_max = math.log(u_max)
         for peak in straddling(1.0):
             old = swapped_tail(peak, t_max, lambda: root)
-            new = _peak_threshold(peak, math.exp(t_max), lambda: root)
-            assert same(new, old), (peak, t_max)
+            new = rule(peak, math.exp(t_max), lambda: root)
+            assert agrees(new, old, math.exp(t_max)), (peak, t_max)
 
 
 def in_quadratic_band(disc, a1):
@@ -130,14 +158,15 @@ def test_quadratic_tail_moves_only_in_its_band(seed):
         for excess in straddling(a1):
             disc = 4.0 * excess
             old = quadratic_tail(disc, r1, a1)
-            new = _peak_threshold(0.25 * disc, 0.5 * r1, lambda: a1 / (
+            new = rule(0.25 * disc, 0.5 * r1, lambda: a1 / (
                 0.5 * (r1 + math.sqrt(disc))), a1)
             if in_quadratic_band(disc, a1):
                 assert old == ThresholdResult(_INF)
-                assert new == ThresholdResult(0.5 * r1, tangent=True)
+                assert agrees(new, ThresholdResult(0.5 * r1, tangent=True),
+                              0.5 * r1)
                 moved += 1
             else:
-                assert same(new, old), (disc, a1)
+                assert agrees(new, old, 0.5 * r1), (disc, a1)
     # Per draw: the lower edge, the double above it and the one below 0.
     assert moved == 3 * 200
 
@@ -160,18 +189,48 @@ def test_competition_threshold_moves_only_in_the_quadratic_band(seed):
                 old = quadratic_tail(disc, r1, a)
                 new = competition_threshold(r1, a, 2.0)
                 if in_quadratic_band(disc, a):
-                    assert new == ThresholdResult(0.5 * r1, tangent=True)
+                    assert tangent_below(new, 0.5 * r1, r1, a)
                     moved += old != new
+                elif old.tangent:
+                    assert tangent_below(new, old.alpha, r1, a), (r1, a)
                 else:
                     assert same(new, old), (r1, a)
     assert moved > 0
 
 
+def tangent_below(res, u_peak, r1, a1):
+    """A d1 = 2 tangency at u_peak = r1/2 whose window ends within 1e-5 of
+    it, relatively, where fbar(u) = r1 u^2 / (a1 + u^2) < u."""
+    u = res.alpha
+    return res.tangent and u_peak * (1.0 - 1e-5) < u < u_peak and all(
+        r1 * v * v / (a1 + v * v) < v for v in (u, u * (1.0 - 1e-9)))
+
+
 def test_the_mended_near_tangent():
     # a1 one double above r1^2/4: fbar(u) < u for all u > 0, and fbar(1.0)
     # rounds to 1.0, so the orbit from 1 stalls at the touch point.  The
-    # closed form read +inf; it is a tangency at r1/2.
-    assert competition_threshold(2.0, 1.0000000000000002, 2.0) == \
-        ThresholdResult(1.0, tangent=True)
+    # closed form read +inf; it is a tangency at r1/2, whose window ends
+    # below 1.0.
+    assert tangent_below(competition_threshold(2.0, 1.0000000000000002, 2.0),
+                         1.0, 2.0, 1.0000000000000002)
     assert quadratic_tail(4.0 - 4.0 * 1.0000000000000002, 2.0,
                           1.0000000000000002) == ThresholdResult(_INF)
+
+
+def test_a_tangent_window_ends_below_the_rounding():
+    """lam = 2, a = b = 1: g(u) = u^2 e^(1 - u) touches u at 1, and half
+    the doubles just under 1.0 have fl(g(u)) >= u.  Below alpha none does,
+    and the orbit from 0.99999999, which g maps to itself, is outside."""
+    res = _fixed_point_threshold(ricker_fixed_points(2.0, 1.0, 1.0))
+    assert res.tangent and 1.0 - 1e-5 < res.alpha < 0.99999999
+
+    def g(u):
+        return u ** 2 * math.exp(1.0 - u)
+    assert g(0.99999999) == 0.99999999
+    u = res.alpha
+    for _ in range(20_000):
+        assert g(u) < u, u
+        u = math.nextafter(u, 0.0)
+    rng = random.Random("tangent-window")
+    assert all(g(v) < v for v in (rng.uniform(0.9, res.alpha)
+                                  for _ in range(20_000)))
