@@ -57,6 +57,13 @@ cat > "$long_cfg" <<'JSON'
                         "fallback": 0.6}, 0.3]},
  "initial": [0.5, 1, 1.5], "steps": 1000000}
 JSON
+# The 3D system with a periodic a and p, for a million-step fold check:
+# its fold's coefficients repeat as a and p do, so both orbits are copied.
+threed_long_cfg=$(mktemp)
+cat > "$threed_long_cfg" <<'JSON'
+{"model": "threed", "params": {"a": [1, 0.8], "p": [0.1, -0.2]},
+ "initial": [0.9, 1.1, 1], "steps": 1000000}
+JSON
 # Adult-juvenile with a periodic s, for a million-step fold check.
 aj_long_cfg=$(mktemp)
 cat > "$aj_long_cfg" <<'JSON'
@@ -172,12 +179,26 @@ then
     cat "$err" "$folded" >&2
     status=1
 fi
-# The same with a periodic coefficient, whose period divides the block.
+# The same with periodic coefficients, whose periods divide the block.
+for periodic_cfg in "$aj_long_cfg" "$threed_long_cfg"; do
+    # shellcheck disable=SC2086  # $CLI is a word list
+    if ! $CLI fold --config "$periodic_cfg" > "$folded" 2> "$err" \
+            || grep -q Traceback "$err" \
+            || ! grep -q '"passed": true' "$folded"; then
+        echo "FAILED: a million-step periodic fold check must exit 0 and" \
+            "pass: $periodic_cfg" >&2
+        cat "$err" "$folded" >&2
+        status=1
+    fi
+done
+# A converging 3D orbit whose z underflows to 0.0 ends there (y is +inf):
+# its fold check exits 0, passes, and says it stopped at step 43.
 # shellcheck disable=SC2086  # $CLI is a word list
-if ! $CLI fold --config "$aj_long_cfg" > "$folded" 2> "$err" \
-        || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
-then
-    echo "FAILED: a million-step periodic fold check must exit 0 and pass" >&2
+if ! $CLI fold --model threed --a -1 --r 1.5 --init 0.5,0,0.5 --steps 100 \
+        > "$folded" 2> "$err" || grep -q Traceback "$err" \
+        || ! grep -q '"passed": true' "$folded" \
+        || ! grep -q '"stopped": ".* at step 43"' "$folded"; then
+    echo "FAILED: the converging 3D fold must pass and stop at step 43" >&2
     cat "$err" "$folded" >&2
     status=1
 fi
@@ -212,6 +233,8 @@ done <<ERRORS
 5 analyze --model competition --a1 1e-5 --b2 1 --delta1 1.01 --init 1,2 --steps 50
 5 threshold --model sigmoid-bh --p 3 --b 1e300
 6 fold --model competition --b1 1 --delta3 2 --init 1,0 --steps 6
+3 simulate --model threed --a -1 --r 1.5 --init 0.5,0,0.5 --steps 100
+3 fold --model threed --a 1e-300 --s 1e300 --q 1e300 --steps 0
 2 analyze --model sp3 --k x
 2 analyze --model nope
 2 simulate --model sp3 --steps 3 --out $no_dir/out.csv
@@ -245,5 +268,5 @@ done <<'SCALAR'
 SCALAR
 rm -f "$err" "$cfg" "$fold_cfg" "$rigorous_cfg" "$bool_cfg" "$orbit" \
     "$aj_cfg" "$swapped_cfg" "$sigmoid_cfg" "$threed_cfg" "$folded" \
-    "$long_cfg" "$aj_long_cfg"
+    "$long_cfg" "$aj_long_cfg" "$threed_long_cfg"
 exit $status

@@ -28,7 +28,8 @@ _SOURCES = {
                  "check_inequality_chain", "predict_full_convergence",
                  "solve_threshold", "symmetrize", "validate_bound",
                  "verify_sublinearity"),
-    "dynamics": ("EquationSpec", "Trajectory", "iterate"),
+    "dynamics": ("EquationSpec", "Orbit", "Trajectory", "iterate",
+                 "iterate_system"),
     "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",
                "SigmoidBHSpec", "ThreeDSystem", "make_3d_example",
                "make_generalized_ricker", "make_sigmoid_bh", "make_sp3",
@@ -41,11 +42,11 @@ _SOURCES = {
     "reports": ("ChainResult", "ConvergenceReport", "Prediction",
                 "ThresholdWindow"),
     "sequences": ("ParameterSequence",),
-    "systems": ("EnvelopeVerdict", "FoldCheck", "Orbit", "PlanarSystem",
+    "systems": ("EnvelopeVerdict", "FoldCheck", "PlanarSystem",
                 "SigmaForm", "check_alternating_envelopes",
                 "check_envelope_cycle", "check_fold_consistency",
                 "check_tail_envelope", "fold_initial", "fold_planar",
-                "iterate_system", "predict_alternating_convergence",
+                "predict_alternating_convergence",
                 "predict_envelope_cycle", "predict_tail_convergence"),
 }
 _WHERE = {name: module for module, names in _SOURCES.items()

@@ -32,7 +32,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import models
-from .dynamics import iterate
+from .dynamics import iterate, iterate_system
 from .errors import (BoundValidationError, ConfigError,
                      CriterionInapplicableError, DomainError,
                      ModelParameterError, NonFiniteError, SubconvergeError)
@@ -401,39 +401,29 @@ def simulate(model, config_path, init, steps, fmt, out, **kw):
     """Generate and export a trajectory or orbit."""
     entry, params, p, initial, n_steps, out_fmt, _ = _gather(
         model, config_path, init, steps, fmt, kw)
-    diagnostic = None
     if entry.kind == models.SCALAR:
         eq, _, offset = entry.build(p)
         initial = _initial(initial, eq.order)
-        traj = iterate(eq, [v - offset for v in initial], n_steps)
+        run = iterate(eq, [v - offset for v in initial], n_steps)
         if offset:
-            traj = replace(traj, terms=tuple(t + offset for t in traj.terms))
-        key, rows, to_csv = "terms", traj.terms, traj.to_csv
-        diagnostic = traj.diagnostic
-    elif entry.kind == models.PLANAR:
-        from . import systems
-        initial = _initial(initial, 2)
-        orbit = systems.iterate_system(entry.build(p), tuple(initial),
-                                       n_steps)
-        key, rows, to_csv = "points", orbit.points, orbit.to_csv
-        diagnostic = orbit.diagnostic
-    else:
-        initial = _initial(initial, 3)
-        key, rows = "points", entry.build(p)[0].iterate(tuple(initial),
-                                                        n_steps)
-
-        def to_csv():
-            return "n,x,y,z\n" + "".join("%d,%r,%r,%r\n" % (n, *st)
-                                         for n, st in enumerate(rows))
+            run = replace(run, terms=tuple(t + offset for t in run.terms))
+        key, rows = "terms", run.terms
+    else:   # a system: planar, or the 3D one beside its fold
+        threed = entry.kind == models.THREED
+        initial = _initial(initial, 3 if threed else 2)
+        sysm = entry.build(p)
+        run = iterate_system(sysm[0] if threed else sysm, tuple(initial),
+                             n_steps)
+        key, rows = "points", run.points
     if out_fmt == "json":   # tuples are written as JSON arrays
         from .config import SCHEMA_VERSION
         _write_out(_dumps({"schema": SCHEMA_VERSION, "model": entry.name,
                            "params": params, "initial": initial,
                            "steps": n_steps, key: rows}), out)
     else:
-        _write_out(to_csv(), out)
-    if diagnostic:
-        _fail(EXIT_BLOWUP, diagnostic)
+        _write_out(run.to_csv(), out)
+    if run.diagnostic:
+        _fail(EXIT_BLOWUP, run.diagnostic)
 
 
 @main.command("analyze", _MODEL_OPTIONS + (
@@ -464,8 +454,7 @@ def analyze(model, config_path, init, steps, out, tol, **kw):
     elif entry.kind == models.PLANAR:
         from . import systems
         sysm = entry.build(p)
-        orbit = systems.iterate_system(sysm, tuple(_initial(initial, 2)),
-                                       n_steps)
+        orbit = iterate_system(sysm, tuple(_initial(initial, 2)), n_steps)
         # The cycle the builder certified: 1 tail, 2 alternating.
         length = sysm.certificate.length
         cycle = (sysm.envelope_f, sysm.envelope_g)[:length]
@@ -519,13 +508,14 @@ def fold(model, config_path, init, steps, tol, out, **kw):
     if entry.kind == models.THREED:
         sysm, eq = entry.build(p)
         initial = tuple(_initial(initial, 3))
-        states = sysm.iterate(initial, steps)
+        orbit = iterate_system(sysm, initial, steps)
         traj = iterate(eq, sysm.fold_initial(initial),
-                       max(0, len(states) - 3))
-        dev, first = models.relative_deviation(
-            [st[0] for st in states], traj.terms, tol)
+                       max(0, len(orbit) - 3))
+        dev, first = models.relative_deviation(orbit.xs, traj.terms, tol)
         payload = {"model": entry.name, "order": 3, "max_deviation": dev,
-                   "passed": first is None, "first_divergent": first}
+                   "passed": first is None, "first_divergent": first,
+                   "steps": min(len(orbit), len(traj)),
+                   "stopped": traj.diagnostic or orbit.diagnostic}
     elif entry.kind == models.PLANAR:
         from . import systems
         sysm = entry.build(p)

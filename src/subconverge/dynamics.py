@@ -1,8 +1,10 @@
-"""Core representation and iteration of higher-order difference equations.
+"""Core representation and iteration of higher-order difference equations
+and of systems.
 
 An equation of order m is x_n = F_n(x_{n-1}, ..., x_{n-m}).  History
 vectors follow the convention u_1 = x_{n-1} (most recent term first); every
-model builder and fold in this package uses the same convention.
+model builder and fold in this package uses the same convention.  A system
+is d maps x_{i,n+1} = f_{i,n}(x_{1,n}, ..., x_{d,n}) on d closed intervals.
 """
 
 from __future__ import annotations
@@ -367,3 +369,148 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
         lambda i: terms[i + 1 - m:i + 1], first, m + steps,
         max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
     return Trajectory(tuple(terms), diagnostic)
+
+
+# -- systems ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """A forward orbit of a system; ``points[0]`` is the initial state, and
+    ``diagnostic`` is set when iteration stopped early on a non-finite one."""
+
+    points: Tuple[Tuple[float, ...], ...]
+    diagnostic: Optional[str] = None
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def xs(self) -> List[float]:
+        return [p[0] for p in self.points]
+
+    @property
+    def ys(self) -> List[float]:
+        return [p[1] for p in self.points]
+
+    def to_csv(self) -> str:
+        lines = ["n," + ",".join("xyz"[:len(self.points[0])])]
+        lines += ["%d,%s" % (n, ",".join(map(repr, p)))
+                  for n, p in enumerate(self.points)]
+        return "\n".join(lines) + "\n"
+
+
+def _initial_state(initial: Sequence[float], domains) -> Tuple[float, ...]:
+    """The first d initial values, d = len(domains), as floats: finite
+    (NonFiniteError) and each in its interval (DomainError)."""
+    state = tuple(float(initial[i]) for i in range(len(domains)))
+    check_finite_initial(state)
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(state, domains)):
+        raise DomainError("initial point %r outside domain" % (state,),
+                          index=0)
+    return state
+
+
+def _non_finite_state(state: Tuple[float, ...], n: int) -> str:
+    return "non-finite state %r at step %d" % (state, n)
+
+
+def _state_outside(state: Tuple[float, ...], n: int) -> DomainError:
+    return DomainError("state %r outside domain at step %d" % (state, n),
+                       index=n)
+
+
+# In the system loops, a map that ``_render`` made runs inlined: its
+# parameters bound to the step's operands, its placeholders read under its
+# own prefix (f_, g_, ...).  Any other map is called.
+
+
+def _loop_args(maps: Sequence[Tuple[Optional[tuple], str]]) -> str:
+    """The loop's parameters for the values of each (shape, name) of
+    ``maps``: the map itself if it is called (shape None), else its
+    names', then its keys'.  A name two maps read is the same object, and
+    the loop reads it from the first."""
+    args: List[str] = []
+    for shape, name in maps:
+        if shape is None:
+            args.append(name)
+            continue
+        _, _, keys, _, names = shape
+        args += [name + "_" + key if key in args else key for key in names]
+        args += [name + "_" + key for key in keys]
+    return ", ".join(args)
+
+
+def _map_step(shape: Optional[tuple], name: str, result: str,
+              operands: str, indent: str, step: str = "n") -> str:
+    """``result = name(step, operands)`` as statements of a loop at
+    ``indent``: a rendered map's body with its parameters bound to the
+    operands (unless they are the operands' names), or the call.  At a
+    step other than the loop's n, a body that reads its step (as {n} or
+    through a varying coefficient) reads it as name_n, bound to that
+    step, so the loop's own index is never rebound."""
+    if shape is None:
+        return "%s%s = %s(%s, %s)" % (indent, result, name, step, operands)
+    params = ", ".join(shape[0][1:])
+    head = "" if params == operands else "%s%s = %s\n" % (
+        indent, params, operands)
+    if step != "n" and ("{n}" in shape[1] or any(shape[3])):
+        head += "%s%s_n = %s\n" % (indent, name, step)
+        step = name + "_n"
+    # A body is indented one level already.
+    return head + _statements(shape, result, indent[4:], name + "_",
+                              step).rstrip()
+
+
+# With finite bounds, the one comparison passes exactly the finite states
+# inside the domain.  The loop runs until ``points`` holds ``stop`` points.
+_ITERATE_SYSTEM = """\
+def orbit(points, stop, %(bounds)s, %(args)s):
+    append = points.append
+    %(state)s = points[-1]
+    for n in range(len(points) - 1, stop - 1):
+%(maps)s
+        if not (%(inside)s):
+            if not (%(finite)s):
+                return _non_finite_state((%(next)s), n + 1)
+            raise _state_outside((%(next)s), n + 1)
+        %(state)s = %(next)s
+        append((%(state)s))
+"""
+
+
+@functools.lru_cache(maxsize=128)
+def _system_loop(shapes: Tuple[Optional[tuple], ...]) -> Callable:
+    """The orbit loop for the shapes of d <= 3 rendered component maps
+    (None: that map is called), named x, y, z and f, g, h."""
+    xs, names = "xyz"[:len(shapes)], "fgh"[:len(shapes)]
+    state, nxt = ", ".join(xs), ", ".join(x + "n" for x in xs)
+    return _loop(_ITERATE_SYSTEM % {
+        "bounds": ", ".join("%s_lo, %s_hi" % (x, x) for x in xs),
+        "args": _loop_args(tuple(zip(shapes, names))),
+        "state": state, "next": nxt,
+        "maps": "\n".join(_map_step(shape, name, x + "n", state, " " * 8)
+                          for shape, name, x in zip(shapes, names, xs)),
+        "inside": " and ".join("%s_lo <= %sn <= %s_hi" % (x, x, x)
+                               for x in xs),
+        "finite": " and ".join("isfinite(%sn)" % x for x in xs)},
+        (math.isfinite, _non_finite_state, _state_outside))
+
+
+def iterate_system(sys, initial: Sequence[float], steps: int) -> Orbit:
+    """Forward orbit of ``steps`` applications of a system's ``maps``, d <=
+    3 component maps f_i(n, x_1, ..., x_d), each on its closed interval of
+    ``domains``, from a finite initial point in the domain.  A non-finite
+    state truncates the orbit with a diagnostic; a finite one outside the
+    domain raises DomainError.  A rendered map runs inlined in the loop
+    (``_in_blocks``); any other is called once per step."""
+    points: List[Tuple[float, ...]] = [_initial_state(initial, sys.domains)]
+    maps = tuple(map(_rendered, sys.maps))
+    first = _blocked(steps, *maps)
+    diagnostic = _in_blocks(
+        _system_loop(tuple(shape for shape, _ in maps)), points, steps + 1,
+        points.__getitem__, first,
+        *(b for lo, hi in sys.domains for b in (max(lo, -_MAX),
+                                                 min(hi, _MAX))),
+        *(value for _, values in maps for value in values))
+    return Orbit(tuple(points), diagnostic)

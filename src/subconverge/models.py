@@ -22,24 +22,21 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
-from .dynamics import (EquationSpec, _blocked, _in_blocks, _render,
-                       _rendered, check_finite_initial)
-from .errors import (ConfigError, CriterionInapplicableError, DomainError,
+from .dynamics import _INF, _MAX, EquationSpec, _render, iterate_system
+from .errors import (ConfigError, CriterionInapplicableError,
                      ModelParameterError, NonFiniteError)
 from .reports import ThresholdWindow
-from .sequences import CONSTANT, ParameterSequence, as_sequence
+from .sequences import _REPEATS, CONSTANT, ParameterSequence, as_sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 State3 = Tuple[float, float, float]
 
-_INF = math.inf
-_MAX = 1.7976931348623157e308       # the largest double
 _TANGENT_TOL = 1e-12    # a peak this close to the identity is a tangency
 _FIXED_TOL = 1e-9       # translate_to_origin's check that b is fixed
 
@@ -513,52 +510,37 @@ def translate_to_origin(eq: EquationSpec, fixed_point: float
 class ThreeDSystem:
     """x_{n+1} = exp(a_n - b x_n - c y_n - d z_n),
     y_{n+1} = p_n x_n + q z_n - r ln z_n,
-    z_{n+1} = s x_n, with c, q, r, s > 0 and b, d >= 0.  ``step(n, state)``
-    is that map (DomainError when z_n <= 0); ``make_3d_example`` builds
-    it from the coefficients."""
+    z_{n+1} = s x_n, with c, q, r, s > 0 and b, d >= 0, on x and z in
+    [0, inf] and y real: ``maps``, three component maps on (n, x, y, z)
+    that ``make_3d_example`` renders, run by ``iterate_system``."""
 
-    def __init__(self, step: Callable[[int, State3], State3]):
-        self.step = step
+    domains = ((0.0, _INF), (-_INF, _INF), (0.0, _INF))
 
-    def iterate(self, initial: State3, steps: int) -> List[State3]:
-        """The states of ``steps`` applications of ``step``, in blocks
-        (``dynamics._in_blocks``); a non-finite state raises."""
-        x0, y0, z0 = (float(v) for v in initial)
-        check_finite_initial((x0, y0, z0))
-        if x0 <= 0 or z0 <= 0:
-            raise DomainError("x_0 and z_0 must be positive")
-        states = [(x0, y0, z0)]
-        first = _blocked(steps, _rendered(self.step))
-        _in_blocks(_threed_orbit, states, steps + 1, states.__getitem__,
-                   first, self.step)
-        return states
+    def __init__(self, maps: Tuple[Callable[..., float], ...]):
+        self.maps = maps
+
+    def iterate(self, initial: State3, steps: int) -> Sequence[State3]:
+        return iterate_system(self, initial, steps).points
 
     def fold_initial(self, initial: State3) -> State3:
-        """(x_0, x_1, x_2) feeding the folded order-3 equation."""
-        states = self.iterate(initial, 2)
-        return tuple(st[0] for st in states)
+        """(x_0, x_1, x_2) feeding the folded order-3 equation, or
+        NonFiniteError with the diagnostic of an orbit that ends first."""
+        orbit = iterate_system(self, initial, 2)
+        if orbit.diagnostic:
+            raise NonFiniteError(orbit.diagnostic, index=len(orbit))
+        return tuple(orbit.xs)
 
 
-def _threed_orbit(states: List[State3], stop: int,
-                  step: Callable[[int, State3], State3]) -> None:
-    """Extend ``states`` to ``stop`` states with ``step``."""
-    append, isfinite, state = states.append, math.isfinite, states[-1]
-    for n in range(len(states) - 1, stop - 1):
-        state = step(n, state)
-        x, y, z = state
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise NonFiniteError("non-finite state at step %d" % (n + 1),
-                                 index=n + 1)
-        append(state)
-
-
-_THREED_STEP = """\
-    x, y, z = state
-    if z <= 0:
-        raise DomainError("z_%d = %r is not positive" % ({n}, z), index={n})
-    return (exp({a} - {b} * x - {c} * y - {d} * z),
-            {p} * x + {q} * z - {r} * log(z), {s} * x)
+# The step's three components on (n, x, y, z).  At z = 0.0 y is the
+# limit of -r ln z, +inf, which ends the orbit.
+_THREED_X = "    return exp({a} - {b} * x - {c} * y - {d} * z)\n"
+_THREED_Y = """\
+    if z:
+        return {p} * x + {q} * z - {r} * log(z)
+    else:
+        return inf
 """
+_THREED_Z = "    return {s} * x\n"
 
 
 def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
@@ -574,15 +556,20 @@ def make_3d_example(a_seq, p_seq, b: float, c: float, d: float,
     if min(c, q, r, s) <= 0:
         raise ModelParameterError("c, q, r, s must be positive")
     a, p = as_sequence(a_seq).resolve(), as_sequence(p_seq).resolve()
-    sysm = ThreeDSystem(_render(
-        "step(n, state)", _THREED_STEP,
-        {"exp": math.exp, "log": math.log, "DomainError": DomainError},
-        a=a, p=p, b=float(b), c=float(c), d=float(d), q=float(q),
-        r=float(r), s=float(s)))
+    sysm = ThreeDSystem((
+        _render("f(n, x, y, z)", _THREED_X, {"exp": math.exp}, a=a,
+                b=float(b), c=float(c), d=float(d)),
+        _render("g(n, x, y, z)", _THREED_Y, {"log": math.log, "inf": _INF},
+                p=p, q=float(q), r=float(r)),
+        _render("h(n, x, y, z)", _THREED_Z, {}, s=float(s))))
     cr = c * r
     cr_ln_s, ds = cr * math.log(s), d * s
     a_fold = (lambda n: a(n - 1) + cr_ln_s) if callable(a) else a + cr_ln_s
     p_fold = (lambda n: c * p(n - 2) + ds) if callable(p) else c * p + ds
+    for fold, coeff, lag in ((a_fold, a, 1), (p_fold, p, 2)):
+        if callable(coeff):     # it repeats as coeff does, lag steps later
+            onset, period = _REPEATS[coeff]
+            _REPEATS[fold] = onset + lag, period
     return sysm, _ricker_map(cr, 3, a_fold, (b, p_fold, c * q * s),
                              "threed-folded")
 

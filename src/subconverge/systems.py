@@ -34,10 +34,11 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import criteria
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
-from .dynamics import (_BLOCK, _MAX, EquationSpec, _blocked, _in_blocks,
-                       _loop, _outside, _rendered, _same_bits, _statements,
-                       check_finite_initial)
-from .errors import CriterionInapplicableError, DomainError, FoldError
+from .dynamics import (_BLOCK, EquationSpec, Orbit, _blocked,
+                       _initial_state, _loop, _loop_args, _map_step,
+                       _non_finite_state, _outside, _rendered, _same_bits,
+                       _state_outside)
+from .errors import CriterionInapplicableError, FoldError
 from .reports import ChainResult, ConvergenceReport, ThresholdWindow
 
 SystemMap = Callable[[int, float, float], float]
@@ -105,35 +106,9 @@ class PlanarSystem:
         return max(max(abs(self.f(n, 0.0, 0.0)), abs(self.g(n, 0.0, 0.0)))
                    for n in self.sample_steps)
 
-    def in_domain(self, x: float, y: float) -> bool:
-        return (self.domain_x[0] <= x <= self.domain_x[1]
-                and self.domain_y[0] <= y <= self.domain_y[1])
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A forward orbit {(x_n, y_n)} of a planar system; ``points[0]`` is
-    the initial point."""
-
-    points: Tuple[Tuple[float, float], ...]
-    diagnostic: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def xs(self) -> List[float]:
-        return [p[0] for p in self.points]
-
-    @property
-    def ys(self) -> List[float]:
-        return [p[1] for p in self.points]
-
-    def to_csv(self) -> str:
-        lines = ["n,x,y"]
-        lines += ["%d,%r,%r" % (n, x, y)
-                  for n, (x, y) in enumerate(self.points)]
-        return "\n".join(lines) + "\n"
+    # The system as ``dynamics.iterate_system`` reads it.
+    maps = property(lambda self: (self.f, self.g))
+    domains = property(lambda self: (self.domain_x, self.domain_y))
 
 
 def _solver(sys: PlanarSystem) -> Callable[[int, float, float], float]:
@@ -141,112 +116,6 @@ def _solver(sys: PlanarSystem) -> Callable[[int, float, float], float]:
     if sys.sigma is None:
         raise FoldError("system %r has no solvability form" % sys.name)
     return sys.sigma.solve
-
-
-def _initial_state(sys: PlanarSystem, initial) -> Tuple[float, float]:
-    x, y = float(initial[0]), float(initial[1])
-    check_finite_initial((x, y))
-    if not sys.in_domain(x, y):
-        raise DomainError("initial point %r outside domain" % ((x, y),),
-                          index=0)
-    return x, y
-
-
-def _non_finite_state(x: float, y: float, n: int) -> str:
-    return "non-finite state (%r, %r) at step %d" % (x, y, n)
-
-
-def _state_outside(x: float, y: float, n: int) -> DomainError:
-    return DomainError("state %r outside domain at step %d" % ((x, y), n),
-                       index=n)
-
-
-# In the system loops, a map that ``_render`` made runs inlined: its
-# parameters bound to the step's operands, its placeholders read under its
-# own prefix (f_, g_ or sigma_).  Any other map is called.
-
-
-def _loop_args(maps: Sequence[Tuple[Optional[tuple], str]]) -> str:
-    """The loop's parameters for the values of each (shape, name) of
-    ``maps``: the map itself if it is called (shape None), else its
-    names', then its keys'.  A name two maps read is the same object, and
-    the loop reads it from the first."""
-    args: List[str] = []
-    for shape, name in maps:
-        if shape is None:
-            args.append(name)
-            continue
-        _, _, keys, _, names = shape
-        args += [name + "_" + key if key in args else key for key in names]
-        args += [name + "_" + key for key in keys]
-    return ", ".join(args)
-
-
-def _map_step(shape: Optional[tuple], name: str, result: str,
-              operands: str, indent: str, step: str = "n") -> str:
-    """``result = name(step, operands)`` as statements of a loop at
-    ``indent``: a rendered map's body with its parameters bound to the
-    operands, or the call.  At a step other than the loop's n, a body
-    that reads its step (as {n} or through a varying coefficient) reads
-    it as name_n, bound to that step, so the loop's own index is never
-    rebound."""
-    if shape is None:
-        return "%s%s = %s(%s, %s)" % (indent, result, name, step, operands)
-    head = "%s%s = %s\n" % (indent, ", ".join(shape[0][1:]), operands)
-    if step != "n" and ("{n}" in shape[1] or any(shape[3])):
-        head += "%s%s_n = %s\n" % (indent, name, step)
-        step = name + "_n"
-    # A body is indented one level already.
-    return head + _statements(shape, result, indent[4:], name + "_",
-                              step).rstrip()
-
-
-# With finite bounds, the one comparison passes exactly the finite states
-# inside the domain.  The loop runs until ``points`` holds ``stop`` points.
-_ITERATE_SYSTEM = """\
-def orbit(points, stop, x_lo, x_hi, y_lo, y_hi, %(args)s):
-    append = points.append
-    x, y = points[-1]
-    for n in range(len(points) - 1, stop - 1):
-%(f)s
-%(g)s
-        if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
-            if not (isfinite(xn) and isfinite(yn)):
-                return _non_finite_state(xn, yn, n + 1)
-            raise _state_outside(xn, yn, n + 1)
-        x, y = xn, yn
-        append((x, y))
-"""
-
-
-@lru_cache(maxsize=128)
-def _system_loop(f: Optional[tuple], g: Optional[tuple]) -> Callable:
-    """The orbit loop for the shapes of a rendered f and g (None: that
-    map is called)."""
-    indent = " " * 8
-    return _loop(_ITERATE_SYSTEM % {
-        "args": _loop_args(((f, "f"), (g, "g"))),
-        "f": _map_step(f, "f", "xn", "x, y", indent),
-        "g": _map_step(g, "g", "yn", "x, y", indent)},
-        (math.isfinite, _non_finite_state, _state_outside))
-
-
-def iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
-                   steps: int) -> Orbit:
-    """Forward orbit of ``steps`` applications of the system map.
-
-    The initial point must be finite.  Non-finite values truncate the
-    orbit with a diagnostic; a domain exit raises DomainError.
-    """
-    points: List[Tuple[float, float]] = [_initial_state(sys, initial)]
-    maps = (f, f_values), (g, g_values) = _rendered(sys.f), _rendered(sys.g)
-    (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    first = _blocked(steps, *maps)
-    diagnostic = _in_blocks(
-        _system_loop(f, g), points, steps + 1, points.__getitem__, first,
-        max(x_lo, -_MAX), min(x_hi, _MAX), max(y_lo, -_MAX), min(y_hi, _MAX),
-        *f_values, *g_values)
-    return Orbit(tuple(points), diagnostic)
 
 
 def fold_initial(sys: PlanarSystem, x0: float, y0: float
@@ -312,10 +181,10 @@ def orbit(x, y, steps, block, first, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
 %(f)s
 %(g)s
             if not (isfinite(xn) and isfinite(yn)):
-                stopped = _non_finite_state(xn, yn, n + 1)
+                stopped = _non_finite_state((xn, yn), n + 1)
                 break
             if not (x_lo <= xn <= x_hi and y_lo <= yn <= y_hi):
-                raise _state_outside(xn, yn, n + 1)
+                raise _state_outside((xn, yn), n + 1)
             try:
                 if n:
 %(fold_g)s
@@ -411,7 +280,7 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     is at or past ``_blocked``'s first step (the fold reads g at n - 1):
     every later step repeats a compared one.
     """
-    x, y = _initial_state(sys, initial)
+    x, y = _initial_state(initial, sys.domains)
     maps = (f, f_values), (g, g_values), (sigma, s_values) = tuple(map(
         _rendered, (sys.f, sys.g, _solver(sys))))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y

@@ -4,8 +4,9 @@ Each run draws a command, a catalog model and a few of that model's
 options, set to values across the doubles' range (and lags 1 to 3), on a
 short orbit.  Whatever the input, the run must end with a documented
 exit code (0, or 2 to 6), print no traceback, and write strict JSON
-wherever JSON was asked for.  The inputs that once ended in a traceback
-are explicit examples.
+wherever JSON was asked for.  The inputs that once ended in a traceback,
+or could (a 3D orbit that ends before its fold's x_2), are explicit
+examples.
 """
 
 import json
@@ -60,6 +61,8 @@ def invocations(draw):
          .split())
 @example("fold --model competition --a1 1e300 --delta2 1.01 --b2 1e-30 "
          "--b1 2 --init 0.5,1 --steps 50".split())
+@example("fold --model threed --a 1e-300 --s 1e300 --q 1e300 --steps 0"
+         .split())
 def test_every_input_ends_with_a_documented_exit_code(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 2, 3, 4, 5, 6), (args, res.exception)

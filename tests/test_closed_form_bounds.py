@@ -51,7 +51,8 @@ from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
 from subconverge.planar import CompetitionParams
 from subconverge.reports import ThresholdWindow
 from subconverge.sequences import ParameterSequence as S
-from subconverge.systems import (check_envelope_cycle, iterate_system,
+from subconverge.dynamics import iterate_system
+from subconverge.systems import (check_envelope_cycle,
                                  predict_alternating_convergence)
 
 _SCAN_POINTS = 10_000

@@ -1,8 +1,8 @@
 """Orbit loops that copy a repeated block, against the loops that ran
 every step.
 
-``iterate``, ``iterate_system``, ``check_fold_consistency`` and
-``ThreeDSystem.iterate`` run in blocks of ``dynamics._BLOCK`` steps when
+``iterate``, ``iterate_system`` (planar and 3D) and
+``check_fold_consistency`` run in blocks of ``dynamics._BLOCK`` steps when
 every map of the loop is rendered, and each coefficient that varies with
 n is a periodic or tabulated sequence's own closure whose period divides
 the block.  Once the state at a block end has the bits of the state one
@@ -38,16 +38,17 @@ import pytest
 
 import subconverge as sc
 from subconverge import dynamics, models, planar, systems
-from subconverge.dynamics import (_BLOCK, _MAX, EquationSpec, Trajectory,
-                                  _loop, _overflow, _render, _rendered,
+from subconverge.dynamics import (_BLOCK, _MAX, EquationSpec, Orbit,
+                                  Trajectory, _loop, _loop_args, _map_step,
+                                  _outside, _overflow, _render, _rendered,
                                   _statements, _stop, check_finite_initial)
 from subconverge.errors import DomainError, NonFiniteError
 from subconverge.planar import CompetitionParams
 from subconverge.sequences import ParameterSequence as S
-from subconverge.systems import (FoldCheck, FoldError, Orbit, PlanarSystem,
-                                 SigmaForm, _initial_state, _loop_args,
-                                 _map_step, _non_finite_state, _outside,
-                                 _solver, _state_outside)
+from subconverge.systems import (FoldCheck, FoldError, PlanarSystem,
+                                 SigmaForm, _solver)
+from test_rendered_maps import (_initial_state, _non_finite_state,
+                                _state_outside)
 
 State3 = Tuple[float, float, float]
 
@@ -292,6 +293,23 @@ def ref_check_fold_consistency(sys: PlanarSystem,
                                    *f_values, *g_values, *s_values)
 
 
+class _Stepped:
+    """A 3D system as one step on its state, as the loop below took it:
+    the component maps at a state whose z is positive, DomainError
+    otherwise."""
+
+    def __init__(self, sysm):
+        maps = sysm.maps
+
+        def step(n: int, state: State3) -> State3:
+            x, y, z = state
+            if z <= 0:
+                raise DomainError("z_%d = %r is not positive" % (n, z),
+                                  index=n)
+            return tuple(component(n, x, y, z) for component in maps)
+        self.step = step
+
+
 def ref_threed_iterate(self, initial: State3, steps: int) -> List[State3]:
     x0, y0, z0 = (float(v) for v in initial)
     check_finite_initial((x0, y0, z0))
@@ -371,9 +389,26 @@ def same_planar(sysm: PlanarSystem, init, steps=STEPS):
 
 
 def same_threed(sysm, init, steps=STEPS):
+    """The orbit against the loop that took every step, which raised
+    where an orbit now ends: at a non-finite state, or at z = 0.0 (the
+    orbit ends a step later, y being +inf).  Up to there the states have
+    the same bits."""
+    ref = _Stepped(sysm)
     for n in steps:
-        got = _outcome(sysm.iterate, init, n)
-        assert got == _outcome(ref_threed_iterate, sysm, init, n), (init, n)
+        got = _outcome(sc.iterate_system, sysm, init, n)
+        want = _outcome(ref_threed_iterate, ref, init, n)
+        if want[0] in (NonFiniteError, DomainError) and want[2]:
+            stop = want[2] + (want[0] is DomainError)
+            assert got[0] == _outcome(ref_threed_iterate, ref, init,
+                                      stop - 1), (init, n)
+            assert got[1].startswith("non-finite state (")
+            assert got[1].endswith(" at step %d" % stop)
+            assert want[0] is NonFiniteError or ", inf, " in got[1]
+        else:
+            assert got == (want if len(want) == 3 else (want, None)), (
+                init, n)
+        assert _outcome(sysm.iterate, init, n) == (
+            got[0] if len(got) == 2 else got)
 
 
 def _period(states: Sequence[bytes]) -> Optional[int]:
@@ -504,7 +539,7 @@ def test_threed_period_one(repeats):
     """The 3D orbit of the benchmark repeats from step 12."""
     sysm, _ = sc.make_3d_example(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
     same_threed(sysm, (0.9, 1.1, 1.0), STEPS + (30_000,))
-    states = ref_threed_iterate(sysm, (0.9, 1.1, 1.0), 2 * B)
+    states = ref_threed_iterate(_Stepped(sysm), (0.9, 1.1, 1.0), 2 * B)
     assert _period([_bits(state) for state in states]) == 1
     assert True in repeats
 
@@ -578,8 +613,9 @@ def test_periodic_coefficients_copy_when_the_period_divides_the_block(
         repeats):
     """The Ricker periodic/tabulated case of the benchmark (period 3 and a
     table of 4, its orbit of period 12 from step 103), adult-juvenile
-    with a periodic s, and the 3D system with a periodic a.  The 3D
-    fold's coefficients are closures of its own, which are called."""
+    with a periodic s, and the 3D system with a periodic a and its fold,
+    whose coefficients a_{n-1} + cr ln s and c p_{n-2} + d s repeat as a
+    and p do, a step or two later."""
     eq, _ = sc.make_generalized_ricker(sc.RickerFamilySpec(
         1.8, 2, 3, S.periodic((0.5, 1.0, 1.5)),
         (S.constant(0.4), S.tabulated((0.5, 0.7, 0.6, 0.8), 0.6),
@@ -599,7 +635,7 @@ def test_periodic_coefficients_copy_when_the_period_divides_the_block(
     assert True in repeats
     repeats.clear()
     same_scalar(fold, sysm.fold_initial((0.9, 1.1, 1.0)))
-    assert repeats == []
+    assert True in repeats
 
 
 # -- coefficients that vary with n --------------------------------------------
@@ -672,7 +708,7 @@ def test_adult_juvenile_varying_draws(repeats):
 
 
 def test_threed_varying_draws(repeats):
-    """The 3D system; its order-3 fold runs every step."""
+    """The 3D system and its order-3 fold."""
     rng = random.Random("fast-forward:threed:varying")
     for _ in range(12):
         seqs = (_varying(rng, 0.5, 1.5), _varying(rng, -0.3, 0.3))
@@ -778,7 +814,8 @@ def test_an_orbit_repeating_before_its_table_ends_is_copied_after(
     # is 0, or an adult-juvenile one whose x_n is, and change nothing).
     runs = (lambda eq, init: ref_iterate(eq, init, 5 * B).terms,
             lambda sysm, init: ref_iterate_system(sysm, init, 5 * B).points,
-            lambda sysm, init: ref_threed_iterate(sysm, init, 5 * B))
+            lambda sysm, init: ref_threed_iterate(_Stepped(sysm), init,
+                                                  5 * B))
     changed = [run(*table) != run(*constant) for run, table, constant in zip(
         runs, tables, _three(S.constant(1.5), S.constant(2.0),
                              S.constant(1.0)))]

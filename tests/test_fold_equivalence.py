@@ -133,7 +133,8 @@ def ref_iterate_system(sys: PlanarSystem, initial: Tuple[float, float],
                        steps: int) -> Orbit:
     x, y = float(initial[0]), float(initial[1])
     check_finite_initial((x, y))
-    if not sys.in_domain(x, y):
+    if not (sys.domain_x[0] <= x <= sys.domain_x[1]
+            and sys.domain_y[0] <= y <= sys.domain_y[1]):
         raise DomainError("initial point %r outside domain" % ((x, y),),
                           index=0)
     points: List[Tuple[float, float]] = [(x, y)]

@@ -25,9 +25,9 @@ from subconverge.errors import DomainError, FoldError, ModelParameterError
 from subconverge.models import _ricker_parts
 from subconverge.planar import CompetitionParams
 from subconverge.systems import (FoldCheck, PlanarSystem, SigmaForm,
-                                 _fold_loop, _initial_state,
-                                 _non_finite_state, _solver, _state_outside)
-from test_rendered_maps import WRAPPERS, _wrappers
+                                 _fold_loop, _solver)
+from test_rendered_maps import (WRAPPERS, _initial_state, _non_finite_state,
+                                _state_outside, _wrappers)
 
 S = sc.ParameterSequence
 

@@ -24,7 +24,15 @@ other threshold has: there ``threshold`` read alpha = +inf, and
 tangent window came to end below the touch point, where ln(map(u) / u)
 falls under -1e-12: only alpha (and the report's window) moved.
 ``analyze-ricker-tangent-stall`` was pinned then: its orbit, which g
-maps to itself just under the touch point, exited 4.
+maps to itself just under the touch point, exited 4.  ``fold-threed`` and
+``cold-fold-threed`` were re-pinned when the 3D system came to run
+through the planar loop and contract, and the 3D ``fold`` payload gained
+``steps`` and ``stopped`` as the planar one had: nothing else in it
+moved.  The ``threed-converging`` cases were pinned then: a converging
+orbit whose z underflows to 0.0 exited 2 ("z_42 = 0.0 is not
+positive"); it now ends there as a non-finite state (y = +inf, the limit
+of -r ln z), so ``simulate`` exits 3 and ``fold`` compares the terms up
+to that point.
 
 Every digest is a SHA-256 over exact text: CLI stdout with its exit code,
 or ``json.dumps(report.to_dict(), sort_keys=True)``.  A change to any
@@ -45,6 +53,9 @@ from subconverge.cli import main
 THREED = ["--model", "threed", "--a", "0.5", "--p", "0.4", "--b", "0.2",
           "--c", "0.8", "--d", "0.1", "--q", "0.6", "--r", "1.5",
           "--s", "0.9"]
+# z_42 underflows to 0.0, so y_43 = +inf.
+THREED_CONVERGING = ["--model", "threed", "--a", "-1", "--r", "1.5",
+                     "--init", "0.5,0,0.5", "--steps", "100"]
 SIGMOID_C1 = ["--model", "sigmoid-bh", "--a", "2", "--c", "1", "--q", "2",
               "--p", "3", "--b", "1", "--k", "1", "--l", "2",
               "--init", "1.1,1.1"]
@@ -176,6 +187,11 @@ CLI_CASES = [
      None),
     ("cold-fold-threed", ["fold", "--model", "threed", "--init",
                           "0.9,1.1,1", "--steps", "100"], None),
+    ("simulate-threed-converging", ["simulate"] + THREED_CONVERGING, None),
+    ("fold-threed-converging", ["fold"] + THREED_CONVERGING, None),
+    ("fold-threed-ends-before-x2", ["fold", "--model", "threed", "--a",
+                                    "1e-300", "--s", "1e300", "--q", "1e300",
+                                    "--steps", "0"], None),
     ("cold-simulate-config", ["simulate", "--config", "{config}",
                               "--format", "json"],
      {"schema": 1, "model": "sp3", "params": {"k": 2},
@@ -244,7 +260,7 @@ CLI_DIGESTS = {
     "fold-adult-juvenile":
         "0204a54d82a3032384942dda61035a179798cb4709dd90efcd84ea947b7c7f14",
     "fold-threed":
-        "b4457d28b1b68c29dfab6b2e93584488373eb0b9ba9a2b49d07aef0055350a28",
+        "af69e176d267a6d364a74e7b978e8496f4b9cf64037e794ddda8b039c50a8a73",
     "fold-no-solvability":
         "5f8bd21203fdbe78b3339b6c8102f5a67cea53316e7b8797aa7aea63e498d985",
     "fold-scalar":
@@ -280,7 +296,13 @@ CLI_DIGESTS = {
     "cold-analyze-adult-juvenile":
         "1c07f63b7d5021ecfb6a24b07a921caf46a130316d5d5bdaaecf23c37b2f487d",
     "cold-fold-threed":
-        "63324072fea1209e5abd3a1123456e1235907f95843a16e53cfccbc65838160a",
+        "4d472ffc7d7e037e9ccb8e4c00ef50917b3001093ec1ced33ce214125d5a22b3",
+    "simulate-threed-converging":
+        "7d5056460caf9f857c8c30b0a344bef01761acf1763736cbd683a0df7249e524",
+    "fold-threed-converging":
+        "da18293b23fa292f386622e0a0f99a0c45f9eed15a710ec673858eb59f37ec57",
+    "fold-threed-ends-before-x2":
+        "48c8dc7180e1465d8d40249aab0f6ac0a7ac89624e8345b0d6555ef735b85245",
     "cold-simulate-config":
         "015917ebb559c93a364e2bc0fd14f9b5972bc24d91267590aa96435165694d05",
 }
@@ -302,6 +324,29 @@ def cli_digest(args, config, tmp_path) -> str:
                          ids=[c[0] for c in CLI_CASES])
 def test_cli_stdout_and_exit_code_pinned(name, args, config, tmp_path):
     assert cli_digest(args, config, tmp_path) == CLI_DIGESTS[name]
+
+
+def test_a_converging_threed_orbit_ends_where_z_underflows():
+    """z_42 = 0.0: ``simulate`` prints x_0 .. x_42 and exits 3 with the
+    non-finite state y_43 = +inf; ``fold`` compares those 43 terms,
+    passes, and says why it stopped.  An orbit that ends before x_2
+    leaves the fold no initial values: exit 3 with the diagnostic."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["simulate"] + THREED_CONVERGING)
+    rows = res.stdout.splitlines()
+    assert res.exit_code == 3
+    assert len(rows) == 44 and rows[0] == "n,x,y,z"
+    assert rows[-1].startswith("42,") and float(rows[-1].split(",")[3]) == 0
+    res = runner.invoke(main, ["fold"] + THREED_CONVERGING)
+    payload = json.loads(res.stdout)
+    assert res.exit_code == 0 and payload["passed"] is True
+    assert payload["steps"] == 43
+    assert payload["stopped"] == \
+        "non-finite state (0.0, inf, 0.0) at step 43"
+    res = runner.invoke(main, ["fold", "--model", "threed", "--a", "1e-300",
+                               "--s", "1e300", "--q", "1e300", "--steps",
+                               "0"])
+    assert res.exit_code == 3 and res.stdout == ""
 
 
 def test_the_near_tangent_competition_is_a_tangency():

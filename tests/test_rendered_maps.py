@@ -9,9 +9,11 @@ Ricker and competition maps and adult-juvenile's g now take the term in
 logs, and the oracle adds that fallback around the closures.  On seeded draws of constant,
 periodic, tabulated and mixed coefficients, each rendered function must
 return the same double (compared by repr, so every bit) or raise the same
-exception type with the same message and index.  The draws reach
-``DomainError`` at z <= 0, the sigmas' indexed ``FoldError`` and
-``OverflowError``.
+exception type with the same message and index.  The draws reach the
+sigmas' indexed ``FoldError`` and ``OverflowError``.  The 3D system's
+three component maps, run as one step, match its former one-body step
+wherever z > 0; at z = 0.0, where that step raised ``DomainError``, y is
++inf.
 
 ``iterate`` and ``iterate_system`` inline a rendered map's body in their
 loop and call any other evaluator, such as these closures, once per step.
@@ -33,7 +35,7 @@ from typing import List, Sequence, Tuple
 import pytest
 
 import subconverge as sc
-from subconverge.dynamics import (EquationSpec, Trajectory, _fill,
+from subconverge.dynamics import (EquationSpec, Orbit, Trajectory, _fill,
                                   _non_finite, _outside, _overflow,
                                   _rendered, check_finite_initial)
 from subconverge.errors import (DomainError, FoldError, NonFiniteError,
@@ -42,8 +44,6 @@ from subconverge.models import (RickerFamilySpec, SigmoidBHSpec,
                                 _real_power, _validate_power)
 from subconverge.planar import CompetitionParams, _rbh_log
 from subconverge.sequences import ParameterSequence as S
-from subconverge.systems import (Orbit, _initial_state, _non_finite_state,
-                                 _state_outside)
 
 _INF = math.inf
 
@@ -287,6 +287,29 @@ def ref_iterate(eq: EquationSpec, initial: Sequence[float],
         if not lo <= x <= hi and n + 1 < end:
             raise _outside(n + 1, terms[:stop:-1])
     return Trajectory(tuple(terms), diagnostic)
+
+
+def _in_domain(sys, x: float, y: float) -> bool:
+    return (sys.domain_x[0] <= x <= sys.domain_x[1]
+            and sys.domain_y[0] <= y <= sys.domain_y[1])
+
+
+def _initial_state(sys, initial) -> Tuple[float, float]:
+    x, y = float(initial[0]), float(initial[1])
+    check_finite_initial((x, y))
+    if not _in_domain(sys, x, y):
+        raise DomainError("initial point %r outside domain" % ((x, y),),
+                          index=0)
+    return x, y
+
+
+def _non_finite_state(x: float, y: float, n: int) -> str:
+    return "non-finite state (%r, %r) at step %d" % (x, y, n)
+
+
+def _state_outside(x: float, y: float, n: int) -> DomainError:
+    return DomainError("state %r outside domain at step %d" % ((x, y), n),
+                       index=n)
 
 
 def ref_iterate_system(sys, initial, steps: int) -> Orbit:
@@ -564,7 +587,7 @@ def test_sigmoid_bh_maps_match_reference(p, kind):
 @pytest.mark.parametrize("p_kind", KINDS)
 def test_threed_step_matches_reference(a_kind, p_kind):
     rng = random.Random("threed-step:%s:%s" % (a_kind, p_kind))
-    tally = Tally()
+    tally, zeros = Tally(), 0
     for _ in range(25):
         a = _draw_seq(rng, a_kind, -1.0, 1500.0)
         p = _draw_seq(rng, p_kind, -1.0, 0.5)
@@ -573,10 +596,19 @@ def test_threed_step_matches_reference(a_kind, p_kind):
             [rng.uniform(0.2, 1.7) for _ in range(3)]
         sysm, _ = sc.make_3d_example(a, p, *coeffs)
         ref = ref_threed_step(a.resolve(), p.resolve(), *coeffs)
+
+        def step(n: int, state):
+            return tuple(component(n, *state) for component in sysm.maps)
         for n in _steps(rng):
             state = (_value(rng), _value(rng), _value(rng, -1.0, 3.0))
-            tally.same(sysm.step, ref, n, state)
-    assert {DomainError, OverflowError} <= tally.raised
+            if state[2] > 0:
+                tally.same(step, ref, n, state)
+            elif state[2] == 0:
+                assert sysm.maps[1](n, *state) == _INF
+                assert _call(ref, n, state)[0] is DomainError
+                zeros += 1
+    assert OverflowError in tally.raised
+    assert zeros
 
 
 def _planar_args(rng: random.Random):
@@ -906,7 +938,7 @@ def test_wrapped_system_maps_are_called_once_per_step(wrapper):
 def test_wrappers_run_at_every_step_of_a_repeating_orbit(wrapper):
     """Orbits that repeat bit for bit from step 72 at most, over 30,000
     steps: the loops copy a repeated block of rendered maps, but a
-    wrapped evaluator, f, g, sigma or 3D step still runs at every step
+    wrapped evaluator, f, g, sigma or 3D component still runs at every step
     (in the fold check, f and g twice a step after step 0), and the
     results are the unwrapped ones."""
     steps = 30_000
@@ -919,8 +951,9 @@ def test_wrappers_run_at_every_step_of_a_repeating_orbit(wrapper):
     assert calls == list(range(3, 3 + steps))
     threed = sc.make_3d_example(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0)[0]
     calls = []
-    states = sc.ThreeDSystem(_wrappers(threed.step, calls)[wrapper]).iterate(
-        (0.9, 1.1, 1.0), steps)
+    states = sc.ThreeDSystem((_wrappers(threed.maps[0], calls)[wrapper],)
+                             + threed.maps[1:]).iterate((0.9, 1.1, 1.0),
+                                                        steps)
     assert repr(states) == repr(threed.iterate((0.9, 1.1, 1.0), steps))
     assert calls == list(range(steps))
     sysm = sc.make_competition(CompetitionParams.make(
@@ -990,7 +1023,7 @@ def _builds(rng: random.Random):
         seq(0.5, 1.5), const(0, 0.5), *(rng.uniform(0.2, 1) for _ in range(6)))
     aj = sc.make_adult_juvenile(seq(0.3, 1), const(0.5, 1), const(1, 2),
                                 rng.uniform(1.1, 3.0))
-    out = [ricker.evaluator, sig.evaluator, sig.translated[2], threed.step,
+    out = [ricker.evaluator, sig.evaluator, sig.translated[2], *threed.maps,
            fold.evaluator, aj.f, aj.g, aj.sigma.solve]
     for swapped in (False, True):
         comp = sc.make_competition(CompetitionParams.make(
@@ -1044,4 +1077,4 @@ def test_a_body_reads_its_step_only_to_raise():
             elif tok.type in (tokenize.NAME, tokenize.OP, tokenize.NUMBER,
                               tokenize.STRING):
                 line.append(tok.string)
-    assert readers == {"step", "sigma"}
+    assert readers == {"sigma"}
