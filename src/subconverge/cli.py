@@ -508,13 +508,14 @@ def fold(model, config_path, init, steps, tol, out, **kw):
     if entry.kind == models.THREED:
         sysm, eq = entry.build(p)
         initial = tuple(_initial(initial, 3))
-        orbit = iterate_system(sysm, initial, steps)
-        traj = iterate(eq, sysm.fold_initial(initial),
-                       max(0, len(orbit) - 3))
-        dev, first = models.relative_deviation(orbit.xs, traj.terms, tol)
+        orbit = iterate_system(sysm, initial, max(steps, 2))
+        xs = orbit.xs[:steps + 1]
+        traj = iterate(eq, sysm.fold_initial(initial, orbit),
+                       max(0, len(xs) - 3))
+        dev, first = models.relative_deviation(xs, traj.terms, tol)
         payload = {"model": entry.name, "order": 3, "max_deviation": dev,
                    "passed": first is None, "first_divergent": first,
-                   "steps": min(len(orbit), len(traj)),
+                   "steps": min(len(xs), len(traj)),
                    "stopped": traj.diagnostic or orbit.diagnostic}
     elif entry.kind == models.PLANAR:
         from . import systems

@@ -24,7 +24,7 @@ ScalarMap = Callable[[float], float]
 
 _GRID_POINTS = 10_000      # the threshold scan's and the sublinearity grid's
 _ROOT_TOL = 1e-12          # the tangency search's ternary stop
-_TANGENCY_TOL = 1e-10
+_TANGENT_TOL = 1e-12       # a peak this close to the identity is a tangency
 
 CLOSED_FORM, GRID = "closed-form", "grid"   # BoundingFunction.sublinear
 
@@ -109,6 +109,40 @@ def bisect(lo: float, hi: float, lo_side: Callable[[float], bool],
     return lo if lo_end else 0.5 * lo + 0.5 * hi
 
 
+def _peak_threshold(excess: float, u_peak: float,
+                    log_ratio: Callable[[float], float],
+                    root: Optional[Callable[[], float]] = None,
+                    scale: float = 1.0) -> ThresholdResult:
+    """The threshold of a cycle map that meets the identity at most twice
+    and peaks over it by ``excess`` at u_peak (in any form that has the
+    sign of map(u) - u): +inf (no root) for an excess below
+    -_TANGENT_TOL * scale, a tangency for one in [-_TANGENT_TOL * scale,
+    0] (the safe side only: the map <= u throughout), else (also for NaN)
+    ``root()``, the lower root, by default the tangent window's end: the
+    ``_lower_root`` below u_peak of ``log_ratio``(u) < -_TANGENT_TOL, for
+    ln(map(u)/u) or (map(u) - u)/u.  Nearer the peak the computed map
+    rounds onto u (a failed link) or above it about as often as below."""
+    def margin() -> float:
+        return _lower_root(lambda u: log_ratio(u) < -_TANGENT_TOL, u_peak,
+                           "the cycle map")
+
+    if -_TANGENT_TOL * scale <= excess <= 0:
+        return ThresholdResult(margin(), tangent=True)
+    return ThresholdResult(math.inf if excess < 0 else (root or margin)())
+
+
+def _lower_root(below: Callable[[float], bool], peak: float,
+                cycle: str) -> float:
+    """The end where ``below`` holds (``cycle`` <= u) of (0, peak)
+    bisected to adjacent doubles; CriterionInapplicableError for a root
+    below the smallest positive double."""
+    u = bisect(0.0, peak, below, lo_end=True)
+    if not u:
+        raise CriterionInapplicableError(
+            "%s >= u down to the smallest positive double" % cycle)
+    return u
+
+
 def _scan_grid(search_hi: float) -> List[float]:
     """The threshold scan's points, ascending and without repeats: a
     linear grid search_hi * i / _GRID_POINTS (i = 1 .. _GRID_POINTS) and
@@ -139,9 +173,10 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
     A sign-bracketing scan in ascending order locates the first crossing
     of g(u) - u, which ``bisect`` then refines to adjacent doubles,
     returning the end where g(u) < u; the scan stops there, so g is not
-    evaluated above the first crossing.  If the scan finds no sign
-    change, a secondary maximum search detects tangency (g touching the
-    identity from below); otherwise the threshold is unbounded (+inf).
+    evaluated above the first crossing.  An exact grid hit is the root
+    unless g(u) < u just past it; such a touch, or no sign change, is
+    decided by ``_peak_threshold`` on the ratio (g(u) - u) / u at the hit
+    or at the ratio's peak: +inf, a tangency, or an unseparated pair.
 
     Raises CriterionInapplicableError when g(u) >= u already at the
     smallest sampled points, i.e. sublinearity fails near the origin.
@@ -152,6 +187,10 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
     def f(u: float) -> float:
         return g(u) - u
 
+    # g(u)/u - 1: unlike g(u) - u, it does not vanish trivially near 0.
+    def ratio(u: float) -> float:
+        return f(u) / u
+
     grid: List[float] = []
     fs: List[float] = []
     for u in _scan_grid(search_hi):
@@ -159,13 +198,13 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
         # A crossing needs a negative value before it; among the first
         # three points that also rules out the near-origin failure.
         if fu >= 0 and fs and fs[-1] < 0:
-            if fu == 0.0:
-                # Exact grid hit: look just past u to tell a transversal
-                # crossing from a tangency.
-                probe = f(u * (1.0 + 1e-6))
-                return ThresholdResult(u, tangent=probe < 0)
-            return ThresholdResult(
-                bisect(grid[-1], u, lambda v: f(v) < 0, lo_end=True))
+            if fu != 0.0:
+                return ThresholdResult(
+                    bisect(grid[-1], u, lambda v: f(v) < 0, lo_end=True))
+            # Exact grid hit: a touch if g(u) < u just past u.
+            if f(u * (1.0 + 1e-6)) < 0:
+                return _peak_threshold(0.0, u, ratio)
+            return ThresholdResult(u)
         grid.append(u)
         fs.append(fu)
         if len(fs) == 3:
@@ -173,29 +212,20 @@ def solve_threshold(g: ScalarMap, search_hi: float) -> ThresholdResult:
     if len(fs) < 3:
         _check_near_origin(fs)
 
-    # No crossing: look for a tangency where g(u)/u comes up to 1.  The
-    # ratio (not g - u itself) separates a genuine touch point from the
-    # trivial vanishing of g - u near the origin.
-    def ratio(u: float) -> float:
-        return f(u) / u
-
-    ratios = list(map(truediv, fs, grid))    # the scanned ratio(u)
+    # No crossing: search the peak of g(u)/u from the scanned ratios.
+    ratios = list(map(truediv, fs, grid))
     i_best = ratios.index(max(ratios))       # its first maximum
-    lo = grid[max(0, i_best - 1)]
-    hi = grid[min(len(grid) - 1, i_best + 1)]
+    lo, hi = grid[max(0, i_best - 1)], grid[min(len(grid) - 1, i_best + 1)]
     for _ in range(200):
         if hi - lo <= _ROOT_TOL:
             break
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
         if ratio(m1) < ratio(m2):
             lo = m1
         else:
             hi = m2
     u_t = 0.5 * (lo + hi)
-    if ratio(u_t) >= -_TANGENCY_TOL:
-        return ThresholdResult(u_t, tangent=True)
-    return ThresholdResult(math.inf)
+    return _peak_threshold(ratio(u_t), u_t, ratio)
 
 
 def verify_sublinearity(g: ScalarMap, window: ThresholdWindow

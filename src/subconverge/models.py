@@ -25,7 +25,8 @@ import math
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
-from .criteria import CLOSED_FORM, BoundingFunction, ThresholdResult, bisect
+from .criteria import (CLOSED_FORM, BoundingFunction, ThresholdResult,
+                       _lower_root, _peak_threshold, bisect)
 from .dynamics import _INF, _MAX, EquationSpec, _render, iterate_system
 from .errors import (ConfigError, CriterionInapplicableError,
                      ModelParameterError, NonFiniteError)
@@ -37,7 +38,6 @@ if TYPE_CHECKING:
 
 State3 = Tuple[float, float, float]
 
-_TANGENT_TOL = 1e-12    # a peak this close to the identity is a tangency
 _FIXED_TOL = 1e-9       # translate_to_origin's check that b is fixed
 
 
@@ -236,38 +236,6 @@ def ricker_fixed_points(lam: float, a: float, b: float) -> FixedPointResult:
     if outer == inner:
         raise NonFiniteError("a fixed point of g is not finite")
     return FixedPointResult("pair", res.alpha, bisect(outer, inner, below))
-
-
-def _peak_threshold(excess: float, u_peak: float,
-                    log_ratio: Callable[[float], float],
-                    root: Callable[[], float],
-                    scale: float = 1.0) -> ThresholdResult:
-    """The threshold of a cycle map that meets the identity at most twice
-    and peaks over it by ``excess`` at u_peak (in any form that has the
-    sign of map(u) - u): +inf (no root) for an excess below
-    -_TANGENT_TOL * scale, a tangency for one in [-_TANGENT_TOL * scale,
-    0] (the safe side only: the map <= u throughout), else (also for NaN)
-    ``root()``, the lower root.  A tangent window ends below u_peak, at
-    ``_lower_root`` of ``log_ratio``(u) = ln(map(u) / u) < -_TANGENT_TOL:
-    nearer the peak the computed map rounds onto u (or above it) about as
-    often as below it, and a chain link closes only where it is below."""
-    if -_TANGENT_TOL * scale <= excess <= 0:
-        return ThresholdResult(_lower_root(
-            lambda u: log_ratio(u) < -_TANGENT_TOL, u_peak, "the cycle map"),
-            tangent=True)
-    return ThresholdResult(_INF if excess < 0 else root())
-
-
-def _lower_root(below: Callable[[float], bool], peak: float,
-                cycle: str) -> float:
-    """The end where ``below`` holds (``cycle`` <= u) of (0, peak)
-    bisected to adjacent doubles; CriterionInapplicableError for a root
-    below the smallest positive double."""
-    u = bisect(0.0, peak, below, lo_end=True)
-    if not u:
-        raise CriterionInapplicableError(
-            "%s >= u down to the smallest positive double" % cycle)
-    return u
 
 
 def _fixed_point_threshold(fps: FixedPointResult) -> ThresholdResult:
@@ -522,13 +490,13 @@ class ThreeDSystem:
     def iterate(self, initial: State3, steps: int) -> Sequence[State3]:
         return iterate_system(self, initial, steps).points
 
-    def fold_initial(self, initial: State3) -> State3:
-        """(x_0, x_1, x_2) feeding the folded order-3 equation, or
-        NonFiniteError with the diagnostic of an orbit that ends first."""
-        orbit = iterate_system(self, initial, 2)
-        if orbit.diagnostic:
+    def fold_initial(self, initial: State3, orbit=None) -> State3:
+        """x_0, x_1, x_2 of ``orbit`` (by default two steps from ``initial``)
+        or NonFiniteError with the diagnostic of an orbit that ends first."""
+        orbit = orbit or iterate_system(self, initial, 2)
+        if len(orbit) < 3:
             raise NonFiniteError(orbit.diagnostic, index=len(orbit))
-        return tuple(orbit.xs)
+        return tuple(orbit.xs[:3])
 
 
 # The step's three components on (n, x, y, z).  At z = 0.0 y is the

@@ -17,11 +17,10 @@ import math
 from typing import NamedTuple
 
 from . import models
-from .criteria import ThresholdResult, bisect
-from .dynamics import _render
+from .criteria import ThresholdResult, _lower_root, _peak_threshold, bisect
+from .dynamics import _INF, _MAX, _render
 from .errors import FoldError, ModelParameterError
-from .models import (_INF, _MAX, _fixed_point_threshold, _lower_root,
-                     _peak_threshold)
+from .models import _fixed_point_threshold
 from .sequences import ParameterSequence, as_sequence
 from .systems import CycleCertificate, PlanarSystem, SigmaForm
 
@@ -270,8 +269,10 @@ def competition_threshold(r1: float, a1: float,
     if r1 <= 0 or a1 <= 0 or d1 <= 1:
         raise ModelParameterError("need r1, a1 > 0 and d1 > 1")
 
+    log_fbar = _log_envelope(r1, a1, d1)[0]
+
     def log_ratio(u: float) -> float:   # read at a tangency only
-        return _log_envelope(r1, a1, d1)[0](t := math.log(u)) - t
+        return log_fbar(t := math.log(u)) - t
 
     if d1 == 2.0:
         disc = r1 * r1 - 4.0 * a1

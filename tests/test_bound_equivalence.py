@@ -18,10 +18,20 @@ Two intended differences move alpha, so alphas are compared within the
 scan's 1e-12 bracket rather than by bits: ``solve_threshold`` bisects
 to adjacent doubles and returns the end where g(u) < u (the oracle
 returns the midpoint of a 1e-12 bracket), and a catalog system's own
-envelope cycle takes its exact threshold instead of the scan's.  A tangency keeps the scan's looser
-search: there the alphas agree within 1e-5.  An exact threshold may lie
-below the scan's smallest points (1e-29), where the scan raised
-CriterionInapplicableError.
+envelope cycle takes its exact threshold instead of the scan's.  An
+exact threshold may lie below the scan's smallest points (1e-29), where
+the scan raised CriterionInapplicableError.
+
+The scan's tangencies now follow the catalog's rule,
+``criteria._peak_threshold``, read on the ratio (g(u) - u) / u at an
+exact grid hit that is a touch, or at the ratio's peak.  A tangent
+window ends where that ratio falls under -1e-12, about 1.4e-6 below
+the oracle's touch point, so tangent alphas agree within 1e-5.  A peak
+ratio in [-1e-10, -1e-12) reads +inf, where the oracle read a
+tangency.  A peak above 0 that the grid did not separate is a pair:
+its root is the tangent window's end, not flagged tangent, or a raise
+where that end lies below the doubles.  Each move is pinned in its own
+test.
 
 The catalog's closed-form roots (``ricker_fixed_points``,
 ``competition_threshold``, ``swapped_competition_threshold``) now take
@@ -66,6 +76,8 @@ _DEFAULT_SCAN = 10_000
 _DEFAULT_TOL = 1e-12
 _TANGENCY_TOL = 1e-10
 NEAR_ORIGIN = "g(u) >= u arbitrarily close to 0; no positive threshold"
+MARGIN_BELOW_DOUBLES = ("the cycle map >= u down to the smallest positive "
+                        "double")
 
 
 # -- reference implementations (verbatim) --------------------------------
@@ -415,8 +427,16 @@ def test_near_origin_test_reads_the_first_three_points(above, below, raises):
             return 2.0 * u
         return 0.5 * u
 
-    res = assert_threshold_same(g, 1.0)
+    res = outcome(solve_threshold, g, 1.0)
     assert (res == (CriterionInapplicableError, NEAR_ORIGIN)) == raises
+    if raises:
+        assert res == outcome(ref_solve_threshold, g, 1.0)
+    else:
+        # The ratio peaks at 1 among the two smallest points: a pair the
+        # grid did not separate, whose root lies below the doubles.  The
+        # oracle read a tangency at about 1e-30, where g(u) = 2u > u.
+        assert ref_solve_threshold(g, 1.0).tangent
+        assert res == (CriterionInapplicableError, MARGIN_BELOW_DOUBLES)
 
 
 def test_two_point_grid():
@@ -428,18 +448,28 @@ def test_two_point_grid():
         (ZeroDivisionError, "float division by zero")
 
 
-def test_tied_ratio_maximum_takes_the_first():
-    # g(u)/u peaks at exactly the same double at the grid points 0.25 and
-    # 0.5; the tangency search starts from the first of them.
+def tied_peaks(exponent):
+    """g(u)/u peaks at 1 - 2^-exponent at the grid points 0.25 and 0.75,
+    and is half that far below 1 within 2e-4 of them."""
     def g(u):
-        if u in (0.25, 0.5):
-            return u * (1.0 - 2.0 ** -37)
-        if abs(u - 0.25) < 2e-4 or abs(u - 0.5) < 2e-4:
-            return u * (1.0 - 2.0 ** -36)
+        if u in (0.25, 0.75):
+            return u * (1.0 - 2.0 ** -exponent)
+        if abs(u - 0.25) < 2e-4 or abs(u - 0.75) < 2e-4:
+            return u * (1.0 - 2.0 ** (1 - exponent))
         return 0.5 * u
+    return g
 
-    res = assert_threshold_same(g, 1.0)
-    assert res.tangent and abs(res.alpha - 0.25) < 2e-4
+
+def test_tied_ratio_maximum_takes_the_first():
+    # A peak ratio of -2^-37, below -1e-12, is no tangency (as in the
+    # catalog); the oracle's 1e-10 band read one at 0.25.
+    assert ref_solve_threshold(tied_peaks(37), 1.0).tangent
+    assert solve_threshold(tied_peaks(37), 1.0) == ThresholdResult(math.inf)
+    # Within the band the tangency search starts from the first peak, and
+    # the window ends where the ratio falls under -1e-12 below it.
+    # (0.75 would end it near 0.7498).
+    res = solve_threshold(tied_peaks(41), 1.0)
+    assert res.tangent and abs(res.alpha - 0.2498) < 1e-15
 
 
 @pytest.mark.parametrize("g, tangent", [
@@ -447,7 +477,13 @@ def test_tied_ratio_maximum_takes_the_first():
     (lambda u: u - (u - 0.5) ** 2, True),     # touches it there
 ])
 def test_exact_grid_hit(g, tangent):
-    assert assert_threshold_same(g, 1.0) == ThresholdResult(0.5, tangent)
+    res = assert_threshold_same(g, 1.0)
+    assert res.tangent == tangent
+    if tangent:     # the window ends where (g(u) - u) / u < -1e-12
+        assert 0.5 - 1e-6 < res.alpha < 0.5
+        assert (g(res.alpha) - res.alpha) / res.alpha < -1e-12
+    else:
+        assert res.alpha == 0.5
 
 
 def test_crossing_among_first_points():

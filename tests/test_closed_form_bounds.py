@@ -215,8 +215,11 @@ def test_tangent_ricker_bound_matches_the_scan_on_tangency():
     assert bound.tangent and 1.0 - 1e-5 < bound.alpha < 1.0
     assert bound.fixed_points == (1.0,)
     validate_bound(bound)
+    # The scan hits the touch point 1.0 on its grid and ends the window
+    # at the same margin below it, by its ratio (g(u) - u) / u.
     res = solve_threshold(bound.g, 2.0)
-    assert res.tangent and abs(res.alpha - 1.0) < 1e-6
+    assert res.tangent and abs(res.alpha - 0.99999858573) < 1e-11
+    assert abs(res.alpha - bound.alpha) < 1e-10
 
 
 def test_the_formerly_rejected_ricker_bound_passes():

@@ -76,10 +76,14 @@ def test_threshold_sp3_k2_bound():
 
 
 def test_threshold_tangency_detected():
-    # u^2 e^{1-u} touches the identity at u = 1 without crossing
-    res = sc.solve_threshold(lambda u: u * u * math.exp(1 - u), 10.0)
-    assert res.alpha == pytest.approx(1.0, abs=1e-6)
+    # u^2 e^{1-u} touches the identity at u = 1 without crossing (at the
+    # grid point 1.0).  The window ends below the touch, where the ratio
+    # (g(u) - u) / u falls under -1e-12: about 1.4e-6 lower.
+    g = lambda u: u * u * math.exp(1 - u)
+    res = sc.solve_threshold(g, 10.0)
     assert res.tangent
+    assert 1.0 - 2e-6 < res.alpha < 1.0 - 1e-6
+    assert (g(res.alpha) - res.alpha) / res.alpha < -1e-12
 
 
 def test_threshold_superlinear_near_zero_rejected():

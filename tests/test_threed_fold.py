@@ -14,14 +14,17 @@ the oracle's runs it called from the same loop.
 """
 
 import dataclasses
+import json
 import math
 import random
 from typing import Sequence
 
 import pytest
+from click.testing import CliRunner
 
 import subconverge as sc
-from subconverge.dynamics import EquationSpec
+from subconverge import cli, models
+from subconverge.dynamics import EquationSpec, iterate_system
 from subconverge.errors import SubconvergeError
 from subconverge.sequences import ParameterSequence as S
 
@@ -159,3 +162,31 @@ def test_fold_reproduces_the_direct_orbit_with_negative_p():
     assert len(traj.terms) == len(states)
     for (x, _, _), folded in zip(states, traj.terms):
         assert abs(x - folded) <= 1e-9 * max(abs(x), abs(folded), 1.0)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 40])
+def test_the_cli_fold_iterates_the_system_once(monkeypatch, steps):
+    # ``fold`` takes x_0 .. x_2 from the orbit it compares, which runs
+    # max(steps, 2) steps, and compares its first steps + 1 terms.
+    calls = []
+
+    def counting(sysm, initial, n):
+        calls.append(n)
+        return iterate_system(sysm, initial, n)
+    monkeypatch.setattr(cli, "iterate_system", counting)
+    monkeypatch.setattr(models, "iterate_system", counting)
+    res = CliRunner().invoke(cli.main, ["fold", "--model", "threed", "--init",
+                                        "1,0.3,0.7", "--steps", str(steps)])
+    payload = json.loads(res.stdout)
+    assert res.exit_code == 0 and calls == [max(steps, 2)]
+    assert payload["passed"] and payload["steps"] == steps + 1
+
+
+def test_fold_initial_reads_a_given_orbit():
+    sysm, _ = sc.make_3d_example(0.5, 0.4, 0.2, 0.8, 0.3, 0.9, 1.2, 0.7)
+    init = (1.0, 0.3, 0.7)
+    orbit = iterate_system(sysm, init, 9)
+    assert sysm.fold_initial(init, orbit) == sysm.fold_initial(init) \
+        == tuple(orbit.xs[:3])
+    with pytest.raises(SubconvergeError):   # the orbit ends before x_2
+        sysm.fold_initial(init, iterate_system(sysm, (1.0, 0.3, 0.0), 5))
