@@ -48,7 +48,8 @@ cat > "$threed_cfg" <<'JSON'
 JSON
 # The benchmark's Ricker model, with a periodic a and a tabulated middle
 # coefficient, over a million steps: its orbit repeats with period 12
-# from step 103, and the loop copies its blocks from there.
+# from step 103, and the loop copies its blocks from there.  Its analyze
+# report stops its scans at the repeat the orbit records.
 long_cfg=$(mktemp)
 cat > "$long_cfg" <<'JSON'
 {"model": "ricker",
@@ -140,6 +141,7 @@ fold --config $swapped_cfg
 analyze --config $sigmoid_cfg
 fold --config $threed_cfg
 simulate --config $long_cfg --format json
+analyze --config $long_cfg
 simulate --model ricker --lambda 1000 --b 1000 --init 2.5 --steps 3
 simulate --model ricker --lambda 5 --k 1 --a 10 --b 1e-15 --init 50 --steps 50
 simulate --model competition --b1 1 --delta3 2 --init 1,1e200 --steps 3

@@ -25,9 +25,8 @@ _SOURCES = {
                  "build_report", "classify_limit",
                  "verify_monotone_to_zero"),
     "criteria": ("BoundingFunction", "ThresholdResult", "bisect",
-                 "check_inequality_chain", "predict_full_convergence",
-                 "solve_threshold", "symmetrize", "validate_bound",
-                 "verify_sublinearity"),
+                 "check_inequality_chain", "solve_threshold", "symmetrize",
+                 "validate_bound", "verify_sublinearity"),
     "dynamics": ("EquationSpec", "Orbit", "Trajectory", "iterate",
                  "iterate_system"),
     "models": ("MODEL_NAMES", "FixedPointResult", "RickerFamilySpec",

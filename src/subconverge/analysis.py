@@ -16,8 +16,7 @@ a rebinding there (a tracer, a test double) reaches every caller.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import criteria
 from .criteria import BoundingFunction
@@ -86,10 +85,7 @@ def classify_limit(subseq: Sequence[float], candidates: Sequence[float],
     tail = subseq[-n_tail:]
     mean = math.fsum(tail) / len(tail)
     width = max(tail) - min(tail)
-    best = None
-    for c in candidates:
-        if best is None or abs(mean - c) < abs(mean - best):
-            best = c
+    best = min(candidates, key=lambda c: abs(mean - c), default=None)
     if best is not None and abs(mean - best) <= tol and width <= 2 * tol:
         kind = "zero" if best == 0.0 else "fixed-point"
         return Classification(kind, best, mean, width)
@@ -102,7 +98,9 @@ def analyze_residues(terms: Sequence[float], stride: int,
                      candidates: Optional[Sequence[float]] = None,
                      zero_tol: float = DEFAULT_ZERO_TOL,
                      limit_tol: float = DEFAULT_LIMIT_TOL,
-                     first_only: bool = False) -> ConvergenceReport:
+                     first_only: bool = False,
+                     repeat: Optional[Tuple[int, int]] = None
+                     ) -> ConvergenceReport:
     """The criterion on each residue class mod ``stride``.
 
     A class enters at its first index >= ``floor`` whose term is in the
@@ -111,12 +109,16 @@ def analyze_residues(terms: Sequence[float], stride: int,
     With ``candidates``, every class is also classified against them and
     a class that never enters but settles on a fixed point gets an
     empirical prediction.  ``first_only`` keeps the first crossing's
-    class only.
+    class only.  Once every class entered, the tail converges from the
+    first run of ``stride`` terms in the window.  Given the terms'
+    ``repeat``, the scans stop where each term repeats one they tested.
     """
     lo, hi = window.lo, window.hi
+    onset, period = repeat or (len(terms), 1)
+    end = min(len(terms), max(floor, onset) + math.lcm(period, stride))
 
     def entry(start: int, step: int) -> Optional[int]:
-        return next((n for n in range(start, len(terms), step)
+        return next((n for n in range(start, end, step)
                      if lo < terms[n] < hi or terms[n] == 0.0), None)
 
     if first_only:
@@ -128,6 +130,13 @@ def analyze_residues(terms: Sequence[float], stride: int,
                    for start in range(floor, floor + stride)}
         first = min((n for n in entries.values() if n is not None),
                     default=None)
+    # A run holds a term of each class, so none starts before the last
+    # entry's, and none at all unless every class entered.
+    start = max(entries.values()) - stride + 1 if len(entries) == stride \
+        and None not in entries.values() else len(terms)
+    full = next((n for n in range(start, min(
+        len(terms) - stride + 1, max(start, onset) + period))
+        if all(lo < x < hi or x == 0.0 for x in terms[n:n + stride])), None)
     predictions: List[Prediction] = []
     limits: List[LimitClassification] = []
     tails = {}
@@ -156,7 +165,7 @@ def analyze_residues(terms: Sequence[float], stride: int,
             limits.append(LimitClassification(residue, cls.kind, cls.value,
                                               cls.tail_mean, cls.tail_width))
     return ConvergenceReport(stride, window, first, tuple(predictions),
-                             tuple(limits), subsequence_tails=tails)
+                             tuple(limits), full, tails)
 
 
 def build_report(eq: EquationSpec, bound: BoundingFunction,
@@ -181,10 +190,9 @@ def build_report(eq: EquationSpec, bound: BoundingFunction,
         bound = criteria.validate_bound(bound)
     k, terms = bound.dominant_lag, traj.terms
     cycle = (criteria.symmetrize(bound),)
-    report = analyze_residues(
+    return analyze_residues(
         terms, k,
         lambda n0: criteria.check_inequality_chain(terms, n0, k, cycle),
         bound.validity, criteria.chain_start_floor(eq.order, k),
-        (0.0,) + tuple(bound.fixed_points), zero_tol, limit_tol)
-    full_from = criteria.predict_full_convergence(eq, bound, traj)
-    return replace(report, full_convergence_from=full_from)
+        (0.0,) + tuple(bound.fixed_points), zero_tol, limit_tol,
+        repeat=traj.repeat)

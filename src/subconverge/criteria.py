@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from operator import truediv
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .dynamics import EquationSpec, Trajectory
 from .errors import BoundValidationError, CriterionInapplicableError
 from .reports import ChainResult, ThresholdWindow
 
@@ -300,23 +299,3 @@ def chain_start_floor(order: int, k: int) -> int:
     """Smallest admissible entry index: every subsequent subsequence term
     must be generated by the map, so n0 + k >= order."""
     return max(0, order - k)
-
-
-def predict_full_convergence(eq: EquationSpec, bound: BoundingFunction,
-                             traj: Trajectory) -> Optional[int]:
-    """First index n0 such that k consecutive terms lie in the window,
-    which forces the whole tail of the solution to converge to zero.
-    For k = 1 this is simply the first crossing."""
-    k = bound.dominant_lag
-    lo, hi = bound.validity.lo, bound.validity.hi
-    terms = traj.terms
-    run = 0                 # consecutive in-window terms ending at n
-    for n in range(chain_start_floor(eq.order, k), len(terms)):
-        x = terms[n]
-        if lo < x < hi or x == 0.0:
-            run += 1
-            if run == k:
-                return n - k + 1
-        else:
-            run = 0
-    return None

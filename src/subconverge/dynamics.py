@@ -15,7 +15,7 @@ import operator
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
@@ -83,11 +83,12 @@ class Trajectory:
     The first ``order`` terms are the initial values (x_0 oldest); for
     n >= order, terms[n] is the evaluator applied to the preceding
     window.  ``diagnostic`` is set when iteration stopped early on a
-    non-finite value.
+    non-finite value, ``repeat`` when its terms repeat (``_in_blocks``).
     """
 
     terms: Tuple[float, ...]
     diagnostic: Optional[str] = None
+    repeat: Optional[Tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -246,33 +247,46 @@ def _blocked(steps: int, *maps: tuple) -> Optional[int]:
         (onset for onset, _ in repeats), default=0)
 
 
-def _same_bits(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Whether two states hold the same doubles (0.0 and -0.0 differ); a
-    value that is not a real number (None, a complex) matches nothing."""
+def _same_bits(a: Sequence, b: Sequence) -> bool:
+    """Whether two runs of items hold the same doubles (0.0 and -0.0
+    differ); a value that is not a real number (None, a complex) matches
+    nothing."""
     try:
-        return array("d", a).tobytes() == array("d", b).tobytes()
+        return _bits(a) == _bits(b)
     except TypeError:
         return False
 
 
-def _in_blocks(loop: Callable, seq: list, end: int, state: Callable,
-               first: Optional[int], *args) -> Optional[str]:
+def _bits(items: Sequence) -> bytes:
+    """The doubles of ``items``, each a double or a tuple of doubles."""
+    return array("d", chain.from_iterable(items) if isinstance(
+        items[0], tuple) else items).tobytes()
+
+
+def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
+               first: Optional[int], *args) -> tuple:
     """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
     appends items up to ``stop`` and returns why it stopped early, or None.
     Given the ``first`` of ``_blocked``, the loop runs in blocks of _BLOCK
-    items, and once a block ends in the bits of ``state(i)``, the state
-    after item i, one block earlier, at an i of at least ``first``, the
-    last block repeats to ``end``."""
+    items, and once a block ends in the bits of the state (the last
+    ``lags`` items) one block earlier, ending at an item >= ``first``, the
+    last block repeats to ``end``.  Returns why the loop stopped, and the
+    repeat, (the earlier state's first item, the least divisor of _BLOCK
+    that is a period of the last block), or None."""
     stop = end if first is None else len(seq) + _BLOCK
     while True:
         stopped = loop(seq, min(stop, end), *args)
         if stopped is not None or len(seq) >= end:
-            return stopped
-        last = len(seq) - 1
-        if last - _BLOCK >= first and \
-                _same_bits(state(last), state(last - _BLOCK)):
+            return stopped, None
+        onset = len(seq) - _BLOCK - lags
+        if onset + lags > first and \
+                _same_bits(seq[onset:onset + lags], seq[-lags:]):
+            bits = _bits(seq[-_BLOCK:])
             seq.extend(islice(cycle(seq[-_BLOCK:]), end - len(seq)))
-            return None
+            size = len(bits) // _BLOCK
+            return None, (onset, next(
+                p for p in range(1, _BLOCK + 1) if not _BLOCK % p
+                and bits[p * size:] == bits[:-p * size]))
         stop += _BLOCK
 
 
@@ -364,11 +378,10 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
     shape, values = rendered = _rendered(eq.evaluator)
     first = _blocked(steps, rendered)
-    diagnostic = _in_blocks(
-        _iterate_loop(shape, m, uniform), terms, m + steps,
-        lambda i: terms[i + 1 - m:i + 1], first, m + steps,
-        max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
-    return Trajectory(tuple(terms), diagnostic)
+    diagnostic, repeat = _in_blocks(
+        _iterate_loop(shape, m, uniform), terms, m + steps, m, first,
+        m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
+    return Trajectory(tuple(terms), diagnostic, repeat)
 
 
 # -- systems ------------------------------------------------------------------
@@ -377,10 +390,11 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
 @dataclass(frozen=True)
 class Orbit:
     """A forward orbit of a system; ``points[0]`` is the initial state, and
-    ``diagnostic`` is set when iteration stopped early on a non-finite one."""
+    ``diagnostic`` and ``repeat`` are as a ``Trajectory``'s."""
 
     points: Tuple[Tuple[float, ...], ...]
     diagnostic: Optional[str] = None
+    repeat: Optional[Tuple[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -507,10 +521,10 @@ def iterate_system(sys, initial: Sequence[float], steps: int) -> Orbit:
     points: List[Tuple[float, ...]] = [_initial_state(initial, sys.domains)]
     maps = tuple(map(_rendered, sys.maps))
     first = _blocked(steps, *maps)
-    diagnostic = _in_blocks(
+    diagnostic, repeat = _in_blocks(
         _system_loop(tuple(shape for shape, _ in maps)), points, steps + 1,
-        points.__getitem__, first,
+        1, first,
         *(b for lo, hi in sys.domains for b in (max(lo, -_MAX),
                                                  min(hi, _MAX))),
         *(value for _, values in maps for value in values))
-    return Orbit(tuple(points), diagnostic)
+    return Orbit(tuple(points), diagnostic, repeat)

@@ -460,12 +460,12 @@ def predict_envelope_cycle(orbit: Orbit, alpha: float,
         seq = terms if stride == 1 else _Alternating(orbit.points, n0)
         return criteria.check_inequality_chain(seq, n0, 1, cycle)
     report = analyze_residues(terms, stride, chain if all(envelopes) else None,
-                              ThresholdWindow(0.0, alpha), first_only=True)
+                              ThresholdWindow(0.0, alpha), first_only=True,
+                              repeat=orbit.repeat)
     predictions = tuple(replace(p, note=_NOTES[stride].format(
         p.start_index, p.start_index % 2, (p.start_index + 1) % 2))
         for p in report.predictions)
-    return replace(report, predictions=predictions, full_convergence_from=(
-        report.crossing_index if stride == 1 else None))
+    return replace(report, predictions=predictions)
 
 
 def predict_alternating_convergence(sys: PlanarSystem, orbit: Orbit,

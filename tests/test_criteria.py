@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subconverge as sc
+from subconverge import criteria
 from subconverge.criteria import validate_bound
 from subconverge.errors import CriterionInapplicableError
 from subconverge.reports import ThresholdWindow
@@ -186,10 +187,37 @@ def test_predict_k2_crossing(sp3_k2):
     assert pred.verdict == "converging-to-zero"
 
 
+def ref_full_convergence(eq, bound, traj):
+    """The scan ``build_report`` took ``full_convergence_from`` from, kept
+    as the oracle: the first index n0 >= the chain's floor such that k
+    consecutive terms lie in the window (or are exactly 0)."""
+    k = bound.dominant_lag
+    lo, hi = bound.validity.lo, bound.validity.hi
+    terms = traj.terms
+    run = 0                 # consecutive in-window terms ending at n
+    for n in range(criteria.chain_start_floor(eq.order, k), len(terms)):
+        x = terms[n]
+        if lo < x < hi or x == 0.0:
+            run += 1
+            if run == k:
+                return n - k + 1
+        else:
+            run = 0
+    return None
+
+
+def full_convergence(eq, bound, traj):
+    """The report's ``full_convergence_from``, checked against the
+    oracle on the same terms."""
+    got = sc.build_report(eq, bound, traj).full_convergence_from
+    assert got == ref_full_convergence(eq, bound, traj)
+    return got
+
+
 def test_full_convergence_k1(sp3_k1):
     eq, bound = sp3_k1
     traj = sc.iterate(eq, (1.0, 1.0, 1.0), 100)
-    assert sc.predict_full_convergence(eq, bound, traj) == 14
+    assert full_convergence(eq, bound, traj) == 14
 
 
 def test_full_convergence_inside_window():
@@ -197,13 +225,13 @@ def test_full_convergence_inside_window():
     traj_terms = [0.01, 0.02, 0.03, 0.01]
     traj = sc.Trajectory(tuple(traj_terms))
     # index 0 is initial data (order 3, stride 2): guarantee starts at 1
-    assert sc.predict_full_convergence(eq, bound, traj) == 1
+    assert full_convergence(eq, bound, traj) == 1
 
 
 def test_full_convergence_none_when_outside(sp3_k2):
     eq, bound = sp3_k2
     traj = sc.Trajectory((1.0, 1.0, 2.0, 3.0))
-    assert sc.predict_full_convergence(eq, bound, traj) is None
+    assert full_convergence(eq, bound, traj) is None
 
 
 def test_stride_mismatch_rejected(sp3_k3, sp3_k2):

@@ -34,7 +34,6 @@ PUBLIC = [
     'make_3d_example', 'make_adult_juvenile', 'make_competition',
     'make_generalized_ricker', 'make_sigmoid_bh', 'make_sp3', 'models',
     'predict_alternating_convergence', 'predict_envelope_cycle',
-    'predict_full_convergence',
     'predict_tail_convergence', 'reports', 'ricker_fixed_points',
     'ricker_threshold_condition', 'sequences', 'sigmoid_bh_bound',
     'sigmoid_bh_window', 'solve_threshold', 'swapped_competition_threshold',
