@@ -87,9 +87,11 @@ status=0
 # The list below is expanded by the shell, so that $cfg, $fold_cfg,
 # $rigorous_cfg, $long_cfg and the periodic configs name the files.  The
 # tangent Ricker orbit from 0.99999999, which g maps to itself, starts
-# outside the window.  The last five commands overflow in a power whose
-# term is finite (the maps then take the term in logs), so they too must
-# exit 0.
+# outside the window.  The three 30,000-step planar commands are the
+# benchmark's repeating planar cases: each orbit, and the fold check,
+# repeats within its first block and is copied from there.  The last
+# five commands overflow in a power whose term is finite (the maps then
+# take the term in logs), so they too must exit 0.
 while read -r args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     if ! $CLI $args > /dev/null 2> "$err" || grep -q Traceback "$err"; then
@@ -115,6 +117,9 @@ analyze --model sigmoid-bh --p 3 --b 1 --init 0.2 --steps 30
 analyze --model adult-juvenile --init 1,1 --steps 200
 analyze --model competition --init 2,1 --steps 200
 analyze --model competition-swapped --init 2,1 --steps 200
+analyze --model adult-juvenile --init 1,1 --steps 30000
+analyze --model competition --init 2,1 --steps 30000
+fold --model competition --r1 3 --r2 3 --a1 1 --a2 1 --b1 0.3 --b2 0.3 --init 2,1 --steps 30000
 analyze --model competition --delta2 400 --init 0.5,0.5 --steps 20
 analyze --model competition --r1 50 --a1 600 --init 25,1 --steps 60
 analyze --model competition --r1 2 --a1 1.0000000000000002 --init 1,1 --steps 60

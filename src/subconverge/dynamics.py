@@ -9,9 +9,11 @@ is d maps x_{i,n+1} = f_{i,n}(x_{1,n}, ..., x_{d,n}) on d closed intervals.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
+import struct
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -83,7 +85,10 @@ class Trajectory:
     The first ``order`` terms are the initial values (x_0 oldest); for
     n >= order, terms[n] is the evaluator applied to the preceding
     window.  ``diagnostic`` is set when iteration stopped early on a
-    non-finite value, ``repeat`` when its terms repeat (``_in_blocks``).
+    non-finite value.  ``repeat`` is set when the terms repeat, as
+    ``_in_blocks`` found: (onset, period), the least index from which
+    every term has the bits of the term one period later, and the least
+    such period, which divides ``_BLOCK``.
     """
 
     terms: Tuple[float, ...]
@@ -223,17 +228,21 @@ def _loop(source: str, helpers: Tuple[Callable, ...]) -> Callable:
 
 
 _BLOCK = 840    # lcm(1, ..., 8): every period up to 8 divides a block
+_DIVISORS = tuple(p for p in range(1, _BLOCK + 1) if not _BLOCK % p)
 
 
-def _blocked(steps: int, *maps: tuple) -> Optional[int]:
-    """The step from which a loop of ``steps`` steps over these maps (each
-    ``(shape, values)`` of ``_rendered``) is a function of its state, or
-    None when it does not run in blocks.  It does when it is longer than a
-    block, every map is rendered, and each coefficient that varies has an
-    (onset, period) in ``sequences._REPEATS`` whose period divides _BLOCK
-    (a constant: 0, 1).  The step is the latest onset: from there a block
-    on, every step reads the same coefficients (a body reads its step
-    only to raise).  A ``steps`` that is not an integer raises range()'s
+def _blocked(steps: int, *maps: tuple
+             ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(first, periods) for a loop of ``steps`` steps over these maps (each
+    ``(shape, values)`` of ``_rendered``) when it runs in blocks, or None.
+    It does when it is longer than a block, every map is rendered, and
+    each coefficient that varies has an (onset, period) in
+    ``sequences._REPEATS`` whose period divides _BLOCK (a constant: 0, 1).
+    first is the latest onset, q the lcm of the periods: from first on,
+    every step reads the coefficients of the step q later (a body reads
+    its step only to raise).  ``periods`` are the divisors of _BLOCK that
+    q divides, smallest first: the distances at which the loop compares
+    its states.  A ``steps`` that is not an integer raises range()'s
     TypeError."""
     if operator.index(steps) <= _BLOCK:
         return None
@@ -243,8 +252,23 @@ def _blocked(steps: int, *maps: tuple) -> Optional[int]:
                    zip(shape[3], values[len(shape[4]):])]
     except (KeyError, TypeError):
         return None
-    return None if any(_BLOCK % period for _, period in repeats) else max(
-        (onset for onset, _ in repeats), default=0)
+    q = math.lcm(*(period for _, period in repeats))
+    return None if _BLOCK % q else (
+        max((onset for onset, _ in repeats), default=0),
+        tuple(p for p in _DIVISORS if not p % q))
+
+
+def _repeated(state, earlier: Callable[[int], object],
+              periods: Sequence[int], latest: int) -> Optional[int]:
+    """The least p of ``periods``, up to ``latest``, whose state p steps
+    back, ``earlier(p)``, holds the bits of ``state``; or None."""
+    for p in periods:
+        if p > latest:
+            break
+        back = earlier(p)
+        if back == state and _same_bits(back, state):
+            return p
+    return None
 
 
 def _same_bits(a: Sequence, b: Sequence) -> bool:
@@ -253,41 +277,70 @@ def _same_bits(a: Sequence, b: Sequence) -> bool:
     nothing."""
     try:
         return _bits(a) == _bits(b)
-    except TypeError:
+    except (TypeError, struct.error):
         return False
 
 
 def _bits(items: Sequence) -> bytes:
-    """The doubles of ``items``, each a double or a tuple of doubles."""
-    return array("d", chain.from_iterable(items) if isinstance(
-        items[0], tuple) else items).tobytes()
+    """The doubles of ``items``, each a double or a tuple of doubles (all
+    of one length)."""
+    if items and isinstance(items[0], tuple):
+        return struct.pack("%dd" % (len(items) * len(items[0])),
+                           *chain.from_iterable(items))
+    return array("d", items).tobytes()
+
+
+def _repeat(seq: list, start: int, p: int) -> Tuple[int, int]:
+    """(onset, period) of ``seq``, whose items from ``start`` on repeat
+    with p: the period is the least divisor of p with which they repeat,
+    and the onset the least index from which every item has the bits of
+    the item one period later.  The onset is bisected with ``==`` (which
+    0.0 and -0.0 pass), then confirmed by bits, or bisected by bits."""
+    bits = _bits(seq[start:start + p])
+    size = len(bits) // p
+    period = next(d for d in _DIVISORS if not p % d
+                  and bits[d * size:] == bits[:(p - d) * size])
+
+    def onset(lo: int, same: Callable[[list, list], bool]) -> int:
+        return bisect.bisect_left(range(lo, start), True, key=lambda i: same(
+            seq[i:start], seq[i + period:start + period])) + lo
+    least = onset(0, operator.eq)
+    if least < start and not _same_bits(seq[least:start],
+                                        seq[least + period:start + period]):
+        least = onset(least + 1, _same_bits)
+    return least, period
 
 
 def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
-               first: Optional[int], *args) -> tuple:
+               blocked: Optional[Tuple[int, Tuple[int, ...]]],
+               *args) -> tuple:
     """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
     appends items up to ``stop`` and returns why it stopped early, or None.
-    Given the ``first`` of ``_blocked``, the loop runs in blocks of _BLOCK
-    items, and once a block ends in the bits of the state (the last
-    ``lags`` items) one block earlier, ending at an item >= ``first``, the
-    last block repeats to ``end``.  Returns why the loop stopped, and the
-    repeat, (the earlier state's first item, the least divisor of _BLOCK
-    that is a period of the last block), or None."""
-    stop = end if first is None else len(seq) + _BLOCK
+    Given the (first, periods) of ``_blocked``, the loop runs in blocks
+    of _BLOCK items.  At each block end it compares the state (the last
+    ``lags`` items) with the state p items back, for each p of
+    ``periods``, smallest first, while that earlier state starts at or
+    past ``first``.  At the first match the last p items repeat to
+    ``end``.  Returns why the loop stopped, and the repeat (onset,
+    period) of ``_repeat``, or None."""
+    if blocked is None:
+        return loop(seq, end, *args), None
+    first, periods = blocked
     while True:
-        stopped = loop(seq, min(stop, end), *args)
+        stopped = loop(seq, min(len(seq) + _BLOCK, end), *args)
         if stopped is not None or len(seq) >= end:
             return stopped, None
-        onset = len(seq) - _BLOCK - lags
-        if onset + lags > first and \
-                _same_bits(seq[onset:onset + lags], seq[-lags:]):
-            bits = _bits(seq[-_BLOCK:])
-            seq.extend(islice(cycle(seq[-_BLOCK:]), end - len(seq)))
-            size = len(bits) // _BLOCK
-            return None, (onset, next(
-                p for p in range(1, _BLOCK + 1) if not _BLOCK % p
-                and bits[p * size:] == bits[:-p * size]))
-        stop += _BLOCK
+        # States are sliced only for the periods whose newest item matches:
+        # slicing one for each of the 32 periods cost a 30,000-step orbit
+        # that never repeats about 5% of its time.
+        last = seq[-1]
+        p = _repeated(seq[-lags:], lambda back: seq[-lags - back:-back],
+                      [d for d in periods if seq[-1 - d] == last],
+                      len(seq) - lags - first)
+        if p is not None:
+            start = len(seq) - lags - p
+            seq.extend(islice(cycle(seq[-p:]), end - len(seq)))
+            return None, _repeat(seq, start, p)
 
 
 def _stop(n: int, x: float, end: int, terms: List[float], m: int
@@ -377,9 +430,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     # its newest term does, so each term is checked once, as it enters.
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
     shape, values = rendered = _rendered(eq.evaluator)
-    first = _blocked(steps, rendered)
+    blocked = _blocked(steps, rendered)
     diagnostic, repeat = _in_blocks(
-        _iterate_loop(shape, m, uniform), terms, m + steps, m, first,
+        _iterate_loop(shape, m, uniform), terms, m + steps, m, blocked,
         m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
     return Trajectory(tuple(terms), diagnostic, repeat)
 
@@ -390,7 +443,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
 @dataclass(frozen=True)
 class Orbit:
     """A forward orbit of a system; ``points[0]`` is the initial state, and
-    ``diagnostic`` and ``repeat`` are as a ``Trajectory``'s."""
+    ``diagnostic`` and ``repeat`` are as a ``Trajectory``'s.  ``xs`` and
+    ``ys`` are the first two components of every point, each a tuple
+    built on first read."""
 
     points: Tuple[Tuple[float, ...], ...]
     diagnostic: Optional[str] = None
@@ -399,13 +454,24 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def xs(self) -> List[float]:
-        return [p[0] for p in self.points]
+    @functools.cached_property
+    def xs(self) -> Tuple[float, ...]:
+        return self._column(0)
 
-    @property
-    def ys(self) -> List[float]:
-        return [p[1] for p in self.points]
+    @functools.cached_property
+    def ys(self) -> Tuple[float, ...]:
+        return self._column(1)
+
+    def _column(self, i: int) -> Tuple[float, ...]:
+        """Component i of every point; with a repeat, read from the points
+        up to one period past its onset, and copied from there."""
+        points = self.points
+        if self.repeat is None:
+            return tuple([p[i] for p in points])
+        onset, period = self.repeat
+        head = tuple([p[i] for p in points[:onset + period]])
+        cycled, rest = head[onset:], len(points) - len(head)
+        return head + cycled * (rest // period) + cycled[:rest % period]
 
     def to_csv(self) -> str:
         lines = ["n," + ",".join("xyz"[:len(self.points[0])])]
@@ -520,10 +586,10 @@ def iterate_system(sys, initial: Sequence[float], steps: int) -> Orbit:
     (``_in_blocks``); any other is called once per step."""
     points: List[Tuple[float, ...]] = [_initial_state(initial, sys.domains)]
     maps = tuple(map(_rendered, sys.maps))
-    first = _blocked(steps, *maps)
+    blocked = _blocked(steps, *maps)
     diagnostic, repeat = _in_blocks(
         _system_loop(tuple(shape for shape, _ in maps)), points, steps + 1,
-        1, first,
+        1, blocked,
         *(b for lo, hi in sys.domains for b in (max(lo, -_MAX),
                                                  min(hi, _MAX))),
         *(value for _, values in maps for value in values))

@@ -358,16 +358,18 @@ def _outcome(run: Callable, *args):
 
 @pytest.fixture
 def repeats(monkeypatch) -> List[bool]:
-    """The result of each state comparison the loops make.  The fold
-    loops are compiled afresh, so that they read the recording one."""
+    """For each block end, whether its state repeated one p steps back
+    (``dynamics._repeated``).  The fold loops are compiled afresh, so that
+    they read the recording one."""
     seen: List[bool] = []
-    same_bits = dynamics._same_bits
+    repeated = dynamics._repeated
 
-    def _same_bits(a, b):   # a loop reads it by this name
-        seen.append(same_bits(a, b))
-        return seen[-1]
-    monkeypatch.setattr(dynamics, "_same_bits", _same_bits)
-    monkeypatch.setattr(systems, "_same_bits", _same_bits)
+    def _repeated(*args):   # a loop reads it by this name
+        p = repeated(*args)
+        seen.append(p is not None)
+        return p
+    monkeypatch.setattr(dynamics, "_repeated", _repeated)
+    monkeypatch.setattr(systems, "_repeated", _repeated)
     systems._fold_loop.cache_clear()
     yield seen
     systems._fold_loop.cache_clear()

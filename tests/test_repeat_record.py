@@ -1,12 +1,13 @@
 """The repeat an orbit records, and the reports that stop scanning at it.
 
-``iterate`` and ``iterate_system`` copy an orbit's last block once its
-state repeats, and record the repeat as (onset, period): every stored
-term from onset on has the bits of the term one period later, and the
-period is the least divisor of the block with which the last block
-repeats.  Nothing is recorded when the loop ran every step: at most one
-block of steps, a called map or wrapper, a coefficient period that does
-not divide the block, or an orbit that stopped early.
+``iterate`` and ``iterate_system`` copy an orbit's last p terms once its
+state at a block end repeats the one p steps back, and record the repeat
+as (onset, period): every stored term from onset on has the bits of the
+term one period later, the onset is the least such index, and the period
+is the least divisor of the block with which the last block repeats.
+Nothing is recorded when the loop ran every step: at most one block of
+steps, a called map or wrapper, a coefficient period that does not divide
+the block, or an orbit that stopped early.
 
 ``analyze_residues`` stops its window-entry scans where every term they
 would test repeats one they tested, and takes ``full_convergence_from``
@@ -26,7 +27,7 @@ import pytest
 
 import subconverge as sc
 from subconverge.analysis import analyze_residues
-from subconverge.dynamics import _BLOCK
+from subconverge.dynamics import _BLOCK, _repeat
 from subconverge.planar import CompetitionParams
 from subconverge.reports import ThresholdWindow
 from test_criteria import ref_full_convergence
@@ -39,18 +40,28 @@ def _bits(item) -> bytes:
     return array("d", item if isinstance(item, tuple) else (item,)).tobytes()
 
 
+def _walk_back(bits, period):
+    """The least onset by brute force: from the end, step back while the
+    item has the bits of the item one period later."""
+    onset = len(bits) - period
+    while onset and bits[onset - 1] == bits[onset - 1 + period]:
+        onset -= 1
+    return onset
+
+
 def assert_repeat(items, repeat):
     """Every stored item from onset on has the bits of the item one
-    period later, and no smaller divisor of the block is a period of the
-    last block.  The onset is where the state compared one block before
-    the repeat begins: after the m initial terms (one initial point)
-    blocks end at m - 1 + jB (jB), so that state begins at a multiple of
-    the block."""
+    period later, and the onset is the least such index: it is 0, or the
+    item before it differs in bits from the one a period later, as the
+    walk back finds.  No smaller divisor of the block is a period of the
+    last block."""
     onset, period = repeat
     bits = list(map(_bits, items))
-    assert onset % _BLOCK == 0 and onset < len(bits) - period
+    assert 0 <= onset < len(bits) - period
     assert _BLOCK % period == 0
     assert bits[onset + period:] == bits[onset:-period]
+    assert onset == 0 or bits[onset - 1] != bits[onset - 1 + period]
+    assert onset == _walk_back(bits, period)
     block = bits[-_BLOCK:]
     for p in range(1, period):
         assert _BLOCK % p or block[p:] != block[:-p], p
@@ -116,12 +127,19 @@ THREED = {
 }
 
 
+# The least onsets of the benchmark's orbits that repeat.
+ONSETS = {"sp3-k1": 29, "sp3-k2": 117, "sp3-k3": 252,
+          "ricker-m3-periodic-tabulated": 103, "adult-juvenile": 308,
+          "competition-coexist": 72, "threed": 12}
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR))
 def test_scalar_orbits_record_their_repeat(name):
     eq, _, init = SCALAR[name]()
     traj = sc.iterate(eq, init, STEPS)
     assert traj.repeat is not None
     assert_repeat(traj.terms, traj.repeat)
+    assert traj.repeat[0] == ONSETS.get(name, traj.repeat[0])
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))
@@ -130,6 +148,7 @@ def test_planar_orbits_record_their_repeat(name):
     orbit = sc.iterate_system(sysm, init, STEPS)
     assert orbit.repeat is not None
     assert_repeat(orbit.points, orbit.repeat)
+    assert orbit.repeat[0] == ONSETS.get(name, orbit.repeat[0])
 
 
 @pytest.mark.parametrize("name", sorted(THREED))
@@ -137,8 +156,34 @@ def test_threed_orbits_and_their_folds_record_their_repeat(name):
     sysm, eq, init = THREED[name]()
     orbit = sc.iterate_system(sysm, init, STEPS)
     assert_repeat(orbit.points, orbit.repeat)
+    assert orbit.repeat[0] == ONSETS.get(name, orbit.repeat[0])
     traj = sc.iterate(eq, sysm.fold_initial(init, orbit), STEPS)
     assert_repeat(traj.terms, traj.repeat)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_the_columns_are_the_points_components(name):
+    """``xs`` and ``ys``, copied from one period past the onset, hold the
+    bits of each point's components, as without the record; each is a
+    tuple built once."""
+    sysm, init = PLANAR[name]()
+    for steps in (STEPS, 2 * _BLOCK + 1, 100):
+        orbit = sc.iterate_system(sysm, init, steps)
+        plain = replace(orbit, repeat=None)
+        for i, column in enumerate(("xs", "ys")):
+            got = getattr(orbit, column)
+            assert type(got) is tuple and getattr(orbit, column) is got
+            assert list(map(_bits, got)) == [_bits(p[i]) for p in
+                                              orbit.points]
+            assert got == getattr(plain, column)
+
+
+def test_a_signed_zero_is_no_part_of_the_repeat():
+    """-0.0 == 0.0, so ``==`` alone would put the onset at 0; the bits put
+    it at 1.  The period is the least divisor of the matched one."""
+    seq = [-0.0, 1.0, 0.0] + [1.0, 0.0] * 5
+    assert _repeat(seq, 2, 4) == (1, 2)
+    assert _repeat(seq[1:], 1, 2) == (0, 2)
 
 
 def test_the_periods_are_the_orbits_own():
