@@ -186,6 +186,17 @@ then
     cat "$err" "$folded" >&2
     status=1
 fi
+# A 500-step fold check of the same orbit, which repeats from step 72:
+# no longer than a block, so it runs every step, and it passes.
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI fold --model competition --r1 3 --r2 3 --a1 1 --a2 1 --b1 0.3 \
+        --b2 0.3 --init 2,1 --steps 500 > "$folded" 2> "$err" \
+        || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
+then
+    echo "FAILED: a 500-step fold check must exit 0 and pass" >&2
+    cat "$err" "$folded" >&2
+    status=1
+fi
 # The same with periodic coefficients, whose periods divide the block.
 for periodic_cfg in "$aj_long_cfg" "$threed_long_cfg"; do
     # shellcheck disable=SC2086  # $CLI is a word list
@@ -251,9 +262,11 @@ done <<ERRORS
 ERRORS
 # A command loads only what it runs: no command loads click, a scalar
 # one no planar code, and only analyze the analysis; none without
-# --config loads the config schema.  -X importtime lists on stderr every
-# module that the importable package (the installed one, or
-# PYTHONPATH=src) loads while the command runs in process.  Each line:
+# --config loads the config schema.  The report of a long repeating sp3
+# orbit sums its tails exactly without fractions (or decimal).
+# -X importtime lists on stderr every module that the importable package
+# (the installed one, or PYTHONPATH=src) loads while the command runs in
+# process.  Each line:
 # the arguments, then a pattern of the modules the command must not load.
 while IFS=';' read -r args forbidden; do
     if ! python -X importtime -c \
@@ -269,6 +282,7 @@ done <<'SCALAR'
 "models";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "simulate", "--model", "ricker", "--steps", "20";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "analyze", "--model", "sp3", "--init", "1,1,1", "--steps", "30";click(\..*)?|subconverge\.(systems|planar|config)
+"analyze", "--model", "sp3", "--k", "3", "--init", "1,1,1", "--steps", "30000";click(\..*)?|fractions|decimal|subconverge\.(systems|planar|config)
 "threshold", "--model", "sp3", "--json";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "fold", "--model", "threed", "--init", "0.9,1.1,1", "--steps", "50";click(\..*)?|subconverge\.(systems|planar|analysis|config)
 "analyze", "--model", "adult-juvenile", "--init", "1,1", "--steps", "20";click(\..*)?|subconverge\.config

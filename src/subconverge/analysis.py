@@ -83,13 +83,53 @@ def classify_limit(subseq: Sequence[float], candidates: Sequence[float],
         raise ValueError("subsequence must be non-empty")
     n_tail = min(len(subseq), max(4, len(subseq) // 4))
     tail = subseq[-n_tail:]
-    mean = math.fsum(tail) / len(tail)
-    width = max(tail) - min(tail)
+    return _classify(math.fsum(tail) / len(tail), max(tail) - min(tail),
+                     candidates, tol)
+
+
+def _classify(mean: float, width: float, candidates: Sequence[float],
+              tol: float) -> Classification:
     best = min(candidates, key=lambda c: abs(mean - c), default=None)
     if best is not None and abs(mean - best) <= tol and width <= 2 * tol:
         kind = "zero" if best == 0.0 else "fixed-point"
         return Classification(kind, best, mean, width)
     return Classification("inconclusive", None, mean, width)
+
+
+def _class_limit(terms: Sequence[float], begin: int, stride: int,
+                 size: int, onset: int, cycle: int,
+                 candidates: Sequence[float], tol: float) -> Classification:
+    """``classify_limit`` of the ``size`` terms terms[begin::stride], whose
+    terms from ``onset`` on have the bits of the term ``cycle`` (a
+    multiple of stride) later.  A tail that starts there is read one class
+    cycle long: max and min keep the first extreme they meet, which the
+    first cycle holds, and the mean is the exact sum rounded once, as
+    ``math.fsum`` rounds it."""
+    n_tail = min(size, max(4, size // 4))
+    head = begin + (size - n_tail) * stride    # the tail's first term
+    if not size or head < onset:
+        return classify_limit(terms[begin::stride], candidates, tol)
+    one = terms[head:head + min(cycle, n_tail * stride):stride]
+    count, rest = divmod(n_tail, len(one))
+    return _classify(_repeated_sum(one, count, rest) / n_tail,
+                     max(one) - min(one), candidates, tol)
+
+
+def _repeated_sum(one: Sequence[float], count: int, rest: int) -> float:
+    """math.fsum of ``count`` copies of ``one``, then its first ``rest``
+    items: the exact sum of their integer ratios, whose int division
+    CPython rounds correctly, as fsum rounds.  fsum runs over them all
+    where a partial sum could come near overflow (or a term is not
+    finite), so that every OverflowError stays, and where every term is a
+    zero, whose sign is fsum's to give: one copy has the same terms."""
+    if not sum(map(abs, one)) * (count + 1) <= 1e300:   # NaN too
+        return math.fsum(list(one) * count + list(one[:rest]))
+    if not any(one):
+        return math.fsum(one)
+    ratios = [x.as_integer_ratio() for x in one]
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    return (sum(nums) * count + sum(nums[:rest])) / scale
 
 
 def analyze_residues(terms: Sequence[float], stride: int,
@@ -111,7 +151,10 @@ def analyze_residues(terms: Sequence[float], stride: int,
     empirical prediction.  ``first_only`` keeps the first crossing's
     class only.  Once every class entered, the tail converges from the
     first run of ``stride`` terms in the window.  Given the terms'
-    ``repeat``, the scans stop where each term repeats one they tested.
+    ``repeat``, the scans stop where each term repeats one they tested,
+    and each class is read by index over one class cycle: its tail's
+    width and exact mean (``_class_limit``), and its monotone check up to
+    one cycle past the onset.  The report equals the one without it.
     """
     lo, hi = window.lo, window.hi
     onset, period = repeat or (len(terms), 1)
@@ -137,6 +180,7 @@ def analyze_residues(terms: Sequence[float], stride: int,
     full = next((n for n in range(start, min(
         len(terms) - stride + 1, max(start, onset) + period))
         if all(lo < x < hi or x == 0.0 for x in terms[n:n + stride])), None)
+    cycle = math.lcm(period, stride)
     predictions: List[Prediction] = []
     limits: List[LimitClassification] = []
     tails = {}
@@ -144,16 +188,25 @@ def analyze_residues(terms: Sequence[float], stride: int,
         n0 = entries[residue]
         if n0 is None and candidates is None:
             continue
-        sub = terms[residue if n0 is None else n0::stride]
-        tails[residue] = list(sub[-8:])
-        cls = None if candidates is None else \
-            classify_limit(sub, candidates, limit_tol)
+        # The class is terms[begin::stride], read by index.
+        begin = residue if n0 is None else n0
+        size = len(range(begin, len(terms), stride))
+        last = begin + (size - 1) * stride
+        tails[residue] = list(terms[max(begin, last - 7 * stride):last + 1:
+                                    stride])
+        cls = None if candidates is None else _class_limit(
+            terms, begin, stride, size, onset, cycle, candidates, limit_tol)
         if n0 is not None:
             links = None if chain is None else chain(n0)
             verdict = CONVERGING_TO_ZERO if links is None or links.holds \
                 else VIOLATED
+            # A class that decreases strictly to a nonzero term a cycle
+            # past the onset would reach a term with its bits: the scan
+            # ends by then, and only its status is read.
+            past = max(0, -(-(onset - n0) // stride)) * stride + cycle
             note = "" if candidates is None else "monotone:%s" % \
-                verify_monotone_to_zero(sub, zero_tol).status
+                verify_monotone_to_zero(terms[n0:n0 + past + 1:stride],
+                                        zero_tol).status
             predictions.append(Prediction(residue, n0, stride, verdict,
                                           links, limit=0.0, note=note))
         elif cls.kind == "fixed-point":

@@ -17,7 +17,7 @@ import struct
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import chain, count
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonFiniteError
@@ -229,6 +229,10 @@ def _loop(source: str, helpers: Tuple[Callable, ...]) -> Callable:
 
 _BLOCK = 840    # lcm(1, ..., 8): every period up to 8 divides a block
 _DIVISORS = tuple(p for p in range(1, _BLOCK + 1) if not _BLOCK % p)
+# The checkpoints of a blocked loop, in steps from its start: these, then
+# every _BLOCK.  An orbit that repeats early ends at the first that shows
+# it, and the fold check (``systems._checkpoints``) keeps the same.
+_SCHEDULE = (_BLOCK // 8, _BLOCK // 4, _BLOCK // 2, _BLOCK)
 
 
 def _blocked(steps: int, *maps: tuple
@@ -316,8 +320,9 @@ def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
                *args) -> tuple:
     """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
     appends items up to ``stop`` and returns why it stopped early, or None.
-    Given the (first, periods) of ``_blocked``, the loop runs in blocks
-    of _BLOCK items.  At each block end it compares the state (the last
+    Given the (first, periods) of ``_blocked``, the loop runs to the
+    checkpoints of ``_SCHEDULE``: _BLOCK/8, /4, /2 and _BLOCK items past
+    its start, then every _BLOCK.  At each it compares the state (the last
     ``lags`` items) with the state p items back, for each p of
     ``periods``, smallest first, while that earlier state starts at or
     past ``first``.  At the first match the last p items repeat to
@@ -326,20 +331,23 @@ def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
     if blocked is None:
         return loop(seq, end, *args), None
     first, periods = blocked
-    while True:
-        stopped = loop(seq, min(len(seq) + _BLOCK, end), *args)
+    begin = len(seq)
+    for offset in chain(_SCHEDULE, count(2 * _BLOCK, _BLOCK)):
+        stopped = loop(seq, min(begin + offset, end), *args)
         if stopped is not None or len(seq) >= end:
             return stopped, None
         # States are sliced only for the periods whose newest item matches:
         # slicing one for each of the 32 periods cost a 30,000-step orbit
-        # that never repeats about 5% of its time.
-        last = seq[-1]
+        # that never repeats about 5% of its time.  The bound comes first,
+        # so that seq[-1 - d] is never read before the list's start.
+        last, latest = seq[-1], len(seq) - lags - first
         p = _repeated(seq[-lags:], lambda back: seq[-lags - back:-back],
-                      [d for d in periods if seq[-1 - d] == last],
-                      len(seq) - lags - first)
+                      [d for d in periods if d <= latest
+                       and seq[-1 - d] == last], latest)
         if p is not None:
-            start = len(seq) - lags - p
-            seq.extend(islice(cycle(seq[-p:]), end - len(seq)))
+            start, cycled = len(seq) - lags - p, seq[-p:]
+            rest = end - len(seq)
+            seq += cycled * (rest // p) + cycled[:rest % p]
             return None, _repeat(seq, start, p)
 
 

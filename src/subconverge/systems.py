@@ -28,14 +28,14 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, count, islice, takewhile
 from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import criteria
 from .analysis import analyze_residues
 from .criteria import ScalarMap, ThresholdResult, solve_threshold
-from .dynamics import (_BLOCK, EquationSpec, Orbit, _blocked,
+from .dynamics import (_BLOCK, _SCHEDULE, EquationSpec, Orbit, _blocked,
                        _initial_state, _loop, _loop_args, _map_step,
                        _non_finite_state, _outside, _rendered, _repeated,
                        _state_outside)
@@ -173,13 +173,12 @@ class FoldCheck(NamedTuple):
 # it is greater, so a NaN |r| or d is passed over; a NaN d (r NaN or
 # infinite) still diverges.
 _CHECK_FOLD = """\
-def orbit(x, y, steps, stops, first, periods, tol, x_lo, x_hi, y_lo, y_hi,
-          %(args)s):
+def orbit(x, y, steps, stops, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
     u0, u1, r = None, x, None   # the fold's x_{n-1}, x_n, recovered y_{n-1}
     max_x = max_y = 0.0
     div_x = div_y = stopped = None
-    start, kept = 0, {}     # kept[p]: the state p steps before a block end
-    for stop in stops:
+    start, kept = 0, {}     # kept[p]: the state p steps before a checkpoint
+    for stop, key, compared in stops:
         for n in range(start, stop):
 %(f)s
 %(g)s
@@ -232,13 +231,11 @@ def orbit(x, y, steps, stops, first, periods, tol, x_lo, x_hi, y_lo, y_hi,
                     max_x = d
             u0, u1 = u1, nxt
             x, y = xn, yn   # apart: a four-name swap was ~4%% slower on 3.11
-        else:   # a checkpoint: end at a block end whose state repeats
+        else:   # a stop: end at a checkpoint whose state repeats
             start, state = stop, (x, y, u0, u1, r)
-            back = -stop %% %(block)d    # the steps to the next block end
-            latest = stop - 1 - first   # the largest p: g reads n - 1 >= first
-            if back or not periods or _repeated(
-                    state, kept.__getitem__, periods, latest) is None:
-                kept[back or %(block)d] = state
+            if not compared or _repeated(
+                    state, kept.__getitem__, compared, stop) is None:
+                kept[key] = state
                 continue
         break
     if stopped is None:     # every term x_0 .. x_steps was compared
@@ -257,7 +254,6 @@ def _fold_loop(f: Optional[tuple], g: Optional[tuple],
     direct state, and in the fold term, g at step n - 1."""
     direct, fold = " " * 12, " " * 20
     return _loop(_CHECK_FOLD % {
-        "block": _BLOCK,
         "args": _loop_args(((f, "f"), (g, "g"), (sigma, "sigma"))),
         "f": _map_step(f, "f", "xn", "x, y", direct),
         "g": _map_step(g, "g", "yn", "x, y", direct),
@@ -287,42 +283,77 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     x_{n-1}, x_n, y_{n-1}) repeats the one p steps earlier, for a p of
     ``_blocked``'s periods whose earlier state is at or past its first
     step (the fold reads g at n - 1): every later step repeats a compared
-    one.  It keeps the states it compares with at checkpoints p steps
-    before each block end (``_checkpoints``).
+    one.  Its checkpoints are those of ``dynamics._in_blocks`` (steps 105,
+    210, 420, 840, then every 840), and it keeps the states it compares
+    with at the stops of ``_checkpoints``.
     """
     x, y = _initial_state(initial, sys.domains)
     maps = (f, f_values), (g, g_values), (sigma, s_values) = tuple(map(
         _rendered, (sys.f, sys.g, _solver(sys))))
     (x_lo, x_hi), (y_lo, y_hi) = sys.domain_x, sys.domain_y
-    first, periods = _blocked(steps, *maps) or (0, ())
-    periods = _widest(periods)
     return _fold_loop(f, g, sigma)(
-        x, y, steps, _checkpoints(steps, periods), first, periods, tol, x_lo,
+        x, y, steps, _checkpoints(steps, _blocked(steps, *maps)), tol, x_lo,
         x_hi, y_lo, y_hi, *f_values, *g_values, *s_values)
 
 
 def _widest(periods: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The periods the fold check compares at: each p < _BLOCK that divides
-    no larger one, and _BLOCK (at q = 1: 120, 168, 280, 420, 840).  Every
-    other period p divides one of them, so a state that repeats with p
-    from a step at least that far back repeats with it too.  A state kept
-    for every period (31 at q = 1) cost a 30,000-step check that never
-    repeats about 7% of its time; these five cost about 1%."""
-    proper = [p for p in periods if p < _BLOCK]
+    """Of ``periods``, smallest first: each below the largest that divides
+    no larger one, then the largest (at q = 1 and a whole block: 120, 168,
+    280, 420, 840).  Every other period p divides one of them, so a state
+    that repeats with p from a step at least that far back repeats with
+    it too.  A state kept for every period (31 at q = 1) cost a
+    30,000-step check that never repeats about 7% of its time; these five
+    cost about 1%."""
+    proper = periods[:-1]
     return tuple(p for p in proper if not any(
         d % p == 0 for d in proper if d > p)) + periods[-1:]
 
 
-def _checkpoints(steps: int, periods: Tuple[int, ...]) -> Iterable[int]:
-    """The steps at which the fold check keeps its state, up to ``steps``:
-    p steps before each block end, for each p < _BLOCK of ``periods``, and
-    each block end.  Without periods (not blocked), only ``steps``."""
-    if not periods:
-        return (steps,)
-    offsets = sorted(_BLOCK - p for p in periods if p < _BLOCK) + [_BLOCK]
-    return chain(chain.from_iterable(
-        [start + offset for offset in offsets if start + offset < steps]
-        for start in range(0, steps, _BLOCK)), (steps,))
+def _checkpoints(steps: int, blocked: Optional[Tuple[int, Tuple[int, ...]]]
+                 ) -> Iterable[Tuple[int, Optional[int], Tuple[int, ...]]]:
+    """The fold check's stops up to ``steps``, for the (first, periods) of
+    ``_blocked``: each (stop, key, compared).  At a stop the check compares
+    its state with the one kept p steps back, for each p of ``compared``,
+    then keeps it under ``key``, the steps to the next checkpoint that
+    reads it.  Not blocked: only ``steps``."""
+    end = (steps, None, ())
+    if blocked is None:
+        return (end,)
+    head, block, begin = _schedule(*blocked)
+    return chain(takewhile(lambda stop: stop[0] < steps, chain(head, (
+        (start + offset, key, compared)
+        for start in count(begin, _BLOCK)
+        for offset, key, compared in block))), (end,))
+
+
+@lru_cache(maxsize=128)
+def _schedule(first: int, periods: Tuple[int, ...]) -> tuple:
+    """(head, block, begin): the stops of ``_checkpoints`` up to the
+    checkpoint ``begin``, and from there the stops of every block, as
+    offsets from its start.  At checkpoint c the check compares with the
+    ``_widest`` of the periods that divide gcd(c, _BLOCK), for each p
+    whose earlier state is at or past step first + 1 (g reads n - 1): at
+    q = 1, (15, 21, 35) at 105, (30, 42, 70, 105) at 210, (60, 84, 140,
+    210) at 420, (120, 168, 280, 420) at 840, and those and 840 from
+    1680 on.  Every state compared with lies between the checkpoint
+    before and c.  From the first checkpoint past 2 * _BLOCK - 1 and
+    _BLOCK + first, each block's stops are the same."""
+    marks = list(_SCHEDULE)
+    while marks[-1] < 2 * _BLOCK or marks[-1] - first <= _BLOCK:
+        marks.append(marks[-1] + _BLOCK)
+    stops = []
+    for before, mark, after in zip([0] + marks, marks,
+                                   marks[1:] + [marks[-1] + _BLOCK]):
+        gcd = math.gcd(mark, _BLOCK)
+        compared = tuple(p for p in _widest(tuple(
+            p for p in periods if not gcd % p)) if p < mark - first)
+        stops += [(mark - p, p, ()) for p in reversed(compared)
+                  if mark - p > before]
+        stops.append((mark, after - mark, compared))
+    begin = marks[-2]
+    block = tuple((stop - begin, key, compared)
+                  for stop, key, compared in stops if stop > begin)
+    return tuple(stops[:len(stops) - len(block)]), block, begin
 
 
 # -- envelope criteria ---------------------------------------------------
