@@ -186,14 +186,15 @@ then
     cat "$err" "$folded" >&2
     status=1
 fi
-# A 500-step fold check of the same orbit, which repeats from step 72:
-# no longer than a block, so it runs every step, and it passes.
+# A 1,000-step fold check of the same orbit, which repeats from step 72
+# with period 1: longer than a block, so it ends at the first checkpoint,
+# step 105, inside the first block, and it passes.
 # shellcheck disable=SC2086  # $CLI is a word list
 if ! $CLI fold --model competition --r1 3 --r2 3 --a1 1 --a2 1 --b1 0.3 \
-        --b2 0.3 --init 2,1 --steps 500 > "$folded" 2> "$err" \
+        --b2 0.3 --init 2,1 --steps 1000 > "$folded" 2> "$err" \
         || grep -q Traceback "$err" || ! grep -q '"passed": true' "$folded"
 then
-    echo "FAILED: a 500-step fold check must exit 0 and pass" >&2
+    echo "FAILED: a 1,000-step fold check must exit 0 and pass" >&2
     cat "$err" "$folded" >&2
     status=1
 fi

@@ -96,20 +96,12 @@ def _classify(mean: float, width: float, candidates: Sequence[float],
     return Classification("inconclusive", None, mean, width)
 
 
-def _class_limit(terms: Sequence[float], begin: int, stride: int,
-                 size: int, onset: int, cycle: int,
+def _cycle_limit(one: Sequence[float], n_tail: int,
                  candidates: Sequence[float], tol: float) -> Classification:
-    """``classify_limit`` of the ``size`` terms terms[begin::stride], whose
-    terms from ``onset`` on have the bits of the term ``cycle`` (a
-    multiple of stride) later.  A tail that starts there is read one class
-    cycle long: max and min keep the first extreme they meet, which the
-    first cycle holds, and the mean is the exact sum rounded once, as
-    ``math.fsum`` rounds it."""
-    n_tail = min(size, max(4, size // 4))
-    head = begin + (size - n_tail) * stride    # the tail's first term
-    if not size or head < onset:
-        return classify_limit(terms[begin::stride], candidates, tol)
-    one = terms[head:head + min(cycle, n_tail * stride):stride]
+    """``classify_limit``'s verdict on a tail of ``n_tail`` terms that
+    repeats ``one``, its first class cycle: max and min keep the first
+    extreme they meet, which that cycle holds, and the mean is the exact
+    sum rounded once, as ``math.fsum`` rounds it."""
     count, rest = divmod(n_tail, len(one))
     return _classify(_repeated_sum(one, count, rest) / n_tail,
                      max(one) - min(one), candidates, tol)
@@ -153,7 +145,7 @@ def analyze_residues(terms: Sequence[float], stride: int,
     first run of ``stride`` terms in the window.  Given the terms'
     ``repeat``, the scans stop where each term repeats one they tested,
     and each class is read by index over one class cycle: its tail's
-    width and exact mean (``_class_limit``), and its monotone check up to
+    width and exact mean (``_cycle_limit``), and its monotone check up to
     one cycle past the onset.  The report equals the one without it.
     """
     lo, hi = window.lo, window.hi
@@ -188,25 +180,35 @@ def analyze_residues(terms: Sequence[float], stride: int,
         n0 = entries[residue]
         if n0 is None and candidates is None:
             continue
-        # The class is terms[begin::stride], read by index.
         begin = residue if n0 is None else n0
         size = len(range(begin, len(terms), stride))
-        last = begin + (size - 1) * stride
-        tails[residue] = list(terms[max(begin, last - 7 * stride):last + 1:
-                                    stride])
-        cls = None if candidates is None else _class_limit(
-            terms, begin, stride, size, onset, cycle, candidates, limit_tol)
+        n_tail = min(size, max(4, size // 4))   # classify_limit's tail
+        head = begin + (size - n_tail) * stride     # its first term
+        if not size or head < onset:
+            # Always so without a repeat: the class is sliced once.
+            sub = terms[begin::stride]
+            tails[residue] = list(sub[-8:])
+            cls = None if candidates is None else \
+                classify_limit(sub, candidates, limit_tol)
+        else:   # the tail repeats its first class cycle: read by index
+            last = begin + (size - 1) * stride
+            tails[residue] = list(terms[max(begin, last - 7 * stride):
+                                        last + 1:stride])
+            cls = None if candidates is None else _cycle_limit(
+                terms[head:head + min(cycle, n_tail * stride):stride],
+                n_tail, candidates, limit_tol)
+            # A class that decreases strictly to a nonzero term a cycle
+            # past its first term from the onset on would reach a term
+            # with its bits: the monotone scan ends by then, and only its
+            # status is read.
+            past = max(0, -(-(onset - begin) // stride)) * stride + cycle
+            sub = terms[begin:begin + past + 1:stride]
         if n0 is not None:
             links = None if chain is None else chain(n0)
             verdict = CONVERGING_TO_ZERO if links is None or links.holds \
                 else VIOLATED
-            # A class that decreases strictly to a nonzero term a cycle
-            # past the onset would reach a term with its bits: the scan
-            # ends by then, and only its status is read.
-            past = max(0, -(-(onset - n0) // stride)) * stride + cycle
             note = "" if candidates is None else "monotone:%s" % \
-                verify_monotone_to_zero(terms[n0:n0 + past + 1:stride],
-                                        zero_tol).status
+                verify_monotone_to_zero(sub, zero_tol).status
             predictions.append(Prediction(residue, n0, stride, verdict,
                                           links, limit=0.0, note=note))
         elif cls.kind == "fixed-point":

@@ -263,12 +263,11 @@ def _blocked(steps: int, *maps: tuple
 
 
 def _repeated(state, earlier: Callable[[int], object],
-              periods: Sequence[int], latest: int) -> Optional[int]:
-    """The least p of ``periods``, up to ``latest``, whose state p steps
-    back, ``earlier(p)``, holds the bits of ``state``; or None."""
+              periods: Sequence[int]) -> Optional[int]:
+    """The least p of ``periods`` whose state p steps back,
+    ``earlier(p)``, holds the bits of ``state``; or None.  The caller
+    passes only the p whose earlier state starts at or past ``first``."""
     for p in periods:
-        if p > latest:
-            break
         back = earlier(p)
         if back == state and _same_bits(back, state):
             return p
@@ -343,7 +342,7 @@ def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
         last, latest = seq[-1], len(seq) - lags - first
         p = _repeated(seq[-lags:], lambda back: seq[-lags - back:-back],
                       [d for d in periods if d <= latest
-                       and seq[-1 - d] == last], latest)
+                       and seq[-1 - d] == last])
         if p is not None:
             start, cycled = len(seq) - lags - p, seq[-p:]
             rest = end - len(seq)

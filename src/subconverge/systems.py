@@ -234,7 +234,7 @@ def orbit(x, y, steps, stops, tol, x_lo, x_hi, y_lo, y_hi, %(args)s):
         else:   # a stop: end at a checkpoint whose state repeats
             start, state = stop, (x, y, u0, u1, r)
             if not compared or _repeated(
-                    state, kept.__getitem__, compared, stop) is None:
+                    state, kept.__getitem__, compared) is None:
                 kept[key] = state
                 continue
         break
@@ -279,7 +279,7 @@ def check_fold_consistency(sys: PlanarSystem, initial: Tuple[float, float],
     A rendered f, g or sigma runs inlined in the loop; any other is called
     once per use: at step 0 f, g and sigma once each, at each later step f
     and g twice and sigma once.  As ``dynamics._in_blocks`` does, a
-    ``_blocked`` check ends at the first block end whose state (x, y,
+    ``_blocked`` check ends at the first checkpoint whose state (x, y,
     x_{n-1}, x_n, y_{n-1}) repeats the one p steps earlier, for a p of
     ``_blocked``'s periods whose earlier state is at or past its first
     step (the fold reads g at n - 1): every later step repeats a compared
