@@ -96,15 +96,36 @@ def _classify(mean: float, width: float, candidates: Sequence[float],
     return Classification("inconclusive", None, mean, width)
 
 
-def _cycle_limit(one: Sequence[float], n_tail: int,
-                 candidates: Sequence[float], tol: float) -> Classification:
-    """``classify_limit``'s verdict on a tail of ``n_tail`` terms that
-    repeats ``one``, its first class cycle: max and min keep the first
-    extreme they meet, which that cycle holds, and the mean is the exact
-    sum rounded once, as ``math.fsum`` rounds it."""
-    count, rest = divmod(n_tail, len(one))
-    return _classify(_repeated_sum(one, count, rest) / n_tail,
-                     max(one) - min(one), candidates, tol)
+def _one_cycle(terms: Sequence[float], begin: int, stride: int,
+               onset: int, cycle: int,
+               candidates: Optional[Sequence[float]], tol: float
+               ) -> Optional[tuple]:
+    """The class terms[begin::stride] read by index, given that its terms
+    from ``onset`` on have the bits of the term ``cycle`` (a multiple of
+    stride) later: its last eight terms, ``classify_limit``'s verdict
+    (None without ``candidates``) and where its monotone check can end;
+    or None if the class is empty or classify_limit's tail starts before
+    the onset.  The tail is read over its first class cycle: max and min
+    keep the first extreme they meet, which that cycle holds, and the
+    mean is the exact sum rounded once, as ``math.fsum`` rounds it.  A
+    class that decreases strictly to a nonzero term a cycle past its
+    first term from the onset on would reach a term with its bits, so
+    the monotone scan has ended by then, and only its status is read."""
+    size = len(range(begin, len(terms), stride))
+    n_tail = min(size, max(4, size // 4))
+    head = begin + (size - n_tail) * stride    # the tail's first term
+    if not size or head < onset:
+        return None
+    last = begin + (size - 1) * stride
+    cls = None
+    if candidates is not None:
+        one = terms[head:head + min(cycle, n_tail * stride):stride]
+        count, rest = divmod(n_tail, len(one))
+        cls = _classify(_repeated_sum(one, count, rest) / n_tail,
+                        max(one) - min(one), candidates, tol)
+    past = max(0, -(-(onset - begin) // stride)) * stride + cycle
+    return (list(terms[max(begin, last - 7 * stride):last + 1:stride]), cls,
+            begin + past + 1)
 
 
 def _repeated_sum(one: Sequence[float], count: int, rest: int) -> float:
@@ -145,12 +166,13 @@ def analyze_residues(terms: Sequence[float], stride: int,
     first run of ``stride`` terms in the window.  Given the terms'
     ``repeat``, the scans stop where each term repeats one they tested,
     and each class is read by index over one class cycle: its tail's
-    width and exact mean (``_cycle_limit``), and its monotone check up to
+    width and exact mean (``_one_cycle``), and its monotone check up to
     one cycle past the onset.  The report equals the one without it.
     """
     lo, hi = window.lo, window.hi
     onset, period = repeat or (len(terms), 1)
-    end = min(len(terms), max(floor, onset) + math.lcm(period, stride))
+    cycle = math.lcm(period, stride)
+    end = min(len(terms), max(floor, onset) + cycle)
 
     def entry(start: int, step: int) -> Optional[int]:
         return next((n for n in range(start, end, step)
@@ -172,7 +194,6 @@ def analyze_residues(terms: Sequence[float], stride: int,
     full = next((n for n in range(start, min(
         len(terms) - stride + 1, max(start, onset) + period))
         if all(lo < x < hi or x == 0.0 for x in terms[n:n + stride])), None)
-    cycle = math.lcm(period, stride)
     predictions: List[Prediction] = []
     limits: List[LimitClassification] = []
     tails = {}
@@ -181,28 +202,16 @@ def analyze_residues(terms: Sequence[float], stride: int,
         if n0 is None and candidates is None:
             continue
         begin = residue if n0 is None else n0
-        size = len(range(begin, len(terms), stride))
-        n_tail = min(size, max(4, size // 4))   # classify_limit's tail
-        head = begin + (size - n_tail) * stride     # its first term
-        if not size or head < onset:
-            # Always so without a repeat: the class is sliced once.
+        view = None if repeat is None else _one_cycle(
+            terms, begin, stride, onset, cycle, candidates, limit_tol)
+        if view is None:    # always so without a repeat: sliced once
             sub = terms[begin::stride]
             tails[residue] = list(sub[-8:])
             cls = None if candidates is None else \
                 classify_limit(sub, candidates, limit_tol)
-        else:   # the tail repeats its first class cycle: read by index
-            last = begin + (size - 1) * stride
-            tails[residue] = list(terms[max(begin, last - 7 * stride):
-                                        last + 1:stride])
-            cls = None if candidates is None else _cycle_limit(
-                terms[head:head + min(cycle, n_tail * stride):stride],
-                n_tail, candidates, limit_tol)
-            # A class that decreases strictly to a nonzero term a cycle
-            # past its first term from the onset on would reach a term
-            # with its bits: the monotone scan ends by then, and only its
-            # status is read.
-            past = max(0, -(-(onset - begin) // stride)) * stride + cycle
-            sub = terms[begin:begin + past + 1:stride]
+        else:
+            tails[residue], cls, stop = view
+            sub = terms[begin:stop:stride] if n0 is not None else None
         if n0 is not None:
             links = None if chain is None else chain(n0)
             verdict = CONVERGING_TO_ZERO if links is None or links.holds \
