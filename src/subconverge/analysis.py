@@ -165,9 +165,10 @@ def analyze_residues(terms: Sequence[float], stride: int,
     class only.  Once every class entered, the tail converges from the
     first run of ``stride`` terms in the window.  Given the terms'
     ``repeat``, the scans stop where each term repeats one they tested,
-    and each class is read by index over one class cycle: its tail's
-    width and exact mean (``_one_cycle``), and its monotone check up to
-    one cycle past the onset.  The report equals the one without it.
+    and a class whose limit tail starts at or past the onset is read by
+    index over one class cycle (``_one_cycle``): its tail's width and
+    exact mean, and its monotone check up to one cycle past the onset.
+    The report equals the one without it.
     """
     lo, hi = window.lo, window.hi
     onset, period = repeat or (len(terms), 1)
