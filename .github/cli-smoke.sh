@@ -164,6 +164,22 @@ if ! $CLI simulate --model adult-juvenile --init 1,1 --steps 3 \
     cat "$err" >&2
     status=1
 fi
+# The million-step Ricker orbit as JSON holds 1,000,003 terms (three
+# initial values), and from index 103 on each term is written as the term
+# 12 later is, but not the one before: the copied cycle keeps its phase
+# through the console script.  The terms are read as their text.
+# shellcheck disable=SC2086  # $CLI is a word list
+if ! $CLI simulate --config "$long_cfg" --format json > "$orbit" \
+        2> "$err" || grep -q Traceback "$err" \
+        || ! python -c 'import json, sys
+t = json.load(open(sys.argv[1]), parse_float=str)["terms"]
+sys.exit(not (len(t) == 1000003 and t[103:-12] == t[115:]
+              and t[102] != t[114]))' "$orbit"; then
+    echo "FAILED: simulate --config \$long_cfg --format json must give" \
+        "1,000,003 terms repeating with period 12 from index 103" >&2
+    cat "$err" >&2
+    status=1
+fi
 # A planar fold check that stops early (sigma_0 has no preimage) exits 0,
 # and its payload says why it stopped.
 folded=$(mktemp)
@@ -222,7 +238,10 @@ if ! $CLI fold --model threed --a -1 --r 1.5 --init 0.5,0,0.5 --steps 100 \
     status=1
 fi
 # Each line: the documented exit code, then the arguments.  The list is
-# expanded by the shell, for $no_dir and $bool_cfg.
+# expanded by the shell, for $no_dir and $bool_cfg.  The last two ask a
+# repeating orbit (sp3 k = 1 from step 29) for more steps than memory or
+# an index holds: its loop stops at the first checkpoint, and the copy's
+# allocation is refused at once.
 while read -r code args; do
     # shellcheck disable=SC2086  # $CLI and $args are word lists
     $CLI $args > /dev/null 2> "$err"
@@ -260,6 +279,8 @@ done <<ERRORS
 2 analyze --model sp3 --steps 3 --out $no_dir/out.json
 2 fold --model threed --steps 3 --out $no_dir/out.json
 2 analyze --config $bool_cfg
+2 simulate --model sp3 --k 1 --init 1,1,1 --steps 100000000000000000
+2 analyze --model sp3 --k 1 --init 1,1,1 --steps 10000000000000000000
 ERRORS
 # A command loads only what it runs: no command loads click, a scalar
 # one no planar code, and only analyze the analysis; none without

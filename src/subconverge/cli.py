@@ -43,9 +43,11 @@ EXIT_VIOLATED = 4
 EXIT_BOUND = 5
 EXIT_FOLD = 6
 
-# Errors every command maps to an exit code, tried in order.
+# Errors every command maps to an exit code, tried in order: an orbit too
+# long to hold (MemoryError) asked for too many steps.
 _EXITS = (
-    ((ConfigError, ModelParameterError, DomainError), EXIT_CONFIG),
+    ((ConfigError, ModelParameterError, DomainError, MemoryError),
+     EXIT_CONFIG),
     ((NonFiniteError, OverflowError), EXIT_BLOWUP),
     ((BoundValidationError, CriterionInapplicableError), EXIT_BOUND),
 )
@@ -78,7 +80,8 @@ def _exits(*extra):
                 code = next(code for classes, code in table
                             if isinstance(exc, classes))
                 _fail(code, "numerical overflow: %s" % exc
-                      if isinstance(exc, OverflowError) else str(exc))
+                      if isinstance(exc, OverflowError)
+                      else str(exc) or "out of memory")
         return run
     return wrap
 

@@ -317,24 +317,29 @@ def _repeat(seq: list, start: int, p: int) -> Tuple[int, int]:
 def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
                blocked: Optional[Tuple[int, Tuple[int, ...]]],
                *args) -> tuple:
-    """Extend ``seq`` to ``end`` items by ``loop(seq, stop, *args)``, which
-    appends items up to ``stop`` and returns why it stopped early, or None.
-    Given the (first, periods) of ``_blocked``, the loop runs to the
-    checkpoints of ``_SCHEDULE``: _BLOCK/8, /4, /2 and _BLOCK items past
-    its start, then every _BLOCK.  At each it compares the state (the last
-    ``lags`` items) with the state p items back, for each p of
-    ``periods``, smallest first, while that earlier state starts at or
-    past ``first``.  At the first match the last p items repeat to
-    ``end``.  Returns why the loop stopped, and the repeat (onset,
-    period) of ``_repeat``, or None."""
+    """The items of ``seq`` extended to ``end`` by ``loop(seq, stop,
+    *args)``, which appends items up to ``stop`` and returns why it
+    stopped early, or None.  Given the (first, periods) of ``_blocked``,
+    the loop runs to the checkpoints of ``_SCHEDULE``: _BLOCK/8, /4, /2
+    and _BLOCK items past its start, then every _BLOCK.  At each it
+    compares the state (the last ``lags`` items) with the state p items
+    back, for each p of ``periods``, smallest first, while that earlier
+    state starts at or past ``first``.  At the first match the last p
+    items repeat to ``end``: the cycle, rotated to the phase at which
+    whole cycles fill the rest, is built once as a tuple, repeated once
+    and joined to the stored head in one concatenation, so no list of
+    the copy is built.  Returns the items as a tuple, why the loop
+    stopped, and the repeat (onset, period) of ``_repeat``, or None.  A
+    copy too long to hold raises MemoryError naming the steps."""
     if blocked is None:
-        return loop(seq, end, *args), None
+        stopped = loop(seq, end, *args)
+        return tuple(seq), stopped, None
     first, periods = blocked
     begin = len(seq)
     for offset in chain(_SCHEDULE, count(2 * _BLOCK, _BLOCK)):
         stopped = loop(seq, min(begin + offset, end), *args)
         if stopped is not None or len(seq) >= end:
-            return stopped, None
+            return tuple(seq), stopped, None
         # States are sliced only for the periods whose newest item matches:
         # slicing one for each of the 32 periods cost a 30,000-step orbit
         # that never repeats about 5% of its time.  The bound comes first,
@@ -344,10 +349,20 @@ def _in_blocks(loop: Callable, seq: list, end: int, lags: int,
                       [d for d in periods if d <= latest
                        and seq[-1 - d] == last])
         if p is not None:
-            start, cycled = len(seq) - lags - p, seq[-p:]
-            rest = end - len(seq)
-            seq += cycled * (rest // p) + cycled[:rest % p]
-            return None, _repeat(seq, start, p)
+            # The copy starts at head, from which `cycles` whole cycles
+            # reach end.  head lies in the last p stored items, so the
+            # rotated cycle is the stored items from head on, then those
+            # from p before the last up to head.
+            stored = len(seq)
+            cycles = -((stored - end) // p)
+            head = end - cycles * p
+            cycle = tuple(seq[head:] + seq[stored - p:head])
+            try:
+                items = tuple(seq[:head]) + cycle * cycles
+            except (MemoryError, OverflowError):
+                raise MemoryError("an orbit of %d steps does not fit in "
+                                  "memory" % (end - begin)) from None
+            return items, None, _repeat(seq, stored - lags - p, p)
 
 
 def _stop(n: int, x: float, end: int, terms: List[float], m: int
@@ -419,7 +434,8 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     diagnostic; a domain exit raises DomainError with the offending
     index.  An evaluator that ``_render`` made runs inlined in the loop
     (``_in_blocks``); any other is called once per step with the window
-    as a tuple, most recent term first.
+    as a tuple, most recent term first.  An orbit that repeats but has
+    too many steps to hold raises MemoryError.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -438,10 +454,9 @@ def iterate(eq: EquationSpec, initial: Sequence[float],
     uniform = eq.domain_low.count(lo) == m and eq.domain_high.count(hi) == m
     shape, values = rendered = _rendered(eq.evaluator)
     blocked = _blocked(steps, rendered)
-    diagnostic, repeat = _in_blocks(
+    return Trajectory(*_in_blocks(
         _iterate_loop(shape, m, uniform), terms, m + steps, m, blocked,
-        m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values)
-    return Trajectory(tuple(terms), diagnostic, repeat)
+        m + steps, max(lo, -_MAX), min(hi, _MAX), eq.in_domain, *values))
 
 
 # -- systems ------------------------------------------------------------------
@@ -471,14 +486,16 @@ class Orbit:
 
     def _column(self, i: int) -> Tuple[float, ...]:
         """Component i of every point; with a repeat, read from the points
-        up to one period past its onset, and copied from there."""
+        up to one period past the index, within a period of the onset,
+        from which whole periods reach the end, and the last period read,
+        repeated, joined to it in one concatenation."""
         points = self.points
         if self.repeat is None:
             return tuple([p[i] for p in points])
         onset, period = self.repeat
-        head = tuple([p[i] for p in points[:onset + period]])
-        cycled, rest = head[onset:], len(points) - len(head)
-        return head + cycled * (rest // period) + cycled[:rest % period]
+        more = (len(points) - onset) // period - 1    # cycles not read
+        read = tuple([p[i] for p in points[:len(points) - more * period]])
+        return read + read[len(read) - period:] * more
 
     def to_csv(self) -> str:
         lines = ["n," + ",".join("xyz"[:len(self.points[0])])]
@@ -590,14 +607,15 @@ def iterate_system(sys, initial: Sequence[float], steps: int) -> Orbit:
     ``domains``, from a finite initial point in the domain.  A non-finite
     state truncates the orbit with a diagnostic; a finite one outside the
     domain raises DomainError.  A rendered map runs inlined in the loop
-    (``_in_blocks``); any other is called once per step."""
+    (``_in_blocks``); any other is called once per step.  As in
+    ``iterate``, a repeating orbit with too many steps to hold raises
+    MemoryError."""
     points: List[Tuple[float, ...]] = [_initial_state(initial, sys.domains)]
     maps = tuple(map(_rendered, sys.maps))
     blocked = _blocked(steps, *maps)
-    diagnostic, repeat = _in_blocks(
+    return Orbit(*_in_blocks(
         _system_loop(tuple(shape for shape, _ in maps)), points, steps + 1,
         1, blocked,
         *(b for lo, hi in sys.domains for b in (max(lo, -_MAX),
                                                  min(hi, _MAX))),
-        *(value for _, values in maps for value in values))
-    return Orbit(tuple(points), diagnostic, repeat)
+        *(value for _, values in maps for value in values)))

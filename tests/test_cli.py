@@ -742,6 +742,30 @@ def test_out_that_cannot_be_written_exits_2(runner, tmp_path, command,
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", [10 ** 17, 10 ** 19],
+                         ids=["past-memory", "past-index"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_steps_too_many_to_hold_exit_2(runner, tmp_path, source, command,
+                                       steps):
+    """sp3 k = 1 from (1, 1, 1) repeats from step 29, so its loop stops at
+    the first checkpoint and the copy's allocation is refused at once:
+    10^17 steps need 8e17 bytes, and 10^19 cycles do not fit an index."""
+    run = [command, "--model", "sp3", "--k", "1", "--init", "1,1,1"]
+    if source == "flag":
+        run += ["--steps", str(steps)]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": "sp3", "params": {"k": 1},
+                                   "initial": [1, 1, 1], "steps": steps}))
+        run += ["--config", str(cfg)]
+    res = runner.invoke(main, run)
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, Exception)   # SystemExit only
+    assert res.stderr == ("error: an orbit of %d steps does not fit in "
+                          "memory\n" % steps)
+
+
 def test_analyze_tol_zero_is_honoured(runner, tmp_path):
     # With --tol 0 only an exact zero verifies a monotone tail.
     args = ["analyze", "--model", "sp3", "--k", "1", "--init",

@@ -74,9 +74,9 @@ def loops(monkeypatch):
             stopped = loop(seq, stop, *rest)
             calls.append(len(seq) - before)
             return stopped
-        stopped, repeat = in_blocks(counted, seq, *args)
+        items, stopped, repeat = in_blocks(counted, seq, *args)
         runs.append((calls, repeat))
-        return stopped, repeat
+        return items, stopped, repeat
     monkeypatch.setattr(dynamics, "_in_blocks", _in_blocks)
     return runs
 
@@ -250,5 +250,5 @@ def test_an_order_one_orbit_of_106_steps(loops):
             seq.append(x ** 1.1 * math.exp(3.0 - 3.0 * x))
     seq = [0.5]
     assert dynamics._in_blocks(loop, seq, 107, 1,
-                               (0, dynamics._DIVISORS)) == (None, None)
+                               (0, dynamics._DIVISORS))[1:] == (None, None)
     assert seq == list(traj.terms)
